@@ -28,6 +28,14 @@ A :class:`ClassicalDescription` is the replayable classical record of how a
 state was built from |0...0>: the gate prefix with every measurement resolved
 to a projector onto its recorded outcome.  Replaying it (see
 ``statevector.clone_from_description``) reconstructs the state exactly.
+
+The one interpreter of the IR lives here too.  It runs a circuit over a
+backend :class:`Kernel` and owns all that is not quantum arithmetic:
+conditionals, the record, snapshots and the replayable prefix, rewind
+counting, ``max_rewinds`` and ``min_postselect_prob``.  Its one loop samples
+a path (:func:`sample_run`), enumerates all branches (:func:`enumerate_branches`)
+or replays a record (:func:`description_of_prefix`), so samplers and exact
+oracles accept and refuse the same circuits.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Union
 
-from .gates import Gate, gate as make_gate
+from .gates import GATE_NAMES, Gate, gate as make_gate
 
 
 class CircuitSyntaxError(ValueError):
@@ -56,6 +64,38 @@ class RecordError(ValueError):
 
 class DescriptionBudgetError(ValueError):
     """A classical description exceeded the circuit's bit budget."""
+
+
+class UnsupportedInstructionError(ValueError):
+    """An instruction the chosen backend does not run."""
+
+
+class GateSetError(UnsupportedInstructionError):
+    """A gate outside the chosen backend's gate set."""
+
+
+class RewindConsistencyError(ValueError):
+    """Strict rewind input is not a one-outcome collapse of the snapshot."""
+
+
+class UnknownSnapshotError(KeyError):
+    """Rewind/clone referenced a label the registry has never seen."""
+
+
+class RewindBudgetError(RuntimeError):
+    """A run used more rewinds than its budget allows."""
+
+
+class InvalidPostselectionError(ValueError):
+    """Postselected on an outcome of probability zero."""
+
+
+class PostselectThresholdError(ValueError):
+    """Postselection succeeded but below the required minimum probability."""
+
+
+class DepthLimitError(RuntimeError):
+    """Branch tree exceeded the random-measurement depth limit."""
 
 
 @dataclass(frozen=True)
@@ -164,6 +204,12 @@ class MeasurementRecord:
 
     def outcome_string(self) -> str:
         return "".join(str(b) for _, b, _ in self.entries)
+
+    def copy(self) -> "MeasurementRecord":
+        out = MeasurementRecord()
+        out.entries = list(self.entries)
+        out._bits = dict(self._bits)
+        return out
 
 
 def predicate_holds(predicate: tuple[tuple[str, int], ...], record: MeasurementRecord) -> bool:
@@ -410,16 +456,304 @@ def accept_qubit(circuit: Circuit) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# classical descriptions
+# snapshots and backend kernels
+
+
+class SnapshotRegistry:
+    """Label -> (state copy, optional classical description), for any backend."""
+
+    def __init__(self):
+        self._entries: dict[str, tuple[object, ClassicalDescription | None]] = {}
+        self._counter = 0
+
+    def store(self, label: str, state, description: ClassicalDescription | None = None):
+        if label in self._entries:
+            raise ValueError(f"snapshot label {label!r} already in use")
+        self._entries[label] = (state.copy(), description)
+
+    def state(self, label: str):
+        if label not in self._entries:
+            raise UnknownSnapshotError(label)
+        return self._entries[label][0]
+
+    def description(self, label: str) -> ClassicalDescription | None:
+        if label not in self._entries:
+            raise UnknownSnapshotError(label)
+        return self._entries[label][1]
+
+    def fresh_label(self, base: str) -> str:
+        """A label guaranteed unused in this registry (for protocol code)."""
+        self._counter += 1
+        return f"{base}.{self._counter}"
+
+    def copy(self) -> "SnapshotRegistry":
+        """An independent label table sharing the (never mutated) stored copies."""
+        out = SnapshotRegistry()
+        out._entries = dict(self._entries)
+        out._counter = self._counter
+        return out
+
+    def __contains__(self, label: str) -> bool:
+        return label in self._entries
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+_OPTIONAL = {Postselect: "postselect", Snapshot: "snapshot", Rewind: "rewind", Clone: "clone"}
+
+
+class Kernel:
+    """A backend as the interpreter sees it: its state arithmetic and its reach.
+
+    A kernel declares ``gates`` (the gate names ``apply`` accepts), ``runs``
+    (which of postselect, snapshot, rewind and clone it supports), the unit
+    ``one`` of its branch weights, and whether ``clone`` rebuilds the state
+    from the snapshot's classical description (``clone_replays``).  States
+    are opaque to the interpreter apart from ``copy()``.  The operations are
+
+    * ``init(n)`` and ``apply(state, gate_op)``;
+    * ``postselect(state, qubit, bit) -> (prob, state)``, which raises
+      :class:`InvalidPostselectionError` on an empty outcome;
+    * sampling: ``measure(state, qubit, rng) -> (bit, prob, state)``;
+    * enumeration: ``prob(state, qubit, bit)``, a weight that is zero for a
+      branch the kernel counts as empty, and ``collapse(state, qubit, bit,
+      prob)``, which must leave its input usable for the sibling branch;
+    * ``rewind(state, registry, label, mode)`` (certify, then restore) and
+      ``clone(registry, label)``.
+    """
+
+    name: str
+    gates: frozenset[str] = GATE_NAMES
+    runs: frozenset[str] = frozenset(_OPTIONAL.values())
+    one = 1.0
+    clone_replays = False
+
+    def unsupported(self, circuit: Circuit) -> tuple[str, ...] | None:
+        """Source keywords, ``("gate", name)`` or ``(kind,)``, of the first
+        instruction, taken or not, that this backend cannot run."""
+        for instr in circuit.instructions:
+            inner = instr.inner if isinstance(instr, Conditional) else instr
+            if isinstance(inner, GateOp) and inner.gate.name not in self.gates:
+                return ("gate", inner.gate.name)
+            kind = _OPTIONAL.get(type(inner))
+            if kind is not None and kind not in self.runs:
+                return (kind,)
+        return None
+
+
+class _Replay(Kernel):
+    """Classical replay of a record: it builds the prefix only."""
+
+    name = "replay"
+
+    def init(self, n):
+        return {}  # no quantum state; an empty dict stands in, as snapshots copy it
+
+    def apply(self, state, op):
+        return state
+
+    def postselect(self, state, qubit, bit):
+        return 1.0, state
+
+    def rewind(self, state, registry, label, mode):
+        return self.clone(registry, label)
+
+    def clone(self, registry, label):
+        if label not in registry:
+            raise RecordError(f"snapshot {label!r} was not reached under this record")
+        return {}
+
+
+# ---------------------------------------------------------------------------
+# the interpreter
 
 
 @dataclass
-class _PrefixState:
-    ops: list[GateOp | Project] = field(default_factory=list)
-    outcomes: list[tuple[str, int]] = field(default_factory=list)
+class RunResult:
+    record: MeasurementRecord
+    accept_bit: int | None
+    final_state: object
+    rewinds_used: int
 
-    def copy(self) -> "_PrefixState":
-        return _PrefixState(list(self.ops), list(self.outcomes))
+
+@dataclass
+class _Branch:
+    """One path through a circuit: position, state, weight and what it has seen."""
+
+    state: object
+    weight: object
+    record: MeasurementRecord
+    registry: SnapshotRegistry = field(default_factory=SnapshotRegistry)
+    ops: list = field(default_factory=list)  # the replayable prefix
+    outcomes: list = field(default_factory=list)
+    pc: int = 0
+    rewinds: int = 0
+    depth: int = 0  # measurements so far with two live outcomes
+
+    def copy(self) -> "_Branch":
+        return _Branch(
+            self.state, self.weight, self.record.copy(), self.registry.copy(),
+            list(self.ops), list(self.outcomes), self.pc, self.rewinds, self.depth,
+        )
+
+    def description(self, n_qubits: int) -> ClassicalDescription:
+        return ClassicalDescription(n_qubits, tuple(self.ops), tuple(self.outcomes))
+
+
+_SAMPLE, _ENUMERATE, _REPLAY = "sample", "enumerate", "replay"
+
+
+def _interpret(
+    circuit: Circuit,
+    kernel: Kernel,
+    how: str,
+    rng=None,
+    record: MeasurementRecord | None = None,
+    mode: str = "strict",
+    max_rewinds: int | None = None,
+    min_postselect_prob: float = 0.0,
+    max_depth: int | None = None,
+    stop_at: str | None = None,
+) -> list[_Branch]:
+    """The one walk over the IR; returns every branch that runs to its end.
+
+    ``how`` picks what a measurement does: draw from ``rng`` (sample), fork
+    over both outcomes (enumerate) or read ``record`` (replay, which ends at
+    snapshot ``stop_at`` if given).  Sampling and replay follow one branch.
+    """
+    validate(circuit)
+    words = kernel.unsupported(circuit)
+    if words is not None:
+        error = GateSetError if words[0] == "gate" else UnsupportedInstructionError
+        raise error(f"backend {kernel.name} cannot run {' '.join(words)}")
+    instructions = circuit.instructions
+    root = MeasurementRecord() if record is None else record
+    leaves, stack = [], [_Branch(kernel.init(circuit.n_qubits), kernel.one, root)]
+    while stack:
+        b = stack.pop()
+        while b.pc < len(instructions):
+            instr = instructions[b.pc]
+            b.pc += 1
+            if isinstance(instr, Conditional):
+                if not predicate_holds(instr.predicate, b.record):
+                    continue
+                instr = instr.inner
+            if isinstance(instr, GateOp):
+                b.state = kernel.apply(b.state, instr)
+                b.ops.append(instr)
+            elif isinstance(instr, Measure):
+                q, label = instr.qubit, instr.label
+                if how == _ENUMERATE:  # fork over the live outcomes, 0 before 1
+                    state = b.state
+                    probs = [(bit, kernel.prob(state, q, bit)) for bit in (0, 1)]
+                    live = [(bit, p) for bit, p in probs if p]
+                    if len(live) == 2:
+                        if max_depth is not None and b.depth >= max_depth:
+                            raise DepthLimitError(f"random-measurement depth exceeded {max_depth}")
+                        b.depth += 1
+                    forks = [b] + [b.copy() for _ in live[1:]] if live else []
+                    for child, (bit, p) in zip(forks, live):
+                        child.state = kernel.collapse(state, q, bit, p)
+                        child.weight = child.weight * p
+                        child.record.add(label, bit, min(float(p), 1.0))
+                        child.ops.append(Project(q, bit))
+                        child.outcomes.append((label, bit))
+                    stack.extend(reversed(forks))
+                    break
+                if how == _SAMPLE:
+                    bit, prob, b.state = kernel.measure(b.state, q, rng)
+                    b.record.add(label, bit, prob)
+                else:
+                    bit = b.record.bit(label)
+                b.ops.append(Project(q, bit))
+                b.outcomes.append((label, bit))
+            elif isinstance(instr, Postselect):
+                try:
+                    prob, b.state = kernel.postselect(b.state, instr.qubit, instr.bit)
+                except InvalidPostselectionError:
+                    if how == _ENUMERATE:
+                        break  # the oracles drop a branch that cannot pass
+                    raise
+                if prob < min_postselect_prob:
+                    raise PostselectThresholdError(
+                        f"postselection probability {prob:.6g} below required "
+                        f"{min_postselect_prob:.6g}"
+                    )
+                b.ops.append(Project(instr.qubit, instr.bit))
+            elif isinstance(instr, Snapshot):
+                description = b.description(circuit.n_qubits)
+                if kernel.clone_replays:
+                    _check_budget(circuit, description)
+                b.registry.store(instr.label, b.state, description)
+                if instr.label == stop_at:
+                    b.pc = len(instructions)
+            elif isinstance(instr, (Rewind, Clone)):
+                if isinstance(instr, Clone):
+                    b.state = kernel.clone(b.registry, instr.label)
+                else:
+                    b.rewinds += 1
+                    if max_rewinds is not None and b.rewinds > max_rewinds:
+                        raise RewindBudgetError(
+                            f"rewind budget {max_rewinds} exhausted at label {instr.label!r}"
+                        )
+                    b.state = kernel.rewind(b.state, b.registry, instr.label, mode)
+                stored = b.registry.description(instr.label)  # the prefix returns with the state
+                b.ops, b.outcomes = list(stored.ops), list(stored.outcomes)
+            # Accept is read once the walk ends.
+        else:  # the branch ran to its end without forking or being dropped
+            leaves.append(b)
+    return leaves
+
+
+def _check_budget(circuit: Circuit, description: ClassicalDescription) -> None:
+    if circuit.description_bits is not None:
+        used = description.bit_length()
+        if used > circuit.description_bits:
+            raise DescriptionBudgetError(
+                f"description needs {used} bits, budget is {circuit.description_bits}"
+            )
+
+
+def sample_run(
+    circuit: Circuit,
+    kernel: Kernel,
+    rng,
+    mode: str = "strict",
+    max_rewinds: int | None = None,
+    min_postselect_prob: float = 0.0,
+) -> RunResult:
+    """Execute ``circuit`` once on ``kernel``, sampling measurements from ``rng``.
+
+    The accept qubit, if any, is measured last.
+    """
+    (b,) = _interpret(
+        circuit, kernel, _SAMPLE, rng, mode=mode, max_rewinds=max_rewinds,
+        min_postselect_prob=min_postselect_prob,
+    )
+    accept_bit = None
+    accept = accept_qubit(circuit)
+    if accept is not None:
+        accept_bit, _, b.state = kernel.measure(b.state, accept, rng)
+    return RunResult(b.record, accept_bit, b.state, b.rewinds)
+
+
+def enumerate_branches(
+    circuit: Circuit, kernel: Kernel, max_depth: int | None = None
+) -> list[tuple[str, object, object]]:
+    """Every branch of nonzero weight as (outcome key, weight, final state).
+
+    Branches come in depth-first order, outcome 0 before outcome 1.  A weight
+    is the product of the branch's measurement probabilities, in the kernel's
+    weight type; postselection renormalises within a branch and drops it when
+    impossible.  Rewinds are certified in strict mode, as when sampling.
+    ``max_depth`` bounds the number of measurements with two live outcomes.
+    """
+    leaves = _interpret(circuit, kernel, _ENUMERATE, max_depth=max_depth)
+    return [
+        (",".join(f"{label}={bit}" for label, bit, _ in b.record.entries), b.weight, b.state)
+        for b in leaves
+    ]
 
 
 def description_of_prefix(
@@ -435,42 +769,9 @@ def description_of_prefix(
     record must contain every measurement that executes before the target
     point under its own recorded control flow.
     """
-    validate(circuit)
-    cur = _PrefixState()
-    snaps: dict[str, _PrefixState] = {}
-    found = snapshot_label is None
-    for instr in circuit.instructions:
-        if isinstance(instr, Conditional):
-            if not predicate_holds(instr.predicate, record):
-                continue
-            instr = instr.inner
-        if isinstance(instr, GateOp):
-            cur.ops.append(instr)
-        elif isinstance(instr, Measure):
-            bit = record.bit(instr.label)
-            cur.ops.append(Project(instr.qubit, bit))
-            cur.outcomes.append((instr.label, bit))
-        elif isinstance(instr, Postselect):
-            cur.ops.append(Project(instr.qubit, instr.bit))
-        elif isinstance(instr, Snapshot):
-            snaps[instr.label] = cur.copy()
-            if instr.label == snapshot_label:
-                found = True
-                break
-        elif isinstance(instr, (Rewind, Clone)):
-            if instr.label not in snaps:
-                raise RecordError(
-                    f"snapshot {instr.label!r} was not reached under this record"
-                )
-            cur = snaps[instr.label].copy()
-        # Accept carries no state information.
-    if not found:
+    (b,) = _interpret(circuit, _Replay(), _REPLAY, record=record, stop_at=snapshot_label)
+    if snapshot_label is not None and snapshot_label not in b.registry:
         raise RecordError(f"snapshot {snapshot_label!r} was not reached under this record")
-    description = ClassicalDescription(circuit.n_qubits, tuple(cur.ops), tuple(cur.outcomes))
-    if circuit.description_bits is not None:
-        used = description.bit_length()
-        if used > circuit.description_bits:
-            raise DescriptionBudgetError(
-                f"description needs {used} bits, budget is {circuit.description_bits}"
-            )
+    description = b.description(circuit.n_qubits)
+    _check_budget(circuit, description)
     return description

@@ -45,20 +45,14 @@ from .applications import (
     sd_error_exact,
     toy_two_regular,
 )
+from . import pathsum, stabilizer, statevector
 from .circuit import (
-    Circuit,
     CircuitSyntaxError,
     CircuitValidationError,
-    Clone,
-    Conditional,
-    GateOp,
-    Postselect,
-    Rewind,
-    Snapshot,
     accept_qubit,
     parse_circuit,
 )
-from .gates import CLIFFORD_NAMES, H, rz
+from .gates import H, rz
 from .mbqc import (
     BrickworkSpec,
     MeasurementPattern,
@@ -74,11 +68,8 @@ from .mitigation import (
     postselect_rounds,
     synthetic_flagged,
 )
-from .pathsum import acceptance_probability, outcome_distribution
 from .rng import SplitMix64, stream_seed
-from .stabilizer import stab_run
 from .statevector import apply_gate, max_qubits
-from .statevector import run as sv_run
 
 
 class UsageError(Exception):
@@ -137,9 +128,9 @@ def _build_simulate(args):
 
     def one(rng: SplitMix64) -> str:
         if backend == "sv":
-            result = sv_run(circuit, rng, mode, min_postselect_prob=min_prob)
+            result = statevector.run(circuit, rng, mode, min_postselect_prob=min_prob)
         else:
-            result = stab_run(circuit, rng, mode)
+            result = stabilizer.stab_run(circuit, rng, mode)
         parts = [f"{label}:{bit}" for label, bit, _ in result.record.entries]
         if result.accept_bit is not None:
             parts.append(f"accept:{result.accept_bit}")
@@ -263,31 +254,7 @@ def _source_line(text: str, *prefix: str) -> int | str:
     return "?"
 
 
-def _check_backend_support(circuit: Circuit, text: str, backend: str, path: str) -> None:
-    for instr in circuit.instructions:
-        if isinstance(instr, Conditional):
-            instr = instr.inner
-        if backend == "stab":
-            if isinstance(instr, GateOp) and instr.gate.name not in CLIFFORD_NAMES:
-                line = _source_line(text, "gate", instr.gate.name)
-                raise UsageError(
-                    f"backend stab supports gates {sorted(CLIFFORD_NAMES)} only; "
-                    f"found gate {instr.gate.name!r} at {path} line {line}"
-                )
-            if isinstance(instr, Postselect):
-                line = _source_line(text, "postselect")
-                raise UsageError(
-                    f"backend stab cannot postselect ({path} line {line})"
-                )
-        elif backend == "pathsum":
-            if isinstance(instr, (Snapshot, Rewind, Clone)):
-                keyword = type(instr).__name__.lower()
-                line = _source_line(text, keyword)
-                raise UsageError(
-                    f"backend pathsum cannot run {keyword} ({path} line {line})"
-                )
-    if backend == "pathsum" and accept_qubit(circuit) is None:
-        raise UsageError("backend pathsum needs an accept instruction")
+_KERNELS = {"sv": statevector.KERNEL, "stab": stabilizer.KERNEL, "pathsum": pathsum.KERNEL}
 
 
 def cmd_simulate(ns) -> tuple[list, bool]:
@@ -299,7 +266,12 @@ def cmd_simulate(ns) -> tuple[list, bool]:
         circuit = parse_circuit(text, name=ns.circuit)
     except (CircuitSyntaxError, CircuitValidationError) as exc:
         raise UsageError(f"{ns.circuit}: {exc}") from None
-    _check_backend_support(circuit, text, ns.backend, ns.circuit)
+    words = _KERNELS[ns.backend].unsupported(circuit)
+    if words is not None:
+        line = _source_line(text, *words)
+        raise UsageError(
+            f"backend {ns.backend} cannot run {' '.join(words)} ({ns.circuit} line {line})"
+        )
     lines: list = [
         (
             "command",
@@ -311,8 +283,10 @@ def cmd_simulate(ns) -> tuple[list, bool]:
         ("qubits", circuit.n_qubits),
     ]
     if ns.backend == "pathsum":
-        lines.append(("p_accept", acceptance_probability(circuit)))
-        dist = outcome_distribution(circuit)
+        if accept_qubit(circuit) is None:
+            raise UsageError("backend pathsum needs an accept instruction")
+        lines.append(("p_accept", pathsum.acceptance_probability(circuit)))
+        dist = pathsum.outcome_distribution(circuit)
         if len(dist) <= 64:
             for key in sorted(dist):
                 lines.append((f"p.{key.replace('=', ':')}", dist[key]))

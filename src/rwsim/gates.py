@@ -26,6 +26,7 @@ _ARITY = {
     "ccz": 3,
 }
 
+GATE_NAMES = frozenset(_ARITY)
 CLIFFORD_NAMES = frozenset({"h", "s", "cz", "x"})
 MBQC_NAMES = frozenset({"rz", "cz"})
 

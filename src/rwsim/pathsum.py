@@ -5,49 +5,42 @@ measurements, postselections, one ``accept`` declaration) by summing basis
 paths instead of storing a state vector, so memory stays linear in circuit
 depth regardless of width.
 
-For every feasible outcome string z the oracle resolves each measurement to
-a projector and evaluates squared norms of projected prefixes:
+``KERNEL`` runs under the circuit interpreter in :mod:`rwsim.circuit`, which
+enumerates the measurement branches.  A kernel state is the compiled op list
+of a branch's prefix, with projectors in place of measurements and
+postselections, plus that list's squared norm N = ||(prefix)|0...0>||^2.
+A measurement outcome has probability N_child / N_parent, so
 
-    q_z        = prod over measurement projectors of N_j / N_{j-1}
+    q_z         = prod over measurement projectors of N_j / N_{j-1}
     P(accept|z) = A_z / N_last
 
-where N_j is ||(prefix through projector j)|0...0>||^2 and A_z adds a final
-projector onto accept = 1.  Postselection projectors enter the N_j chain but
-not the q_z product — they renormalise the branch.  Each norm is evaluated as
-a doubled walk: a forward path from |0...0> through the prefix and a
-conjugated backward path returning to |0...0>; only Hadamard-like entries
-(h, hk, and ch on a control-1 path) branch, diagonal and permutation gates
-never do.  Leaf contributions are accumulated with Kahan compensation.
+where A_z adds a final projector onto accept = 1.  Postselection projectors
+enter the N_j chain but not the q_z product: they renormalise the branch.
+Each prefix norm is walked once and shared by both outcomes and the accept
+leaf below it.  A norm is evaluated as a doubled walk: a forward path from
+|0...0> through the prefix and a backward path through its adjoints that
+returns to |0...0>; only Hadamard-like entries (h, hk, and ch on a
+control-1 path) branch, diagonal and permutation gates never do.  Leaf
+contributions are accumulated with Kahan compensation.
 
-The size guard counts *path bits* — two per branching slot over the doubled
-walk, plus the width of an inserted identity cut — and refuses above
-``max_path_bits`` (default 60).
-
-``cut_slot`` inserts a literal resolution of identity (a fresh summed basis
-variable per qubit) after the given op index; by construction it cannot
-change any norm, which the identity-insertion tests pin down numerically.
+The size guard counts *path bits*, two per branching slot over the doubled
+walk of the prefix being evaluated, and refuses above ``max_path_bits``
+(default 60).
 """
 
 from __future__ import annotations
 
-from .circuit import (
-    Accept,
+from .circuit import (  # the shared error name is re-exported
     Circuit,
-    Conditional,
     GateOp,
-    Measure,
-    MeasurementRecord,
-    Postselect,
+    InvalidPostselectionError,
+    Kernel,
+    UnsupportedInstructionError,
     accept_qubit,
-    predicate_holds,
-    validate,
+    enumerate_branches,
 )
 
 _NORM_FLOOR = 1e-300  # treat prefixes below this squared norm as dead branches
-
-
-class UnsupportedInstructionError(ValueError):
-    """The oracle covers straight-line circuits only (no snapshot/rewind/clone)."""
 
 
 class SizeLimitError(ValueError):
@@ -61,9 +54,8 @@ _CCZ = 2       # (kind, qa, qb, qc)
 _FLIP = 3      # (kind, qubit)
 _SWAP = 4      # (kind, qa, qb)
 _BRANCH = 5    # (kind, qubit, (m00, m01, m10, m11))
-_CBRANCH = 6   # (kind, ctrl, tgt, (m00, m01, m10, m11))
-_PROJ = 7      # (kind, qubit, bit, is_measurement)
-_CUT = 8       # (kind, n_qubits)
+_CBRANCH = 6   # (kind, ctrl, tgt, (m00, m01, m10, m11)); a branch when ctrl is 1
+_PROJ = 7      # (kind, qubit, bit)
 
 
 def _compile_gate(op: GateOp):
@@ -93,63 +85,30 @@ def _compile_gate(op: GateOp):
     raise UnsupportedInstructionError(f"gate {name} is not path-compilable")
 
 
-def _resolve_paths(circuit: Circuit):
-    """All feasible (ops, outcome-key, n_measurements) control-flow paths.
+def _adjoint(op):
+    """The compiled op of the conjugate-transposed gate (projectors are their own)."""
+    kind = op[0]
+    if kind == _DIAG:
+        f0, f1 = op[2]
+        return (_DIAG, op[1], (f0.conjugate(), f1.conjugate()))
+    if kind in (_BRANCH, _CBRANCH):
+        m00, m01, m10, m11 = op[-1]
+        return op[:-1] + ((m00.conjugate(), m10.conjugate(), m01.conjugate(), m11.conjugate()),)
+    return op
 
-    Walks the instruction list, branching over both outcomes at every executed
-    measurement, and emits per path the compiled op list with projectors in
-    place of measurements/postselections.
+
+def _norm_squared(ops) -> float:
+    """||(ops applied in order)|0...0>||^2 via the doubled path walk.
+
+    The walk runs the ops forward from |0...0> and then their adjoints in
+    reverse back to |0...0>, summing the amplitude of every path that returns.
     """
-    instructions = circuit.instructions
-    paths = []
-
-    def walk(idx: int, ops: list, record: MeasurementRecord):
-        i = idx
-        while i < len(instructions):
-            instr = instructions[i]
-            if isinstance(instr, Conditional):
-                if not predicate_holds(instr.predicate, record):
-                    i += 1
-                    continue
-                instr = instr.inner
-            if isinstance(instr, GateOp):
-                ops.append(_compile_gate(instr))
-            elif isinstance(instr, Measure):
-                for bit in (0, 1):
-                    sub = MeasurementRecord()
-                    for label, b, p in record.entries:
-                        sub.add(label, b, p)
-                    sub.add(instr.label, bit, 1.0)  # placeholder prob
-                    walk(i + 1, ops + [(_PROJ, instr.qubit, bit, True)], sub)
-                return
-            elif isinstance(instr, Postselect):
-                ops.append((_PROJ, instr.qubit, instr.bit, False))
-            elif isinstance(instr, Accept):
-                pass
-            else:
-                raise UnsupportedInstructionError(
-                    f"{type(instr).__name__.lower()} is outside the oracle's scope"
-                )
-            i += 1
-        key = ",".join(f"{label}={bit}" for label, bit, _ in record.entries)
-        paths.append((list(ops), key))
-
-    walk(0, [], MeasurementRecord())
-    return paths
-
-
-def _path_bits(ops, cut_qubits: int) -> int:
-    branchy = sum(1 for op in ops if op[0] in (_BRANCH, _CBRANCH))
-    return 2 * branchy + 2 * cut_qubits
-
-
-def _norm_squared(ops, n: int) -> float:
-    """||(ops applied in order)|0...0>||^2 via the doubled path walk."""
+    walk = list(ops) + [_adjoint(op) for op in reversed(ops)]
+    n_ops = len(walk)
     total_re = 0.0
     total_im = 0.0
     comp_re = 0.0
     comp_im = 0.0
-    n_ops = len(ops)
 
     def leaf(amp: complex):
         nonlocal total_re, total_im, comp_re, comp_im
@@ -162,9 +121,9 @@ def _norm_squared(ops, n: int) -> float:
         comp_im = (t - total_im) - y
         total_im = t
 
-    def forward(idx: int, assign: int, amp: complex):
+    def visit(idx: int, assign: int, amp: complex):
         while idx < n_ops:
-            op = ops[idx]
+            op = walk[idx]
             kind = op[0]
             if kind == _DIAG:
                 amp *= op[2][(assign >> op[1]) & 1]
@@ -181,168 +140,89 @@ def _norm_squared(ops, n: int) -> float:
                 ba, bb = (assign >> qa) & 1, (assign >> qb) & 1
                 if ba != bb:
                     assign ^= (1 << qa) | (1 << qb)
-            elif kind == _BRANCH:
-                q = op[1]
-                m00, m01, m10, m11 = op[2]
+            elif kind == _BRANCH or kind == _CBRANCH and (assign >> op[1]) & 1:
+                q = op[-2]
+                m00, m01, m10, m11 = op[-1]
                 b_in = (assign >> q) & 1
                 base = assign & ~(1 << q)
                 if b_in:
-                    forward(idx + 1, base, amp * m01)
-                    forward(idx + 1, base | (1 << q), amp * m11)
+                    visit(idx + 1, base, amp * m01)
+                    visit(idx + 1, base | (1 << q), amp * m11)
                 else:
-                    forward(idx + 1, base, amp * m00)
-                    forward(idx + 1, base | (1 << q), amp * m10)
+                    visit(idx + 1, base, amp * m00)
+                    visit(idx + 1, base | (1 << q), amp * m10)
                 return
-            elif kind == _CBRANCH:
-                if (assign >> op[1]) & 1:
-                    q = op[2]
-                    m00, m01, m10, m11 = op[3]
-                    b_in = (assign >> q) & 1
-                    base = assign & ~(1 << q)
-                    if b_in:
-                        forward(idx + 1, base, amp * m01)
-                        forward(idx + 1, base | (1 << q), amp * m11)
-                    else:
-                        forward(idx + 1, base, amp * m00)
-                        forward(idx + 1, base | (1 << q), amp * m10)
-                    return
             elif kind == _PROJ:
                 if ((assign >> op[1]) & 1) != op[2]:
                     return
-            else:  # _CUT: sum a fresh basis variable per qubit, delta-matched
-                for q in range(op[1]):
-                    kept = 0
-                    for d in (0, 1):
-                        if d == (assign >> q) & 1:
-                            kept += 1
-                    if kept != 1:
-                        return  # unreachable; the delta keeps exactly one term
             idx += 1
-        backward(n_ops - 1, assign, amp)
-
-    def backward(idx: int, assign: int, amp: complex):
-        while idx >= 0:
-            op = ops[idx]
-            kind = op[0]
-            if kind == _DIAG:
-                amp *= op[2][(assign >> op[1]) & 1].conjugate()
-            elif kind == _CZ:
-                if (assign >> op[1]) & (assign >> op[2]) & 1:
-                    amp = -amp
-            elif kind == _CCZ:
-                if (assign >> op[1]) & (assign >> op[2]) & (assign >> op[3]) & 1:
-                    amp = -amp
-            elif kind == _FLIP:
-                assign ^= 1 << op[1]
-            elif kind == _SWAP:
-                qa, qb = op[1], op[2]
-                ba, bb = (assign >> qa) & 1, (assign >> qb) & 1
-                if ba != bb:
-                    assign ^= (1 << qa) | (1 << qb)
-            elif kind == _BRANCH:
-                q = op[1]
-                m00, m01, m10, m11 = op[2]
-                b_cur = (assign >> q) & 1
-                base = assign & ~(1 << q)
-                if b_cur:
-                    backward(idx - 1, base, amp * m10.conjugate())
-                    backward(idx - 1, base | (1 << q), amp * m11.conjugate())
-                else:
-                    backward(idx - 1, base, amp * m00.conjugate())
-                    backward(idx - 1, base | (1 << q), amp * m01.conjugate())
-                return
-            elif kind == _CBRANCH:
-                if (assign >> op[1]) & 1:
-                    q = op[2]
-                    m00, m01, m10, m11 = op[3]
-                    b_cur = (assign >> q) & 1
-                    base = assign & ~(1 << q)
-                    if b_cur:
-                        backward(idx - 1, base, amp * m10.conjugate())
-                        backward(idx - 1, base | (1 << q), amp * m11.conjugate())
-                    else:
-                        backward(idx - 1, base, amp * m00.conjugate())
-                        backward(idx - 1, base | (1 << q), amp * m01.conjugate())
-                    return
-            elif kind == _PROJ:
-                if ((assign >> op[1]) & 1) != op[2]:
-                    return
-            idx -= 1
         if assign == 0:
             leaf(amp)
 
-    forward(0, 0, 1.0 + 0.0j)
+    visit(0, 0, 1.0 + 0.0j)
     value = total_re
     assert abs(total_im) < 1e-9, "norm accumulated a non-real component"
     return value
 
 
-def _insert_cut(ops, cut_slot: int, n: int):
-    if cut_slot < 0:
-        raise ValueError(f"cut slot {cut_slot} out of range")
-    # Resolved op lists differ in length across outcome branches; clamp so one
-    # slot index is meaningful for every branch.
-    slot = min(cut_slot, len(ops))
-    return ops[:slot] + [(_CUT, n)] + ops[slot:]
+class PathSumKernel(Kernel):
+    """Enumeration-only kernel.  A state is (compiled prefix, its squared norm,
+    the projected norms ``prob`` has walked from it, which ``collapse`` reuses)."""
+
+    name = "pathsum"
+    runs = frozenset({"postselect"})
+
+    def __init__(self, max_path_bits: int = 60):
+        self.max_path_bits = max_path_bits
+
+    def init(self, n: int):
+        return (), 1.0, {}
+
+    def apply(self, state, op: GateOp):
+        return state[0] + (_compile_gate(op),), state[1], {}
+
+    def prob(self, state, qubit: int, bit: int) -> float:
+        ops, norm, walked = state
+        projected = ops + ((_PROJ, qubit, bit),)
+        bits = 2 * sum(1 for op in projected if op[0] in (_BRANCH, _CBRANCH))
+        if bits > self.max_path_bits:
+            raise SizeLimitError(f"{bits} path bits exceeds the budget of {self.max_path_bits}")
+        walked[qubit, bit] = cur = _norm_squared(projected)
+        return cur / norm if cur > _NORM_FLOOR else 0.0
+
+    def collapse(self, state, qubit: int, bit: int, prob: float):
+        return state[0] + ((_PROJ, qubit, bit),), state[2][qubit, bit], {}
+
+    def postselect(self, state, qubit: int, bit: int):
+        prob = self.prob(state, qubit, bit)
+        if not prob:
+            raise InvalidPostselectionError(f"outcome {bit} on qubit {qubit} has probability zero")
+        return prob, self.collapse(state, qubit, bit, prob)
 
 
-def _branch_weights(ops, n: int, max_path_bits: int, cut_slot: int | None):
-    """(q_z-style product over measurement projectors, final norm)."""
-    if cut_slot is not None:
-        ops = _insert_cut(ops, cut_slot, n)
-    bits = _path_bits(ops, n if cut_slot is not None else 0)
-    if bits > max_path_bits:
-        raise SizeLimitError(f"{bits} path bits exceeds the budget of {max_path_bits}")
-    q_z = 1.0
-    prev = 1.0
-    last = 1.0
-    for j, op in enumerate(ops):
-        if op[0] != _PROJ:
-            continue
-        cur = _norm_squared(ops[: j + 1], n)
-        if op[3]:  # measurement projector
-            if prev <= _NORM_FLOOR:
-                return 0.0, 0.0
-            q_z *= cur / prev
-        elif cur <= _NORM_FLOOR:
-            return 0.0, 0.0  # impossible postselection kills the branch
-        prev = cur
-        last = cur
-    return q_z, last
+KERNEL = PathSumKernel()
 
 
 def acceptance_probability(
     circuit: Circuit,
     weighting: dict[str, float] | None = None,
     max_path_bits: int = 60,
-    cut_slot: int | None = None,
 ) -> float:
     """Exact P(accept = 1) = sum_z w_z * A_z / N_z.
 
     ``weighting`` overrides the intrinsic branch probabilities q_z by outcome
-    key (missing keys keep their q_z).  ``cut_slot`` inserts a resolution of
-    identity after that op index in every resolved path (for invariance
-    checks).  The result lies in [0, 1] up to accumulation error of 1e-12.
+    key (missing keys keep their q_z).  The result lies in [0, 1] up to
+    accumulation error of 1e-12.
     """
-    validate(circuit)
-    acc = accept_qubit(circuit)
-    if acc is None:
+    accept = accept_qubit(circuit)
+    if accept is None:
         raise ValueError("circuit declares no accept qubit")
-    n = circuit.n_qubits
+    kernel = PathSumKernel(max_path_bits)
     total = 0.0
-    for ops, key in _resolve_paths(circuit):
-        q_z, norm_last = _branch_weights(ops, n, max_path_bits, cut_slot)
-        if q_z <= 0.0 or norm_last <= _NORM_FLOOR:
-            continue
-        ops_acc = ops + [(_PROJ, acc, 1, False)]
-        if cut_slot is not None:
-            ops_acc = _insert_cut(ops_acc, cut_slot, n)
-        bits = _path_bits(ops_acc, n if cut_slot is not None else 0)
-        if bits > max_path_bits:
-            raise SizeLimitError(f"{bits} path bits exceeds the budget of {max_path_bits}")
-        accept_norm = _norm_squared(ops_acc, n)
-        weight = q_z if weighting is None else weighting.get(key, q_z)
-        total += weight * (accept_norm / norm_last)
+    for key, q_z, state in enumerate_branches(circuit, kernel):
+        if q_z > 0.0:
+            weight = q_z if weighting is None else weighting.get(key, q_z)
+            total += weight * kernel.prob(state, accept, 1)
     assert -1e-12 <= total <= 1.0 + 1e-12, f"acceptance {total} outside [0, 1]"
     return total
 
@@ -351,11 +231,5 @@ def outcome_distribution(
     circuit: Circuit, max_path_bits: int = 60
 ) -> dict[str, float]:
     """Exact q_z per outcome key, same key format as the statevector oracle."""
-    validate(circuit)
-    n = circuit.n_qubits
-    dist: dict[str, float] = {}
-    for ops, key in _resolve_paths(circuit):
-        q_z, _ = _branch_weights(ops, n, max_path_bits, None)
-        if q_z > 0.0:
-            dist[key] = dist.get(key, 0.0) + q_z
-    return dist
+    branches = enumerate_branches(circuit, PathSumKernel(max_path_bits))
+    return {key: q_z for key, q_z, _ in branches if q_z > 0.0}

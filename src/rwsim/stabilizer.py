@@ -14,9 +14,12 @@ Measurement of qubit a:
   rows by GF(2) elimination and the sign of the corresponding product gives
   the outcome (worst case O(n^3)).
 
-``stab_strong_probability`` enumerates the branch tree of a Clifford circuit
-(conditionals, snapshots and rewinds included) with exact dyadic weights and
-returns the probability of a computational-basis projector as a Fraction.
+``KERNEL`` runs these rules under the circuit interpreter in :mod:`rwsim.circuit`:
+``stab_run`` samples a path, ``stab_outcome_distribution`` and
+``stab_strong_probability`` enumerate the branches with exact dyadic
+``Fraction`` weights.  ``clone`` restores the snapshot copy (a replay would
+rebuild the same tableau).  A circuit with a postselection or a non-Clifford
+gate is refused before it runs.
 """
 
 from __future__ import annotations
@@ -26,42 +29,24 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circuit import (
-    Accept,
+from .circuit import (  # the shared error and registry names are re-exported
     Circuit,
-    Clone,
-    Conditional,
+    DepthLimitError,
     GateOp,
-    Measure,
-    MeasurementRecord,
-    Postselect,
-    Rewind,
-    Snapshot,
-    predicate_holds,
-    validate,
+    GateSetError,
+    Kernel,
+    RewindConsistencyError,
+    RunResult,
+    SnapshotRegistry,
+    UnknownSnapshotError,
+    UnsupportedInstructionError,
+    enumerate_branches,
+    sample_run,
 )
 from .gates import CLIFFORD_NAMES, Gate
 from .rng import SplitMix64
 
-
-class GateSetError(ValueError):
-    """Gate outside the stabilizer backend's set {h, s, cz, x}."""
-
-
-class UnsupportedInstructionError(ValueError):
-    """Instruction kind the stabilizer backend does not model (postselect)."""
-
-
-class DepthLimitError(RuntimeError):
-    """Branch tree exceeded the random-measurement depth limit."""
-
-
-class RewindConsistencyError(ValueError):
-    """Strict rewind input is not a one-outcome collapse of the snapshot."""
-
-
-class UnknownSnapshotError(KeyError):
-    pass
+TableauRegistry = SnapshotRegistry
 
 
 @dataclass
@@ -169,30 +154,30 @@ def _row_as_int(tab: StabilizerTableau, i: int) -> int:
     return x | (z << (64 * words))
 
 
-def _deterministic_outcome(tab: StabilizerTableau, qubit: int) -> int:
-    """Outcome of measuring ``qubit`` when Z_qubit is in the row span."""
-    words = tab.X.shape[1]
-    target = 1 << (64 * words + qubit)
-    # GF(2) elimination over (row-vector, row-combination) pairs.
-    basis: list[tuple[int, int]] = []
-    for i in range(tab.n):
-        v, c = _row_as_int(tab, i), 1 << i
-        for bv, bc in basis:
-            if v ^ bv < v:
-                v ^= bv
-                c ^= bc
-        if v:
-            basis.append((v, c))
-            basis.sort(key=lambda e: -e[0])
+def _reduce(basis: list[tuple[int, int]], v: int) -> tuple[int, int]:
+    """``v`` reduced by an echelon basis, and the row combination that used."""
     combo = 0
-    v = target
     for bv, bc in basis:
         if v ^ bv < v:
             v ^= bv
             combo ^= bc
-    if v:
-        raise AssertionError("deterministic measurement without Z_a in the span")
-    # Multiply the selected rows; the accumulated sign is the outcome.
+    return v, combo
+
+
+def _row_basis(tab: StabilizerTableau) -> list[tuple[int, int]]:
+    """GF(2) elimination over (row-vector, row-combination) pairs."""
+    basis: list[tuple[int, int]] = []
+    for i in range(tab.n):
+        v, c = _reduce(basis, _row_as_int(tab, i))
+        if v:
+            basis.append((v, c ^ (1 << i)))
+            basis.sort(key=lambda e: -e[0])
+    return basis
+
+
+def _product_sign(tab: StabilizerTableau, combo: int) -> int:
+    """Sign exponent of the product of the rows that ``combo`` selects."""
+    words = tab.X.shape[1]
     sx = np.zeros(words, dtype=np.uint64)
     sz = np.zeros(words, dtype=np.uint64)
     sr = 0
@@ -202,6 +187,14 @@ def _deterministic_outcome(tab: StabilizerTableau, qubit: int) -> int:
             sx ^= tab.X[i]
             sz ^= tab.Z[i]
     return sr
+
+
+def _deterministic_outcome(tab: StabilizerTableau, qubit: int) -> int:
+    """Outcome of measuring ``qubit`` when Z_qubit is in the row span."""
+    v, combo = _reduce(_row_basis(tab), 1 << (64 * tab.X.shape[1] + qubit))
+    if v:
+        raise AssertionError("deterministic measurement without Z_a in the span")
+    return _product_sign(tab, combo)  # the sign of Z_qubit's product is the outcome
 
 
 def stab_measure(
@@ -233,69 +226,30 @@ def _same_state(a: StabilizerTableau, b: StabilizerTableau) -> bool:
     """Do two full-rank tableaux stabilize the same state (signs included)?"""
     if a.n != b.n:
         return False
-    words = a.X.shape[1]
-    basis: list[tuple[int, int]] = []
-    for i in range(a.n):
-        v, c = _row_as_int(a, i), 1 << i
-        for bv, bc in basis:
-            if v ^ bv < v:
-                v ^= bv
-                c ^= bc
-        if v:
-            basis.append((v, c))
-            basis.sort(key=lambda e: -e[0])
+    basis = _row_basis(a)
     for j in range(b.n):
-        v, combo = _row_as_int(b, j), 0
-        for bv, bc in basis:
-            if v ^ bv < v:
-                v ^= bv
-                combo ^= bc
-        if v:
-            return False  # b's row not in a's group
-        sx = np.zeros(words, dtype=np.uint64)
-        sz = np.zeros(words, dtype=np.uint64)
-        sr = 0
-        for i in range(a.n):
-            if (combo >> i) & 1:
-                sr = _phase_exponent(sx, sz, sr, a.X[i], a.Z[i], a.r[i])
-                sx ^= a.X[i]
-                sz ^= a.Z[i]
-        if sr != int(b.r[j]):
-            return False
+        v, combo = _reduce(basis, _row_as_int(b, j))
+        if v or _product_sign(a, combo) != int(b.r[j]):
+            return False  # b's row is not in a's group, or has the other sign
     return True
 
 
-class TableauRegistry:
-    """Label -> tableau snapshot copies."""
-
-    def __init__(self):
-        self._entries: dict[str, StabilizerTableau] = {}
-        self._counter = 0
-
-    def store(self, label: str, tab: StabilizerTableau) -> None:
-        if label in self._entries:
-            raise ValueError(f"snapshot label {label!r} already in use")
-        self._entries[label] = tab.copy()
-
-    def state(self, label: str) -> StabilizerTableau:
-        if label not in self._entries:
-            raise UnknownSnapshotError(label)
-        return self._entries[label]
-
-    def fresh_label(self, base: str) -> str:
-        self._counter += 1
-        return f"{base}.{self._counter}"
-
-    def __contains__(self, label: str) -> bool:
-        return label in self._entries
+def _is_collapse_of(stored: StabilizerTableau, post: StabilizerTableau) -> bool:
+    """Is ``post`` the snapshot collapsed onto one outcome of one qubit?"""
+    for qubit in range(stored.n):
+        for bit in (0, 1):
+            outcome, _, trial = stab_measure(stored.copy(), qubit, None, force=bit)
+            if outcome == bit and _same_state(trial, post):
+                return True
+    return False
 
 
-def stab_snapshot(tab: StabilizerTableau, registry: TableauRegistry, label: str) -> None:
+def stab_snapshot(tab: StabilizerTableau, registry: SnapshotRegistry, label: str) -> None:
     registry.store(label, tab)
 
 
 def stab_rewind(
-    post: StabilizerTableau, registry: TableauRegistry, label: str, mode: str = "strict"
+    post: StabilizerTableau, registry: SnapshotRegistry, label: str, mode: str = "strict"
 ) -> StabilizerTableau:
     """Undo one measurement: return a copy of the snapshot stored at ``label``.
 
@@ -305,139 +259,51 @@ def stab_rewind(
     if mode not in ("strict", "permissive"):
         raise ValueError(f"unknown rewind mode {mode!r}")
     stored = registry.state(label)
-    if mode == "strict":
-        ok = False
-        for qubit in range(stored.n):
-            for bit in (0, 1):
-                trial = stored.copy()
-                outcome, _, trial = stab_measure(trial, qubit, None, force=bit)
-                if outcome == bit and _same_state(trial, post):
-                    ok = True
-                    break
-            if ok:
-                break
-        if not ok:
-            raise RewindConsistencyError(
-                f"tableau is not a one-outcome collapse of snapshot {label!r}"
-            )
+    if mode == "strict" and not _is_collapse_of(stored, post):
+        raise RewindConsistencyError(
+            f"tableau is not a one-outcome collapse of snapshot {label!r}"
+        )
     return stored.copy()
 
 
-@dataclass
-class StabRunResult:
-    record: MeasurementRecord
-    accept_bit: int | None
-    tableau: StabilizerTableau
-    rewinds_used: int
+class _TableauKernel(Kernel):
+    name = "stab"
+    gates = CLIFFORD_NAMES
+    runs = frozenset({"snapshot", "rewind", "clone"})
+    one = Fraction(1)
+
+    def init(self, n: int) -> StabilizerTableau:
+        return stab_init(n)
+
+    def apply(self, tab: StabilizerTableau, op: GateOp) -> StabilizerTableau:
+        return stab_apply(tab, op.gate, op.targets)
+
+    def measure(self, tab: StabilizerTableau, qubit: int, rng: SplitMix64):
+        return stab_measure(tab, qubit, rng)
+
+    def prob(self, tab: StabilizerTableau, qubit: int, bit: int) -> Fraction:
+        if _col(tab.X, qubit).any():
+            return Fraction(1, 2)
+        return Fraction(int(_deterministic_outcome(tab, qubit) == bit))
+
+    def collapse(self, tab: StabilizerTableau, qubit: int, bit: int, prob: Fraction):
+        if prob == 1:
+            return tab
+        return stab_measure(tab.copy(), qubit, None, force=bit)[2]
+
+    def rewind(self, tab: StabilizerTableau, registry: SnapshotRegistry, label: str, mode: str):
+        return stab_rewind(tab, registry, label, mode)
+
+    def clone(self, registry: SnapshotRegistry, label: str) -> StabilizerTableau:
+        return registry.state(label).copy()
 
 
-def stab_run(circuit: Circuit, rng: SplitMix64, mode: str = "strict") -> StabRunResult:
-    """Sample one execution of a Clifford circuit on the tableau backend.
-
-    ``clone`` restores the snapshot copy directly (the rebuilt state is
-    identical, so no replay is needed at tableau level).  ``postselect`` is
-    outside this backend's instruction set and raises.
-    """
-    validate(circuit)
-    tab = stab_init(circuit.n_qubits)
-    record = MeasurementRecord()
-    registry = TableauRegistry()
-    rewinds_used = 0
-    accept_q: int | None = None
-    for instr in circuit.instructions:
-        if isinstance(instr, Conditional):
-            if not predicate_holds(instr.predicate, record):
-                continue
-            instr = instr.inner
-        if isinstance(instr, GateOp):
-            tab = stab_apply(tab, instr.gate, instr.targets)
-        elif isinstance(instr, Measure):
-            bit, prob, tab = stab_measure(tab, instr.qubit, rng)
-            record.add(instr.label, bit, prob)
-        elif isinstance(instr, Postselect):
-            raise UnsupportedInstructionError(
-                "postselect is not part of the stabilizer backend's instruction set"
-            )
-        elif isinstance(instr, Snapshot):
-            stab_snapshot(tab, registry, instr.label)
-        elif isinstance(instr, Rewind):
-            rewinds_used += 1
-            tab = stab_rewind(tab, registry, instr.label, mode)
-        elif isinstance(instr, Clone):
-            tab = registry.state(instr.label).copy()
-        elif isinstance(instr, Accept):
-            accept_q = instr.qubit
-    accept_bit: int | None = None
-    if accept_q is not None:
-        accept_bit, _, tab = stab_measure(tab, accept_q, rng)
-    return StabRunResult(record, accept_bit, tab, rewinds_used)
+KERNEL = _TableauKernel()
 
 
-# ---------------------------------------------------------------------------
-# exact branch-tree enumeration
-
-
-def _projector_weight(tab: StabilizerTableau, projector) -> Fraction:
-    """Exact probability that measuring the listed qubits gives the listed bits."""
-    weight = Fraction(1)
-    work = tab.copy()
-    for qubit, bit in projector:
-        outcome, prob, work = stab_measure(work, qubit, None, force=bit)
-        if prob == 1.0:
-            if outcome != bit:
-                return Fraction(0)
-        else:
-            weight /= 2
-    return weight
-
-
-def _tree(circuit, idx, tab, record, snaps, weight, depth, max_depth, projector, leaves):
-    instructions = circuit.instructions
-    i = idx
-    while i < len(instructions):
-        instr = instructions[i]
-        if isinstance(instr, Conditional):
-            if not predicate_holds(instr.predicate, record):
-                i += 1
-                continue
-            instr = instr.inner
-        if isinstance(instr, GateOp):
-            tab = stab_apply(tab, instr.gate, instr.targets)
-        elif isinstance(instr, Measure):
-            probe = np.nonzero(_col(tab.X, instr.qubit))[0]
-            if probe.size == 0:
-                bit = _deterministic_outcome(tab, instr.qubit)
-                record.add(instr.label, bit, 1.0)
-            else:
-                if depth >= max_depth:
-                    raise DepthLimitError(
-                        f"random-measurement depth exceeded {max_depth}"
-                    )
-                for bit in (0, 1):
-                    sub_tab = tab.copy()
-                    _, _, sub_tab = stab_measure(sub_tab, instr.qubit, None, force=bit)
-                    sub_record = MeasurementRecord()
-                    for label, b, p in record.entries:
-                        sub_record.add(label, b, p)
-                    sub_record.add(instr.label, bit, 0.5)
-                    _tree(
-                        circuit, i + 1, sub_tab, sub_record, dict(snaps),
-                        weight / 2, depth + 1, max_depth, projector, leaves,
-                    )
-                return
-        elif isinstance(instr, Postselect):
-            raise UnsupportedInstructionError(
-                "postselect is not part of the stabilizer backend's instruction set"
-            )
-        elif isinstance(instr, Snapshot):
-            snaps[instr.label] = tab.copy()
-        elif isinstance(instr, (Rewind, Clone)):
-            tab = snaps[instr.label].copy()
-        elif isinstance(instr, Accept):
-            pass
-        i += 1
-    key = ",".join(f"{label}={bit}" for label, bit, _ in record.entries)
-    leaves.append((key, weight, _projector_weight(tab, projector)))
+def stab_run(circuit: Circuit, rng: SplitMix64, mode: str = "strict") -> RunResult:
+    """Sample one execution of a Clifford circuit on the tableau backend."""
+    return sample_run(circuit, KERNEL, rng, mode)
 
 
 def stab_strong_probability(
@@ -450,27 +316,21 @@ def stab_strong_probability(
     The result is sum_z q_z * P(projector | z) as an exact dyadic Fraction,
     where z ranges over the circuit's own measurement outcomes.
     """
-    validate(circuit)
     proj = sorted(projector.items()) if isinstance(projector, dict) else list(projector)
-    leaves: list[tuple[str, Fraction, Fraction]] = []
-    _tree(
-        circuit, 0, stab_init(circuit.n_qubits), MeasurementRecord(), {},
-        Fraction(1), 0, max_depth, proj, leaves,
-    )
-    return sum((w * p for _, w, p in leaves), start=Fraction(0))
+    total = Fraction(0)
+    for _, weight, tab in enumerate_branches(circuit, KERNEL, max_depth):
+        for qubit, bit in proj:
+            p = KERNEL.prob(tab, qubit, bit)
+            weight *= p
+            if not p:
+                break
+            tab = KERNEL.collapse(tab, qubit, bit, p)
+        total += weight
+    return total
 
 
 def stab_outcome_distribution(
     circuit: Circuit, max_depth: int = 20
 ) -> dict[str, Fraction]:
     """Exact q_z per outcome key (same key format as the other backends)."""
-    validate(circuit)
-    leaves: list[tuple[str, Fraction, Fraction]] = []
-    _tree(
-        circuit, 0, stab_init(circuit.n_qubits), MeasurementRecord(), {},
-        Fraction(1), 0, max_depth, [], leaves,
-    )
-    dist: dict[str, Fraction] = {}
-    for key, weight, _ in leaves:
-        dist[key] = dist.get(key, Fraction(0)) + weight
-    return dist
+    return {key: weight for key, weight, _ in enumerate_branches(circuit, KERNEL, max_depth)}

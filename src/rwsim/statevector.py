@@ -10,6 +10,9 @@ Conventions
   rewound must equal (up to global phase) the stored snapshot projected onto
   some single-qubit outcome and renormalised.  Permissive mode skips the
   check and returns the stored state unconditionally.
+* ``KERNEL`` runs these primitives under the circuit interpreter in
+  :mod:`rwsim.circuit`; its ``clone`` replays the snapshot's classical
+  description, in ``run`` and in the exact oracles alike.
 
 The default width cap is 24 qubits; the environment variable
 ``RWSIM_MAX_QUBITS`` overrides it.
@@ -23,22 +26,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import (
-    Accept,
+from .circuit import (  # the shared error and registry names are re-exported
     Circuit,
     ClassicalDescription,
-    Clone,
-    Conditional,
     GateOp,
-    Measure,
-    MeasurementRecord,
-    Postselect,
-    Project,
-    Rewind,
-    Snapshot,
-    description_of_prefix,
-    predicate_holds,
-    validate,
+    InvalidPostselectionError,
+    Kernel,
+    PostselectThresholdError,
+    RewindBudgetError,
+    RewindConsistencyError,
+    RunResult,
+    SnapshotRegistry,
+    UnknownSnapshotError,
+    accept_qubit,
+    enumerate_branches,
+    sample_run,
 )
 from .gates import Gate
 from .rng import SplitMix64
@@ -51,28 +53,8 @@ class QubitBudgetError(ValueError):
     """Requested width exceeds the configured qubit cap."""
 
 
-class InvalidPostselectionError(ValueError):
-    """Postselected on an outcome of probability zero."""
-
-
-class PostselectThresholdError(ValueError):
-    """Postselection succeeded but below the required minimum probability."""
-
-
-class RewindConsistencyError(ValueError):
-    """Strict rewind input is not a one-outcome collapse of the snapshot."""
-
-
-class UnknownSnapshotError(KeyError):
-    """Rewind/clone referenced a label the registry has never seen."""
-
-
 class ReplayError(ValueError):
     """A classical description hit a zero-probability projector on replay."""
-
-
-class RewindBudgetError(RuntimeError):
-    """A run used more rewinds than its budget allows."""
 
 
 def max_qubits() -> int:
@@ -217,40 +199,6 @@ def postselect(
     return p, _collapse(state, qubit, bit, p)
 
 
-class SnapshotRegistry:
-    """Label -> (state copy, optional classical description)."""
-
-    def __init__(self):
-        self._entries: dict[str, tuple[PureState, ClassicalDescription | None]] = {}
-        self._counter = 0
-
-    def store(self, label: str, state: PureState, description: ClassicalDescription | None):
-        if label in self._entries:
-            raise ValueError(f"snapshot label {label!r} already in use")
-        self._entries[label] = (state.copy(), description)
-
-    def state(self, label: str) -> PureState:
-        if label not in self._entries:
-            raise UnknownSnapshotError(label)
-        return self._entries[label][0]
-
-    def description(self, label: str) -> ClassicalDescription | None:
-        if label not in self._entries:
-            raise UnknownSnapshotError(label)
-        return self._entries[label][1]
-
-    def fresh_label(self, base: str) -> str:
-        """A label guaranteed unused in this registry (for protocol code)."""
-        self._counter += 1
-        return f"{base}.{self._counter}"
-
-    def __contains__(self, label: str) -> bool:
-        return label in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
 def snapshot(
     state: PureState,
     registry: SnapshotRegistry,
@@ -337,12 +285,37 @@ def clone_from_description(description: ClassicalDescription) -> PureState:
     return state
 
 
-@dataclass
-class RunResult:
-    record: MeasurementRecord
-    accept_bit: int | None
-    final_state: PureState
-    rewinds_used: int
+class _StateVectorKernel(Kernel):
+    name = "sv"
+    clone_replays = True
+
+    def init(self, n: int) -> PureState:
+        return init(n)
+
+    def apply(self, state: PureState, op: GateOp) -> PureState:
+        return apply_gate(state, op.gate, op.targets)
+
+    def measure(self, state: PureState, qubit: int, rng: SplitMix64):
+        return measure(state, qubit, rng)
+
+    def postselect(self, state: PureState, qubit: int, bit: int):
+        return postselect(state, qubit, bit)
+
+    def prob(self, state: PureState, qubit: int, bit: int) -> float:
+        p = min(prob_of_bit(state, qubit, bit), 1.0)  # clamp fp drift
+        return p if p > _ZERO_TOL else 0.0
+
+    def collapse(self, state: PureState, qubit: int, bit: int, prob: float) -> PureState:
+        return _collapse(state, qubit, bit, prob)
+
+    def rewind(self, state: PureState, registry: SnapshotRegistry, label: str, mode: str):
+        return rewind(state, registry, label, mode)
+
+    def clone(self, registry: SnapshotRegistry, label: str) -> PureState:
+        return clone_from_description(registry.description(label))
+
+
+KERNEL = _StateVectorKernel()
 
 
 def run(
@@ -353,108 +326,7 @@ def run(
     min_postselect_prob: float = 0.0,
 ) -> RunResult:
     """Execute a circuit once, sampling measurements from ``rng``."""
-    validate(circuit)
-    state = init(circuit.n_qubits)
-    record = MeasurementRecord()
-    registry = SnapshotRegistry()
-    rewinds_used = 0
-    accept_q: int | None = None
-    for instr in circuit.instructions:
-        if isinstance(instr, Conditional):
-            if not predicate_holds(instr.predicate, record):
-                continue
-            instr = instr.inner
-        if isinstance(instr, GateOp):
-            state = apply_gate(state, instr.gate, instr.targets)
-        elif isinstance(instr, Measure):
-            bit, prob, state = measure(state, instr.qubit, rng)
-            record.add(instr.label, bit, prob)
-        elif isinstance(instr, Postselect):
-            _, state = postselect(state, instr.qubit, instr.bit, min_postselect_prob)
-        elif isinstance(instr, Snapshot):
-            description = description_of_prefix(circuit, record, instr.label)
-            snapshot(state, registry, instr.label, description)
-        elif isinstance(instr, Rewind):
-            rewinds_used += 1
-            if max_rewinds is not None and rewinds_used > max_rewinds:
-                raise RewindBudgetError(
-                    f"rewind budget {max_rewinds} exhausted at label {instr.label!r}"
-                )
-            state = rewind(state, registry, instr.label, mode)
-        elif isinstance(instr, Clone):
-            description = registry.description(instr.label)
-            if description is None:
-                raise ReplayError(f"snapshot {instr.label!r} stores no description")
-            state = clone_from_description(description)
-        elif isinstance(instr, Accept):
-            accept_q = instr.qubit
-    accept_bit: int | None = None
-    if accept_q is not None:
-        accept_bit, _, state = measure(state, accept_q, rng)
-    return RunResult(record, accept_bit, state, rewinds_used)
-
-
-# ---------------------------------------------------------------------------
-# exact enumeration (deterministic oracle used by tests and the CLI)
-
-
-def _outcome_key(record: MeasurementRecord) -> str:
-    return ",".join(f"{label}={bit}" for label, bit, _ in record.entries)
-
-
-def _copy_record(record: MeasurementRecord) -> MeasurementRecord:
-    out = MeasurementRecord()
-    for label, bit, prob in record.entries:
-        out.add(label, bit, prob)
-    return out
-
-
-def _enumerate(circuit, idx, state, record, snaps, weight, accept_q, leaves):
-    instructions = circuit.instructions
-    i = idx
-    while i < len(instructions):
-        instr = instructions[i]
-        if isinstance(instr, Conditional):
-            if not predicate_holds(instr.predicate, record):
-                i += 1
-                continue
-            instr = instr.inner
-        if isinstance(instr, GateOp):
-            state = apply_gate(state, instr.gate, instr.targets)
-        elif isinstance(instr, Measure):
-            for bit in (0, 1):
-                p = min(prob_of_bit(state, instr.qubit, bit), 1.0)  # clamp fp drift
-                if p <= _ZERO_TOL:
-                    continue
-                sub_record = _copy_record(record)
-                sub_record.add(instr.label, bit, p)
-                _enumerate(
-                    circuit,
-                    i + 1,
-                    _collapse(state, instr.qubit, bit, p),
-                    sub_record,
-                    dict(snaps),
-                    weight * p,
-                    accept_q,
-                    leaves,
-                )
-            return
-        elif isinstance(instr, Postselect):
-            p = prob_of_bit(state, instr.qubit, instr.bit)
-            if p <= _ZERO_TOL:
-                return  # branch impossible under this postselection
-            state = _collapse(state, instr.qubit, instr.bit, p)
-        elif isinstance(instr, Snapshot):
-            snaps[instr.label] = state
-        elif isinstance(instr, Rewind):
-            state = snaps[instr.label]
-        elif isinstance(instr, Clone):
-            state = snaps[instr.label]
-        elif isinstance(instr, Accept):
-            accept_q = instr.qubit
-        i += 1
-    accept_p = prob_of_bit(state, accept_q, 1) if accept_q is not None else 0.0
-    leaves.append((_outcome_key(record), weight, accept_p))
+    return sample_run(circuit, KERNEL, rng, mode, max_rewinds, min_postselect_prob)
 
 
 def exact_outcome_distribution(circuit: Circuit) -> dict[str, float]:
@@ -464,21 +336,16 @@ def exact_outcome_distribution(circuit: Circuit) -> dict[str, float]:
     Postselections renormalise within a branch; branches where a
     postselection has probability zero are dropped.
     """
-    validate(circuit)
-    leaves: list[tuple[str, float, float]] = []
-    _enumerate(circuit, 0, init(circuit.n_qubits), MeasurementRecord(), {}, 1.0, None, leaves)
-    dist: dict[str, float] = {}
-    for key, weight, _ in leaves:
-        dist[key] = dist.get(key, 0.0) + weight
-    return dist
+    return {key: weight for key, weight, _ in enumerate_branches(circuit, KERNEL)}
 
 
 def exact_acceptance(circuit: Circuit) -> float:
     """Exact P(accept qubit reads 1) = sum_z q_z * P(accept=1 | z)."""
-    validate(circuit)
-    leaves: list[tuple[str, float, float]] = []
-    _enumerate(circuit, 0, init(circuit.n_qubits), MeasurementRecord(), {}, 1.0, None, leaves)
-    return float(sum(weight * accept_p for _, weight, accept_p in leaves))
+    leaves = enumerate_branches(circuit, KERNEL)
+    accept = accept_qubit(circuit)
+    if accept is None:
+        return 0.0
+    return float(sum(weight * prob_of_bit(state, accept, 1) for _, weight, state in leaves))
 
 
 # ---------------------------------------------------------------------------

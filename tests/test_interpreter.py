@@ -1,0 +1,133 @@
+"""The one circuit interpreter: guards that samplers and exact oracles share."""
+
+from __future__ import annotations
+
+import pytest
+
+from rwsim import circuit, pathsum, stabilizer, statevector
+from rwsim.circuit import parse_circuit
+from rwsim.gates import H, X
+from rwsim.pathsum import SizeLimitError, acceptance_probability, outcome_distribution
+from rwsim.rng import SplitMix64, stream_seed
+from rwsim.stabilizer import (
+    stab_init,
+    stab_outcome_distribution,
+    stab_rewind,
+    stab_run,
+    stab_snapshot,
+    stab_strong_probability,
+)
+from rwsim.statevector import (
+    RewindBudgetError,
+    exact_acceptance,
+    exact_outcome_distribution,
+    run,
+)
+
+# The post-measurement state is rotated before the rewind, so it is no
+# one-outcome collapse of the snapshot on either branch.
+ROTATED_REWIND = """
+qubits 1
+gate h 0
+snapshot a
+measure 0 -> m
+gate h 0
+rewind a
+"""
+
+TWO_REWINDS = """
+qubits 1
+gate h 0
+snapshot a
+measure 0 -> m1
+rewind a
+measure 0 -> m2
+rewind a
+accept 0
+"""
+
+
+def test_shared_error_and_registry_names_are_one_object_everywhere():
+    shared = {
+        statevector: ("RewindConsistencyError", "UnknownSnapshotError", "SnapshotRegistry"),
+        stabilizer: (
+            "RewindConsistencyError", "UnknownSnapshotError", "UnsupportedInstructionError",
+            "GateSetError", "DepthLimitError",
+        ),
+        pathsum: ("UnsupportedInstructionError",),
+    }
+    for module, names in shared.items():
+        for name in names:
+            assert getattr(module, name) is getattr(circuit, name), (module.__name__, name)
+    assert stabilizer.TableauRegistry is circuit.SnapshotRegistry
+    assert issubclass(circuit.GateSetError, circuit.UnsupportedInstructionError)
+
+
+def test_statevector_rewind_error_catches_the_tableau_refusal():
+    registry = stabilizer.TableauRegistry()
+    stab_snapshot(stabilizer.stab_apply(stab_init(1), H, (0,)), registry, "s")
+    foreign = stabilizer.stab_apply(stab_init(1), X, (0,))
+    foreign = stabilizer.stab_apply(foreign, H, (0,))
+    with pytest.raises(statevector.RewindConsistencyError):
+        stab_rewind(foreign, registry, "s", "strict")
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda c: run(c, SplitMix64(stream_seed(1, 0))),
+        lambda c: stab_run(c, SplitMix64(stream_seed(1, 0))),
+        exact_outcome_distribution,
+        exact_acceptance,
+        stab_outcome_distribution,
+        lambda c: stab_strong_probability(c, {0: 1}),
+    ],
+    ids=[
+        "run", "stab_run", "exact_outcome_distribution", "exact_acceptance",
+        "stab_outcome_distribution", "stab_strong_probability",
+    ],
+)
+def test_uncertifiable_rewind_is_refused_by_samplers_and_oracles(entry):
+    with pytest.raises(circuit.RewindConsistencyError):
+        entry(parse_circuit(ROTATED_REWIND))
+
+
+def test_max_rewinds_budget():
+    c = parse_circuit(TWO_REWINDS)
+    with pytest.raises(RewindBudgetError):
+        run(c, SplitMix64(3), max_rewinds=1)
+    assert run(c, SplitMix64(3), max_rewinds=2).rewinds_used == 2
+
+
+def test_tableau_refuses_postselect_on_a_branch_never_taken():
+    # m is always 0, so the postselection never executes
+    c = parse_circuit("qubits 1\nmeasure 0 -> m\npostselect 0 = 1 if m == 1\n")
+    assert exact_outcome_distribution(c) == {"m=0": 1.0}
+    for entry in (
+        lambda: stab_run(c, SplitMix64(1)),
+        lambda: stab_outcome_distribution(c),
+        lambda: stab_strong_probability(c, {0: 0}),
+    ):
+        with pytest.raises(circuit.UnsupportedInstructionError):
+            entry()
+
+
+def test_path_bit_budget_counts_only_evaluated_prefixes():
+    # one branching gate before the measurement, 31 after it
+    c = parse_circuit(
+        "qubits 2\ngate h 0\nmeasure 0 -> m\n" + "gate h 1\n" * 31 + "accept 1\n"
+    )
+    assert outcome_distribution(c, max_path_bits=4) == pytest.approx(
+        {"m=0": 0.5, "m=1": 0.5}, abs=1e-12
+    )
+    with pytest.raises(SizeLimitError):
+        acceptance_probability(c, max_path_bits=60)  # the accept leaf needs 64
+
+
+def test_a_measurement_with_no_live_outcome_drops_the_branch():
+    class Empty(type(statevector.KERNEL)):
+        def prob(self, state, qubit, bit):
+            return 0.0
+
+    c = parse_circuit("qubits 1\ngate h 0\nmeasure 0 -> m\naccept 0\n")
+    assert circuit.enumerate_branches(c, Empty()) == []
