@@ -103,12 +103,11 @@ def _x_basis_copy(f: BooleanFunction, k: int, rng: SplitMix64) -> tuple[str, str
     if psi is None:
         return "-", "prep"
     fs = make_flagged(psi, k, n)
-    registry = SnapshotRegistry()
-    fs, trace = mitigate(fs, n, registry, rng)
+    fs, trace = mitigate(fs, n, rng)
     if trace.outcome == RANDOM_FALLBACK:
         # The fallback state is arbitrary; score the copy with a fair coin.
         return ("+" if rng.bernoulli(0.5) else "-"), "fallback"
-    phi = extract_target(fs, n, registry, rng)
+    phi = extract_target(fs, n, rng)
     if phi is None:
         return "-", "extract"
     bit, _, _ = measure(apply_gate(phi, H, (0,)), 0, rng)
@@ -185,6 +184,18 @@ class FunctionFamily:
     def input_bits(self) -> int:
         return max(1, (self.size - 1).bit_length())
 
+    @property
+    def padded(self) -> bool:
+        """Whether the domain size is not a power of two, so the collision
+        state needs a validity flag qubit."""
+        return (1 << self.input_bits) != self.size
+
+    @property
+    def width(self) -> int:
+        """Qubits of the collision state: input, image and, when padded, the
+        validity flag."""
+        return self.input_bits + self.output_bits + int(self.padded)
+
     def images_array(self) -> np.ndarray:
         if self._images is None:
             self._images = np.fromiter(
@@ -240,8 +251,8 @@ def _family_state(family: FunctionFamily) -> tuple[PureState, bool]:
     """
     in_bits = family.input_bits
     out_bits = family.output_bits
-    padded = (1 << in_bits) != family.size
-    total = in_bits + out_bits + (1 if padded else 0)
+    padded = family.padded
+    total = family.width
     if total > max_qubits():
         raise QubitBudgetError(
             f"family {family.name} needs {total} qubits, cap is {max_qubits()}"
@@ -326,14 +337,13 @@ def collision_find(
         return None
     _, state = _measure_register(state, out_qubits, rng)
     registry = SnapshotRegistry()
-    label = registry.fresh_label("pre-last-bit")
-    snapshot(state, registry, label)
+    snapshot(state, registry, "pre-last-bit")
     last = in_bits - 1
     bit1, _, state = measure(state, last, rng)
     rest1, state = _measure_register(state, range(in_bits - 1), rng)
     x1 = (rest1 << 1) | bit1
     try:
-        state = rewind(state, registry, label, "strict")
+        state = rewind(state, registry, "pre-last-bit", "strict")
     except RewindConsistencyError:
         return None  # image had more than the two-branch structure
     bit2, _, state = measure(state, last, rng)
@@ -489,10 +499,9 @@ def sd_decide(c0: BooleanFunction, c1: BooleanFunction, rng: SplitMix64) -> int:
     n, m = c0.n, c0.output_bits
     _, state = _measure_register(state, range(1 + n, 1 + n + m), rng)
     registry = SnapshotRegistry()
-    label = registry.fresh_label("post-image")
-    snapshot(state, registry, label)
+    snapshot(state, registry, "post-image")
     b1, _, state = measure(state, 0, rng)
-    state = rewind(state, registry, label, "strict")
+    state = rewind(state, registry, "post-image", "strict")
     b2, _, state = measure(state, 0, rng)
     return int(b1 != b2)
 

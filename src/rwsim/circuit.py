@@ -464,7 +464,6 @@ class SnapshotRegistry:
 
     def __init__(self):
         self._entries: dict[str, tuple[object, ClassicalDescription | None]] = {}
-        self._counter = 0
 
     def store(self, label: str, state, description: ClassicalDescription | None = None):
         if label in self._entries:
@@ -481,16 +480,10 @@ class SnapshotRegistry:
             raise UnknownSnapshotError(label)
         return self._entries[label][1]
 
-    def fresh_label(self, base: str) -> str:
-        """A label guaranteed unused in this registry (for protocol code)."""
-        self._counter += 1
-        return f"{base}.{self._counter}"
-
     def copy(self) -> "SnapshotRegistry":
         """An independent label table sharing the (never mutated) stored copies."""
         out = SnapshotRegistry()
         out._entries = dict(self._entries)
-        out._counter = self._counter
         return out
 
     def __contains__(self, label: str) -> bool:

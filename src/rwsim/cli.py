@@ -17,7 +17,7 @@ out over worker processes, but every trial i draws from its own RNG stream
 for any jobs count and the flag is deliberately left out of the report body.
 
 Exit codes: 0 = assertions passed, 1 = assertion or runtime failure,
-2 = usage, parse, or input errors.
+2 = usage, parse, or input errors, and widths over the qubit cap.
 """
 
 from __future__ import annotations
@@ -285,8 +285,8 @@ def cmd_simulate(ns) -> tuple[list, bool]:
     if ns.backend == "pathsum":
         if accept_qubit(circuit) is None:
             raise UsageError("backend pathsum needs an accept instruction")
-        lines.append(("p_accept", pathsum.acceptance_probability(circuit)))
-        dist = pathsum.outcome_distribution(circuit)
+        dist: dict[str, float] = {}
+        lines.append(("p_accept", pathsum.acceptance_probability(circuit, outcomes=dist)))
         if len(dist) <= 64:
             for key in sorted(dist):
                 lines.append((f"p.{key.replace('=', ':')}", dist[key]))
@@ -361,10 +361,9 @@ def cmd_demo_collision(ns) -> tuple[list, bool]:
         key_seed,
     )
     family, _ = _collision_family(family_args)
-    width = family.input_bits + family.output_bits + 1
     _require(
-        width <= max_qubits(),
-        f"family {family.name} needs about {width} qubits, cap is {max_qubits()}",
+        family.width <= max_qubits(),
+        f"family {family.name} needs {family.width} qubits, cap is {max_qubits()}",
     )
     delta = family_delta_exact(family)
     images_distinct = int(np.unique(family.images_array()).size)
@@ -532,10 +531,6 @@ def cmd_demo_mbqc(ns) -> tuple[list, bool]:
         pattern = MeasurementPattern.identity(spec)
         pattern_echo = "identity"
     measured = len(pattern.entries)
-    try:
-        build_brickwork(spec)
-    except Exception as exc:
-        raise UsageError(str(exc)) from None
     records = _trial_records(
         "mbqc",
         (ns.rows, ns.cols, pattern.entries, ns.budget),
@@ -729,7 +724,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CircuitSyntaxError, CircuitValidationError) as exc:
+    except (CircuitSyntaxError, CircuitValidationError, statevector.QubitBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime protocol failure

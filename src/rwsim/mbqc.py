@@ -11,14 +11,15 @@ Measured set M = all columns but the last; output set O = the last column.
 A pattern entry (qubit, theta) measures the qubit in the rotated X basis:
 apply rz(-theta), then h, then a Z measurement.  On brickwork states each
 such measurement is a fair coin, so a per-qubit retry budget b (rewind to
-the pre-measurement snapshot and re-measure) drives the all-zeros outcome
+the pre-measurement state and re-measure, at most b + 1 tries of
+:func:`rwsim.statevector.measure_until`) drives the all-zeros outcome
 probability to (1 - 2^-(b+1)) per qubit.  A qubit that exhausts its budget
 keeps outcome 1 and the run continues with all_zero = False.
 
 ``iqp_fanout_amplify`` is the related fan-out gadget: each round entangles a
 |+> ancilla onto a distinguished control qubit with CH and retries its
-measurement to 0, doubling the control qubit's 1-vs-0 probability odds per
-round (2^q overall).
+measurement to 0 with ``measure_until``, doubling the control qubit's
+1-vs-0 probability odds per round (2^q overall).
 """
 
 from __future__ import annotations
@@ -32,16 +33,13 @@ from .rng import SplitMix64
 from .statevector import (
     PureState,
     QubitBudgetError,
-    SnapshotRegistry,
     apply_gate,
     attach_zero,
     init,
     max_qubits,
-    measure,
+    measure_until,
     prob_of_bit,
-    rewind,
     slice_qubit,
-    snapshot,
 )
 
 _DEFAULT_GRID_MAX = 14
@@ -135,9 +133,9 @@ def mbqc_run_rewind(
 ) -> tuple[PureState, bool]:
     """Measure the pattern qubits, retrying each toward outcome 0.
 
-    Each entry rotates (rz(-theta), h), snapshots, measures, and rewinds on
-    outcome 1 up to ``retry_budget`` times; a qubit that exhausts its budget
-    keeps outcome 1 and the run continues.  Returns the state on the
+    Each entry rotates (rz(-theta), h), then measures, rewinding on outcome
+    1 up to ``retry_budget`` times (``measure_until``); a qubit that exhausts
+    its budget keeps outcome 1 and the run continues.  Returns the state on the
     unmeasured qubits and the all-zeros flag.
     """
     qubits = [q for q, _ in pattern.entries]
@@ -147,24 +145,14 @@ def mbqc_run_rewind(
         raise ValueError("pattern qubit outside the state")
     if len(qubits) >= state.n:
         raise ValueError("pattern must leave at least one output qubit")
-    registry = SnapshotRegistry()
     outcomes: dict[int, int] = {}
-    all_zero = True
     for qubit, theta in pattern.entries:
         if theta:
             state = apply_gate(state, rz(-theta), (qubit,))
         state = apply_gate(state, H, (qubit,))
-        label = registry.fresh_label(f"m{qubit}")
-        snapshot(state, registry, label)
-        bit, _, state = measure(state, qubit, rng)
-        retries = 0
-        while bit == 1 and retries < retry_budget:
-            state = rewind(state, registry, label, "strict")
-            bit, _, state = measure(state, qubit, rng)
-            retries += 1
-        outcomes[qubit] = bit
-        if bit == 1:
-            all_zero = False
+        bits, state = measure_until(state, qubit, 0, retry_budget + 1, rng)
+        outcomes[qubit] = bits[-1]
+    all_zero = not any(outcomes.values())
     for qubit in sorted(outcomes, reverse=True):
         state = slice_qubit(state, qubit, outcomes[qubit])
     return state, all_zero
@@ -196,7 +184,6 @@ def target_odds(state: PureState, qubit: int) -> float:
 def iqp_fanout_amplify(
     base_state: PureState,
     q: int,
-    registry: SnapshotRegistry | None = None,
     rng: SplitMix64 | None = None,
     control_qubit: int = 1,
     retry_budget: int = 64,
@@ -210,8 +197,6 @@ def iqp_fanout_amplify(
     """
     if rng is None:
         raise ValueError("iqp_fanout_amplify needs an explicit rng")
-    if registry is None:
-        registry = SnapshotRegistry()
     if not (0 <= control_qubit < base_state.n):
         raise ValueError("control qubit outside the state")
     state = base_state
@@ -220,15 +205,8 @@ def iqp_fanout_amplify(
         work = attach_zero(state)
         work = apply_gate(work, H, (ancilla,))
         work = apply_gate(work, CH, (control_qubit, ancilla))
-        label = registry.fresh_label("fanout")
-        snapshot(work, registry, label)
-        bit, _, work = measure(work, ancilla, rng)
-        attempts = 1
-        while bit == 1:
-            if attempts > retry_budget:
-                raise RuntimeError("fan-out retry budget exhausted")
-            work = rewind(work, registry, label, "strict")
-            bit, _, work = measure(work, ancilla, rng)
-            attempts += 1
+        bits, work = measure_until(work, ancilla, 0, retry_budget + 1, rng)
+        if bits[-1]:
+            raise RuntimeError("fan-out retry budget exhausted")
         state = slice_qubit(work, ancilla, 0)
     return state

@@ -15,7 +15,10 @@ nontarget branch and |0> on the target branch.  Measuring the ancilla:
   retried.
 
 ``mitigate`` runs 2n+3 rounds with at most 3n attempts each; exhausting the
-attempts halts with a ``random_fallback`` marker.  The exact success
+attempts halts with a ``random_fallback`` marker.  Both retry loops, a
+level's ancilla read toward 0 and ``extract_target``'s flag read toward 1,
+are :func:`rwsim.statevector.measure_until`: measure, and on a miss rewind
+strictly to the entry state and measure again.  The exact success
 probability of the whole schedule has a closed form
 (:func:`success_probability_exact`), valid for any admissible
 ``p <= p_max(n)``.
@@ -38,16 +41,14 @@ from .gates import CH, X, hk
 from .rng import SplitMix64
 from .statevector import (
     PureState,
-    SnapshotRegistry,
     apply_gate,
     apply_matrix,
     attach_zero,
     measure,
+    measure_until,
     postselect,
     prob_of_bit,
-    rewind,
     slice_qubit,
-    snapshot,
 )
 
 SUCCESS = "success"
@@ -257,7 +258,6 @@ def _mitigation_round(work: PureState, flag: int, ancilla: int) -> PureState:
 def mitigate(
     fs: FlaggedState,
     n: int,
-    registry: SnapshotRegistry | None = None,
     rng: SplitMix64 | None = None,
 ) -> tuple[FlaggedState, MitigationTrace]:
     """Run the full 2n+3-level schedule with <= 3n attempts per level.
@@ -268,58 +268,38 @@ def mitigate(
     """
     if rng is None:
         raise ValueError("mitigate needs an explicit rng")
-    if registry is None:
-        registry = SnapshotRegistry()
     state = fs.state
     flag = fs.flag_qubit
     events: list[tuple[int, int, int]] = []
+    outcome = SUCCESS
     for i in range(2 * n + 3):
         ancilla = state.n
         work = _mitigation_round(attach_zero(state), flag, ancilla)
-        label = registry.fresh_label(f"level{i}")
-        snapshot(work, registry, label)
-        c = 0
-        while True:
-            c += 1
-            z, _, work = measure(work, ancilla, rng)
-            events.append((i, c, z))
-            if z == 0:
-                state = slice_qubit(work, ancilla, 0)
-                break
-            if c == 3 * n:
-                final = FlaggedState(slice_qubit(work, ancilla, 1), flag, 1.0)
-                final.p = nontarget_probability(final)
-                return final, MitigationTrace(events, RANDOM_FALLBACK)
-            work = rewind(work, registry, label, "strict")
+        bits, work = measure_until(work, ancilla, 0, 3 * n, rng)
+        events += [(i, c, z) for c, z in enumerate(bits, start=1)]
+        state = slice_qubit(work, ancilla, bits[-1])
+        if bits[-1]:
+            outcome = RANDOM_FALLBACK
+            break
     final = FlaggedState(state, flag, 0.0)
     final.p = nontarget_probability(final)
-    return final, MitigationTrace(events, SUCCESS)
+    return final, MitigationTrace(events, outcome)
 
 
 def extract_target(
-    fs: FlaggedState,
-    n: int,
-    registry: SnapshotRegistry | None = None,
-    rng: SplitMix64 | None = None,
+    fs: FlaggedState, n: int, rng: SplitMix64 | None = None
 ) -> PureState | None:
-    """Measure the flag, rewinding on 0, up to n tries; return the target.
+    """Measure the flag until it reads 1, up to n tries; return the target.
 
     After successful mitigation P(flag = 1) >= 1/2, so the failure
     probability is <= 2^-n.
     """
     if rng is None:
         raise ValueError("extract_target needs an explicit rng")
-    if registry is None:
-        registry = SnapshotRegistry()
-    label = registry.fresh_label("extract")
-    snapshot(fs.state, registry, label)
-    work = fs.state
-    for _ in range(n):
-        bit, _, work = measure(work, fs.flag_qubit, rng)
-        if bit == 1:
-            return slice_qubit(work, fs.flag_qubit, 1)
-        work = rewind(work, registry, label, "strict")
-    return None
+    if n < 1:
+        return None
+    bits, work = measure_until(fs.state, fs.flag_qubit, 1, n, rng)
+    return slice_qubit(work, fs.flag_qubit, 1) if bits[-1] else None
 
 
 def postselect_rounds(p: float, q: float) -> int:

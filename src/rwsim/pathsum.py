@@ -207,12 +207,15 @@ def acceptance_probability(
     circuit: Circuit,
     weighting: dict[str, float] | None = None,
     max_path_bits: int = 60,
+    outcomes: dict[str, float] | None = None,
 ) -> float:
     """Exact P(accept = 1) = sum_z w_z * A_z / N_z.
 
     ``weighting`` overrides the intrinsic branch probabilities q_z by outcome
     key (missing keys keep their q_z).  The result lies in [0, 1] up to
-    accumulation error of 1e-12.
+    accumulation error of 1e-12.  A dict passed as ``outcomes`` receives the
+    intrinsic q_z per outcome key, as :func:`outcome_distribution` returns
+    them, from the same enumeration.
     """
     accept = accept_qubit(circuit)
     if accept is None:
@@ -221,6 +224,8 @@ def acceptance_probability(
     total = 0.0
     for key, q_z, state in enumerate_branches(circuit, kernel):
         if q_z > 0.0:
+            if outcomes is not None:
+                outcomes[key] = q_z
             weight = q_z if weighting is None else weighting.get(key, q_z)
             total += weight * kernel.prob(state, accept, 1)
     assert -1e-12 <= total <= 1.0 + 1e-12, f"acceptance {total} outside [0, 1]"

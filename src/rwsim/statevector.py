@@ -10,6 +10,8 @@ Conventions
   rewound must equal (up to global phase) the stored snapshot projected onto
   some single-qubit outcome and renormalised.  Permissive mode skips the
   check and returns the stored state unconditionally.
+* ``measure_until`` is the protocols' rewind-and-retry step: measure one
+  qubit until it reads a wanted bit, undoing each miss with a strict rewind.
 * ``KERNEL`` runs these primitives under the circuit interpreter in
   :mod:`rwsim.circuit`; its ``clone`` replays the snapshot's classical
   description, in ``run`` and in the exact oracles alike.
@@ -269,6 +271,29 @@ def rewind(
     return stored.copy()
 
 
+def measure_until(
+    state: PureState, qubit: int, want: int, tries: int, rng: SplitMix64
+) -> tuple[list[int], PureState]:
+    """Measure ``qubit`` until it reads ``want``, at most ``tries`` times.
+
+    Every miss but the last is undone by a strict rewind to ``state``, so each
+    try measures the entry state afresh.  Returns the bits read, in order, and
+    the state collapsed onto the last of them (``want`` unless every try
+    missed).
+    """
+    if tries < 1:
+        raise ValueError(f"measure_until needs at least one try, got {tries}")
+    registry = SnapshotRegistry()
+    snapshot(state, registry, "entry")
+    bits: list[int] = []
+    while True:
+        bit, _, state = measure(state, qubit, rng)
+        bits.append(bit)
+        if bit == want or len(bits) == tries:
+            return bits, state
+        state = rewind(state, registry, "entry", "strict")
+
+
 def clone_from_description(description: ClassicalDescription) -> PureState:
     """Rebuild a state from its classical description by replaying it."""
     state = init(description.n_qubits)
@@ -344,7 +369,7 @@ def exact_acceptance(circuit: Circuit) -> float:
     leaves = enumerate_branches(circuit, KERNEL)
     accept = accept_qubit(circuit)
     if accept is None:
-        return 0.0
+        raise ValueError("circuit declares no accept qubit")
     return float(sum(weight * prob_of_bit(state, accept, 1) for _, weight, state in leaves))
 
 

@@ -116,6 +116,13 @@ def test_simulate_parse_error_is_a_usage_error(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_simulate_over_the_width_cap_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("RWSIM_MAX_QUBITS", "1")
+    code, _, err = run(capsys, ["simulate", BELL, "--trials", "2"])
+    assert code == 2
+    assert err == "error: 2 qubits exceeds the cap of 1\n"
+
+
 def test_postselect_threshold_failure_is_a_runtime_error(capsys):
     code, _, err = run(
         capsys,
@@ -157,6 +164,15 @@ def test_demo_collision_toy(capsys):
     assert report["assert.pairs_verify"] == "pass"
     assert report["assert.success_freq"] == "pass"
     assert report["invalid_pairs"] == "0"
+
+
+@pytest.mark.parametrize("cap, code", [("17", 0), ("16", 2)])
+def test_demo_collision_width_check_matches_the_state(monkeypatch, capsys, cap, code):
+    # 9 input and 8 image qubits; a power-of-two domain needs no validity flag
+    monkeypatch.setenv("RWSIM_MAX_QUBITS", cap)
+    got, _, err = run(capsys, ["demo", "collision", "--bits", "8", "--trials", "2"])
+    assert got == code
+    assert ("needs 17 qubits" in err) == (code == 2)
 
 
 def test_demo_collision_no_rewind_skips_small_families(capsys):

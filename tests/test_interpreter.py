@@ -92,6 +92,14 @@ def test_uncertifiable_rewind_is_refused_by_samplers_and_oracles(entry):
         entry(parse_circuit(ROTATED_REWIND))
 
 
+@pytest.mark.parametrize(
+    "oracle", [exact_acceptance, acceptance_probability], ids=["sv", "pathsum"]
+)
+def test_acceptance_oracles_refuse_a_circuit_without_accept(oracle):
+    with pytest.raises(ValueError, match="circuit declares no accept qubit"):
+        oracle(parse_circuit("qubits 1\ngate h 0\nmeasure 0 -> m\n"))
+
+
 def test_max_rewinds_budget():
     c = parse_circuit(TWO_REWINDS)
     with pytest.raises(RewindBudgetError):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from rwsim.circuit import parse_circuit
 from rwsim.gates import CH, CZ, H, S, SWAP, X, hk, rz
 from rwsim.rng import SplitMix64, stream_seed
+from rwsim import statevector
 from rwsim.statevector import (
     InvalidPostselectionError,
     PostselectThresholdError,
@@ -31,6 +32,7 @@ from rwsim.statevector import (
     init,
     measure,
     measure_register,
+    measure_until,
     postselect,
     prob_of_bit,
     rewind,
@@ -229,6 +231,64 @@ def test_strict_rewind_ignores_global_phase():
 def test_rewind_unknown_label():
     with pytest.raises(UnknownSnapshotError):
         rewind(init(1), SnapshotRegistry(), "ghost", "strict")
+
+
+def _hand_written_retry(state, qubit, want, tries, rng):
+    """The snapshot / measure / strict-rewind loop the protocol modules wrote
+    out by hand before ``measure_until`` existed, kept as its reference."""
+    registry = SnapshotRegistry()
+    snapshot(state, registry, "s")
+    bits = []
+    for attempt in range(1, tries + 1):
+        bit, _, state = measure(state, qubit, rng)
+        bits.append(bit)
+        if bit == want or attempt == tries:
+            return bits, state
+        state = rewind(state, registry, "s", "strict")
+
+
+@pytest.mark.parametrize("want", [0, 1])
+@pytest.mark.parametrize("seed", range(8))
+def test_measure_until_matches_the_hand_written_loop(seed, want):
+    state = apply_gate(plus_state(3), CH, (0, 2))
+    rng_a = SplitMix64(stream_seed(0x3EA, seed))
+    rng_b = SplitMix64(stream_seed(0x3EA, seed))
+    bits, out = measure_until(state, 2, want, 4, rng_a)
+    ref_bits, ref_out = _hand_written_retry(state, 2, want, 4, rng_b)
+    assert bits == ref_bits
+    assert np.array_equal(out.amps, ref_out.amps)
+    assert rng_a.next_u64() == rng_b.next_u64()  # same number of draws
+
+
+def test_measure_until_with_one_try_never_rewinds(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("rewind called")
+
+    monkeypatch.setattr(statevector, "rewind", refuse)
+    for seed in range(8):
+        bits, out = measure_until(plus_state(1), 0, 0, 1, SplitMix64(seed))
+        assert len(bits) == 1
+        assert prob_of_bit(out, 0, bits[0]) == pytest.approx(1.0)
+
+
+def test_measure_until_returns_every_miss_of_an_unreachable_outcome(monkeypatch):
+    calls = []
+
+    def counted(state, registry, label, mode):
+        calls.append(mode)
+        return rewind(state, registry, label, mode)
+
+    monkeypatch.setattr(statevector, "rewind", counted)
+    one = apply_gate(init(2), X, (1,))
+    bits, out = measure_until(one, 1, 0, 5, SplitMix64(1))
+    assert bits == [1] * 5
+    assert calls == ["strict"] * 4  # the last miss is not undone
+    assert states_equal(out, one, tol=1e-12)
+
+
+def test_measure_until_needs_a_try():
+    with pytest.raises(ValueError):
+        measure_until(plus_state(1), 0, 0, 0, SplitMix64(1))
 
 
 def test_attach_and_slice_are_inverse():
