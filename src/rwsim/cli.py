@@ -57,6 +57,7 @@ from .mbqc import (
     BrickworkSpec,
     MeasurementPattern,
     build_brickwork,
+    grid_qubits,
     mbqc_run_rewind,
     postselect_pattern_zero,
 )
@@ -294,6 +295,8 @@ def cmd_simulate(ns) -> tuple[list, bool]:
     if ns.trials < 1:
         raise UsageError("--trials must be positive")
     lines += [("trials", ns.trials), ("seed", ns.seed)]
+    if ns.backend == "sv":
+        statevector.check_width(circuit.n_qubits)  # before any worker starts
     records = _trial_records(
         "simulate",
         (text, ns.backend, ns.mode, ns.min_postselect_prob),
@@ -531,6 +534,7 @@ def cmd_demo_mbqc(ns) -> tuple[list, bool]:
         pattern = MeasurementPattern.identity(spec)
         pattern_echo = "identity"
     measured = len(pattern.entries)
+    grid_qubits(spec)  # before any worker starts
     records = _trial_records(
         "mbqc",
         (ns.rows, ns.cols, pattern.entries, ns.budget),

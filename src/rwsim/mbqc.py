@@ -109,14 +109,20 @@ class MeasurementPattern:
         return cls(tuple((q, 0.0) for q in spec.measured_qubits()))
 
 
+def grid_qubits(spec: BrickworkSpec, max_width: int = _DEFAULT_GRID_MAX) -> int:
+    """The grid's qubit count; :class:`QubitBudgetError` if it is over the cap."""
+    total = spec.n_rows * spec.m_cols
+    cap = min(max_width, max_qubits())
+    if total > cap:
+        raise QubitBudgetError(
+            f"{spec.n_rows}x{spec.m_cols} grid needs {total} qubits, cap is {cap}"
+        )
+    return total
+
+
 def build_brickwork(spec: BrickworkSpec, max_width: int = _DEFAULT_GRID_MAX) -> PureState:
     """|+>^{nm} with CZ along the brickwork edges."""
-    total = spec.n_rows * spec.m_cols
-    if total > min(max_width, max_qubits()):
-        raise QubitBudgetError(
-            f"{spec.n_rows}x{spec.m_cols} grid needs {total} qubits, "
-            f"cap is {min(max_width, max_qubits())}"
-        )
+    total = grid_qubits(spec, max_width)
     state = init(total)
     for q in range(total):
         state = apply_gate(state, H, (q,))

@@ -1,18 +1,29 @@
 """Stabilizer tableau backend for the Clifford subset {h, s, cz, x}.
 
-The tableau keeps ``n`` stabilizer rows (no destabilizers): row i is the
-Pauli (-1)^{r_i} prod_j i^{x_{ij} z_{ij}} X^{x_{ij}} Z^{z_{ij}}.  X and Z bits
-are packed into uint64 words, one row per array row, so gate updates are a
-handful of word operations regardless of width.
+The tableau of Aaronson and Gottesman (quant-ph/0406196) has 2n rows: rows
+0..n-1 are destabilizers, rows n..2n-1 stabilizers.  Row i is the Pauli
+(-1)^{r_i} prod_j i^{x_{ij} z_{ij}} X^{x_{ij}} Z^{z_{ij}}, with X and Z bits
+packed into uint64 words, so a gate is a handful of column updates on every
+row.  Destabilizer i anticommutes with stabilizer i and commutes with the
+other stabilizers; |0...0> starts with destabilizers X_i and stabilizers Z_i.
 
-Measurement of qubit a:
+Measurement of qubit a looks at the stabilizer half only:
 
-* some row anticommutes with Z_a (has an X bit at a): the outcome is a fair
-  coin.  The lowest-index such row becomes the pivot, is multiplied into every
-  other anticommuting row, and is replaced by (-1)^outcome Z_a.
-* no row anticommutes: the outcome is determined.  Z_a is expressed over the
-  rows by GF(2) elimination and the sign of the corresponding product gives
-  the outcome (worst case O(n^3)).
+* some stabilizer has an X bit at a: the outcome is a fair coin.  The
+  lowest-index such stabilizer is the pivot; it is multiplied into every other
+  row with an X bit at a, except its own destabilizer, which takes the old
+  pivot row.  The pivot becomes (-1)^outcome Z_a.
+* none has: the outcome is determined.  Z_a is the product of the stabilizers
+  whose destabilizer has an X bit at a, and that product's sign is the outcome.
+
+Strict rewind checks that the post-state is the snapshot collapsed onto one
+outcome of one qubit.  Measuring a deterministic qubit leaves the snapshot
+unchanged, and measuring a random one makes its Z outcome deterministic, so
+the candidates are exactly: the snapshot itself (if it has a deterministic
+qubit), and each qubit random in the snapshot but deterministic after,
+collapsed onto that outcome.  Two tableaux hold the same state when each
+stabilizer of one commutes with the other's stabilizers and carries the sign
+of its product of them (the destabilizers it anticommutes with select it).
 
 ``KERNEL`` runs these rules under the circuit interpreter in :mod:`rwsim.circuit`:
 ``stab_run`` samples a path, ``stab_outcome_distribution`` and
@@ -52,27 +63,24 @@ TableauRegistry = SnapshotRegistry
 @dataclass
 class StabilizerTableau:
     n: int
-    X: np.ndarray  # (n, words) uint64
-    Z: np.ndarray  # (n, words) uint64
-    r: np.ndarray  # (n,) uint8 sign bits
+    X: np.ndarray  # (2n, words) uint64: destabilizers, then stabilizers
+    Z: np.ndarray  # (2n, words) uint64
+    r: np.ndarray  # (2n,) uint8 sign bits
 
     def copy(self) -> "StabilizerTableau":
         return StabilizerTableau(self.n, self.X.copy(), self.Z.copy(), self.r.copy())
 
 
-TableauSnapshot = StabilizerTableau  # a snapshot is simply an owned copy
-
-
 def stab_init(n: int) -> StabilizerTableau:
-    """Tableau of |0...0>: rows Z_0 ... Z_{n-1}."""
+    """Tableau of |0...0>: destabilizers X_0 ... X_{n-1}, stabilizers Z_0 ... Z_{n-1}."""
     if n < 1:
         raise ValueError("need at least one qubit")
     words = (n + 63) // 64
-    X = np.zeros((n, words), dtype=np.uint64)
-    Z = np.zeros((n, words), dtype=np.uint64)
+    X = np.zeros((2 * n, words), dtype=np.uint64)
+    Z = np.zeros((2 * n, words), dtype=np.uint64)
     for i in range(n):
-        Z[i, i // 64] = np.uint64(1) << np.uint64(i % 64)
-    return StabilizerTableau(n, X, Z, np.zeros(n, dtype=np.uint8))
+        X[i, i // 64] = Z[n + i, i // 64] = np.uint64(1) << np.uint64(i % 64)
+    return StabilizerTableau(n, X, Z, np.zeros(2 * n, dtype=np.uint8))
 
 
 def _col(arr: np.ndarray, qubit: int) -> np.ndarray:
@@ -118,11 +126,10 @@ def stab_apply(tab: StabilizerTableau, g: Gate, targets: tuple[int, ...]) -> Sta
     return tab
 
 
-def _phase_exponent(x1, z1, r1, x2, z2, r2) -> int:
-    """Sign exponent of the product of two commuting packed Pauli rows.
+def _phase_sum(x1, z1, x2, z2) -> np.ndarray:
+    """Per row, the i-exponent of (row 1) * (row 2), summed over qubits.
 
-    Returns e in {0, 1} with product sign (-1)^e; the intermediate
-    i-exponent is tracked mod 4 and must come out even.
+    Rows broadcast against each other; the sum runs over the last (word) axis.
     """
     plus = (
         (x1 & z1 & z2 & ~x2)
@@ -134,67 +141,37 @@ def _phase_exponent(x1, z1, r1, x2, z2, r2) -> int:
         | (x1 & ~z1 & z2 & ~x2)
         | (~x1 & z1 & x2 & z2)
     )
-    s = int(np.bitwise_count(plus).sum()) - int(np.bitwise_count(minus).sum())
-    e = (2 * int(r1) + 2 * int(r2) + s) % 4
+    count = lambda v: np.bitwise_count(v).sum(axis=-1, dtype=np.int64)
+    return count(plus) - count(minus)
+
+
+def _rowmul(tab: StabilizerTableau, rows: np.ndarray, p: int) -> None:
+    """row_q := row_p * row_q for every q in ``rows`` (each commutes with row p)."""
+    e = (2 * tab.r[rows] + 2 * int(tab.r[p])
+         + _phase_sum(tab.X[p], tab.Z[p], tab.X[rows], tab.Z[rows])) % 4
+    assert not (e & 1).any(), "product of anticommuting rows"
+    tab.r[rows] = e >> 1
+    tab.X[rows] ^= tab.X[p]
+    tab.Z[rows] ^= tab.Z[p]
+
+
+def _product_sign(tab: StabilizerTableau, rows: np.ndarray) -> int:
+    """Sign exponent of the product of ``rows`` (pairwise commuting), in order.
+
+    Step j multiplies row j into the product of the rows before it, whose
+    Pauli part is their XOR; the i-exponents of all steps add up mod 4.
+    """
+    X, Z = tab.X[rows], tab.Z[rows]
+    before_x = np.bitwise_xor.accumulate(X, axis=0)[:-1]
+    before_z = np.bitwise_xor.accumulate(Z, axis=0)[:-1]
+    e = (2 * int(tab.r[rows].sum()) + int(_phase_sum(before_x, before_z, X[1:], Z[1:]).sum())) % 4
     assert e % 2 == 0, "product of anticommuting rows"
     return e // 2
 
 
-def _rowmul(tab: StabilizerTableau, q: int, p: int) -> None:
-    """row_q := row_p * row_q (rows commute, so order is immaterial)."""
-    tab.r[q] = _phase_exponent(tab.X[p], tab.Z[p], tab.r[p], tab.X[q], tab.Z[q], tab.r[q])
-    tab.X[q] ^= tab.X[p]
-    tab.Z[q] ^= tab.Z[p]
-
-
-def _row_as_int(tab: StabilizerTableau, i: int) -> int:
-    words = tab.X.shape[1]
-    x = int.from_bytes(tab.X[i].tobytes(), "little")
-    z = int.from_bytes(tab.Z[i].tobytes(), "little")
-    return x | (z << (64 * words))
-
-
-def _reduce(basis: list[tuple[int, int]], v: int) -> tuple[int, int]:
-    """``v`` reduced by an echelon basis, and the row combination that used."""
-    combo = 0
-    for bv, bc in basis:
-        if v ^ bv < v:
-            v ^= bv
-            combo ^= bc
-    return v, combo
-
-
-def _row_basis(tab: StabilizerTableau) -> list[tuple[int, int]]:
-    """GF(2) elimination over (row-vector, row-combination) pairs."""
-    basis: list[tuple[int, int]] = []
-    for i in range(tab.n):
-        v, c = _reduce(basis, _row_as_int(tab, i))
-        if v:
-            basis.append((v, c ^ (1 << i)))
-            basis.sort(key=lambda e: -e[0])
-    return basis
-
-
-def _product_sign(tab: StabilizerTableau, combo: int) -> int:
-    """Sign exponent of the product of the rows that ``combo`` selects."""
-    words = tab.X.shape[1]
-    sx = np.zeros(words, dtype=np.uint64)
-    sz = np.zeros(words, dtype=np.uint64)
-    sr = 0
-    for i in range(tab.n):
-        if (combo >> i) & 1:
-            sr = _phase_exponent(sx, sz, sr, tab.X[i], tab.Z[i], tab.r[i])
-            sx ^= tab.X[i]
-            sz ^= tab.Z[i]
-    return sr
-
-
 def _deterministic_outcome(tab: StabilizerTableau, qubit: int) -> int:
-    """Outcome of measuring ``qubit`` when Z_qubit is in the row span."""
-    v, combo = _reduce(_row_basis(tab), 1 << (64 * tab.X.shape[1] + qubit))
-    if v:
-        raise AssertionError("deterministic measurement without Z_a in the span")
-    return _product_sign(tab, combo)  # the sign of Z_qubit's product is the outcome
+    """Outcome of measuring ``qubit`` when no stabilizer anticommutes with Z_qubit."""
+    return _product_sign(tab, tab.n + np.nonzero(_col(tab.X[: tab.n], qubit))[0])
 
 
 def stab_measure(
@@ -205,42 +182,63 @@ def stab_measure(
     ``force`` overrides the coin for random outcomes (used by the exact
     enumerators); deterministic outcomes ignore it.
     """
-    anticommuting = np.nonzero(_col(tab.X, qubit))[0]
+    n = tab.n
+    anticommuting = np.nonzero(_col(tab.X[n:], qubit))[0]
     if anticommuting.size == 0:
         return _deterministic_outcome(tab, qubit), 1.0, tab
-    pivot = int(anticommuting[0])  # lowest index, by convention
-    for q in anticommuting[1:]:
-        _rowmul(tab, int(q), pivot)
+    pivot = n + int(anticommuting[0])  # lowest-index stabilizer, by convention
+    rows = np.nonzero(_col(tab.X, qubit))[0]
+    _rowmul(tab, rows[(rows != pivot) & (rows != pivot - n)], pivot)
     if force is not None:
         outcome = force
     else:
         outcome = 1 if rng.uniform() < 0.5 else 0
-    tab.X[pivot] = 0
-    tab.Z[pivot] = 0
+    for arr in (tab.X, tab.Z, tab.r):  # the pivot's destabilizer takes the old pivot row
+        arr[pivot - n] = arr[pivot]
+        arr[pivot] = 0
     tab.Z[pivot, qubit // 64] = np.uint64(1) << np.uint64(qubit % 64)
     tab.r[pivot] = outcome
     return outcome, 0.5, tab
 
 
 def _same_state(a: StabilizerTableau, b: StabilizerTableau) -> bool:
-    """Do two full-rank tableaux stabilize the same state (signs included)?"""
-    if a.n != b.n:
-        return False
-    basis = _row_basis(a)
-    for j in range(b.n):
-        v, combo = _reduce(basis, _row_as_int(b, j))
-        if v or _product_sign(a, combo) != int(b.r[j]):
-            return False  # b's row is not in a's group, or has the other sign
-    return True
+    """Do two tableaux of one width stabilize the same state (signs included)?"""
+    n = a.n
+    # a stabilizer row that b shares with a is in a's group; check the others
+    shared = (a.X[n:] == b.X[n:]).all(axis=1) & (a.Z[n:] == b.Z[n:]).all(axis=1)
+    rows = n + np.nonzero(~shared | (a.r[n:] != b.r[n:]))[0]
+    anti = np.zeros((rows.size, 2 * n), dtype=np.uint8)  # [j, i]: row j anticommutes with a's i
+    for w in range(a.X.shape[1]):  # a word at a time keeps memory at rows x 2n
+        anti ^= np.bitwise_count(
+            (b.X[rows, None, w] & a.Z[None, :, w]) ^ (b.Z[rows, None, w] & a.X[None, :, w])
+        )
+    anti &= 1
+    if anti[:, n:].any():
+        return False  # a stabilizer of b is outside a's group
+    # it is the product of a's stabilizers whose destabilizer it anticommutes
+    # with, and must carry that product's sign
+    return all(
+        _product_sign(a, n + np.nonzero(bits[:n])[0]) == b.r[row] for bits, row in zip(anti, rows)
+    )
+
+
+def _random_qubits(tab: StabilizerTableau) -> np.ndarray:
+    """Bool per qubit: does some stabilizer have an X bit there (a random Z outcome)?"""
+    words = np.bitwise_or.reduce(tab.X[tab.n :], axis=0).astype("<u8")
+    return np.unpackbits(words.view(np.uint8), bitorder="little")[: tab.n].astype(bool)
 
 
 def _is_collapse_of(stored: StabilizerTableau, post: StabilizerTableau) -> bool:
     """Is ``post`` the snapshot collapsed onto one outcome of one qubit?"""
-    for qubit in range(stored.n):
-        for bit in (0, 1):
-            outcome, _, trial = stab_measure(stored.copy(), qubit, None, force=bit)
-            if outcome == bit and _same_state(trial, post):
-                return True
+    if stored.n != post.n:
+        return False
+    random_stored = _random_qubits(stored)
+    if not random_stored.all() and _same_state(stored, post):
+        return True  # a deterministic qubit was measured
+    for qubit in np.nonzero(random_stored & ~_random_qubits(post))[0]:
+        bit = _deterministic_outcome(post, int(qubit))
+        if _same_state(stab_measure(stored.copy(), int(qubit), None, force=bit)[2], post):
+            return True
     return False
 
 
@@ -282,7 +280,7 @@ class _TableauKernel(Kernel):
         return stab_measure(tab, qubit, rng)
 
     def prob(self, tab: StabilizerTableau, qubit: int, bit: int) -> Fraction:
-        if _col(tab.X, qubit).any():
+        if _col(tab.X[tab.n :], qubit).any():
             return Fraction(1, 2)
         return Fraction(int(_deterministic_outcome(tab, qubit) == bit))
 

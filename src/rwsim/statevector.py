@@ -64,6 +64,12 @@ def max_qubits() -> int:
     return int(value) if value else _DEFAULT_MAX_QUBITS
 
 
+def check_width(n: int) -> None:
+    """Raise :class:`QubitBudgetError` if a state on ``n`` qubits is over the cap."""
+    if n > max_qubits():
+        raise QubitBudgetError(f"{n} qubits exceeds the cap of {max_qubits()}")
+
+
 @dataclass
 class PureState:
     """Normalised pure state on ``n`` qubits."""
@@ -82,8 +88,7 @@ def init(n: int) -> PureState:
     """|0...0> on ``n`` qubits."""
     if n < 1:
         raise ValueError("need at least one qubit")
-    if n > max_qubits():
-        raise QubitBudgetError(f"{n} qubits exceeds the cap of {max_qubits()}")
+    check_width(n)
     amps = np.zeros(1 << n, dtype=complex)
     amps[0] = 1.0
     return PureState(n, amps)
@@ -379,8 +384,7 @@ def exact_acceptance(circuit: Circuit) -> float:
 
 def attach_zero(state: PureState) -> PureState:
     """Append a fresh |0> qubit as the new least significant qubit."""
-    if state.n + 1 > max_qubits():
-        raise QubitBudgetError(f"{state.n + 1} qubits exceeds the cap of {max_qubits()}")
+    check_width(state.n + 1)
     amps = np.zeros(2 * state.amps.size, dtype=complex)
     amps[0::2] = state.amps
     return PureState(state.n + 1, amps)

@@ -249,6 +249,25 @@ def test_demo_mbqc_rejects_wide_grids(capsys):
     assert code == 2 and "39" in err
 
 
+def test_width_is_checked_before_the_worker_pool_starts(tmp_path, monkeypatch, capsys):
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise RuntimeError("worker pool built")
+
+    monkeypatch.setattr("rwsim.cli.ProcessPoolExecutor", NoPool)
+    monkeypatch.delenv("RWSIM_MAX_QUBITS", raising=False)
+    wide = tmp_path / "wide.qc"
+    wide.write_text("qubits 30\ngate h 0\nmeasure 0 -> m\n")
+    code, _, err = run(
+        capsys, ["simulate", str(wide), "--backend", "sv", "--trials", "4", "--jobs", "2"]
+    )
+    assert (code, err) == (2, "error: 30 qubits exceeds the cap of 24\n")
+    code, _, err = run(
+        capsys, ["demo", "mbqc", "--rows", "3", "--cols", "13", "--trials", "4", "--jobs", "2"]
+    )
+    assert (code, err) == (2, "error: 3x13 grid needs 39 qubits, cap is 14\n")
+
+
 def test_demo_mbqc_rejects_partial_patterns(tmp_path, capsys):
     partial = tmp_path / "partial.pattern"
     partial.write_text("measure 1 1 theta 0.0\n")

@@ -50,6 +50,7 @@ COMMANDS = {
         "rewind_retry.qc", "sv", "--trials", "20", "--seed", "3", "--mode", "permissive"
     ),
     "retry-stab": _sim("rewind_retry.qc", "stab", "--trials", "60", "--seed", "3"),
+    "wide-stab": _sim("wide_retry.qc", "stab", "--trials", "4", "--seed", "12"),
     "tgate-sv": _sim("t-gate.qc", "sv", "--trials", "40", "--seed", "4"),
     "tgate-pathsum": _sim("t-gate.qc", "pathsum"),
     "pp": ["demo", "pp", "--n", "2", "--trials", "3", "--seed", "5"],

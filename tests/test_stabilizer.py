@@ -10,11 +10,13 @@ import pytest
 from conftest import random_clifford_circuit
 from rwsim.circuit import parse_circuit
 from rwsim.gates import CZ, H, S, X, hk
+from rwsim import stabilizer, statevector
 from rwsim.rng import SplitMix64, stream_seed
 from rwsim.stabilizer import (
     DepthLimitError,
     GateSetError,
     RewindConsistencyError,
+    StabilizerTableau,
     TableauRegistry,
     UnknownSnapshotError,
     stab_apply,
@@ -220,3 +222,132 @@ def test_clone_restores_snapshot_exactly():
     for i in range(24):
         result = stab_run(circuit, SplitMix64(stream_seed(31, i)))
         assert result.record.bit("check") == result.record.bit("m")
+
+
+# ---------------------------------------------------------------------------
+# strict rewind against the dense backend, and tableaux wider than one word
+
+
+KERNELS = (stabilizer.KERNEL, statevector.KERNEL)
+
+
+def _accepts(kernel, post, stored) -> bool:
+    registry = TableauRegistry()
+    registry.store("s", stored)
+    try:
+        kernel.rewind(post, registry, "s", "strict")
+    except RewindConsistencyError:
+        return False
+    return True
+
+
+def _collapse(kernel, state, qubit, bit):
+    """``state`` collapsed onto ``bit`` of ``qubit``, or onto the other bit if
+    ``bit`` has probability 0."""
+    prob = kernel.prob(state, qubit, bit)
+    if not prob:
+        bit = 1 - bit
+        prob = kernel.prob(state, qubit, bit)
+    return kernel.collapse(state, qubit, bit, prob)
+
+
+def test_strict_rewind_decisions_match_dense_backend():
+    pool = (H, S, X, CZ)
+    accepted = refused = 0
+    for case in range(1000):
+        rng = SplitMix64(stream_seed(0x5EED, case))
+        n = 1 + rng.randrange(8)
+
+        def gate():
+            g = pool[rng.randrange(4 if n > 1 else 3)]
+            a = rng.randrange(n)
+            return g, ((a, (a + 1 + rng.randrange(n - 1)) % n) if g is CZ else (a,))
+
+        stored = [stab_init(n), init(n)]
+        for _ in range(rng.randrange(4 * n + 1)):
+            g, targets = gate()
+            stored = [stab_apply(stored[0].copy(), g, targets), apply_gate(stored[1], g, targets)]
+        kind = rng.randrange(4)  # one collapse, two collapses, collapse + gate, no change
+        post = list(stored)
+        for _ in range({0: 1, 1: 2, 2: 1, 3: 0}[kind]):
+            qubit, bit = rng.randrange(n), rng.randrange(2)
+            post = [_collapse(k, s, qubit, bit) for k, s in zip(KERNELS, post)]
+        if kind == 2:
+            g, targets = gate()
+            post = [stab_apply(post[0].copy(), g, targets), apply_gate(post[1], g, targets)]
+        decisions = [_accepts(k, p, s) for k, p, s in zip(KERNELS, post, stored)]
+        assert decisions[0] == decisions[1], (case, kind)
+        accepted += decisions[0]
+        refused += not decisions[0]
+    assert accepted > 500 and refused > 100, (accepted, refused)
+
+
+def _wide(n: int, gates) -> StabilizerTableau:
+    tab = stab_init(n)
+    for g, targets in gates:
+        tab = stab_apply(tab, g, targets)
+    return tab
+
+
+WIDE = 130
+GHZ = [(H, (0,))] + [
+    step for t in range(1, WIDE) for step in ((H, (t,)), (CZ, (0, t)), (H, (t,)))
+]
+PLUS = [(H, (q,)) for q in range(WIDE)]
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 129])
+def test_init_spans_word_boundaries(n):
+    tab = stab_init(n)
+    words = (n + 63) // 64
+    assert tab.X.shape == tab.Z.shape == (2 * n, words) and tab.r.shape == (2 * n,)
+    bits = lambda rows: np.unpackbits(rows.view(np.uint8), axis=1, bitorder="little")[:, :n]
+    eye = np.eye(n, dtype=np.uint8)
+    assert (bits(tab.X[:n]) == eye).all() and not bits(tab.Z[:n]).any()
+    assert (bits(tab.Z[n:]) == eye).all() and not bits(tab.X[n:]).any()
+    for qubit in (0, n - 1, min(n - 1, 63), min(n - 1, 64)):
+        assert stab_measure(tab.copy(), qubit, None)[:2] == (0, 1.0)
+
+
+@pytest.mark.parametrize("first", [0, 63, 64, 129])
+def test_wide_ghz_remeasurements_are_deterministic(first):
+    tab = _wide(WIDE, GHZ)
+    outcome, prob, tab = stab_measure(tab, first, SplitMix64(first))
+    assert prob == 0.5
+    for qubit in (63, 64, 129):
+        assert stab_measure(tab, qubit, None)[:2] == (outcome, 1.0)
+
+
+@pytest.mark.parametrize("qubit", [63, 64, 129])
+def test_wide_product_remeasurement_is_deterministic(qubit):
+    tab = _wide(WIDE, PLUS)
+    for bit in (0, 1):
+        _, prob, collapsed = stab_measure(tab.copy(), qubit, None, force=bit)
+        assert prob == 0.5
+        assert stab_measure(collapsed, qubit, None)[:2] == (bit, 1.0)
+        assert stab_measure(collapsed, qubit ^ 1, None, force=0)[1] == 0.5
+
+
+@pytest.mark.parametrize("gates", [GHZ, PLUS], ids=["ghz", "plus"])
+@pytest.mark.parametrize("qubit", [0, 63, 64, 129])
+def test_wide_strict_rewind_accepts_one_collapse(gates, qubit):
+    stored = _wide(WIDE, gates)
+    for bit in (0, 1):
+        post = stab_measure(stored.copy(), qubit, None, force=bit)[2]
+        assert _accepts(stabilizer.KERNEL, post, stored)
+
+
+@pytest.mark.parametrize("pair", [(62, 63), (63, 64), (64, 65), (0, 129)])
+def test_wide_strict_rewind_refuses_two_collapses(pair):
+    stored = _wide(WIDE, PLUS)
+    post = stored.copy()
+    for qubit in pair:
+        post = stab_measure(post, qubit, None, force=1)[2]
+    assert not _accepts(stabilizer.KERNEL, post, stored)
+    # on the GHZ state the second reading is implied by the first, so it is
+    # still a one-qubit collapse
+    ghz = _wide(WIDE, GHZ)
+    post = ghz.copy()
+    for qubit in pair:
+        post = stab_measure(post, qubit, None, force=1)[2]
+    assert _accepts(stabilizer.KERNEL, post, ghz)
