@@ -24,15 +24,15 @@ Any instruction except ``accept`` may carry an ``if`` suffix: a conjunction
 of ``<label> == <bit>`` clauses joined by ``&&``, referring to earlier
 measurement labels.
 
-A :class:`ClassicalDescription` is the replayable classical record of how a
-state was built from |0...0>: the gate prefix with every measurement resolved
-to a projector onto its recorded outcome.  Replaying it (see
-``statevector.clone_from_description``) reconstructs the state exactly.
+A :class:`ClassicalDescription` is the classical record of how a state was
+built from |0...0>: the gate prefix with every measurement resolved to a
+projector onto its recorded outcome (:func:`description_of_prefix`).
 
 The one interpreter of the IR lives here too.  It runs a circuit over a
 backend :class:`Kernel` and owns all that is not quantum arithmetic:
-conditionals, the record, snapshots and the replayable prefix, rewind
-counting, ``max_rewinds`` and ``min_postselect_prob``.  Its one loop samples
+conditionals, the record, snapshots and the prefix, rewind counting,
+``max_rewinds``, ``min_postselect_prob`` and ``clone``, which continues from
+a copy of the stored snapshot on every backend.  Its one loop samples
 a path (:func:`sample_run`), enumerates all branches (:func:`enumerate_branches`)
 or replays a record (:func:`description_of_prefix`), so samplers and exact
 oracles accept and refuse the same circuits.
@@ -60,10 +60,6 @@ class CircuitValidationError(ValueError):
 
 class RecordError(ValueError):
     """A measurement record is inconsistent with the circuit or itself."""
-
-
-class DescriptionBudgetError(ValueError):
-    """A classical description exceeded the circuit's bit budget."""
 
 
 class UnsupportedInstructionError(ValueError):
@@ -166,7 +162,6 @@ class Circuit:
     n_qubits: int
     instructions: tuple[Instruction, ...]
     name: str | None = None
-    description_bits: int | None = None  # budget for snapshot descriptions
 
     def __iter__(self) -> Iterator[Instruction]:
         return iter(self.instructions)
@@ -218,7 +213,7 @@ def predicate_holds(predicate: tuple[tuple[str, int], ...], record: MeasurementR
 
 @dataclass(frozen=True)
 class ClassicalDescription:
-    """Replayable construction of a pure state from |0...0>.
+    """Construction of a pure state from |0...0>.
 
     ``ops`` is the operator prefix (gates and outcome projectors, in order);
     ``outcomes`` lists the (label, bit) pairs the projectors came from.
@@ -227,19 +222,6 @@ class ClassicalDescription:
     n_qubits: int
     ops: tuple[GateOp | Project, ...]
     outcomes: tuple[tuple[str, int], ...] = ()
-
-    def serialize(self) -> str:
-        lines = [f"qubits {self.n_qubits}"]
-        for op in self.ops:
-            if isinstance(op, Project):
-                lines.append(f"project {op.qubit} = {op.bit}")
-            else:
-                lines.append(_format_gate(op))
-        return "\n".join(lines) + "\n"
-
-    def bit_length(self) -> int:
-        """Size of the canonical serialization, in bits."""
-        return 8 * len(self.serialize())
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +238,15 @@ def _parse_predicate(text: str, lineno: int) -> tuple[tuple[str, int], ...]:
     return tuple(clauses)
 
 
-def _parse_targets(parts: list[str], lineno: int) -> tuple[int, ...]:
+def _parse_int(text: str, lineno: int, what: str) -> int:
     try:
-        return tuple(int(p) for p in parts)
+        return int(text)
     except ValueError:
-        raise CircuitSyntaxError(lineno, f"qubit indices must be integers: {parts}") from None
+        raise CircuitSyntaxError(lineno, f"{what} must be an integer, got {text!r}") from None
+
+
+def _parse_targets(parts: list[str], lineno: int) -> tuple[int, ...]:
+    return tuple(_parse_int(p, lineno, "qubit index") for p in parts)
 
 
 def parse_circuit(text: str, name: str | None = None) -> Circuit:
@@ -275,7 +261,7 @@ def parse_circuit(text: str, name: str | None = None) -> Circuit:
             parts = line.split()
             if len(parts) != 2 or parts[0] != "qubits":
                 raise CircuitSyntaxError(lineno, "expected 'qubits N' header")
-            n_qubits = int(parts[1])
+            n_qubits = _parse_int(parts[1], lineno, "qubit count")
             continue
 
         predicate = None
@@ -294,15 +280,13 @@ def parse_circuit(text: str, name: str | None = None) -> Circuit:
             try:
                 if gname == "hk":
                     g = make_gate("hk", int(parts[2]))
-                    targets = _parse_targets(parts[3:], lineno)
                 elif gname == "rz":
                     g = make_gate("rz", float(parts[2]))
-                    targets = _parse_targets(parts[3:], lineno)
                 else:
                     g = make_gate(gname)
-                    targets = _parse_targets(parts[2:], lineno)
             except ValueError as exc:
                 raise CircuitSyntaxError(lineno, str(exc)) from None
+            targets = _parse_targets(parts[2 if g.param is None else 3 :], lineno)
             if len(targets) != g.arity:
                 raise CircuitSyntaxError(
                     lineno, f"gate {gname} expects {g.arity} target(s), got {len(targets)}"
@@ -311,11 +295,11 @@ def parse_circuit(text: str, name: str | None = None) -> Circuit:
         elif kind == "measure":
             if len(parts) != 4 or parts[2] != "->":
                 raise CircuitSyntaxError(lineno, "expected 'measure <q> -> <label>'")
-            instr = Measure(int(parts[1]), parts[3])
+            instr = Measure(_parse_int(parts[1], lineno, "qubit index"), parts[3])
         elif kind == "postselect":
             if len(parts) != 4 or parts[2] != "=" or parts[3] not in ("0", "1"):
                 raise CircuitSyntaxError(lineno, "expected 'postselect <q> = <0|1>'")
-            instr = Postselect(int(parts[1]), int(parts[3]))
+            instr = Postselect(_parse_int(parts[1], lineno, "qubit index"), int(parts[3]))
         elif kind == "snapshot":
             if len(parts) != 2:
                 raise CircuitSyntaxError(lineno, "expected 'snapshot <label>'")
@@ -333,7 +317,7 @@ def parse_circuit(text: str, name: str | None = None) -> Circuit:
                 raise CircuitSyntaxError(lineno, "expected 'accept <q>'")
             if predicate is not None:
                 raise CircuitSyntaxError(lineno, "accept cannot be conditional")
-            instr = Accept(int(parts[1]))
+            instr = Accept(_parse_int(parts[1], lineno, "qubit index"))
         else:
             raise CircuitSyntaxError(lineno, f"unknown instruction {kind!r}")
 
@@ -500,10 +484,9 @@ class Kernel:
     """A backend as the interpreter sees it: its state arithmetic and its reach.
 
     A kernel declares ``gates`` (the gate names ``apply`` accepts), ``runs``
-    (which of postselect, snapshot, rewind and clone it supports), the unit
-    ``one`` of its branch weights, and whether ``clone`` rebuilds the state
-    from the snapshot's classical description (``clone_replays``).  States
-    are opaque to the interpreter apart from ``copy()``.  The operations are
+    (which of postselect, snapshot, rewind and clone it supports) and the
+    unit ``one`` of its branch weights.  States are opaque to the interpreter
+    apart from ``copy()``, which is all ``clone`` needs.  The operations are
 
     * ``init(n)`` and ``apply(state, gate_op)``;
     * ``postselect(state, qubit, bit) -> (prob, state)``, which raises
@@ -512,15 +495,13 @@ class Kernel:
     * enumeration: ``prob(state, qubit, bit)``, a weight that is zero for a
       branch the kernel counts as empty, and ``collapse(state, qubit, bit,
       prob)``, which must leave its input usable for the sibling branch;
-    * ``rewind(state, registry, label, mode)`` (certify, then restore) and
-      ``clone(registry, label)``.
+    * ``rewind(state, registry, label, mode)``: certify, then restore.
     """
 
     name: str
     gates: frozenset[str] = GATE_NAMES
     runs: frozenset[str] = frozenset(_OPTIONAL.values())
     one = 1.0
-    clone_replays = False
 
     def unsupported(self, circuit: Circuit) -> tuple[str, ...] | None:
         """Source keywords, ``("gate", name)`` or ``(kind,)``, of the first
@@ -550,12 +531,7 @@ class _Replay(Kernel):
         return 1.0, state
 
     def rewind(self, state, registry, label, mode):
-        return self.clone(registry, label)
-
-    def clone(self, registry, label):
-        if label not in registry:
-            raise RecordError(f"snapshot {label!r} was not reached under this record")
-        return {}
+        return registry.state(label).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +554,7 @@ class _Branch:
     weight: object
     record: MeasurementRecord
     registry: SnapshotRegistry = field(default_factory=SnapshotRegistry)
-    ops: list = field(default_factory=list)  # the replayable prefix
+    ops: list = field(default_factory=list)  # the prefix description_of_prefix returns
     outcomes: list = field(default_factory=list)
     pc: int = 0
     rewinds: int = 0
@@ -675,15 +651,12 @@ def _interpret(
                     )
                 b.ops.append(Project(instr.qubit, instr.bit))
             elif isinstance(instr, Snapshot):
-                description = b.description(circuit.n_qubits)
-                if kernel.clone_replays:
-                    _check_budget(circuit, description)
-                b.registry.store(instr.label, b.state, description)
+                b.registry.store(instr.label, b.state, b.description(circuit.n_qubits))
                 if instr.label == stop_at:
                     b.pc = len(instructions)
             elif isinstance(instr, (Rewind, Clone)):
                 if isinstance(instr, Clone):
-                    b.state = kernel.clone(b.registry, instr.label)
+                    b.state = b.registry.state(instr.label).copy()
                 else:
                     b.rewinds += 1
                     if max_rewinds is not None and b.rewinds > max_rewinds:
@@ -697,15 +670,6 @@ def _interpret(
         else:  # the branch ran to its end without forking or being dropped
             leaves.append(b)
     return leaves
-
-
-def _check_budget(circuit: Circuit, description: ClassicalDescription) -> None:
-    if circuit.description_bits is not None:
-        used = description.bit_length()
-        if used > circuit.description_bits:
-            raise DescriptionBudgetError(
-                f"description needs {used} bits, budget is {circuit.description_bits}"
-            )
 
 
 def sample_run(
@@ -765,6 +729,4 @@ def description_of_prefix(
     (b,) = _interpret(circuit, _Replay(), _REPLAY, record=record, stop_at=snapshot_label)
     if snapshot_label is not None and snapshot_label not in b.registry:
         raise RecordError(f"snapshot {snapshot_label!r} was not reached under this record")
-    description = b.description(circuit.n_qubits)
-    _check_budget(circuit, description)
-    return description
+    return b.description(circuit.n_qubits)

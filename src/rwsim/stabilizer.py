@@ -28,9 +28,9 @@ of its product of them (the destabilizers it anticommutes with select it).
 ``KERNEL`` runs these rules under the circuit interpreter in :mod:`rwsim.circuit`:
 ``stab_run`` samples a path, ``stab_outcome_distribution`` and
 ``stab_strong_probability`` enumerate the branches with exact dyadic
-``Fraction`` weights.  ``clone`` restores the snapshot copy (a replay would
-rebuild the same tableau).  A circuit with a postselection or a non-Clifford
-gate is refused before it runs.
+``Fraction`` weights; the interpreter's ``clone`` continues from the snapshot
+copy.  A circuit with a postselection or a non-Clifford gate is refused
+before it runs.
 """
 
 from __future__ import annotations
@@ -291,9 +291,6 @@ class _TableauKernel(Kernel):
 
     def rewind(self, tab: StabilizerTableau, registry: SnapshotRegistry, label: str, mode: str):
         return stab_rewind(tab, registry, label, mode)
-
-    def clone(self, registry: SnapshotRegistry, label: str) -> StabilizerTableau:
-        return registry.state(label).copy()
 
 
 KERNEL = _TableauKernel()

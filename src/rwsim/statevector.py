@@ -13,8 +13,8 @@ Conventions
 * ``measure_until`` is the protocols' rewind-and-retry step: measure one
   qubit until it reads a wanted bit, undoing each miss with a strict rewind.
 * ``KERNEL`` runs these primitives under the circuit interpreter in
-  :mod:`rwsim.circuit`; its ``clone`` replays the snapshot's classical
-  description, in ``run`` and in the exact oracles alike.
+  :mod:`rwsim.circuit`, whose ``clone`` continues from a copy of the stored
+  snapshot.
 
 The default width cap is 24 qubits; the environment variable
 ``RWSIM_MAX_QUBITS`` overrides it.
@@ -30,7 +30,6 @@ import numpy as np
 
 from .circuit import (  # the shared error and registry names are re-exported
     Circuit,
-    ClassicalDescription,
     GateOp,
     InvalidPostselectionError,
     Kernel,
@@ -53,10 +52,6 @@ _ZERO_TOL = 1e-30  # squared-amplitude threshold for "this branch is empty"
 
 class QubitBudgetError(ValueError):
     """Requested width exceeds the configured qubit cap."""
-
-
-class ReplayError(ValueError):
-    """A classical description hit a zero-probability projector on replay."""
 
 
 def max_qubits() -> int:
@@ -206,14 +201,9 @@ def postselect(
     return p, _collapse(state, qubit, bit, p)
 
 
-def snapshot(
-    state: PureState,
-    registry: SnapshotRegistry,
-    label: str,
-    description: ClassicalDescription | None = None,
-) -> None:
-    """Store a copy of ``state`` (and optionally its construction recipe)."""
-    registry.store(label, state, description)
+def snapshot(state: PureState, registry: SnapshotRegistry, label: str) -> None:
+    """Store a copy of ``state`` under ``label``."""
+    registry.store(label, state)
 
 
 def states_equal(a: PureState, b: PureState, tol: float = 1e-9) -> bool:
@@ -299,25 +289,8 @@ def measure_until(
         state = rewind(state, registry, "entry", "strict")
 
 
-def clone_from_description(description: ClassicalDescription) -> PureState:
-    """Rebuild a state from its classical description by replaying it."""
-    state = init(description.n_qubits)
-    for op in description.ops:
-        if isinstance(op, GateOp):
-            state = apply_gate(state, op.gate, op.targets)
-        else:  # Project
-            p = prob_of_bit(state, op.qubit, op.bit)
-            if p <= _ZERO_TOL:
-                raise ReplayError(
-                    f"projector onto qubit {op.qubit} = {op.bit} has zero probability"
-                )
-            state = _collapse(state, op.qubit, op.bit, p)
-    return state
-
-
 class _StateVectorKernel(Kernel):
     name = "sv"
-    clone_replays = True
 
     def init(self, n: int) -> PureState:
         return init(n)
@@ -340,9 +313,6 @@ class _StateVectorKernel(Kernel):
 
     def rewind(self, state: PureState, registry: SnapshotRegistry, label: str, mode: str):
         return rewind(state, registry, label, mode)
-
-    def clone(self, registry: SnapshotRegistry, label: str) -> PureState:
-        return clone_from_description(registry.description(label))
 
 
 KERNEL = _StateVectorKernel()

@@ -11,10 +11,8 @@ from rwsim.circuit import (
     Circuit,
     CircuitSyntaxError,
     CircuitValidationError,
-    ClassicalDescription,
     Clone,
     Conditional,
-    DescriptionBudgetError,
     GateOp,
     Measure,
     MeasurementRecord,
@@ -116,12 +114,19 @@ def test_conditional_predicate_parsing():
         ("qubits 1\naccept 0\naccept 0\n", "one accept"),
         ("qubits 1\nflip 0\n", "unknown instruction"),
         ("qubits 1\nmeasure 0 -> m\ngate x 0 if m = 1\n", "condition"),
+        ("qubits x\n", "line 1: qubit count must be an integer"),
+        ("qubits 1\nmeasure a -> m\n", "line 2: qubit index must be an integer"),
+        ("qubits 1\n\npostselect z = 0\n", "line 3: qubit index must be an integer"),
+        ("qubits 1\naccept q\n", "line 2: qubit index must be an integer"),
+        ("qubits 1\ngate h x\n", "line 2: qubit index must be an integer"),
     ],
 )
 def test_rejects_malformed_sources(text, fragment):
     with pytest.raises((CircuitSyntaxError, CircuitValidationError)) as err:
         parse_circuit(text)
     assert fragment in str(err.value)
+    if isinstance(err.value, CircuitSyntaxError):  # the line is named once
+        assert str(err.value).count("line ") == 1
 
 
 def test_syntax_error_carries_line_number():
@@ -222,17 +227,3 @@ def test_description_missing_snapshot_or_label_errors():
         description_of_prefix(c, record, "missing")
 
 
-def test_description_budget_enforced():
-    base = parse_circuit("qubits 1\ngate h 0\nsnapshot s\nmeasure 0 -> m\n")
-    tight = Circuit(base.n_qubits, base.instructions, description_bits=1)
-    record = MeasurementRecord()
-    record.add("m", 0, 0.5)
-    with pytest.raises(DescriptionBudgetError):
-        description_of_prefix(tight, record)
-    roomy = Circuit(base.n_qubits, base.instructions, description_bits=10_000)
-    assert description_of_prefix(roomy, record).bit_length() <= 10_000
-
-
-def test_description_bit_length_counts_content():
-    d = ClassicalDescription(2, (GateOp(gate("h"), (0,)), Project(0, 1)), (("m", 1),))
-    assert d.bit_length() > 0

@@ -116,6 +116,14 @@ def test_simulate_parse_error_is_a_usage_error(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_simulate_bad_integer_is_a_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.qc"
+    bad.write_text("qubits 1\ngate h x\n")
+    code, out, err = run(capsys, ["simulate", str(bad)])
+    assert code == 2 and out == ""
+    assert err.count("line ") == 1 and "line 2: qubit index must be an integer" in err
+
+
 def test_simulate_over_the_width_cap_is_a_usage_error(monkeypatch, capsys):
     monkeypatch.setenv("RWSIM_MAX_QUBITS", "1")
     code, _, err = run(capsys, ["simulate", BELL, "--trials", "2"])

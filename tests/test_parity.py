@@ -51,6 +51,7 @@ COMMANDS = {
     ),
     "retry-stab": _sim("rewind_retry.qc", "stab", "--trials", "60", "--seed", "3"),
     "wide-stab": _sim("wide_retry.qc", "stab", "--trials", "4", "--seed", "12"),
+    "clone-sv": _sim("clone_retry.qc", "sv", "--trials", "40", "--seed", "13"),
     "tgate-sv": _sim("t-gate.qc", "sv", "--trials", "40", "--seed", "4"),
     "tgate-pathsum": _sim("t-gate.qc", "pathsum"),
     "pp": ["demo", "pp", "--n", "2", "--trials", "3", "--seed", "5"],
