@@ -305,11 +305,10 @@ def collision_find(
 
     def fresh_run_state() -> PureState | None:
         for _ in range(max_prep_attempts):
-            state = base.copy()
             if not padded:
-                return state
-            flag = state.n - 1
-            bit, _, state = measure(state, flag, rng)
+                return base  # never mutated, so every trial can start from the cache
+            flag = base.n - 1
+            bit, _, state = measure(base, flag, rng)
             if bit == 1:
                 return slice_qubit(state, flag, 1)
         return None

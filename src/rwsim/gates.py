@@ -66,8 +66,8 @@ class Gate:
             if not isinstance(self.param, int) or abs(self.param) > 64:
                 raise ValueError("hk parameter must be an integer with |k| <= 64")
         elif self.name == "rz":
-            if not isinstance(self.param, (int, float)):
-                raise ValueError("rz parameter must be a real angle")
+            if not isinstance(self.param, (int, float)) or not math.isfinite(self.param):
+                raise ValueError(f"rz parameter must be a finite real angle, got {self.param!r}")
         elif self.param is not None:
             raise ValueError(f"gate {self.name} takes no parameter")
 

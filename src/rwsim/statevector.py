@@ -5,10 +5,14 @@ Conventions
 * Qubit 0 is the MOST significant bit of the basis index: on 2 qubits the
   amplitude order is |00>, |01>, |10>, |11> with qubit 0 first.
 * All operations are functional — they return new states and never mutate
-  their input, so a snapshot is safe to keep by reference.
+  their input, so a snapshot is safe to keep by reference, and ``rewind``
+  returns the registry's stored state itself rather than a copy.
 * ``rewind`` in strict mode refuses inputs it cannot certify: the state being
   rewound must equal (up to global phase) the stored snapshot projected onto
-  some single-qubit outcome and renormalised.  Permissive mode skips the
+  some single-qubit outcome and renormalised.  The candidates checked first
+  are the qubits fixed over the support of the rewound state but not over
+  that of the snapshot; only if none matches are the other qubits checked,
+  so the answer is that of checking every qubit.  Permissive mode skips the
   check and returns the stored state unconditionally.
 * ``measure_until`` is the protocols' rewind-and-retry step: measure one
   qubit until it reads a wanted bit, undoing each miss with a strict rewind.
@@ -217,28 +221,51 @@ def fidelity(a: PureState, b: PureState) -> float:
     return float(abs(np.vdot(a.amps, b.amps)) ** 2)
 
 
-def _is_collapse_of(stored: PureState, post: PureState, tol: float) -> bool:
-    """Is ``post`` = (projector onto some qubit outcome) stored, renormalised?
+def _collapse_matches(stored: PureState, post: PureState, qubit: int, tol: float) -> bool:
+    """Is ``post`` = (projector onto one outcome of ``qubit``) stored, renormalised?
 
-    Works on per-qubit slice views, so no candidate allocates a full vector.
+    Works on per-qubit slice views, so no check allocates a full vector.
     A match requires the projected overlap to account for all of ``post``:
     |<post| P |stored>| = ||P stored|| and the complementary slice of
     ``post`` to be empty.
     """
-    for qubit in range(stored.n):
-        stored_view = _qubit_slices(stored, qubit)
-        post_view = _qubit_slices(post, qubit)
-        for bit in (0, 1):
-            norm_sq = float(np.sum(np.abs(stored_view[:, bit, :]) ** 2))
-            if norm_sq <= 1e-30:
-                continue
-            other = float(np.sum(np.abs(post_view[:, 1 - bit, :]) ** 2))
-            if other > tol:
-                continue  # post has weight outside the projected slice
-            overlap = abs(np.vdot(post_view[:, bit, :], stored_view[:, bit, :]))
-            if 1.0 - overlap / math.sqrt(norm_sq) <= tol:
-                return True
+    stored_view = _qubit_slices(stored, qubit)
+    post_view = _qubit_slices(post, qubit)
+    for bit in (0, 1):
+        norm_sq = float(np.sum(np.abs(stored_view[:, bit, :]) ** 2))
+        if norm_sq <= 1e-30:
+            continue
+        other = float(np.sum(np.abs(post_view[:, 1 - bit, :]) ** 2))
+        if other > tol:
+            continue  # post has weight outside the projected slice
+        overlap = abs(np.vdot(post_view[:, bit, :], stored_view[:, bit, :]))
+        if 1.0 - overlap / math.sqrt(norm_sq) <= tol:
+            return True
     return False
+
+
+def _constant_bits(state: PureState) -> int:
+    """Basis-index bits that take one value over the state's support."""
+    support = np.flatnonzero(state.amps != 0)
+    varying = int(np.bitwise_and.reduce(support)) ^ int(np.bitwise_or.reduce(support))
+    return ~varying & ((1 << state.n) - 1)
+
+
+def _is_collapse_of(stored: PureState, post: PureState, tol: float) -> bool:
+    """Is ``post`` = (projector onto some qubit outcome) stored, renormalised?
+
+    A measurement leaves its qubit fixed over the support of ``post``, and
+    a qubit already fixed in ``stored`` collapses onto ``stored`` itself.
+    So the qubits fixed over the support of ``post`` but not over that of
+    ``stored`` are checked first, with :func:`_collapse_matches`.  Only if
+    none of them matches are the remaining qubits checked as well, so the
+    answer is that of checking every qubit: the candidates only order the
+    scan.  A refusal checks every qubit.
+    """
+    n = stored.n
+    candidates = _constant_bits(post) & ~_constant_bits(stored)
+    order = sorted(range(n), key=lambda q: not candidates >> (n - 1 - q) & 1)
+    return any(_collapse_matches(stored, post, q, tol) for q in order)
 
 
 def rewind(
@@ -263,7 +290,7 @@ def rewind(
             raise RewindConsistencyError(
                 f"state is not a one-outcome collapse of snapshot {label!r}"
             )
-    return stored.copy()
+    return stored  # never mutated, so the registry's copy can be shared
 
 
 def measure_until(

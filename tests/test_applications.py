@@ -15,6 +15,7 @@ from rwsim.applications import (
     FunctionFamily,
     LWEParams,
     PromiseViolationError,
+    _family_state,
     collision_find,
     family_delta_exact,
     lwe_collision_partner,
@@ -108,6 +109,16 @@ def test_every_returned_pair_is_a_collision():
         assert x1 == x2 and c1 != c2
     # one rewind resolves the partner half the time
     assert 0.4 <= wins / 200 <= 0.6
+
+
+@pytest.mark.parametrize("size", [16, 12])  # the second needs the validity flag
+def test_collision_trials_leave_the_cached_state_unchanged(size):
+    fam = FunctionFamily(name="pairs", size=size, output_bits=3, evaluate=lambda i: i >> 1)
+    rng = SplitMix64(stream_seed(0xC013, size))
+    cached = _family_state(fam)[0].amps.tobytes()
+    for _ in range(20):
+        collision_find(fam, rng)
+    assert _family_state(fam)[0].amps.tobytes() == cached
 
 
 def test_rewinding_beats_independent_runs():

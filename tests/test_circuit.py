@@ -119,6 +119,9 @@ def test_conditional_predicate_parsing():
         ("qubits 1\n\npostselect z = 0\n", "line 3: qubit index must be an integer"),
         ("qubits 1\naccept q\n", "line 2: qubit index must be an integer"),
         ("qubits 1\ngate h x\n", "line 2: qubit index must be an integer"),
+        ("qubits 1\ngate rz nan 0\n", "line 2: rz parameter must be a finite real angle"),
+        ("qubits 1\ngate h 0\ngate rz inf 0\n", "line 3: rz parameter must be a finite"),
+        ("qubits 1\ngate rz -inf 0\n", "line 2: rz parameter must be a finite"),
     ],
 )
 def test_rejects_malformed_sources(text, fragment):

@@ -124,6 +124,16 @@ def test_simulate_bad_integer_is_a_usage_error(tmp_path, capsys):
     assert err.count("line ") == 1 and "line 2: qubit index must be an integer" in err
 
 
+@pytest.mark.parametrize("backend", ["sv", "stab", "pathsum"])
+@pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
+def test_simulate_non_finite_angle_is_a_usage_error(tmp_path, capsys, backend, angle):
+    bad = tmp_path / "bad.qc"
+    bad.write_text(f"qubits 1\ngate h 0\ngate rz {angle} 0\ngate h 0\naccept 0\n")
+    code, out, err = run(capsys, ["simulate", str(bad), "--backend", backend])
+    assert code == 2 and out == ""
+    assert "line 3: rz parameter must be a finite real angle" in err
+
+
 def test_simulate_over_the_width_cap_is_a_usage_error(monkeypatch, capsys):
     monkeypatch.setenv("RWSIM_MAX_QUBITS", "1")
     code, _, err = run(capsys, ["simulate", BELL, "--trials", "2"])

@@ -111,6 +111,9 @@ def test_rz_param_validation():
         Gate("rz", "angle")
     with pytest.raises(ValueError):
         Gate("rz")
+    for angle in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Gate("rz", angle)
 
 
 def test_fixed_gates_take_no_parameter():

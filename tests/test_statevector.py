@@ -232,6 +232,111 @@ def test_rewind_unknown_label():
         rewind(init(1), SnapshotRegistry(), "ghost", "strict")
 
 
+def _full_scan(stored, post, tol):
+    """Strict-rewind certification as every (qubit, bit) slice in order, the
+    check before candidates were ordered first; kept as its reference."""
+    for qubit in range(stored.n):
+        stored_view = stored.amps.reshape(1 << qubit, 2, -1)
+        post_view = post.amps.reshape(1 << qubit, 2, -1)
+        for bit in (0, 1):
+            norm_sq = float(np.sum(np.abs(stored_view[:, bit, :]) ** 2))
+            if norm_sq <= 1e-30:
+                continue
+            other = float(np.sum(np.abs(post_view[:, 1 - bit, :]) ** 2))
+            if other > tol:
+                continue
+            overlap = abs(np.vdot(post_view[:, bit, :], stored_view[:, bit, :]))
+            if 1.0 - overlap / math.sqrt(norm_sq) <= tol:
+                return True
+    return False
+
+
+def _snapshots(rng, n):
+    """Dense random states and sparse ones: a basis state, GHZ and a uniform
+    superposition with random phases over a random subset."""
+    dense = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    yield from_amplitudes(dense), True
+    basis = np.zeros(1 << n, dtype=complex)
+    basis[rng.integers(1 << n)] = 1.0
+    yield PureState(n, basis), False
+    ghz = np.zeros(1 << n, dtype=complex)
+    ghz[0] = ghz[-1] = INV_SQRT2
+    yield PureState(n, ghz), False
+    subset = rng.choice(1 << n, size=int(rng.integers(1, (1 << n) + 1)), replace=False)
+    sparse = np.zeros(1 << n, dtype=complex)
+    sparse[subset] = np.exp(2j * np.pi * rng.random(subset.size))
+    yield from_amplitudes(sparse), False
+
+
+def _leak(rng, collapsed, qubit, bit, weight):
+    """``collapsed`` with ``weight`` moved onto one index of the slice the
+    collapse emptied, so ``qubit`` is no longer fixed over the support."""
+    view = collapsed.amps.reshape(1 << qubit, 2, -1)
+    leak = np.zeros_like(view)
+    leak[rng.integers(view.shape[0]), 1 - bit, rng.integers(view.shape[2])] = 1.0
+    amps = math.sqrt(1.0 - weight) * view + math.sqrt(weight) * leak
+    return PureState(collapsed.n, amps.reshape(-1))
+
+
+def _certification_cases(rng, n, tol):
+    """(stored, post, expected) triples at width ``n``; ``expected`` is None
+    where only agreement with the full scan is asserted."""
+    for stored, dense in _snapshots(rng, n):
+        fixed = [q for q in range(n) if min(prob_of_bit(stored, q, b) for b in (0, 1)) == 0]
+        yield stored, stored, bool(fixed)  # a deterministic qubit leaves post = snapshot
+        for qubit in range(n):
+            for bit in (0, 1):
+                if prob_of_bit(stored, qubit, bit) == 0:
+                    continue
+                _, collapsed = postselect(stored, qubit, bit)
+                yield stored, collapsed, True
+                phase = np.exp(2j * np.pi * rng.random())
+                yield stored, PureState(n, collapsed.amps * phase), True
+                if qubit in fixed:
+                    continue
+                yield stored, _leak(rng, collapsed, qubit, bit, 0.5 * tol), True
+                yield stored, _leak(rng, collapsed, qubit, bit, 2.0 * tol), None
+                if n > 1:
+                    second = (qubit + 1 + int(rng.integers(n - 1))) % n
+                    b2 = int(rng.integers(2))
+                    if prob_of_bit(collapsed, second, b2) > 0:
+                        _, twice = postselect(collapsed, second, b2)
+                        yield stored, twice, False if dense else None
+
+
+def test_candidate_certification_matches_the_full_scan():
+    rng = np.random.default_rng(0x5EED7)
+    decisions = []
+    for n in range(1, 11):
+        for tol in (1e-9, 1e-6):
+            for stored, post, expected in _certification_cases(rng, n, tol):
+                got = statevector._is_collapse_of(stored, post, tol)
+                assert got == _full_scan(stored, post, tol)
+                if expected is not None:
+                    assert got == expected
+                decisions.append(got)
+    assert len(decisions) >= 1000
+    assert 0 < sum(decisions) < len(decisions)
+
+
+def test_rewind_result_shares_the_snapshot_safely():
+    state = apply_gate(apply_gate(plus_state(3), CH, (0, 2)), S, (1,))
+    registry = SnapshotRegistry()
+    snapshot(state, registry, "s")
+    stored = registry.state("s").amps.tobytes()
+    _, _, collapsed = measure(state, 1, SplitMix64(3))
+    restored = rewind(collapsed, registry, "s", "strict")
+    apply_gate(restored, H, (0,))
+    measure(restored, 0, SplitMix64(4))
+    measure_register(restored, [0, 1, 2], SplitMix64(5))
+    measure_register(restored, [2, 0], SplitMix64(6))
+    postselect(restored, 2, 0)
+    assert registry.state("s").amps.tobytes() == stored
+    assert restored.amps.tobytes() == stored
+    _, _, collapsed = measure(restored, 2, SplitMix64(7))
+    assert states_equal(rewind(collapsed, registry, "s", "strict"), state, tol=1e-12)
+
+
 def _hand_written_retry(state, qubit, want, tries, rng):
     """The snapshot / measure / strict-rewind loop the protocol modules wrote
     out by hand before ``measure_until`` existed, kept as its reference."""
