@@ -11,12 +11,20 @@ with integer ``|k| <= 64``; ``hk(0)`` is the ordinary Hadamard.  ``rz(theta)``
 is diag(e^{-i theta/2}, e^{i theta/2}).  The Clifford subset understood by the
 stabilizer backend is ``{h, s, cz, x}``; the measurement-pattern subset used
 by the brickwork module is ``{rz, cz}``.
+
+:meth:`Gate.unitary` is the gate's matrix, big-endian in the listed targets.
+:attr:`Gate.monomial` is that matrix's structure when each row has exactly one
+nonzero entry (the diagonal gates ``s``, ``rz``, ``cz``, ``ccz`` and the
+permutations ``x``, ``swap``), read from the matrix once per gate object, not
+from a table of gate names.  The dense backend runs such gates as slice copies
+instead of a matrix product.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -94,6 +102,22 @@ class Gate:
                 dtype=complex,
             )
         return _FIXED[self.name]
+
+    @cached_property
+    def monomial(self) -> tuple[tuple[int, complex], ...] | None:
+        """The ``(source column, coefficient)`` pair of every row of
+        :meth:`unitary` when each row has exactly one nonzero entry, else None.
+
+        Row r of such a gate maps the amplitude whose targets read the source
+        column onto the one whose targets read r, times the coefficient.
+        """
+        rows = []
+        for row in self.unitary():
+            (cols,) = np.nonzero(row)
+            if len(cols) != 1:
+                return None
+            rows.append((int(cols[0]), complex(row[cols[0]])))
+        return tuple(rows)
 
 
 def gate(name: str, param: int | float | None = None) -> Gate:

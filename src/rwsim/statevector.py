@@ -4,6 +4,17 @@ Conventions
 -----------
 * Qubit 0 is the MOST significant bit of the basis index: on 2 qubits the
   amplitude order is |00>, |01>, |10>, |11> with qubit 0 first.
+* Gates take one of two paths, chosen by :attr:`rwsim.gates.Gate.monomial`.
+  A gate whose every matrix row has one nonzero entry (``x``, ``s``, ``rz``,
+  ``cz``, ``ccz``, ``swap``) copies the state once and writes each moved or
+  rescaled slice into the copy (``_apply_monomial``); rows that keep their
+  slice unscaled cost nothing.  Every other gate, and every raw matrix, goes
+  through :func:`apply_matrix`: transpose the targets to the front, one
+  matrix product, transpose back.  The structure is cached on the gate
+  object rather than detected from the matrix on each call, because on the
+  2-3-qubit states of the protocol demos that per-call test costs as much as
+  the gate itself.  Both paths refuse targets that are out of range or
+  repeated before touching the amplitudes.
 * All operations are functional — they return new states and never mutate
   their input, so a snapshot is safe to keep by reference, and ``rewind``
   returns the registry's stored state itself rather than a copy.
@@ -96,6 +107,8 @@ def init(n: int) -> PureState:
 def from_amplitudes(amps: np.ndarray | list) -> PureState:
     """Wrap and normalise an explicit amplitude vector."""
     arr = np.asarray(amps, dtype=complex)
+    if arr.size < 2:
+        raise ValueError("need at least one qubit")
     n = int(arr.size).bit_length() - 1
     if 1 << n != arr.size:
         raise ValueError("amplitude vector length must be a power of two")
@@ -105,6 +118,13 @@ def from_amplitudes(amps: np.ndarray | list) -> PureState:
     return PureState(n, arr / norm)
 
 
+def _check_targets(n: int, targets) -> None:
+    """Raise ValueError unless ``targets`` are distinct qubits of an n-qubit state."""
+    qubits = set(targets)
+    if len(qubits) != len(targets) or not qubits.issubset(range(n)):
+        raise ValueError(f"targets {tuple(targets)} must be distinct qubits in 0..{n - 1}")
+
+
 def apply_matrix(state: PureState, mat: np.ndarray, targets: tuple[int, ...]) -> PureState:
     """Apply a dense (2^k x 2^k) matrix to the listed target qubits.
 
@@ -112,6 +132,7 @@ def apply_matrix(state: PureState, mat: np.ndarray, targets: tuple[int, ...]) ->
     significant bit), matching :meth:`rwsim.gates.Gate.unitary`.
     """
     n, k = state.n, len(targets)
+    _check_targets(n, targets)
     if mat.shape != (1 << k, 1 << k):
         raise ValueError("matrix shape does not match target count")
     tensor = state.amps.reshape([2] * n)
@@ -123,10 +144,48 @@ def apply_matrix(state: PureState, mat: np.ndarray, targets: tuple[int, ...]) ->
     return PureState(n, tensor.transpose(inverse).reshape(-1))
 
 
+def _target_slice(n: int, targets: tuple[int, ...], index: int) -> tuple:
+    """Index of the amplitudes whose targets read ``index``, big-endian in
+    ``targets``.  The trailing Ellipsis keeps it a view even when every
+    qubit is a target (k == n), where plain integers would give a scalar."""
+    key: list = [slice(None)] * n
+    k = len(targets)
+    for j, q in enumerate(targets):
+        key[q] = index >> (k - 1 - j) & 1
+    return (*key, Ellipsis)
+
+
+def _apply_monomial(
+    state: PureState, rows: tuple[tuple[int, complex], ...], targets: tuple[int, ...]
+) -> PureState:
+    """Apply a gate whose every row has one nonzero entry (``Gate.monomial``).
+
+    Row r with ``(source, coefficient)`` writes coefficient times the slice
+    where the targets read ``source`` into the slice where they read r; a
+    row that keeps its own slice unscaled is skipped.
+    """
+    n = state.n
+    src = state.amps.reshape([2] * n)
+    out = src.copy()
+    for row, (source, coeff) in enumerate(rows):
+        if source == row and coeff == 1:
+            continue
+        np.multiply(
+            src[_target_slice(n, targets, source)], coeff,
+            out=out[_target_slice(n, targets, row)],
+        )
+    return PureState(n, out.reshape(-1))
+
+
 def apply_gate(state: PureState, g: Gate, targets: tuple[int, ...]) -> PureState:
+    """Apply ``g`` to ``targets``: by slices if it is monomial, else by matrix."""
     if len(targets) != g.arity:
         raise ValueError(f"gate {g.name} expects {g.arity} targets")
-    return apply_matrix(state, g.unitary(), targets)
+    rows = g.monomial
+    if rows is None:
+        return apply_matrix(state, g.unitary(), targets)
+    _check_targets(state.n, targets)
+    return _apply_monomial(state, rows, targets)
 
 
 def _qubit_slices(state: PureState, qubit: int):
@@ -174,6 +233,7 @@ def measure_register(
     """
     qubits = list(qubits)
     n, k = state.n, len(qubits)
+    _check_targets(n, qubits)
     rest = [q for q in range(n) if q not in qubits]
     tensor = state.amps.reshape([2] * n).transpose(qubits + rest).reshape(1 << k, -1)
     probs = np.sum(np.abs(tensor) ** 2, axis=1)

@@ -14,6 +14,7 @@ from rwsim.gates import (
     CH,
     CLIFFORD_NAMES,
     CZ,
+    GATE_NAMES,
     H,
     MBQC_NAMES,
     S,
@@ -119,6 +120,22 @@ def test_rz_param_validation():
 def test_fixed_gates_take_no_parameter():
     with pytest.raises(ValueError):
         Gate("h", 1)
+
+
+def test_monomial_is_read_from_the_matrix():
+    monomial = [X, S, CZ, CCZ, SWAP] + [rz(t) for t in (0.0, 0.7, -2.1, math.pi, 1e-300)]
+    dense = [H, CH] + [hk(k) for k in (-64, -3, 0, 1, 64)]
+    assert {g.name for g in monomial + dense} == GATE_NAMES
+    for g in monomial:
+        u = g.unitary()
+        rebuilt = np.zeros_like(u)
+        for row, (source, coeff) in enumerate(g.monomial):
+            rebuilt[row, source] = coeff
+        assert np.array_equal(rebuilt, u), g
+    for g in dense:
+        assert g.monomial is None, g
+    assert X.monomial == ((1, 1), (0, 1))
+    assert SWAP.monomial == ((0, 1), (2, 1), (1, 1), (3, 1))
 
 
 def test_backend_subsets_are_consistent():

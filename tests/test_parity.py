@@ -54,6 +54,8 @@ COMMANDS = {
     "clone-sv": _sim("clone_retry.qc", "sv", "--trials", "40", "--seed", "13"),
     "tgate-sv": _sim("t-gate.qc", "sv", "--trials", "40", "--seed", "4"),
     "tgate-pathsum": _sim("t-gate.qc", "pathsum"),
+    "phase-sv": _sim("phase_permute.qc", "sv", "--trials", "40", "--seed", "14"),
+    "phase-pathsum": _sim("phase_permute_body.qc", "pathsum"),
     "pp": ["demo", "pp", "--n", "2", "--trials", "3", "--seed", "5"],
     "collision-toy": [
         "demo", "collision", "--family", "toy", "--bits", "4", "--trials", "20", "--seed", "6",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rwsim.circuit import Circuit, Postselect, Project, description_of_prefix, parse_circuit
-from rwsim.gates import CH, CZ, H, S, SWAP, X, hk, rz
+from rwsim.gates import CCZ, CH, CZ, GATE_NAMES, H, S, SWAP, X, hk, rz
 from rwsim.rng import SplitMix64, stream_seed
 from rwsim import statevector
 from rwsim.statevector import (
@@ -74,6 +75,9 @@ def test_from_amplitudes_normalises_and_validates():
         from_amplitudes([0.0, 0.0])
     with pytest.raises(ValueError):
         from_amplitudes([1.0, 0.0, 0.0])
+    for empty in ([1.0], []):  # a 0-qubit state, which init refuses too
+        with pytest.raises(ValueError, match="need at least one qubit"):
+            from_amplitudes(empty)
 
 
 def test_qubit_zero_is_most_significant():
@@ -130,6 +134,67 @@ def test_apply_gate_is_functional_not_in_place():
     before = state.amps.copy()
     apply_gate(state, X, (0,))
     assert np.array_equal(state.amps, before)
+
+
+def _random_state(n: int, rng) -> PureState:
+    return from_amplitudes(rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n))
+
+
+def test_slice_kernel_matches_the_matrix_product():
+    """apply_gate takes the slice kernel for monomial gates; apply_matrix with
+    the gate's unitary is the reference, on every ordered target tuple."""
+    rng = np.random.default_rng(8)
+    gates = [X, H, S, CZ, CH, CCZ, SWAP] + [hk(k) for k in (-3, 0, 2)]
+    gates += [rz(t) for t in rng.uniform(-2 * math.pi, 2 * math.pi, size=3)]
+    assert {g.name for g in gates} == GATE_NAMES
+    for n in range(1, 7):
+        for g in gates:
+            for targets in itertools.permutations(range(n), g.arity):
+                state = _random_state(n, rng)
+                before = state.amps.tobytes()
+                got = apply_gate(state, g, targets).amps
+                want = apply_matrix(state, g.unitary(), targets).amps
+                assert state.amps.tobytes() == before
+                if g.name == "rz":
+                    assert np.max(np.abs(got - want)) <= 1e-15, (g, targets)
+                else:  # exact, signed zeros aside (-0.0 == 0.0)
+                    assert np.array_equal(got, want), (g, targets)
+
+
+def test_slice_kernel_on_asymmetric_monomials():
+    """Every monomial gate of the set is its own transpose up to phases, so
+    random permutations with phases check that rows and columns are not swapped."""
+    rng = np.random.default_rng(9)
+    for n in range(1, 6):
+        for k in range(1, min(n, 3) + 1):
+            for targets in itertools.permutations(range(n), k):
+                perm = rng.permutation(1 << k)
+                coeffs = np.exp(1j * rng.uniform(0, 2 * math.pi, size=1 << k))
+                rows = tuple((int(perm[r]), complex(coeffs[r])) for r in range(1 << k))
+                mat = np.zeros((1 << k, 1 << k), dtype=complex)
+                mat[np.arange(1 << k), perm] = coeffs
+                state = _random_state(n, rng)
+                got = statevector._apply_monomial(state, rows, targets).amps
+                want = apply_matrix(state, mat, targets).amps
+                assert np.max(np.abs(got - want)) <= 1e-15, (perm, targets)
+
+
+@pytest.mark.parametrize(
+    "g, targets",
+    [(X, (-1,)), (X, (2,)), (CZ, (1, 1)), (CZ, (0, 2)), (H, (-1,)), (H, (2,)), (CH, (0, 0))],
+    ids=lambda v: getattr(v, "name", str(v)),
+)
+def test_bad_targets_are_refused_on_both_gate_paths(g, targets):
+    with pytest.raises(ValueError, match="targets"):
+        apply_gate(init(2), g, targets)
+    with pytest.raises(ValueError, match="targets"):
+        apply_matrix(init(2), g.unitary(), targets)
+
+
+@pytest.mark.parametrize("qubits", [(0, 0), (2,), (-1,), (1, 0, 1)])
+def test_measure_register_refuses_bad_qubits(qubits):
+    with pytest.raises(ValueError, match="targets"):
+        measure_register(init(2), qubits, SplitMix64(1))
 
 
 def test_prob_of_bit_sums_amplitudes_directly():
