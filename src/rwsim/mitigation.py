@@ -6,7 +6,8 @@ A *flagged state* is a two-branch pure state
 
 where flag = 1 marks the target branch and ``p`` is the nontarget
 probability.  One mitigation round attaches a |0> ancilla and applies
-X(flag) - CH(flag -> ancilla) - X(flag), so the ancilla reads |+> on the
+X(flag) - CH(flag -> ancilla) - X(flag), as one 4x4 matrix (``_ROUND``, a
+controlled-H that fires on flag = 0), so the ancilla reads |+> on the
 nontarget branch and |0> on the target branch.  Measuring the ancilla:
 
 * z = 0 (prob 1 - p/2): the target odds double — p -> p / (2 - p);
@@ -37,7 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gates import CH, X, hk
+from .gates import CH, hk
 from .rng import SplitMix64
 from .statevector import (
     PureState,
@@ -50,6 +51,13 @@ from .statevector import (
     prob_of_bit,
     slice_qubit,
 )
+
+# Conjugating a two-target gate by X on its first target swaps the halves of
+# its rows and of its columns, so a controlled gate fires on 0 instead.  The
+# entries are only moved, so the fused gate multiplies each amplitude by the
+# same numbers as the three gates in turn.
+_FLIP = np.ix_([2, 3, 0, 1], [2, 3, 0, 1])
+_ROUND = CH.unitary()[_FLIP]  # X(flag) CH(flag -> ancilla) X(flag)
 
 SUCCESS = "success"
 RANDOM_FALLBACK = "random_fallback"
@@ -250,9 +258,7 @@ def synthetic_flagged(p: float) -> FlaggedState:
 
 
 def _mitigation_round(work: PureState, flag: int, ancilla: int) -> PureState:
-    work = apply_gate(work, X, (flag,))
-    work = apply_gate(work, CH, (flag, ancilla))
-    return apply_gate(work, X, (flag,))
+    return apply_matrix(work, _ROUND, (flag, ancilla))
 
 
 def mitigate(
@@ -309,6 +315,16 @@ def postselect_rounds(p: float, q: float) -> int:
     return math.ceil(math.log2(p / (1.0 - p)) / math.log2(1.0 / q))
 
 
+def _coin_round(q: float) -> np.ndarray:
+    """X(flag) - controlled coin rotation (flag -> coin) - X(flag) as one
+    matrix: the rotation sqrt(q), sqrt(1 - q) acts on the coin when flag = 0."""
+    root_q = math.sqrt(q)
+    root_1q = math.sqrt(1.0 - q)
+    controlled = np.eye(4, dtype=complex)
+    controlled[2:, 2:] = [[root_q, -root_1q], [root_1q, root_q]]
+    return controlled[_FLIP]
+
+
 def mitigate_postselect(fs: FlaggedState, q: float, m: int) -> FlaggedState:
     """Adaptive-postselection variant: m coin rounds at rotation parameter q.
 
@@ -319,19 +335,12 @@ def mitigate_postselect(fs: FlaggedState, q: float, m: int) -> FlaggedState:
     """
     if not (0.0 < q < 1.0):
         raise ValueError("need 0 < q < 1")
-    root_q = math.sqrt(q)
-    root_1q = math.sqrt(1.0 - q)
-    coin_u = np.array([[root_q, -root_1q], [root_1q, root_q]], dtype=complex)
-    controlled = np.eye(4, dtype=complex)
-    controlled[2:, 2:] = coin_u
+    round_u = _coin_round(q)
     state = fs.state
     flag = fs.flag_qubit
     for _ in range(m):
         coin = state.n
-        work = attach_zero(state)
-        work = apply_gate(work, X, (flag,))
-        work = apply_matrix(work, controlled, (flag, coin))
-        work = apply_gate(work, X, (flag,))
+        work = apply_matrix(attach_zero(state), round_u, (flag, coin))
         _, work = postselect(work, coin, 0, min_prob=q * (1.0 - 1e-9))
         state = slice_qubit(work, coin, 0)
     out = FlaggedState(state, flag, 0.0)

@@ -15,6 +15,11 @@ Conventions
   2-3-qubit states of the protocol demos that per-call test costs as much as
   the gate itself.  Both paths refuse targets that are out of range or
   repeated before touching the amplitudes.
+* The index work of both gate paths and of ``measure_register`` (the check
+  of the targets, the axis order that moves them to the front and its
+  inverse, the slices of each target value) depends on the width and the
+  targets alone, so it is computed once per ``(n, targets)`` and cached:
+  on 2-3-qubit states that work costs as much as the amplitudes.
 * All operations are functional — they return new states and never mutate
   their input, so a snapshot is safe to keep by reference, and ``rewind``
   returns the registry's stored state itself rather than a copy.
@@ -38,8 +43,10 @@ The default width cap is 24 qubits; the environment variable
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -118,11 +125,21 @@ def from_amplitudes(amps: np.ndarray | list) -> PureState:
     return PureState(n, arr / norm)
 
 
-def _check_targets(n: int, targets) -> None:
-    """Raise ValueError unless ``targets`` are distinct qubits of an n-qubit state."""
-    qubits = set(targets)
-    if len(qubits) != len(targets) or not qubits.issubset(range(n)):
+@lru_cache(maxsize=None)
+def _layout(n: int, targets: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Axis order that moves ``targets`` to the front of an n-axis tensor, and
+    its inverse.
+
+    Raise ValueError unless ``targets`` are distinct qubits of an n-qubit
+    state; the cache stores no exception, so a bad call is refused every
+    time.  ``operator.index`` refuses a float target, whose key would equal
+    that of an int one, before anything is cached.
+    """
+    qubits = tuple(map(operator.index, targets))
+    if len(set(qubits)) != len(qubits) or not all(0 <= q < n for q in qubits):
         raise ValueError(f"targets {tuple(targets)} must be distinct qubits in 0..{n - 1}")
+    order = qubits + tuple(q for q in range(n) if q not in qubits)
+    return order, tuple(order.index(q) for q in range(n))
 
 
 def apply_matrix(state: PureState, mat: np.ndarray, targets: tuple[int, ...]) -> PureState:
@@ -132,27 +149,27 @@ def apply_matrix(state: PureState, mat: np.ndarray, targets: tuple[int, ...]) ->
     significant bit), matching :meth:`rwsim.gates.Gate.unitary`.
     """
     n, k = state.n, len(targets)
-    _check_targets(n, targets)
+    order, inverse = _layout(n, tuple(targets))
     if mat.shape != (1 << k, 1 << k):
         raise ValueError("matrix shape does not match target count")
-    tensor = state.amps.reshape([2] * n)
-    rest = [q for q in range(n) if q not in targets]
-    tensor = tensor.transpose(list(targets) + rest).reshape(1 << k, -1)
+    tensor = state.amps.reshape([2] * n).transpose(order).reshape(1 << k, -1)
     tensor = mat @ tensor
-    tensor = tensor.reshape([2] * n)
-    inverse = np.argsort(list(targets) + rest)
-    return PureState(n, tensor.transpose(inverse).reshape(-1))
+    return PureState(n, tensor.reshape([2] * n).transpose(inverse).reshape(-1))
 
 
-def _target_slice(n: int, targets: tuple[int, ...], index: int) -> tuple:
-    """Index of the amplitudes whose targets read ``index``, big-endian in
+@lru_cache(maxsize=None)
+def _target_slices(n: int, targets: tuple[int, ...]) -> tuple[tuple, ...]:
+    """Entry i indexes the amplitudes whose targets read i, big-endian in
     ``targets``.  The trailing Ellipsis keeps it a view even when every
     qubit is a target (k == n), where plain integers would give a scalar."""
-    key: list = [slice(None)] * n
     k = len(targets)
-    for j, q in enumerate(targets):
-        key[q] = index >> (k - 1 - j) & 1
-    return (*key, Ellipsis)
+    slices = []
+    for index in range(1 << k):
+        key: list = [slice(None)] * n
+        for j, q in enumerate(targets):
+            key[q] = index >> (k - 1 - j) & 1
+        slices.append((*key, Ellipsis))
+    return tuple(slices)
 
 
 def _apply_monomial(
@@ -165,15 +182,13 @@ def _apply_monomial(
     row that keeps its own slice unscaled is skipped.
     """
     n = state.n
+    slices = _target_slices(n, targets)
     src = state.amps.reshape([2] * n)
     out = src.copy()
     for row, (source, coeff) in enumerate(rows):
         if source == row and coeff == 1:
             continue
-        np.multiply(
-            src[_target_slice(n, targets, source)], coeff,
-            out=out[_target_slice(n, targets, row)],
-        )
+        np.multiply(src[slices[source]], coeff, out=out[slices[row]])
     return PureState(n, out.reshape(-1))
 
 
@@ -184,7 +199,8 @@ def apply_gate(state: PureState, g: Gate, targets: tuple[int, ...]) -> PureState
     rows = g.monomial
     if rows is None:
         return apply_matrix(state, g.unitary(), targets)
-    _check_targets(state.n, targets)
+    targets = tuple(targets)
+    _layout(state.n, targets)  # refuses bad targets
     return _apply_monomial(state, rows, targets)
 
 
@@ -202,7 +218,7 @@ def prob_of_bit(state: PureState, qubit: int, bit: int) -> float:
     full relative precision (never computed as 1 - p).
     """
     view = _qubit_slices(state, qubit)[:, bit, :]
-    return float(np.sum(np.abs(view) ** 2))
+    return float(np.add.reduce(np.abs(view) ** 2, axis=None))
 
 
 def _collapse(state: PureState, qubit: int, bit: int, prob: float) -> PureState:
@@ -231,11 +247,10 @@ def measure_register(
     order (the value reads them most-significant first), but samples the
     joint marginal in a single pass, which is much cheaper on wide states.
     """
-    qubits = list(qubits)
+    qubits = tuple(qubits)
     n, k = state.n, len(qubits)
-    _check_targets(n, qubits)
-    rest = [q for q in range(n) if q not in qubits]
-    tensor = state.amps.reshape([2] * n).transpose(qubits + rest).reshape(1 << k, -1)
+    order, inverse = _layout(n, qubits)
+    tensor = state.amps.reshape([2] * n).transpose(order).reshape(1 << k, -1)
     probs = np.sum(np.abs(tensor) ** 2, axis=1)
     total = float(probs.sum())
     u = rng.uniform() * total
@@ -244,7 +259,6 @@ def measure_register(
     prob = float(probs[value]) / total
     collapsed = np.zeros_like(tensor)
     collapsed[value] = tensor[value] / math.sqrt(float(probs[value]))
-    inverse = np.argsort(qubits + rest)
     amps = collapsed.reshape([2] * n).transpose(inverse).reshape(-1)
     return value, prob, PureState(n, amps)
 

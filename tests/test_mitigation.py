@@ -4,15 +4,16 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rwsim.gates import hk
+from rwsim.gates import CH, X, hk
 from rwsim.mitigation import (
+    _ROUND,
     RANDOM_FALLBACK,
     SUCCESS,
     FlaggedState,
@@ -34,9 +35,10 @@ from rwsim.mitigation import (
     success_probability_exact,
     success_probability_lower_bound,
     synthetic_flagged,
+    _coin_round,
 )
 from rwsim.rng import SplitMix64, stream_seed
-from rwsim.statevector import PureState, init, prob_of_bit
+from rwsim.statevector import PureState, apply_gate, apply_matrix, init, prob_of_bit
 
 fractions_01 = st.fractions(
     min_value=0, max_value=Fraction(999, 1000), max_denominator=1000
@@ -195,6 +197,40 @@ def test_synthetic_flagged_weights():
 
 # ---------------------------------------------------------------------------
 # the rewinding schedule
+
+
+def _states_with_zeros(rng):
+    """Seeded 2-5-qubit states; every other one has a random third of its
+    amplitudes zeroed (left unnormalised: the gates do not care)."""
+    for n in (2, 3, 4, 5):
+        for i in range(6):
+            amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+            if i % 2:
+                amps[rng.random(1 << n) < 1 / 3] = 0.0
+            yield PureState(n, amps)
+
+
+def _controlled_coin(q):
+    """The controlled coin rotation of one postselect round, before fusion."""
+    mat = np.eye(4, dtype=complex)
+    mat[2:, 2:] = [[math.sqrt(q), -math.sqrt(1 - q)], [math.sqrt(1 - q), math.sqrt(q)]]
+    return mat
+
+
+@pytest.mark.parametrize("q", [None, 0.25, 0.7], ids=["round", "coin-0.25", "coin-0.7"])
+def test_fused_round_equals_the_three_gates_bit_for_bit(q):
+    """One matrix for X(flag), the controlled gate, X(flag): the same
+    amplitudes as applying the three in turn, on every ordered target pair."""
+    fused = _ROUND if q is None else _coin_round(q)
+    middle = CH.unitary() if q is None else _controlled_coin(q)
+    rng = np.random.default_rng(0x9F)
+    for state in _states_with_zeros(rng):
+        for flag, ancilla in permutations(range(state.n), 2):
+            want = apply_gate(state, X, (flag,))
+            want = apply_matrix(want, middle, (flag, ancilla))
+            want = apply_gate(want, X, (flag,))
+            got = apply_matrix(state, fused, (flag, ancilla))
+            assert np.array_equal(got.amps, want.amps), (state.n, flag, ancilla)
 
 
 def _check_trace_shape(trace, n):

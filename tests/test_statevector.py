@@ -185,13 +185,21 @@ def test_slice_kernel_on_asymmetric_monomials():
     ids=lambda v: getattr(v, "name", str(v)),
 )
 def test_bad_targets_are_refused_on_both_gate_paths(g, targets):
-    with pytest.raises(ValueError, match="targets"):
-        apply_gate(init(2), g, targets)
-    with pytest.raises(ValueError, match="targets"):
-        apply_matrix(init(2), g.unitary(), targets)
+    """Refused before and after a valid call at the same width, so the
+    target layout cache neither keeps a refusal nor answers a bad key."""
+    valid = tuple(range(g.arity))
+    for call in (
+        lambda t: apply_gate(init(2), g, t),
+        lambda t: apply_matrix(init(2), g.unitary(), t),
+    ):
+        with pytest.raises(ValueError, match="targets"):
+            call(targets)
+        assert call(valid).n == 2
+        with pytest.raises(ValueError, match="targets"):
+            call(targets)
 
 
-@pytest.mark.parametrize("qubits", [(0, 0), (2,), (-1,), (1, 0, 1)])
+@pytest.mark.parametrize("qubits", [(0, 0), (2,), (-1,), (1, 0, 1), [1, 1]])
 def test_measure_register_refuses_bad_qubits(qubits):
     with pytest.raises(ValueError, match="targets"):
         measure_register(init(2), qubits, SplitMix64(1))
