@@ -16,16 +16,15 @@ by the brickwork module is ``{rz, cz}``.
 :attr:`Gate.monomial` is that matrix's structure when each row has exactly one
 nonzero entry (the diagonal gates ``s``, ``rz``, ``cz``, ``ccz`` and the
 permutations ``x``, ``swap``), read from the matrix once per gate object, not
-from a table of gate names; :func:`hk` and :func:`rz` return one cached object
-per parameter, so that read happens once per angle.  The dense backend runs
-such gates as slice copies instead of a matrix product.
+from a table of gate names.  The dense backend runs such gates as slice copies
+instead of a matrix product.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -135,14 +134,9 @@ CCZ = Gate("ccz")
 SWAP = Gate("swap")
 
 
-# One object per parameter, so ``Gate.monomial`` is read from the matrix once
-# per parameter, not once per call.  hk has 129 valid parameters; rz angles
-# are unbounded, so its cache is bounded.
-@lru_cache(maxsize=None)
 def hk(k: int) -> Gate:
     return Gate("hk", k)
 
 
-@lru_cache(maxsize=1024)
 def rz(theta: float) -> Gate:
     return Gate("rz", float(theta))

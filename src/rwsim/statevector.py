@@ -125,20 +125,33 @@ def from_amplitudes(amps: np.ndarray | list) -> PureState:
     return PureState(n, arr / norm)
 
 
-@lru_cache(maxsize=None)
-def _layout(n: int, targets: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Axis order that moves ``targets`` to the front of an n-axis tensor, and
-    its inverse.
+def _bad_targets(n: int, targets) -> ValueError:
+    return ValueError(f"targets {tuple(targets)} must be distinct qubits in 0..{n - 1}")
+
+
+def _layout(n: int, targets) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """``targets`` as a tuple of ints, the axis order that moves them to the
+    front of an n-axis tensor, and its inverse.
 
     Raise ValueError unless ``targets`` are distinct qubits of an n-qubit
-    state; the cache stores no exception, so a bad call is refused every
-    time.  ``operator.index`` refuses a float target, whose key would equal
-    that of an int one, before anything is cached.
+    state.  They are converted with ``operator.index`` before the cached
+    lookup, because a float target equals and hashes like an int one and
+    would otherwise be answered by an int call's entry.
     """
-    qubits = tuple(map(operator.index, targets))
-    if len(set(qubits)) != len(qubits) or not all(0 <= q < n for q in qubits):
-        raise ValueError(f"targets {tuple(targets)} must be distinct qubits in 0..{n - 1}")
-    order = qubits + tuple(q for q in range(n) if q not in qubits)
+    try:
+        key = tuple(map(operator.index, targets))
+    except TypeError:
+        raise _bad_targets(n, targets) from None
+    return (key, *_axis_orders(n, key))
+
+
+@lru_cache(maxsize=None)
+def _axis_orders(n: int, targets: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The cached part of :func:`_layout`; the cache stores no exception, so
+    a bad call is refused every time."""
+    if len(set(targets)) != len(targets) or not all(0 <= q < n for q in targets):
+        raise _bad_targets(n, targets)
+    order = targets + tuple(q for q in range(n) if q not in targets)
     return order, tuple(order.index(q) for q in range(n))
 
 
@@ -149,7 +162,7 @@ def apply_matrix(state: PureState, mat: np.ndarray, targets: tuple[int, ...]) ->
     significant bit), matching :meth:`rwsim.gates.Gate.unitary`.
     """
     n, k = state.n, len(targets)
-    order, inverse = _layout(n, tuple(targets))
+    _, order, inverse = _layout(n, targets)
     if mat.shape != (1 << k, 1 << k):
         raise ValueError("matrix shape does not match target count")
     tensor = state.amps.reshape([2] * n).transpose(order).reshape(1 << k, -1)
@@ -199,9 +212,8 @@ def apply_gate(state: PureState, g: Gate, targets: tuple[int, ...]) -> PureState
     rows = g.monomial
     if rows is None:
         return apply_matrix(state, g.unitary(), targets)
-    targets = tuple(targets)
-    _layout(state.n, targets)  # refuses bad targets
-    return _apply_monomial(state, rows, targets)
+    key, _, _ = _layout(state.n, targets)
+    return _apply_monomial(state, rows, key)
 
 
 def _qubit_slices(state: PureState, qubit: int):
@@ -247,9 +259,9 @@ def measure_register(
     order (the value reads them most-significant first), but samples the
     joint marginal in a single pass, which is much cheaper on wide states.
     """
-    qubits = tuple(qubits)
-    n, k = state.n, len(qubits)
-    order, inverse = _layout(n, qubits)
+    n = state.n
+    qubits, order, inverse = _layout(n, qubits)
+    k = len(qubits)
     tensor = state.amps.reshape([2] * n).transpose(order).reshape(1 << k, -1)
     probs = np.sum(np.abs(tensor) ** 2, axis=1)
     total = float(probs.sum())

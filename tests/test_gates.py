@@ -138,18 +138,6 @@ def test_monomial_is_read_from_the_matrix():
     assert SWAP.monomial == ((0, 1), (2, 1), (1, 1), (3, 1))
 
 
-def test_parametrised_gates_are_one_object_per_parameter():
-    """So ``monomial`` is read once per angle; a refused parameter that
-    compares equal to a cached one is still refused."""
-    assert rz(0.7) is rz(0.7) and hk(2) is hk(2)
-    assert rz(0.7) is not rz(-0.7) and hk(2) is not hk(-2)
-    for _ in range(2):
-        with pytest.raises(ValueError):
-            hk(np.int64(2))
-        with pytest.raises(ValueError):
-            rz(math.nan)
-
-
 def test_backend_subsets_are_consistent():
     assert CLIFFORD_NAMES == {"h", "s", "cz", "x"}
     assert MBQC_NAMES == {"rz", "cz"}

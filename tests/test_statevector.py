@@ -181,12 +181,16 @@ def test_slice_kernel_on_asymmetric_monomials():
 
 @pytest.mark.parametrize(
     "g, targets",
-    [(X, (-1,)), (X, (2,)), (CZ, (1, 1)), (CZ, (0, 2)), (H, (-1,)), (H, (2,)), (CH, (0, 0))],
+    [
+        (X, (-1,)), (X, (2,)), (X, (0.0,)), (CZ, (1, 1)), (CZ, (0, 2)),
+        (H, (-1,)), (H, (2,)), (CH, (0, 0)),
+    ],
     ids=lambda v: getattr(v, "name", str(v)),
 )
 def test_bad_targets_are_refused_on_both_gate_paths(g, targets):
     """Refused before and after a valid call at the same width, so the
-    target layout cache neither keeps a refusal nor answers a bad key."""
+    target layout cache neither keeps a refusal nor answers a bad key; the
+    float target (0.0,) equals and hashes like the valid call's (0,)."""
     valid = tuple(range(g.arity))
     for call in (
         lambda t: apply_gate(init(2), g, t),
