@@ -24,18 +24,15 @@ Any instruction except ``accept`` may carry an ``if`` suffix: a conjunction
 of ``<label> == <bit>`` clauses joined by ``&&``, referring to earlier
 measurement labels.
 
-A :class:`ClassicalDescription` is the classical record of how a state was
-built from |0...0>: the gate prefix with every measurement resolved to a
-projector onto its recorded outcome (:func:`description_of_prefix`).
-
 The one interpreter of the IR lives here too.  It runs a circuit over a
 backend :class:`Kernel` and owns all that is not quantum arithmetic:
-conditionals, the record, snapshots and the prefix, rewind counting,
-``max_rewinds``, ``min_postselect_prob`` and ``clone``, which continues from
-a copy of the stored snapshot on every backend.  Its one loop samples
-a path (:func:`sample_run`), enumerates all branches (:func:`enumerate_branches`)
-or replays a record (:func:`description_of_prefix`), so samplers and exact
-oracles accept and refuse the same circuits.
+conditionals, the record, snapshots, rewind counting, ``max_rewinds``,
+``min_postselect_prob`` and ``clone``, which continues from a copy of the
+stored snapshot on every backend.  Its one loop samples a path
+(:func:`sample_run`) or enumerates all branches (:func:`enumerate_branches`),
+so samplers and exact oracles accept and refuse the same circuits.  One rule,
+:func:`outcome_weight`, says when an outcome is an empty branch on every
+floating-point backend.
 """
 
 from __future__ import annotations
@@ -132,17 +129,6 @@ class Accept:
     qubit: int
 
 
-@dataclass(frozen=True)
-class Project:
-    """Projector onto ``qubit == bit`` followed by renormalisation.
-
-    Appears only inside classical descriptions, never in source circuits.
-    """
-
-    qubit: int
-    bit: int
-
-
 _Plain = Union[GateOp, Measure, Postselect, Snapshot, Rewind, Clone, Accept]
 
 
@@ -209,19 +195,6 @@ class MeasurementRecord:
 
 def predicate_holds(predicate: tuple[tuple[str, int], ...], record: MeasurementRecord) -> bool:
     return all(record.bit(label) == bit for label, bit in predicate)
-
-
-@dataclass(frozen=True)
-class ClassicalDescription:
-    """Construction of a pure state from |0...0>.
-
-    ``ops`` is the operator prefix (gates and outcome projectors, in order);
-    ``outcomes`` lists the (label, bit) pairs the projectors came from.
-    """
-
-    n_qubits: int
-    ops: tuple[GateOp | Project, ...]
-    outcomes: tuple[tuple[str, int], ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -444,25 +417,20 @@ def accept_qubit(circuit: Circuit) -> int | None:
 
 
 class SnapshotRegistry:
-    """Label -> (state copy, optional classical description), for any backend."""
+    """Label -> state copy, for any backend."""
 
     def __init__(self):
-        self._entries: dict[str, tuple[object, ClassicalDescription | None]] = {}
+        self._entries: dict[str, object] = {}
 
-    def store(self, label: str, state, description: ClassicalDescription | None = None):
+    def store(self, label: str, state):
         if label in self._entries:
             raise ValueError(f"snapshot label {label!r} already in use")
-        self._entries[label] = (state.copy(), description)
+        self._entries[label] = state.copy()
 
     def state(self, label: str):
         if label not in self._entries:
             raise UnknownSnapshotError(label)
-        return self._entries[label][0]
-
-    def description(self, label: str) -> ClassicalDescription | None:
-        if label not in self._entries:
-            raise UnknownSnapshotError(label)
-        return self._entries[label][1]
+        return self._entries[label]
 
     def copy(self) -> "SnapshotRegistry":
         """An independent label table sharing the (never mutated) stored copies."""
@@ -479,22 +447,36 @@ class SnapshotRegistry:
 
 _OPTIONAL = {Postselect: "postselect", Snapshot: "snapshot", Rewind: "rewind", Clone: "clone"}
 
+EMPTY_PROB = 1e-30  # an outcome of probability at most this is an empty branch
+
+
+def outcome_weight(p: float) -> float:
+    """A floating-point outcome probability as a branch weight: clamped to 1
+    against rounding drift, and 0.0 for an empty branch (``p <= EMPTY_PROB``).
+    The dense and path-sum kernels both read their outcomes through it, so
+    their oracles keep and drop the same branches."""
+    p = min(p, 1.0)
+    return p if p > EMPTY_PROB else 0.0
+
 
 class Kernel:
     """A backend as the interpreter sees it: its state arithmetic and its reach.
 
     A kernel declares ``gates`` (the gate names ``apply`` accepts), ``runs``
     (which of postselect, snapshot, rewind and clone it supports) and the
-    unit ``one`` of its branch weights.  States are opaque to the interpreter
-    apart from ``copy()``, which is all ``clone`` needs.  The operations are
+    unit ``one`` of its branch weights.  A state is the backend's own
+    representation of one branch's quantum state (a dense vector, a tableau,
+    a sparse amplitude map), opaque to the interpreter apart from ``copy()``,
+    which is all ``snapshot`` and ``clone`` need.  The operations are
 
     * ``init(n)`` and ``apply(state, gate_op)``;
     * ``postselect(state, qubit, bit) -> (prob, state)``, which raises
       :class:`InvalidPostselectionError` on an empty outcome;
     * sampling: ``measure(state, qubit, rng) -> (bit, prob, state)``;
     * enumeration: ``prob(state, qubit, bit)``, a weight that is zero for a
-      branch the kernel counts as empty, and ``collapse(state, qubit, bit,
-      prob)``, which must leave its input usable for the sibling branch;
+      branch the kernel counts as empty (:func:`outcome_weight` on the
+      floating-point backends), and ``collapse(state, qubit, bit, prob)``,
+      which must leave its input usable for the sibling branch;
     * ``rewind(state, registry, label, mode)``: certify, then restore.
     """
 
@@ -514,24 +496,6 @@ class Kernel:
             if kind is not None and kind not in self.runs:
                 return (kind,)
         return None
-
-
-class _Replay(Kernel):
-    """Classical replay of a record: it builds the prefix only."""
-
-    name = "replay"
-
-    def init(self, n):
-        return {}  # no quantum state; an empty dict stands in, as snapshots copy it
-
-    def apply(self, state, op):
-        return state
-
-    def postselect(self, state, qubit, bit):
-        return 1.0, state
-
-    def rewind(self, state, registry, label, mode):
-        return registry.state(label).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -554,8 +518,6 @@ class _Branch:
     weight: object
     record: MeasurementRecord
     registry: SnapshotRegistry = field(default_factory=SnapshotRegistry)
-    ops: list = field(default_factory=list)  # the prefix description_of_prefix returns
-    outcomes: list = field(default_factory=list)
     pc: int = 0
     rewinds: int = 0
     depth: int = 0  # measurements so far with two live outcomes
@@ -563,14 +525,11 @@ class _Branch:
     def copy(self) -> "_Branch":
         return _Branch(
             self.state, self.weight, self.record.copy(), self.registry.copy(),
-            list(self.ops), list(self.outcomes), self.pc, self.rewinds, self.depth,
+            self.pc, self.rewinds, self.depth,
         )
 
-    def description(self, n_qubits: int) -> ClassicalDescription:
-        return ClassicalDescription(n_qubits, tuple(self.ops), tuple(self.outcomes))
 
-
-_SAMPLE, _ENUMERATE, _REPLAY = "sample", "enumerate", "replay"
+_SAMPLE, _ENUMERATE = "sample", "enumerate"
 
 
 def _interpret(
@@ -578,18 +537,15 @@ def _interpret(
     kernel: Kernel,
     how: str,
     rng=None,
-    record: MeasurementRecord | None = None,
     mode: str = "strict",
     max_rewinds: int | None = None,
     min_postselect_prob: float = 0.0,
     max_depth: int | None = None,
-    stop_at: str | None = None,
 ) -> list[_Branch]:
     """The one walk over the IR; returns every branch that runs to its end.
 
-    ``how`` picks what a measurement does: draw from ``rng`` (sample), fork
-    over both outcomes (enumerate) or read ``record`` (replay, which ends at
-    snapshot ``stop_at`` if given).  Sampling and replay follow one branch.
+    ``how`` picks what a measurement does: draw from ``rng`` (sample, which
+    follows one branch) or fork over both outcomes (enumerate).
     """
     validate(circuit)
     words = kernel.unsupported(circuit)
@@ -597,8 +553,7 @@ def _interpret(
         error = GateSetError if words[0] == "gate" else UnsupportedInstructionError
         raise error(f"backend {kernel.name} cannot run {' '.join(words)}")
     instructions = circuit.instructions
-    root = MeasurementRecord() if record is None else record
-    leaves, stack = [], [_Branch(kernel.init(circuit.n_qubits), kernel.one, root)]
+    leaves, stack = [], [_Branch(kernel.init(circuit.n_qubits), kernel.one, MeasurementRecord())]
     while stack:
         b = stack.pop()
         while b.pc < len(instructions):
@@ -610,7 +565,6 @@ def _interpret(
                 instr = instr.inner
             if isinstance(instr, GateOp):
                 b.state = kernel.apply(b.state, instr)
-                b.ops.append(instr)
             elif isinstance(instr, Measure):
                 q, label = instr.qubit, instr.label
                 if how == _ENUMERATE:  # fork over the live outcomes, 0 before 1
@@ -626,17 +580,10 @@ def _interpret(
                         child.state = kernel.collapse(state, q, bit, p)
                         child.weight = child.weight * p
                         child.record.add(label, bit, min(float(p), 1.0))
-                        child.ops.append(Project(q, bit))
-                        child.outcomes.append((label, bit))
                     stack.extend(reversed(forks))
                     break
-                if how == _SAMPLE:
-                    bit, prob, b.state = kernel.measure(b.state, q, rng)
-                    b.record.add(label, bit, prob)
-                else:
-                    bit = b.record.bit(label)
-                b.ops.append(Project(q, bit))
-                b.outcomes.append((label, bit))
+                bit, prob, b.state = kernel.measure(b.state, q, rng)
+                b.record.add(label, bit, prob)
             elif isinstance(instr, Postselect):
                 try:
                     prob, b.state = kernel.postselect(b.state, instr.qubit, instr.bit)
@@ -649,11 +596,8 @@ def _interpret(
                         f"postselection probability {prob:.6g} below required "
                         f"{min_postselect_prob:.6g}"
                     )
-                b.ops.append(Project(instr.qubit, instr.bit))
             elif isinstance(instr, Snapshot):
-                b.registry.store(instr.label, b.state, b.description(circuit.n_qubits))
-                if instr.label == stop_at:
-                    b.pc = len(instructions)
+                b.registry.store(instr.label, b.state)
             elif isinstance(instr, (Rewind, Clone)):
                 if isinstance(instr, Clone):
                     b.state = b.registry.state(instr.label).copy()
@@ -664,8 +608,6 @@ def _interpret(
                             f"rewind budget {max_rewinds} exhausted at label {instr.label!r}"
                         )
                     b.state = kernel.rewind(b.state, b.registry, instr.label, mode)
-                stored = b.registry.description(instr.label)  # the prefix returns with the state
-                b.ops, b.outcomes = list(stored.ops), list(stored.outcomes)
             # Accept is read once the walk ends.
         else:  # the branch ran to its end without forking or being dropped
             leaves.append(b)
@@ -712,21 +654,3 @@ def enumerate_branches(
         for b in leaves
     ]
 
-
-def description_of_prefix(
-    circuit: Circuit,
-    record: MeasurementRecord,
-    snapshot_label: str | None = None,
-) -> ClassicalDescription:
-    """Classical description of the state at ``snapshot_label``.
-
-    Replays the circuit's control flow classically, resolving every
-    measurement to a projector onto the bit stored in ``record``.  With
-    ``snapshot_label=None`` the description covers the full circuit.  The
-    record must contain every measurement that executes before the target
-    point under its own recorded control flow.
-    """
-    (b,) = _interpret(circuit, _Replay(), _REPLAY, record=record, stop_at=snapshot_label)
-    if snapshot_label is not None and snapshot_label not in b.registry:
-        raise RecordError(f"snapshot {snapshot_label!r} was not reached under this record")
-    return b.description(circuit.n_qubits)

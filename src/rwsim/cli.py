@@ -17,7 +17,8 @@ out over worker processes, but every trial i draws from its own RNG stream
 for any jobs count and the flag is deliberately left out of the report body.
 
 Exit codes: 0 = assertions passed, 1 = assertion or runtime failure,
-2 = usage, parse, or input errors, and widths over the qubit cap.
+2 = usage, parse, or input errors, widths over the qubit cap, and path sums
+over the amplitude cap.
 """
 
 from __future__ import annotations
@@ -728,7 +729,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CircuitSyntaxError, CircuitValidationError, statevector.QubitBudgetError) as exc:
+    except (
+        CircuitSyntaxError, CircuitValidationError, statevector.QubitBudgetError,
+        pathsum.SizeLimitError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime protocol failure

@@ -9,8 +9,7 @@ The supported set is ``{x, h, s, cz, ch, ccz, swap, hk(k), rz(theta)}``.
 
 with integer ``|k| <= 64``; ``hk(0)`` is the ordinary Hadamard.  ``rz(theta)``
 is diag(e^{-i theta/2}, e^{i theta/2}).  The Clifford subset understood by the
-stabilizer backend is ``{h, s, cz, x}``; the measurement-pattern subset used
-by the brickwork module is ``{rz, cz}``.
+stabilizer backend is ``{h, s, cz, x}``.
 
 :meth:`Gate.unitary` is the gate's matrix, big-endian in the listed targets.
 :attr:`Gate.monomial` is that matrix's structure when each row has exactly one
@@ -36,7 +35,6 @@ _ARITY = {
 
 GATE_NAMES = frozenset(_ARITY)
 CLIFFORD_NAMES = frozenset({"h", "s", "cz", "x"})
-MBQC_NAMES = frozenset({"rz", "cz"})
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -82,10 +80,6 @@ class Gate:
     @property
     def arity(self) -> int:
         return _ARITY[self.name]
-
-    @property
-    def is_clifford(self) -> bool:
-        return self.name in CLIFFORD_NAMES
 
     def unitary(self) -> np.ndarray:
         """Dense (2^arity x 2^arity) matrix; basis order is big-endian in

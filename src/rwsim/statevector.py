@@ -51,6 +51,7 @@ from functools import lru_cache
 import numpy as np
 
 from .circuit import (  # the shared error and registry names are re-exported
+    EMPTY_PROB,
     Circuit,
     GateOp,
     InvalidPostselectionError,
@@ -63,13 +64,13 @@ from .circuit import (  # the shared error and registry names are re-exported
     UnknownSnapshotError,
     accept_qubit,
     enumerate_branches,
+    outcome_weight,
     sample_run,
 )
 from .gates import Gate
 from .rng import SplitMix64
 
 _DEFAULT_MAX_QUBITS = 24
-_ZERO_TOL = 1e-30  # squared-amplitude threshold for "this branch is empty"
 
 
 class QubitBudgetError(ValueError):
@@ -96,9 +97,6 @@ class PureState:
 
     def copy(self) -> "PureState":
         return PureState(self.n, self.amps.copy())
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
 
 
 def init(n: int) -> PureState:
@@ -278,9 +276,9 @@ def measure_register(
 def postselect(
     state: PureState, qubit: int, bit: int, min_prob: float = 0.0
 ) -> tuple[float, PureState]:
-    """Project onto ``qubit == bit`` and renormalise; returns (prob, state)."""
+    """Collapse onto ``qubit == bit`` and renormalise; returns (prob, state)."""
     p = prob_of_bit(state, qubit, bit)
-    if p <= _ZERO_TOL:
+    if p <= EMPTY_PROB:
         raise InvalidPostselectionError(
             f"outcome {bit} on qubit {qubit} has probability {p:.3e}"
         )
@@ -418,8 +416,7 @@ class _StateVectorKernel(Kernel):
         return postselect(state, qubit, bit)
 
     def prob(self, state: PureState, qubit: int, bit: int) -> float:
-        p = min(prob_of_bit(state, qubit, bit), 1.0)  # clamp fp drift
-        return p if p > _ZERO_TOL else 0.0
+        return outcome_weight(prob_of_bit(state, qubit, bit))
 
     def collapse(self, state: PureState, qubit: int, bit: int, prob: float) -> PureState:
         return _collapse(state, qubit, bit, prob)

@@ -118,8 +118,10 @@ def random_general_circuit(
 ) -> str:
     """Random full-gate-set circuit text with postselections and an accept.
 
-    ``h_max`` caps the number of branching gates (h, hk, ch) so the circuit
-    stays inside the path-sum oracle's exponential budget.
+    ``h_max`` caps the number of branching gates (h, hk, ch); None leaves
+    them uncapped.  The path-sum oracle holds at most 2^min(b, n) amplitudes
+    for b branching gates on n qubits, so no cap is needed to keep it cheap
+    at small widths.
     """
     n = 1 + rng.randrange(n_max)
     gate_budget = 1 + rng.randrange(gate_max)

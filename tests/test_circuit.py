@@ -1,4 +1,4 @@
-"""Text format, static validation, records, and classical descriptions."""
+"""Text format, static validation and measurement records."""
 
 from __future__ import annotations
 
@@ -17,12 +17,10 @@ from rwsim.circuit import (
     Measure,
     MeasurementRecord,
     Postselect,
-    Project,
     RecordError,
     Rewind,
     Snapshot,
     accept_qubit,
-    description_of_prefix,
     parse_circuit,
     predicate_holds,
     serialize_circuit,
@@ -189,44 +187,3 @@ def test_predicate_holds_matches_record(pairs):
     if pairs:
         label, bit = pairs[0]
         assert not predicate_holds(((label, 1 - bit),), record)
-
-
-def test_description_resolves_measurements_to_projectors():
-    c = parse_circuit("qubits 2\ngate h 0\nsnapshot s\nmeasure 0 -> m\ngate x 1\n")
-    record = MeasurementRecord()
-    record.add("m", 1, 0.5)
-    full = description_of_prefix(c, record)
-    assert full.ops == (
-        GateOp(gate("h"), (0,)),
-        Project(0, 1),
-        GateOp(gate("x"), (1,)),
-    )
-    assert full.outcomes == (("m", 1),)
-    at_snapshot = description_of_prefix(c, record, "s")
-    assert at_snapshot.ops == (GateOp(gate("h"), (0,)),)
-
-
-def test_description_respects_control_flow():
-    c = parse_circuit(
-        "qubits 1\ngate h 0\nsnapshot s\nmeasure 0 -> m1\n"
-        "rewind s if m1 == 1\nmeasure 0 -> m2 if m1 == 1\n"
-    )
-    record = MeasurementRecord()
-    record.add("m1", 1, 0.5)
-    record.add("m2", 0, 0.5)
-    d = description_of_prefix(c, record)
-    # the rewind resets the prefix to the snapshot point, so only m2 remains
-    assert d.ops == (GateOp(gate("h"), (0,)), Project(0, 0))
-    assert d.outcomes == (("m2", 0),)
-
-
-def test_description_missing_snapshot_or_label_errors():
-    c = parse_circuit("qubits 1\nmeasure 0 -> m\nsnapshot s\n")
-    record = MeasurementRecord()
-    with pytest.raises(RecordError):
-        description_of_prefix(c, record)  # record lacks m
-    record.add("m", 0, 1.0)
-    with pytest.raises(RecordError):
-        description_of_prefix(c, record, "missing")
-
-

@@ -141,6 +141,21 @@ def test_simulate_over_the_width_cap_is_a_usage_error(monkeypatch, capsys):
     assert err == "error: 2 qubits exceeds the cap of 1\n"
 
 
+@pytest.mark.parametrize("k, code", [(3, 0), (4, 2)])
+def test_simulate_pathsum_over_the_amplitude_cap_exits_2(
+    tmp_path, monkeypatch, capsys, k, code
+):
+    monkeypatch.setattr("rwsim.pathsum.MAX_AMPLITUDES", 8)
+    wide = tmp_path / "wide.qc"
+    wide.write_text(f"qubits {k}\n" + "".join(f"gate h {q}\n" for q in range(k)) + "accept 0\n")
+    got, out, err = run(capsys, ["simulate", str(wide), "--backend", "pathsum"])
+    assert got == code
+    if code:
+        assert out == "" and err == "error: 16 live amplitudes exceed the cap of 8\n"
+    else:
+        assert err == "" and float(fields(out)["p_accept"]) == pytest.approx(0.5, abs=1e-12)
+
+
 def test_postselect_threshold_failure_is_a_runtime_error(capsys):
     code, _, err = run(
         capsys,

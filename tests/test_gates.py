@@ -16,7 +16,6 @@ from rwsim.gates import (
     CZ,
     GATE_NAMES,
     H,
-    MBQC_NAMES,
     S,
     SWAP,
     X,
@@ -140,4 +139,3 @@ def test_monomial_is_read_from_the_matrix():
 
 def test_backend_subsets_are_consistent():
     assert CLIFFORD_NAMES == {"h", "s", "cz", "x"}
-    assert MBQC_NAMES == {"rz", "cz"}

@@ -120,16 +120,15 @@ def test_tableau_refuses_postselect_on_a_branch_never_taken():
             entry()
 
 
-def test_path_bit_budget_counts_only_evaluated_prefixes():
-    # one branching gate before the measurement, 31 after it
-    c = parse_circuit(
-        "qubits 2\ngate h 0\nmeasure 0 -> m\n" + "gate h 1\n" * 31 + "accept 1\n"
-    )
-    assert outcome_distribution(c, max_path_bits=4) == pytest.approx(
-        {"m=0": 0.5, "m=1": 0.5}, abs=1e-12
-    )
-    with pytest.raises(SizeLimitError):
-        acceptance_probability(c, max_path_bits=60)  # the accept leaf needs 64
+def test_amplitude_cap_counts_one_branch(monkeypatch):
+    monkeypatch.setattr(pathsum, "MAX_AMPLITUDES", 2)
+    # the measurement forks two branches of one amplitude each, so h 1 leaves
+    # two per branch; without it the one branch would hold four
+    forked = parse_circuit("qubits 2\ngate h 0\nmeasure 0 -> m\ngate h 1\naccept 1\n")
+    assert outcome_distribution(forked) == pytest.approx({"m=0": 0.5, "m=1": 0.5}, abs=1e-12)
+    assert acceptance_probability(forked) == pytest.approx(0.5, abs=1e-12)
+    with pytest.raises(SizeLimitError, match="^4 live amplitudes"):
+        acceptance_probability(parse_circuit("qubits 2\ngate h 0\ngate h 1\naccept 1\n"))
 
 
 def test_a_measurement_with_no_live_outcome_drops_the_branch():

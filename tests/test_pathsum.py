@@ -1,10 +1,11 @@
-"""Path-sum oracle: worked values, scope and budget guards, backend agreement."""
+"""Path-sum oracle: worked values, scope and size guards, backend agreement."""
 
 from __future__ import annotations
 
 import pytest
 
 from conftest import random_general_circuit
+from rwsim import pathsum
 from rwsim.circuit import parse_circuit
 from rwsim.pathsum import (
     SizeLimitError,
@@ -93,22 +94,25 @@ def test_rewind_rejected():
         acceptance_probability(circuit)
 
 
-def test_path_bit_budget_enforced():
-    # 31 branching gates double to 62 path bits; the guard fires before any
-    # walk starts, so this is cheap even though evaluating would not be.
-    lines = ["qubits 2"] + ["gate h 0"] * 31 + ["accept 0"]
-    circuit = parse_circuit("\n".join(lines) + "\n")
-    with pytest.raises(SizeLimitError):
-        acceptance_probability(circuit, max_path_bits=60)
+def _hadamards(k: int) -> str:
+    return f"qubits {k}\n" + "".join(f"gate h {q}\n" for q in range(k)) + "accept 0\n"
 
 
-def test_budget_boundary_is_exact():
-    circuit = parse_circuit("qubits 2\n" + "gate h 0\n" * 5 + "accept 0\n")
-    with pytest.raises(SizeLimitError):
-        acceptance_probability(circuit, max_path_bits=9)
-    assert acceptance_probability(circuit, max_path_bits=10) == pytest.approx(
+@pytest.mark.parametrize("k", [3, 5])
+def test_amplitude_cap_boundary_is_exact(monkeypatch, k):
+    monkeypatch.setattr(pathsum, "MAX_AMPLITUDES", 1 << k)
+    # h on k qubits leaves exactly 2^k live amplitudes: at the cap, admitted
+    assert acceptance_probability(parse_circuit(_hadamards(k))) == pytest.approx(
         0.5, abs=1e-12
     )
+    with pytest.raises(SizeLimitError, match=f"^{1 << (k + 1)} live amplitudes"):
+        acceptance_probability(parse_circuit(_hadamards(k + 1)))
+
+
+def test_repeated_branching_on_one_qubit_stays_small():
+    # 31 branching gates, but the state never holds more than 2 amplitudes
+    circuit = parse_circuit("qubits 2\n" + "gate h 0\n" * 31 + "accept 0\n")
+    assert acceptance_probability(circuit) == pytest.approx(0.5, abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -131,3 +135,19 @@ def test_distribution_matches_dense_oracle(seed):
     assert set(ours) == set(dense), text
     for key, value in ours.items():
         assert value == pytest.approx(dense[key], abs=1e-9), (text, key)
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_unbounded_branching_matches_dense_oracle(seed):
+    # no cap on branching gates: up to 30 of them, on at most 6 qubits
+    rng = SplitMix64(stream_seed(0x9C, seed))
+    text = random_general_circuit(rng, n_max=6, gate_max=30, h_max=None)
+    circuit = parse_circuit(text)
+    ours = outcome_distribution(circuit)
+    dense = exact_outcome_distribution(circuit)
+    assert set(ours) == set(dense), text
+    for key, value in ours.items():
+        assert value == pytest.approx(dense[key], abs=1e-9), (text, key)
+    assert acceptance_probability(circuit) == pytest.approx(
+        exact_acceptance(circuit), abs=1e-9
+    ), text

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rwsim.circuit import Circuit, Postselect, Project, description_of_prefix, parse_circuit
+from rwsim.circuit import parse_circuit
 from rwsim.gates import CCZ, CH, CZ, GATE_NAMES, H, S, SWAP, X, hk, rz
 from rwsim.rng import SplitMix64, stream_seed
 from rwsim import statevector
@@ -541,25 +541,6 @@ def test_clone_rebuilds_state_from_description():
         result = run(circuit, SplitMix64(stream_seed(21, i)))
         # after the entangler, qubit 1 mirrors qubit 0 exactly
         assert result.record.bit("check") == result.record.bit("m")
-
-
-def test_description_of_prefix_rebuilds_the_final_state():
-    """The description, run as a circuit with each projector a postselection,
-    prepares the state the recorded run ended in."""
-    circuit = parse_circuit(
-        "qubits 3\ngate hk 1 0\ngate ch 0 1\nsnapshot s\nmeasure 1 -> m\n"
-        "rewind s if m == 1\nmeasure 1 -> m2 if m == 1\ngate rz 0.4 2\ngate h 2\n"
-        "snapshot t\ngate ch 2 0\nclone t\nmeasure 2 -> z\n"
-    )
-    for i in range(8):
-        result = run(circuit, SplitMix64(stream_seed(9, i)))
-        description = description_of_prefix(circuit, result.record)
-        replay = Circuit(description.n_qubits, tuple(
-            Postselect(op.qubit, op.bit) if isinstance(op, Project) else op
-            for op in description.ops
-        ))
-        rebuilt = run(replay, SplitMix64(0)).final_state
-        assert states_equal(rebuilt, result.final_state, tol=1e-12)
 
 
 def test_exact_distribution_weights_sum_to_one():
