@@ -29,15 +29,17 @@ import numpy as np
 
 from .mitigation import (
     RANDOM_FALLBACK,
+    copy_odds,
+    extract_target,
     make_flagged,
     mitigate,
-    extract_target,
     prepare_psi,
 )
 from .gates import H
 from .rng import SplitMix64
 from .statevector import (
     PureState,
+    Reading,
     SnapshotRegistry,
     apply_gate,
     max_qubits,
@@ -96,22 +98,16 @@ class PPDecision:
     extract_failures: int
 
 
-def _x_basis_copy(f: BooleanFunction, k: int, rng: SplitMix64) -> tuple[str, str | None]:
-    """One X-statistic copy at coin parameter k: ('+'|'-', failure kind)."""
-    n = f.n
-    psi, _ = prepare_psi(f.table, rng)
-    if psi is None:
-        return "-", "prep"
-    fs = make_flagged(psi, k, n)
-    fs, trace = mitigate(fs, n, rng)
-    if trace.outcome == RANDOM_FALLBACK:
-        # The fallback state is arbitrary; score the copy with a fair coin.
-        return ("+" if rng.bernoulli(0.5) else "-"), "fallback"
-    phi = extract_target(fs, n, rng)
-    if phi is None:
-        return "-", "extract"
-    bit, _, _ = measure(apply_gate(phi, H, (0,)), 0, rng)
-    return ("+" if bit == 0 else "-"), None
+def _x_reading(phi: PureState) -> Reading:
+    """The X-basis reading of a one-qubit target: bit 0 is ``+``."""
+    return Reading(apply_gate(phi, H, (0,)), 0)
+
+
+def _validate_pp(f: BooleanFunction) -> None:
+    if f.output_bits != 1:
+        raise ValueError("pp_decide expects single-bit outputs")
+    if f.weight == 0:
+        raise PromiseViolationError("table weight s = 0 satisfies neither promise side")
 
 
 def pp_decide(
@@ -129,27 +125,42 @@ def pp_decide(
     table breaks the promise and raises.  The default 64 copies keep both
     error sides negligible at desk scales (a handful of bits of slack past
     the tau = 3/4 threshold).
+
+    A copy prepares psi, flags it with coin parameter k, mitigates and
+    extracts the target, and reads it in the X basis.  A failed preparation
+    or extraction scores ``-`` and a fallback a fair coin.  Every stage is a
+    walk over a cached chain (see :mod:`rwsim.mitigation`), so a copy costs
+    its draws; the flagged state and the X-basis reading are built at the
+    first copy of each k that needs them.
     """
-    if f.output_bits != 1:
-        raise ValueError("pp_decide expects single-bit outputs")
-    if f.weight == 0:
-        raise PromiseViolationError("table weight s = 0 satisfies neither promise side")
+    _validate_pp(f)
     n = f.n
     fractions: dict[int, float] = {}
     fallbacks = prep_failures = extract_failures = 0
     decision = HIGH
     for k in range(-n, n + 1):
         plus = 0
+        flagged = x_reading = None
         for _ in range(copies):
-            symbol, failure = _x_basis_copy(f, k, rng)
-            if failure == "fallback":
-                fallbacks += 1
-            elif failure == "prep":
+            psi, _ = prepare_psi(f.table, rng)
+            if psi is None:
                 prep_failures += 1
-            elif failure == "extract":
+                continue
+            if flagged is None:
+                flagged = make_flagged(psi, k, n)  # every prepared psi is the same state
+            fs, trace = mitigate(flagged, n, rng)
+            if trace.outcome == RANDOM_FALLBACK:
+                # The fallback state is arbitrary; score the copy with a fair coin.
+                fallbacks += 1
+                plus += rng.bernoulli(0.5)
+                continue
+            phi = extract_target(fs, n, rng)
+            if phi is None:
                 extract_failures += 1
-            if symbol == "+":
-                plus += 1
+                continue
+            if x_reading is None:
+                x_reading = _x_reading(phi)  # every extracted target is the same state
+            plus += x_reading.draw(rng) == 0
         fractions[k] = plus / copies
         if fractions[k] >= tau:
             decision = LOW
@@ -157,6 +168,38 @@ def pp_decide(
     return PPDecision(
         decision, fractions, copies, tau, fallbacks, prep_failures, extract_failures
     )
+
+
+def _binomial_below(trials: int, q: float, need: int) -> float:
+    """P(Binomial(trials, q) < need)."""
+    return math.fsum(
+        math.comb(trials, j) * q**j * (1.0 - q) ** (trials - j) for j in range(min(need, trials + 1))
+    )
+
+
+def pp_correct_probability(f: BooleanFunction, copies: int = 64, tau: float = 0.75) -> float:
+    """Exact probability, over the RNG, that :func:`pp_decide` answers correctly.
+
+    At each k a copy reads ``+`` with probability
+
+        P_prep * (P_fallback / 2 + P_success * P_extract * P_+)
+
+    from the stage probabilities of :func:`rwsim.mitigation.copy_odds`, with
+    P_fallback = 1 - P_success and P_+ the target's X-basis P(+).  The
+    copies are independent, and the scan answers high when no k reaches
+    ``tau``, so P(high) = prod_k P(Binomial(copies, q_k) < m), m being the
+    least plus count whose fraction reaches ``tau``.
+    """
+    _validate_pp(f)
+    n = f.n
+    need = next((m for m in range(copies + 1) if m / copies >= tau), copies + 1)
+    p_high = 1.0
+    for k in range(-n, n + 1):
+        odds = copy_odds(f.table, k)
+        p_plus = _x_reading(odds.target).prob(0)
+        q_k = odds.prep * ((1.0 - odds.success) / 2 + odds.success * odds.extract * p_plus)
+        p_high *= _binomial_below(copies, q_k, need)
+    return 1.0 - p_high if f.weight < 1 << (n - 1) else p_high
 
 
 # ---------------------------------------------------------------------------

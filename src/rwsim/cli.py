@@ -291,7 +291,8 @@ def cmd_simulate(ns) -> tuple[list, bool]:
         lines.append(("p_accept", pathsum.acceptance_probability(circuit, outcomes=dist)))
         if len(dist) <= 64:
             for key in sorted(dist):
-                lines.append((f"p.{key.replace('=', ':')}", dist[key]))
+                if key:  # a circuit that measures nothing has one empty key
+                    lines.append((f"p.{key.replace('=', ':')}", dist[key]))
         return lines, True
     if ns.trials < 1:
         raise UsageError("--trials must be positive")

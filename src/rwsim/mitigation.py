@@ -18,11 +18,18 @@ nontarget branch and |0> on the target branch.  Measuring the ancilla:
 ``mitigate`` runs 2n+3 rounds with at most 3n attempts each; exhausting the
 attempts halts with a ``random_fallback`` marker.  Both retry loops, a
 level's ancilla read toward 0 and ``extract_target``'s flag read toward 1,
-are :func:`rwsim.statevector.measure_until`: measure, and on a miss rewind
-strictly to the entry state and measure again.  The exact success
+read as :func:`rwsim.statevector.measure_until` does: measure, and on a miss
+rewind strictly to the entry state and measure again.  The exact success
 probability of the whole schedule has a closed form
 (:func:`success_probability_exact`), valid for any admissible
 ``p <= p_max(n)``.
+
+``prepare_psi``, ``mitigate`` and ``extract_target`` walk cached chains of
+outcome weights and :class:`rwsim.statevector.Reading` objects (see
+``_preparation``): each distinct state is built and measured once, and each
+call adds only its RNG draws, the same draws and the same floats as
+measuring afresh.  :func:`copy_odds` reads the exact stage probabilities of
+a PP copy off the same chains.
 
 ``mitigate_postselect`` is the measurement-free variant: each of m rounds
 entangles a coin via a controlled rotation on the nontarget branch and
@@ -35,6 +42,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,11 +51,11 @@ from .gates import CH, hk
 from .rng import SplitMix64
 from .statevector import (
     PureState,
+    Reading,
     apply_gate,
     apply_matrix,
     attach_zero,
-    measure,
-    measure_until,
+    draw_bit,
     postselect,
     prob_of_bit,
     slice_qubit,
@@ -135,6 +144,11 @@ def level_success_probability(p, i: int):
     return (p * w + (1 - p)) / (1 - (1 - wi) * p)
 
 
+def _schedule(n: int) -> tuple[int, int]:
+    """(levels, attempts per level) of the mitigation schedule: 2n+3 and 3n."""
+    return 2 * n + 3, 3 * n
+
+
 def success_probability_exact(p, n: int):
     """P(the 2n+3-level schedule finishes without fallback).
 
@@ -143,9 +157,10 @@ def success_probability_exact(p, n: int):
     """
     one = Fraction(1) if isinstance(p, Fraction) else 1.0
     prod = one
-    for i in range(2 * n + 3):
+    levels, tries = _schedule(n)
+    for i in range(levels):
         q_i = level_success_probability(p, i)
-        prod *= one - (one - q_i) ** (3 * n)
+        prod *= one - (one - q_i) ** tries
     return prod
 
 
@@ -205,22 +220,12 @@ def prepare_psi(
     always >= 1/2, so ``max_attempts`` defaults to n.  Returns
     (state-or-None, attempts used).
     """
-    size = len(table)
-    n = size.bit_length() - 1
-    attempts_cap = n if max_attempts is None else max_attempts
-    base = preparation_state(table)
+    weights, psi = _preparation(tuple(table))
+    attempts_cap = len(weights) if max_attempts is None else max_attempts
     for attempt in range(1, attempts_cap + 1):
-        state = base.copy()
-        all_zero = True
-        for qubit in range(n):
-            bit, _, state = measure(state, qubit, rng)
-            if bit:
-                all_zero = False
-                break  # failed attempt; re-prepare from scratch
-        if all_zero:
-            for _ in range(n):
-                state = slice_qubit(state, 0, 0)
-            return state, attempt
+        # a 1 read fails the attempt: re-prepare and read from qubit 0 again
+        if not any(draw_bit(p0, p1, rng) for p0, p1 in weights):
+            return psi, attempt
     return None, attempts_cap
 
 
@@ -235,7 +240,7 @@ def make_flagged(psi: PureState, k: int, n: int) -> FlaggedState:
     if abs(k) > n:
         raise ValueError(f"|k| = {abs(k)} exceeds n = {n}")
     coin = hk(k).unitary()[:, 0]  # hk(k)|0>
-    amps = np.kron(coin, psi.amps)
+    amps = np.outer(coin, psi.amps).reshape(-1)
     state = apply_gate(PureState(2, amps), CH, (0, 1))
     # Flag is the psi-side qubit: 0 marks the nontarget branch.
     fs = FlaggedState(state, 1, 0.0)
@@ -261,6 +266,75 @@ def _mitigation_round(work: PureState, flag: int, ancilla: int) -> PureState:
     return apply_matrix(work, _ROUND, (flag, ancilla))
 
 
+# Every state a protocol copy reaches depends only on the input of its stage,
+# never on the RNG: a miss is rewound to the very state it collapsed, and a
+# hit leads to one next state.  So each stage is a chain of outcome weights
+# or readings (:class:`rwsim.statevector.Reading`), built at first use and
+# kept, and a copy is a walk over it that adds only its draws.  The chains
+# are cached by their input (the table, or the flagged state's amplitude
+# bytes: equal bytes give the same floats) in bounded caches.
+
+
+@lru_cache(maxsize=32)
+def _preparation(table: tuple) -> tuple[tuple[tuple[float, float], ...], PureState]:
+    """The outcome weights (p0, p1) of input qubits 0..n-1 of the
+    preparation state, each after the ones before it read 0, and the output
+    qubit once all read 0.  A copy only ever restarts from the top, so only
+    the weights are kept and each state is dropped once the next is built."""
+    state = preparation_state(table)
+    weights = []
+    for qubit in range(state.n - 1):
+        reading = Reading(state, qubit)
+        weights.append((reading.p0, reading.p1))
+        state = reading.collapsed(0)
+    for _ in weights:
+        state = slice_qubit(state, 0, 0)
+    state.amps.flags.writeable = False
+    return tuple(weights), state
+
+
+class _Level:
+    """One level of the schedule on one input: the ancilla reading of its
+    round, the state it leaves on either bit (with its nontarget
+    probability) and the next level, each built at first use."""
+
+    __slots__ = ("flag", "reading", "_exits", "_next")
+
+    def __init__(self, state: PureState, flag: int):
+        ancilla = state.n
+        self.flag = flag
+        self.reading = Reading(_mitigation_round(attach_zero(state), flag, ancilla), ancilla)
+        self._exits: list[tuple[PureState, float] | None] = [None, None]
+        self._next: _Level | None = None
+
+    def next(self) -> "_Level":
+        if self._next is None:
+            self._next = _Level(self.reading.dropped(0), self.flag)
+        return self._next
+
+    def exit(self, bit: int) -> tuple[PureState, float]:
+        if self._exits[bit] is None:
+            state = self.reading.dropped(bit)
+            self._exits[bit] = state, nontarget_probability(FlaggedState(state, self.flag, 0.0))
+        return self._exits[bit]
+
+
+@lru_cache(maxsize=32)
+def _first_level(n: int, dtype: str, raw: bytes, flag: int) -> _Level:
+    return _Level(PureState(n, np.frombuffer(raw, dtype=dtype)), flag)
+
+
+@lru_cache(maxsize=32)
+def _flag_reading(n: int, dtype: str, raw: bytes, flag: int) -> Reading:
+    return Reading(PureState(n, np.frombuffer(raw, dtype=dtype)), flag)
+
+
+def _chain_of(build, state: PureState, flag: int):
+    """``build``'s chain for ``state`` and its flag qubit."""
+    amps = state.amps
+    return build(state.n, amps.dtype.str, amps.tobytes(), flag)
+
+
 def mitigate(
     fs: FlaggedState,
     n: int,
@@ -270,26 +344,27 @@ def mitigate(
 
     Returns the final flagged state and the attempt trace.  On fallback the
     state at the halt point is returned as-is (its collapsed ancilla sliced
-    off); the caller decides what "random" means for its protocol.
+    off); the caller decides what "random" means for its protocol.  Each
+    level's ancilla is read toward 0 as :func:`rwsim.statevector.measure_until`
+    reads it, over the cached chain of the input.
     """
     if rng is None:
         raise ValueError("mitigate needs an explicit rng")
-    state = fs.state
-    flag = fs.flag_qubit
+    if n < 1:
+        raise ValueError(f"mitigate needs n >= 1, got {n}")
+    level = _chain_of(_first_level, fs.state, fs.flag_qubit)
+    levels, tries = _schedule(n)
     events: list[tuple[int, int, int]] = []
-    outcome = SUCCESS
-    for i in range(2 * n + 3):
-        ancilla = state.n
-        work = _mitigation_round(attach_zero(state), flag, ancilla)
-        bits, work = measure_until(work, ancilla, 0, 3 * n, rng)
+    for i in range(levels):
+        if i:
+            level = level.next()
+        bits = level.reading.retry(0, tries, rng)
         events += [(i, c, z) for c, z in enumerate(bits, start=1)]
-        state = slice_qubit(work, ancilla, bits[-1])
         if bits[-1]:
-            outcome = RANDOM_FALLBACK
             break
-    final = FlaggedState(state, flag, 0.0)
-    final.p = nontarget_probability(final)
-    return final, MitigationTrace(events, outcome)
+    state, p = level.exit(bits[-1])
+    outcome = RANDOM_FALLBACK if bits[-1] else SUCCESS
+    return FlaggedState(state, fs.flag_qubit, p), MitigationTrace(events, outcome)
 
 
 def extract_target(
@@ -304,8 +379,42 @@ def extract_target(
         raise ValueError("extract_target needs an explicit rng")
     if n < 1:
         return None
-    bits, work = measure_until(fs.state, fs.flag_qubit, 1, n, rng)
-    return slice_qubit(work, fs.flag_qubit, 1) if bits[-1] else None
+    reading = _chain_of(_flag_reading, fs.state, fs.flag_qubit)
+    bits = reading.retry(1, n, rng)
+    return reading.dropped(1) if bits[-1] else None
+
+
+class CopyOdds(NamedTuple):
+    """Exact probabilities of the stages of one PP copy at one coin
+    parameter, and the target a successful copy extracts."""
+
+    prep: float  # prepare_psi returns psi within its n attempts
+    success: float  # mitigate finishes without fallback
+    extract: float  # extract_target reads the flag as 1 within its n tries
+    target: PureState
+
+
+def copy_odds(table, k: int) -> CopyOdds:
+    """The :class:`CopyOdds` of a copy that prepares psi from ``table``,
+    flags it with coin parameter ``k``, mitigates and extracts, read off the
+    chains those calls walk: P(prep) = 1 - (1 - prod_j P(input qubit j reads
+    0))^n, P(success) = prod_i (1 - (1 - q_i)^{3n}) over the 2n+3 levels
+    (q_i the level's P(ancilla reads 0)) and P(extract) = 1 - P(flag reads
+    0)^n."""
+    weights, psi = _preparation(tuple(table))
+    n = len(weights)
+    prep = 1.0 - (1.0 - math.prod(p0 / (p0 + p1) for p0, p1 in weights)) ** n
+    flagged = make_flagged(psi, k, n)
+    level = _chain_of(_first_level, flagged.state, flagged.flag_qubit)
+    levels, tries = _schedule(n)
+    success = 1.0
+    for i in range(levels):
+        if i:
+            level = level.next()
+        success *= 1.0 - (1.0 - level.reading.prob(0)) ** tries
+    target, _ = level.exit(0)
+    flag = _chain_of(_flag_reading, target, flagged.flag_qubit)
+    return CopyOdds(prep, success, 1.0 - flag.prob(0) ** n, flag.dropped(1))
 
 
 def postselect_rounds(p: float, q: float) -> int:

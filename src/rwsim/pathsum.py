@@ -36,6 +36,8 @@ run within seconds and under half a gigabyte.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .circuit import (  # the shared error name is re-exported
     Circuit,
     GateOp,
@@ -54,10 +56,14 @@ class SizeLimitError(ValueError):
     """A branch holds more live amplitudes than ``MAX_AMPLITUDES``."""
 
 
+@lru_cache(maxsize=1024)
 def _moves(op: GateOp) -> tuple[int, dict[int, tuple[tuple[int, complex], ...]]]:
     """``(mask, table)`` for a gate op: a key whose target bits read ``t =
     key & mask`` goes to ``key ^ t | bits`` times ``factor`` for each
-    ``(bits, factor)`` in ``table[t]``."""
+    ``(bits, factor)`` in ``table[t]``.
+
+    Cached per op, so each gate of a circuit builds its table once, not once
+    per ``apply`` on every branch; callers only read the table."""
     targets = op.targets
     width = len(targets)
     spread = [  # matrix index (big-endian in the targets) -> basis bits

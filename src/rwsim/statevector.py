@@ -32,6 +32,9 @@ Conventions
   check and returns the stored state unconditionally.
 * ``measure_until`` is the protocols' rewind-and-retry step: measure one
   qubit until it reads a wanted bit, undoing each miss with a strict rewind.
+  A :class:`Reading` is the same step for a state that many walks measure:
+  it computes the outcome weights, the collapsed states and the rewind's
+  certificate once, and each walk adds only its draws.
 * ``KERNEL`` runs these primitives under the circuit interpreter in
   :mod:`rwsim.circuit`, whose ``clone`` continues from a copy of the stored
   snapshot.
@@ -238,14 +241,27 @@ def _collapse(state: PureState, qubit: int, bit: int, prob: float) -> PureState:
     return PureState(state.n, tensor.reshape(-1))
 
 
+def draw_bit(p0: float, p1: float, rng: SplitMix64) -> int:
+    """The bit a measurement with outcome weights ``p0`` and ``p1`` reads:
+    one uniform draw, scaled by the total weight."""
+    return 1 if rng.uniform() * (p0 + p1) < p1 else 0
+
+
+def _outcome(
+    state: PureState, qubit: int, bit: int, p0: float, p1: float
+) -> tuple[float, PureState]:
+    """(branch probability, collapsed state) of reading ``bit``."""
+    total = p0 + p1
+    prob = (p1 if bit else p0) / total
+    return prob, _collapse(state, qubit, bit, prob * total)
+
+
 def measure(state: PureState, qubit: int, rng: SplitMix64) -> tuple[int, float, PureState]:
     """Z-measure one qubit: returns (bit, branch probability, collapsed state)."""
     p0 = prob_of_bit(state, qubit, 0)
     p1 = prob_of_bit(state, qubit, 1)
-    total = p0 + p1
-    bit = 1 if rng.uniform() * total < p1 else 0
-    prob = (p1 if bit else p0) / total
-    return bit, prob, _collapse(state, qubit, bit, prob * total)
+    bit = draw_bit(p0, p1, rng)
+    return (bit, *_outcome(state, qubit, bit, p0, p1))
 
 
 def measure_register(
@@ -398,6 +414,76 @@ def measure_until(
         if bit == want or len(bits) == tries:
             return bits, state
         state = rewind(state, registry, "entry", "strict")
+
+
+class Reading:
+    """One qubit of one fixed state, for walks that measure it many times.
+
+    ``p0`` and ``p1`` are the outcome weights :func:`measure` computes, and
+    :meth:`draw` reads a bit from them with the draw ``measure`` makes.  The
+    collapsed state of each outcome, with or without the measured qubit, and
+    the strict rewind of a miss are computed at first use and kept, so a walk
+    over readings draws from the RNG exactly as ``measure`` and
+    :func:`measure_until` do and meets every float they compute.  The states
+    it hands out are read-only: every walk shares them.
+    """
+
+    __slots__ = ("state", "qubit", "p0", "p1", "_collapsed", "_dropped", "_certified")
+
+    def __init__(self, state: PureState, qubit: int):
+        self.state, self.qubit = state, qubit
+        self.p0 = prob_of_bit(state, qubit, 0)
+        self.p1 = prob_of_bit(state, qubit, 1)
+        self._collapsed: list[PureState | None] = [None, None]
+        self._dropped: list[PureState | None] = [None, None]
+        self._certified = [False, False]
+
+    def draw(self, rng: SplitMix64) -> int:
+        return draw_bit(self.p0, self.p1, rng)
+
+    def prob(self, bit: int) -> float:
+        """Probability of reading ``bit``, as ``measure`` returns it."""
+        return (self.p1 if bit else self.p0) / (self.p0 + self.p1)
+
+    def collapsed(self, bit: int) -> PureState:
+        if self._collapsed[bit] is None:
+            _, state = _outcome(self.state, self.qubit, bit, self.p0, self.p1)
+            self._collapsed[bit] = _read_only(state)
+        return self._collapsed[bit]
+
+    def dropped(self, bit: int) -> PureState:
+        """The collapsed state with the measured qubit sliced off."""
+        if self._dropped[bit] is None:
+            state = slice_qubit(self.collapsed(bit), self.qubit, bit)
+            self._dropped[bit] = _read_only(state)
+        return self._dropped[bit]
+
+    def retry(self, want: int, tries: int, rng: SplitMix64) -> list[int]:
+        """The bits :func:`measure_until` reads here, drawn as it draws them.
+
+        ``measure_until`` undoes each miss but the last with a strict rewind.
+        Every such rewind undoes the same collapse of the same state, so it
+        is certified at the first miss only; a refusal is not kept, and
+        raises as it does there on every walk that reaches it.
+        """
+        if tries < 1:
+            raise ValueError(f"a retry needs at least one try, got {tries}")
+        bits: list[int] = []
+        while True:
+            bit = draw_bit(self.p0, self.p1, rng)
+            bits.append(bit)
+            if bit == want or len(bits) == tries:
+                return bits
+            if not self._certified[bit]:
+                registry = SnapshotRegistry()
+                snapshot(self.state, registry, "entry")
+                rewind(self.collapsed(bit), registry, "entry", "strict")
+                self._certified[bit] = True
+
+
+def _read_only(state: PureState) -> PureState:
+    state.amps.flags.writeable = False
+    return state
 
 
 class _StateVectorKernel(Kernel):

@@ -380,3 +380,12 @@ def test_module_entry_point_wiring():
     )
     assert proc.returncode == 0
     assert "outcome=success" in proc.stdout
+
+
+def test_simulate_pathsum_without_measurements_prints_no_empty_outcome(tmp_path, capsys):
+    circuit = tmp_path / "plain.qc"
+    circuit.write_text("qubits 2\ngate h 0\naccept 0\n")
+    code, out, err = run(capsys, ["simulate", str(circuit), "--backend", "pathsum"])
+    assert code == 0 and err == ""
+    assert float(fields(out)["p_accept"]) == pytest.approx(0.5, abs=1e-12)
+    assert not [line for line in out.splitlines() if line.startswith("p.")]

@@ -151,3 +151,13 @@ def test_unbounded_branching_matches_dense_oracle(seed):
     assert acceptance_probability(circuit) == pytest.approx(
         exact_acceptance(circuit), abs=1e-9
     ), text
+
+
+def test_each_gate_builds_its_moves_once():
+    """A gate's key table is built once per op, not once per apply: the h
+    and ch after the measurement run on both branches."""
+    pathsum._moves.cache_clear()
+    circuit = parse_circuit("qubits 2\ngate h 0\nmeasure 0 -> m\ngate h 1\ngate ch 0 1\naccept 1\n")
+    assert acceptance_probability(circuit) == pytest.approx(exact_acceptance(circuit), abs=1e-12)
+    info = pathsum._moves.cache_info()
+    assert (info.misses, info.hits) == (3, 2)

@@ -1,0 +1,372 @@
+"""Protocol copies walk cached chains of readings: same draws, same floats.
+
+The reference functions below are the protocol loops as they were written
+before the chains: every copy re-prepares, measures with the formula of
+``measure`` written out, and undoes every miss with a strict rewind.  The
+chained protocols must reproduce them exactly: decisions, plus-fractions,
+failure counters, mitigation events and final states, and the RNG state
+they leave.  They must also certify every rewind the reference performs,
+and refuse where it refuses.
+"""
+
+from __future__ import annotations
+
+import math
+from itertools import product
+
+import numpy as np
+import pytest
+
+from rwsim import applications, mitigation, statevector
+from rwsim.applications import (
+    HIGH,
+    LOW,
+    BooleanFunction,
+    PPDecision,
+    pp_correct_probability,
+    pp_decide,
+)
+from rwsim.gates import CH, H, hk
+from rwsim.mitigation import (
+    _ROUND,
+    RANDOM_FALLBACK,
+    SUCCESS,
+    FlaggedState,
+    MitigationTrace,
+    extract_target,
+    mitigate,
+    nontarget_probability,
+    p_max,
+    preparation_state,
+    prepare_psi,
+    synthetic_flagged,
+)
+from rwsim.rng import _GAMMA, _MASK, SplitMix64, stream_seed
+from rwsim.statevector import (
+    PureState,
+    RewindConsistencyError,
+    SnapshotRegistry,
+    _collapse,
+    apply_gate,
+    apply_matrix,
+    attach_zero,
+    prob_of_bit,
+    slice_qubit,
+    snapshot,
+)
+
+# ---------------------------------------------------------------------------
+# the reference: the loops as written before the chains
+
+
+def _ref_measure(state, qubit, rng):
+    p0 = prob_of_bit(state, qubit, 0)
+    p1 = prob_of_bit(state, qubit, 1)
+    total = p0 + p1
+    bit = 1 if rng.uniform() * total < p1 else 0
+    prob = (p1 if bit else p0) / total
+    return bit, prob, _collapse(state, qubit, bit, prob * total)
+
+
+def _ref_retry(state, qubit, want, tries, rng):
+    registry = SnapshotRegistry()
+    snapshot(state, registry, "entry")
+    bits = []
+    while True:
+        bit, _, state = _ref_measure(state, qubit, rng)
+        bits.append(bit)
+        if bit == want or len(bits) == tries:
+            return bits, state
+        state = statevector.rewind(state, registry, "entry", "strict")
+
+
+def _ref_prepare_psi(table, rng):
+    n = len(table).bit_length() - 1
+    base = preparation_state(table)
+    for attempt in range(1, n + 1):
+        state = base.copy()
+        all_zero = True
+        for qubit in range(n):
+            bit, _, state = _ref_measure(state, qubit, rng)
+            if bit:
+                all_zero = False
+                break
+        if all_zero:
+            for _ in range(n):
+                state = slice_qubit(state, 0, 0)
+            return state, attempt
+    return None, n
+
+
+def _ref_make_flagged(psi, k):
+    coin = hk(k).unitary()[:, 0]
+    state = apply_gate(PureState(2, np.kron(coin, psi.amps)), CH, (0, 1))
+    fs = FlaggedState(state, 1, 0.0)
+    fs.p = nontarget_probability(fs)
+    return fs
+
+
+def _ref_mitigate(fs, n, rng):
+    state, flag = fs.state, fs.flag_qubit
+    events = []
+    outcome = SUCCESS
+    for i in range(2 * n + 3):
+        ancilla = state.n
+        work = apply_matrix(attach_zero(state), _ROUND, (flag, ancilla))
+        bits, work = _ref_retry(work, ancilla, 0, 3 * n, rng)
+        events += [(i, c, z) for c, z in enumerate(bits, start=1)]
+        state = slice_qubit(work, ancilla, bits[-1])
+        if bits[-1]:
+            outcome = RANDOM_FALLBACK
+            break
+    final = FlaggedState(state, flag, 0.0)
+    final.p = nontarget_probability(final)
+    return final, MitigationTrace(events, outcome)
+
+
+def _ref_extract_target(fs, n, rng):
+    bits, work = _ref_retry(fs.state, fs.flag_qubit, 1, n, rng)
+    return slice_qubit(work, fs.flag_qubit, 1) if bits[-1] else None
+
+
+def _ref_x_basis_copy(f, k, rng):
+    n = f.n
+    psi, _ = _ref_prepare_psi(f.table, rng)
+    if psi is None:
+        return "-", "prep"
+    fs, trace = _ref_mitigate(_ref_make_flagged(psi, k), n, rng)
+    if trace.outcome == RANDOM_FALLBACK:
+        return ("+" if rng.bernoulli(0.5) else "-"), "fallback"
+    phi = _ref_extract_target(fs, n, rng)
+    if phi is None:
+        return "-", "extract"
+    bit, _, _ = _ref_measure(apply_gate(phi, H, (0,)), 0, rng)
+    return ("+" if bit == 0 else "-"), None
+
+
+def _ref_pp_decide(f, rng, copies=64, tau=0.75):
+    n = f.n
+    fractions = {}
+    failures = {"fallback": 0, "prep": 0, "extract": 0}
+    decision = HIGH
+    for k in range(-n, n + 1):
+        plus = 0
+        for _ in range(copies):
+            symbol, failure = _ref_x_basis_copy(f, k, rng)
+            if failure:
+                failures[failure] += 1
+            plus += symbol == "+"
+        fractions[k] = plus / copies
+        if fractions[k] >= tau:
+            decision = LOW
+            break
+    return PPDecision(decision, fractions, copies, tau, failures["fallback"],
+                      failures["prep"], failures["extract"])
+
+
+# ---------------------------------------------------------------------------
+# helpers
+
+
+def _clear_chains():
+    for cache in (mitigation._preparation, mitigation._first_level, mitigation._flag_reading):
+        cache.cache_clear()
+
+
+@pytest.fixture
+def rewinds(monkeypatch):
+    """(snapshot, post-state) of every strict rewind, as bytes, in call order."""
+    seen: list[tuple[bytes, bytes]] = []
+    original = statevector.rewind
+
+    def recording(state, registry, label, mode="strict"):
+        seen.append((registry.state(label).amps.tobytes(), state.amps.tobytes()))
+        return original(state, registry, label, mode)
+
+    monkeypatch.setattr(statevector, "rewind", recording)
+    return seen
+
+
+def _uniform_zero_rng() -> SplitMix64:
+    """A generator whose first ``uniform()`` is exactly 0.0 (SplitMix64 maps
+    the internal state 0 to the output 0)."""
+    return SplitMix64(-_GAMMA & _MASK)
+
+
+def _random_tables(n: int, count: int, seed: int):
+    rng = SplitMix64(stream_seed(seed, n))
+    tables = []
+    while len(tables) < count:
+        table = tuple(rng.randrange(2) for _ in range(1 << n))
+        if any(table):
+            tables.append(table)
+    return tables
+
+
+# ---------------------------------------------------------------------------
+# RNG identity
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_pp_decide_draws_as_the_reference_loops(n, rewinds):
+    for index, table in enumerate(_random_tables(n, 6, 0xC4A1)):
+        f = BooleanFunction(n, table)
+        ref_rng = SplitMix64(stream_seed(0xC4A2, 10 * n + index))
+        rng = SplitMix64(ref_rng.state)
+        want = _ref_pp_decide(f, ref_rng)
+        want_rewinds = set(rewinds)
+        rewinds.clear()
+        _clear_chains()
+        got = pp_decide(f, rng)
+        assert got == want, table
+        assert rng.state == ref_rng.state, table
+        # every distinct collapse the reference rewinds is certified, once
+        assert len(rewinds) == len(set(rewinds)), table
+        assert set(rewinds) == want_rewinds, table
+        rewinds.clear()
+
+
+def test_make_flagged_matches_the_kron_construction_bit_for_bit():
+    for table in _random_tables(3, 8, 0xC4A7):
+        psi, _ = _ref_prepare_psi(table, SplitMix64(0))
+        psi = psi or PureState(1, np.array([0.6, 0.8], dtype=complex))
+        for k in range(-3, 4):
+            got, want = mitigation.make_flagged(psi, k, 3), _ref_make_flagged(psi, k)
+            assert got.state.amps.tobytes() == want.state.amps.tobytes() and got.p == want.p
+
+
+def _mitigate_cases():
+    for n in (1, 2, 3, 4):
+        edge = float(p_max(n))
+        for p in (0.0, 0.3, 0.9, (0.9 + edge) / 2, edge):
+            yield p, n
+
+
+@pytest.mark.parametrize("p,n", list(_mitigate_cases()))
+def test_mitigate_and_extract_draw_as_the_reference_loops(p, n, rewinds):
+    for seed in range(25):
+        ref_rng = SplitMix64(stream_seed(0xC4A3, seed))
+        rng = SplitMix64(ref_rng.state)
+        want, want_trace = _ref_mitigate(synthetic_flagged(p), n, ref_rng)
+        want_phi = _ref_extract_target(want, n, ref_rng)
+        want_rewinds = set(rewinds)
+        rewinds.clear()
+        _clear_chains()
+        got, trace = mitigate(synthetic_flagged(p), n, rng)
+        phi = extract_target(got, n, rng)
+        assert trace == want_trace, seed
+        assert got.state.amps.tobytes() == want.state.amps.tobytes(), seed
+        assert got.p == want.p and got.flag_qubit == want.flag_qubit
+        assert (phi is None) == (want_phi is None), seed
+        if phi is not None:
+            assert phi.amps.tobytes() == want_phi.amps.tobytes(), seed
+        assert rng.state == ref_rng.state, seed
+        assert len(rewinds) == len(set(rewinds)) and set(rewinds) == want_rewinds, seed
+        rewinds.clear()
+
+
+def test_a_draw_of_exactly_zero_never_reads_an_empty_outcome():
+    """u * total == p1 reads 0: with p = 0 the ancilla's outcome 1 is empty,
+    and a first uniform of exactly 0.0 must still read 0 on both routes."""
+    ref_rng, rng = _uniform_zero_rng(), _uniform_zero_rng()
+    assert SplitMix64(rng.state).uniform() == 0.0
+    _, want = _ref_mitigate(synthetic_flagged(0.0), 2, ref_rng)
+    _, got = mitigate(synthetic_flagged(0.0), 2, rng)
+    assert got == want
+    assert want.events[0] == (0, 1, 0)
+    assert rng.state == ref_rng.state
+    ref_rng, rng = _uniform_zero_rng(), _uniform_zero_rng()
+    assert _ref_prepare_psi([1, 1, 1, 1], ref_rng)[1] == prepare_psi([1, 1, 1, 1], rng)[1] == 1
+    assert rng.state == ref_rng.state
+
+
+def test_a_refused_rewind_raises_on_the_same_copy_every_time(monkeypatch):
+    """With certification refusing everything, the chain raises at the first
+    miss, with the message and after the draws of ``measure_until``."""
+    monkeypatch.setattr(statevector, "_is_collapse_of", lambda stored, post, tol: False)
+
+    def outcome(run, rng):
+        try:
+            return "returned", run(synthetic_flagged(0.9), 2, rng)[1].events
+        except RewindConsistencyError as exc:
+            return "raised", str(exc)
+
+    messages = []
+    for seed in range(10):
+        _clear_chains()
+        ref_rng = SplitMix64(stream_seed(0xC4A4, seed))
+        rng = SplitMix64(ref_rng.state)
+        want = outcome(_ref_mitigate, ref_rng)
+        assert outcome(mitigate, rng) == want, seed
+        assert rng.state == ref_rng.state, seed
+        if want[0] == "raised":
+            messages.append(want[1])
+            # the refusal is not kept: the next walk to reach it raises again
+            assert outcome(mitigate, SplitMix64(stream_seed(0xC4A4, seed))) == want, seed
+    assert len(messages) >= 5
+    assert set(messages) == {"state is not a one-outcome collapse of snapshot 'entry'"}
+
+
+def test_shared_chain_states_are_read_only():
+    psi, _ = prepare_psi([0, 1, 1, 1], SplitMix64(1))
+    final, _ = mitigate(synthetic_flagged(0.6), 2, SplitMix64(2))
+    for state in (psi, final.state):
+        with pytest.raises(ValueError):
+            state.amps[0] = 0.0
+
+
+def test_wide_tables_draw_as_the_reference_loops():
+    table = tuple(i % 3 == 0 for i in range(1 << 8))
+    ref_rng = SplitMix64(stream_seed(0xC4A5, 0))
+    rng = SplitMix64(ref_rng.state)
+    for _ in range(4):
+        want_psi, want_attempts = _ref_prepare_psi(table, ref_rng)
+        psi, attempts = prepare_psi(table, rng)
+        assert attempts == want_attempts and rng.state == ref_rng.state
+        assert (psi is None) == (want_psi is None)
+        assert psi is None or psi.amps.tobytes() == want_psi.amps.tobytes()
+
+
+def test_the_preparation_chain_keeps_no_state_but_psi():
+    """A copy never goes back to an intermediate state, so the cached chain
+    is n outcome-weight pairs and the one-qubit psi, for any table width."""
+    table = tuple(i % 3 == 0 for i in range(1 << 8))
+    weights, psi = mitigation._preparation(table)
+    assert len(weights) == 8
+    assert all(type(w) is float for pair in weights for w in pair)
+    assert isinstance(psi, PureState) and psi.n == 1
+
+
+# ---------------------------------------------------------------------------
+# the exact oracle
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_exact_decision_probability_on_every_nonzero_table(n):
+    worst = min(
+        pp_correct_probability(BooleanFunction(n, table))
+        for table in product((0, 1), repeat=1 << n)
+        if any(table)
+    )
+    assert worst >= 0.99
+
+
+@pytest.mark.parametrize("table,copies,tau", [((1, 1, 0, 0), 4, 0.75), ((1, 1, 1, 0), 3, 2 / 3)])
+def test_exact_decision_probability_matches_sampling(table, copies, tau):
+    """Few copies put the answer well inside (0, 1).  A weight-2 table fails
+    half its preparation attempts, so the prep term shows too."""
+    f = BooleanFunction(2, table)
+    exact = pp_correct_probability(f, copies, tau)
+    assert 0.3 < exact < 0.7
+    rng = SplitMix64(stream_seed(0xC4A6, sum(table)))
+    trials = 3000
+    correct = sum(pp_decide(f, rng, copies, tau).decision == HIGH for _ in range(trials))
+    sigma = math.sqrt(exact * (1.0 - exact) / trials)
+    assert abs(correct / trials - exact) <= 4.0 * sigma
+
+
+def test_exact_decision_probability_validates_its_input():
+    with pytest.raises(ValueError):
+        pp_correct_probability(BooleanFunction(2, (0, 0, 0, 0)))
+    with pytest.raises(ValueError):
+        pp_correct_probability(BooleanFunction(2, (0, 1, 2, 3), output_bits=2))
