@@ -27,18 +27,25 @@ measurement labels.
 The one interpreter of the IR lives here too.  It runs a circuit over a
 backend :class:`Kernel` and owns all that is not quantum arithmetic:
 conditionals, the record, snapshots, rewind counting, ``max_rewinds``,
-``min_postselect_prob`` and ``clone``, which continues from a copy of the
-stored snapshot on every backend.  Its one loop samples a path
-(:func:`sample_run`) or enumerates all branches (:func:`enumerate_branches`),
+``min_postselect_prob`` and ``clone``, which continues from the stored
+snapshot on every backend.  Its one loop samples a path (:func:`sampler`,
+:func:`sample_run`) or enumerates all branches (:func:`enumerate_branches`),
 so samplers and exact oracles accept and refuse the same circuits.  One rule,
 :func:`outcome_weight`, says when an outcome is an empty branch on every
 floating-point backend.
+
+A sampler runs the circuit's deterministic prefix, every instruction before
+the first one that reads the RNG or the record, once for all its trials.  A
+state that outlives the instruction that made it (a snapshot, a clone, the
+prefix every trial starts from) is held as :meth:`Kernel.keep` gives it: by
+reference on a kernel whose operations are functional, as a copy on one that
+works in place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 from .gates import GATE_NAMES, Gate, gate as make_gate
 
@@ -417,7 +424,13 @@ def accept_qubit(circuit: Circuit) -> int | None:
 
 
 class SnapshotRegistry:
-    """Label -> state copy, for any backend."""
+    """Label -> stored state, for any backend.
+
+    The registry stores the state it is given and never changes it; the
+    caller hands it a state nothing else will change.  The interpreter
+    stores what :meth:`Kernel.keep` gives, and the protocol-level
+    ``snapshot`` functions of the backends store a copy.
+    """
 
     def __init__(self):
         self._entries: dict[str, object] = {}
@@ -425,7 +438,7 @@ class SnapshotRegistry:
     def store(self, label: str, state):
         if label in self._entries:
             raise ValueError(f"snapshot label {label!r} already in use")
-        self._entries[label] = state.copy()
+        self._entries[label] = state
 
     def state(self, label: str):
         if label not in self._entries:
@@ -433,7 +446,7 @@ class SnapshotRegistry:
         return self._entries[label]
 
     def copy(self) -> "SnapshotRegistry":
-        """An independent label table sharing the (never mutated) stored copies."""
+        """An independent label table sharing the (never mutated) stored states."""
         out = SnapshotRegistry()
         out._entries = dict(self._entries)
         return out
@@ -466,9 +479,13 @@ class Kernel:
     (which of postselect, snapshot, rewind and clone it supports) and the
     unit ``one`` of its branch weights.  A state is the backend's own
     representation of one branch's quantum state (a dense vector, a tableau,
-    a sparse amplitude map), opaque to the interpreter apart from ``copy()``,
-    which is all ``snapshot`` and ``clone`` need.  The operations are
+    a sparse amplitude map), opaque to the interpreter.  The operations are
 
+    * ``keep(state)``: a state equal to ``state`` that no later operation
+      changes.  The interpreter keeps each snapshot, each clone and the
+      start state of each sampled trial with it, so a kernel whose
+      operations return new states may return ``state`` itself; the default
+      is ``state.copy()``;
     * ``init(n)`` and ``apply(state, gate_op)``;
     * ``postselect(state, qubit, bit) -> (prob, state)``, which raises
       :class:`InvalidPostselectionError` on an empty outcome;
@@ -484,6 +501,9 @@ class Kernel:
     gates: frozenset[str] = GATE_NAMES
     runs: frozenset[str] = frozenset(_OPTIONAL.values())
     one = 1.0
+
+    def keep(self, state):
+        return state.copy()
 
     def unsupported(self, circuit: Circuit) -> tuple[str, ...] | None:
         """Source keywords, ``("gate", name)`` or ``(kind,)``, of the first
@@ -532,31 +552,43 @@ class _Branch:
 _SAMPLE, _ENUMERATE = "sample", "enumerate"
 
 
+def _check_runs(circuit: Circuit, kernel: Kernel) -> None:
+    """Refuse a circuit that breaks a static rule or that ``kernel`` cannot run."""
+    validate(circuit)
+    words = kernel.unsupported(circuit)
+    if words is not None:
+        error = GateSetError if words[0] == "gate" else UnsupportedInstructionError
+        raise error(f"backend {kernel.name} cannot run {' '.join(words)}")
+
+
+def _start(circuit: Circuit, kernel: Kernel) -> _Branch:
+    return _Branch(kernel.init(circuit.n_qubits), kernel.one, MeasurementRecord())
+
+
 def _interpret(
     circuit: Circuit,
     kernel: Kernel,
     how: str,
+    start: _Branch,
+    stop: int,
     rng=None,
     mode: str = "strict",
     max_rewinds: int | None = None,
     min_postselect_prob: float = 0.0,
     max_depth: int | None = None,
 ) -> list[_Branch]:
-    """The one walk over the IR; returns every branch that runs to its end.
+    """The one walk over the IR: runs ``start``, and every branch it forks,
+    from its position up to instruction ``stop``; returns those that get
+    there.  The caller has checked the circuit with :func:`_check_runs`.
 
     ``how`` picks what a measurement does: draw from ``rng`` (sample, which
     follows one branch) or fork over both outcomes (enumerate).
     """
-    validate(circuit)
-    words = kernel.unsupported(circuit)
-    if words is not None:
-        error = GateSetError if words[0] == "gate" else UnsupportedInstructionError
-        raise error(f"backend {kernel.name} cannot run {' '.join(words)}")
     instructions = circuit.instructions
-    leaves, stack = [], [_Branch(kernel.init(circuit.n_qubits), kernel.one, MeasurementRecord())]
+    leaves, stack = [], [start]
     while stack:
         b = stack.pop()
-        while b.pc < len(instructions):
+        while b.pc < stop:
             instr = instructions[b.pc]
             b.pc += 1
             if isinstance(instr, Conditional):
@@ -597,10 +629,10 @@ def _interpret(
                         f"{min_postselect_prob:.6g}"
                     )
             elif isinstance(instr, Snapshot):
-                b.registry.store(instr.label, b.state)
+                b.registry.store(instr.label, kernel.keep(b.state))
             elif isinstance(instr, (Rewind, Clone)):
                 if isinstance(instr, Clone):
-                    b.state = b.registry.state(instr.label).copy()
+                    b.state = kernel.keep(b.registry.state(instr.label))
                 else:
                     b.rewinds += 1
                     if max_rewinds is not None and b.rewinds > max_rewinds:
@@ -609,9 +641,59 @@ def _interpret(
                         )
                     b.state = kernel.rewind(b.state, b.registry, instr.label, mode)
             # Accept is read once the walk ends.
-        else:  # the branch ran to its end without forking or being dropped
+        else:  # the branch got to ``stop`` without forking or being dropped
             leaves.append(b)
     return leaves
+
+
+def _first_draw(circuit: Circuit) -> int:
+    """Position of the first instruction that reads the RNG or the record (a
+    measurement or any conditional), or the circuit's length if none does."""
+    for pc, instr in enumerate(circuit.instructions):
+        if isinstance(instr, (Measure, Conditional)):
+            return pc
+    return len(circuit.instructions)
+
+
+def sampler(
+    circuit: Circuit,
+    kernel: Kernel,
+    mode: str = "strict",
+    max_rewinds: int | None = None,
+    min_postselect_prob: float = 0.0,
+) -> Callable[[object], RunResult]:
+    """A function ``rng -> RunResult`` that runs ``circuit`` once on ``kernel``
+    per call, sampling measurements from ``rng``.
+
+    The circuit is checked once, here.  The instructions before the first
+    one that reads the RNG or the record are the same in every trial, so the
+    first call runs them and keeps the branch they leave: position, state,
+    snapshots and rewinds used.  Each call continues from a copy of that
+    branch, its state taken through :meth:`Kernel.keep`, and draws what a run
+    from |0...0> draws.  If the prefix raises, nothing is kept, so every call
+    raises that error.  The accept qubit, if any, is measured last.
+    """
+    _check_runs(circuit, kernel)
+    prefix_end, end = _first_draw(circuit), len(circuit.instructions)
+    accept = accept_qubit(circuit)
+    options = dict(mode=mode, max_rewinds=max_rewinds, min_postselect_prob=min_postselect_prob)
+    prefix: _Branch | None = None
+
+    def trial(rng) -> RunResult:
+        nonlocal prefix
+        if prefix is None:
+            (prefix,) = _interpret(
+                circuit, kernel, _SAMPLE, _start(circuit, kernel), prefix_end, **options
+            )
+        b = prefix.copy()
+        b.state = kernel.keep(prefix.state)
+        (b,) = _interpret(circuit, kernel, _SAMPLE, b, end, rng, **options)
+        accept_bit = None
+        if accept is not None:
+            accept_bit, _, b.state = kernel.measure(b.state, accept, rng)
+        return RunResult(b.record, accept_bit, b.state, b.rewinds)
+
+    return trial
 
 
 def sample_run(
@@ -622,19 +704,9 @@ def sample_run(
     max_rewinds: int | None = None,
     min_postselect_prob: float = 0.0,
 ) -> RunResult:
-    """Execute ``circuit`` once on ``kernel``, sampling measurements from ``rng``.
-
-    The accept qubit, if any, is measured last.
-    """
-    (b,) = _interpret(
-        circuit, kernel, _SAMPLE, rng, mode=mode, max_rewinds=max_rewinds,
-        min_postselect_prob=min_postselect_prob,
-    )
-    accept_bit = None
-    accept = accept_qubit(circuit)
-    if accept is not None:
-        accept_bit, _, b.state = kernel.measure(b.state, accept, rng)
-    return RunResult(b.record, accept_bit, b.state, b.rewinds)
+    """Execute ``circuit`` once on ``kernel``, sampling measurements from
+    ``rng``: the one call of a new :func:`sampler`."""
+    return sampler(circuit, kernel, mode, max_rewinds, min_postselect_prob)(rng)
 
 
 def enumerate_branches(
@@ -648,9 +720,12 @@ def enumerate_branches(
     impossible.  Rewinds are certified in strict mode, as when sampling.
     ``max_depth`` bounds the number of measurements with two live outcomes.
     """
-    leaves = _interpret(circuit, kernel, _ENUMERATE, max_depth=max_depth)
+    _check_runs(circuit, kernel)
+    leaves = _interpret(
+        circuit, kernel, _ENUMERATE, _start(circuit, kernel), len(circuit.instructions),
+        max_depth=max_depth,
+    )
     return [
         (",".join(f"{label}={bit}" for label, bit, _ in b.record.entries), b.weight, b.state)
         for b in leaves
     ]
-

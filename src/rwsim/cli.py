@@ -52,8 +52,9 @@ from .circuit import (
     CircuitValidationError,
     accept_qubit,
     parse_circuit,
+    sampler,
 )
-from .gates import H, rz
+from .gates import H
 from .mbqc import (
     BrickworkSpec,
     MeasurementPattern,
@@ -126,13 +127,10 @@ def _trial_records(kind: str, args, trials: int, seed: int, jobs: int) -> list[s
 
 def _build_simulate(args):
     text, backend, mode, min_prob = args
-    circuit = parse_circuit(text)
+    trial = sampler(parse_circuit(text), _KERNELS[backend], mode, min_postselect_prob=min_prob)
 
     def one(rng: SplitMix64) -> str:
-        if backend == "sv":
-            result = statevector.run(circuit, rng, mode, min_postselect_prob=min_prob)
-        else:
-            result = stabilizer.stab_run(circuit, rng, mode)
+        result = trial(rng)
         parts = [f"{label}:{bit}" for label, bit, _ in result.record.entries]
         if result.accept_bit is not None:
             parts.append(f"accept:{result.accept_bit}")
@@ -219,7 +217,7 @@ def _build_mbqc(args):
     rotated = base
     for qubit, theta in entries:
         if theta:
-            rotated = apply_gate(rotated, rz(-theta), (qubit,))
+            rotated = apply_gate(rotated, pattern.rotations[theta], (qubit,))
         rotated = apply_gate(rotated, H, (qubit,))
     _, oracle = postselect_pattern_zero(rotated, [q for q, _ in entries])
 

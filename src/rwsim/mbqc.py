@@ -25,10 +25,11 @@ measurement to 0 with ``measure_until``, doubling the control qubit's
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .gates import CH, CZ, H, rz
+from .gates import CH, CZ, H, Gate, rz
 from .rng import SplitMix64
 from .statevector import (
     PureState,
@@ -96,6 +97,13 @@ class MeasurementPattern:
 
     entries: tuple[tuple[int, float], ...]
 
+    @cached_property
+    def rotations(self) -> dict[float, Gate]:
+        """``rz(-theta)`` for each distinct nonzero angle, built once per
+        pattern, so each gate's slice structure (``Gate.monomial``) is
+        computed once and not once per measured qubit and run."""
+        return {theta: rz(-theta) for _, theta in self.entries if theta}
+
     @classmethod
     def from_grid(
         cls, spec: BrickworkSpec, angles: list[tuple[int, int, float]]
@@ -154,7 +162,7 @@ def mbqc_run_rewind(
     outcomes: dict[int, int] = {}
     for qubit, theta in pattern.entries:
         if theta:
-            state = apply_gate(state, rz(-theta), (qubit,))
+            state = apply_gate(state, pattern.rotations[theta], (qubit,))
         state = apply_gate(state, H, (qubit,))
         bits, state = measure_until(state, qubit, 0, retry_budget + 1, rng)
         outcomes[qubit] = bits[-1]

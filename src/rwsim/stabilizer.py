@@ -28,8 +28,10 @@ of its product of them (the destabilizers it anticommutes with select it).
 ``KERNEL`` runs these rules under the circuit interpreter in :mod:`rwsim.circuit`:
 ``stab_run`` samples a path, ``stab_outcome_distribution`` and
 ``stab_strong_probability`` enumerate the branches with exact dyadic
-``Fraction`` weights; the interpreter's ``clone`` continues from the snapshot
-copy.  A circuit with a postselection or a non-Clifford gate is refused
+``Fraction`` weights; the interpreter's ``clone`` continues from the snapshot.
+``stab_apply`` and ``stab_measure`` work in place, so the kernel keeps a
+snapshot, a clone and a sampler's shared prefix as copies (``Kernel.keep``).
+A circuit with a postselection or a non-Clifford gate is refused
 before it runs.
 """
 
@@ -243,7 +245,7 @@ def _is_collapse_of(stored: StabilizerTableau, post: StabilizerTableau) -> bool:
 
 
 def stab_snapshot(tab: StabilizerTableau, registry: SnapshotRegistry, label: str) -> None:
-    registry.store(label, tab)
+    registry.store(label, tab.copy())
 
 
 def stab_rewind(

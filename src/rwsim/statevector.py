@@ -21,8 +21,11 @@ Conventions
   targets alone, so it is computed once per ``(n, targets)`` and cached:
   on 2-3-qubit states that work costs as much as the amplitudes.
 * All operations are functional — they return new states and never mutate
-  their input, so a snapshot is safe to keep by reference, and ``rewind``
-  returns the registry's stored state itself rather than a copy.
+  their input.  So ``rewind`` returns the registry's stored state itself,
+  and the kernel's ``keep`` returns its input, marked read-only: under the
+  interpreter a snapshot, a clone and the deterministic prefix that a
+  sampler's trials share are held by reference.  The protocol-level
+  :func:`snapshot` stores a copy.
 * ``rewind`` in strict mode refuses inputs it cannot certify: the state being
   rewound must equal (up to global phase) the stored snapshot projected onto
   some single-qubit outcome and renormalised.  The candidates checked first
@@ -36,8 +39,7 @@ Conventions
   it computes the outcome weights, the collapsed states and the rewind's
   certificate once, and each walk adds only its draws.
 * ``KERNEL`` runs these primitives under the circuit interpreter in
-  :mod:`rwsim.circuit`, whose ``clone`` continues from a copy of the stored
-  snapshot.
+  :mod:`rwsim.circuit`, whose ``clone`` continues from the stored snapshot.
 
 The default width cap is 24 qubits; the environment variable
 ``RWSIM_MAX_QUBITS`` overrides it.
@@ -307,7 +309,7 @@ def postselect(
 
 def snapshot(state: PureState, registry: SnapshotRegistry, label: str) -> None:
     """Store a copy of ``state`` under ``label``."""
-    registry.store(label, state)
+    registry.store(label, state.copy())
 
 
 def states_equal(a: PureState, b: PureState, tol: float = 1e-9) -> bool:
@@ -488,6 +490,9 @@ def _read_only(state: PureState) -> PureState:
 
 class _StateVectorKernel(Kernel):
     name = "sv"
+
+    def keep(self, state: PureState) -> PureState:
+        return _read_only(state)  # no operation changes its input
 
     def init(self, n: int) -> PureState:
         return init(n)

@@ -272,6 +272,24 @@ def test_demo_mbqc_with_pattern_file(capsys):
     assert float(report["fidelity_min"]) >= 1.0 - 1e-9
 
 
+def test_demo_mbqc_with_nonzero_angles_matches_its_oracle(tmp_path, capsys):
+    angled = tmp_path / "angled.pattern"
+    thetas = (0.3, 0.3, -1.25, 0.0, 0.7, 0.3, 2.5, -1.25)
+    cells = [(i, j) for j in range(1, 5) for i in (1, 2)]
+    angled.write_text("".join(
+        f"measure {i} {j} theta {theta!r}\n" for (i, j), theta in zip(cells, thetas)
+    ))
+    code, out, _ = run(
+        capsys,
+        [
+            "demo", "mbqc", "--rows", "2", "--cols", "5",
+            "--pattern", str(angled), "--budget", "3", "--trials", "25",
+        ],
+    )
+    assert code == 0
+    assert fields(out)["assert.fidelity"] == "pass"
+
+
 def test_demo_mbqc_rejects_bad_grid(capsys):
     code, _, err = run(capsys, ["demo", "mbqc", "--rows", "2", "--cols", "6"])
     assert code == 2 and "5 mod 8" in err

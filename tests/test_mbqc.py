@@ -24,6 +24,7 @@ from rwsim.statevector import (
     apply_gate,
     fidelity,
     init,
+    measure_until,
     postselect,
     prob_of_bit,
     slice_qubit,
@@ -213,6 +214,29 @@ def test_all_zero_runs_match_the_oracle_state():
             checked += 1
             assert fidelity(out, oracle) == pytest.approx(1.0, abs=1e-9)
     assert checked > 0
+
+
+def test_one_rotation_per_distinct_angle_gives_bit_identical_states():
+    spec = BrickworkSpec(2, 5)
+    base = build_brickwork(spec)
+    angles = (0.3, -1.25, 0.0, 0.3, 2.5, -1.25, 0.0, 0.7)
+    pattern = MeasurementPattern(tuple(zip(spec.measured_qubits(), angles)))
+    assert sorted(pattern.rotations) == [-1.25, 0.3, 0.7, 2.5]
+    assert pattern.rotations is pattern.rotations  # built once per pattern
+    for trial in range(6):
+        got = mbqc_run_rewind(base, pattern, 1, SplitMix64(stream_seed(0xB3, trial)))
+        # the same run with a fresh rz gate built for every measured qubit
+        state, rng, outcomes = base, SplitMix64(stream_seed(0xB3, trial)), {}
+        for qubit, theta in pattern.entries:
+            if theta:
+                state = apply_gate(state, rz(-theta), (qubit,))
+            state = apply_gate(state, H, (qubit,))
+            bits, state = measure_until(state, qubit, 0, 2, rng)
+            outcomes[qubit] = bits[-1]
+        for qubit in sorted(outcomes, reverse=True):
+            state = slice_qubit(state, qubit, outcomes[qubit])
+        assert got[1] == (not any(outcomes.values()))
+        assert np.array_equal(got[0].amps, state.amps)
 
 
 # ---------------------------------------------------------------------------
