@@ -436,6 +436,7 @@ class SnapshotRegistry:
         self._entries: dict[str, object] = {}
 
     def store(self, label: str, state):
+        """Keep ``state`` itself, not a copy: pass one nothing else changes."""
         if label in self._entries:
             raise ValueError(f"snapshot label {label!r} already in use")
         self._entries[label] = state
