@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -40,6 +41,7 @@ from .rng import SplitMix64
 from .statevector import (
     PureState,
     Reading,
+    RegisterReading,
     SnapshotRegistry,
     apply_gate,
     max_qubits,
@@ -48,7 +50,6 @@ from .statevector import (
     QubitBudgetError,
     RewindConsistencyError,
     rewind,
-    slice_qubit,
     snapshot,
 )
 
@@ -318,9 +319,22 @@ def _family_state(family: FunctionFamily) -> tuple[PureState, bool]:
     return result
 
 
-def _measure_register(state, qubits, rng) -> tuple[int, PureState]:
-    value, _, state = measure_register(state, qubits, rng)
-    return value, state
+def _family_readings(family: FunctionFamily) -> tuple[Reading | None, RegisterReading]:
+    """The validity-flag reading of the prepared state (padded families only)
+    and the image-register reading of the state that passed it.
+
+    After the image is read, the image qubits are fixed classical bits, so a
+    trial continues on the input register alone.  Cached on the family.
+    """
+    base, padded = _family_state(family)
+    cache = getattr(family, "_readings_cache", None)
+    if cache is None:
+        flag = Reading(base, base.n - 1) if padded else None
+        valid = flag.dropped(1) if padded else base
+        in_bits = family.input_bits
+        image = RegisterReading(valid, range(in_bits, in_bits + family.output_bits))
+        cache = family._readings_cache = (flag, image)
+    return cache
 
 
 def collision_find(
@@ -340,57 +354,47 @@ def collision_find(
 
     Without rewinding the preparation and measurements run twice
     independently and only an accidental image match can pair up.
+
+    The preparation and the image reading draw from readings cached on the
+    family (:func:`_family_readings`); everything after them runs on the
+    ``input_bits``-qubit state the image reading leaves.
     """
-    base, padded = _family_state(family)
+    flag, image = _family_readings(family)
     in_bits = family.input_bits
-    out_qubits = list(range(in_bits, in_bits + family.output_bits))
     images = family.images_array()
 
-    def fresh_run_state() -> PureState | None:
+    def input_state() -> PureState | None:
+        """Prepare (retrying on a failed validity flag) and read the image."""
         for _ in range(max_prep_attempts):
-            if not padded:
-                return base  # never mutated, so every trial can start from the cache
-            flag = base.n - 1
-            bit, _, state = measure(base, flag, rng)
-            if bit == 1:
-                return slice_qubit(state, flag, 1)
+            if flag is None or flag.draw(rng) == 1:
+                return image.dropped(image.draw(rng))
         return None
-
-    def read_all_inputs(state) -> tuple[int, PureState]:
-        return _measure_register(state, range(in_bits), rng)
 
     if not allow_rewind:
-        state = fresh_run_state()
+        xs = []
+        for _ in range(2):
+            state = input_state()
+            if state is None:
+                return None
+            xs.append(measure_register(state, range(in_bits), rng)[0])
+        x1, x2 = xs
+    else:
+        state = input_state()
         if state is None:
             return None
-        _, state = _measure_register(state, out_qubits, rng)
-        x1, _ = read_all_inputs(state)
-        state = fresh_run_state()
-        if state is None:
-            return None
-        _, state = _measure_register(state, out_qubits, rng)
-        x2, _ = read_all_inputs(state)
-        if x1 != x2 and images[x1] == images[x2]:
-            return family.decode(x1), family.decode(x2)
-        return None
-
-    state = fresh_run_state()
-    if state is None:
-        return None
-    _, state = _measure_register(state, out_qubits, rng)
-    registry = SnapshotRegistry()
-    snapshot(state, registry, "pre-last-bit")
-    last = in_bits - 1
-    bit1, _, state = measure(state, last, rng)
-    rest1, state = _measure_register(state, range(in_bits - 1), rng)
-    x1 = (rest1 << 1) | bit1
-    try:
-        state = rewind(state, registry, "pre-last-bit", "strict")
-    except RewindConsistencyError:
-        return None  # image had more than the two-branch structure
-    bit2, _, state = measure(state, last, rng)
-    rest2, _ = _measure_register(state, range(in_bits - 1), rng)
-    x2 = (rest2 << 1) | bit2
+        registry = SnapshotRegistry()
+        snapshot(state, registry, "pre-last-bit")
+        last = in_bits - 1
+        bit1, _, state = measure(state, last, rng)
+        rest1, _, state = measure_register(state, range(last), rng)
+        x1 = (rest1 << 1) | bit1
+        try:
+            state = rewind(state, registry, "pre-last-bit", "strict")
+        except RewindConsistencyError:
+            return None  # image had more than the two-branch structure
+        bit2, _, state = measure(state, last, rng)
+        rest2, _, _ = measure_register(state, range(last), rng)
+        x2 = (rest2 << 1) | bit2
     if x1 != x2 and images[x1] == images[x2]:
         return family.decode(x1), family.decode(x2)
     return None
@@ -516,17 +520,22 @@ def lwe_collision_partner(params: LWEParams, s, e, c: int):
 
 def _sd_state(c0: BooleanFunction, c1: BooleanFunction) -> PureState:
     n, m = c0.n, c0.output_bits
-    total = 1 + n + m
-    if total > max_qubits():
-        raise QubitBudgetError(f"sd instance needs {total} qubits, cap is {max_qubits()}")
-    amps = np.zeros(1 << total, dtype=complex)
+    amps = np.zeros(1 << (1 + n + m), dtype=complex)
     scale = 2.0 ** (-(n + 1) / 2.0)
     xs = np.arange(1 << n, dtype=np.int64)
     t0 = np.array(c0.table, dtype=np.int64)
     t1 = np.array(c1.table, dtype=np.int64)
     amps[(xs << m) | t0] = scale
     amps[(1 << (n + m)) | (xs << m) | t1] = scale
-    return PureState(total, amps)
+    return PureState(1 + n + m, amps)
+
+
+@lru_cache(maxsize=32)
+def _sd_image_reading(c0: BooleanFunction, c1: BooleanFunction) -> RegisterReading:
+    """The image-register reading of the branch-tagged state: qubit 0 is the
+    branch bit, then the n input qubits, then the m image qubits."""
+    n, m = c0.n, c0.output_bits
+    return RegisterReading(_sd_state(c0, c1), range(1 + n, 1 + n + m))
 
 
 def sd_decide(c0: BooleanFunction, c1: BooleanFunction, rng: SplitMix64) -> int:
@@ -534,12 +543,16 @@ def sd_decide(c0: BooleanFunction, c1: BooleanFunction, rng: SplitMix64) -> int:
 
     Output 1 has probability sum_y P(y) * 2 P0 P1 / (P0+P1)^2, which is large
     when the two output distributions overlap and small when they are far.
+    The image is read from a reading cached per table pair, and the branch
+    bit is measured, rewound and re-measured on the ``1 + n`` qubits left.
     """
     if (c0.n, c0.output_bits) != (c1.n, c1.output_bits):
         raise ValueError("both tables must share input and output sizes")
-    state = _sd_state(c0, c1)
-    n, m = c0.n, c0.output_bits
-    _, state = _measure_register(state, range(1 + n, 1 + n + m), rng)
+    total = 1 + c0.n + c0.output_bits
+    if total > max_qubits():
+        raise QubitBudgetError(f"sd instance needs {total} qubits, cap is {max_qubits()}")
+    image = _sd_image_reading(c0, c1)
+    state = image.dropped(image.draw(rng))
     registry = SnapshotRegistry()
     snapshot(state, registry, "post-image")
     b1, _, state = measure(state, 0, rng)

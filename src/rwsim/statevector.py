@@ -37,7 +37,12 @@ Conventions
   qubit until it reads a wanted bit, undoing each miss with a strict rewind.
   A :class:`Reading` is the same step for a state that many walks measure:
   it computes the outcome weights, the collapsed states and the rewind's
-  certificate once, and each walk adds only its draws.
+  certificate once, and each walk adds only its draws.  A
+  :class:`RegisterReading` does the same for a register of several qubits
+  read at once: it computes the joint weights of ``measure_register`` once,
+  draws with the same formula (:func:`draw_value`), and hands out each
+  collapsed state with the register sliced off, so a walk continues on the
+  remaining qubits alone.
 * ``KERNEL`` runs these primitives under the circuit interpreter in
   :mod:`rwsim.circuit`, whose ``clone`` continues from the stored snapshot.
 
@@ -266,6 +271,26 @@ def measure(state: PureState, qubit: int, rng: SplitMix64) -> tuple[int, float, 
     return (bit, *_outcome(state, qubit, bit, p0, p1))
 
 
+def _register_weights(
+    state: PureState, qubits
+) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, tuple[int, ...]]:
+    """The register as a tuple, the amplitudes with one row per register
+    value (big-endian in ``qubits``), the rows' joint weights, and the axis
+    order that moves the register back into place."""
+    n = state.n
+    qubits, order, inverse = _layout(n, qubits)
+    tensor = state.amps.reshape([2] * n).transpose(order).reshape(1 << len(qubits), -1)
+    return qubits, tensor, np.sum(np.abs(tensor) ** 2, axis=1), inverse
+
+
+def draw_value(probs: np.ndarray, rng: SplitMix64) -> int:
+    """The value a register measurement with joint weights ``probs`` reads:
+    one uniform draw, scaled by the total weight, located in the running sum."""
+    u = rng.uniform() * float(probs.sum())
+    value = int(np.searchsorted(np.cumsum(probs), u, side="right"))
+    return min(value, probs.size - 1)
+
+
 def measure_register(
     state: PureState, qubits, rng: SplitMix64
 ) -> tuple[int, float, PureState]:
@@ -276,15 +301,9 @@ def measure_register(
     joint marginal in a single pass, which is much cheaper on wide states.
     """
     n = state.n
-    qubits, order, inverse = _layout(n, qubits)
-    k = len(qubits)
-    tensor = state.amps.reshape([2] * n).transpose(order).reshape(1 << k, -1)
-    probs = np.sum(np.abs(tensor) ** 2, axis=1)
-    total = float(probs.sum())
-    u = rng.uniform() * total
-    value = int(np.searchsorted(np.cumsum(probs), u, side="right"))
-    value = min(value, (1 << k) - 1)
-    prob = float(probs[value]) / total
+    _, tensor, probs, inverse = _register_weights(state, qubits)
+    value = draw_value(probs, rng)
+    prob = float(probs[value]) / float(probs.sum())
     collapsed = np.zeros_like(tensor)
     collapsed[value] = tensor[value] / math.sqrt(float(probs[value]))
     amps = collapsed.reshape([2] * n).transpose(inverse).reshape(-1)
@@ -481,6 +500,38 @@ class Reading:
                 snapshot(self.state, registry, "entry")
                 rewind(self.collapsed(bit), registry, "entry", "strict")
                 self._certified[bit] = True
+
+
+class RegisterReading:
+    """A register of several qubits of one fixed state, for walks that
+    measure it many times: the sibling of :class:`Reading`.
+
+    ``probs`` are the joint weights :func:`measure_register` computes, and
+    :meth:`draw` reads a value from them with the draw ``measure_register``
+    makes.  The collapsed state of each value with the register sliced off
+    is computed at first use and kept; its amplitudes are those
+    ``measure_register`` leaves outside the register, bit for bit.  The
+    states it hands out are read-only: every walk shares them.
+    """
+
+    __slots__ = ("state", "qubits", "probs", "_rows", "_dropped")
+
+    def __init__(self, state: PureState, qubits):
+        self.state = state
+        self.qubits, self._rows, self.probs, _ = _register_weights(state, qubits)
+        self._dropped: dict[int, PureState] = {}
+
+    def draw(self, rng: SplitMix64) -> int:
+        return draw_value(self.probs, rng)
+
+    def dropped(self, value: int) -> PureState:
+        """The state collapsed onto ``value``, without the register's qubits."""
+        state = self._dropped.get(value)
+        if state is None:
+            amps = self._rows[value] / math.sqrt(float(self.probs[value]))
+            state = _read_only(PureState(self.state.n - len(self.qubits), amps))
+            self._dropped[value] = state
+        return state
 
 
 def _read_only(state: PureState) -> PureState:

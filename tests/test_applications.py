@@ -15,6 +15,7 @@ from rwsim.applications import (
     FunctionFamily,
     LWEParams,
     PromiseViolationError,
+    _family_readings,
     _family_state,
     collision_find,
     family_delta_exact,
@@ -26,6 +27,15 @@ from rwsim.applications import (
     toy_two_regular,
 )
 from rwsim.rng import SplitMix64, stream_seed
+from rwsim.statevector import (
+    RegisterReading,
+    RewindConsistencyError,
+    SnapshotRegistry,
+    postselect,
+    prob_of_bit,
+    rewind,
+    snapshot,
+)
 
 
 def _weighted_table(n: int, s: int) -> BooleanFunction:
@@ -115,10 +125,24 @@ def test_every_returned_pair_is_a_collision():
 def test_collision_trials_leave_the_cached_state_unchanged(size):
     fam = FunctionFamily(name="pairs", size=size, output_bits=3, evaluate=lambda i: i >> 1)
     rng = SplitMix64(stream_seed(0xC013, size))
-    cached = _family_state(fam)[0].amps.tobytes()
+    base = _family_state(fam)[0]
+    cached = base.amps.tobytes()
+    flag, image = _family_readings(fam)
+    assert (flag is None) == (size == 16)
+    assert image.state is (base if flag is None else flag.dropped(1))
+    values = np.flatnonzero(image.probs).tolist()
+    inputs = {v: image.dropped(v).amps.tobytes() for v in values}
+    valid = image.state.amps.tobytes()
     for _ in range(20):
         collision_find(fam, rng)
     assert _family_state(fam)[0].amps.tobytes() == cached
+    assert _family_readings(fam)[1] is image  # built once per family
+    assert image.state.amps.tobytes() == valid
+    # each input state equals a fresh reading's, so no trial wrote into one
+    fresh = RegisterReading(image.state, image.qubits)
+    for v in values:
+        assert image.dropped(v).amps.tobytes() == inputs[v]
+        assert inputs[v] == fresh.dropped(v).amps.tobytes()
 
 
 def test_rewinding_beats_independent_runs():
@@ -140,6 +164,66 @@ def test_four_preimage_family_always_refuses():
     assert family_delta_exact(fam) == Fraction(1)
     rng = SplitMix64(stream_seed(0xC011, 99))
     assert all(collision_find(fam, rng) is None for _ in range(50))
+
+
+def _collapse_onto(state, qubits, bits):
+    """``state`` collapsed onto the given bits of ``qubits``, or None if that
+    outcome has no weight."""
+    for q, b in zip(qubits, bits):
+        if prob_of_bit(state, q, b) <= 1e-12:
+            return None
+        _, state = postselect(state, q, b)
+    return state
+
+
+def _certifies(snap, post) -> bool:
+    registry = SnapshotRegistry()
+    snapshot(snap, registry, "pre-last-bit")
+    try:
+        rewind(post, registry, "pre-last-bit", "strict")
+    except RewindConsistencyError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [
+        toy_two_regular(3),
+        FunctionFamily(name="quad", size=16, output_bits=2, evaluate=lambda i: i >> 2),
+        FunctionFamily(name="pairs", size=12, output_bits=3, evaluate=lambda i: i >> 1),
+        # images of one, two and three preimages: both answers within one family
+        FunctionFamily(
+            name="mixed", size=8, output_bits=2, evaluate=(0, 0, 0, 1, 2, 2, 3, 3).__getitem__
+        ),
+    ],
+    ids=lambda fam: fam.name,
+)
+def test_strict_rewind_answers_on_the_input_register_as_at_full_width(fam):
+    """A collision trial rewinds on the state left after the image register is
+    sliced off.  For every image value, both last-bit outcomes and every
+    reading of the other input bits, the strict rewind must certify or refuse
+    there exactly as on the full-width state collapsed onto the same image."""
+    _, image = _family_readings(fam)
+    in_bits, out_bits = fam.input_bits, fam.output_bits
+    last, rest = in_bits - 1, list(range(in_bits - 1))
+    answers = []
+    for value in np.flatnonzero(image.probs).tolist():
+        image_bits = [value >> (out_bits - 1 - j) & 1 for j in range(out_bits)]
+        full = _collapse_onto(image.state, image.qubits, image_bits)
+        narrow = image.dropped(value)
+        for bit, rest_value in product((0, 1), range(1 << len(rest))):
+            bits = [bit] + [rest_value >> (len(rest) - 1 - j) & 1 for j in range(len(rest))]
+            post_full = _collapse_onto(full, [last, *rest], bits)
+            post_narrow = _collapse_onto(narrow, [last, *rest], bits)
+            assert (post_full is None) == (post_narrow is None)
+            if post_full is None:
+                continue
+            answer = _certifies(full, post_full)
+            assert _certifies(narrow, post_narrow) == answer, (value, bits)
+            answers.append(answer)
+    expected = {"quad": {False}, "mixed": {False, True}}.get(fam.name, {True})
+    assert set(answers) == expected
 
 
 def test_delta_on_mixed_family():

@@ -22,9 +22,17 @@ from rwsim.applications import (
     HIGH,
     LOW,
     BooleanFunction,
+    FunctionFamily,
+    LWEParams,
     PPDecision,
+    _family_state,
+    _sd_state,
+    collision_find,
+    lwe_family,
     pp_correct_probability,
     pp_decide,
+    sd_decide,
+    toy_two_regular,
 )
 from rwsim.gates import CH, H, hk
 from rwsim.mitigation import (
@@ -44,13 +52,18 @@ from rwsim.mitigation import (
 from rwsim.rng import _GAMMA, _MASK, SplitMix64, stream_seed
 from rwsim.statevector import (
     PureState,
+    RegisterReading,
     RewindConsistencyError,
     SnapshotRegistry,
     _collapse,
     apply_gate,
     apply_matrix,
     attach_zero,
+    from_amplitudes,
+    measure,
+    measure_register,
     prob_of_bit,
+    rewind,
     slice_qubit,
     snapshot,
 )
@@ -162,6 +175,63 @@ def _ref_pp_decide(f, rng, copies=64, tau=0.75):
             break
     return PPDecision(decision, fractions, copies, tau, failures["fallback"],
                       failures["prep"], failures["extract"])
+
+
+def _ref_collision_find(family, rng, allow_rewind=True, max_prep_attempts=64):
+    """The collision trial with every step on the full-width state."""
+    base, padded = _family_state(family)
+    in_bits = family.input_bits
+    out_qubits = list(range(in_bits, in_bits + family.output_bits))
+    images = family.images_array()
+
+    def image_read():
+        for _ in range(max_prep_attempts):
+            state = base
+            if padded:
+                bit, _, state = measure(base, base.n - 1, rng)
+                if bit == 0:
+                    continue
+                state = slice_qubit(state, base.n - 1, 1)
+            return measure_register(state, out_qubits, rng)[2]
+        return None
+
+    if not allow_rewind:
+        xs = []
+        for _ in range(2):
+            state = image_read()
+            if state is None:
+                return None
+            xs.append(measure_register(state, range(in_bits), rng)[0])
+        x1, x2 = xs
+    else:
+        state = image_read()
+        if state is None:
+            return None
+        registry = SnapshotRegistry()
+        snapshot(state, registry, "pre-last-bit")
+        bit1, _, state = measure(state, in_bits - 1, rng)
+        rest1, _, state = measure_register(state, range(in_bits - 1), rng)
+        try:
+            state = rewind(state, registry, "pre-last-bit", "strict")
+        except RewindConsistencyError:
+            return None
+        bit2, _, state = measure(state, in_bits - 1, rng)
+        rest2, _, _ = measure_register(state, range(in_bits - 1), rng)
+        x1, x2 = (rest1 << 1) | bit1, (rest2 << 1) | bit2
+    if x1 != x2 and images[x1] == images[x2]:
+        return family.decode(x1), family.decode(x2)
+    return None
+
+
+def _ref_sd_decide(c0, c1, rng):
+    n, m = c0.n, c0.output_bits
+    _, _, state = measure_register(_sd_state(c0, c1), range(1 + n, 1 + n + m), rng)
+    registry = SnapshotRegistry()
+    snapshot(state, registry, "post-image")
+    b1, _, state = measure(state, 0, rng)
+    state = rewind(state, registry, "post-image", "strict")
+    b2, _, _ = measure(state, 0, rng)
+    return int(b1 != b2)
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +405,118 @@ def test_the_preparation_chain_keeps_no_state_but_psi():
     assert len(weights) == 8
     assert all(type(w) is float for pair in weights for w in pair)
     assert isinstance(psi, PureState) and psi.n == 1
+
+
+# ---------------------------------------------------------------------------
+# register readings, collision and statistical-difference trials
+
+
+def _random_state(n: int, seed: int, sparse: bool = False) -> PureState:
+    gen = np.random.default_rng(seed)
+    amps = gen.normal(size=1 << n) + 1j * gen.normal(size=1 << n)
+    if sparse:  # some register values then have no weight at all
+        amps[gen.random(1 << n) < 0.6] = 0.0
+    return from_amplitudes(amps)
+
+
+def _without_register(state: PureState, qubits, value: int) -> np.ndarray:
+    """The amplitudes of ``state`` where the register reads ``value``."""
+    key: list = [slice(None)] * state.n
+    for j, q in enumerate(qubits):
+        key[q] = value >> (len(qubits) - 1 - j) & 1
+    return state.amps.reshape([2] * state.n)[tuple(key)].reshape(-1)
+
+
+REGISTERS = [
+    (5, (0, 1)),  # leading
+    (5, (3, 4)),  # trailing
+    (6, (4, 1, 2)),  # scattered, out of order
+    (6, (5, 0, 3)),
+    (4, (2,)),
+]
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("n,qubits", REGISTERS)
+def test_a_register_reading_draws_and_collapses_as_measure_register(n, qubits, sparse):
+    state = _random_state(n, 17 * n + len(qubits), sparse)
+    reading = RegisterReading(state, qubits)
+    for seed in range(40):
+        ref_rng = SplitMix64(stream_seed(0xC4A8, seed))
+        rng = SplitMix64(ref_rng.state)
+        value, _, joint = measure_register(state, qubits, ref_rng)
+        assert reading.draw(rng) == value
+        assert rng.state == ref_rng.state
+        dropped = reading.dropped(value)
+        assert dropped.n == n - len(qubits)
+        assert np.array_equal(dropped.amps, _without_register(joint, qubits, value))
+
+
+def test_a_register_draw_of_exactly_zero_never_reads_an_empty_value():
+    """The draw locates u in the running sum to the right of equal entries,
+    so a uniform of exactly 0.0 skips the leading values with no weight."""
+    amps = np.zeros(8, dtype=complex)
+    amps[[2, 5, 7]] = 1.0  # qubits (0, 1) never read 00
+    state = from_amplitudes(amps)
+    reading = RegisterReading(state, (0, 1))
+    assert reading.probs[0] == 0.0
+    value, _, _ = measure_register(state, (0, 1), _uniform_zero_rng())
+    assert reading.draw(_uniform_zero_rng()) == value == 1
+
+
+def test_register_reading_states_are_read_only():
+    reading = RegisterReading(_random_state(4, 1), (1, 3))
+    for value in range(4):
+        with pytest.raises(ValueError):
+            reading.dropped(value).amps[0] = 0.0
+
+
+def _collision_families():
+    return [
+        toy_two_regular(3),
+        FunctionFamily(name="quad", size=16, output_bits=2, evaluate=lambda i: i >> 2),
+        FunctionFamily(name="pairs", size=12, output_bits=3, evaluate=lambda i: i >> 1),
+        lwe_family(LWEParams.toy_scale(SplitMix64(3))),
+    ]
+
+
+@pytest.mark.parametrize("allow_rewind", [True, False])
+def test_collision_trials_draw_as_the_full_width_reference(allow_rewind):
+    for family in _collision_families():
+        results = []
+        for seed in range(30):
+            ref_rng = SplitMix64(stream_seed(0xC4A9, seed))
+            rng = SplitMix64(ref_rng.state)
+            want = _ref_collision_find(family, ref_rng, allow_rewind)
+            got = collision_find(family, rng, allow_rewind)
+            assert got == want, (family.name, seed)
+            assert rng.state == ref_rng.state, (family.name, seed)
+            results.append(got is not None)
+        if allow_rewind and family.name != "quad":
+            assert any(results), family.name
+
+
+def test_a_failed_preparation_draws_as_the_reference():
+    family = FunctionFamily(name="pairs", size=12, output_bits=3, evaluate=lambda i: i >> 1)
+    for seed in range(30):
+        ref_rng = SplitMix64(stream_seed(0xC4AA, seed))
+        rng = SplitMix64(ref_rng.state)
+        want = _ref_collision_find(family, ref_rng, max_prep_attempts=1)
+        assert collision_find(family, rng, max_prep_attempts=1) == want
+        assert rng.state == ref_rng.state
+
+
+def test_sd_trials_draw_as_the_full_width_reference():
+    tables = _random_tables(3, 4, 0xC4AB)
+    pairs = [(BooleanFunction(3, a), BooleanFunction(3, b)) for a, b in zip(tables, tables[1:])]
+    wide = [tuple(i * 5 % 4 for i in range(8)), tuple(i % 3 for i in range(8))]
+    pairs.append((BooleanFunction(3, wide[0], 2), BooleanFunction(3, wide[1], 2)))
+    for index, (c0, c1) in enumerate(pairs):
+        ref_rng = SplitMix64(stream_seed(0xC4AC, index))
+        rng = SplitMix64(ref_rng.state)
+        for _ in range(30):
+            assert sd_decide(c0, c1, rng) == _ref_sd_decide(c0, c1, ref_rng)
+            assert rng.state == ref_rng.state
 
 
 # ---------------------------------------------------------------------------
