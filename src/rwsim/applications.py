@@ -11,7 +11,8 @@ Three protocols share the preparation + mitigation toolbox:
   rewind of the last input qubit to sample two preimages.
 * :func:`sd_decide` — given two output tables, measures which table a random
   branch came from, rewinds once, and re-measures; disagreement frequency
-  reveals the statistical difference between the induced distributions.
+  reveals the statistical difference between the induced distributions;
+  :func:`sd_trial` runs one trial on a reading built once per table pair.
 
 Exact counterparts (:func:`family_delta_exact`, :func:`sd_error_exact`)
 compute the relevant quantities as Fractions by brute-force enumeration, so
@@ -23,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -287,23 +287,24 @@ def family_delta_exact(family: FunctionFamily) -> Fraction:
     return Fraction(collidable_a, family.size)
 
 
+def _check_family_width(family: FunctionFamily) -> None:
+    if family.width > max_qubits():
+        raise QubitBudgetError(
+            f"family {family.name} needs {family.width} qubits, cap is {max_qubits()}"
+        )
+
+
 def _family_state(family: FunctionFamily) -> tuple[PureState, bool]:
     """Uniform superposition |x>|f(x)>|1> padded with |x>|0...0>|0> terms.
 
     The validity flag is appended only when the domain size is not a power
-    of two.  Cached on the family.
+    of two.  Trials use it through :func:`_family_readings`, which caches it.
     """
+    _check_family_width(family)
     in_bits = family.input_bits
     out_bits = family.output_bits
     padded = family.padded
     total = family.width
-    if total > max_qubits():
-        raise QubitBudgetError(
-            f"family {family.name} needs {total} qubits, cap is {max_qubits()}"
-        )
-    cache = getattr(family, "_state_cache", None)
-    if cache is not None:
-        return cache
     amps = np.zeros(1 << total, dtype=complex)
     scale = 2.0 ** (-in_bits / 2.0)
     idx = np.arange(family.size, dtype=np.int64)
@@ -314,9 +315,7 @@ def _family_state(family: FunctionFamily) -> tuple[PureState, bool]:
         amps[pad << (out_bits + 1)] = scale
     else:
         amps[(idx << out_bits) | images] = scale
-    result = (PureState(total, amps), padded)
-    family._state_cache = result
-    return result
+    return PureState(total, amps), padded
 
 
 def _family_readings(family: FunctionFamily) -> tuple[Reading | None, RegisterReading]:
@@ -324,11 +323,13 @@ def _family_readings(family: FunctionFamily) -> tuple[Reading | None, RegisterRe
     and the image-register reading of the state that passed it.
 
     After the image is read, the image qubits are fixed classical bits, so a
-    trial continues on the input register alone.  Cached on the family.
+    trial continues on the input register alone.  Cached on the family; the
+    width check runs on every call, so a lowered cap still refuses.
     """
-    base, padded = _family_state(family)
+    _check_family_width(family)
     cache = getattr(family, "_readings_cache", None)
     if cache is None:
+        base, padded = _family_state(family)
         flag = Reading(base, base.n - 1) if padded else None
         valid = flag.dropped(1) if padded else base
         in_bits = family.input_bits
@@ -530,28 +531,27 @@ def _sd_state(c0: BooleanFunction, c1: BooleanFunction) -> PureState:
     return PureState(1 + n + m, amps)
 
 
-@lru_cache(maxsize=32)
-def _sd_image_reading(c0: BooleanFunction, c1: BooleanFunction) -> RegisterReading:
+def sd_image_reading(c0: BooleanFunction, c1: BooleanFunction) -> RegisterReading:
     """The image-register reading of the branch-tagged state: qubit 0 is the
-    branch bit, then the n input qubits, then the m image qubits."""
-    n, m = c0.n, c0.output_bits
-    return RegisterReading(_sd_state(c0, c1), range(1 + n, 1 + n + m))
+    branch bit, then the n input qubits, then the m image qubits.
 
-
-def sd_decide(c0: BooleanFunction, c1: BooleanFunction, rng: SplitMix64) -> int:
-    """Sample [b1 != b2] from measure-rewind-remeasure on the branch bit.
-
-    Output 1 has probability sum_y P(y) * 2 P0 P1 / (P0+P1)^2, which is large
-    when the two output distributions overlap and small when they are far.
-    The image is read from a reading cached per table pair, and the branch
-    bit is measured, rewound and re-measured on the ``1 + n`` qubits left.
+    Build it once per table pair and hand it to :func:`sd_trial` for every
+    trial; :class:`QubitBudgetError` if the state is over the cap.
     """
     if (c0.n, c0.output_bits) != (c1.n, c1.output_bits):
         raise ValueError("both tables must share input and output sizes")
-    total = 1 + c0.n + c0.output_bits
-    if total > max_qubits():
-        raise QubitBudgetError(f"sd instance needs {total} qubits, cap is {max_qubits()}")
-    image = _sd_image_reading(c0, c1)
+    n, m = c0.n, c0.output_bits
+    if 1 + n + m > max_qubits():
+        raise QubitBudgetError(f"sd instance needs {1 + n + m} qubits, cap is {max_qubits()}")
+    return RegisterReading(_sd_state(c0, c1), range(1 + n, 1 + n + m))
+
+
+def sd_trial(image: RegisterReading, rng: SplitMix64) -> int:
+    """One measure-rewind-remeasure trial on a table pair's image reading.
+
+    The image is drawn from the reading, and the branch bit is measured,
+    rewound and re-measured on the ``1 + n`` qubits left.
+    """
     state = image.dropped(image.draw(rng))
     registry = SnapshotRegistry()
     snapshot(state, registry, "post-image")
@@ -559,6 +559,18 @@ def sd_decide(c0: BooleanFunction, c1: BooleanFunction, rng: SplitMix64) -> int:
     state = rewind(state, registry, "post-image", "strict")
     b2, _, state = measure(state, 0, rng)
     return int(b1 != b2)
+
+
+def sd_decide(c0: BooleanFunction, c1: BooleanFunction, rng: SplitMix64) -> int:
+    """Sample [b1 != b2] from measure-rewind-remeasure on the branch bit.
+
+    Output 1 has probability sum_y P(y) * 2 P0 P1 / (P0+P1)^2, which is large
+    when the two output distributions overlap and small when they are far.
+    Builds the pair's reading for this one trial; a loop over trials of one
+    pair builds it once with :func:`sd_image_reading` and calls
+    :func:`sd_trial`.
+    """
+    return sd_trial(sd_image_reading(c0, c1), rng)
 
 
 def sd_error_exact(

@@ -42,8 +42,9 @@ from .applications import (
     family_delta_exact,
     lwe_family,
     pp_decide,
-    sd_decide,
     sd_error_exact,
+    sd_image_reading,
+    sd_trial,
     toy_two_regular,
 )
 from . import pathsum, stabilizer, statevector
@@ -200,11 +201,10 @@ def _build_collision(args):
 
 def _build_sd(args):
     n, m, table0, table1 = args
-    c0 = BooleanFunction(n, table0, m)
-    c1 = BooleanFunction(n, table1, m)
+    image = sd_image_reading(BooleanFunction(n, table0, m), BooleanFunction(n, table1, m))
 
     def one(rng: SplitMix64) -> str:
-        return f"differ:{sd_decide(c0, c1, rng)}"
+        return f"differ:{sd_trial(image, rng)}"
 
     return one
 

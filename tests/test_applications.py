@@ -24,10 +24,12 @@ from rwsim.applications import (
     pp_decide,
     sd_decide,
     sd_error_exact,
+    sd_image_reading,
     toy_two_regular,
 )
 from rwsim.rng import SplitMix64, stream_seed
 from rwsim.statevector import (
+    QubitBudgetError,
     RegisterReading,
     RewindConsistencyError,
     SnapshotRegistry,
@@ -125,24 +127,36 @@ def test_every_returned_pair_is_a_collision():
 def test_collision_trials_leave_the_cached_state_unchanged(size):
     fam = FunctionFamily(name="pairs", size=size, output_bits=3, evaluate=lambda i: i >> 1)
     rng = SplitMix64(stream_seed(0xC013, size))
-    base = _family_state(fam)[0]
-    cached = base.amps.tobytes()
     flag, image = _family_readings(fam)
     assert (flag is None) == (size == 16)
-    assert image.state is (base if flag is None else flag.dropped(1))
+    base = image.state if flag is None else flag.state
+    assert np.array_equal(base.amps, _family_state(fam)[0].amps)
+    if flag is not None:
+        assert image.state is flag.dropped(1)
+    cached = base.amps.tobytes()
     values = np.flatnonzero(image.probs).tolist()
     inputs = {v: image.dropped(v).amps.tobytes() for v in values}
     valid = image.state.amps.tobytes()
     for _ in range(20):
         collision_find(fam, rng)
-    assert _family_state(fam)[0].amps.tobytes() == cached
-    assert _family_readings(fam)[1] is image  # built once per family
+    assert base.amps.tobytes() == cached
+    again = _family_readings(fam)  # built once per family
+    assert again[0] is flag and again[1] is image
     assert image.state.amps.tobytes() == valid
     # each input state equals a fresh reading's, so no trial wrote into one
     fresh = RegisterReading(image.state, image.qubits)
     for v in values:
         assert image.dropped(v).amps.tobytes() == inputs[v]
         assert inputs[v] == fresh.dropped(v).amps.tobytes()
+
+
+def test_collision_refuses_a_lowered_cap_once_the_readings_are_cached(monkeypatch):
+    fam = toy_two_regular(3)  # 4 input and 3 image qubits
+    rng = SplitMix64(stream_seed(0xC014, 0))
+    collision_find(fam, rng)
+    monkeypatch.setenv("RWSIM_MAX_QUBITS", "6")
+    with pytest.raises(QubitBudgetError, match="needs 7 qubits, cap is 6"):
+        collision_find(fam, rng)
 
 
 def test_rewinding_beats_independent_runs():
@@ -375,6 +389,18 @@ def test_size_mismatch_rejected():
             BooleanFunction(2, (0, 1, 2, 3), output_bits=2),
             BooleanFunction(2, (0, 1, 1, 0)),
         )
+
+
+def test_sd_refuses_a_lowered_cap_after_a_trial(monkeypatch):
+    c0 = BooleanFunction(2, (0, 0, 1, 1))
+    c1 = BooleanFunction(2, (0, 1, 1, 1))  # 1 branch, 2 input and 1 image qubit
+    rng = SplitMix64(stream_seed(0x5D, 22))
+    sd_decide(c0, c1, rng)
+    monkeypatch.setenv("RWSIM_MAX_QUBITS", "3")
+    with pytest.raises(QubitBudgetError, match="sd instance needs 4 qubits, cap is 3"):
+        sd_decide(c0, c1, rng)
+    with pytest.raises(QubitBudgetError, match="sd instance needs 4 qubits"):
+        sd_image_reading(c0, c1)
 
 
 def test_sampler_tracks_exact_disagreement_probability():

@@ -32,6 +32,8 @@ from rwsim.applications import (
     pp_correct_probability,
     pp_decide,
     sd_decide,
+    sd_image_reading,
+    sd_trial,
     toy_two_regular,
 )
 from rwsim.gates import CH, H, hk
@@ -514,9 +516,12 @@ def test_sd_trials_draw_as_the_full_width_reference():
     for index, (c0, c1) in enumerate(pairs):
         ref_rng = SplitMix64(stream_seed(0xC4AC, index))
         rng = SplitMix64(ref_rng.state)
+        image = sd_image_reading(c0, c1)  # shared by the trials, as the CLI does
         for _ in range(30):
-            assert sd_decide(c0, c1, rng) == _ref_sd_decide(c0, c1, ref_rng)
+            assert sd_trial(image, rng) == _ref_sd_decide(c0, c1, ref_rng)
             assert rng.state == ref_rng.state
+        assert sd_decide(c0, c1, rng) == _ref_sd_decide(c0, c1, ref_rng)
+        assert rng.state == ref_rng.state
 
 
 # ---------------------------------------------------------------------------
