@@ -14,9 +14,10 @@ Three protocols share the preparation + mitigation toolbox:
   reveals the statistical difference between the induced distributions;
   :func:`sd_trial` runs one trial on a reading built once per table pair.
 
-Exact counterparts (:func:`family_delta_exact`, :func:`sd_error_exact`)
-compute the relevant quantities as Fractions by brute-force enumeration, so
-the sampling protocols can be validated end to end.
+Exact counterparts (:func:`family_delta_exact`,
+:func:`collision_success_probability`, :func:`sd_error_exact`) compute the
+relevant quantities as Fractions by brute-force enumeration, so the sampling
+protocols can be validated end to end.
 """
 
 from __future__ import annotations
@@ -285,6 +286,34 @@ def family_delta_exact(family: FunctionFamily) -> Fraction:
         run = 1
     assert collidable_a == collidable_b, "independent delta enumerations disagree"
     return Fraction(collidable_a, family.size)
+
+
+def collision_success_probability(family: FunctionFamily, max_prep_attempts: int = 64) -> Fraction:
+    """Exact probability that one :func:`collision_find` trial with rewinding
+    returns a pair.
+
+    The image y is read with probability k/size, k being its number of
+    preimages, and x1 is uniform over them.  The strict rewind accepts only
+    if the post-state |x1> is the prepared superposition collapsed on one
+    input qubit, that is, if one bit tells x1 apart from the other preimages
+    (always so for k = 2; for k = 1 the state is unchanged, and x2 = x1).
+    Then x2 is uniform over the preimages and differs from x1 with
+    probability (k-1)/k.  The preparation succeeds within
+    ``max_prep_attempts`` flag readings unless each reads the padding.
+    """
+    in_bits, size = family.input_bits, family.size
+    _, group, counts = np.unique(family.images_array(), return_inverse=True, return_counts=True)
+    k = counts[group]  # preimages of each element's image
+    told_apart, index = np.zeros(size, dtype=bool), np.arange(size)
+    for q in range(in_bits):
+        bit = (index >> q) & 1
+        ones = np.bincount(group, weights=bit, minlength=counts.size)[group]
+        told_apart |= np.where(bit == 1, ones, k - ones) == 1
+    p = Fraction(0)
+    for kk in np.unique(k[k >= 2]).tolist():
+        p += Fraction(int(np.count_nonzero(told_apart & (k == kk))) * (kk - 1), kk)
+    prepared = 1 - (1 - Fraction(size, 1 << in_bits)) ** max_prep_attempts
+    return prepared * p / size
 
 
 def _check_family_width(family: FunctionFamily) -> None:

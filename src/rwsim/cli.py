@@ -39,6 +39,7 @@ from .applications import (
     BooleanFunction,
     LWEParams,
     collision_find,
+    collision_success_probability,
     family_delta_exact,
     lwe_family,
     pp_decide,
@@ -127,8 +128,8 @@ def _trial_records(kind: str, args, trials: int, seed: int, jobs: int) -> list[s
 
 
 def _build_simulate(args):
-    text, backend, mode, min_prob = args
-    trial = sampler(parse_circuit(text), _KERNELS[backend], mode, min_postselect_prob=min_prob)
+    circuit, backend, mode, min_prob = args
+    trial = sampler(circuit, _KERNELS[backend], mode, min_postselect_prob=min_prob)
 
     def one(rng: SplitMix64) -> str:
         result = trial(rng)
@@ -299,7 +300,7 @@ def cmd_simulate(ns) -> tuple[list, bool]:
         statevector.check_width(circuit.n_qubits)  # before any worker starts
     records = _trial_records(
         "simulate",
-        (text, ns.backend, ns.mode, ns.min_postselect_prob),
+        (circuit, ns.backend, ns.mode, ns.min_postselect_prob),
         ns.trials,
         ns.seed,
         ns.jobs,
@@ -407,7 +408,7 @@ def cmd_demo_collision(ns) -> tuple[list, bool]:
     ok = invalid == 0
     lines.append(("assert.pairs_verify", "pass" if ok else "fail"))
     if rewind_on:
-        bound = float(delta) / 2.0
+        bound = float(collision_success_probability(family))
         threshold = max(bound - 3.0 * math.sqrt(bound * (1.0 - bound) / ns.trials), 0.0)
         hit = freq >= threshold
         lines.append(("success_threshold", threshold))

@@ -2,17 +2,22 @@
 
 The tableau of Aaronson and Gottesman (quant-ph/0406196) has 2n rows: rows
 0..n-1 are destabilizers, rows n..2n-1 stabilizers.  Row i is the Pauli
-(-1)^{r_i} prod_j i^{x_{ij} z_{ij}} X^{x_{ij}} Z^{z_{ij}}, with X and Z bits
-packed into uint64 words, so a gate is a handful of column updates on every
-row.  Destabilizer i anticommutes with stabilizer i and commutes with the
-other stabilizers; |0...0> starts with destabilizers X_i and stabilizers Z_i.
+(-1)^{r_i} prod_j i^{x_{ij} z_{ij}} X^{x_{ij}} Z^{z_{ij}}.  The tableau is
+stored transposed, as in Stim (Gidney 2021): qubit j's column is one Python
+int ``X[j]`` and one ``Z[j]`` whose bit i is row i's bit at j, and the signs
+are one int ``r``.  A gate touches only its own qubits' columns, so it is a
+few integer operations whatever the width.  Destabilizer i anticommutes with
+stabilizer i and commutes with the other stabilizers; |0...0> starts with
+destabilizers X_i and stabilizers Z_i.
 
 Measurement of qubit a looks at the stabilizer half only:
 
 * some stabilizer has an X bit at a: the outcome is a fair coin.  The
   lowest-index such stabilizer is the pivot; it is multiplied into every other
   row with an X bit at a, except its own destabilizer, which takes the old
-  pivot row.  The pivot becomes (-1)^outcome Z_a.
+  pivot row.  The pivot becomes (-1)^outcome Z_a.  The row products run as
+  one pass over the columns, with each row's i-exponent counted mod 4 in two
+  ints over the rows.
 * none has: the outcome is determined.  Z_a is the product of the stabilizers
   whose destabilizer has an X bit at a, and that product's sign is the outcome.
 
@@ -20,10 +25,12 @@ Strict rewind checks that the post-state is the snapshot collapsed onto one
 outcome of one qubit.  Measuring a deterministic qubit leaves the snapshot
 unchanged, and measuring a random one makes its Z outcome deterministic, so
 the candidates are exactly: the snapshot itself (if it has a deterministic
-qubit), and each qubit random in the snapshot but deterministic after,
-collapsed onto that outcome.  Two tableaux hold the same state when each
-stabilizer of one commutes with the other's stabilizers and carries the sign
-of its product of them (the destabilizers it anticommutes with select it).
+qubit and the same random qubits), and each qubit random in the snapshot but
+deterministic after, collapsed onto that outcome.  Two tableaux with equal
+stabilizer rows and signs hold the same state; otherwise they hold the same
+state when each stabilizer of one commutes with the other's stabilizers and
+carries the sign of its product of them (the destabilizers it anticommutes
+with select it), a check run on row arrays with NumPy.
 
 ``KERNEL`` runs these rules under the circuit interpreter in :mod:`rwsim.circuit`:
 ``stab_run`` samples a path, ``stab_outcome_distribution`` and
@@ -65,67 +72,150 @@ TableauRegistry = SnapshotRegistry
 @dataclass
 class StabilizerTableau:
     n: int
-    X: np.ndarray  # (2n, words) uint64: destabilizers, then stabilizers
-    Z: np.ndarray  # (2n, words) uint64
-    r: np.ndarray  # (2n,) uint8 sign bits
+    X: list[int]  # per qubit, its X bit of every row: destabilizers 0..n-1, stabilizers n..2n-1
+    Z: list[int]  # per qubit, its Z bit of every row
+    r: int  # sign bit of every row
 
     def copy(self) -> "StabilizerTableau":
-        return StabilizerTableau(self.n, self.X.copy(), self.Z.copy(), self.r.copy())
+        return StabilizerTableau(self.n, self.X[:], self.Z[:], self.r)
 
 
 def stab_init(n: int) -> StabilizerTableau:
     """Tableau of |0...0>: destabilizers X_0 ... X_{n-1}, stabilizers Z_0 ... Z_{n-1}."""
     if n < 1:
         raise ValueError("need at least one qubit")
-    words = (n + 63) // 64
-    X = np.zeros((2 * n, words), dtype=np.uint64)
-    Z = np.zeros((2 * n, words), dtype=np.uint64)
-    for i in range(n):
-        X[i, i // 64] = Z[n + i, i // 64] = np.uint64(1) << np.uint64(i % 64)
-    return StabilizerTableau(n, X, Z, np.zeros(2 * n, dtype=np.uint8))
-
-
-def _col(arr: np.ndarray, qubit: int) -> np.ndarray:
-    """Extract qubit's bit from every row as a 0/1 uint64 vector."""
-    w, sh = divmod(qubit, 64)
-    return (arr[:, w] >> np.uint64(sh)) & np.uint64(1)
-
-
-def _flip_col(arr: np.ndarray, qubit: int, mask: np.ndarray) -> None:
-    """XOR the 0/1 vector ``mask`` into qubit's bit column."""
-    w, sh = divmod(qubit, 64)
-    arr[:, w] ^= mask << np.uint64(sh)
+    return StabilizerTableau(n, [1 << j for j in range(n)], [1 << (n + j) for j in range(n)], 0)
 
 
 def stab_apply(tab: StabilizerTableau, g: Gate, targets: tuple[int, ...]) -> StabilizerTableau:
     """Apply a Clifford gate in place (returns the same tableau)."""
-    if g.name not in CLIFFORD_NAMES:
+    X, Z, name = tab.X, tab.Z, g.name
+    if name == "cz":
+        a, b = targets
+        xa, xb, za, zb = X[a], X[b], Z[a], Z[b]
+        tab.r ^= xa & xb & (za ^ zb)
+        Z[a] = za ^ xb
+        Z[b] = zb ^ xa
+    elif name == "h":
+        (a,) = targets
+        tab.r ^= X[a] & Z[a]
+        X[a], Z[a] = Z[a], X[a]
+    elif name == "s":
+        (a,) = targets
+        tab.r ^= X[a] & Z[a]
+        Z[a] ^= X[a]
+    elif name == "x":
+        (a,) = targets
+        tab.r ^= Z[a]
+    else:
         raise GateSetError(
             f"gate {g.name!r} is outside the stabilizer set {{h, s, cz, x}}"
         )
-    if g.name == "h":
-        (a,) = targets
-        xa, za = _col(tab.X, a), _col(tab.Z, a)
-        tab.r ^= (xa & za).astype(np.uint8)
-        diff = xa ^ za
-        _flip_col(tab.X, a, diff)
-        _flip_col(tab.Z, a, diff)
-    elif g.name == "s":
-        (a,) = targets
-        xa, za = _col(tab.X, a), _col(tab.Z, a)
-        tab.r ^= (xa & za).astype(np.uint8)
-        _flip_col(tab.Z, a, xa)
-    elif g.name == "x":
-        (a,) = targets
-        tab.r ^= _col(tab.Z, a).astype(np.uint8)
-    else:  # cz
-        a, b = targets
-        xa, za = _col(tab.X, a), _col(tab.Z, a)
-        xb, zb = _col(tab.X, b), _col(tab.Z, b)
-        tab.r ^= (xa & xb & (za ^ zb)).astype(np.uint8)
-        _flip_col(tab.Z, a, xb)
-        _flip_col(tab.Z, b, xa)
     return tab
+
+
+def _deterministic_outcome(tab: StabilizerTableau, qubit: int) -> int:
+    """Outcome of measuring ``qubit`` when no stabilizer anticommutes with Z_qubit.
+
+    It is the sign of the product of the stabilizers whose destabilizer has
+    an X bit at ``qubit``.  In one qubit's column, the product of the chosen
+    rows' factors i^{xz} X^x Z^z in row order is i^e times the factor of the
+    XOR of their bits, where e = #(x = z = 1) + 2 #(rows i < l with z_i = x_l
+    = 1) - (parity of x)(parity of z); the i-exponents of all columns and
+    twice the chosen signs add up mod 4.
+    """
+    n = tab.n
+    chosen = tab.X[qubit] & ((1 << n) - 1)  # destabilizer i selects stabilizer n + i
+    width = chosen.bit_length()
+    e = 2 * (tab.r >> n & chosen).bit_count()
+    for x, z in zip(tab.X, tab.Z):
+        x = x >> n & chosen
+        z = z >> n & chosen
+        if x and z:
+            below = z  # bit l: parity of z's bits 0..l
+            shift = 1
+            while shift < width:
+                below ^= below << shift
+                shift <<= 1
+            e += (x & z).bit_count() + 2 * (x & below << 1).bit_count()
+            e -= x.bit_count() & z.bit_count() & 1
+    assert e % 2 == 0, "product of anticommuting rows"
+    return e >> 1 & 1
+
+
+def stab_measure(
+    tab: StabilizerTableau, qubit: int, rng: SplitMix64 | None, force: int | None = None
+) -> tuple[int, float, StabilizerTableau]:
+    """Z-measure in place: (bit, probability in {1/2, 1}, same tableau).
+
+    ``force`` overrides the coin for random outcomes (used by the exact
+    enumerators); deterministic outcomes ignore it.
+    """
+    n, X, Z = tab.n, tab.X, tab.Z
+    anticommuting = X[qubit] >> n
+    if not anticommuting:
+        return _deterministic_outcome(tab, qubit), 1.0, tab
+    dest = (anticommuting & -anticommuting).bit_length() - 1  # lowest-index stabilizer
+    pivot = n + dest
+    moved = 1 << pivot | 1 << dest
+    keep = ~moved
+    rows = X[qubit] & keep  # each takes row_pivot * row_q
+    lo = hi = 0  # per row, the i-exponent of its product so far, mod 4
+    for j in range(n):
+        x, z = X[j], Z[j]
+        if not (x | z) & moved:
+            continue  # neither the pivot nor its destabilizer acts on qubit j
+        px, pz = x >> pivot & 1, z >> pivot & 1
+        if px or pz:  # the pivot's factor here is X, Y or Z; the row's factor follows
+            if not pz:
+                plus, minus = x & z, z & ~x
+            elif px:
+                plus, minus = z & ~x, x & ~z
+            else:
+                plus, minus = x & ~z, x & z
+            carry = lo & plus
+            lo ^= plus
+            hi ^= carry
+            borrow = minus & ~lo
+            lo ^= minus
+            hi ^= borrow
+            if px:
+                x ^= rows
+            if pz:
+                z ^= rows
+        # the pivot's destabilizer takes the old pivot row, the pivot is cleared
+        X[j] = x & keep | px << dest
+        Z[j] = z & keep | pz << dest
+    assert not lo & rows, "product of anticommuting rows"
+    r = tab.r
+    rp = r >> pivot & 1
+    r ^= hi & rows
+    if rp:
+        r ^= rows
+    if force is not None:
+        outcome = force
+    else:
+        outcome = 1 if rng.uniform() < 0.5 else 0
+    Z[qubit] |= 1 << pivot
+    tab.r = r & keep | rp << dest | outcome << pivot
+    return outcome, 0.5, tab
+
+
+def _rows(tab: StabilizerTableau) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tableau as row arrays: X and Z (2n, words) uint64, signs (2n,) uint8."""
+    n, size = tab.n, (2 * tab.n + 7) // 8
+    words = (n + 63) // 64
+
+    def unpack(ints) -> np.ndarray:  # (len(ints), 2n) bits
+        raw = np.frombuffer(b"".join(v.to_bytes(size, "little") for v in ints), np.uint8)
+        return np.unpackbits(raw.reshape(len(ints), size), axis=1, bitorder="little")[:, : 2 * n]
+
+    def pack(cols) -> np.ndarray:
+        packed = np.zeros((2 * n, 8 * words), dtype=np.uint8)
+        packed[:, : (n + 7) // 8] = np.packbits(unpack(cols).T, axis=1, bitorder="little")
+        return packed.view("<u8")
+
+    return pack(tab.X), pack(tab.Z), unpack([tab.r])[0]
 
 
 def _phase_sum(x1, z1, x2, z2) -> np.ndarray:
@@ -147,99 +237,69 @@ def _phase_sum(x1, z1, x2, z2) -> np.ndarray:
     return count(plus) - count(minus)
 
 
-def _rowmul(tab: StabilizerTableau, rows: np.ndarray, p: int) -> None:
-    """row_q := row_p * row_q for every q in ``rows`` (each commutes with row p)."""
-    e = (2 * tab.r[rows] + 2 * int(tab.r[p])
-         + _phase_sum(tab.X[p], tab.Z[p], tab.X[rows], tab.Z[rows])) % 4
-    assert not (e & 1).any(), "product of anticommuting rows"
-    tab.r[rows] = e >> 1
-    tab.X[rows] ^= tab.X[p]
-    tab.Z[rows] ^= tab.Z[p]
-
-
-def _product_sign(tab: StabilizerTableau, rows: np.ndarray) -> int:
-    """Sign exponent of the product of ``rows`` (pairwise commuting), in order.
+def _product_sign(X: np.ndarray, Z: np.ndarray, r: np.ndarray) -> int:
+    """Sign exponent of the product of the pairwise commuting rows, in order.
 
     Step j multiplies row j into the product of the rows before it, whose
     Pauli part is their XOR; the i-exponents of all steps add up mod 4.
     """
-    X, Z = tab.X[rows], tab.Z[rows]
     before_x = np.bitwise_xor.accumulate(X, axis=0)[:-1]
     before_z = np.bitwise_xor.accumulate(Z, axis=0)[:-1]
-    e = (2 * int(tab.r[rows].sum()) + int(_phase_sum(before_x, before_z, X[1:], Z[1:]).sum())) % 4
+    e = (2 * int(r.sum()) + int(_phase_sum(before_x, before_z, X[1:], Z[1:]).sum())) % 4
     assert e % 2 == 0, "product of anticommuting rows"
     return e // 2
 
 
-def _deterministic_outcome(tab: StabilizerTableau, qubit: int) -> int:
-    """Outcome of measuring ``qubit`` when no stabilizer anticommutes with Z_qubit."""
-    return _product_sign(tab, tab.n + np.nonzero(_col(tab.X[: tab.n], qubit))[0])
-
-
-def stab_measure(
-    tab: StabilizerTableau, qubit: int, rng: SplitMix64 | None, force: int | None = None
-) -> tuple[int, float, StabilizerTableau]:
-    """Z-measure in place: (bit, probability in {1/2, 1}, same tableau).
-
-    ``force`` overrides the coin for random outcomes (used by the exact
-    enumerators); deterministic outcomes ignore it.
-    """
+def _stabilizers(tab: StabilizerTableau) -> tuple[list[int], list[int], int]:
     n = tab.n
-    anticommuting = np.nonzero(_col(tab.X[n:], qubit))[0]
-    if anticommuting.size == 0:
-        return _deterministic_outcome(tab, qubit), 1.0, tab
-    pivot = n + int(anticommuting[0])  # lowest-index stabilizer, by convention
-    rows = np.nonzero(_col(tab.X, qubit))[0]
-    _rowmul(tab, rows[(rows != pivot) & (rows != pivot - n)], pivot)
-    if force is not None:
-        outcome = force
-    else:
-        outcome = 1 if rng.uniform() < 0.5 else 0
-    for arr in (tab.X, tab.Z, tab.r):  # the pivot's destabilizer takes the old pivot row
-        arr[pivot - n] = arr[pivot]
-        arr[pivot] = 0
-    tab.Z[pivot, qubit // 64] = np.uint64(1) << np.uint64(qubit % 64)
-    tab.r[pivot] = outcome
-    return outcome, 0.5, tab
+    return [x >> n for x in tab.X], [z >> n for z in tab.Z], tab.r >> n
 
 
 def _same_state(a: StabilizerTableau, b: StabilizerTableau) -> bool:
     """Do two tableaux of one width stabilize the same state (signs included)?"""
+    if _stabilizers(a) == _stabilizers(b):
+        return True  # the same generators with the same signs
     n = a.n
+    (aX, aZ, ar), (bX, bZ, br) = _rows(a), _rows(b)
     # a stabilizer row that b shares with a is in a's group; check the others
-    shared = (a.X[n:] == b.X[n:]).all(axis=1) & (a.Z[n:] == b.Z[n:]).all(axis=1)
-    rows = n + np.nonzero(~shared | (a.r[n:] != b.r[n:]))[0]
+    shared = (aX[n:] == bX[n:]).all(axis=1) & (aZ[n:] == bZ[n:]).all(axis=1)
+    rows = n + np.nonzero(~shared | (ar[n:] != br[n:]))[0]
     anti = np.zeros((rows.size, 2 * n), dtype=np.uint8)  # [j, i]: row j anticommutes with a's i
-    for w in range(a.X.shape[1]):  # a word at a time keeps memory at rows x 2n
+    for w in range(aX.shape[1]):  # a word at a time keeps memory at rows x 2n
         anti ^= np.bitwise_count(
-            (b.X[rows, None, w] & a.Z[None, :, w]) ^ (b.Z[rows, None, w] & a.X[None, :, w])
+            (bX[rows, None, w] & aZ[None, :, w]) ^ (bZ[rows, None, w] & aX[None, :, w])
         )
     anti &= 1
     if anti[:, n:].any():
         return False  # a stabilizer of b is outside a's group
     # it is the product of a's stabilizers whose destabilizer it anticommutes
     # with, and must carry that product's sign
-    return all(
-        _product_sign(a, n + np.nonzero(bits[:n])[0]) == b.r[row] for bits, row in zip(anti, rows)
-    )
+    for bits, row in zip(anti, rows):
+        chosen = n + np.nonzero(bits[:n])[0]
+        if _product_sign(aX[chosen], aZ[chosen], ar[chosen]) != br[row]:
+            return False
+    return True
 
 
-def _random_qubits(tab: StabilizerTableau) -> np.ndarray:
-    """Bool per qubit: does some stabilizer have an X bit there (a random Z outcome)?"""
-    words = np.bitwise_or.reduce(tab.X[tab.n :], axis=0).astype("<u8")
-    return np.unpackbits(words.view(np.uint8), bitorder="little")[: tab.n].astype(bool)
+def _random_qubits(tab: StabilizerTableau) -> list[bool]:
+    """Per qubit: does some stabilizer have an X bit there (a random Z outcome)?"""
+    n = tab.n
+    return [x >> n != 0 for x in tab.X]
 
 
 def _is_collapse_of(stored: StabilizerTableau, post: StabilizerTableau) -> bool:
     """Is ``post`` the snapshot collapsed onto one outcome of one qubit?"""
     if stored.n != post.n:
         return False
-    random_stored = _random_qubits(stored)
-    if not random_stored.all() and _same_state(stored, post):
-        return True  # a deterministic qubit was measured
-    for qubit in np.nonzero(random_stored & ~_random_qubits(post))[0]:
-        bit = _deterministic_outcome(post, int(qubit))
-        if _same_state(stab_measure(stored.copy(), int(qubit), None, force=bit)[2], post):
+    random_stored, random_post = _random_qubits(stored), _random_qubits(post)
+    if random_stored == random_post:  # equal states have equal random qubits
+        # a deterministic qubit was measured
+        return not all(random_stored) and _same_state(stored, post)
+    for qubit, (before, after) in enumerate(zip(random_stored, random_post)):
+        if not before or after:
+            continue
+        bit = _deterministic_outcome(post, qubit)
+        if _same_state(stab_measure(stored.copy(), qubit, None, force=bit)[2], post):
             return True
     return False
 
@@ -282,7 +342,7 @@ class _TableauKernel(Kernel):
         return stab_measure(tab, qubit, rng)
 
     def prob(self, tab: StabilizerTableau, qubit: int, bit: int) -> Fraction:
-        if _col(tab.X[tab.n :], qubit).any():
+        if tab.X[qubit] >> tab.n:
             return Fraction(1, 2)
         return Fraction(int(_deterministic_outcome(tab, qubit) == bit))
 

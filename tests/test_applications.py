@@ -18,6 +18,7 @@ from rwsim.applications import (
     _family_readings,
     _family_state,
     collision_find,
+    collision_success_probability,
     family_delta_exact,
     lwe_collision_partner,
     lwe_family,
@@ -121,6 +122,35 @@ def test_every_returned_pair_is_a_collision():
         assert x1 == x2 and c1 != c2
     # one rewind resolves the partner half the time
     assert 0.4 <= wins / 200 <= 0.6
+
+
+@pytest.mark.parametrize("bits", [1, 3, 8])
+def test_collision_success_probability_of_a_two_to_one_family_is_one_half(bits):
+    assert collision_success_probability(toy_two_regular(bits)) == Fraction(1, 2)
+
+
+@pytest.mark.parametrize(
+    "images, size, want",
+    [
+        # image 0 has preimages 00, 01, 10: 01 and 10 each have a bit no other
+        # preimage shares, 00 has none; image 1 has one preimage
+        ((0, 0, 0, 1), 4, Fraction(1, 4) * 2 * Fraction(2, 3)),
+        # each image's four preimages share every bit with another one, so
+        # the strict rewind refuses every reading
+        ((0, 1, 1, 0, 1, 0, 0, 1), 8, Fraction(0)),
+        # a padded domain of 3: the flag passes with probability 3/4 a reading
+        ((0, 0, 1), 3, (1 - Fraction(1, 4) ** 64) * Fraction(1, 3)),
+    ],
+    ids=["three-preimages", "parity", "padded"],
+)
+def test_collision_success_probability_matches_sampled_trials(images, size, want):
+    fam = FunctionFamily(name="hand", size=size, output_bits=1, evaluate=lambda i: images[i])
+    assert collision_success_probability(fam) == want
+    trials = 3000
+    rng = SplitMix64(stream_seed(0xC015, size))
+    wins = sum(collision_find(fam, rng) is not None for _ in range(trials))
+    p = float(want)
+    assert abs(wins / trials - p) <= 4 * (p * (1 - p) / trials) ** 0.5
 
 
 @pytest.mark.parametrize("size", [16, 12])  # the second needs the validity flag

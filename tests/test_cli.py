@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from conftest import REPO, cli_env
+from rwsim.circuit import parse_circuit
 from rwsim.cli import main
 
 BELL = str(REPO / "circuits/bell.qc")
@@ -88,6 +89,28 @@ def test_simulate_jobs_do_not_change_the_report(capsys):
     )
     assert base[0] == split[0] == 0
     assert without_duration(base[1]) == without_duration(split[1])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--backend", "sv", "--trials", "5", "--jobs", "1"],
+        ["--backend", "stab", "--trials", "5", "--jobs", "1"],
+        ["--backend", "pathsum"],
+    ],
+    ids=["sv", "stab", "pathsum"],
+)
+def test_simulate_parses_its_circuit_once(monkeypatch, capsys, argv):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return parse_circuit(*args, **kwargs)
+
+    monkeypatch.setattr("rwsim.cli.parse_circuit", counting)
+    circuit = BELL if "pathsum" in argv else RETRY
+    assert run(capsys, ["simulate", circuit, *argv])[0] == 0
+    assert len(calls) == 1
 
 
 def test_simulate_rejects_non_clifford_for_stab(capsys):
@@ -220,6 +243,23 @@ def test_demo_collision_no_rewind_skips_small_families(capsys):
     report = fields(out)
     assert report["rewind"] == "0"
     assert report["assert.success_freq"] == "skipped(fewer than 256 images)"
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        # images with three or more preimages, which the strict rewind mostly refuses
+        ["--lwe-n", "2", "--lwe-q", "5", "--lwe-m", "3", "--lwe-mu", "1", "--trials", "200",
+         "--seed", "1"],
+        ["--trials", "40", "--seed", "7"],
+    ],
+    ids=["crowded-images", "default"],
+)
+def test_demo_collision_lwe_threshold_is_the_trial_success_probability(capsys, flags):
+    code, out, _ = run(capsys, ["demo", "collision", "--family", "lwe", *flags])
+    report = fields(out)
+    assert code == 0 and report["assert.success_freq"] == "pass"
+    assert float(report["success_threshold"]) <= float(report["success_freq"])
 
 
 def test_demo_sd_exact_lines(capsys):

@@ -4,11 +4,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from conftest import random_clifford_circuit
-from rwsim.circuit import parse_circuit
+from rwsim.circuit import GateOp, parse_circuit
 from rwsim.gates import CZ, H, S, X, hk
 from rwsim import stabilizer, statevector
 from rwsim.rng import SplitMix64, stream_seed
@@ -60,6 +59,9 @@ def test_single_gate_probabilities_match_dense_backend():
         ([(X, (0,))], 1),
         ([(H, (0,)), (CZ, (0, 1)), (H, (1,))], 2),
         ([(H, (1,)), (CZ, (0, 1)), (H, (0,)), (S, (1,))], 2),
+        # stabilizers Y0 and Y0 Z1: Z1 is their product, with a pair of Y factors
+        ([(H, (1,)), (CZ, (1, 0)), (H, (0,)), (H, (1,)), (S, (0,))], 2),
+        ([(H, (1,)), (CZ, (1, 0)), (H, (0,)), (H, (1,)), (S, (0,)), (X, (1,))], 2),
     ]
     for gates, n in cases:
         for qubit in range(n):
@@ -225,6 +227,74 @@ def test_clone_restores_snapshot_exactly():
 
 
 # ---------------------------------------------------------------------------
+# the column tableau against a row-by-row reference (Aaronson & Gottesman)
+
+
+def _g(x1, z1, x2, z2) -> int:
+    """Exponent of i in the product of one-qubit factors (x1, z1) * (x2, z2)."""
+    if x1 and z1:
+        return z2 - x2
+    if x1:
+        return z2 * (2 * x2 - 1)
+    if z1:
+        return x2 * (1 - 2 * z2)
+    return 0
+
+
+def _rowsum(h, i) -> None:
+    """Row h := row i * row h, each row a [xs, zs, sign] list."""
+    e = 2 * h[2] + 2 * i[2] + sum(map(_g, i[0], i[1], h[0], h[1]))
+    assert e % 2 == 0
+    h[0] = [a ^ b for a, b in zip(h[0], i[0])]
+    h[1] = [a ^ b for a, b in zip(h[1], i[1])]
+    h[2] = e // 2 % 2
+
+
+def _reference_rows(tab: StabilizerTableau) -> list:
+    return [
+        [[x >> i & 1 for x in tab.X], [z >> i & 1 for z in tab.Z], tab.r >> i & 1]
+        for i in range(2 * tab.n)
+    ]
+
+
+def _reference_measure(rows, n: int, qubit: int, bit: int) -> int:
+    pivot = next((p for p in range(n, 2 * n) if rows[p][0][qubit]), None)
+    if pivot is None:
+        product = [[0] * n, [0] * n, 0]
+        for i in range(n):
+            if rows[i][0][qubit]:
+                _rowsum(product, rows[n + i])
+        return product[2]
+    for i in range(2 * n):
+        if i not in (pivot, pivot - n) and rows[i][0][qubit]:
+            _rowsum(rows[i], rows[pivot])
+    rows[pivot - n] = rows[pivot]
+    rows[pivot] = [[0] * n, [int(q == qubit) for q in range(n)], bit]
+    return bit
+
+
+@pytest.mark.parametrize("width", [5, 66])
+def test_tableau_matches_a_row_by_row_reference(width):
+    pool = (H, S, X, CZ)
+    for case in range(12):
+        rng = SplitMix64(stream_seed(0x7AB, 100 * width + case))
+        n = 1 + rng.randrange(width)
+        tab, rows = stab_init(n), None
+        for _ in range(6 * n):
+            if rng.randrange(4):
+                g = pool[rng.randrange(4 if n > 1 else 3)]
+                a = rng.randrange(n)
+                stab_apply(tab, g, (a, (a + 1 + rng.randrange(n - 1)) % n) if g is CZ else (a,))
+                continue
+            qubit, bit = rng.randrange(n), rng.randrange(2)
+            rows = _reference_rows(tab)
+            outcome = stab_measure(tab, qubit, None, force=bit)[0]
+            assert outcome == _reference_measure(rows, n, qubit, bit)
+            assert rows == _reference_rows(tab), (case, qubit)
+        assert rows is not None
+
+
+# ---------------------------------------------------------------------------
 # strict rewind against the dense backend, and tableaux wider than one word
 
 
@@ -282,6 +352,77 @@ def test_strict_rewind_decisions_match_dense_backend():
     assert accepted > 500 and refused > 100, (accepted, refused)
 
 
+def _final_states(text: str) -> list:
+    """The state a gates-only circuit leaves, on the tableau and on the dense backend."""
+    circuit = parse_circuit(text)
+    states = []
+    for kernel in KERNELS:
+        state = kernel.init(circuit.n_qubits)
+        for op in circuit.instructions:
+            state = kernel.apply(state, op)
+        states.append(state)
+    return states
+
+
+def _with_x(kernel, state, qubit):
+    return kernel.apply(kernel.keep(state), GateOp(X, (qubit,)))
+
+
+def _verdicts(posts, stored) -> list[bool]:
+    return [_accepts(k, p, s) for k, p, s in zip(KERNELS, posts, stored)]
+
+
+def test_strict_rewind_verdicts_match_dense_on_random_clifford_circuits():
+    """Every qubit and outcome of random Clifford states: one collapse, two
+    collapses, and one collapse followed by an ``x`` (a sign change only)."""
+    seen = {}
+    for case in range(30):
+        rng = SplitMix64(stream_seed(0xBE11, case))
+        stored = _final_states(random_clifford_circuit(rng, measure_max=0, allow_rewinds=False))
+        n = stored[0].n
+        for qubit in range(n):
+            for bit in (0, 1):
+                one = [_collapse(k, s, qubit, bit) for k, s in zip(KERNELS, stored)]
+                flip = rng.randrange(n)
+                posts = {("one",): one, ("x",): [_with_x(k, p, flip) for k, p in zip(KERNELS, one)]}
+                for second in range(n):
+                    if second != qubit:
+                        b2 = rng.randrange(2)
+                        posts["two", second] = [
+                            _collapse(k, p, second, b2) for k, p in zip(KERNELS, one)
+                        ]
+                for key, post in posts.items():
+                    got = _verdicts(post, stored)
+                    assert got[0] == got[1], (case, qubit, bit, key)
+                    seen[key[0], got[0]] = seen.get((key[0], got[0]), 0) + 1
+    assert set(seen) == {
+        ("one", True), ("two", True), ("two", False), ("x", True), ("x", False)
+    }, seen
+
+
+def _generators(tab: StabilizerTableau):
+    """The stabilizer rows: each qubit's X and Z bits of them, and their signs."""
+    n = tab.n
+    return [x >> n for x in tab.X], [z >> n for z in tab.Z], tab.r >> n
+
+
+@pytest.mark.parametrize("measured", [0, 1])
+def test_bell_pair_rewind_compares_states_not_generators(measured):
+    """Measuring either qubit of a Bell pair leaves the same state with other
+    generators, so certifying one against the other takes the group check."""
+    stored = _final_states("qubits 2\ngate h 0\ngate h 1\ngate cz 0 1\ngate h 1\n")
+    for bit in (0, 1):
+        post = [_collapse(k, s, measured, bit) for k, s in zip(KERNELS, stored)]
+        other = _collapse(KERNELS[0], stored[0], 1 - measured, bit)
+        assert _generators(post[0]) != _generators(other)
+        assert _accepts(KERNELS[0], post[0], other) and _accepts(KERNELS[0], other, post[0])
+        assert _verdicts(post, stored) == [True, True]
+        apart = [_with_x(k, p, 0) for k, p in zip(KERNELS, post)]  # |b'b>, b' = 1 - b
+        assert _verdicts(apart, stored) == [False, False]
+        flipped = [_with_x(k, p, 1) for k, p in zip(KERNELS, apart)]  # |b'b'>, the other outcome
+        assert _verdicts(flipped, stored) == [True, True]
+
+
 def _wide(n: int, gates) -> StabilizerTableau:
     tab = stab_init(n)
     for g, targets in gates:
@@ -299,12 +440,10 @@ PLUS = [(H, (q,)) for q in range(WIDE)]
 @pytest.mark.parametrize("n", [63, 64, 65, 129])
 def test_init_spans_word_boundaries(n):
     tab = stab_init(n)
-    words = (n + 63) // 64
-    assert tab.X.shape == tab.Z.shape == (2 * n, words) and tab.r.shape == (2 * n,)
-    bits = lambda rows: np.unpackbits(rows.view(np.uint8), axis=1, bitorder="little")[:, :n]
-    eye = np.eye(n, dtype=np.uint8)
-    assert (bits(tab.X[:n]) == eye).all() and not bits(tab.Z[:n]).any()
-    assert (bits(tab.Z[n:]) == eye).all() and not bits(tab.X[n:]).any()
+    # column j holds qubit j's bit of every row: destabilizer j is X_j, stabilizer j is Z_j
+    assert tab.X == [1 << j for j in range(n)]
+    assert tab.Z == [1 << (n + j) for j in range(n)]
+    assert tab.r == 0
     for qubit in (0, n - 1, min(n - 1, 63), min(n - 1, 64)):
         assert stab_measure(tab.copy(), qubit, None)[:2] == (0, 1.0)
 
