@@ -57,6 +57,9 @@ from .statevector import (
 LOW = "low"
 HIGH = "high"
 
+# flag readings a padded collision trial tries before it gives up
+_MAX_PREP_ATTEMPTS = 64
+
 
 class PromiseViolationError(ValueError):
     """Input breaks a protocol's promise (e.g. an all-zeros table)."""
@@ -288,7 +291,7 @@ def family_delta_exact(family: FunctionFamily) -> Fraction:
     return Fraction(collidable_a, family.size)
 
 
-def collision_success_probability(family: FunctionFamily, max_prep_attempts: int = 64) -> Fraction:
+def collision_success_probability(family: FunctionFamily) -> Fraction:
     """Exact probability that one :func:`collision_find` trial with rewinding
     returns a pair.
 
@@ -299,7 +302,7 @@ def collision_success_probability(family: FunctionFamily, max_prep_attempts: int
     (always so for k = 2; for k = 1 the state is unchanged, and x2 = x1).
     Then x2 is uniform over the preimages and differs from x1 with
     probability (k-1)/k.  The preparation succeeds within
-    ``max_prep_attempts`` flag readings unless each reads the padding.
+    ``_MAX_PREP_ATTEMPTS`` flag readings unless each reads the padding.
     """
     in_bits, size = family.input_bits, family.size
     _, group, counts = np.unique(family.images_array(), return_inverse=True, return_counts=True)
@@ -312,7 +315,7 @@ def collision_success_probability(family: FunctionFamily, max_prep_attempts: int
     p = Fraction(0)
     for kk in np.unique(k[k >= 2]).tolist():
         p += Fraction(int(np.count_nonzero(told_apart & (k == kk))) * (kk - 1), kk)
-    prepared = 1 - (1 - Fraction(size, 1 << in_bits)) ** max_prep_attempts
+    prepared = 1 - (1 - Fraction(size, 1 << in_bits)) ** _MAX_PREP_ATTEMPTS
     return prepared * p / size
 
 
@@ -371,7 +374,7 @@ def collision_find(
     family: FunctionFamily,
     rng: SplitMix64,
     allow_rewind: bool = True,
-    max_prep_attempts: int = 64,
+    max_prep_attempts: int = _MAX_PREP_ATTEMPTS,
 ) -> tuple[object, object] | None:
     """Try once to produce a colliding pair (x, x') with f(x) = f(x').
 

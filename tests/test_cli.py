@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import math
 import subprocess
 import sys
 
 import pytest
 
 from conftest import REPO, cli_env
+from rwsim.applications import collision_success_probability
 from rwsim.circuit import parse_circuit
-from rwsim.cli import main
+from rwsim.cli import _collision_family, main
+from rwsim.rng import stream_seed
 
 BELL = str(REPO / "circuits/bell.qc")
 RETRY = str(REPO / "circuits/rewind_retry.qc")
@@ -246,19 +249,30 @@ def test_demo_collision_no_rewind_skips_small_families(capsys):
 
 
 @pytest.mark.parametrize(
-    "flags",
+    "lwe, trials, seed, positive",
     [
         # images with three or more preimages, which the strict rewind mostly refuses
-        ["--lwe-n", "2", "--lwe-q", "5", "--lwe-m", "3", "--lwe-mu", "1", "--trials", "200",
-         "--seed", "1"],
-        ["--trials", "40", "--seed", "7"],
+        ((2, 5, 3, 1), 200, 1, False),
+        ((1, 8, 2, 1), 40, 7, True),  # the default family
     ],
     ids=["crowded-images", "default"],
 )
-def test_demo_collision_lwe_threshold_is_the_trial_success_probability(capsys, flags):
-    code, out, _ = run(capsys, ["demo", "collision", "--family", "lwe", *flags])
+def test_demo_collision_lwe_threshold_is_the_trial_success_probability(
+    capsys, lwe, trials, seed, positive
+):
+    flags = [f"--lwe-{k}={v}" for k, v in zip(("n", "q", "m", "mu"), lwe)]
+    code, out, _ = run(
+        capsys,
+        ["demo", "collision", "--family", "lwe", *flags, "--trials", str(trials),
+         "--seed", str(seed)],
+    )
     report = fields(out)
     assert code == 0 and report["assert.success_freq"] == "pass"
+    family, _ = _collision_family(("lwe", 8, lwe, stream_seed(seed, trials)))
+    p = float(collision_success_probability(family))
+    want = max(p - 3.0 * math.sqrt(p * (1.0 - p) / trials), 0.0)
+    assert float(report["success_threshold"]) == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert (want > 0.0) == positive
     assert float(report["success_threshold"]) <= float(report["success_freq"])
 
 
