@@ -52,6 +52,7 @@ COMMANDS = {
     "retry-stab": _sim("rewind_retry.qc", "stab", "--trials", "60", "--seed", "3"),
     "wide-stab": _sim("wide_retry.qc", "stab", "--trials", "4", "--seed", "12"),
     "clone-sv": _sim("clone_retry.qc", "sv", "--trials", "40", "--seed", "13"),
+    "feedforward-sv": _sim("feedforward.qc", "sv", "--trials", "40", "--seed", "15"),
     "tgate-sv": _sim("t-gate.qc", "sv", "--trials", "40", "--seed", "4"),
     "tgate-pathsum": _sim("t-gate.qc", "pathsum"),
     "phase-sv": _sim("phase_permute.qc", "sv", "--trials", "40", "--seed", "14"),
