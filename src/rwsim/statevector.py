@@ -20,12 +20,28 @@ Conventions
   inverse, the slices of each target value) depends on the width and the
   targets alone, so it is computed once per ``(n, targets)`` and cached:
   on 2-3-qubit states that work costs as much as the amplitudes.
-* All operations are functional — they return new states and never mutate
-  their input.  So ``rewind`` returns the registry's stored state itself,
-  and the kernel's ``keep`` returns its input, marked read-only: under the
+* The module-level functions are functional — they return new states and
+  never mutate their input — and so are the kernel's operations, whose
+  states are read-only.  So ``rewind`` returns the registry's stored state
+  itself, and the kernel's ``keep`` returns its input: under the
   interpreter a snapshot, a clone and the deterministic prefix that a
   sampler's trials share are held by reference.  The protocol-level
   :func:`snapshot` stores a copy.
+* ``KERNEL``'s states keep measured qubits out of the dense array.  A state
+  is the amplitudes of the qubits not yet fixed (the core) plus the
+  ``(qubit, bit)`` pairs that measurements and postselections fixed, so a
+  collapse slices the core to half its size instead of copying the full
+  vector and zeroing half of it, and a fixed qubit reads its stored bit.  A
+  gate runs on the core with its targets renumbered, after moving any fixed
+  target back into the core.  A strict rewind whose state fixes the
+  snapshot's bits and one qubit more is certified on the two cores with
+  the test that :func:`_collapse_matches` makes on that qubit; any other
+  rewind, or one that test does not certify, runs the dense check, so the
+  answers and messages are those of :func:`rewind`.  A state is also a read-only
+  :class:`PureState` whose full ``amps`` are built at most once, when read,
+  which is what ``RunResult.final_state`` and the branch leaves are.  The
+  protocol-level functions below (``measure``, ``postselect``, ``Reading``,
+  ``RegisterReading``, ``measure_until``) stay on full vectors.
 * ``rewind`` in strict mode refuses inputs it cannot certify: the state being
   rewound must equal (up to global phase) the stored snapshot projected onto
   some single-qubit outcome and renormalised.  The candidates checked first
@@ -43,7 +59,7 @@ Conventions
   draws with the same formula (:func:`draw_value`), and hands out each
   collapsed state with the register sliced off, so a walk continues on the
   remaining qubits alone.
-* ``KERNEL`` runs these primitives under the circuit interpreter in
+* ``KERNEL`` is this backend under the circuit interpreter in
   :mod:`rwsim.circuit`, whose ``clone`` continues from the stored snapshot.
 
 The default width cap is 24 qubits; the environment variable
@@ -342,27 +358,30 @@ def fidelity(a: PureState, b: PureState) -> float:
     return float(abs(np.vdot(a.amps, b.amps)) ** 2)
 
 
+def _slice_matches(stored_slice: np.ndarray, post_slice: np.ndarray, tol: float) -> bool:
+    """Is ``post_slice`` the nonempty ``stored_slice`` renormalised, up to
+    global phase: |<post| P |stored>| = ||P stored||?"""
+    norm_sq = float(np.sum(np.abs(stored_slice) ** 2))
+    if norm_sq <= 1e-30:
+        return False
+    overlap = abs(np.vdot(post_slice, stored_slice))
+    return 1.0 - overlap / math.sqrt(norm_sq) <= tol
+
+
 def _collapse_matches(stored: PureState, post: PureState, qubit: int, tol: float) -> bool:
     """Is ``post`` = (projector onto one outcome of ``qubit``) stored, renormalised?
 
     Works on per-qubit slice views, so no check allocates a full vector.
-    A match requires the projected overlap to account for all of ``post``:
-    |<post| P |stored>| = ||P stored|| and the complementary slice of
-    ``post`` to be empty.
+    A match requires the complementary slice of ``post`` to be empty and
+    its projected slice to match that of ``stored`` (:func:`_slice_matches`).
     """
     stored_view = _qubit_slices(stored, qubit)
     post_view = _qubit_slices(post, qubit)
-    for bit in (0, 1):
-        norm_sq = float(np.sum(np.abs(stored_view[:, bit, :]) ** 2))
-        if norm_sq <= 1e-30:
-            continue
-        other = float(np.sum(np.abs(post_view[:, 1 - bit, :]) ** 2))
-        if other > tol:
-            continue  # post has weight outside the projected slice
-        overlap = abs(np.vdot(post_view[:, bit, :], stored_view[:, bit, :]))
-        if 1.0 - overlap / math.sqrt(norm_sq) <= tol:
-            return True
-    return False
+    return any(
+        float(np.sum(np.abs(post_view[:, 1 - bit, :]) ** 2)) <= tol
+        and _slice_matches(stored_view[:, bit, :], post_view[:, bit, :], tol)
+        for bit in (0, 1)
+    )
 
 
 def _constant_bits(state: PureState) -> int:
@@ -539,31 +558,115 @@ def _read_only(state: PureState) -> PureState:
     return state
 
 
+class _KernelState(PureState):
+    """A state of the interpreter's dense kernel, split in two parts:
+    ``fixed`` maps each qubit that a measurement or postselection fixed to
+    its bit, and ``core`` is the state of the other qubits, in qubit order.
+
+    It is a read-only :class:`PureState` on ``n`` qubits.  Its full vector
+    ``amps`` is built on first read and kept; the kernel reads it only for
+    a strict rewind it cannot certify on the cores.  No operation changes
+    a core or a ``fixed`` map, so states share them.
+    """
+
+    def __init__(self, n: int, core: PureState, fixed: dict[int, int]):
+        self.n, self.core, self.fixed = n, _read_only(core), fixed
+        self._amps: np.ndarray | None = None
+
+    @property
+    def amps(self) -> np.ndarray:
+        if self._amps is None:
+            self._amps = _unfix(self, self.fixed).core.amps if self.fixed else self.core.amps
+        return self._amps
+
+    def position(self, qubit: int) -> int:
+        """The index in the core of ``qubit``, which is not fixed."""
+        return qubit - sum(q < qubit for q in self.fixed)
+
+    def weight(self, qubit: int, bit: int) -> float:
+        """Probability of reading ``bit`` on ``qubit``: 1 or 0 on a fixed
+        qubit, else :func:`prob_of_bit` on the core."""
+        if qubit in self.fixed:
+            return float(self.fixed[qubit] == bit)
+        return prob_of_bit(self.core, self.position(qubit), bit)
+
+
+def _unfix(state: _KernelState, qubits) -> _KernelState:
+    """``state`` with the fixed ``qubits`` moved back into its core."""
+    fixed = {q: b for q, b in state.fixed.items() if q not in qubits}
+    width = state.n - len(fixed)
+    core = np.zeros([2] * width, dtype=complex)
+    free = (q for q in range(state.n) if q not in fixed)
+    key = tuple(state.fixed[q] if q in qubits else slice(None) for q in free)
+    core[key] = state.core.amps.reshape([2] * state.core.n)
+    return _KernelState(state.n, PureState(width, core.reshape(-1)), fixed)
+
+
+def _certified_on_cores(stored: _KernelState, post: _KernelState, tol: float) -> bool:
+    """Strict rewind's test, read on the cores, for a ``post`` that fixes
+    what ``stored`` fixes, to the same bits, and one qubit more.
+
+    Such a ``post`` is empty off that qubit's bit and holds no amplitude
+    where ``stored`` holds none, so :func:`_collapse_matches` on that qubit
+    reduces to :func:`_slice_matches` of the stored core's slice against
+    the post core.  False for any other ``post``: the caller then runs the
+    dense check, so every answer is that of :func:`rewind`.
+    """
+    if len(post.fixed) != len(stored.fixed) + 1 or any(
+        post.fixed.get(q) != b for q, b in stored.fixed.items()
+    ):
+        return False
+    (qubit,) = post.fixed.keys() - stored.fixed.keys()
+    view = _qubit_slices(stored.core, stored.position(qubit))
+    return _slice_matches(view[:, post.fixed[qubit], :], post.core.amps, tol)
+
+
 class _StateVectorKernel(Kernel):
     name = "sv"
 
-    def keep(self, state: PureState) -> PureState:
-        return _read_only(state)  # no operation changes its input
+    def keep(self, state: _KernelState) -> _KernelState:
+        return state  # no operation changes its input
 
-    def init(self, n: int) -> PureState:
-        return init(n)
+    def init(self, n: int) -> _KernelState:
+        return _KernelState(n, init(n), {})
 
-    def apply(self, state: PureState, op: GateOp) -> PureState:
-        return apply_gate(state, op.gate, op.targets)
+    def apply(self, state: _KernelState, op: GateOp) -> _KernelState:
+        touched = [q for q in op.targets if q in state.fixed]
+        if touched:
+            state = _unfix(state, touched)
+        targets = tuple(map(state.position, op.targets))
+        return _KernelState(state.n, apply_gate(state.core, op.gate, targets), state.fixed)
 
-    def measure(self, state: PureState, qubit: int, rng: SplitMix64):
-        return measure(state, qubit, rng)
+    def measure(self, state: _KernelState, qubit: int, rng: SplitMix64):
+        p0, p1 = state.weight(qubit, 0), state.weight(qubit, 1)
+        bit = draw_bit(p0, p1, rng)  # a fixed qubit draws too, and reads its bit
+        total = p0 + p1
+        prob = (p1 if bit else p0) / total
+        return bit, prob, self.collapse(state, qubit, bit, prob * total)
 
-    def postselect(self, state: PureState, qubit: int, bit: int):
-        return postselect(state, qubit, bit)
+    def postselect(self, state: _KernelState, qubit: int, bit: int):
+        p = state.weight(qubit, bit)
+        if p <= EMPTY_PROB:
+            raise InvalidPostselectionError(
+                f"outcome {bit} on qubit {qubit} has probability {p:.3e}"
+            )
+        return p, self.collapse(state, qubit, bit, p)
 
-    def prob(self, state: PureState, qubit: int, bit: int) -> float:
-        return outcome_weight(prob_of_bit(state, qubit, bit))
+    def prob(self, state: _KernelState, qubit: int, bit: int) -> float:
+        return outcome_weight(state.weight(qubit, bit))
 
-    def collapse(self, state: PureState, qubit: int, bit: int, prob: float) -> PureState:
-        return _collapse(state, qubit, bit, prob)
+    def collapse(self, state: _KernelState, qubit: int, bit: int, prob: float) -> _KernelState:
+        if qubit in state.fixed:
+            return state
+        half = _qubit_slices(state.core, state.position(qubit))[:, bit, :] / math.sqrt(prob)
+        core = PureState(state.core.n - 1, half.reshape(-1))
+        return _KernelState(state.n, core, {**state.fixed, qubit: bit})
 
-    def rewind(self, state: PureState, registry: SnapshotRegistry, label: str, mode: str):
+    def rewind(self, state: _KernelState, registry: SnapshotRegistry, label: str, mode: str):
+        if mode == "strict":
+            stored = registry.state(label)
+            if _certified_on_cores(stored, state, 1e-9):
+                return stored
         return rewind(state, registry, label, mode)
 
 
@@ -597,7 +700,7 @@ def exact_acceptance(circuit: Circuit) -> float:
     accept = accept_qubit(circuit)
     if accept is None:
         raise ValueError("circuit declares no accept qubit")
-    return float(sum(weight * prob_of_bit(state, accept, 1) for _, weight, state in leaves))
+    return float(sum(weight * KERNEL.prob(state, accept, 1) for _, weight, state in leaves))
 
 
 # ---------------------------------------------------------------------------

@@ -333,18 +333,18 @@ def test_strict_rewind_decisions_match_dense_backend():
             a = rng.randrange(n)
             return g, ((a, (a + 1 + rng.randrange(n - 1)) % n) if g is CZ else (a,))
 
-        stored = [stab_init(n), init(n)]
+        stored = [k.init(n) for k in KERNELS]
         for _ in range(rng.randrange(4 * n + 1)):
-            g, targets = gate()
-            stored = [stab_apply(stored[0].copy(), g, targets), apply_gate(stored[1], g, targets)]
+            op = GateOp(*gate())
+            stored = [k.apply(k.keep(s), op) for k, s in zip(KERNELS, stored)]
         kind = rng.randrange(4)  # one collapse, two collapses, collapse + gate, no change
         post = list(stored)
         for _ in range({0: 1, 1: 2, 2: 1, 3: 0}[kind]):
             qubit, bit = rng.randrange(n), rng.randrange(2)
             post = [_collapse(k, s, qubit, bit) for k, s in zip(KERNELS, post)]
         if kind == 2:
-            g, targets = gate()
-            post = [stab_apply(post[0].copy(), g, targets), apply_gate(post[1], g, targets)]
+            op = GateOp(*gate())
+            post = [k.apply(k.keep(s), op) for k, s in zip(KERNELS, post)]
         decisions = [_accepts(k, p, s) for k, p, s in zip(KERNELS, post, stored)]
         assert decisions[0] == decisions[1], (case, kind)
         accepted += decisions[0]

@@ -1,0 +1,258 @@
+"""The dense kernel against a step-by-step walk of the dense primitives.
+
+Under the interpreter the statevector kernel keeps a measured or
+postselected qubit out of its dense array: a state is the amplitudes of the
+unfixed qubits plus the fixed ``(qubit, bit)`` pairs.  These tests pin that
+this changes nothing a run can see.  Random circuits run through
+``sampler(c, statevector.KERNEL)`` and through a reference walk that calls
+the module-level ``apply_gate``, ``measure``, ``postselect`` and ``rewind``
+on full vectors; records, branch probabilities, final amplitudes and every
+refusal must agree.  A last test pins what the split saves: a trial on a
+wide state allocates no full-width copy.
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from conftest import GENERAL_POOL, _gate_line
+from rwsim import pathsum, statevector
+from rwsim.circuit import (
+    Clone,
+    Conditional,
+    GateOp,
+    InvalidPostselectionError,
+    Measure,
+    MeasurementRecord,
+    Postselect,
+    PostselectThresholdError,
+    Rewind,
+    RewindConsistencyError,
+    Snapshot,
+    SnapshotRegistry,
+    accept_qubit,
+    parse_circuit,
+    predicate_holds,
+    sampler,
+)
+from rwsim.rng import SplitMix64, stream_seed
+
+TOL = 1e-12
+CASES = 80
+TRIALS = 4  # seeded trials per circuit and mode, all from one sampler
+REFUSALS = (RewindConsistencyError, InvalidPostselectionError, PostselectThresholdError)
+
+
+def _random_circuit(rng: SplitMix64, rewinds: bool = True) -> str:
+    """2-6 qubits of gates, measurements (of measured qubits too),
+    postselections, conditionals and, if ``rewinds``, snapshots, retry
+    blocks, bare rewinds and clones."""
+    n = 2 + rng.randrange(5)
+    lines = [f"qubits {n}"]
+    labels: list[str] = []
+    snaps: list[str] = []
+
+    def label() -> str:
+        labels.append(f"m{len(labels)}")
+        return labels[-1]
+
+    for _ in range(4 + rng.randrange(20)):
+        kind = rng.randrange(20)
+        if not rewinds and kind >= 14:
+            kind %= 8
+        q = rng.randrange(n)
+        if kind < 8:
+            line, _ = _gate_line(rng, n, GENERAL_POOL, None)
+        elif kind < 12:
+            line = f"measure {q} -> {label()}"
+        elif kind < 14:
+            line = f"postselect {q} = {rng.randrange(2)}"
+        elif kind < 16 or not snaps:
+            snaps.append(f"s{len(snaps)}")
+            lines.append(f"snapshot {snaps[-1]}")
+            if kind < 15:  # a retry block, certified unless gates intervene
+                first, bit = label(), rng.randrange(2)
+                lines.append(f"measure {q} -> {first}")
+                lines.append(f"rewind {snaps[-1]} if {first} == {bit}")
+                lines.append(f"measure {q} -> {first}r if {first} == {bit}")
+            continue
+        elif kind < 18:
+            line = f"rewind {snaps[rng.randrange(len(snaps))]}"
+        else:
+            line = f"clone {snaps[rng.randrange(len(snaps))]}"
+        # measurements stay unconditional: a later condition may read them
+        if labels and not line.startswith("measure") and rng.bernoulli(0.25):
+            line += f" if {labels[rng.randrange(len(labels))]} == {rng.randrange(2)}"
+        lines.append(line)
+    lines.append(f"accept {rng.randrange(n)}")
+    return "\n".join(lines) + "\n"
+
+
+def _reference(circuit, rng: SplitMix64, mode: str, min_prob: float):
+    """(record entries, accept bit, final state) of a walk over full vectors."""
+    sv = statevector
+    state, registry, record = sv.init(circuit.n_qubits), SnapshotRegistry(), MeasurementRecord()
+    for instr in circuit.instructions:
+        if isinstance(instr, Conditional):
+            if not predicate_holds(instr.predicate, record):
+                continue
+            instr = instr.inner
+        if isinstance(instr, GateOp):
+            state = sv.apply_gate(state, instr.gate, instr.targets)
+        elif isinstance(instr, Measure):
+            bit, prob, state = sv.measure(state, instr.qubit, rng)
+            record.add(instr.label, bit, prob)
+        elif isinstance(instr, Postselect):
+            _, state = sv.postselect(state, instr.qubit, instr.bit, min_prob)
+        elif isinstance(instr, Snapshot):
+            sv.snapshot(state, registry, instr.label)
+        elif isinstance(instr, Rewind):
+            state = sv.rewind(state, registry, instr.label, mode)
+        elif isinstance(instr, Clone):
+            state = registry.state(instr.label).copy()
+    accept, accept_bit = accept_qubit(circuit), None
+    if accept is not None:
+        accept_bit, _, state = sv.measure(state, accept, rng)
+    return record.entries, accept_bit, state
+
+
+def _outcome(run):
+    """What a run returns, or the class and message of the refusal it raises."""
+    try:
+        return run()
+    except REFUSALS as exc:
+        return type(exc), str(exc)
+
+
+def _both_ways(c, trial, seed: int, mode: str, min_prob: float):
+    """The outcomes of one seeded run of ``trial`` and of the reference walk."""
+
+    def run():
+        r = trial(SplitMix64(seed))
+        return r.record.entries, r.accept_bit, r.final_state
+
+    return _outcome(run), _outcome(lambda: _reference(c, SplitMix64(seed), mode, min_prob))
+
+
+def _assert_same_run(got, want, context) -> None:
+    if isinstance(want[0], type) or isinstance(got[0], type):
+        assert got == want, context
+        return
+    (entries, accept_bit, state), (want_entries, want_accept, want_state) = got, want
+    assert [e[:2] for e in entries] == [e[:2] for e in want_entries], context
+    assert np.allclose([e[2] for e in entries], [e[2] for e in want_entries],
+                       rtol=0.0, atol=TOL), context
+    assert accept_bit == want_accept, context
+    assert state.n == want_state.n, context
+    assert np.allclose(state.amps, want_state.amps, rtol=0.0, atol=TOL), context
+
+
+@pytest.mark.parametrize("case", range(CASES))
+def test_sampled_runs_match_the_dense_walk(case):
+    rng = SplitMix64(stream_seed(0x5F1, case))
+    text = _random_circuit(rng)
+    c = parse_circuit(text)
+    min_prob = (0.0, 0.3, 0.6)[rng.randrange(3)]
+    for mode in ("strict", "permissive"):
+        trial = sampler(c, statevector.KERNEL, mode, min_postselect_prob=min_prob)
+        for i in range(TRIALS):
+            got, want = _both_ways(c, trial, stream_seed(case, i), mode, min_prob)
+            _assert_same_run(got, want, (text, mode, min_prob, i))
+
+
+@pytest.mark.parametrize("case", range(CASES))
+def test_exact_oracles_match_the_path_sum(case):
+    text = _random_circuit(SplitMix64(stream_seed(0x5F2, case)), rewinds=False)
+    c = parse_circuit(text)
+    got, want = statevector.exact_outcome_distribution(c), pathsum.outcome_distribution(c)
+    assert got.keys() == want.keys(), text
+    for key, weight in want.items():
+        assert abs(got[key] - weight) <= TOL, (text, key)
+    assert abs(statevector.exact_acceptance(c) - pathsum.acceptance_probability(c)) <= TOL, text
+
+
+def _same_refusal(text: str, mode: str = "strict", min_prob: float = 0.0, seeds=range(8)):
+    """Run ``text`` both ways; every seed must refuse, with the same error."""
+    c = parse_circuit(text)
+    trial = sampler(c, statevector.KERNEL, mode, min_postselect_prob=min_prob)
+    refusals = set()
+    for i in seeds:
+        got, want = _both_ways(c, trial, i, mode, min_prob)
+        assert got == want and isinstance(got[0], type), (text, i)
+        refusals.add(got)
+    return refusals
+
+
+def test_a_strict_rewind_after_two_measurements_is_refused_alike():
+    (refusal,) = _same_refusal(
+        "qubits 3\ngate h 0\ngate h 1\nmeasure 2 -> z\nsnapshot s\n"
+        "measure 0 -> a\nmeasure 1 -> b\nrewind s\n"
+    )
+    assert refusal == (
+        RewindConsistencyError, "state is not a one-outcome collapse of snapshot 's'"
+    )
+
+
+def test_a_strict_rewind_after_a_gate_is_refused_alike():
+    # one more fixed qubit than the snapshot, but the gate moved the rest
+    (refusal,) = _same_refusal(
+        "qubits 3\ngate h 0\nmeasure 2 -> z\nsnapshot s\nmeasure 0 -> a\ngate h 1\nrewind s\n"
+    )
+    assert refusal[0] is RewindConsistencyError
+
+
+def test_a_strict_rewind_onto_another_fixed_bit_is_refused_alike():
+    # qubit 0 is fixed in both states, to a different bit in each
+    _same_refusal(
+        "qubits 2\ngate h 0\ngate h 1\nmeasure 0 -> a\nsnapshot s\ngate x 0\n"
+        "measure 0 -> b\nmeasure 1 -> c\nrewind s\n"
+    )
+
+
+def test_postselecting_a_measured_qubits_other_value_is_refused_alike():
+    refusals = _same_refusal(
+        "qubits 2\ngate h 0\ngate h 1\nmeasure 0 -> a\n"
+        "postselect 0 = 1 if a == 0\npostselect 0 = 0 if a == 1\n"
+    )
+    assert refusals == {
+        (InvalidPostselectionError, f"outcome {bit} on qubit 0 has probability 0.000e+00")
+        for bit in (0, 1)
+    }
+
+
+def test_the_postselection_threshold_is_applied_alike():
+    (refusal,) = _same_refusal("qubits 2\ngate h 1\npostselect 1 = 0\n", min_prob=0.6)
+    assert refusal == (PostselectThresholdError,
+                       "postselection probability 0.5 below required 0.6")
+    # a measured qubit postselected onto its bit passes any threshold
+    c = parse_circuit("qubits 2\ngate h 1\nmeasure 1 -> m\npostselect 1 = 1 if m == 1\n"
+                      "postselect 1 = 0 if m == 0\naccept 1\n")
+    trial = sampler(c, statevector.KERNEL, min_postselect_prob=0.99)
+    for i in range(8):
+        r = trial(SplitMix64(i))
+        assert r.accept_bit == r.record.bit("m")
+
+
+def test_a_trial_on_a_wide_state_allocates_no_full_width_copy():
+    n = 16
+    c = parse_circuit(
+        f"qubits {n}\n" + "".join(f"gate h {q}\n" for q in range(n))
+        + "measure 3 -> m\nsnapshot s\nmeasure 0 -> r1\nrewind s if r1 == 1\n"
+        "measure 0 -> r2 if r1 == 1\nclone s\naccept 9\n"
+    )
+    trial = sampler(c, statevector.KERNEL)
+    trial(SplitMix64(0))  # runs the shared prefix, up to the first measurement
+    full = np.dtype(complex).itemsize << n
+    peaks = []
+    tracemalloc.start()
+    try:
+        for i in range(1, 10):
+            tracemalloc.reset_peak()
+            trial(SplitMix64(i))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) < 1.5 * full, [p >> 10 for p in peaks]
