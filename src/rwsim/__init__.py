@@ -2,35 +2,51 @@
 adaptive postselection, plus the protocols built on them: amplitude
 mitigation, acceptance-count decision, collision finding with one rewind,
 statistical-difference decision, stabilizer rewinding, and brickwork
-measurement patterns with retries."""
+measurement patterns with retries.
+
+The exported names load their module on first use (PEP 562), so importing
+the package, or running ``python -m rwsim`` on the stabilizer or path-sum
+backend, does not load NumPy."""
 
 from __future__ import annotations
 
-from .circuit import Circuit, parse_circuit, serialize_circuit
-from .gates import Gate, gate, hk, rz
-from .rng import SplitMix64, stream_seed
-from .statevector import PureState, SnapshotRegistry, apply_gate, init, measure, postselect, rewind, run, snapshot
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Circuit",
-    "Gate",
-    "PureState",
-    "SnapshotRegistry",
-    "SplitMix64",
-    "__version__",
-    "apply_gate",
-    "gate",
-    "hk",
-    "init",
-    "measure",
-    "parse_circuit",
-    "postselect",
-    "rewind",
-    "run",
-    "rz",
-    "serialize_circuit",
-    "snapshot",
-    "stream_seed",
-]
+# exported name -> the module that defines it
+_EXPORTS = {
+    "Circuit": "circuit",
+    "SnapshotRegistry": "circuit",
+    "parse_circuit": "circuit",
+    "serialize_circuit": "circuit",
+    "Gate": "gates",
+    "gate": "gates",
+    "hk": "gates",
+    "rz": "gates",
+    "SplitMix64": "rng",
+    "stream_seed": "rng",
+    "stab_run": "stabilizer",
+    "PureState": "statevector",
+    "apply_gate": "statevector",
+    "init": "statevector",
+    "measure": "statevector",
+    "postselect": "statevector",
+    "rewind": "statevector",
+    "run": "statevector",
+    "snapshot": "statevector",
+}
+
+__all__ = sorted([*_EXPORTS, "__version__"])
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

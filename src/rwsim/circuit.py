@@ -98,6 +98,10 @@ class DepthLimitError(RuntimeError):
     """Branch tree exceeded the random-measurement depth limit."""
 
 
+class QubitBudgetError(ValueError):
+    """Requested width exceeds the configured qubit cap."""
+
+
 @dataclass(frozen=True)
 class GateOp:
     gate: Gate

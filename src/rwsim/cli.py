@@ -16,6 +16,11 @@ out over worker processes, but every trial i draws from its own RNG stream
 (seeded by a 64-bit mix of the master seed and i), so reports are identical
 for any jobs count and the flag is deliberately left out of the report body.
 
+``main`` loads the modules a command runs on after parsing its arguments
+and before starting its clock: ``circuit`` and ``stabilizer`` or ``pathsum``
+for those two backends, which never load NumPy, and NumPy and every layer
+for the dense backend and the demos.
+
 Exit codes: 0 = assertions passed, 1 = assertion or runtime failure,
 2 = usage, parse, or input errors, widths over the qubit cap, and path sums
 over the amplitude cap.
@@ -24,6 +29,7 @@ over the amplitude cap.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import math
 import sys
 import time
@@ -31,50 +37,49 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
-from .applications import (
-    HIGH,
-    LOW,
-    BooleanFunction,
-    LWEParams,
-    collision_find,
-    collision_success_probability,
-    family_delta_exact,
-    lwe_family,
-    pp_decide,
-    sd_error_exact,
-    sd_image_reading,
-    sd_trial,
-    toy_two_regular,
-)
-from . import pathsum, stabilizer, statevector
 from .circuit import (
     CircuitSyntaxError,
     CircuitValidationError,
+    QubitBudgetError,
     accept_qubit,
     parse_circuit,
     sampler,
 )
 from .gates import H
-from .mbqc import (
-    BrickworkSpec,
-    MeasurementPattern,
-    build_brickwork,
-    grid_qubits,
-    mbqc_run_rewind,
-    postselect_pattern_zero,
-)
-from .mitigation import (
-    SUCCESS,
-    flag_odds,
-    mitigate,
-    mitigate_postselect,
-    postselect_rounds,
-    synthetic_flagged,
-)
 from .rng import SplitMix64, stream_seed
-from .statevector import apply_gate, max_qubits
+
+
+def _deferred(name: str):
+    """Module ``rwsim.<name>``, listed in ``sys.modules`` but run only at its
+    first attribute access (``importlib.util.LazyLoader``); an already
+    imported module is returned as it is.
+
+    So ``import rwsim.cli`` lists every layer module, as the benchmark's
+    tracer expects, and still loads no NumPy.
+    """
+    full = f"{__package__}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = importlib.util.find_spec(full)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
+    setattr(sys.modules[__package__], name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+applications, mbqc, mitigation, pathsum, stabilizer, statevector = map(
+    _deferred, ("applications", "mbqc", "mitigation", "pathsum", "stabilizer", "statevector")
+)
+
+# What a command runs on, loaded by ``main`` before its clock starts.  The
+# stabilizer and path-sum backends need no NumPy; every other command loads
+# NumPy and then the layer modules in the order they always had.
+_BACKEND_MODULES = {"stab": (f"{__package__}.stabilizer",), "pathsum": (f"{__package__}.pathsum",)}
+_ALL_MODULES = ("numpy", *(f"{__package__}.{name}" for name in (
+    "statevector", "applications", "pathsum", "stabilizer", "mbqc", "mitigation",
+)))
 
 
 class UsageError(Exception):
@@ -129,7 +134,7 @@ def _trial_records(kind: str, args, trials: int, seed: int, jobs: int) -> list[s
 
 def _build_simulate(args):
     circuit, backend, mode, min_prob = args
-    trial = sampler(circuit, _KERNELS[backend], mode, min_postselect_prob=min_prob)
+    trial = sampler(circuit, _kernel(backend), mode, min_postselect_prob=min_prob)
 
     def one(rng: SplitMix64) -> str:
         result = trial(rng)
@@ -154,8 +159,8 @@ def _build_pp(args):
         table = [0] * size
         for x in perm[:s]:
             table[x] = 1
-        expected = LOW if s < size // 2 else HIGH
-        got = pp_decide(BooleanFunction(n, tuple(table)), rng).decision
+        expected = applications.LOW if s < size // 2 else applications.HIGH
+        got = applications.pp_decide(applications.BooleanFunction(n, tuple(table)), rng).decision
         return f"s:{s},expected:{expected},got:{got},correct:{int(got == expected)}"
 
     return one
@@ -165,15 +170,17 @@ def _collision_family(args):
     kind, bits, lwe_args, key_seed = args
     if kind == "toy":
         params = None
-        family = toy_two_regular(bits)
+        family = applications.toy_two_regular(bits)
     else:
         ln, lq, lm, lmu = lwe_args
-        params = LWEParams.toy_scale(SplitMix64(key_seed), ln, lq, lm, lmu)
-        family = lwe_family(params)
+        params = applications.LWEParams.toy_scale(SplitMix64(key_seed), ln, lq, lm, lmu)
+        family = applications.lwe_family(params)
     return family, params
 
 
 def _build_collision(args):
+    import numpy as np
+
     family_args, allow_rewind = args
     family, params = _collision_family(family_args)
     family.images_array()
@@ -190,7 +197,7 @@ def _build_collision(args):
         return bool(np.array_equal(image(*a), image(*b)))
 
     def one(rng: SplitMix64) -> str:
-        pair = collision_find(family, rng, allow_rewind)
+        pair = applications.collision_find(family, rng, allow_rewind)
         if pair is None:
             return "success:0"
         first, second = pair
@@ -202,31 +209,31 @@ def _build_collision(args):
 
 def _build_sd(args):
     n, m, table0, table1 = args
-    image = sd_image_reading(BooleanFunction(n, table0, m), BooleanFunction(n, table1, m))
+    image = applications.sd_image_reading(applications.BooleanFunction(n, table0, m), applications.BooleanFunction(n, table1, m))
 
     def one(rng: SplitMix64) -> str:
-        return f"differ:{sd_trial(image, rng)}"
+        return f"differ:{applications.sd_trial(image, rng)}"
 
     return one
 
 
 def _build_mbqc(args):
     rows, cols, entries, budget = args
-    spec = BrickworkSpec(rows, cols)
-    base = build_brickwork(spec)
-    pattern = MeasurementPattern(entries)
+    spec = mbqc.BrickworkSpec(rows, cols)
+    base = mbqc.build_brickwork(spec)
+    pattern = mbqc.MeasurementPattern(entries)
     rotated = base
     for qubit, theta in entries:
         if theta:
-            rotated = apply_gate(rotated, pattern.rotations[theta], (qubit,))
-        rotated = apply_gate(rotated, H, (qubit,))
-    _, oracle = postselect_pattern_zero(rotated, [q for q, _ in entries])
+            rotated = statevector.apply_gate(rotated, pattern.rotations[theta], (qubit,))
+        rotated = statevector.apply_gate(rotated, H, (qubit,))
+    _, oracle = mbqc.postselect_pattern_zero(rotated, [q for q, _ in entries])
 
     def one(rng: SplitMix64) -> str:
-        out, all_zero = mbqc_run_rewind(base, pattern, budget, rng)
+        out, all_zero = mbqc.mbqc_run_rewind(base, pattern, budget, rng)
         if not all_zero:
             return "all_zero:0,fidelity:-"
-        fidelity = float(abs(np.vdot(oracle.amps, out.amps)) ** 2)
+        fidelity = statevector.fidelity(oracle, out)
         return f"all_zero:1,fidelity:{fidelity!r}"
 
     return one
@@ -255,7 +262,8 @@ def _source_line(text: str, *prefix: str) -> int | str:
     return "?"
 
 
-_KERNELS = {"sv": statevector.KERNEL, "stab": stabilizer.KERNEL, "pathsum": pathsum.KERNEL}
+def _kernel(backend: str):
+    return {"sv": statevector, "stab": stabilizer, "pathsum": pathsum}[backend].KERNEL
 
 
 def cmd_simulate(ns) -> tuple[list, bool]:
@@ -267,7 +275,7 @@ def cmd_simulate(ns) -> tuple[list, bool]:
         circuit = parse_circuit(text, name=ns.circuit)
     except (CircuitSyntaxError, CircuitValidationError) as exc:
         raise UsageError(f"{ns.circuit}: {exc}") from None
-    words = _KERNELS[ns.backend].unsupported(circuit)
+    words = _kernel(ns.backend).unsupported(circuit)
     if words is not None:
         line = _source_line(text, *words)
         raise UsageError(
@@ -366,10 +374,12 @@ def cmd_demo_collision(ns) -> tuple[list, bool]:
     )
     family, _ = _collision_family(family_args)
     _require(
-        family.width <= max_qubits(),
-        f"family {family.name} needs {family.width} qubits, cap is {max_qubits()}",
+        family.width <= statevector.max_qubits(),
+        f"family {family.name} needs {family.width} qubits, cap is {statevector.max_qubits()}",
     )
-    delta = family_delta_exact(family)
+    delta = applications.family_delta_exact(family)
+    import numpy as np
+
     images_distinct = int(np.unique(family.images_array()).size)
     rewind_on = not ns.no_rewind
     if ns.family == "toy":
@@ -408,7 +418,7 @@ def cmd_demo_collision(ns) -> tuple[list, bool]:
     ok = invalid == 0
     lines.append(("assert.pairs_verify", "pass" if ok else "fail"))
     if rewind_on:
-        bound = float(collision_success_probability(family))
+        bound = float(applications.collision_success_probability(family))
         threshold = max(bound - 3.0 * math.sqrt(bound * (1.0 - bound) / ns.trials), 0.0)
         hit = freq >= threshold
         lines.append(("success_threshold", threshold))
@@ -452,9 +462,9 @@ def cmd_demo_sd(ns) -> tuple[list, bool]:
     n0, m0, table0 = _read_truth_table(ns.c0)
     n1, m1, table1 = _read_truth_table(ns.c1)
     _require((n0, m0) == (n1, m1), "both tables must share input and output sizes")
-    _require(1 + n0 + m0 <= max_qubits(), "tables too wide for the qubit budget")
-    p_err, p_err_prime, d_tv = sd_error_exact(
-        BooleanFunction(n0, table0, m0), BooleanFunction(n1, table1, m1)
+    _require(1 + n0 + m0 <= statevector.max_qubits(), "tables too wide for the qubit budget")
+    p_err, p_err_prime, d_tv = applications.sd_error_exact(
+        applications.BooleanFunction(n0, table0, m0), applications.BooleanFunction(n1, table1, m1)
     )
     records = _trial_records(
         "sd", (n0, m0, table0, table1), ns.trials, ns.seed, ns.jobs
@@ -489,7 +499,7 @@ def cmd_demo_sd(ns) -> tuple[list, bool]:
     return lines, ok
 
 
-def _read_pattern(path: str, spec: BrickworkSpec) -> list[tuple[int, int, float]]:
+def _read_pattern(path: str, spec: mbqc.BrickworkSpec) -> list[tuple[int, int, float]]:
     """Pattern file: one ``measure <i> <j> theta <float>`` line per M qubit."""
     try:
         raw = Path(path).read_text()
@@ -516,13 +526,13 @@ def cmd_demo_mbqc(ns) -> tuple[list, bool]:
     _require(ns.trials >= 1, "--trials must be positive")
     _require(ns.budget >= 0, "--budget cannot be negative")
     try:
-        spec = BrickworkSpec(ns.rows, ns.cols)
+        spec = mbqc.BrickworkSpec(ns.rows, ns.cols)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if ns.pattern:
         triples = _read_pattern(ns.pattern, spec)
         try:
-            pattern = MeasurementPattern.from_grid(spec, triples)
+            pattern = mbqc.MeasurementPattern.from_grid(spec, triples)
         except ValueError as exc:
             raise UsageError(f"{ns.pattern}: {exc}") from None
         if sorted(q for q, _ in pattern.entries) != sorted(spec.measured_qubits()):
@@ -532,10 +542,10 @@ def cmd_demo_mbqc(ns) -> tuple[list, bool]:
             )
         pattern_echo = ns.pattern
     else:
-        pattern = MeasurementPattern.identity(spec)
+        pattern = mbqc.MeasurementPattern.identity(spec)
         pattern_echo = "identity"
     measured = len(pattern.entries)
-    grid_qubits(spec)  # before any worker starts
+    mbqc.grid_qubits(spec)  # before any worker starts
     records = _trial_records(
         "mbqc",
         (ns.rows, ns.cols, pattern.entries, ns.budget),
@@ -589,7 +599,7 @@ def cmd_demo_mitigate(ns) -> tuple[list, bool]:
     _require(0.0 < ns.p < 1.0, "--p must lie strictly between 0 and 1")
     _require(1 <= ns.n <= 8, "--n must lie in 1..8")
     rng = SplitMix64(stream_seed(ns.seed, 0))
-    fs = synthetic_flagged(ns.p)
+    fs = mitigation.synthetic_flagged(ns.p)
     echo = f"demo mitigate --p {ns.p!r} --n {ns.n} --seed {ns.seed} --variant {ns.variant}"
     if ns.variant == "postselect":
         _require(ns.q is not None, "--variant postselect needs --q")
@@ -601,13 +611,13 @@ def cmd_demo_mitigate(ns) -> tuple[list, bool]:
         ("n", ns.n),
         ("seed", ns.seed),
         ("variant", ns.variant),
-        ("initial_odds", flag_odds(fs)),
+        ("initial_odds", mitigation.flag_odds(fs)),
     ]
     if ns.variant == "rewind":
-        final, trace = mitigate(fs, ns.n, rng=rng)
+        final, trace = mitigation.mitigate(fs, ns.n, rng=rng)
         for idx, (level, attempt, z) in enumerate(trace.events):
             lines.append((f"event.{idx}", f"level:{level},attempt:{attempt},z:{z}"))
-        odds = flag_odds(final)
+        odds = mitigation.flag_odds(final)
         advanced = sum(1 for _, _, z in trace.events if z == 0)
         lines += [
             ("levels", 2 * ns.n + 3),
@@ -615,18 +625,18 @@ def cmd_demo_mitigate(ns) -> tuple[list, bool]:
             ("outcome", trace.outcome),
             ("final_odds", odds),
         ]
-        ok = trace.outcome == SUCCESS and odds >= 1.0
+        ok = trace.outcome == mitigation.SUCCESS and odds >= 1.0
         lines.append(("assert.success_and_odds", "pass" if ok else "fail"))
         return lines, ok
-    rounds = postselect_rounds(ns.p, ns.q)
-    final = mitigate_postselect(fs, ns.q, rounds)
+    rounds = mitigation.postselect_rounds(ns.p, ns.q)
+    final = mitigation.mitigate_postselect(fs, ns.q, rounds)
     target_prob = 1.0 - final.p
     ok = target_prob >= 0.5
     lines += [
         ("q", ns.q),
         ("rounds", rounds),
         ("target_prob", target_prob),
-        ("final_odds", flag_odds(final)),
+        ("final_odds", mitigation.flag_odds(final)),
         ("assert.target_prob>=0.5", "pass" if ok else "fail"),
     ]
     return lines, ok
@@ -723,6 +733,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ns = _build_parser().parse_args(argv)
+    for name in _BACKEND_MODULES.get(getattr(ns, "backend", None), _ALL_MODULES):
+        importlib.import_module(name)
     start = time.perf_counter()
     try:
         lines, ok = ns.handler(ns)
@@ -730,8 +742,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (
-        CircuitSyntaxError, CircuitValidationError, statevector.QubitBudgetError,
-        pathsum.SizeLimitError,
+        CircuitSyntaxError, CircuitValidationError, QubitBudgetError, pathsum.SizeLimitError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

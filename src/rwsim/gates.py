@@ -11,8 +11,12 @@ with integer ``|k| <= 64``; ``hk(0)`` is the ordinary Hadamard.  ``rz(theta)``
 is diag(e^{-i theta/2}, e^{i theta/2}).  The Clifford subset understood by the
 stabilizer backend is ``{h, s, cz, x}``.
 
-:meth:`Gate.unitary` is the gate's matrix, big-endian in the listed targets.
-:attr:`Gate.monomial` is that matrix's structure when each row has exactly one
+:attr:`Gate.matrix` is the gate's matrix, big-endian in the listed targets,
+as a tuple of rows of ``complex``, so this module and the backends that only
+read entries (the stabilizer tableau, the path sum) never load NumPy.
+:meth:`Gate.unitary` is the same matrix as a NumPy array for the dense
+backend, built on the first call and kept on the gate object.
+:attr:`Gate.monomial` is the matrix's structure when each row has exactly one
 nonzero entry (the diagonal gates ``s``, ``rz``, ``cz``, ``ccz`` and the
 permutations ``x``, ``swap``), read from the matrix once per gate object, not
 from a table of gate names.  The dense backend runs such gates as slice copies
@@ -25,8 +29,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 _ARITY = {
     "x": 1, "h": 1, "s": 1, "hk": 1, "rz": 1,
     "cz": 2, "ch": 2, "swap": 2,
@@ -36,22 +38,27 @@ _ARITY = {
 GATE_NAMES = frozenset(_ARITY)
 CLIFFORD_NAMES = frozenset({"h", "s", "cz", "x"})
 
-_SQRT1_2 = 1.0 / math.sqrt(2.0)
 
+def _matrix(*rows) -> tuple[tuple[complex, ...], ...]:
+    return tuple(tuple(complex(entry) for entry in row) for row in rows)
+
+
+def _diag(*entries) -> tuple[tuple[complex, ...], ...]:
+    return _matrix(*([entry if col == row else 0 for col in range(len(entries))]
+                     for row, entry in enumerate(entries)))
+
+
+_R = 1.0 / math.sqrt(2.0)  # the entries of h
 _FIXED = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "h": np.array([[_SQRT1_2, _SQRT1_2], [_SQRT1_2, -_SQRT1_2]], dtype=complex),
-    "s": np.array([[1, 0], [0, 1j]], dtype=complex),
-    "cz": np.diag([1, 1, 1, -1]).astype(complex),
-    "swap": np.array(
-        [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-    ),
-    "ccz": np.diag([1, 1, 1, 1, 1, 1, 1, -1]).astype(complex),
+    "x": _matrix((0, 1), (1, 0)),
+    "h": _matrix((_R, _R), (_R, -_R)),
+    "s": _diag(1, 1j),
+    "cz": _diag(1, 1, 1, -1),
+    "swap": _matrix((1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1)),
+    "ccz": _diag(1, 1, 1, 1, 1, 1, 1, -1),
+    # ch: identity on control |0>, Hadamard on the target for control |1>.
+    "ch": _matrix((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, _R, _R), (0, 0, _R, -_R)),
 }
-# ch: identity on control |0>, Hadamard on the target for control |1>.
-_CH = np.eye(4, dtype=complex)
-_CH[2:, 2:] = _FIXED["h"]
-_FIXED["ch"] = _CH
 
 
 @dataclass(frozen=True)
@@ -81,36 +88,45 @@ class Gate:
     def arity(self) -> int:
         return _ARITY[self.name]
 
-    def unitary(self) -> np.ndarray:
-        """Dense (2^arity x 2^arity) matrix; basis order is big-endian in
-        the listed targets (first target = most significant bit)."""
+    @cached_property
+    def matrix(self) -> tuple[tuple[complex, ...], ...]:
+        """Rows of the (2^arity x 2^arity) matrix; basis order is big-endian
+        in the listed targets (first target = most significant bit)."""
         if self.name == "hk":
             w = 2.0 ** self.param
             norm = math.sqrt(1.0 + w * w)
-            return np.array([[1.0, w], [w, -1.0]], dtype=complex) / norm
+            return _matrix((1.0 / norm, w / norm), (w / norm, -1.0 / norm))
         if self.name == "rz":
             half = 0.5 * float(self.param)
-            return np.array(
-                [[complex(math.cos(half), -math.sin(half)), 0],
-                 [0, complex(math.cos(half), math.sin(half))]],
-                dtype=complex,
-            )
+            return _diag(complex(math.cos(half), -math.sin(half)),
+                         complex(math.cos(half), math.sin(half)))
         return _FIXED[self.name]
+
+    def unitary(self):
+        """:attr:`matrix` as a read-only complex NumPy array, built on the
+        first call and returned again on every later one."""
+        u = self.__dict__.get("_unitary")
+        if u is None:
+            import numpy as np  # only the dense backend and the demos use NumPy
+
+            u = self.__dict__["_unitary"] = np.array(self.matrix, dtype=complex)
+            u.flags.writeable = False
+        return u
 
     @cached_property
     def monomial(self) -> tuple[tuple[int, complex], ...] | None:
         """The ``(source column, coefficient)`` pair of every row of
-        :meth:`unitary` when each row has exactly one nonzero entry, else None.
+        :attr:`matrix` when each row has exactly one nonzero entry, else None.
 
         Row r of such a gate maps the amplitude whose targets read the source
         column onto the one whose targets read r, times the coefficient.
         """
         rows = []
-        for row in self.unitary():
-            (cols,) = np.nonzero(row)
+        for row in self.matrix:
+            cols = [col for col, entry in enumerate(row) if entry]
             if len(cols) != 1:
                 return None
-            rows.append((int(cols[0]), complex(row[cols[0]])))
+            rows.append((cols[0], row[cols[0]]))
         return tuple(rows)
 
 

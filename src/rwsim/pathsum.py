@@ -74,11 +74,9 @@ def _moves(op: GateOp) -> tuple[int, dict[int, tuple[tuple[int, complex], ...]]]
     if monomial is not None:
         table = {spread[col]: ((spread[row], factor),) for row, (col, factor) in enumerate(monomial)}
     else:
-        u = op.gate.unitary()
+        u = op.gate.matrix
         table = {
-            spread[col]: tuple(
-                (spread[row], complex(u[row, col])) for row in range(1 << width) if u[row, col]
-            )
+            spread[col]: tuple((spread[row], u[row][col]) for row in range(1 << width) if u[row][col])
             for col in range(1 << width)
         }
     return spread[-1], table

@@ -30,7 +30,7 @@ deterministic after, collapsed onto that outcome.  Two tableaux with equal
 stabilizer rows and signs hold the same state; otherwise they hold the same
 state when each stabilizer of one commutes with the other's stabilizers and
 carries the sign of its product of them (the destabilizers it anticommutes
-with select it), a check run on row arrays with NumPy.
+with select it), a check run on the same int columns.
 
 ``KERNEL`` runs these rules under the circuit interpreter in :mod:`rwsim.circuit`:
 ``stab_run`` samples a path, ``stab_outcome_distribution`` and
@@ -46,8 +46,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .circuit import (  # the shared error and registry names are re-exported
     Circuit,
@@ -114,18 +112,17 @@ def stab_apply(tab: StabilizerTableau, g: Gate, targets: tuple[int, ...]) -> Sta
     return tab
 
 
-def _deterministic_outcome(tab: StabilizerTableau, qubit: int) -> int:
-    """Outcome of measuring ``qubit`` when no stabilizer anticommutes with Z_qubit.
+def _product_sign(tab: StabilizerTableau, chosen: int) -> int:
+    """Sign bit of the product, in row order, of the stabilizers in ``chosen``
+    (bit i selects stabilizer n + i), which must commute with each other.
 
-    It is the sign of the product of the stabilizers whose destabilizer has
-    an X bit at ``qubit``.  In one qubit's column, the product of the chosen
-    rows' factors i^{xz} X^x Z^z in row order is i^e times the factor of the
-    XOR of their bits, where e = #(x = z = 1) + 2 #(rows i < l with z_i = x_l
-    = 1) - (parity of x)(parity of z); the i-exponents of all columns and
-    twice the chosen signs add up mod 4.
+    In one qubit's column, the product of the chosen rows' factors
+    i^{xz} X^x Z^z in row order is i^e times the factor of the XOR of their
+    bits, where e = #(x = z = 1) + 2 #(rows i < l with z_i = x_l = 1) -
+    (parity of x)(parity of z); the i-exponents of all columns and twice the
+    chosen signs add up mod 4.
     """
     n = tab.n
-    chosen = tab.X[qubit] & ((1 << n) - 1)  # destabilizer i selects stabilizer n + i
     width = chosen.bit_length()
     e = 2 * (tab.r >> n & chosen).bit_count()
     for x, z in zip(tab.X, tab.Z):
@@ -141,6 +138,13 @@ def _deterministic_outcome(tab: StabilizerTableau, qubit: int) -> int:
             e -= x.bit_count() & z.bit_count() & 1
     assert e % 2 == 0, "product of anticommuting rows"
     return e >> 1 & 1
+
+
+def _deterministic_outcome(tab: StabilizerTableau, qubit: int) -> int:
+    """Outcome of measuring ``qubit`` when no stabilizer anticommutes with
+    Z_qubit: the sign of the product of the stabilizers whose destabilizer
+    has an X bit at ``qubit``."""
+    return _product_sign(tab, tab.X[qubit] & ((1 << tab.n) - 1))
 
 
 def stab_measure(
@@ -201,55 +205,6 @@ def stab_measure(
     return outcome, 0.5, tab
 
 
-def _rows(tab: StabilizerTableau) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The tableau as row arrays: X and Z (2n, words) uint64, signs (2n,) uint8."""
-    n, size = tab.n, (2 * tab.n + 7) // 8
-    words = (n + 63) // 64
-
-    def unpack(ints) -> np.ndarray:  # (len(ints), 2n) bits
-        raw = np.frombuffer(b"".join(v.to_bytes(size, "little") for v in ints), np.uint8)
-        return np.unpackbits(raw.reshape(len(ints), size), axis=1, bitorder="little")[:, : 2 * n]
-
-    def pack(cols) -> np.ndarray:
-        packed = np.zeros((2 * n, 8 * words), dtype=np.uint8)
-        packed[:, : (n + 7) // 8] = np.packbits(unpack(cols).T, axis=1, bitorder="little")
-        return packed.view("<u8")
-
-    return pack(tab.X), pack(tab.Z), unpack([tab.r])[0]
-
-
-def _phase_sum(x1, z1, x2, z2) -> np.ndarray:
-    """Per row, the i-exponent of (row 1) * (row 2), summed over qubits.
-
-    Rows broadcast against each other; the sum runs over the last (word) axis.
-    """
-    plus = (
-        (x1 & z1 & z2 & ~x2)
-        | (x1 & ~z1 & z2 & x2)
-        | (~x1 & z1 & x2 & ~z2)
-    )
-    minus = (
-        (x1 & z1 & x2 & ~z2)
-        | (x1 & ~z1 & z2 & ~x2)
-        | (~x1 & z1 & x2 & z2)
-    )
-    count = lambda v: np.bitwise_count(v).sum(axis=-1, dtype=np.int64)
-    return count(plus) - count(minus)
-
-
-def _product_sign(X: np.ndarray, Z: np.ndarray, r: np.ndarray) -> int:
-    """Sign exponent of the product of the pairwise commuting rows, in order.
-
-    Step j multiplies row j into the product of the rows before it, whose
-    Pauli part is their XOR; the i-exponents of all steps add up mod 4.
-    """
-    before_x = np.bitwise_xor.accumulate(X, axis=0)[:-1]
-    before_z = np.bitwise_xor.accumulate(Z, axis=0)[:-1]
-    e = (2 * int(r.sum()) + int(_phase_sum(before_x, before_z, X[1:], Z[1:]).sum())) % 4
-    assert e % 2 == 0, "product of anticommuting rows"
-    return e // 2
-
-
 def _stabilizers(tab: StabilizerTableau) -> tuple[list[int], list[int], int]:
     n = tab.n
     return [x >> n for x in tab.X], [z >> n for z in tab.Z], tab.r >> n
@@ -257,26 +212,28 @@ def _stabilizers(tab: StabilizerTableau) -> tuple[list[int], list[int], int]:
 
 def _same_state(a: StabilizerTableau, b: StabilizerTableau) -> bool:
     """Do two tableaux of one width stabilize the same state (signs included)?"""
-    if _stabilizers(a) == _stabilizers(b):
+    (aX, aZ, ar), (bX, bZ, br) = _stabilizers(a), _stabilizers(b)
+    if (aX, aZ, ar) == (bX, bZ, br):
         return True  # the same generators with the same signs
-    n = a.n
-    (aX, aZ, ar), (bX, bZ, br) = _rows(a), _rows(b)
     # a stabilizer row that b shares with a is in a's group; check the others
-    shared = (aX[n:] == bX[n:]).all(axis=1) & (aZ[n:] == bZ[n:]).all(axis=1)
-    rows = n + np.nonzero(~shared | (ar[n:] != br[n:]))[0]
-    anti = np.zeros((rows.size, 2 * n), dtype=np.uint8)  # [j, i]: row j anticommutes with a's i
-    for w in range(aX.shape[1]):  # a word at a time keeps memory at rows x 2n
-        anti ^= np.bitwise_count(
-            (bX[rows, None, w] & aZ[None, :, w]) ^ (bZ[rows, None, w] & aX[None, :, w])
-        )
-    anti &= 1
-    if anti[:, n:].any():
-        return False  # a stabilizer of b is outside a's group
-    # it is the product of a's stabilizers whose destabilizer it anticommutes
-    # with, and must carry that product's sign
-    for bits, row in zip(anti, rows):
-        chosen = n + np.nonzero(bits[:n])[0]
-        if _product_sign(aX[chosen], aZ[chosen], ar[chosen]) != br[row]:
+    differ = ar ^ br
+    for xa, za, xb, zb in zip(aX, aZ, bX, bZ):
+        differ |= xa ^ xb | za ^ zb
+    n, low = a.n, (1 << a.n) - 1
+    while differ:
+        i = (differ & -differ).bit_length() - 1
+        differ &= differ - 1
+        anti = 0  # bit k: b's stabilizer i anticommutes with a's row k
+        for xb, zb, xa, za in zip(bX, bZ, a.X, a.Z):
+            if xb >> i & 1:
+                anti ^= za
+            if zb >> i & 1:
+                anti ^= xa
+        if anti >> n:
+            return False  # it is outside a's group
+        # it is the product of a's stabilizers whose destabilizer it
+        # anticommutes with, and must carry that product's sign
+        if _product_sign(a, anti & low) != br >> i & 1:
             return False
     return True
 
@@ -359,7 +316,11 @@ KERNEL = _TableauKernel()
 
 
 def stab_run(circuit: Circuit, rng: SplitMix64, mode: str = "strict") -> RunResult:
-    """Sample one execution of a Clifford circuit on the tableau backend."""
+    """Sample one execution of a Clifford circuit on the tableau backend.
+
+    Public API.  ``simulate`` does not call it: it builds one
+    :func:`rwsim.circuit.sampler` for all its trials.
+    """
     return sample_run(circuit, KERNEL, rng, mode)
 
 

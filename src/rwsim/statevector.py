@@ -83,6 +83,7 @@ from .circuit import (  # the shared error and registry names are re-exported
     InvalidPostselectionError,
     Kernel,
     PostselectThresholdError,
+    QubitBudgetError,
     RewindBudgetError,
     RewindConsistencyError,
     RunResult,
@@ -97,10 +98,6 @@ from .gates import Gate
 from .rng import SplitMix64
 
 _DEFAULT_MAX_QUBITS = 24
-
-
-class QubitBudgetError(ValueError):
-    """Requested width exceeds the configured qubit cap."""
 
 
 def max_qubits() -> int:
@@ -680,7 +677,11 @@ def run(
     max_rewinds: int | None = None,
     min_postselect_prob: float = 0.0,
 ) -> RunResult:
-    """Execute a circuit once, sampling measurements from ``rng``."""
+    """Execute a circuit once, sampling measurements from ``rng``.
+
+    Public API (exported by the package).  ``simulate`` does not call it: it
+    builds one :func:`rwsim.circuit.sampler` for all its trials.
+    """
     return sample_run(circuit, KERNEL, rng, mode, max_rewinds, min_postselect_prob)
 
 

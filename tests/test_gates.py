@@ -139,3 +139,62 @@ def test_monomial_is_read_from_the_matrix():
 
 def test_backend_subsets_are_consistent():
     assert CLIFFORD_NAMES == {"h", "s", "cz", "x"}
+
+
+# ---------------------------------------------------------------------------
+# the tuple tables against the NumPy construction they replaced
+
+
+def _old_unitary(g: Gate) -> np.ndarray:
+    r = 1.0 / math.sqrt(2.0)
+    h = np.array([[r, r], [r, -r]], dtype=complex)
+    if g.name == "hk":
+        w = 2.0**g.param
+        return np.array([[1.0, w], [w, -1.0]], dtype=complex) / math.sqrt(1.0 + w * w)
+    if g.name == "rz":
+        half = 0.5 * float(g.param)
+        return np.array(
+            [[complex(math.cos(half), -math.sin(half)), 0],
+             [0, complex(math.cos(half), math.sin(half))]],
+            dtype=complex,
+        )
+    if g.name == "ch":
+        ch = np.eye(4, dtype=complex)
+        ch[2:, 2:] = h
+        return ch
+    return {
+        "x": np.array([[0, 1], [1, 0]], dtype=complex),
+        "h": h,
+        "s": np.array([[1, 0], [0, 1j]], dtype=complex),
+        "cz": np.diag([1, 1, 1, -1]).astype(complex),
+        "swap": np.array(
+            [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
+        ),
+        "ccz": np.diag([1, 1, 1, 1, 1, 1, 1, -1]).astype(complex),
+    }[g.name]
+
+
+def _old_monomial(u: np.ndarray):
+    rows = []
+    for row in u:
+        (cols,) = np.nonzero(row)
+        if len(cols) != 1:
+            return None
+        rows.append((int(cols[0]), complex(row[cols[0]])))
+    return tuple(rows)
+
+
+TABLED = FIXED + [hk(k) for k in range(-64, 65)] + [
+    rz(theta) for theta in (0.0, -0.0, 0.25, math.pi, -3.0)
+]
+
+
+@pytest.mark.parametrize("g", TABLED, ids=lambda g: f"{g.name}({g.param})")
+def test_tables_build_the_same_matrices_bit_for_bit(g):
+    old = _old_unitary(g)
+    u = g.unitary()
+    assert u.dtype == old.dtype and np.array_equal(u, old)
+    assert u.tobytes() == old.tobytes()  # signed zeros too
+    assert g.monomial == _old_monomial(old)
+    assert g.unitary() is u and not u.flags.writeable
+    assert tuple(map(tuple, u.tolist())) == g.matrix

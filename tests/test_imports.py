@@ -1,0 +1,73 @@
+"""What loads when: the stabilizer and path-sum commands and a bare
+``import rwsim`` never load NumPy, and the package's lazily resolved exports
+are the objects their modules define."""
+
+from __future__ import annotations
+
+import importlib
+import subprocess
+import sys
+
+import pytest
+
+import rwsim
+from conftest import REPO, cli_env
+from test_parity import COMMANDS, GOLDEN, differences
+
+# Runs ``python -m rwsim`` with the given arguments, then reports on stderr
+# whether NumPy was ever imported.
+WRAPPER = """
+import runpy, sys
+sys.argv = ["rwsim", *sys.argv[1:]]
+code = 0
+try:
+    runpy.run_module("rwsim", run_name="__main__", alter_sys=True)
+except SystemExit as exit:
+    code = exit.code
+print("numpy_loaded=" + str("numpy" in sys.modules), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def _child(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, *args], cwd=REPO, env=cli_env(), capture_output=True, text=True,
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize("name", ["retry-stab", "bell-pathsum"])
+def test_stab_and_pathsum_commands_never_load_numpy(name):
+    proc = _child("-c", WRAPPER, *COMMANDS[name])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "numpy_loaded=False"
+    body = "".join(
+        line for line in proc.stdout.splitlines(keepends=True)
+        if not line.startswith("duration_s=")
+    )
+    assert differences((GOLDEN / f"{name}.txt").read_text(), body) == []
+
+
+def test_the_dense_command_loads_numpy():
+    proc = _child("-c", WRAPPER, *COMMANDS["bell-sv"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "numpy_loaded=True"
+
+
+def test_bare_import_never_loads_numpy():
+    proc = _child("-c", "import rwsim, sys; print('numpy' in sys.modules)")
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
+@pytest.mark.parametrize("name", sorted(set(rwsim.__all__) - {"__version__"}))
+def test_every_export_is_its_defining_modules_object(name):
+    obj = getattr(rwsim, name)
+    assert obj.__module__.startswith("rwsim.")
+    assert getattr(importlib.import_module(obj.__module__), name) is obj
+    assert name in dir(rwsim)
+
+
+def test_unknown_names_are_attribute_errors():
+    assert rwsim.__version__ == "0.1.0"
+    with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+        rwsim.nothing

@@ -484,3 +484,93 @@ def test_wide_strict_rewind_refuses_two_collapses(pair):
     for qubit in pair:
         post = stab_measure(post, qubit, None, force=1)[2]
     assert _accepts(stabilizer.KERNEL, post, ghz)
+
+
+# ---------------------------------------------------------------------------
+# the group check on int columns against an independent reference: the
+# row-by-row products above, and for small n the dense state
+
+
+def _from_rows(n: int, rows) -> StabilizerTableau:
+    return StabilizerTableau(
+        n,
+        [sum(row[0][j] << i for i, row in enumerate(rows)) for j in range(n)],
+        [sum(row[1][j] << i for i, row in enumerate(rows)) for j in range(n)],
+        sum(row[2] << i for i, row in enumerate(rows)),
+    )
+
+
+def _scrambled(n: int, rows, rng: SplitMix64) -> list:
+    """The same stabilizer group with other generators: stabilizer k is
+    multiplied into stabilizer i, and destabilizer i into destabilizer k, so
+    every destabilizer still anticommutes with its own stabilizer only."""
+    rows = [[xs[:], zs[:], sign] for xs, zs, sign in rows]
+    for _ in range(2 * n):
+        i = rng.randrange(n)
+        k = (i + 1 + rng.randrange(n - 1)) % n
+        _rowsum(rows[n + i], rows[n + k])
+        _rowsum(rows[k], rows[i])
+    return rows
+
+
+def _apply_pauli(amps, n: int, row):
+    """(-1)^sign prod_j i^{x_j z_j} X^{x_j} Z^{z_j} applied to a dense state."""
+    import numpy as np
+
+    xs, zs, sign = row
+    psi = amps.reshape([2] * n)
+    for j in range(n):
+        if zs[j]:
+            psi = psi * np.array([1, -1]).reshape([2 if a == j else 1 for a in range(n)])
+    for j in range(n):
+        if xs[j]:
+            psi = np.flip(psi, axis=j)
+    return (-1) ** sign * 1j ** sum(x & z for x, z in zip(xs, zs)) * psi.reshape(-1)
+
+
+def _dense_same(amps, n: int, rows) -> bool:
+    """Does every stabilizer in ``rows`` fix the dense state?"""
+    import numpy as np
+
+    return all(np.allclose(_apply_pauli(amps, n, row), amps, atol=1e-9) for row in rows[n:])
+
+
+@pytest.mark.parametrize("n", [3, 8, 63, 64, 65, 70])
+def test_group_check_matches_an_independent_reference(n, monkeypatch):
+    calls = []
+    product_sign = stabilizer._product_sign
+    monkeypatch.setattr(
+        stabilizer, "_product_sign", lambda *args: calls.append(args) or product_sign(*args)
+    )
+    pool = (H, S, X, CZ)
+    for case in range(4):
+        rng = SplitMix64(stream_seed(0x6E0, 100 * n + case))
+        gates = []
+        for _ in range(6 * n):
+            g = pool[rng.randrange(4)]
+            a = rng.randrange(n)
+            gates.append((g, (a, (a + 1 + rng.randrange(n - 1)) % n) if g is CZ else (a,)))
+        a = _wide(n, gates)
+        rows = _reference_rows(a)
+        same = _scrambled(n, rows, rng)
+        flipped = [[xs, zs, sign] for xs, zs, sign in same]
+        flipped[n + rng.randrange(n)][2] ^= 1
+        i = rng.randrange(n)  # a's destabilizer i replaces its stabilizer i
+        swapped = rows[:]
+        swapped[i], swapped[n + i] = rows[n + i], rows[i]
+        replaced = _scrambled(n, swapped, rng)
+        cases = [(same, True), (flipped, False), (replaced, False)]
+        if n <= 8:
+            amps = init(n)
+            for g, targets in gates:
+                amps = apply_gate(amps, g, targets)
+            assert _dense_same(amps.amps, n, rows)
+        for b_rows, want in cases:
+            b = _from_rows(n, b_rows)
+            assert stabilizer._stabilizers(b) != stabilizer._stabilizers(a)
+            del calls[:]
+            assert stabilizer._same_state(a, b) is want, (case, want)
+            assert stabilizer._same_state(b, a) is want, (case, want)
+            assert calls or not want, "the equal-rows shortcut decided"
+            if n <= 8:
+                assert _dense_same(amps.amps, n, b_rows) is want
