@@ -76,10 +76,10 @@ applications, mbqc, mitigation, pathsum, stabilizer, statevector = map(
 # What a command runs on, loaded by ``main`` before its clock starts.  The
 # stabilizer and path-sum backends need no NumPy; every other command loads
 # NumPy and then the layer modules in the order they always had.
-_BACKEND_MODULES = {"stab": (f"{__package__}.stabilizer",), "pathsum": (f"{__package__}.pathsum",)}
-_ALL_MODULES = ("numpy", *(f"{__package__}.{name}" for name in (
-    "statevector", "applications", "pathsum", "stabilizer", "mbqc", "mitigation",
-)))
+_BACKEND_MODULES = {"stab": (".stabilizer",), "pathsum": (".pathsum",)}
+_ALL_MODULES = (
+    "numpy", ".statevector", ".applications", ".pathsum", ".stabilizer", ".mbqc", ".mitigation",
+)
 
 
 class UsageError(Exception):
@@ -734,7 +734,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ns = _build_parser().parse_args(argv)
     for name in _BACKEND_MODULES.get(getattr(ns, "backend", None), _ALL_MODULES):
-        importlib.import_module(name)
+        importlib.import_module(name, __package__)
     start = time.perf_counter()
     try:
         lines, ok = ns.handler(ns)

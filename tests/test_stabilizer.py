@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import random_clifford_circuit
@@ -515,8 +516,6 @@ def _scrambled(n: int, rows, rng: SplitMix64) -> list:
 
 def _apply_pauli(amps, n: int, row):
     """(-1)^sign prod_j i^{x_j z_j} X^{x_j} Z^{z_j} applied to a dense state."""
-    import numpy as np
-
     xs, zs, sign = row
     psi = amps.reshape([2] * n)
     for j in range(n):
@@ -530,8 +529,6 @@ def _apply_pauli(amps, n: int, row):
 
 def _dense_same(amps, n: int, rows) -> bool:
     """Does every stabilizer in ``rows`` fix the dense state?"""
-    import numpy as np
-
     return all(np.allclose(_apply_pauli(amps, n, row), amps, atol=1e-9) for row in rows[n:])
 
 
