@@ -12,18 +12,16 @@ from __future__ import annotations
 
 import argparse
 
-import numpy as np
-
-from rwsim.gates import H
+from rwsim.circuit import sampler
 from rwsim.mbqc import (
     BrickworkSpec,
     MeasurementPattern,
-    build_brickwork,
-    mbqc_run_rewind,
-    postselect_pattern_zero,
+    pattern_circuit,
+    pattern_oracle,
+    reads_all_zero,
 )
 from rwsim.rng import SplitMix64, stream_seed
-from rwsim.statevector import apply_gate
+from rwsim.statevector import KERNEL, fidelity
 
 
 def main() -> None:
@@ -36,26 +34,22 @@ def main() -> None:
     args = parser.parse_args()
 
     spec = BrickworkSpec(args.rows, args.cols)
-    base = build_brickwork(spec)
     pattern = MeasurementPattern.identity(spec)
-    measured = [q for q, _ in pattern.entries]
-    rotated = base
-    for q in measured:
-        rotated = apply_gate(rotated, H, (q,))
-    _, oracle = postselect_pattern_zero(rotated, measured)
+    measured = len(pattern.entries)
+    oracle = pattern_oracle(spec, pattern)
 
-    print(f"# grid {args.rows}x{args.cols}, |M|={len(measured)}, trials={args.trials}")
+    print(f"# grid {args.rows}x{args.cols}, |M|={measured}, trials={args.trials}")
     print(f"{'budget':>6} {'freq':>8} {'analytic':>10} {'min_fidelity':>14}")
     for budget in args.budgets:
+        trial = sampler(pattern_circuit(spec, pattern, budget), KERNEL)
         zeros = 0
         fid_min = 1.0
         for i in range(args.trials):
-            rng = SplitMix64(stream_seed(args.seed + budget, i))
-            out, all_zero = mbqc_run_rewind(base, pattern, budget, rng)
-            if all_zero:
+            result = trial(SplitMix64(stream_seed(args.seed + budget, i)))
+            if reads_all_zero(result.record):
                 zeros += 1
-                fid_min = min(fid_min, float(abs(np.vdot(oracle.amps, out.amps)) ** 2))
-        analytic = (1.0 - 2.0 ** -(budget + 1)) ** len(measured)
+                fid_min = min(fid_min, fidelity(oracle, result.final_state.core))
+        analytic = (1.0 - 2.0 ** -(budget + 1)) ** measured
         print(
             f"{budget:6d} {zeros / args.trials:8.4f} {analytic:10.6f} "
             f"{fid_min if zeros else float('nan'):14.12f}"

@@ -45,7 +45,6 @@ from .circuit import (
     parse_circuit,
     sampler,
 )
-from .gates import H
 from .rng import SplitMix64, stream_seed
 
 
@@ -220,20 +219,15 @@ def _build_sd(args):
 def _build_mbqc(args):
     rows, cols, entries, budget = args
     spec = mbqc.BrickworkSpec(rows, cols)
-    base = mbqc.build_brickwork(spec)
     pattern = mbqc.MeasurementPattern(entries)
-    rotated = base
-    for qubit, theta in entries:
-        if theta:
-            rotated = statevector.apply_gate(rotated, pattern.rotations[theta], (qubit,))
-        rotated = statevector.apply_gate(rotated, H, (qubit,))
-    _, oracle = mbqc.postselect_pattern_zero(rotated, [q for q, _ in entries])
+    trial = sampler(mbqc.pattern_circuit(spec, pattern, budget), statevector.KERNEL)
+    oracle = mbqc.pattern_oracle(spec, pattern)
 
     def one(rng: SplitMix64) -> str:
-        out, all_zero = mbqc.mbqc_run_rewind(base, pattern, budget, rng)
-        if not all_zero:
+        result = trial(rng)
+        if not mbqc.reads_all_zero(result.record):
             return "all_zero:0,fidelity:-"
-        fidelity = statevector.fidelity(oracle, out)
+        fidelity = statevector.fidelity(oracle, result.final_state.core)
         return f"all_zero:1,fidelity:{fidelity!r}"
 
     return one

@@ -11,15 +11,15 @@ Measured set M = all columns but the last; output set O = the last column.
 A pattern entry (qubit, theta) measures the qubit in the rotated X basis:
 apply rz(-theta), then h, then a Z measurement.  On brickwork states each
 such measurement is a fair coin, so a per-qubit retry budget b (rewind to
-the pre-measurement state and re-measure, at most b + 1 tries of
-:func:`rwsim.statevector.measure_until`) drives the all-zeros outcome
-probability to (1 - 2^-(b+1)) per qubit.  A qubit that exhausts its budget
-keeps outcome 1 and the run continues with all_zero = False.
+the pre-measurement snapshot and re-measure, at most b + 1 tries of
+:func:`pattern_circuit` under the circuit interpreter) drives the all-zeros
+outcome probability to (1 - 2^-(b+1)) per qubit.  A qubit that exhausts its
+budget keeps outcome 1 and the run continues with all_zero = False.
 
 ``iqp_fanout_amplify`` is the related fan-out gadget: each round entangles a
 |+> ancilla onto a distinguished control qubit with CH and retries its
-measurement to 0 with ``measure_until``, doubling the control qubit's
-1-vs-0 probability odds per round (2^q overall).
+measurement to 0 (:meth:`rwsim.statevector.Reading.retry`), doubling the
+control qubit's 1-vs-0 probability odds per round (2^q overall).
 """
 
 from __future__ import annotations
@@ -29,18 +29,18 @@ from functools import cached_property
 
 import numpy as np
 
+from .circuit import Circuit, Conditional, GateOp, Measure, Rewind, Snapshot
 from .gates import CH, CZ, H, Gate, rz
 from .rng import SplitMix64
 from .statevector import (
     PureState,
     QubitBudgetError,
+    Reading,
     apply_gate,
     attach_zero,
     init,
     max_qubits,
-    measure_until,
     prob_of_bit,
-    slice_qubit,
 )
 
 _DEFAULT_GRID_MAX = 14
@@ -101,7 +101,7 @@ class MeasurementPattern:
     def rotations(self) -> dict[float, Gate]:
         """``rz(-theta)`` for each distinct nonzero angle, built once per
         pattern, so each gate's slice structure (``Gate.monomial``) is
-        computed once and not once per measured qubit and run."""
+        computed once and not once per measured qubit."""
         return {theta: rz(-theta) for _, theta in self.entries if theta}
 
     @classmethod
@@ -128,48 +128,37 @@ def grid_qubits(spec: BrickworkSpec, max_width: int = _DEFAULT_GRID_MAX) -> int:
     return total
 
 
-def build_brickwork(spec: BrickworkSpec, max_width: int = _DEFAULT_GRID_MAX) -> PureState:
-    """|+>^{nm} with CZ along the brickwork edges."""
-    total = grid_qubits(spec, max_width)
-    state = init(total)
-    for q in range(total):
-        state = apply_gate(state, H, (q,))
-    for (a, b) in spec.edges():
-        state = apply_gate(state, CZ, (spec.qubit_index(*a), spec.qubit_index(*b)))
-    return state
-
-
-def mbqc_run_rewind(
-    state: PureState,
-    pattern: MeasurementPattern,
-    retry_budget: int,
-    rng: SplitMix64,
-) -> tuple[PureState, bool]:
-    """Measure the pattern qubits, retrying each toward outcome 0.
-
-    Each entry rotates (rz(-theta), h), then measures, rewinding on outcome
-    1 up to ``retry_budget`` times (``measure_until``); a qubit that exhausts
-    its budget keeps outcome 1 and the run continues.  Returns the state on the
-    unmeasured qubits and the all-zeros flag.
-    """
+def pattern_circuit(spec: BrickworkSpec, pattern: MeasurementPattern, budget: int) -> Circuit:
+    """The brickwork state (``h`` on every qubit, ``cz`` along the edges),
+    then per entry (q, theta) ``rz(-theta)`` (if theta is nonzero), ``h``,
+    ``snapshot s<q>``, ``measure q -> m<q>.0`` and ``budget`` retry steps as
+    in ``circuits/rewind_retry.qc``: step k rewinds to ``s<q>`` and measures
+    into ``m<q>.k`` if every earlier try of q read 1.  On
+    ``statevector.KERNEL`` the core of a run's final state is the output."""
+    total = grid_qubits(spec)
     qubits = [q for q, _ in pattern.entries]
     if len(set(qubits)) != len(qubits):
         raise ValueError("pattern measures a qubit twice")
-    if any(not (0 <= q < state.n) for q in qubits):
-        raise ValueError("pattern qubit outside the state")
-    if len(qubits) >= state.n:
+    if any(not (0 <= q < total) for q in qubits):
+        raise ValueError("pattern qubit outside the grid")
+    if len(qubits) >= total:
         raise ValueError("pattern must leave at least one output qubit")
-    outcomes: dict[int, int] = {}
-    for qubit, theta in pattern.entries:
+    ops: list = [GateOp(H, (q,)) for q in range(total)]
+    ops += [GateOp(CZ, (spec.qubit_index(*a), spec.qubit_index(*b))) for a, b in spec.edges()]
+    for q, theta in pattern.entries:
         if theta:
-            state = apply_gate(state, pattern.rotations[theta], (qubit,))
-        state = apply_gate(state, H, (qubit,))
-        bits, state = measure_until(state, qubit, 0, retry_budget + 1, rng)
-        outcomes[qubit] = bits[-1]
-    all_zero = not any(outcomes.values())
-    for qubit in sorted(outcomes, reverse=True):
-        state = slice_qubit(state, qubit, outcomes[qubit])
-    return state, all_zero
+            ops.append(GateOp(pattern.rotations[theta], (q,)))
+        ops += [GateOp(H, (q,)), Snapshot(f"s{q}"), Measure(q, f"m{q}.0")]
+        for k in range(1, budget + 1):
+            missed = tuple((f"m{q}.{j}", 1) for j in range(k))
+            ops += [Conditional(missed, op) for op in (Rewind(f"s{q}"), Measure(q, f"m{q}.{k}"))]
+    return Circuit(total, tuple(ops))
+
+
+def reads_all_zero(record) -> bool:
+    """Did the last try of every qubit of a :func:`pattern_circuit` run read 0?"""
+    last = {label.partition(".")[0]: bit for label, bit, _ in record.entries}
+    return not any(last.values())
 
 
 def postselect_pattern_zero(state: PureState, qubits) -> tuple[float, PureState]:
@@ -188,6 +177,16 @@ def postselect_pattern_zero(state: PureState, qubits) -> tuple[float, PureState]
     if prob <= 0.0:
         raise ValueError("all-zeros branch has probability zero")
     return prob, PureState(n - len(qubits), block / np.sqrt(prob))
+
+
+def pattern_oracle(spec: BrickworkSpec, pattern: MeasurementPattern) -> PureState:
+    """The output state of the all-zero branch: the gates of
+    :func:`pattern_circuit` on full vectors, then :func:`postselect_pattern_zero`."""
+    state = init(grid_qubits(spec))
+    for op in pattern_circuit(spec, pattern, 0):
+        if isinstance(op, GateOp):
+            state = apply_gate(state, op.gate, op.targets)
+    return postselect_pattern_zero(state, [q for q, _ in pattern.entries])[1]
 
 
 def target_odds(state: PureState, qubit: int) -> float:
@@ -219,8 +218,8 @@ def iqp_fanout_amplify(
         work = attach_zero(state)
         work = apply_gate(work, H, (ancilla,))
         work = apply_gate(work, CH, (control_qubit, ancilla))
-        bits, work = measure_until(work, ancilla, 0, retry_budget + 1, rng)
-        if bits[-1]:
+        reading = Reading(work, ancilla)
+        if reading.retry(0, retry_budget + 1, rng)[-1]:
             raise RuntimeError("fan-out retry budget exhausted")
-        state = slice_qubit(work, ancilla, 0)
+        state = reading.dropped(0)
     return state

@@ -16,10 +16,10 @@ nontarget branch and |0> on the target branch.  Measuring the ancilla:
   retried.
 
 ``mitigate`` runs 2n+3 rounds with at most 3n attempts each; exhausting the
-attempts halts with a ``random_fallback`` marker.  Both retry loops, a
-level's ancilla read toward 0 and ``extract_target``'s flag read toward 1,
-read as :func:`rwsim.statevector.measure_until` does: measure, and on a miss
-rewind strictly to the entry state and measure again.  The exact success
+attempts halts with a ``random_fallback`` marker.  Both retries, a level's
+ancilla read toward 0 and ``extract_target``'s flag read toward 1, are
+:meth:`rwsim.statevector.Reading.retry`: measure, and on a miss rewind
+strictly to the entry state and measure again.  The exact success
 probability of the whole schedule has a closed form
 (:func:`success_probability_exact`), valid for any admissible
 ``p <= p_max(n)``.
@@ -345,8 +345,8 @@ def mitigate(
     Returns the final flagged state and the attempt trace.  On fallback the
     state at the halt point is returned as-is (its collapsed ancilla sliced
     off); the caller decides what "random" means for its protocol.  Each
-    level's ancilla is read toward 0 as :func:`rwsim.statevector.measure_until`
-    reads it, over the cached chain of the input.
+    level's ancilla is read toward 0 with
+    :meth:`rwsim.statevector.Reading.retry`, over the cached chain of the input.
     """
     if rng is None:
         raise ValueError("mitigate needs an explicit rng")

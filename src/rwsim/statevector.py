@@ -15,11 +15,6 @@ Conventions
   2-3-qubit states of the protocol demos that per-call test costs as much as
   the gate itself.  Both paths refuse targets that are out of range or
   repeated before touching the amplitudes.
-* The index work of both gate paths and of ``measure_register`` (the check
-  of the targets, the axis order that moves them to the front and its
-  inverse, the slices of each target value) depends on the width and the
-  targets alone, so it is computed once per ``(n, targets)`` and cached:
-  on 2-3-qubit states that work costs as much as the amplitudes.
 * The module-level functions are functional — they return new states and
   never mutate their input — and so are the kernel's operations, whose
   states are read-only.  So ``rewind`` returns the registry's stored state
@@ -41,7 +36,7 @@ Conventions
   :class:`PureState` whose full ``amps`` are built at most once, when read,
   which is what ``RunResult.final_state`` and the branch leaves are.  The
   protocol-level functions below (``measure``, ``postselect``, ``Reading``,
-  ``RegisterReading``, ``measure_until``) stay on full vectors.
+  ``RegisterReading``) stay on full vectors.
 * ``rewind`` in strict mode refuses inputs it cannot certify: the state being
   rewound must equal (up to global phase) the stored snapshot projected onto
   some single-qubit outcome and renormalised.  The candidates checked first
@@ -49,11 +44,11 @@ Conventions
   that of the snapshot; only if none matches are the other qubits checked,
   so the answer is that of checking every qubit.  Permissive mode skips the
   check and returns the stored state unconditionally.
-* ``measure_until`` is the protocols' rewind-and-retry step: measure one
-  qubit until it reads a wanted bit, undoing each miss with a strict rewind.
-  A :class:`Reading` is the same step for a state that many walks measure:
-  it computes the outcome weights, the collapsed states and the rewind's
-  certificate once, and each walk adds only its draws.  A
+* :meth:`Reading.retry` is the protocols' rewind-and-retry step: measure
+  one qubit until it reads a wanted bit, undoing each miss with a strict
+  rewind.  A :class:`Reading` computes the outcome weights, the collapsed
+  states and the rewind's certificate once, so each walk over a state that
+  many walks measure adds only its draws.  A
   :class:`RegisterReading` does the same for a register of several qubits
   read at once: it computes the joint weights of ``measure_register`` once,
   draws with the same formula (:func:`draw_value`), and hands out each
@@ -72,7 +67,6 @@ import math
 import operator
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -155,25 +149,16 @@ def _layout(n: int, targets) -> tuple[tuple[int, ...], tuple[int, ...], tuple[in
     front of an n-axis tensor, and its inverse.
 
     Raise ValueError unless ``targets`` are distinct qubits of an n-qubit
-    state.  They are converted with ``operator.index`` before the cached
-    lookup, because a float target equals and hashes like an int one and
-    would otherwise be answered by an int call's entry.
+    state; a target that is not an integer (``operator.index``) is refused.
     """
     try:
         key = tuple(map(operator.index, targets))
     except TypeError:
         raise _bad_targets(n, targets) from None
-    return (key, *_axis_orders(n, key))
-
-
-@lru_cache(maxsize=None)
-def _axis_orders(n: int, targets: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The cached part of :func:`_layout`; the cache stores no exception, so
-    a bad call is refused every time."""
-    if len(set(targets)) != len(targets) or not all(0 <= q < n for q in targets):
+    if len(set(key)) != len(key) or not all(0 <= q < n for q in key):
         raise _bad_targets(n, targets)
-    order = targets + tuple(q for q in range(n) if q not in targets)
-    return order, tuple(order.index(q) for q in range(n))
+    order = key + tuple(q for q in range(n) if q not in key)
+    return key, order, tuple(order.index(q) for q in range(n))
 
 
 def apply_matrix(state: PureState, mat: np.ndarray, targets: tuple[int, ...]) -> PureState:
@@ -191,7 +176,6 @@ def apply_matrix(state: PureState, mat: np.ndarray, targets: tuple[int, ...]) ->
     return PureState(n, tensor.reshape([2] * n).transpose(inverse).reshape(-1))
 
 
-@lru_cache(maxsize=None)
 def _target_slices(n: int, targets: tuple[int, ...]) -> tuple[tuple, ...]:
     """Entry i indexes the amplitudes whose targets read i, big-endian in
     ``targets``.  The trailing Ellipsis keeps it a view even when every
@@ -430,29 +414,6 @@ def rewind(
     return stored  # never mutated, so the registry's copy can be shared
 
 
-def measure_until(
-    state: PureState, qubit: int, want: int, tries: int, rng: SplitMix64
-) -> tuple[list[int], PureState]:
-    """Measure ``qubit`` until it reads ``want``, at most ``tries`` times.
-
-    Every miss but the last is undone by a strict rewind to ``state``, so each
-    try measures the entry state afresh.  Returns the bits read, in order, and
-    the state collapsed onto the last of them (``want`` unless every try
-    missed).
-    """
-    if tries < 1:
-        raise ValueError(f"measure_until needs at least one try, got {tries}")
-    registry = SnapshotRegistry()
-    snapshot(state, registry, "entry")
-    bits: list[int] = []
-    while True:
-        bit, _, state = measure(state, qubit, rng)
-        bits.append(bit)
-        if bit == want or len(bits) == tries:
-            return bits, state
-        state = rewind(state, registry, "entry", "strict")
-
-
 class Reading:
     """One qubit of one fixed state, for walks that measure it many times.
 
@@ -460,9 +421,9 @@ class Reading:
     :meth:`draw` reads a bit from them with the draw ``measure`` makes.  The
     collapsed state of each outcome, with or without the measured qubit, and
     the strict rewind of a miss are computed at first use and kept, so a walk
-    over readings draws from the RNG exactly as ``measure`` and
-    :func:`measure_until` do and meets every float they compute.  The states
-    it hands out are read-only: every walk shares them.
+    over readings draws from the RNG exactly as ``measure`` does and meets
+    every float it computes.  The states it hands out are read-only: every
+    walk shares them.
     """
 
     __slots__ = ("state", "qubit", "p0", "p1", "_collapsed", "_dropped", "_certified")
@@ -496,12 +457,13 @@ class Reading:
         return self._dropped[bit]
 
     def retry(self, want: int, tries: int, rng: SplitMix64) -> list[int]:
-        """The bits :func:`measure_until` reads here, drawn as it draws them.
+        """Measure until the qubit reads ``want``, at most ``tries`` times:
+        the bits read, in order, one draw each as :meth:`draw` makes it.
 
-        ``measure_until`` undoes each miss but the last with a strict rewind.
+        Each miss but the last is undone by a strict rewind to ``state``.
         Every such rewind undoes the same collapse of the same state, so it
-        is certified at the first miss only; a refusal is not kept, and
-        raises as it does there on every walk that reaches it.
+        is certified at the first miss of each outcome only; a refusal is
+        not kept, and raises on every walk that reaches it.
         """
         if tries < 1:
             raise ValueError(f"a retry needs at least one try, got {tries}")

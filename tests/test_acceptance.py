@@ -28,15 +28,14 @@ from rwsim.applications import (
     sd_error_exact,
     toy_two_regular,
 )
-from rwsim.circuit import parse_circuit
-from rwsim.gates import H
+from rwsim.circuit import parse_circuit, sampler
 from rwsim.mbqc import (
     BrickworkSpec,
     MeasurementPattern,
-    build_brickwork,
     iqp_fanout_amplify,
-    mbqc_run_rewind,
-    postselect_pattern_zero,
+    pattern_circuit,
+    pattern_oracle,
+    reads_all_zero,
     target_odds,
 )
 from rwsim.mitigation import (
@@ -55,8 +54,8 @@ from rwsim.pathsum import acceptance_probability, outcome_distribution
 from rwsim.rng import SplitMix64, stream_seed
 from rwsim.stabilizer import stab_outcome_distribution
 from rwsim.statevector import (
+    KERNEL,
     PureState,
-    apply_gate,
     attach_zero,
     exact_acceptance,
     exact_outcome_distribution,
@@ -244,21 +243,18 @@ def test_distance_decision_identities_and_sampling():
 
 def test_grid_measurement_rate_and_conditioned_fidelity():
     spec = BrickworkSpec(2, 5)
-    base = build_brickwork(spec)
     pattern = MeasurementPattern.identity(spec)
-    rotated = base
-    for qubit in spec.measured_qubits():
-        rotated = apply_gate(rotated, H, (qubit,))
-    _, oracle = postselect_pattern_zero(rotated, spec.measured_qubits())
+    oracle = pattern_oracle(spec, pattern)
     trials = 1000
     budget = 3
+    trial = sampler(pattern_circuit(spec, pattern, budget), KERNEL)
     rng = SplitMix64(stream_seed(0xACA, 0))
     zeros = 0
     for _ in range(trials):
-        out, all_zero = mbqc_run_rewind(base.copy(), pattern, budget, rng)
-        if all_zero:
+        result = trial(rng)
+        if reads_all_zero(result.record):
             zeros += 1
-            assert fidelity(out, oracle) >= 1.0 - 1e-9
+            assert fidelity(result.final_state.core, oracle) >= 1.0 - 1e-9
     expected = (1.0 - 2.0 ** -(budget + 1)) ** len(pattern.entries)
     sigma = math.sqrt(expected * (1.0 - expected) / trials)
     assert zeros / trials >= expected - 3.0 * sigma

@@ -3,31 +3,39 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from rwsim.gates import H, rz
+from rwsim.circuit import GateOp, sampler, serialize_circuit
+from rwsim.gates import CZ, H, rz
 from rwsim.mbqc import (
     BrickworkSpec,
     MeasurementPattern,
-    build_brickwork,
+    grid_qubits,
     iqp_fanout_amplify,
-    mbqc_run_rewind,
+    pattern_circuit,
+    pattern_oracle,
     postselect_pattern_zero,
+    reads_all_zero,
     target_odds,
 )
 from rwsim.rng import SplitMix64, stream_seed
 from rwsim.statevector import (
+    KERNEL,
     PureState,
     QubitBudgetError,
+    SnapshotRegistry,
     apply_gate,
     fidelity,
     init,
-    measure_until,
+    measure,
     postselect,
     prob_of_bit,
+    rewind,
     slice_qubit,
+    snapshot,
 )
 
 
@@ -45,6 +53,51 @@ def _expected_edges(n_rows: int, m_cols: int) -> set:
                 edges.add(((i, col + 2), (i + 1, col + 2)))
             col += 8
     return edges
+
+
+def _brickwork(spec: BrickworkSpec) -> PureState:
+    """|+> on every vertex, then CZ along the edges, on full vectors."""
+    state = init(spec.n_rows * spec.m_cols)
+    for q in range(state.n):
+        state = apply_gate(state, H, (q,))
+    for a, b in spec.edges():
+        state = apply_gate(state, CZ, (spec.qubit_index(*a), spec.qubit_index(*b)))
+    return state
+
+
+def _reference_walk(spec, pattern, budget, rng):
+    """The retried pattern step by step with the module-level dense functions:
+    per entry a fresh rz(-theta) and h, then measure, and on outcome 1 rewind
+    strictly and measure again, at most budget + 1 tries.  Returns the output
+    state and the all-zeros flag."""
+    state, last = _brickwork(spec), {}
+    for qubit, theta in pattern.entries:
+        if theta:
+            state = apply_gate(state, rz(-theta), (qubit,))
+        state = apply_gate(state, H, (qubit,))
+        registry = SnapshotRegistry()
+        snapshot(state, registry, "entry")
+        for attempt in range(budget + 1):
+            if attempt:
+                state = rewind(state, registry, "entry", "strict")
+            bit, _, state = measure(state, qubit, rng)
+            if bit == 0:
+                break
+        last[qubit] = bit
+    for qubit in sorted(last, reverse=True):
+        state = slice_qubit(state, qubit, last[qubit])
+    return state, not any(last.values())
+
+
+def _runs(spec, pattern, budget):
+    """The pattern circuit's sampler, as ``rng -> (output state, all_zero)``."""
+    trial = sampler(pattern_circuit(spec, pattern, budget), KERNEL)
+
+    def run(rng):
+        result = trial(rng)
+        return result.final_state.core, reads_all_zero(result.record)
+
+    return run
 
 
 def test_spec_validation():
@@ -109,27 +162,53 @@ def test_identity_pattern_covers_measured_set():
 
 
 def test_build_respects_width_caps():
+    spec = BrickworkSpec(3, 13)
     with pytest.raises(QubitBudgetError):
-        build_brickwork(BrickworkSpec(3, 13))
+        grid_qubits(spec)
     with pytest.raises(QubitBudgetError):
-        build_brickwork(BrickworkSpec(2, 5), max_width=9)
-    assert build_brickwork(BrickworkSpec(2, 5), max_width=10).n == 10
+        pattern_circuit(spec, MeasurementPattern.identity(spec), 1)
+    with pytest.raises(QubitBudgetError):
+        pattern_oracle(spec, MeasurementPattern.identity(spec))
+    with pytest.raises(QubitBudgetError):
+        grid_qubits(BrickworkSpec(2, 5), max_width=9)
+    assert grid_qubits(BrickworkSpec(2, 5), max_width=10) == 10
 
 
 def test_pattern_validation_errors():
-    state = init(2)
-    rng = SplitMix64(1)
-    with pytest.raises(ValueError):
-        mbqc_run_rewind(state, MeasurementPattern(((0, 0.0), (0, 0.0))), 1, rng)
-    with pytest.raises(ValueError):
-        mbqc_run_rewind(state, MeasurementPattern(((5, 0.0),)), 1, rng)
-    with pytest.raises(ValueError):
-        mbqc_run_rewind(state, MeasurementPattern(((0, 0.0), (1, 0.0))), 1, rng)
+    spec = BrickworkSpec(1, 5)
+    for entries, message in [
+        (((0, 0.0), (0, 0.0)), "twice"),
+        (((5, 0.0),), "outside the grid"),
+        (((-1, 0.0),), "outside the grid"),
+        (tuple((q, 0.0) for q in range(5)), "output qubit"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            pattern_circuit(spec, MeasurementPattern(entries), 1)
+        with pytest.raises(ValueError, match=message):
+            pattern_oracle(spec, MeasurementPattern(entries))
+
+
+def test_pattern_circuit_layout():
+    """The grid, then each entry's retry block in the form of rewind_retry.qc."""
+    spec = BrickworkSpec(1, 5)
+    lines = serialize_circuit(
+        pattern_circuit(spec, MeasurementPattern(((0, 0.5), (1, 0.0))), 2)
+    ).splitlines()
+    assert lines[:10] == ["qubits 5", *(f"gate h {q}" for q in range(5)),
+                          *(f"gate cz {q} {q + 1}" for q in range(4))]
+    assert lines[10:] == [
+        "gate rz -0.5 0", "gate h 0", "snapshot s0", "measure 0 -> m0.0",
+        "rewind s0 if m0.0 == 1", "measure 0 -> m0.1 if m0.0 == 1",
+        "rewind s0 if m0.0 == 1 && m0.1 == 1", "measure 0 -> m0.2 if m0.0 == 1 && m0.1 == 1",
+        "gate h 1", "snapshot s1", "measure 1 -> m1.0",
+        "rewind s1 if m1.0 == 1", "measure 1 -> m1.1 if m1.0 == 1",
+        "rewind s1 if m1.0 == 1 && m1.1 == 1", "measure 1 -> m1.2 if m1.0 == 1 && m1.1 == 1",
+    ]
 
 
 def test_every_pattern_measurement_is_a_fair_coin():
     spec = BrickworkSpec(2, 5)
-    state = build_brickwork(spec)
+    state = _brickwork(spec)
     rng = SplitMix64(3)
     for qubit in spec.measured_qubits():
         theta = (rng.uniform() - 0.5) * 2.0 * math.pi
@@ -141,7 +220,7 @@ def test_every_pattern_measurement_is_a_fair_coin():
 
 def test_all_zero_branch_probability_is_uniform():
     spec = BrickworkSpec(2, 5)
-    rotated = build_brickwork(spec)
+    rotated = _brickwork(spec)
     for qubit in spec.measured_qubits():
         rotated = apply_gate(rotated, H, (qubit,))
     prob, out = postselect_pattern_zero(rotated, spec.measured_qubits())
@@ -151,14 +230,15 @@ def test_all_zero_branch_probability_is_uniform():
 
 def test_one_shot_oracle_matches_sequential_postselection():
     spec = BrickworkSpec(2, 5)
-    base = build_brickwork(spec)
     rng = SplitMix64(9)
-    rotated = base
-    for qubit in spec.measured_qubits():
-        theta = (rng.uniform() - 0.5) * 2.0 * math.pi
+    angles = [(rng.uniform() - 0.5) * 2.0 * math.pi for _ in spec.measured_qubits()]
+    pattern = MeasurementPattern(tuple(zip(spec.measured_qubits(), angles)))
+    rotated = _brickwork(spec)
+    for qubit, theta in pattern.entries:
         rotated = apply_gate(rotated, rz(-theta), (qubit,))
         rotated = apply_gate(rotated, H, (qubit,))
     prob_a, out_a = postselect_pattern_zero(rotated, spec.measured_qubits())
+    assert np.allclose(pattern_oracle(spec, pattern).amps, out_a.amps, rtol=0, atol=1e-12)
     prob_b = 1.0
     seq = rotated
     for qubit in spec.measured_qubits():
@@ -179,20 +259,18 @@ def test_postselect_oracle_rejects_dead_branch():
 
 def test_budget_exhaustion_records_one_and_continues():
     spec = BrickworkSpec(2, 5)
-    state = build_brickwork(spec)
     pattern = MeasurementPattern.identity(spec)
-    out, all_zero = mbqc_run_rewind(state, pattern, 0, SplitMix64(stream_seed(0xB0, 0)))
+    out, all_zero = _runs(spec, pattern, 0)(SplitMix64(stream_seed(0xB0, 0)))
     assert not all_zero
     assert out.n == 2  # the run still finishes and leaves the output column
 
 
 def test_retry_budget_drives_all_zero_frequency():
     spec = BrickworkSpec(1, 5)
-    base = build_brickwork(spec)
-    pattern = MeasurementPattern.identity(spec)
+    run = _runs(spec, MeasurementPattern.identity(spec), 2)
     trials = 400
     rng = SplitMix64(stream_seed(0xB1, 4))
-    hits = sum(mbqc_run_rewind(base.copy(), pattern, 2, rng)[1] for _ in range(trials))
+    hits = sum(run(rng)[1] for _ in range(trials))
     expected = (1 - 2.0**-3) ** 4
     sigma = math.sqrt(expected * (1 - expected) / trials)
     assert abs(hits / trials - expected) <= 4 * sigma
@@ -200,16 +278,13 @@ def test_retry_budget_drives_all_zero_frequency():
 
 def test_all_zero_runs_match_the_oracle_state():
     spec = BrickworkSpec(2, 5)
-    base = build_brickwork(spec)
     pattern = MeasurementPattern.identity(spec)
-    rotated = base
-    for qubit in spec.measured_qubits():
-        rotated = apply_gate(rotated, H, (qubit,))
-    _, oracle = postselect_pattern_zero(rotated, spec.measured_qubits())
+    oracle = pattern_oracle(spec, pattern)
+    run = _runs(spec, pattern, 3)
     rng = SplitMix64(stream_seed(0xB2, 0))
     checked = 0
     for _ in range(40):
-        out, all_zero = mbqc_run_rewind(base.copy(), pattern, 3, rng)
+        out, all_zero = run(rng)
         if all_zero:
             checked += 1
             assert fidelity(out, oracle) == pytest.approx(1.0, abs=1e-9)
@@ -218,25 +293,46 @@ def test_all_zero_runs_match_the_oracle_state():
 
 def test_one_rotation_per_distinct_angle_gives_bit_identical_states():
     spec = BrickworkSpec(2, 5)
-    base = build_brickwork(spec)
     angles = (0.3, -1.25, 0.0, 0.3, 2.5, -1.25, 0.0, 0.7)
     pattern = MeasurementPattern(tuple(zip(spec.measured_qubits(), angles)))
     assert sorted(pattern.rotations) == [-1.25, 0.3, 0.7, 2.5]
     assert pattern.rotations is pattern.rotations  # built once per pattern
+    circuit = pattern_circuit(spec, pattern, 1)
+    # the same circuit with a fresh rz gate built for every measured qubit
+    fresh = replace(circuit, instructions=tuple(
+        GateOp(rz(op.gate.param), op.targets)
+        if isinstance(op, GateOp) and op.gate.name == "rz" else op
+        for op in circuit.instructions
+    ))
+    assert sum(a is not b for a, b in zip(circuit, fresh)) == 6
+    got, want = sampler(circuit, KERNEL), sampler(fresh, KERNEL)
     for trial in range(6):
-        got = mbqc_run_rewind(base, pattern, 1, SplitMix64(stream_seed(0xB3, trial)))
-        # the same run with a fresh rz gate built for every measured qubit
-        state, rng, outcomes = base, SplitMix64(stream_seed(0xB3, trial)), {}
-        for qubit, theta in pattern.entries:
-            if theta:
-                state = apply_gate(state, rz(-theta), (qubit,))
-            state = apply_gate(state, H, (qubit,))
-            bits, state = measure_until(state, qubit, 0, 2, rng)
-            outcomes[qubit] = bits[-1]
-        for qubit in sorted(outcomes, reverse=True):
-            state = slice_qubit(state, qubit, outcomes[qubit])
-        assert got[1] == (not any(outcomes.values()))
-        assert np.array_equal(got[0].amps, state.amps)
+        a = got(SplitMix64(stream_seed(0xB3, trial)))
+        b = want(SplitMix64(stream_seed(0xB3, trial)))
+        assert a.record.entries == b.record.entries
+        assert np.array_equal(a.final_state.core.amps, b.final_state.core.amps)
+
+
+@pytest.mark.parametrize("budget", [0, 1, 2, 3])
+@pytest.mark.parametrize("rows,cols", [(2, 5), (1, 13)])
+def test_sampler_runs_match_the_dense_reference_walk(rows, cols, budget):
+    spec = BrickworkSpec(rows, cols)
+    angle_rng = SplitMix64(stream_seed(0xB5, rows * 100 + budget))
+    angles = [(angle_rng.uniform() - 0.5) * 2.0 * math.pi for _ in spec.measured_qubits()]
+    angles[1] = 0.0  # a zero angle skips its rotation on both routes
+    pattern = MeasurementPattern(tuple(zip(spec.measured_qubits(), angles)))
+    run = _runs(spec, pattern, budget)
+    outcomes = set()
+    for trial in range(50):
+        rng, ref_rng = (SplitMix64(stream_seed(0xB6, trial)) for _ in range(2))
+        out, all_zero = run(rng)
+        want, want_zero = _reference_walk(spec, pattern, budget, ref_rng)
+        assert all_zero == want_zero, trial
+        assert np.allclose(out.amps, want.amps, rtol=0, atol=1e-12), trial
+        assert rng.state == ref_rng.state, trial  # the same draws
+        outcomes.add(all_zero)
+    if budget >= 2:
+        assert outcomes == {False, True}
 
 
 # ---------------------------------------------------------------------------

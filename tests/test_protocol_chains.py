@@ -354,7 +354,7 @@ def test_a_draw_of_exactly_zero_never_reads_an_empty_outcome():
 
 def test_a_refused_rewind_raises_on_the_same_copy_every_time(monkeypatch):
     """With certification refusing everything, the chain raises at the first
-    miss, with the message and after the draws of ``measure_until``."""
+    miss, with the message and after the draws of the reference retry."""
     monkeypatch.setattr(statevector, "_is_collapse_of", lambda stored, post, tol: False)
 
     def outcome(run, rng):

@@ -19,6 +19,7 @@ from rwsim.statevector import (
     PostselectThresholdError,
     PureState,
     QubitBudgetError,
+    Reading,
     RewindConsistencyError,
     SnapshotRegistry,
     UnknownSnapshotError,
@@ -32,7 +33,6 @@ from rwsim.statevector import (
     init,
     measure,
     measure_register,
-    measure_until,
     postselect,
     prob_of_bit,
     rewind,
@@ -188,9 +188,8 @@ def test_slice_kernel_on_asymmetric_monomials():
     ids=lambda v: getattr(v, "name", str(v)),
 )
 def test_bad_targets_are_refused_on_both_gate_paths(g, targets):
-    """Refused before and after a valid call at the same width, so the
-    target layout cache neither keeps a refusal nor answers a bad key; the
-    float target (0.0,) equals and hashes like the valid call's (0,)."""
+    """Refused before and after a valid call at the same width, including
+    the float target (0.0,), which equals the valid call's (0,)."""
     valid = tuple(range(g.arity))
     for call in (
         lambda t: apply_gate(init(2), g, t),
@@ -414,9 +413,13 @@ def test_rewind_result_shares_the_snapshot_safely():
     assert states_equal(rewind(collapsed, registry, "s", "strict"), state, tol=1e-12)
 
 
+# Reading.retry: measure one qubit until it reads a wanted bit, at most
+# ``tries`` times, undoing each miss with a strict rewind.
+
+
 def _hand_written_retry(state, qubit, want, tries, rng):
     """The snapshot / measure / strict-rewind loop the protocol modules wrote
-    out by hand before ``measure_until`` existed, kept as its reference."""
+    out by hand before ``Reading.retry`` held it, kept as its reference."""
     registry = SnapshotRegistry()
     snapshot(state, registry, "s")
     bits = []
@@ -434,10 +437,11 @@ def test_measure_until_matches_the_hand_written_loop(seed, want):
     state = apply_gate(plus_state(3), CH, (0, 2))
     rng_a = SplitMix64(stream_seed(0x3EA, seed))
     rng_b = SplitMix64(stream_seed(0x3EA, seed))
-    bits, out = measure_until(state, 2, want, 4, rng_a)
+    reading = Reading(state, 2)
+    bits = reading.retry(want, 4, rng_a)
     ref_bits, ref_out = _hand_written_retry(state, 2, want, 4, rng_b)
     assert bits == ref_bits
-    assert np.array_equal(out.amps, ref_out.amps)
+    assert np.array_equal(reading.collapsed(bits[-1]).amps, ref_out.amps)
     assert rng_a.next_u64() == rng_b.next_u64()  # same number of draws
 
 
@@ -447,9 +451,10 @@ def test_measure_until_with_one_try_never_rewinds(monkeypatch):
 
     monkeypatch.setattr(statevector, "rewind", refuse)
     for seed in range(8):
-        bits, out = measure_until(plus_state(1), 0, 0, 1, SplitMix64(seed))
+        reading = Reading(plus_state(1), 0)
+        bits = reading.retry(0, 1, SplitMix64(seed))
         assert len(bits) == 1
-        assert prob_of_bit(out, 0, bits[0]) == pytest.approx(1.0)
+        assert prob_of_bit(reading.collapsed(bits[0]), 0, bits[0]) == pytest.approx(1.0)
 
 
 def test_measure_until_returns_every_miss_of_an_unreachable_outcome(monkeypatch):
@@ -461,15 +466,17 @@ def test_measure_until_returns_every_miss_of_an_unreachable_outcome(monkeypatch)
 
     monkeypatch.setattr(statevector, "rewind", counted)
     one = apply_gate(init(2), X, (1,))
-    bits, out = measure_until(one, 1, 0, 5, SplitMix64(1))
-    assert bits == [1] * 5
-    assert calls == ["strict"] * 4  # the last miss is not undone
-    assert states_equal(out, one, tol=1e-12)
+    reading = Reading(one, 1)
+    assert reading.retry(0, 5, SplitMix64(1)) == [1] * 5
+    assert calls == ["strict"]  # the same rewind is certified once, at the first miss
+    assert reading.retry(0, 5, SplitMix64(2)) == [1] * 5
+    assert calls == ["strict"]
+    assert states_equal(reading.collapsed(1), one, tol=1e-12)
 
 
 def test_measure_until_needs_a_try():
     with pytest.raises(ValueError):
-        measure_until(plus_state(1), 0, 0, 0, SplitMix64(1))
+        Reading(plus_state(1), 0).retry(0, 0, SplitMix64(1))
 
 
 def test_attach_and_slice_are_inverse():
