@@ -22,7 +22,8 @@ Text format (one instruction per line, ``#`` starts a comment)::
 
 Any instruction except ``accept`` may carry an ``if`` suffix: a conjunction
 of ``<label> == <bit>`` clauses joined by ``&&``, referring to earlier
-measurement labels.
+measurement labels.  Spaces or tabs separate the tokens of a line, the
+``if`` too.
 
 The one interpreter of the IR lives here too.  It runs a circuit over a
 backend :class:`Kernel` and owns all that is not quantum arithmetic:
@@ -45,7 +46,7 @@ works in place.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterator, Sequence, Union
 
 from .gates import GATE_NAMES, Gate, gate as make_gate
 
@@ -230,52 +231,82 @@ def _parse_int(text: str, lineno: int, what: str) -> int:
 
 
 def _parse_targets(parts: list[str], lineno: int) -> tuple[int, ...]:
-    return tuple(_parse_int(p, lineno, "qubit index") for p in parts)
+    try:
+        return tuple(map(int, parts))
+    except ValueError:  # name the first token that is not an integer
+        return tuple(_parse_int(p, lineno, "qubit index") for p in parts)
+
+
+def _parse_gate(parts: list[str], lineno: int, params: dict[str, Gate]) -> GateOp:
+    """The :class:`GateOp` of the tokens of one ``gate`` line.  ``params``
+    holds the parametrised gates already built, by their source text."""
+    if len(parts) < 3:
+        raise CircuitSyntaxError(lineno, "gate needs a name and targets")
+    gname = parts[1]
+    try:
+        if gname == "hk" or gname == "rz":
+            key = f"{gname} {parts[2]}"
+            g = params.get(key)
+            if g is None:
+                value = int(parts[2]) if gname == "hk" else float(parts[2])
+                g = params[key] = make_gate(gname, value)
+        else:
+            g = make_gate(gname)
+    except ValueError as exc:
+        raise CircuitSyntaxError(lineno, str(exc)) from None
+    targets = _parse_targets(parts[2 if g.param is None else 3 :], lineno)
+    if len(targets) != g.arity:
+        raise CircuitSyntaxError(
+            lineno, f"gate {gname} expects {g.arity} target(s), got {len(targets)}"
+        )
+    return GateOp(g, targets)
 
 
 def parse_circuit(text: str, name: str | None = None) -> Circuit:
-    """Parse the text format into a validated :class:`Circuit`."""
+    """Parse the text format into a validated :class:`Circuit`.
+
+    One pass splits each line into tokens once.  An unconditional gate line
+    builds its :class:`GateOp` once per distinct source text, and each gate
+    with a parameter is built once per distinct source text too, so a
+    repeated line (an inverse body, ``s`` written three times) reuses one
+    object that :func:`validate` checks once.  The keys are source text, not
+    values, so ``rz -0.0`` and ``rz 0.0`` stay apart.  A conditional line is
+    always built anew.  Every error names its source line.
+    """
     n_qubits = None
     instructions: list[Instruction] = []
+    lines: list[int] = []  # the header's source line, then each instruction's
+    ops: dict[str, GateOp] = {}  # unconditional gate lines by source text
+    params: dict[str, Gate] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        op = ops.get(line)
+        if op is not None:
+            instructions.append(op)
+            lines.append(lineno)
+            continue
+        parts = line.split()
         if n_qubits is None:
-            parts = line.split()
             if len(parts) != 2 or parts[0] != "qubits":
                 raise CircuitSyntaxError(lineno, "expected 'qubits N' header")
             n_qubits = _parse_int(parts[1], lineno, "qubit count")
+            lines.append(lineno)
             continue
 
         predicate = None
-        if " if " in line:
-            line, _, cond_text = line.partition(" if ")
-            predicate = _parse_predicate(cond_text, lineno)
-            line = line.strip()
+        if "if" in parts[1:-1]:  # an ``if`` with tokens on both sides
+            at = parts.index("if", 1)
+            predicate = _parse_predicate(" ".join(parts[at + 1 :]), lineno)
+            parts = parts[:at]
 
-        parts = line.split()
         kind = parts[0]
         instr: _Plain
         if kind == "gate":
-            if len(parts) < 3:
-                raise CircuitSyntaxError(lineno, "gate needs a name and targets")
-            gname = parts[1]
-            try:
-                if gname == "hk":
-                    g = make_gate("hk", int(parts[2]))
-                elif gname == "rz":
-                    g = make_gate("rz", float(parts[2]))
-                else:
-                    g = make_gate(gname)
-            except ValueError as exc:
-                raise CircuitSyntaxError(lineno, str(exc)) from None
-            targets = _parse_targets(parts[2 if g.param is None else 3 :], lineno)
-            if len(targets) != g.arity:
-                raise CircuitSyntaxError(
-                    lineno, f"gate {gname} expects {g.arity} target(s), got {len(targets)}"
-                )
-            instr = GateOp(g, targets)
+            instr = _parse_gate(parts, lineno, params)
+            if predicate is None:
+                ops[line] = instr
         elif kind == "measure":
             if len(parts) != 4 or parts[2] != "->":
                 raise CircuitSyntaxError(lineno, "expected 'measure <q> -> <label>'")
@@ -306,11 +337,12 @@ def parse_circuit(text: str, name: str | None = None) -> Circuit:
             raise CircuitSyntaxError(lineno, f"unknown instruction {kind!r}")
 
         instructions.append(Conditional(predicate, instr) if predicate else instr)
+        lines.append(lineno)
 
     if n_qubits is None:
         raise CircuitSyntaxError(1, "missing 'qubits N' header")
     circuit = Circuit(n_qubits, tuple(instructions), name=name)
-    validate(circuit)
+    validate(circuit, lines)
     return circuit
 
 
@@ -355,64 +387,78 @@ def serialize_circuit(circuit: Circuit) -> str:
 # static validation
 
 
-def validate(circuit: Circuit) -> None:
-    """Static checks; raises :class:`CircuitValidationError` on the first failure."""
-    n = circuit.n_qubits
-    if n < 1:
-        raise CircuitValidationError("circuit needs at least one qubit")
+def validate(circuit: Circuit, lines: Sequence[int] | None = None) -> None:
+    """Static checks; raises :class:`CircuitValidationError` on the first failure.
 
-    def check_qubit(q: int) -> None:
+    ``lines``, as :func:`parse_circuit` passes it, holds the source line of
+    the ``qubits`` header and then of each instruction; every error then
+    starts with ``line N: ``.  A :class:`GateOp` object that occurs more than
+    once is checked once: it is frozen and ``n`` does not change, so a second
+    check could not fail.
+    """
+    n = circuit.n_qubits
+
+    def error(message: str, pc: int = -1) -> CircuitValidationError:
+        if lines is not None:
+            message = f"line {lines[pc + 1]}: {message}"
+        return CircuitValidationError(message)
+
+    if n < 1:
+        raise error("circuit needs at least one qubit")
+
+    def check_qubit(q: int, pc: int) -> None:
         if not (0 <= q < n):
-            raise CircuitValidationError(f"qubit index {q} out of range for {n} qubits")
+            raise error(f"qubit index {q} out of range for {n} qubits", pc)
 
     measure_labels: set[str] = set()
     snapshot_labels: set[str] = set()
+    checked: set[int] = set()  # ids of the GateOp objects already checked
     accept_seen = False
-    for instr in circuit.instructions:
+    for pc, instr in enumerate(circuit.instructions):
         inner = instr.inner if isinstance(instr, Conditional) else instr
         if isinstance(instr, Conditional):
             if isinstance(inner, (Conditional, Accept)):
-                raise CircuitValidationError("conditional accept/nesting is not allowed")
+                raise error("conditional accept/nesting is not allowed", pc)
             for label, bit in instr.predicate:
                 if label not in measure_labels:
-                    raise CircuitValidationError(
-                        f"condition references undefined measurement label {label!r}"
-                    )
+                    raise error(f"condition references undefined measurement label {label!r}", pc)
                 if bit not in (0, 1):
-                    raise CircuitValidationError("condition bits must be 0 or 1")
+                    raise error("condition bits must be 0 or 1", pc)
         if isinstance(inner, GateOp):
+            if id(inner) in checked:
+                continue
+            checked.add(id(inner))
             for q in inner.targets:
-                check_qubit(q)
+                check_qubit(q, pc)
             if len(set(inner.targets)) != len(inner.targets):
-                raise CircuitValidationError(
-                    f"gate {inner.gate.name} targets must be distinct: {inner.targets}"
-                )
+                raise error(f"gate {inner.gate.name} targets must be distinct: {inner.targets}", pc)
         elif isinstance(inner, Measure):
-            check_qubit(inner.qubit)
+            check_qubit(inner.qubit, pc)
             if inner.label in measure_labels:
-                raise CircuitValidationError(f"duplicate measurement label {inner.label!r}")
+                raise error(f"duplicate measurement label {inner.label!r}", pc)
             measure_labels.add(inner.label)
         elif isinstance(inner, Postselect):
-            check_qubit(inner.qubit)
+            check_qubit(inner.qubit, pc)
             if inner.bit not in (0, 1):
-                raise CircuitValidationError("postselect bit must be 0 or 1")
+                raise error("postselect bit must be 0 or 1", pc)
         elif isinstance(inner, Snapshot):
             if inner.label in snapshot_labels:
-                raise CircuitValidationError(f"duplicate snapshot label {inner.label!r}")
+                raise error(f"duplicate snapshot label {inner.label!r}", pc)
             snapshot_labels.add(inner.label)
         elif isinstance(inner, (Rewind, Clone)):
             if inner.label not in snapshot_labels:
-                raise CircuitValidationError(
+                raise error(
                     f"{type(inner).__name__.lower()} references undefined snapshot "
-                    f"label {inner.label!r}"
+                    f"label {inner.label!r}",
+                    pc,
                 )
         elif isinstance(inner, Accept):
-            check_qubit(inner.qubit)
+            check_qubit(inner.qubit, pc)
             if accept_seen:
-                raise CircuitValidationError("at most one accept declaration is allowed")
+                raise error("at most one accept declaration is allowed", pc)
             accept_seen = True
         else:
-            raise CircuitValidationError(f"unknown instruction {inner!r}")
+            raise error(f"unknown instruction {inner!r}", pc)
 
 
 def accept_qubit(circuit: Circuit) -> int | None:
@@ -515,8 +561,10 @@ class Kernel:
         instruction, taken or not, that this backend cannot run."""
         for instr in circuit.instructions:
             inner = instr.inner if isinstance(instr, Conditional) else instr
-            if isinstance(inner, GateOp) and inner.gate.name not in self.gates:
-                return ("gate", inner.gate.name)
+            if isinstance(inner, GateOp):
+                if inner.gate.name not in self.gates:
+                    return ("gate", inner.gate.name)
+                continue
             kind = _OPTIONAL.get(type(inner))
             if kind is not None and kind not in self.runs:
                 return (kind,)

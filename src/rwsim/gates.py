@@ -131,7 +131,14 @@ class Gate:
 
 
 def gate(name: str, param: int | float | None = None) -> Gate:
-    """Convenience constructor (`gate("hk", -2)`, `gate("rz", 0.25)`...)."""
+    """Convenience constructor (`gate("hk", -2)`, `gate("rz", 0.25)`...).
+
+    A fixed gate is the module constant (`gate("h") is H`), so its
+    :attr:`Gate.matrix`, :attr:`Gate.monomial` and :meth:`Gate.unitary` are
+    built once per process.
+    """
+    if param is None and name in _CONSTANTS:
+        return _CONSTANTS[name]
     return Gate(name, param)
 
 
@@ -142,6 +149,7 @@ CZ = Gate("cz")
 CH = Gate("ch")
 CCZ = Gate("ccz")
 SWAP = Gate("swap")
+_CONSTANTS = {g.name: g for g in (X, H, S, CZ, CH, CCZ, SWAP)}
 
 
 def hk(k: int) -> Gate:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -26,7 +28,8 @@ from rwsim.circuit import (
     serialize_circuit,
     validate,
 )
-from rwsim.gates import gate
+from rwsim import gates
+from rwsim.gates import GATE_NAMES, gate
 
 EXAMPLE = """
 # demo with every instruction kind
@@ -126,8 +129,9 @@ def test_rejects_malformed_sources(text, fragment):
     with pytest.raises((CircuitSyntaxError, CircuitValidationError)) as err:
         parse_circuit(text)
     assert fragment in str(err.value)
-    if isinstance(err.value, CircuitSyntaxError):  # the line is named once
-        assert str(err.value).count("line ") == 1
+    # every source above goes wrong on its last line, and names it once
+    assert str(err.value).startswith(f"line {len(text.splitlines())}: ")
+    assert str(err.value).count("line ") == 1
 
 
 def test_syntax_error_carries_line_number():
@@ -146,6 +150,153 @@ def test_validate_direct_construction():
     bad = Circuit(1, (Rewind("ghost"),))
     with pytest.raises(CircuitValidationError):
         validate(bad)
+
+
+def test_validate_without_source_lines_names_none():
+    bad = Circuit(2, (GateOp(gate("h"), (0,)), GateOp(gate("h"), (5,))))
+    with pytest.raises(CircuitValidationError) as err:
+        validate(bad)
+    assert str(err.value) == "qubit index 5 out of range for 2 qubits"
+
+
+@pytest.mark.parametrize(
+    "line", ["gate x 0\tif m == 1", "gate x 0 if\tm == 1", "gate\tx\t0\tif\tm\t==\t1"]
+)
+def test_tabs_separate_the_if_like_any_token(line):
+    c = parse_circuit(f"qubits 1\nmeasure 0 -> m\n{line}\n")
+    assert c.instructions[-1] == Conditional((("m", 1),), GateOp(gate("x"), (0,)))
+
+
+def test_an_if_with_nothing_after_it_is_a_label():
+    c = parse_circuit("qubits 1\nmeasure 0 -> if\ngate x 0 if if == 1\n")
+    assert c.instructions == (
+        Measure(0, "if"), Conditional((("if", 1),), GateOp(gate("x"), (0,)))
+    )
+
+
+def test_repeated_lines_share_one_op_and_one_gate():
+    c = parse_circuit(
+        "qubits 2\ngate h 0\ngate rz 0.5 0\ngate h 0\ngate rz 0.5 1\n"
+        "gate h 1\ngate rz 0.5 0\ngate h 0\ngate cz 0 1\ngate cz 0 1\n"
+    )
+    ops = c.instructions
+    assert ops[0] is ops[2] is ops[6]
+    assert ops[1] is ops[5]
+    assert ops[7] is ops[8]
+    assert len({id(op) for op in ops}) == 5  # one per distinct line
+    assert ops[0].gate is ops[4].gate is gates.H
+    assert ops[1].gate is ops[3].gate
+    assert ops[7].gate is gates.CZ
+    assert len({id(op.gate) for op in ops}) == 3  # h, rz 0.5 and cz
+
+
+def test_a_repeated_conditional_line_keeps_its_condition():
+    c = parse_circuit("qubits 1\nmeasure 0 -> m\ngate x 0 if m == 1\ngate x 0 if m == 1\n")
+    guarded = Conditional((("m", 1),), GateOp(gate("x"), (0,)))
+    assert c.instructions == (Measure(0, "m"), guarded, guarded)
+
+
+def test_signed_zero_angles_stay_apart():
+    c = parse_circuit("qubits 1\ngate rz -0.0 0\ngate rz 0.0 0\ngate rz -0.0 0\n")
+    neg, pos, again = (op.gate.param for op in c.instructions)
+    assert math.copysign(1.0, neg) == -1.0 and math.copysign(1.0, again) == -1.0
+    assert math.copysign(1.0, pos) == 1.0
+    assert c.instructions[0].gate is not c.instructions[1].gate
+    assert serialize_circuit(c) == "qubits 1\ngate rz -0.0 0\ngate rz 0.0 0\ngate rz -0.0 0\n"
+
+
+@pytest.mark.parametrize(
+    "text,want",
+    [
+        # a bad line written twice fails on its first copy
+        ("qubits 2\ngate h 0\ngate cz 0 5\ngate h 1\ngate cz 0 5\n", "line 3: qubit index 5"),
+        ("qubits 2\ngate cz 1 1\ngate cz 1 1\n", "line 2: gate cz targets must be distinct"),
+        ("qubits 2\ngate cz 0 x\ngate cz 0 x\n", "line 2: qubit index must be an integer"),
+        ("qubits 1\ngate rz nan 0\ngate rz nan 0\n", "line 2: rz parameter must be a finite"),
+        # the label is defined between the copies: the first still fails
+        (
+            "qubits 1\ngate x 0 if m == 1\nmeasure 0 -> m\ngate x 0 if m == 1\n",
+            "line 2: condition references undefined measurement label 'm'",
+        ),
+    ],
+)
+def test_a_repeated_bad_line_fails_on_its_first_copy(text, want):
+    with pytest.raises((CircuitSyntaxError, CircuitValidationError)) as err:
+        parse_circuit(text)
+    assert str(err.value).startswith(want)
+
+
+_ANGLES = st.one_of(
+    st.sampled_from([5e-324, -5e-324, -0.0, 0.0, 1e308, 0.1]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+_ARITIES = {name: gate(name, {"hk": 0, "rz": 0.0}.get(name)).arity for name in GATE_NAMES}
+
+
+@st.composite
+def circuits(draw) -> Circuit:
+    """Valid circuits mixing every instruction kind, conditionals, repeated
+    gate ops, ``hk`` and odd ``rz`` angles, with an optional accept last."""
+    n = draw(st.integers(1, 4))
+    names = sorted(name for name, arity in _ARITIES.items() if arity <= n)
+    instructions, labels, snapshots, gate_ops = [], [], [], []
+    for i in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(["gate", "gate", "again", "measure", "postselect",
+                                     "snapshot", "rewind", "clone"]))
+        if kind == "again" and gate_ops:
+            instr = draw(st.sampled_from(gate_ops))
+        elif kind in ("gate", "again"):
+            name = draw(st.sampled_from(names))
+            param = (draw(st.integers(-64, 64)) if name == "hk"
+                     else draw(_ANGLES) if name == "rz" else None)
+            g = gate(name, param)
+            targets = tuple(draw(st.permutations(range(n)))[: g.arity])
+            instr = GateOp(g, targets)
+            gate_ops.append(instr)
+        elif kind == "measure":
+            instr = Measure(draw(st.integers(0, n - 1)), f"m{i}")
+        elif kind == "postselect":
+            instr = Postselect(draw(st.integers(0, n - 1)), draw(st.integers(0, 1)))
+        elif kind == "snapshot":
+            instr = Snapshot(f"s{i}")
+        elif snapshots:
+            instr = (Rewind if kind == "rewind" else Clone)(draw(st.sampled_from(snapshots)))
+        else:
+            continue
+        if labels and draw(st.booleans()):
+            chosen = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=3, unique=True))
+            instr = Conditional(tuple((label, draw(st.integers(0, 1))) for label in chosen), instr)
+        instructions.append(instr)
+        inner = instr.inner if isinstance(instr, Conditional) else instr
+        if isinstance(inner, Measure):
+            labels.append(inner.label)
+        elif isinstance(inner, Snapshot):
+            snapshots.append(inner.label)
+    if draw(st.booleans()):
+        instructions.append(Accept(draw(st.integers(0, n - 1))))
+    return Circuit(n, tuple(instructions))
+
+
+@given(circuits(), st.data())
+def test_parse_inverts_serialize(c, data):
+    validate(c)
+    text = serialize_circuit(c)
+    # the same source with comments, blank lines and tabs added
+    lines = []
+    for line in text.splitlines():
+        if data.draw(st.booleans()):
+            lines.append(data.draw(st.sampled_from(["", "# note", "  \t# indented note"])))
+        if data.draw(st.booleans()):
+            line = line.replace(" ", "\t")
+        if data.draw(st.booleans()):
+            line += "  # trailing note"
+        lines.append(line)
+    for source in (text, "\n".join(lines) + "\n"):
+        again = parse_circuit(source)
+        assert again == c
+        assert serialize_circuit(again) == text
 
 
 labels = st.text(alphabet="abcdefgh", min_size=1, max_size=3)

@@ -150,6 +150,14 @@ def test_simulate_bad_integer_is_a_usage_error(tmp_path, capsys):
     assert err.count("line ") == 1 and "line 2: qubit index must be an integer" in err
 
 
+def test_simulate_validation_error_names_its_line(tmp_path, capsys):
+    bad = tmp_path / "bad.qc"
+    bad.write_text("qubits 2\n# comment\ngate h 0\ngate cz 0 2\naccept 0\n")
+    code, out, err = run(capsys, ["simulate", str(bad)])
+    assert code == 2 and out == ""
+    assert err == f"error: {bad}: line 4: qubit index 2 out of range for 2 qubits\n"
+
+
 @pytest.mark.parametrize("backend", ["sv", "stab", "pathsum"])
 @pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
 def test_simulate_non_finite_angle_is_a_usage_error(tmp_path, capsys, backend, angle):

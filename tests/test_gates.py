@@ -35,6 +35,11 @@ def test_fixed_gates_are_unitary(g):
     assert np.allclose(u @ u.conj().T, np.eye(2**g.arity), atol=1e-12)
 
 
+@pytest.mark.parametrize("g", FIXED, ids=lambda g: g.name)
+def test_a_fixed_gate_is_its_module_constant(g):
+    assert gate(g.name) is g
+
+
 @given(st.integers(min_value=-64, max_value=64))
 def test_hk_is_unitary(k):
     u = hk(k).unitary()
