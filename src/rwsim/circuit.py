@@ -231,53 +231,23 @@ def _parse_int(text: str, lineno: int, what: str) -> int:
 
 
 def _parse_targets(parts: list[str], lineno: int) -> tuple[int, ...]:
-    try:
-        return tuple(map(int, parts))
-    except ValueError:  # name the first token that is not an integer
-        return tuple(_parse_int(p, lineno, "qubit index") for p in parts)
-
-
-def _parse_gate(parts: list[str], lineno: int, params: dict[str, Gate]) -> GateOp:
-    """The :class:`GateOp` of the tokens of one ``gate`` line.  ``params``
-    holds the parametrised gates already built, by their source text."""
-    if len(parts) < 3:
-        raise CircuitSyntaxError(lineno, "gate needs a name and targets")
-    gname = parts[1]
-    try:
-        if gname == "hk" or gname == "rz":
-            key = f"{gname} {parts[2]}"
-            g = params.get(key)
-            if g is None:
-                value = int(parts[2]) if gname == "hk" else float(parts[2])
-                g = params[key] = make_gate(gname, value)
-        else:
-            g = make_gate(gname)
-    except ValueError as exc:
-        raise CircuitSyntaxError(lineno, str(exc)) from None
-    targets = _parse_targets(parts[2 if g.param is None else 3 :], lineno)
-    if len(targets) != g.arity:
-        raise CircuitSyntaxError(
-            lineno, f"gate {gname} expects {g.arity} target(s), got {len(targets)}"
-        )
-    return GateOp(g, targets)
+    return tuple(_parse_int(p, lineno, "qubit index") for p in parts)
 
 
 def parse_circuit(text: str, name: str | None = None) -> Circuit:
     """Parse the text format into a validated :class:`Circuit`.
 
     One pass splits each line into tokens once.  An unconditional gate line
-    builds its :class:`GateOp` once per distinct source text, and each gate
-    with a parameter is built once per distinct source text too, so a
-    repeated line (an inverse body, ``s`` written three times) reuses one
-    object that :func:`validate` checks once.  The keys are source text, not
-    values, so ``rz -0.0`` and ``rz 0.0`` stay apart.  A conditional line is
-    always built anew.  Every error names its source line.
+    builds its :class:`GateOp` once per distinct source text, so a repeated
+    line (an inverse body, ``s`` written three times) reuses one object that
+    :func:`validate` checks once.  The keys are source text, not values, so
+    ``rz -0.0`` and ``rz 0.0`` stay apart.  A conditional line is always
+    built anew.  Every error names its source line.
     """
     n_qubits = None
     instructions: list[Instruction] = []
     lines: list[int] = []  # the header's source line, then each instruction's
     ops: dict[str, GateOp] = {}  # unconditional gate lines by source text
-    params: dict[str, Gate] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -304,7 +274,24 @@ def parse_circuit(text: str, name: str | None = None) -> Circuit:
         kind = parts[0]
         instr: _Plain
         if kind == "gate":
-            instr = _parse_gate(parts, lineno, params)
+            if len(parts) < 3:
+                raise CircuitSyntaxError(lineno, "gate needs a name and targets")
+            gname = parts[1]
+            try:
+                if gname == "hk":
+                    g = make_gate("hk", int(parts[2]))
+                elif gname == "rz":
+                    g = make_gate("rz", float(parts[2]))
+                else:
+                    g = make_gate(gname)
+            except ValueError as exc:
+                raise CircuitSyntaxError(lineno, str(exc)) from None
+            targets = _parse_targets(parts[2 if g.param is None else 3 :], lineno)
+            if len(targets) != g.arity:
+                raise CircuitSyntaxError(
+                    lineno, f"gate {gname} expects {g.arity} target(s), got {len(targets)}"
+                )
+            instr = GateOp(g, targets)
             if predicate is None:
                 ops[line] = instr
         elif kind == "measure":
@@ -561,10 +548,8 @@ class Kernel:
         instruction, taken or not, that this backend cannot run."""
         for instr in circuit.instructions:
             inner = instr.inner if isinstance(instr, Conditional) else instr
-            if isinstance(inner, GateOp):
-                if inner.gate.name not in self.gates:
-                    return ("gate", inner.gate.name)
-                continue
+            if isinstance(inner, GateOp) and inner.gate.name not in self.gates:
+                return ("gate", inner.gate.name)
             kind = _OPTIONAL.get(type(inner))
             if kind is not None and kind not in self.runs:
                 return (kind,)

@@ -185,9 +185,8 @@ def test_repeated_lines_share_one_op_and_one_gate():
     assert ops[7] is ops[8]
     assert len({id(op) for op in ops}) == 5  # one per distinct line
     assert ops[0].gate is ops[4].gate is gates.H
-    assert ops[1].gate is ops[3].gate
     assert ops[7].gate is gates.CZ
-    assert len({id(op.gate) for op in ops}) == 3  # h, rz 0.5 and cz
+    assert len({id(op.gate) for op in ops}) == 4  # h, cz and the gate of each rz line
 
 
 def test_a_repeated_conditional_line_keeps_its_condition():
