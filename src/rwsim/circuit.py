@@ -46,12 +46,18 @@ works in place.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Iterator, Union
 
 from .gates import GATE_NAMES, Gate, gate as make_gate
 
 
-class CircuitSyntaxError(ValueError):
+class InputError(ValueError):
+    """Bad input: a malformed or ill-formed circuit, an instruction or gate
+    the chosen backend does not run, a width or size over its cap.  The
+    command line reports every one with exit code 2."""
+
+
+class CircuitSyntaxError(InputError):
     """Raised by the parser; carries the 1-based offending line number."""
 
     def __init__(self, lineno: int, message: str):
@@ -59,7 +65,7 @@ class CircuitSyntaxError(ValueError):
         self.lineno = lineno
 
 
-class CircuitValidationError(ValueError):
+class CircuitValidationError(InputError):
     """A structurally well-formed circuit that breaks a static rule."""
 
 
@@ -67,7 +73,7 @@ class RecordError(ValueError):
     """A measurement record is inconsistent with the circuit or itself."""
 
 
-class UnsupportedInstructionError(ValueError):
+class UnsupportedInstructionError(InputError):
     """An instruction the chosen backend does not run."""
 
 
@@ -99,7 +105,7 @@ class DepthLimitError(RuntimeError):
     """Branch tree exceeded the random-measurement depth limit."""
 
 
-class QubitBudgetError(ValueError):
+class QubitBudgetError(InputError):
     """Requested width exceeds the configured qubit cap."""
 
 
@@ -157,9 +163,17 @@ Instruction = Union[_Plain, Conditional]
 
 @dataclass(frozen=True)
 class Circuit:
+    """A circuit, checked by :func:`validate` when it is built.  ``lines``,
+    set by :func:`parse_circuit`, holds the source line of the header and then
+    of each instruction; it takes no part in equality."""
+
     n_qubits: int
     instructions: tuple[Instruction, ...]
     name: str | None = None
+    lines: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        validate(self)
 
     def __iter__(self) -> Iterator[Instruction]:
         return iter(self.instructions)
@@ -328,9 +342,7 @@ def parse_circuit(text: str, name: str | None = None) -> Circuit:
 
     if n_qubits is None:
         raise CircuitSyntaxError(1, "missing 'qubits N' header")
-    circuit = Circuit(n_qubits, tuple(instructions), name=name)
-    validate(circuit, lines)
-    return circuit
+    return Circuit(n_qubits, tuple(instructions), name, tuple(lines))
 
 
 def _format_gate(op: GateOp) -> str:
@@ -374,21 +386,23 @@ def serialize_circuit(circuit: Circuit) -> str:
 # static validation
 
 
-def validate(circuit: Circuit, lines: Sequence[int] | None = None) -> None:
+def _line(circuit: Circuit, pc: int) -> str:
+    """``line N: `` for instruction ``pc`` (the header at -1), if it is known."""
+    return f"line {circuit.lines[pc + 1]}: " if circuit.lines is not None else ""
+
+
+def validate(circuit: Circuit) -> None:
     """Static checks; raises :class:`CircuitValidationError` on the first failure.
 
-    ``lines``, as :func:`parse_circuit` passes it, holds the source line of
-    the ``qubits`` header and then of each instruction; every error then
-    starts with ``line N: ``.  A :class:`GateOp` object that occurs more than
-    once is checked once: it is frozen and ``n`` does not change, so a second
-    check could not fail.
+    :class:`Circuit` runs it when it is built.  On a parsed circuit every
+    error starts with ``line N: ``.  A :class:`GateOp` object that occurs more
+    than once is checked once: it is frozen and ``n`` does not change, so a
+    second check could not fail.
     """
     n = circuit.n_qubits
 
     def error(message: str, pc: int = -1) -> CircuitValidationError:
-        if lines is not None:
-            message = f"line {lines[pc + 1]}: {message}"
-        return CircuitValidationError(message)
+        return CircuitValidationError(_line(circuit, pc) + message)
 
     if n < 1:
         raise error("circuit needs at least one qubit")
@@ -543,16 +557,16 @@ class Kernel:
     def keep(self, state):
         return state.copy()
 
-    def unsupported(self, circuit: Circuit) -> tuple[str, ...] | None:
-        """Source keywords, ``("gate", name)`` or ``(kind,)``, of the first
-        instruction, taken or not, that this backend cannot run."""
-        for instr in circuit.instructions:
+    def unsupported(self, circuit: Circuit) -> tuple[int, str] | None:
+        """Position and source keywords, ``gate <name>`` or ``<kind>``, of the
+        first instruction, taken or not, that this backend cannot run."""
+        for pc, instr in enumerate(circuit.instructions):
             inner = instr.inner if isinstance(instr, Conditional) else instr
             if isinstance(inner, GateOp) and inner.gate.name not in self.gates:
-                return ("gate", inner.gate.name)
+                return pc, f"gate {inner.gate.name}"
             kind = _OPTIONAL.get(type(inner))
             if kind is not None and kind not in self.runs:
-                return (kind,)
+                return pc, kind
         return None
 
 
@@ -591,12 +605,13 @@ _SAMPLE, _ENUMERATE = "sample", "enumerate"
 
 
 def _check_runs(circuit: Circuit, kernel: Kernel) -> None:
-    """Refuse a circuit that breaks a static rule or that ``kernel`` cannot run."""
-    validate(circuit)
-    words = kernel.unsupported(circuit)
-    if words is not None:
-        error = GateSetError if words[0] == "gate" else UnsupportedInstructionError
-        raise error(f"backend {kernel.name} cannot run {' '.join(words)}")
+    """Refuse a circuit that ``kernel`` cannot run, naming its file and line."""
+    found = kernel.unsupported(circuit)
+    if found is not None:
+        pc, words = found
+        error = GateSetError if words.startswith("gate ") else UnsupportedInstructionError
+        where = f"{circuit.name}: " if circuit.name else ""
+        raise error(f"{where}{_line(circuit, pc)}backend {kernel.name} cannot run {words}")
 
 
 def _start(circuit: Circuit, kernel: Kernel) -> _Branch:
@@ -703,7 +718,8 @@ def sampler(
     """A function ``rng -> RunResult`` that runs ``circuit`` once on ``kernel``
     per call, sampling measurements from ``rng``.
 
-    The circuit is checked once, here.  The instructions before the first
+    A circuit checks itself when it is built; building a sampler refuses
+    one that ``kernel`` cannot run.  The instructions before the first
     one that reads the RNG or the record are the same in every trial, so the
     first call runs them and keeps the branch they leave: position, state,
     snapshots and rewinds used.  Each call continues from a copy of that
@@ -757,6 +773,7 @@ def enumerate_branches(
     weight type; postselection renormalises within a branch and drops it when
     impossible.  Rewinds are certified in strict mode, as when sampling.
     ``max_depth`` bounds the number of measurements with two live outcomes.
+    A circuit that ``kernel`` cannot run is refused before the walk starts.
     """
     _check_runs(circuit, kernel)
     leaves = _interpret(

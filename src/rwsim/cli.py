@@ -22,8 +22,9 @@ for those two backends, which never load NumPy, and NumPy and every layer
 for the dense backend and the demos.
 
 Exit codes: 0 = assertions passed, 1 = assertion or runtime failure,
-2 = usage, parse, or input errors, widths over the qubit cap, and path sums
-over the amplitude cap.
+2 = bad input, any :class:`rwsim.circuit.InputError`: usage, parse and
+validation errors, a circuit the backend cannot run, widths over the qubit
+or tableau cap, and path sums over the amplitude cap.
 """
 
 from __future__ import annotations
@@ -40,8 +41,7 @@ from pathlib import Path
 from .circuit import (
     CircuitSyntaxError,
     CircuitValidationError,
-    QubitBudgetError,
-    accept_qubit,
+    InputError,
     parse_circuit,
     sampler,
 )
@@ -81,10 +81,6 @@ _ALL_MODULES = (
 )
 
 
-class UsageError(Exception):
-    """Bad flags or bad input files; mapped to exit code 2."""
-
-
 def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
@@ -112,19 +108,20 @@ def _field(record: str, name: str) -> str:
 
 
 def _chunk_records(payload) -> list[str]:
-    kind, args, seed, indices = payload
-    trial_fn = _BUILDERS[kind](args)
+    build, args, seed, indices = payload
+    trial_fn = build(args)
     return [trial_fn(SplitMix64(stream_seed(seed, i))) for i in indices]
 
 
-def _trial_records(kind: str, args, trials: int, seed: int, jobs: int) -> list[str]:
+def _trial_records(build, args, trials: int, seed: int, jobs: int) -> list[str]:
     indices = list(range(trials))
     if jobs <= 1 or trials <= 1:
-        return _chunk_records((kind, args, seed, indices))
+        return _chunk_records((build, args, seed, indices))
+    build(args)  # its checks refuse bad input before any worker starts
     workers = min(jobs, trials)
     step = math.ceil(trials / workers)
     chunks = [
-        (kind, args, seed, indices[lo : lo + step]) for lo in range(0, trials, step)
+        (build, args, seed, indices[lo : lo + step]) for lo in range(0, trials, step)
     ]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         parts = pool.map(_chunk_records, chunks)
@@ -133,7 +130,8 @@ def _trial_records(kind: str, args, trials: int, seed: int, jobs: int) -> list[s
 
 def _build_simulate(args):
     circuit, backend, mode, min_prob = args
-    trial = sampler(circuit, _kernel(backend), mode, min_postselect_prob=min_prob)
+    kernel = {"sv": statevector, "stab": stabilizer, "pathsum": pathsum}[backend].KERNEL
+    trial = sampler(circuit, kernel, mode, min_postselect_prob=min_prob)
 
     def one(rng: SplitMix64) -> str:
         result = trial(rng)
@@ -233,48 +231,19 @@ def _build_mbqc(args):
     return one
 
 
-_BUILDERS = {
-    "simulate": _build_simulate,
-    "pp": _build_pp,
-    "collision": _build_collision,
-    "sd": _build_sd,
-    "mbqc": _build_mbqc,
-}
-
-
 # ---------------------------------------------------------------------------
 # simulate
-
-
-def _source_line(text: str, *prefix: str) -> int | str:
-    """1-based line number of the first instruction starting with ``prefix``."""
-    want = list(prefix)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if tokens[: len(want)] == want:
-            return lineno
-    return "?"
-
-
-def _kernel(backend: str):
-    return {"sv": statevector, "stab": stabilizer, "pathsum": pathsum}[backend].KERNEL
 
 
 def cmd_simulate(ns) -> tuple[list, bool]:
     try:
         text = Path(ns.circuit).read_text()
     except OSError as exc:
-        raise UsageError(f"cannot read circuit file: {exc}") from None
+        raise InputError(f"cannot read circuit file: {exc}") from None
     try:
         circuit = parse_circuit(text, name=ns.circuit)
     except (CircuitSyntaxError, CircuitValidationError) as exc:
-        raise UsageError(f"{ns.circuit}: {exc}") from None
-    words = _kernel(ns.backend).unsupported(circuit)
-    if words is not None:
-        line = _source_line(text, *words)
-        raise UsageError(
-            f"backend {ns.backend} cannot run {' '.join(words)} ({ns.circuit} line {line})"
-        )
+        raise InputError(f"{ns.circuit}: {exc}") from None
     lines: list = [
         (
             "command",
@@ -286,8 +255,6 @@ def cmd_simulate(ns) -> tuple[list, bool]:
         ("qubits", circuit.n_qubits),
     ]
     if ns.backend == "pathsum":
-        if accept_qubit(circuit) is None:
-            raise UsageError("backend pathsum needs an accept instruction")
         dist: dict[str, float] = {}
         lines.append(("p_accept", pathsum.acceptance_probability(circuit, outcomes=dist)))
         if len(dist) <= 64:
@@ -296,12 +263,12 @@ def cmd_simulate(ns) -> tuple[list, bool]:
                     lines.append((f"p.{key.replace('=', ':')}", dist[key]))
         return lines, True
     if ns.trials < 1:
-        raise UsageError("--trials must be positive")
+        raise InputError("--trials must be positive")
     lines += [("trials", ns.trials), ("seed", ns.seed)]
     if ns.backend == "sv":
         statevector.check_width(circuit.n_qubits)  # before any worker starts
     records = _trial_records(
-        "simulate",
+        _build_simulate,
         (circuit, ns.backend, ns.mode, ns.min_postselect_prob),
         ns.trials,
         ns.seed,
@@ -328,13 +295,13 @@ def cmd_simulate(ns) -> tuple[list, bool]:
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
-        raise UsageError(message)
+        raise InputError(message)
 
 
 def cmd_demo_pp(ns) -> tuple[list, bool]:
     _require(1 <= ns.n <= 6, "--n must lie in 1..6")
     _require(ns.trials >= 1, "--trials must be positive")
-    records = _trial_records("pp", (ns.n,), ns.trials, ns.seed, ns.jobs)
+    records = _trial_records(_build_pp, (ns.n,), ns.trials, ns.seed, ns.jobs)
     lines: list = [
         ("command", f"demo pp --n {ns.n} --trials {ns.trials} --seed {ns.seed}"),
         ("n", ns.n),
@@ -389,7 +356,7 @@ def cmd_demo_collision(ns) -> tuple[list, bool]:
         + ("" if rewind_on else " --no-rewind")
     )
     records = _trial_records(
-        "collision", (family_args, rewind_on), ns.trials, ns.seed, ns.jobs
+        _build_collision, (family_args, rewind_on), ns.trials, ns.seed, ns.jobs
     )
     lines: list = [
         ("command", echo),
@@ -432,7 +399,7 @@ def _read_truth_table(path: str) -> tuple[int, int, tuple[int, ...]]:
     try:
         raw = Path(path).read_text()
     except OSError as exc:
-        raise UsageError(f"cannot read table file: {exc}") from None
+        raise InputError(f"cannot read table file: {exc}") from None
     rows = []
     width = None
     for lineno, line in enumerate(raw.splitlines(), start=1):
@@ -440,14 +407,14 @@ def _read_truth_table(path: str) -> tuple[int, int, tuple[int, ...]]:
         if not body:
             continue
         if set(body) - {"0", "1"}:
-            raise UsageError(f"{path} line {lineno}: rows must be binary, got {body!r}")
+            raise InputError(f"{path} line {lineno}: rows must be binary, got {body!r}")
         if width is None:
             width = len(body)
         elif len(body) != width:
-            raise UsageError(f"{path} line {lineno}: expected {width} bits per row")
+            raise InputError(f"{path} line {lineno}: expected {width} bits per row")
         rows.append(int(body, 2))
     if not rows or rows and (len(rows) & (len(rows) - 1)):
-        raise UsageError(f"{path}: need a power-of-two number of rows, got {len(rows)}")
+        raise InputError(f"{path}: need a power-of-two number of rows, got {len(rows)}")
     return (len(rows).bit_length() - 1, width, tuple(rows))
 
 
@@ -461,7 +428,7 @@ def cmd_demo_sd(ns) -> tuple[list, bool]:
         applications.BooleanFunction(n0, table0, m0), applications.BooleanFunction(n1, table1, m1)
     )
     records = _trial_records(
-        "sd", (n0, m0, table0, table1), ns.trials, ns.seed, ns.jobs
+        _build_sd, (n0, m0, table0, table1), ns.trials, ns.seed, ns.jobs
     )
     lines: list = [
         (
@@ -498,7 +465,7 @@ def _read_pattern(path: str, spec: mbqc.BrickworkSpec) -> list[tuple[int, int, f
     try:
         raw = Path(path).read_text()
     except OSError as exc:
-        raise UsageError(f"cannot read pattern file: {exc}") from None
+        raise InputError(f"cannot read pattern file: {exc}") from None
     entries = []
     for lineno, line in enumerate(raw.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -506,13 +473,13 @@ def _read_pattern(path: str, spec: mbqc.BrickworkSpec) -> list[tuple[int, int, f
             continue
         tokens = body.split()
         if len(tokens) != 5 or tokens[0] != "measure" or tokens[3] != "theta":
-            raise UsageError(
+            raise InputError(
                 f"{path} line {lineno}: expected 'measure <i> <j> theta <float>'"
             )
         try:
             entries.append((int(tokens[1]), int(tokens[2]), float(tokens[4])))
         except ValueError:
-            raise UsageError(f"{path} line {lineno}: bad vertex or angle") from None
+            raise InputError(f"{path} line {lineno}: bad vertex or angle") from None
     return entries
 
 
@@ -522,15 +489,15 @@ def cmd_demo_mbqc(ns) -> tuple[list, bool]:
     try:
         spec = mbqc.BrickworkSpec(ns.rows, ns.cols)
     except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise InputError(str(exc)) from None
     if ns.pattern:
         triples = _read_pattern(ns.pattern, spec)
         try:
             pattern = mbqc.MeasurementPattern.from_grid(spec, triples)
         except ValueError as exc:
-            raise UsageError(f"{ns.pattern}: {exc}") from None
+            raise InputError(f"{ns.pattern}: {exc}") from None
         if sorted(q for q, _ in pattern.entries) != sorted(spec.measured_qubits()):
-            raise UsageError(
+            raise InputError(
                 f"{ns.pattern}: pattern must measure every column but the last, "
                 "each vertex once"
             )
@@ -539,9 +506,8 @@ def cmd_demo_mbqc(ns) -> tuple[list, bool]:
         pattern = mbqc.MeasurementPattern.identity(spec)
         pattern_echo = "identity"
     measured = len(pattern.entries)
-    mbqc.grid_qubits(spec)  # before any worker starts
     records = _trial_records(
-        "mbqc",
+        _build_mbqc,
         (ns.rows, ns.cols, pattern.entries, ns.budget),
         ns.trials,
         ns.seed,
@@ -732,12 +698,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         lines, ok = ns.handler(ns)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (
-        CircuitSyntaxError, CircuitValidationError, QubitBudgetError, pathsum.SizeLimitError,
-    ) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime protocol failure

@@ -40,7 +40,9 @@ from functools import lru_cache
 
 from .circuit import (  # the shared error name is re-exported
     Circuit,
+    CircuitValidationError,
     GateOp,
+    InputError,
     InvalidPostselectionError,
     Kernel,
     UnsupportedInstructionError,
@@ -52,7 +54,7 @@ from .circuit import (  # the shared error name is re-exported
 MAX_AMPLITUDES = 1 << 20
 
 
-class SizeLimitError(ValueError):
+class SizeLimitError(InputError):
     """A branch holds more live amplitudes than ``MAX_AMPLITUDES``."""
 
 
@@ -143,7 +145,7 @@ def acceptance_probability(
     """
     accept = accept_qubit(circuit)
     if accept is None:
-        raise ValueError("circuit declares no accept qubit")
+        raise CircuitValidationError("circuit declares no accept qubit")
     total = 0.0
     for key, q_z, state in enumerate_branches(circuit, KERNEL):
         if q_z > 0.0:

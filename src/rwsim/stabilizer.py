@@ -40,10 +40,15 @@ with select it), a check run on the same int columns.
 snapshot, a clone and a sampler's shared prefix as copies (``Kernel.keep``).
 A circuit with a postselection or a non-Clifford gate is refused
 before it runs.
+
+A full tableau on n qubits holds 2n columns of 2n bits, n^2 / 2 bytes, so
+:func:`stab_init` refuses more than ``MAX_QUBITS`` = 2^14 qubits (a 128 MiB
+tableau) with :class:`QubitBudgetError`, quoting the size asked for.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -53,6 +58,7 @@ from .circuit import (  # the shared error and registry names are re-exported
     GateOp,
     GateSetError,
     Kernel,
+    QubitBudgetError,
     RewindConsistencyError,
     RunResult,
     SnapshotRegistry,
@@ -65,6 +71,8 @@ from .gates import CLIFFORD_NAMES, Gate
 from .rng import SplitMix64
 
 TableauRegistry = SnapshotRegistry
+
+MAX_QUBITS = 1 << 14
 
 
 @dataclass
@@ -82,6 +90,11 @@ def stab_init(n: int) -> StabilizerTableau:
     """Tableau of |0...0>: destabilizers X_0 ... X_{n-1}, stabilizers Z_0 ... Z_{n-1}."""
     if n < 1:
         raise ValueError("need at least one qubit")
+    if n > MAX_QUBITS:
+        raise QubitBudgetError(
+            f"{n} qubits need a tableau of up to {math.ceil(n * n / 2**21)} MiB, "
+            f"cap is {MAX_QUBITS} qubits ({MAX_QUBITS**2 >> 21} MiB)"
+        )
     return StabilizerTableau(n, [1 << j for j in range(n)], [1 << (n + j) for j in range(n)], 0)
 
 

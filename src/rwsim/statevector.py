@@ -73,6 +73,7 @@ import numpy as np
 from .circuit import (  # the shared error and registry names are re-exported
     EMPTY_PROB,
     Circuit,
+    CircuitValidationError,
     GateOp,
     InvalidPostselectionError,
     Kernel,
@@ -662,7 +663,7 @@ def exact_acceptance(circuit: Circuit) -> float:
     leaves = enumerate_branches(circuit, KERNEL)
     accept = accept_qubit(circuit)
     if accept is None:
-        raise ValueError("circuit declares no accept qubit")
+        raise CircuitValidationError("circuit declares no accept qubit")
     return float(sum(weight * KERNEL.prob(state, accept, 1) for _, weight, state in leaves))
 
 

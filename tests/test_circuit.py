@@ -147,15 +147,13 @@ def test_comments_and_blanks_are_ignored():
 
 
 def test_validate_direct_construction():
-    bad = Circuit(1, (Rewind("ghost"),))
     with pytest.raises(CircuitValidationError):
-        validate(bad)
+        Circuit(1, (Rewind("ghost"),))
 
 
 def test_validate_without_source_lines_names_none():
-    bad = Circuit(2, (GateOp(gate("h"), (0,)), GateOp(gate("h"), (5,))))
     with pytest.raises(CircuitValidationError) as err:
-        validate(bad)
+        Circuit(2, (GateOp(gate("h"), (0,)), GateOp(gate("h"), (5,))))
     assert str(err.value) == "qubit index 5 out of range for 2 qubits"
 
 

@@ -5,12 +5,28 @@ from __future__ import annotations
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import REPO, cli_env
+from rwsim import circuit as ir, pathsum
 from rwsim.applications import collision_success_probability
-from rwsim.circuit import parse_circuit
+from rwsim.circuit import (
+    CircuitSyntaxError,
+    CircuitValidationError,
+    DepthLimitError,
+    GateSetError,
+    InputError,
+    InvalidPostselectionError,
+    PostselectThresholdError,
+    QubitBudgetError,
+    RecordError,
+    RewindBudgetError,
+    RewindConsistencyError,
+    UnsupportedInstructionError,
+    parse_circuit,
+)
 from rwsim.cli import _collision_family, main
 from rwsim.rng import stream_seed
 
@@ -104,28 +120,62 @@ def test_simulate_jobs_do_not_change_the_report(capsys):
     ids=["sv", "stab", "pathsum"],
 )
 def test_simulate_parses_its_circuit_once(monkeypatch, capsys, argv):
-    calls = []
+    calls = {"parse": 0, "validate": 0, "unsupported": 0}
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return parse_circuit(*args, **kwargs)
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr("rwsim.cli.parse_circuit", counting)
+    monkeypatch.setattr("rwsim.cli.parse_circuit", counting("parse", parse_circuit))
+    monkeypatch.setattr(ir, "validate", counting("validate", ir.validate))
+    monkeypatch.setattr(ir.Kernel, "unsupported", counting("unsupported", ir.Kernel.unsupported))
     circuit = BELL if "pathsum" in argv else RETRY
     assert run(capsys, ["simulate", circuit, *argv])[0] == 0
-    assert len(calls) == 1
+    assert calls == {"parse": 1, "validate": 1, "unsupported": 1}
 
 
-def test_simulate_rejects_non_clifford_for_stab(capsys):
-    code, out, err = run(capsys, ["simulate", TGATE, "--backend", "stab"])
-    assert code == 2 and out == ""
-    assert "rz" in err and "line 4" in err
+@pytest.mark.parametrize(
+    "backend, source, message",
+    [
+        ("stab", Path(TGATE).read_text(), "line 4: backend stab cannot run gate rz"),
+        (
+            "stab",
+            "qubits 1\ngate h 0\nmeasure 0 -> m\npostselect 0 = 0 if m == 1\naccept 0\n",
+            "line 4: backend stab cannot run postselect",
+        ),
+        ("pathsum", Path(RETRY).read_text(), "line 6: backend pathsum cannot run snapshot"),
+    ],
+    ids=["stab-rz", "stab-conditional-postselect", "pathsum-snapshot"],
+)
+def test_simulate_backend_refusals_name_the_file_and_line(
+    tmp_path, capsys, backend, source, message
+):
+    path = tmp_path / "refused.qc"
+    path.write_text(source)
+    code, out, err = run(capsys, ["simulate", str(path), "--backend", backend])
+    assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
 
 
-def test_simulate_rejects_rewind_for_pathsum(capsys):
-    code, _, err = run(capsys, ["simulate", RETRY, "--backend", "pathsum"])
-    assert code == 2
-    assert "snapshot" in err and "line 6" in err
+def test_simulate_pathsum_without_accept_exits_2(tmp_path, capsys):
+    plain = tmp_path / "plain.qc"
+    plain.write_text("qubits 1\ngate h 0\nmeasure 0 -> m\n")
+    code, out, err = run(capsys, ["simulate", str(plain), "--backend", "pathsum"])
+    assert (code, out, err) == (2, "", "error: circuit declares no accept qubit\n")
+
+
+def test_simulate_stab_over_the_tableau_cap_exits_2(tmp_path, monkeypatch, capsys):
+    class NoTableau:
+        def __init__(self, *args):
+            raise RuntimeError("tableau allocated")
+
+    monkeypatch.setattr("rwsim.stabilizer.StabilizerTableau", NoTableau)
+    wide = tmp_path / "wide.qc"
+    wide.write_text("qubits 16385\nmeasure 0 -> m\n")
+    code, out, err = run(capsys, ["simulate", str(wide), "--backend", "stab", "--trials", "2"])
+    assert (code, out) == (2, "")
+    assert err == "error: 16385 qubits need a tableau of up to 129 MiB, cap is 16384 qubits (128 MiB)\n"
 
 
 def test_simulate_missing_file(capsys):
@@ -188,6 +238,37 @@ def test_simulate_pathsum_over_the_amplitude_cap_exits_2(
         assert out == "" and err == "error: 16 live amplitudes exceed the cap of 8\n"
     else:
         assert err == "" and float(fields(out)["p_accept"]) == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (CircuitSyntaxError(3, "bad"), 2),
+        (CircuitValidationError("bad"), 2),
+        (UnsupportedInstructionError("bad"), 2),
+        (GateSetError("bad"), 2),
+        (QubitBudgetError("bad"), 2),
+        (pathsum.SizeLimitError("bad"), 2),
+        (RewindConsistencyError("bad"), 1),
+        (RewindBudgetError("bad"), 1),
+        (InvalidPostselectionError("bad"), 1),
+        (PostselectThresholdError("bad"), 1),
+        (DepthLimitError("bad"), 1),
+        (RecordError("bad"), 1),
+    ],
+    ids=lambda value: type(value).__name__ if isinstance(value, Exception) else str(value),
+)
+def test_every_input_error_and_nothing_else_exits_2(monkeypatch, capsys, error, code):
+    assert isinstance(error, InputError) == (code == 2)
+    assert isinstance(error, ValueError) or code == 1
+
+    def handler(ns):
+        raise error
+
+    monkeypatch.setattr("rwsim.cli.cmd_simulate", handler)
+    got, out, err = run(capsys, ["simulate", BELL, "--backend", "stab"])
+    shown = str(error) if code == 2 else f"{type(error).__name__}: {error}"
+    assert (got, out, err) == (code, "", f"error: {shown}\n")
 
 
 def test_postselect_threshold_failure_is_a_runtime_error(capsys):
@@ -375,6 +456,10 @@ def test_width_is_checked_before_the_worker_pool_starts(tmp_path, monkeypatch, c
         capsys, ["simulate", str(wide), "--backend", "sv", "--trials", "4", "--jobs", "2"]
     )
     assert (code, err) == (2, "error: 30 qubits exceeds the cap of 24\n")
+    code, _, err = run(
+        capsys, ["simulate", TGATE, "--backend", "stab", "--trials", "4", "--jobs", "2"]
+    )
+    assert (code, err) == (2, f"error: {TGATE}: line 4: backend stab cannot run gate rz\n")
     code, _, err = run(
         capsys, ["demo", "mbqc", "--rows", "3", "--cols", "13", "--trials", "4", "--jobs", "2"]
     )
