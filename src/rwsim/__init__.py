@@ -19,6 +19,7 @@ _EXPORTS = {
     "Circuit": "circuit",
     "SnapshotRegistry": "circuit",
     "parse_circuit": "circuit",
+    "sampler": "circuit",
     "serialize_circuit": "circuit",
     "Gate": "gates",
     "gate": "gates",
@@ -26,14 +27,12 @@ _EXPORTS = {
     "rz": "gates",
     "SplitMix64": "rng",
     "stream_seed": "rng",
-    "stab_run": "stabilizer",
     "PureState": "statevector",
     "apply_gate": "statevector",
     "init": "statevector",
     "measure": "statevector",
     "postselect": "statevector",
     "rewind": "statevector",
-    "run": "statevector",
     "snapshot": "statevector",
 }
 

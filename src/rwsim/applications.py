@@ -29,6 +29,7 @@ from typing import Callable
 
 import numpy as np
 
+from .circuit import InputError
 from .mitigation import (
     RANDOM_FALLBACK,
     copy_odds,
@@ -571,7 +572,7 @@ def sd_image_reading(c0: BooleanFunction, c1: BooleanFunction) -> RegisterReadin
     trial; :class:`QubitBudgetError` if the state is over the cap.
     """
     if (c0.n, c0.output_bits) != (c1.n, c1.output_bits):
-        raise ValueError("both tables must share input and output sizes")
+        raise InputError("both tables must share input and output sizes")
     n, m = c0.n, c0.output_bits
     if 1 + n + m > max_qubits():
         raise QubitBudgetError(f"sd instance needs {1 + n + m} qubits, cap is {max_qubits()}")
@@ -615,7 +616,7 @@ def sd_error_exact(
     p_err' <= sum_y min(P0, P1) = 1 - D_TV before returning.
     """
     if (c0.n, c0.output_bits) != (c1.n, c1.output_bits):
-        raise ValueError("both tables must share input and output sizes")
+        raise InputError("both tables must share input and output sizes")
     size = 1 << c0.n
     counts0: dict[int, int] = {}
     counts1: dict[int, int] = {}

@@ -29,11 +29,12 @@ The one interpreter of the IR lives here too.  It runs a circuit over a
 backend :class:`Kernel` and owns all that is not quantum arithmetic:
 conditionals, the record, snapshots, rewind counting, ``max_rewinds``,
 ``min_postselect_prob`` and ``clone``, which continues from the stored
-snapshot on every backend.  Its one loop samples a path (:func:`sampler`,
-:func:`sample_run`) or enumerates all branches (:func:`enumerate_branches`),
-so samplers and exact oracles accept and refuse the same circuits.  One rule,
-:func:`outcome_weight`, says when an outcome is an empty branch on every
-floating-point backend.
+snapshot on every backend.  Its one loop samples a path (:func:`sampler`)
+or enumerates all branches (:func:`enumerate_branches`), which the exact
+oracles :func:`outcome_distribution` and :func:`strong_probability` read
+on any kernel, so samplers and exact oracles accept and refuse the same
+circuits.  One rule, :func:`outcome_weight`, says when an outcome is an
+empty branch on every floating-point backend.
 
 A sampler runs the circuit's deterministic prefix, every instruction before
 the first one that reads the RNG or the record, once for all its trials.  A
@@ -528,11 +529,16 @@ class Kernel:
     """A backend as the interpreter sees it: its state arithmetic and its reach.
 
     A kernel declares ``gates`` (the gate names ``apply`` accepts), ``runs``
-    (which of postselect, snapshot, rewind and clone it supports) and the
-    unit ``one`` of its branch weights.  A state is the backend's own
-    representation of one branch's quantum state (a dense vector, a tableau,
-    a sparse amplitude map), opaque to the interpreter.  The operations are
+    (which of postselect, snapshot, rewind and clone it supports), the
+    unit ``one`` of its branch weights and ``max_depth``, the number of
+    measurements with two live outcomes an enumeration may fork on (None:
+    no limit).  A state is the backend's own representation of one branch's
+    quantum state (a dense vector, a tableau, a sparse amplitude map),
+    opaque to the interpreter.  The operations are
 
+    * ``check_width(n)``: refuse, with :class:`QubitBudgetError`, a width
+      whose state would be over the kernel's cap; a sampler or enumeration
+      runs it when it is built.  The default accepts every width;
     * ``keep(state)``: a state equal to ``state`` that no later operation
       changes.  The interpreter keeps each snapshot, each clone and the
       start state of each sampled trial with it, so a kernel whose
@@ -553,6 +559,10 @@ class Kernel:
     gates: frozenset[str] = GATE_NAMES
     runs: frozenset[str] = frozenset(_OPTIONAL.values())
     one = 1.0
+    max_depth: int | None = None
+
+    def check_width(self, n: int) -> None:
+        pass
 
     def keep(self, state):
         return state.copy()
@@ -605,7 +615,9 @@ _SAMPLE, _ENUMERATE = "sample", "enumerate"
 
 
 def _check_runs(circuit: Circuit, kernel: Kernel) -> None:
-    """Refuse a circuit that ``kernel`` cannot run, naming its file and line."""
+    """Refuse a circuit that ``kernel`` cannot run: one over its width cap,
+    or one with an instruction it lacks, named by its file and line."""
+    kernel.check_width(circuit.n_qubits)
     found = kernel.unsupported(circuit)
     if found is not None:
         pc, words = found
@@ -628,16 +640,16 @@ def _interpret(
     mode: str = "strict",
     max_rewinds: int | None = None,
     min_postselect_prob: float = 0.0,
-    max_depth: int | None = None,
 ) -> list[_Branch]:
     """The one walk over the IR: runs ``start``, and every branch it forks,
     from its position up to instruction ``stop``; returns those that get
     there.  The caller has checked the circuit with :func:`_check_runs`.
 
     ``how`` picks what a measurement does: draw from ``rng`` (sample, which
-    follows one branch) or fork over both outcomes (enumerate).
+    follows one branch) or fork over both outcomes (enumerate), at most
+    ``kernel.max_depth`` deep.
     """
-    instructions = circuit.instructions
+    instructions, max_depth = circuit.instructions, kernel.max_depth
     leaves, stack = [], [start]
     while stack:
         b = stack.pop()
@@ -719,9 +731,9 @@ def sampler(
     per call, sampling measurements from ``rng``.
 
     A circuit checks itself when it is built; building a sampler refuses
-    one that ``kernel`` cannot run.  The instructions before the first
-    one that reads the RNG or the record are the same in every trial, so the
-    first call runs them and keeps the branch they leave: position, state,
+    one that ``kernel`` cannot run or that is over its width cap.  The
+    instructions before the first one that reads the RNG or the record are
+    the same in every trial, so the first call runs them and keeps the branch they leave: position, state,
     snapshots and rewinds used.  Each call continues from a copy of that
     branch, its state taken through :meth:`Kernel.keep`, and draws what a run
     from |0...0> draws.  If the prefix raises, nothing is kept, so every call
@@ -750,37 +762,48 @@ def sampler(
     return trial
 
 
-def sample_run(
-    circuit: Circuit,
-    kernel: Kernel,
-    rng,
-    mode: str = "strict",
-    max_rewinds: int | None = None,
-    min_postselect_prob: float = 0.0,
-) -> RunResult:
-    """Execute ``circuit`` once on ``kernel``, sampling measurements from
-    ``rng``: the one call of a new :func:`sampler`."""
-    return sampler(circuit, kernel, mode, max_rewinds, min_postselect_prob)(rng)
-
-
-def enumerate_branches(
-    circuit: Circuit, kernel: Kernel, max_depth: int | None = None
-) -> list[tuple[str, object, object]]:
+def enumerate_branches(circuit: Circuit, kernel: Kernel) -> list[tuple[str, object, object]]:
     """Every branch of nonzero weight as (outcome key, weight, final state).
 
     Branches come in depth-first order, outcome 0 before outcome 1.  A weight
     is the product of the branch's measurement probabilities, in the kernel's
     weight type; postselection renormalises within a branch and drops it when
     impossible.  Rewinds are certified in strict mode, as when sampling.
-    ``max_depth`` bounds the number of measurements with two live outcomes.
-    A circuit that ``kernel`` cannot run is refused before the walk starts.
+    ``kernel.max_depth`` bounds the number of measurements with two live
+    outcomes.  A circuit that ``kernel`` cannot run, or one over its width
+    cap, is refused before the walk starts.
     """
     _check_runs(circuit, kernel)
     leaves = _interpret(
-        circuit, kernel, _ENUMERATE, _start(circuit, kernel), len(circuit.instructions),
-        max_depth=max_depth,
+        circuit, kernel, _ENUMERATE, _start(circuit, kernel), len(circuit.instructions)
     )
     return [
         (",".join(f"{label}={bit}" for label, bit, _ in b.record.entries), b.weight, b.state)
         for b in leaves
     ]
+
+
+def outcome_distribution(circuit: Circuit, kernel: Kernel) -> dict:
+    """Exact q_z per outcome key (``label=bit`` pairs joined by commas, in
+    execution order), in the kernel's weight type; zero weights are dropped."""
+    return {key: weight for key, weight, _ in enumerate_branches(circuit, kernel) if weight}
+
+
+def strong_probability(circuit: Circuit, kernel: Kernel, projector: dict[int, int]):
+    """Exact probability of reading ``projector``'s bits on its qubits after
+    the circuit: sum_z q_z * P(projector | z), where z ranges over the
+    circuit's own measurement outcomes.
+
+    The sum starts at the int 0, so it is an exact ``Fraction`` on the
+    tableau and a float on the floating-point kernels.
+    """
+    reads, total = sorted(projector.items()), 0
+    for _, weight, state in enumerate_branches(circuit, kernel):
+        for qubit, bit in reads:
+            p = kernel.prob(state, qubit, bit)
+            weight *= p
+            if not p:
+                break
+            state = kernel.collapse(state, qubit, bit, p)
+        total += weight
+    return total

@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .circuit import Circuit, Conditional, GateOp, Measure, Rewind, Snapshot
+from .circuit import Circuit, Conditional, GateOp, InputError, Measure, Rewind, Snapshot
 from .gates import CH, CZ, H, Gate, rz
 from .rng import SplitMix64
 from .statevector import (
@@ -55,9 +55,9 @@ class BrickworkSpec:
 
     def __post_init__(self):
         if self.n_rows < 1:
-            raise ValueError("need at least one row")
+            raise InputError("need at least one row")
         if self.m_cols % 8 != 5:
-            raise ValueError("column count must be 5 mod 8")
+            raise InputError("column count must be 5 mod 8")
 
     def qubit_index(self, i: int, j: int) -> int:
         if not (1 <= i <= self.n_rows and 1 <= j <= self.m_cols):

@@ -6,10 +6,11 @@ path forward at once, merged by the basis state it reaches: the Schrödinger
 end of the Schrödinger–Feynman trade-off.
 
 ``KERNEL`` runs under the circuit interpreter in :mod:`rwsim.circuit`, which
-enumerates the measurement branches.  A kernel state is a sparse amplitude
-map, a pure-Python ``dict`` from basis index (qubit q is bit q) to complex
-amplitude, holding only the basis states some path reaches with a nonzero
-sum.  It does not depend on the NumPy backend.
+enumerates the measurement branches; ``outcome_distribution(circuit,
+KERNEL)`` there gives the exact q_z per outcome.  A kernel state is a
+sparse amplitude map, a pure-Python ``dict`` from basis index (qubit q is
+bit q) to complex amplitude, holding only the basis states some path
+reaches with a nonzero sum.  It does not depend on the NumPy backend.
 
 * ``apply`` sends each key through the gate.  A diagonal or permutation gate
   (``Gate.monomial``) moves it to one key; ``h``, ``hk`` and ``ch`` on a
@@ -130,18 +131,13 @@ class PathSumKernel(Kernel):
 KERNEL = PathSumKernel()
 
 
-def acceptance_probability(
-    circuit: Circuit,
-    weighting: dict[str, float] | None = None,
-    outcomes: dict[str, float] | None = None,
-) -> float:
-    """Exact P(accept = 1) = sum_z w_z * P(accept = 1 | z).
+def acceptance_probability(circuit: Circuit, outcomes: dict[str, float] | None = None) -> float:
+    """Exact P(accept = 1) = sum_z q_z * P(accept = 1 | z).
 
-    ``weighting`` overrides the intrinsic branch probabilities q_z by outcome
-    key (missing keys keep their q_z).  The result lies in [0, 1] up to
-    accumulation error of 1e-12.  A dict passed as ``outcomes`` receives the
-    intrinsic q_z per outcome key, as :func:`outcome_distribution` returns
-    them, from the same enumeration.
+    The result lies in [0, 1] up to accumulation error of 1e-12.  A dict
+    passed as ``outcomes`` receives the q_z per outcome key, as
+    :func:`rwsim.circuit.outcome_distribution` returns them, from the same
+    enumeration.  A circuit without ``accept`` is refused before it runs.
     """
     accept = accept_qubit(circuit)
     if accept is None:
@@ -151,12 +147,6 @@ def acceptance_probability(
         if q_z > 0.0:
             if outcomes is not None:
                 outcomes[key] = q_z
-            weight = q_z if weighting is None else weighting.get(key, q_z)
-            total += weight * KERNEL.prob(state, accept, 1)
+            total += q_z * KERNEL.prob(state, accept, 1)
     assert -1e-12 <= total <= 1.0 + 1e-12, f"acceptance {total} outside [0, 1]"
     return total
-
-
-def outcome_distribution(circuit: Circuit) -> dict[str, float]:
-    """Exact q_z per outcome key, same key format as the statevector oracle."""
-    return {key: q_z for key, q_z, _ in enumerate_branches(circuit, KERNEL) if q_z > 0.0}

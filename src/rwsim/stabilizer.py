@@ -33,17 +33,20 @@ carries the sign of its product of them (the destabilizers it anticommutes
 with select it), a check run on the same int columns.
 
 ``KERNEL`` runs these rules under the circuit interpreter in :mod:`rwsim.circuit`:
-``stab_run`` samples a path, ``stab_outcome_distribution`` and
-``stab_strong_probability`` enumerate the branches with exact dyadic
-``Fraction`` weights; the interpreter's ``clone`` continues from the snapshot.
+``sampler(circuit, KERNEL)`` samples paths, and the exact oracles
+``outcome_distribution`` and ``strong_probability`` enumerate the branches
+with exact dyadic ``Fraction`` weights, at most ``max_depth`` = 20 random
+measurements deep; the interpreter's ``clone`` continues from the snapshot.
 ``stab_apply`` and ``stab_measure`` work in place, so the kernel keeps a
 snapshot, a clone and a sampler's shared prefix as copies (``Kernel.keep``).
 A circuit with a postselection or a non-Clifford gate is refused
 before it runs.
 
 A full tableau on n qubits holds 2n columns of 2n bits, n^2 / 2 bytes, so
-:func:`stab_init` refuses more than ``MAX_QUBITS`` = 2^14 qubits (a 128 MiB
-tableau) with :class:`QubitBudgetError`, quoting the size asked for.
+:func:`check_width` refuses more than ``MAX_QUBITS`` = 2^14 qubits (a 128 MiB
+tableau) with :class:`QubitBudgetError`, quoting the size asked for.  The
+kernel runs it when a sampler or enumeration is built, and :func:`stab_init`
+runs it too.
 """
 
 from __future__ import annotations
@@ -53,24 +56,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .circuit import (  # the shared error and registry names are re-exported
-    Circuit,
     DepthLimitError,
     GateOp,
     GateSetError,
     Kernel,
     QubitBudgetError,
     RewindConsistencyError,
-    RunResult,
     SnapshotRegistry,
     UnknownSnapshotError,
     UnsupportedInstructionError,
-    enumerate_branches,
-    sample_run,
 )
 from .gates import CLIFFORD_NAMES, Gate
 from .rng import SplitMix64
-
-TableauRegistry = SnapshotRegistry
 
 MAX_QUBITS = 1 << 14
 
@@ -86,15 +83,20 @@ class StabilizerTableau:
         return StabilizerTableau(self.n, self.X[:], self.Z[:], self.r)
 
 
-def stab_init(n: int) -> StabilizerTableau:
-    """Tableau of |0...0>: destabilizers X_0 ... X_{n-1}, stabilizers Z_0 ... Z_{n-1}."""
-    if n < 1:
-        raise ValueError("need at least one qubit")
+def check_width(n: int) -> None:
+    """Raise :class:`QubitBudgetError` if a tableau on ``n`` qubits is over the cap."""
     if n > MAX_QUBITS:
         raise QubitBudgetError(
             f"{n} qubits need a tableau of up to {math.ceil(n * n / 2**21)} MiB, "
             f"cap is {MAX_QUBITS} qubits ({MAX_QUBITS**2 >> 21} MiB)"
         )
+
+
+def stab_init(n: int) -> StabilizerTableau:
+    """Tableau of |0...0>: destabilizers X_0 ... X_{n-1}, stabilizers Z_0 ... Z_{n-1}."""
+    if n < 1:
+        raise ValueError("need at least one qubit")
+    check_width(n)
     return StabilizerTableau(n, [1 << j for j in range(n)], [1 << (n + j) for j in range(n)], 0)
 
 
@@ -274,10 +276,6 @@ def _is_collapse_of(stored: StabilizerTableau, post: StabilizerTableau) -> bool:
     return False
 
 
-def stab_snapshot(tab: StabilizerTableau, registry: SnapshotRegistry, label: str) -> None:
-    registry.store(label, tab.copy())
-
-
 def stab_rewind(
     post: StabilizerTableau, registry: SnapshotRegistry, label: str, mode: str = "strict"
 ) -> StabilizerTableau:
@@ -301,6 +299,10 @@ class _TableauKernel(Kernel):
     gates = CLIFFORD_NAMES
     runs = frozenset({"snapshot", "rewind", "clone"})
     one = Fraction(1)
+    max_depth = 20
+
+    def check_width(self, n: int) -> None:
+        check_width(n)
 
     def init(self, n: int) -> StabilizerTableau:
         return stab_init(n)
@@ -326,42 +328,3 @@ class _TableauKernel(Kernel):
 
 
 KERNEL = _TableauKernel()
-
-
-def stab_run(circuit: Circuit, rng: SplitMix64, mode: str = "strict") -> RunResult:
-    """Sample one execution of a Clifford circuit on the tableau backend.
-
-    Public API.  ``simulate`` does not call it: it builds one
-    :func:`rwsim.circuit.sampler` for all its trials.
-    """
-    return sample_run(circuit, KERNEL, rng, mode)
-
-
-def stab_strong_probability(
-    circuit: Circuit,
-    projector: dict[int, int] | list[tuple[int, int]],
-    max_depth: int = 20,
-) -> Fraction:
-    """Exact probability of reading ``projector`` bits after the circuit.
-
-    The result is sum_z q_z * P(projector | z) as an exact dyadic Fraction,
-    where z ranges over the circuit's own measurement outcomes.
-    """
-    proj = sorted(projector.items()) if isinstance(projector, dict) else list(projector)
-    total = Fraction(0)
-    for _, weight, tab in enumerate_branches(circuit, KERNEL, max_depth):
-        for qubit, bit in proj:
-            p = KERNEL.prob(tab, qubit, bit)
-            weight *= p
-            if not p:
-                break
-            tab = KERNEL.collapse(tab, qubit, bit, p)
-        total += weight
-    return total
-
-
-def stab_outcome_distribution(
-    circuit: Circuit, max_depth: int = 20
-) -> dict[str, Fraction]:
-    """Exact q_z per outcome key (same key format as the other backends)."""
-    return {key: weight for key, weight, _ in enumerate_branches(circuit, KERNEL, max_depth)}

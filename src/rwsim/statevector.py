@@ -55,10 +55,13 @@ Conventions
   collapsed state with the register sliced off, so a walk continues on the
   remaining qubits alone.
 * ``KERNEL`` is this backend under the circuit interpreter in
-  :mod:`rwsim.circuit`, whose ``clone`` continues from the stored snapshot.
+  :mod:`rwsim.circuit`, whose ``clone`` continues from the stored snapshot:
+  ``sampler(circuit, KERNEL)`` samples paths, and ``outcome_distribution``
+  and ``strong_probability`` are its exact oracles.
 
 The default width cap is 24 qubits; the environment variable
-``RWSIM_MAX_QUBITS`` overrides it.
+``RWSIM_MAX_QUBITS`` overrides it.  :func:`check_width` applies it, and
+``KERNEL`` runs it when a sampler or enumeration is built.
 """
 
 from __future__ import annotations
@@ -72,8 +75,6 @@ import numpy as np
 
 from .circuit import (  # the shared error and registry names are re-exported
     EMPTY_PROB,
-    Circuit,
-    CircuitValidationError,
     GateOp,
     InvalidPostselectionError,
     Kernel,
@@ -81,13 +82,9 @@ from .circuit import (  # the shared error and registry names are re-exported
     QubitBudgetError,
     RewindBudgetError,
     RewindConsistencyError,
-    RunResult,
     SnapshotRegistry,
     UnknownSnapshotError,
-    accept_qubit,
-    enumerate_branches,
     outcome_weight,
-    sample_run,
 )
 from .gates import Gate
 from .rng import SplitMix64
@@ -584,6 +581,9 @@ def _certified_on_cores(stored: _KernelState, post: _KernelState, tol: float) ->
 class _StateVectorKernel(Kernel):
     name = "sv"
 
+    def check_width(self, n: int) -> None:
+        check_width(n)
+
     def keep(self, state: _KernelState) -> _KernelState:
         return state  # no operation changes its input
 
@@ -631,40 +631,6 @@ class _StateVectorKernel(Kernel):
 
 
 KERNEL = _StateVectorKernel()
-
-
-def run(
-    circuit: Circuit,
-    rng: SplitMix64,
-    mode: str = "strict",
-    max_rewinds: int | None = None,
-    min_postselect_prob: float = 0.0,
-) -> RunResult:
-    """Execute a circuit once, sampling measurements from ``rng``.
-
-    Public API (exported by the package).  ``simulate`` does not call it: it
-    builds one :func:`rwsim.circuit.sampler` for all its trials.
-    """
-    return sample_run(circuit, KERNEL, rng, mode, max_rewinds, min_postselect_prob)
-
-
-def exact_outcome_distribution(circuit: Circuit) -> dict[str, float]:
-    """Exact outcome probabilities q_z by full branch enumeration.
-
-    Keys are ``label=bit`` pairs joined by commas, in execution order.
-    Postselections renormalise within a branch; branches where a
-    postselection has probability zero are dropped.
-    """
-    return {key: weight for key, weight, _ in enumerate_branches(circuit, KERNEL)}
-
-
-def exact_acceptance(circuit: Circuit) -> float:
-    """Exact P(accept qubit reads 1) = sum_z q_z * P(accept=1 | z)."""
-    leaves = enumerate_branches(circuit, KERNEL)
-    accept = accept_qubit(circuit)
-    if accept is None:
-        raise CircuitValidationError("circuit declares no accept qubit")
-    return float(sum(weight * KERNEL.prob(state, accept, 1) for _, weight, state in leaves))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import REPO, cli_env, random_clifford_circuit, random_general_circuit
+from rwsim import pathsum, stabilizer
 from rwsim.applications import (
     HIGH,
     LOW,
@@ -28,7 +29,13 @@ from rwsim.applications import (
     sd_error_exact,
     toy_two_regular,
 )
-from rwsim.circuit import parse_circuit, sampler
+from rwsim.circuit import (
+    accept_qubit,
+    outcome_distribution,
+    parse_circuit,
+    sampler,
+    strong_probability,
+)
 from rwsim.mbqc import (
     BrickworkSpec,
     MeasurementPattern,
@@ -50,15 +57,12 @@ from rwsim.mitigation import (
     success_probability_lower_bound,
     synthetic_flagged,
 )
-from rwsim.pathsum import acceptance_probability, outcome_distribution
+from rwsim.pathsum import acceptance_probability
 from rwsim.rng import SplitMix64, stream_seed
-from rwsim.stabilizer import stab_outcome_distribution
 from rwsim.statevector import (
     KERNEL,
     PureState,
     attach_zero,
-    exact_acceptance,
-    exact_outcome_distribution,
     fidelity,
     postselect,
     prob_of_bit,
@@ -151,8 +155,8 @@ def test_tableau_and_dense_backends_agree_on_clifford_circuits():
         rng = SplitMix64(stream_seed(0xAC6, seed))
         text = random_clifford_circuit(rng)
         circuit = parse_circuit(text)
-        exact = stab_outcome_distribution(circuit)
-        dense = exact_outcome_distribution(circuit)
+        exact = outcome_distribution(circuit, stabilizer.KERNEL)
+        dense = outcome_distribution(circuit, KERNEL)
         assert set(exact) == set(dense), text
         for key, weight in exact.items():
             assert abs(float(weight) - dense[key]) <= 1e-12, (text, key)
@@ -163,8 +167,8 @@ def test_path_sum_matches_tableau_on_rewind_free_circuits():
         rng = SplitMix64(stream_seed(0xAC6, 1000 + seed))
         text = random_clifford_circuit(rng, allow_rewinds=False, h_max=3)
         circuit = parse_circuit(text)
-        summed = outcome_distribution(circuit)
-        exact = stab_outcome_distribution(circuit)
+        summed = outcome_distribution(circuit, pathsum.KERNEL)
+        exact = outcome_distribution(circuit, stabilizer.KERNEL)
         assert set(summed) == set(exact), text
         for key, value in summed.items():
             assert abs(value - float(exact[key])) <= 1e-9, (text, key)
@@ -175,9 +179,8 @@ def test_acceptance_oracle_agrees_with_dense_enumeration():
         rng = SplitMix64(stream_seed(0xAC7, seed))
         text = random_general_circuit(rng, h_max=6)
         circuit = parse_circuit(text)
-        assert abs(
-            acceptance_probability(circuit) - exact_acceptance(circuit)
-        ) <= 1e-9, text
+        dense = strong_probability(circuit, KERNEL, {accept_qubit(circuit): 1})
+        assert abs(acceptance_probability(circuit) - dense) <= 1e-9, text
 
 
 def test_one_rewind_collision_rate_and_pair_validity():

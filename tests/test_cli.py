@@ -398,6 +398,19 @@ def test_demo_sd_rejects_bad_row_count(tmp_path, capsys):
     assert code == 2 and "power-of-two" in err
 
 
+def test_demo_sd_rejects_tables_of_different_sizes(tmp_path, capsys):
+    wide = tmp_path / "wide.txt"
+    wide.write_text("00\n01\n10\n11\n")  # 2-bit outputs against SD_C1's 1-bit
+    code, out, err = run(capsys, ["demo", "sd", "--c0", str(wide), "--c1", SD_C1])
+    assert (code, out, err) == (2, "", "error: both tables must share input and output sizes\n")
+
+
+def test_demo_sd_rejects_tables_over_the_qubit_cap(monkeypatch, capsys):
+    monkeypatch.setenv("RWSIM_MAX_QUBITS", "3")  # the pair needs 1 + 2 + 1 qubits
+    code, out, err = run(capsys, ["demo", "sd", "--c0", SD_C0, "--c1", SD_C1, "--trials", "4"])
+    assert (code, out, err) == (2, "", "error: sd instance needs 4 qubits, cap is 3\n")
+
+
 def test_demo_mbqc_with_pattern_file(capsys):
     code, out, _ = run(
         capsys,
@@ -460,6 +473,13 @@ def test_width_is_checked_before_the_worker_pool_starts(tmp_path, monkeypatch, c
         capsys, ["simulate", TGATE, "--backend", "stab", "--trials", "4", "--jobs", "2"]
     )
     assert (code, err) == (2, f"error: {TGATE}: line 4: backend stab cannot run gate rz\n")
+    wide.write_text("qubits 16385\nmeasure 0 -> m\n")
+    code, _, err = run(
+        capsys, ["simulate", str(wide), "--backend", "stab", "--trials", "4", "--jobs", "2"]
+    )
+    assert (code, err) == (
+        2, "error: 16385 qubits need a tableau of up to 129 MiB, cap is 16384 qubits (128 MiB)\n"
+    )
     code, _, err = run(
         capsys, ["demo", "mbqc", "--rows", "3", "--cols", "13", "--trials", "4", "--jobs", "2"]
     )

@@ -40,13 +40,17 @@ from rwsim.circuit import (
     RewindConsistencyError,
     accept_qubit,
     enumerate_branches,
+    outcome_distribution,
     parse_circuit,
+    sampler,
+    strong_probability,
 )
 from rwsim.rng import SplitMix64, stream_seed
 
 TOL = 1e-9
 SAMPLES = 8  # seeded runs per circuit in the record comparisons
 SNAP, INS, INS2, RETRY = "eq_snap", "eq_ins", "eq_ins2", "eq_r"
+SV, STAB = statevector.KERNEL, stabilizer.KERNEL
 
 
 def _general(seed: int) -> tuple[SplitMix64, list[str]]:
@@ -105,13 +109,19 @@ def _sv_acceptance_by_key(circuit) -> tuple[dict, dict]:
     return weights, accepted
 
 
-def _records(runner, circuit, master: int, **kwargs):
-    """(bits, accept bit, final state) of seeded runs; ``("refused", None,
-    None)`` for a run stopped by an impossible postselection."""
-    out = []
+def _acceptance(circuit) -> float:
+    """The dense oracle's P(accept = 1)."""
+    return strong_probability(circuit, SV, {accept_qubit(circuit): 1})
+
+
+def _records(kernel, circuit, master: int, **kwargs):
+    """(bits, accept bit, final state) of seeded runs of one sampler on
+    ``kernel``; ``("refused", None, None)`` for a run stopped by an
+    impossible postselection."""
+    out, trial = [], sampler(circuit, kernel, **kwargs)
     for i in range(SAMPLES):
         try:
-            r = runner(circuit, SplitMix64(stream_seed(master, i)), **kwargs)
+            r = trial(SplitMix64(stream_seed(master, i)))
         except InvalidPostselectionError:
             out.append(("refused", None, None))
             continue
@@ -148,30 +158,30 @@ def test_inserted_rewind_is_invisible_on_the_dense_oracle():
         base, rewound = _parse(lines), _parse(rewound_lines)
         context = "\n".join(rewound_lines)
         _assert_same(
-            _marginal(statevector.exact_outcome_distribution(rewound), INS.__eq__),
-            statevector.exact_outcome_distribution(base), context,
+            _marginal(outcome_distribution(rewound, SV), INS.__eq__),
+            outcome_distribution(base, SV), context,
         )
         assert abs(
-            statevector.exact_acceptance(rewound) - statevector.exact_acceptance(base)
+            _acceptance(rewound) - _acceptance(base)
         ) <= TOL, context
-        _records(statevector.run, rewound, seed)  # strict rewind certifies every run
+        _records(SV, rewound, seed)  # strict rewind certifies every run
 
 
 def test_inserted_rewind_is_invisible_on_clifford_circuits():
     for seed in range(24):
         rng, lines = _clifford(seed)
         base, rewound = _parse(lines), _parse(_insert_rewind(rng, lines))
-        exact = stabilizer.stab_outcome_distribution(rewound)
-        assert _marginal(exact, INS.__eq__) == stabilizer.stab_outcome_distribution(base)
-        assert stabilizer.stab_strong_probability(
-            rewound, {0: 1}
-        ) == stabilizer.stab_strong_probability(base, {0: 1})
-        dense = statevector.exact_outcome_distribution(rewound)
-        _assert_same(
-            _marginal(dense, INS.__eq__), statevector.exact_outcome_distribution(base), lines
+        exact = outcome_distribution(rewound, STAB)
+        assert _marginal(exact, INS.__eq__) == outcome_distribution(base, STAB)
+        assert strong_probability(rewound, STAB, {0: 1}) == strong_probability(
+            base, STAB, {0: 1}
         )
-        for runner in (statevector.run, stabilizer.stab_run):
-            _records(runner, rewound, seed)  # strict rewind certifies every run
+        dense = outcome_distribution(rewound, SV)
+        _assert_same(
+            _marginal(dense, INS.__eq__), outcome_distribution(base, SV), lines
+        )
+        for kernel in (SV, STAB):
+            _records(kernel, rewound, seed)  # strict rewind certifies every run
 
 
 def test_rewind_after_two_collapses_is_refused():
@@ -186,13 +196,12 @@ def test_rewind_after_two_collapses_is_refused():
             f"measure {n} -> {INS}", f"measure {n + 1} -> {INS2}", f"rewind {SNAP}",
         ]
         circuit = _parse([f"qubits {n + 2}"] + lines[1:pos] + block + lines[pos:])
-        oracles = (statevector.exact_outcome_distribution, stabilizer.stab_outcome_distribution)
-        for oracle in oracles:
+        for kernel in (SV, STAB):
             with pytest.raises(RewindConsistencyError):
-                oracle(circuit)
-        for runner in (statevector.run, stabilizer.stab_run):
+                outcome_distribution(circuit, kernel)
+        for kernel in (SV, STAB):
             with pytest.raises(RewindConsistencyError):
-                runner(circuit, SplitMix64(seed))
+                sampler(circuit, kernel)(SplitMix64(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -217,16 +226,16 @@ def test_clone_is_a_copy_on_the_dense_backend():
         base, cloned, rewound = _parse(lines), _parse(cloned_lines), _parse(rewound_lines)
         context = "\n".join(cloned_lines)
         _assert_same(
-            statevector.exact_outcome_distribution(cloned),
-            statevector.exact_outcome_distribution(base), context,
+            outcome_distribution(cloned, SV),
+            outcome_distribution(base, SV), context,
         )
         assert abs(
-            statevector.exact_acceptance(cloned) - statevector.exact_acceptance(base)
+            _acceptance(cloned) - _acceptance(base)
         ) <= TOL, context
-        want = _records(statevector.run, base, seed)
-        _assert_same_records(_records(statevector.run, cloned, seed), want, context)
+        want = _records(SV, base, seed)
+        _assert_same_records(_records(SV, cloned, seed), want, context)
         _assert_same_records(
-            _records(statevector.run, rewound, seed, mode="permissive"), want, context
+            _records(SV, rewound, seed, mode="permissive"), want, context
         )
 
 
@@ -235,18 +244,18 @@ def test_clone_is_a_copy_on_clifford_circuits():
         rng, lines = _clifford(seed)
         cloned_lines, rewound_lines = _clone_forms(rng, lines, CLIFFORD_POOL)
         base, cloned, rewound = _parse(lines), _parse(cloned_lines), _parse(rewound_lines)
-        assert stabilizer.stab_outcome_distribution(
-            cloned
-        ) == stabilizer.stab_outcome_distribution(base), cloned_lines
+        assert outcome_distribution(cloned, STAB) == outcome_distribution(
+            base, STAB
+        ), cloned_lines
         _assert_same(
-            statevector.exact_outcome_distribution(cloned),
-            statevector.exact_outcome_distribution(base), cloned_lines,
+            outcome_distribution(cloned, SV),
+            outcome_distribution(base, SV), cloned_lines,
         )
-        for runner in (statevector.run, stabilizer.stab_run):
-            want = _records(runner, base, seed)
-            _assert_same_records(_records(runner, cloned, seed), want, cloned_lines)
+        for kernel in (SV, STAB):
+            want = _records(kernel, base, seed)
+            _assert_same_records(_records(kernel, cloned, seed), want, cloned_lines)
             _assert_same_records(
-                _records(runner, rewound, seed, mode="permissive"), want, cloned_lines
+                _records(kernel, rewound, seed, mode="permissive"), want, cloned_lines
             )
 
 
@@ -286,7 +295,7 @@ def _success_rates(lines: list[str], pos: int, q: int, bit: int, tries: int) -> 
     outcome reads the labels measured before the postselection at ``pos`` and
     p is the postselected bit's probability there.  p comes from the path-sum
     oracle, with a measurement in place of the postselection."""
-    probe = pathsum.outcome_distribution(_parse(lines[:pos] + [f"measure {q} -> {INS}"]))
+    probe = outcome_distribution(_parse(lines[:pos] + [f"measure {q} -> {INS}"]), pathsum.KERNEL)
     reads: dict = {}
     for key, weight in probe.items():
         *prefix, (_, read) = _pairs(key)
@@ -347,10 +356,10 @@ def test_retry_block_equals_adaptive_postselection():
 
         # seeded sampled runs, cut after the retry block, succeed at the rate
         # the oracles give; a run refused by an earlier postselection fails
-        head = _parse(lines[:pos] + block)
+        head = sampler(_parse(lines[:pos] + block), SV)
         for i in range(40):
             try:
-                r = statevector.run(head, SplitMix64(stream_seed(0xE9D + case, i)))
+                r = head(SplitMix64(stream_seed(0xE9D + case, i)))
             except InvalidPostselectionError:
                 continue
             successes += _succeeded([(label, b) for label, b, _ in r.record.entries], bit)

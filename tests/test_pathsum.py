@@ -5,16 +5,15 @@ from __future__ import annotations
 import pytest
 
 from conftest import random_general_circuit
-from rwsim import pathsum
-from rwsim.circuit import parse_circuit
+from rwsim import pathsum, statevector
+from rwsim.circuit import accept_qubit, outcome_distribution, parse_circuit, strong_probability
 from rwsim.pathsum import (
+    KERNEL,
     SizeLimitError,
     UnsupportedInstructionError,
     acceptance_probability,
-    outcome_distribution,
 )
 from rwsim.rng import SplitMix64, stream_seed
-from rwsim.statevector import exact_acceptance, exact_outcome_distribution
 
 BELL = """
 qubits 2
@@ -45,7 +44,7 @@ def test_bell_acceptance_is_half():
 
 
 def test_bell_outcome_distribution():
-    dist = outcome_distribution(parse_circuit(BELL))
+    dist = outcome_distribution(parse_circuit(BELL), KERNEL)
     assert set(dist) == {"m0=0,m1=0", "m0=1,m1=1"}
     assert dist["m0=0,m1=0"] == pytest.approx(0.5, abs=1e-12)
     assert dist["m0=1,m1=1"] == pytest.approx(0.5, abs=1e-12)
@@ -55,17 +54,6 @@ def test_postselect_renormalises_branch():
     assert acceptance_probability(parse_circuit(POSTSELECT)) == pytest.approx(
         1.0, abs=1e-12
     )
-
-
-def test_weighting_overrides_branch_probabilities():
-    circuit = parse_circuit(BELL)
-    # Only the agreeing-on-1 branch accepts; force all weight onto it.
-    assert acceptance_probability(
-        circuit, weighting={"m0=1,m1=1": 1.0}
-    ) == pytest.approx(1.0, abs=1e-12)
-    assert acceptance_probability(
-        circuit, weighting={"m0=1,m1=1": 0.0}
-    ) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_missing_accept_rejected():
@@ -92,6 +80,10 @@ def test_rewind_rejected():
     )
     with pytest.raises(UnsupportedInstructionError):
         acceptance_probability(circuit)
+
+
+def _dense_acceptance(circuit) -> float:
+    return strong_probability(circuit, statevector.KERNEL, {accept_qubit(circuit): 1})
 
 
 def _hadamards(k: int) -> str:
@@ -121,7 +113,7 @@ def test_acceptance_matches_dense_oracle(seed):
     text = random_general_circuit(rng, n_max=4, gate_max=12, h_max=6)
     circuit = parse_circuit(text)
     assert acceptance_probability(circuit) == pytest.approx(
-        exact_acceptance(circuit), abs=1e-9
+        _dense_acceptance(circuit), abs=1e-9
     ), text
 
 
@@ -130,8 +122,8 @@ def test_distribution_matches_dense_oracle(seed):
     rng = SplitMix64(stream_seed(0x9B, seed))
     text = random_general_circuit(rng, n_max=4, gate_max=12, h_max=6)
     circuit = parse_circuit(text)
-    ours = outcome_distribution(circuit)
-    dense = exact_outcome_distribution(circuit)
+    ours = outcome_distribution(circuit, KERNEL)
+    dense = outcome_distribution(circuit, statevector.KERNEL)
     assert set(ours) == set(dense), text
     for key, value in ours.items():
         assert value == pytest.approx(dense[key], abs=1e-9), (text, key)
@@ -143,13 +135,13 @@ def test_unbounded_branching_matches_dense_oracle(seed):
     rng = SplitMix64(stream_seed(0x9C, seed))
     text = random_general_circuit(rng, n_max=6, gate_max=30, h_max=None)
     circuit = parse_circuit(text)
-    ours = outcome_distribution(circuit)
-    dense = exact_outcome_distribution(circuit)
+    ours = outcome_distribution(circuit, KERNEL)
+    dense = outcome_distribution(circuit, statevector.KERNEL)
     assert set(ours) == set(dense), text
     for key, value in ours.items():
         assert value == pytest.approx(dense[key], abs=1e-9), (text, key)
     assert acceptance_probability(circuit) == pytest.approx(
-        exact_acceptance(circuit), abs=1e-9
+        _dense_acceptance(circuit), abs=1e-9
     ), text
 
 
@@ -158,6 +150,6 @@ def test_each_gate_builds_its_moves_once():
     and ch after the measurement run on both branches."""
     pathsum._moves.cache_clear()
     circuit = parse_circuit("qubits 2\ngate h 0\nmeasure 0 -> m\ngate h 1\ngate ch 0 1\naccept 1\n")
-    assert acceptance_probability(circuit) == pytest.approx(exact_acceptance(circuit), abs=1e-12)
+    assert acceptance_probability(circuit) == pytest.approx(_dense_acceptance(circuit), abs=1e-12)
     info = pathsum._moves.cache_info()
     assert (info.misses, info.hits) == (3, 2)

@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from conftest import random_clifford_circuit
-from rwsim.circuit import GateOp, parse_circuit
+from rwsim.circuit import (
+    GateOp,
+    SnapshotRegistry,
+    outcome_distribution,
+    parse_circuit,
+    sampler,
+    strong_probability,
+)
 from rwsim.gates import CZ, H, S, X, hk
 from rwsim import stabilizer, statevector
 from rwsim.rng import SplitMix64, stream_seed
@@ -16,24 +23,15 @@ from rwsim.stabilizer import (
     DepthLimitError,
     GateSetError,
     RewindConsistencyError,
+    KERNEL,
     StabilizerTableau,
-    TableauRegistry,
     UnknownSnapshotError,
     stab_apply,
     stab_init,
     stab_measure,
-    stab_outcome_distribution,
     stab_rewind,
-    stab_run,
-    stab_snapshot,
-    stab_strong_probability,
 )
-from rwsim.statevector import (
-    apply_gate,
-    exact_outcome_distribution,
-    init,
-    prob_of_bit,
-)
+from rwsim.statevector import apply_gate, init, prob_of_bit
 
 
 def sv_probability(gates, n, qubit, bit) -> float:
@@ -111,11 +109,11 @@ def test_random_measurement_collapses_to_deterministic():
 
 
 def test_snapshot_rewind_strict_accepts_collapse():
-    registry = TableauRegistry()
+    registry = SnapshotRegistry()
     tab = stab_apply(stab_init(2), H, (0,))
     tab = stab_apply(tab, CZ, (0, 1))
     tab = stab_apply(tab, H, (1,))
-    stab_snapshot(tab, registry, "s")
+    registry.store("s", tab.copy())
     _, _, collapsed = stab_measure(tab.copy(), 0, SplitMix64(8))
     restored = stab_rewind(collapsed, registry, "s", "strict")
     dist_a = {}
@@ -128,9 +126,9 @@ def test_snapshot_rewind_strict_accepts_collapse():
 
 def test_snapshot_rewind_strict_refuses_foreign_state():
     # |11> is not a one-outcome collapse of |+>|0>, so strict mode must refuse.
-    registry = TableauRegistry()
+    registry = SnapshotRegistry()
     tab = stab_apply(stab_init(2), H, (0,))
-    stab_snapshot(tab, registry, "s")
+    registry.store("s", tab.copy())
     foreign = stab_apply(stab_apply(stab_init(2), X, (0,)), X, (1,))
     with pytest.raises(RewindConsistencyError):
         stab_rewind(foreign, registry, "s", "strict")
@@ -140,7 +138,7 @@ def test_snapshot_rewind_strict_refuses_foreign_state():
 
 def test_rewind_unknown_label():
     with pytest.raises(UnknownSnapshotError):
-        stab_rewind(stab_init(1), TableauRegistry(), "nope", "strict")
+        stab_rewind(stab_init(1), SnapshotRegistry(), "nope", "strict")
 
 
 RETRY = """
@@ -158,12 +156,12 @@ accept 0
 
 def test_retry_chain_exact_accept_probability():
     circuit = parse_circuit(RETRY)
-    assert stab_strong_probability(circuit, {0: 1}) == Fraction(1, 8)
-    assert stab_strong_probability(circuit, {0: 0}) == Fraction(7, 8)
+    assert strong_probability(circuit, KERNEL, {0: 1}) == Fraction(1, 8)
+    assert strong_probability(circuit, KERNEL, {0: 0}) == Fraction(7, 8)
 
 
 def test_retry_chain_distribution():
-    dist = stab_outcome_distribution(parse_circuit(RETRY))
+    dist = outcome_distribution(parse_circuit(RETRY), KERNEL)
     assert dist == {
         "t1=0": Fraction(1, 2),
         "t1=1,t2=0": Fraction(1, 4),
@@ -176,11 +174,12 @@ def test_run_sampling_matches_exact_distribution():
     circuit = parse_circuit(RETRY)
     counts: dict[str, int] = {}
     trials = 2000
+    trial = sampler(circuit, KERNEL)
     for i in range(trials):
-        result = stab_run(circuit, SplitMix64(stream_seed(14, i)))
+        result = trial(SplitMix64(stream_seed(14, i)))
         key = ",".join(f"{l}={b}" for l, b, _ in result.record.entries)
         counts[key] = counts.get(key, 0) + 1
-    for key, expected in stab_outcome_distribution(circuit).items():
+    for key, expected in outcome_distribution(circuit, KERNEL).items():
         freq = counts.get(key, 0) / trials
         mean = float(expected)
         sigma = (mean * (1 - mean) / trials) ** 0.5
@@ -192,17 +191,27 @@ def test_postselect_is_rejected_by_backend():
     from rwsim.stabilizer import UnsupportedInstructionError
 
     with pytest.raises(UnsupportedInstructionError):
-        stab_run(circuit, SplitMix64(1))
+        sampler(circuit, KERNEL)
 
 
 def test_depth_limit_guards_enumeration():
-    lines = ["qubits 1"]
-    for i in range(25):
-        lines.append("gate h 0")
-        lines.append(f"measure 0 -> m{i}")
-    circuit = parse_circuit("\n".join(lines) + "\n")
-    with pytest.raises(DepthLimitError):
-        stab_outcome_distribution(circuit, max_depth=20)
+    """The tableau enumerates at most 20 random measurements deep: the 21st
+    on one path raises, with no argument given.  Each coin after the first
+    is tossed only while every earlier one read 0, so k coins leave k + 1
+    branches."""
+
+    def coins(k: int):
+        lines = ["qubits 1"]
+        for i in range(k):
+            guard = " if " + " && ".join(f"m{j} == 0" for j in range(i)) if i else ""
+            lines += [f"gate h 0{guard}", f"measure 0 -> m{i}{guard}"]
+        return parse_circuit("\n".join(lines) + "\n")
+
+    assert KERNEL.max_depth == 20
+    dist = outcome_distribution(coins(20), KERNEL)
+    assert (len(dist), sum(dist.values())) == (21, 1)
+    with pytest.raises(DepthLimitError, match="exceeded 20"):
+        outcome_distribution(coins(21), KERNEL)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -210,8 +219,8 @@ def test_random_circuits_match_dense_distribution(seed):
     rng = SplitMix64(stream_seed(0xC1, seed))
     text = random_clifford_circuit(rng, n_max=6, gate_max=24)
     circuit = parse_circuit(text)
-    stab_dist = stab_outcome_distribution(circuit)
-    sv_dist = exact_outcome_distribution(circuit)
+    stab_dist = outcome_distribution(circuit, KERNEL)
+    sv_dist = outcome_distribution(circuit, statevector.KERNEL)
     assert set(stab_dist) == set(sv_dist), text
     for key, weight in stab_dist.items():
         assert abs(float(weight) - sv_dist[key]) <= 1e-12, (text, key)
@@ -222,8 +231,9 @@ def test_clone_restores_snapshot_exactly():
         "qubits 2\ngate h 0\ngate h 1\ngate cz 0 1\ngate h 1\nmeasure 0 -> m\n"
         "snapshot here\nclone here\nmeasure 1 -> check\n"
     )
+    trial = sampler(circuit, KERNEL)
     for i in range(24):
-        result = stab_run(circuit, SplitMix64(stream_seed(31, i)))
+        result = trial(SplitMix64(stream_seed(31, i)))
         assert result.record.bit("check") == result.record.bit("m")
 
 
@@ -303,7 +313,7 @@ KERNELS = (stabilizer.KERNEL, statevector.KERNEL)
 
 
 def _accepts(kernel, post, stored) -> bool:
-    registry = TableauRegistry()
+    registry = SnapshotRegistry()
     registry.store("s", stored)
     try:
         kernel.rewind(post, registry, "s", "strict")

@@ -10,12 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rwsim.circuit import parse_circuit
+from rwsim.circuit import (
+    accept_qubit,
+    outcome_distribution,
+    parse_circuit,
+    sampler,
+    strong_probability,
+)
 from rwsim.gates import CCZ, CH, CZ, GATE_NAMES, H, S, SWAP, X, hk, rz
 from rwsim.rng import SplitMix64, stream_seed
 from rwsim import statevector
 from rwsim.statevector import (
     InvalidPostselectionError,
+    KERNEL,
     PostselectThresholdError,
     PureState,
     QubitBudgetError,
@@ -26,8 +33,6 @@ from rwsim.statevector import (
     apply_gate,
     apply_matrix,
     attach_zero,
-    exact_acceptance,
-    exact_outcome_distribution,
     fidelity,
     from_amplitudes,
     init,
@@ -36,7 +41,6 @@ from rwsim.statevector import (
     postselect,
     prob_of_bit,
     rewind,
-    run,
     slice_qubit,
     snapshot,
     states_equal,
@@ -512,20 +516,23 @@ accept 0
 
 
 def test_exact_distribution_of_retry_chain():
-    dist = exact_outcome_distribution(parse_circuit(RETRY))
+    circuit = parse_circuit(RETRY)
+    dist = outcome_distribution(circuit, KERNEL)
     assert dist["t1=0"] == pytest.approx(0.5, abs=1e-12)
     assert dist["t1=1,t2=0"] == pytest.approx(0.25, abs=1e-12)
     assert dist["t1=1,t2=1,t3=0"] == pytest.approx(0.125, abs=1e-12)
     assert dist["t1=1,t2=1,t3=1"] == pytest.approx(0.125, abs=1e-12)
-    assert exact_acceptance(parse_circuit(RETRY)) == pytest.approx(1.0 / 8.0, abs=1e-12)
+    accepts = strong_probability(circuit, KERNEL, {accept_qubit(circuit): 1})
+    assert accepts == pytest.approx(1.0 / 8.0, abs=1e-12)
 
 
 def test_run_samples_match_exact_distribution():
     circuit = parse_circuit(RETRY)
     trials = 2000
     ones = 0
+    trial = sampler(circuit, KERNEL)
     for i in range(trials):
-        result = run(circuit, SplitMix64(stream_seed(11, i)))
+        result = trial(SplitMix64(stream_seed(11, i)))
         ones += result.accept_bit
     freq = ones / trials
     sigma = math.sqrt(0.125 * 0.875 / trials)
@@ -534,9 +541,9 @@ def test_run_samples_match_exact_distribution():
 
 def test_run_respects_min_postselect_prob():
     circuit = parse_circuit("qubits 1\ngate h 0\npostselect 0 = 0\naccept 0\n")
-    run(circuit, SplitMix64(1), min_postselect_prob=0.4)
+    sampler(circuit, KERNEL, min_postselect_prob=0.4)(SplitMix64(1))
     with pytest.raises(PostselectThresholdError):
-        run(circuit, SplitMix64(1), min_postselect_prob=0.9)
+        sampler(circuit, KERNEL, min_postselect_prob=0.9)(SplitMix64(1))
 
 
 def test_clone_rebuilds_state_from_description():
@@ -544,8 +551,9 @@ def test_clone_rebuilds_state_from_description():
         "qubits 2\ngate h 0\ngate h 1\ngate cz 0 1\ngate h 1\nmeasure 0 -> m\n"
         "snapshot here\nclone here\nmeasure 1 -> check\n"
     )
+    trial = sampler(circuit, KERNEL)
     for i in range(24):
-        result = run(circuit, SplitMix64(stream_seed(21, i)))
+        result = trial(SplitMix64(stream_seed(21, i)))
         # after the entangler, qubit 1 mirrors qubit 0 exactly
         assert result.record.bit("check") == result.record.bit("m")
 
@@ -555,5 +563,5 @@ def test_exact_distribution_weights_sum_to_one():
         "qubits 3\ngate h 0\ngate ch 0 1\ngate ccz 0 1 2\ngate hk 2 2\n"
         "measure 0 -> a\nmeasure 2 -> b\n"
     )
-    dist = exact_outcome_distribution(circuit)
+    dist = outcome_distribution(circuit, KERNEL)
     assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)

@@ -34,9 +34,11 @@ from rwsim.circuit import (
     Snapshot,
     SnapshotRegistry,
     accept_qubit,
+    outcome_distribution,
     parse_circuit,
     predicate_holds,
     sampler,
+    strong_probability,
 )
 from rwsim.rng import SplitMix64, stream_seed
 
@@ -167,11 +169,13 @@ def test_sampled_runs_match_the_dense_walk(case):
 def test_exact_oracles_match_the_path_sum(case):
     text = _random_circuit(SplitMix64(stream_seed(0x5F2, case)), rewinds=False)
     c = parse_circuit(text)
-    got, want = statevector.exact_outcome_distribution(c), pathsum.outcome_distribution(c)
+    got = outcome_distribution(c, statevector.KERNEL)
+    want = outcome_distribution(c, pathsum.KERNEL)
     assert got.keys() == want.keys(), text
     for key, weight in want.items():
         assert abs(got[key] - weight) <= TOL, (text, key)
-    assert abs(statevector.exact_acceptance(c) - pathsum.acceptance_probability(c)) <= TOL, text
+    accepts = strong_probability(c, statevector.KERNEL, {accept_qubit(c): 1})
+    assert abs(accepts - pathsum.acceptance_probability(c)) <= TOL, text
 
 
 def _same_refusal(text: str, mode: str = "strict", min_prob: float = 0.0, seeds=range(8)):
