@@ -46,10 +46,9 @@ from .statevector import (
     RegisterReading,
     SnapshotRegistry,
     apply_gate,
-    max_qubits,
+    check_width,
     measure,
     measure_register,
-    QubitBudgetError,
     RewindConsistencyError,
     rewind,
     snapshot,
@@ -320,20 +319,12 @@ def collision_success_probability(family: FunctionFamily) -> Fraction:
     return prepared * p / size
 
 
-def _check_family_width(family: FunctionFamily) -> None:
-    if family.width > max_qubits():
-        raise QubitBudgetError(
-            f"family {family.name} needs {family.width} qubits, cap is {max_qubits()}"
-        )
-
-
 def _family_state(family: FunctionFamily) -> tuple[PureState, bool]:
     """Uniform superposition |x>|f(x)>|1> padded with |x>|0...0>|0> terms.
 
     The validity flag is appended only when the domain size is not a power
     of two.  Trials use it through :func:`_family_readings`, which caches it.
     """
-    _check_family_width(family)
     in_bits = family.input_bits
     out_bits = family.output_bits
     padded = family.padded
@@ -359,7 +350,7 @@ def _family_readings(family: FunctionFamily) -> tuple[Reading | None, RegisterRe
     trial continues on the input register alone.  Cached on the family; the
     width check runs on every call, so a lowered cap still refuses.
     """
-    _check_family_width(family)
+    check_width(family.width, f"family {family.name}")
     cache = getattr(family, "_readings_cache", None)
     if cache is None:
         base, padded = _family_state(family)
@@ -552,6 +543,11 @@ def lwe_collision_partner(params: LWEParams, s, e, c: int):
 # statistical-difference decision
 
 
+def _check_same_sizes(c0: BooleanFunction, c1: BooleanFunction) -> None:
+    if (c0.n, c0.output_bits) != (c1.n, c1.output_bits):
+        raise InputError("both tables must share input and output sizes")
+
+
 def _sd_state(c0: BooleanFunction, c1: BooleanFunction) -> PureState:
     n, m = c0.n, c0.output_bits
     amps = np.zeros(1 << (1 + n + m), dtype=complex)
@@ -571,11 +567,9 @@ def sd_image_reading(c0: BooleanFunction, c1: BooleanFunction) -> RegisterReadin
     Build it once per table pair and hand it to :func:`sd_trial` for every
     trial; :class:`QubitBudgetError` if the state is over the cap.
     """
-    if (c0.n, c0.output_bits) != (c1.n, c1.output_bits):
-        raise InputError("both tables must share input and output sizes")
+    _check_same_sizes(c0, c1)
     n, m = c0.n, c0.output_bits
-    if 1 + n + m > max_qubits():
-        raise QubitBudgetError(f"sd instance needs {1 + n + m} qubits, cap is {max_qubits()}")
+    check_width(1 + n + m, "sd instance")
     return RegisterReading(_sd_state(c0, c1), range(1 + n, 1 + n + m))
 
 
@@ -615,8 +609,7 @@ def sd_error_exact(
     p_err + p_err' = 1, p_err <= 1/2 + D_TV, and the witness-sum bound
     p_err' <= sum_y min(P0, P1) = 1 - D_TV before returning.
     """
-    if (c0.n, c0.output_bits) != (c1.n, c1.output_bits):
-        raise InputError("both tables must share input and output sizes")
+    _check_same_sizes(c0, c1)
     size = 1 << c0.n
     counts0: dict[int, int] = {}
     counts1: dict[int, int] = {}

@@ -61,8 +61,8 @@ class InputError(ValueError):
 class CircuitSyntaxError(InputError):
     """Raised by the parser; carries the 1-based offending line number."""
 
-    def __init__(self, lineno: int, message: str):
-        super().__init__(f"line {lineno}: {message}")
+    def __init__(self, lineno: int, message: str, name: str | None = None):
+        super().__init__(_where(name, lineno) + message)
         self.lineno = lineno
 
 
@@ -228,41 +228,46 @@ def predicate_holds(predicate: tuple[tuple[str, int], ...], record: MeasurementR
 # parsing
 
 
-def _parse_predicate(text: str, lineno: int) -> tuple[tuple[str, int], ...]:
+def _parse_predicate(text: str, syntax) -> tuple[tuple[str, int], ...]:
     clauses = []
     for clause in text.split("&&"):
         parts = clause.split()
         if len(parts) != 3 or parts[1] != "==" or parts[2] not in ("0", "1"):
-            raise CircuitSyntaxError(lineno, f"bad condition clause {clause.strip()!r}")
+            raise syntax(f"bad condition clause {clause.strip()!r}")
         clauses.append((parts[0], int(parts[2])))
     return tuple(clauses)
 
 
-def _parse_int(text: str, lineno: int, what: str) -> int:
+def _parse_int(text: str, syntax, what: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise CircuitSyntaxError(lineno, f"{what} must be an integer, got {text!r}") from None
+        raise syntax(f"{what} must be an integer, got {text!r}") from None
 
 
-def _parse_targets(parts: list[str], lineno: int) -> tuple[int, ...]:
-    return tuple(_parse_int(p, lineno, "qubit index") for p in parts)
+def _parse_targets(parts: list[str], syntax) -> tuple[int, ...]:
+    return tuple(_parse_int(p, syntax, "qubit index") for p in parts)
 
 
 def parse_circuit(text: str, name: str | None = None) -> Circuit:
-    """Parse the text format into a validated :class:`Circuit`.
+    """Parse the text format into a validated :class:`Circuit` called ``name``.
 
     One pass splits each line into tokens once.  An unconditional gate line
     builds its :class:`GateOp` once per distinct source text, so a repeated
     line (an inverse body, ``s`` written three times) reuses one object that
     :func:`validate` checks once.  The keys are source text, not values, so
     ``rz -0.0`` and ``rz 0.0`` stay apart.  A conditional line is always
-    built anew.  Every error names its source line.
+    built anew.  Every error starts with ``<name>: line N: ``, the name only
+    if one is given.
     """
     n_qubits = None
     instructions: list[Instruction] = []
     lines: list[int] = []  # the header's source line, then each instruction's
     ops: dict[str, GateOp] = {}  # unconditional gate lines by source text
+
+    def syntax(message: str) -> CircuitSyntaxError:  # about the line being read
+        return CircuitSyntaxError(lineno, message, name)
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -275,22 +280,22 @@ def parse_circuit(text: str, name: str | None = None) -> Circuit:
         parts = line.split()
         if n_qubits is None:
             if len(parts) != 2 or parts[0] != "qubits":
-                raise CircuitSyntaxError(lineno, "expected 'qubits N' header")
-            n_qubits = _parse_int(parts[1], lineno, "qubit count")
+                raise syntax("expected 'qubits N' header")
+            n_qubits = _parse_int(parts[1], syntax, "qubit count")
             lines.append(lineno)
             continue
 
         predicate = None
         if "if" in parts[1:-1]:  # an ``if`` with tokens on both sides
             at = parts.index("if", 1)
-            predicate = _parse_predicate(" ".join(parts[at + 1 :]), lineno)
+            predicate = _parse_predicate(" ".join(parts[at + 1 :]), syntax)
             parts = parts[:at]
 
         kind = parts[0]
         instr: _Plain
         if kind == "gate":
             if len(parts) < 3:
-                raise CircuitSyntaxError(lineno, "gate needs a name and targets")
+                raise syntax("gate needs a name and targets")
             gname = parts[1]
             try:
                 if gname == "hk":
@@ -300,49 +305,47 @@ def parse_circuit(text: str, name: str | None = None) -> Circuit:
                 else:
                     g = make_gate(gname)
             except ValueError as exc:
-                raise CircuitSyntaxError(lineno, str(exc)) from None
-            targets = _parse_targets(parts[2 if g.param is None else 3 :], lineno)
+                raise syntax(str(exc)) from None
+            targets = _parse_targets(parts[2 if g.param is None else 3 :], syntax)
             if len(targets) != g.arity:
-                raise CircuitSyntaxError(
-                    lineno, f"gate {gname} expects {g.arity} target(s), got {len(targets)}"
-                )
+                raise syntax(f"gate {gname} expects {g.arity} target(s), got {len(targets)}")
             instr = GateOp(g, targets)
             if predicate is None:
                 ops[line] = instr
         elif kind == "measure":
             if len(parts) != 4 or parts[2] != "->":
-                raise CircuitSyntaxError(lineno, "expected 'measure <q> -> <label>'")
-            instr = Measure(_parse_int(parts[1], lineno, "qubit index"), parts[3])
+                raise syntax("expected 'measure <q> -> <label>'")
+            instr = Measure(_parse_int(parts[1], syntax, "qubit index"), parts[3])
         elif kind == "postselect":
             if len(parts) != 4 or parts[2] != "=" or parts[3] not in ("0", "1"):
-                raise CircuitSyntaxError(lineno, "expected 'postselect <q> = <0|1>'")
-            instr = Postselect(_parse_int(parts[1], lineno, "qubit index"), int(parts[3]))
+                raise syntax("expected 'postselect <q> = <0|1>'")
+            instr = Postselect(_parse_int(parts[1], syntax, "qubit index"), int(parts[3]))
         elif kind == "snapshot":
             if len(parts) != 2:
-                raise CircuitSyntaxError(lineno, "expected 'snapshot <label>'")
+                raise syntax("expected 'snapshot <label>'")
             instr = Snapshot(parts[1])
         elif kind == "rewind":
             if len(parts) != 2:
-                raise CircuitSyntaxError(lineno, "expected 'rewind <label>'")
+                raise syntax("expected 'rewind <label>'")
             instr = Rewind(parts[1])
         elif kind == "clone":
             if len(parts) != 2:
-                raise CircuitSyntaxError(lineno, "expected 'clone <label>'")
+                raise syntax("expected 'clone <label>'")
             instr = Clone(parts[1])
         elif kind == "accept":
             if len(parts) != 2:
-                raise CircuitSyntaxError(lineno, "expected 'accept <q>'")
+                raise syntax("expected 'accept <q>'")
             if predicate is not None:
-                raise CircuitSyntaxError(lineno, "accept cannot be conditional")
-            instr = Accept(_parse_int(parts[1], lineno, "qubit index"))
+                raise syntax("accept cannot be conditional")
+            instr = Accept(_parse_int(parts[1], syntax, "qubit index"))
         else:
-            raise CircuitSyntaxError(lineno, f"unknown instruction {kind!r}")
+            raise syntax(f"unknown instruction {kind!r}")
 
         instructions.append(Conditional(predicate, instr) if predicate else instr)
         lines.append(lineno)
 
     if n_qubits is None:
-        raise CircuitSyntaxError(1, "missing 'qubits N' header")
+        raise CircuitSyntaxError(1, "missing 'qubits N' header", name)
     return Circuit(n_qubits, tuple(instructions), name, tuple(lines))
 
 
@@ -387,23 +390,28 @@ def serialize_circuit(circuit: Circuit) -> str:
 # static validation
 
 
-def _line(circuit: Circuit, pc: int) -> str:
-    """``line N: `` for instruction ``pc`` (the header at -1), if it is known."""
-    return f"line {circuit.lines[pc + 1]}: " if circuit.lines is not None else ""
+def _where(name: str | None, lineno: int | None) -> str:
+    """``<name>: line N: ``, each part if known: how a source error starts."""
+    return (f"{name}: " if name else "") + (f"line {lineno}: " if lineno is not None else "")
+
+
+def _at(circuit: Circuit, pc: int) -> str:
+    """:func:`_where` for instruction ``pc`` of ``circuit`` (the header at -1)."""
+    return _where(circuit.name, None if circuit.lines is None else circuit.lines[pc + 1])
 
 
 def validate(circuit: Circuit) -> None:
     """Static checks; raises :class:`CircuitValidationError` on the first failure.
 
-    :class:`Circuit` runs it when it is built.  On a parsed circuit every
-    error starts with ``line N: ``.  A :class:`GateOp` object that occurs more
+    :class:`Circuit` runs it when it is built.  Every error starts with
+    :func:`_where`'s prefix.  A :class:`GateOp` object that occurs more
     than once is checked once: it is frozen and ``n`` does not change, so a
     second check could not fail.
     """
     n = circuit.n_qubits
 
     def error(message: str, pc: int = -1) -> CircuitValidationError:
-        return CircuitValidationError(_line(circuit, pc) + message)
+        return CircuitValidationError(_at(circuit, pc) + message)
 
     if n < 1:
         raise error("circuit needs at least one qubit")
@@ -622,8 +630,7 @@ def _check_runs(circuit: Circuit, kernel: Kernel) -> None:
     if found is not None:
         pc, words = found
         error = GateSetError if words.startswith("gate ") else UnsupportedInstructionError
-        where = f"{circuit.name}: " if circuit.name else ""
-        raise error(f"{where}{_line(circuit, pc)}backend {kernel.name} cannot run {words}")
+        raise error(f"{_at(circuit, pc)}backend {kernel.name} cannot run {words}")
 
 
 def _start(circuit: Circuit, kernel: Kernel) -> _Branch:
@@ -739,6 +746,8 @@ def sampler(
     from |0...0> draws.  If the prefix raises, nothing is kept, so every call
     raises that error.  The accept qubit, if any, is measured last.
     """
+    if not 0.0 <= min_postselect_prob <= 1.0:
+        raise InputError(f"min_postselect_prob must lie in [0, 1], got {min_postselect_prob!r}")
     _check_runs(circuit, kernel)
     prefix_end, end = _first_draw(circuit), len(circuit.instructions)
     accept = accept_qubit(circuit)

@@ -21,10 +21,16 @@ and before starting its clock: ``circuit`` and ``stabilizer`` or ``pathsum``
 for those two backends, which never load NumPy, and NumPy and every layer
 for the dense backend and the demos.
 
-Exit codes: 0 = assertions passed, 1 = assertion or runtime failure,
-2 = bad input, any :class:`rwsim.circuit.InputError`: usage, parse and
+Exit codes: 0 = assertions passed, 1 = assertion or runtime failure, 2 =
+bad input, any :class:`rwsim.circuit.InputError`: usage, parse and
 validation errors, a circuit the backend cannot run, widths over the qubit
-or tableau cap, and path sums over the amplitude cap.
+or tableau cap, and path sums over the amplitude cap.  A failure prints one
+stderr line, ``error: <message>`` for bad input and ``error: <class>:
+<message>`` otherwise; an input file's line is named ``<path>: line N: ``.
+Each rule is checked once, by its owner: the library refuses what it cannot
+build or run, and this module checks only its own flags and file formats.
+A command builds its trial function before it starts a worker or computes
+an exact figure, so bad input is refused first.
 """
 
 from __future__ import annotations
@@ -37,14 +43,9 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterator
 
-from .circuit import (
-    CircuitSyntaxError,
-    CircuitValidationError,
-    InputError,
-    parse_circuit,
-    sampler,
-)
+from .circuit import InputError, parse_circuit, sampler
 from .rng import SplitMix64, stream_seed
 
 
@@ -114,6 +115,8 @@ def _chunk_records(payload) -> list[str]:
 
 
 def _trial_records(build, args, trials: int, seed: int, jobs: int) -> list[str]:
+    if trials < 1:
+        raise InputError("--trials must be positive")
     indices = list(range(trials))
     if jobs <= 1 or trials <= 1:
         return _chunk_records((build, args, seed, indices))
@@ -180,7 +183,7 @@ def _build_collision(args):
 
     family_args, allow_rewind = args
     family, params = _collision_family(family_args)
-    family.images_array()
+    applications._family_readings(family)  # refuses a family over the width cap
 
     def verify(a, b) -> bool:
         if a == b:
@@ -205,8 +208,7 @@ def _build_collision(args):
 
 
 def _build_sd(args):
-    n, m, table0, table1 = args
-    image = applications.sd_image_reading(applications.BooleanFunction(n, table0, m), applications.BooleanFunction(n, table1, m))
+    image = applications.sd_image_reading(*args)
 
     def one(rng: SplitMix64) -> str:
         return f"differ:{applications.sd_trial(image, rng)}"
@@ -232,18 +234,28 @@ def _build_mbqc(args):
 
 
 # ---------------------------------------------------------------------------
-# simulate
+# input files and simulate
+
+
+def _read(path: str, what: str) -> str:
+    """The text of a ``what`` file (circuit, table or pattern)."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise InputError(f"cannot read {what} file: {exc}") from None
+
+
+def _numbered(path: str, what: str) -> Iterator[tuple[str, str]]:
+    """``(<path>: line N: , body)`` for each line of a ``what`` file that is
+    not blank once its ``#`` comment is stripped."""
+    for lineno, line in enumerate(_read(path, what).splitlines(), start=1):
+        body = line.split("#", 1)[0].strip()
+        if body:
+            yield f"{path}: line {lineno}: ", body
 
 
 def cmd_simulate(ns) -> tuple[list, bool]:
-    try:
-        text = Path(ns.circuit).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read circuit file: {exc}") from None
-    try:
-        circuit = parse_circuit(text, name=ns.circuit)
-    except (CircuitSyntaxError, CircuitValidationError) as exc:
-        raise InputError(f"{ns.circuit}: {exc}") from None
+    circuit = parse_circuit(_read(ns.circuit, "circuit"), name=ns.circuit)
     lines: list = [
         (
             "command",
@@ -262,8 +274,6 @@ def cmd_simulate(ns) -> tuple[list, bool]:
                 if key:  # a circuit that measures nothing has one empty key
                     lines.append((f"p.{key.replace('=', ':')}", dist[key]))
         return lines, True
-    if ns.trials < 1:
-        raise InputError("--trials must be positive")
     lines += [("trials", ns.trials), ("seed", ns.seed)]
     records = _trial_records(
         _build_simulate,
@@ -272,8 +282,7 @@ def cmd_simulate(ns) -> tuple[list, bool]:
         ns.seed,
         ns.jobs,
     )
-    for i, record in enumerate(records):
-        lines.append((f"trial.{i}", record))
+    lines += [(f"trial.{i}", record) for i, record in enumerate(records)]
     counts: dict[str, int] = {}
     for record in records:
         counts[record] = counts.get(record, 0) + 1
@@ -298,7 +307,6 @@ def _require(condition: bool, message: str) -> None:
 
 def cmd_demo_pp(ns) -> tuple[list, bool]:
     _require(1 <= ns.n <= 6, "--n must lie in 1..6")
-    _require(ns.trials >= 1, "--trials must be positive")
     records = _trial_records(_build_pp, (ns.n,), ns.trials, ns.seed, ns.jobs)
     lines: list = [
         ("command", f"demo pp --n {ns.n} --trials {ns.trials} --seed {ns.seed}"),
@@ -306,8 +314,7 @@ def cmd_demo_pp(ns) -> tuple[list, bool]:
         ("trials", ns.trials),
         ("seed", ns.seed),
     ]
-    for i, record in enumerate(records):
-        lines.append((f"trial.{i}", record))
+    lines += [(f"trial.{i}", record) for i, record in enumerate(records)]
     correct = sum(_field(r, "correct") == "1" for r in records)
     freq = correct / ns.trials
     ok = freq >= 0.99
@@ -320,7 +327,6 @@ def cmd_demo_pp(ns) -> tuple[list, bool]:
 
 
 def cmd_demo_collision(ns) -> tuple[list, bool]:
-    _require(ns.trials >= 1, "--trials must be positive")
     _require(1 <= ns.bits <= 8, "--bits must lie in 1..8")
     for flag in ("lwe_n", "lwe_q", "lwe_m", "lwe_mu"):
         _require(getattr(ns, flag) >= 1, f"--{flag.replace('_', '-')} must be positive")
@@ -331,16 +337,16 @@ def cmd_demo_collision(ns) -> tuple[list, bool]:
         (ns.lwe_n, ns.lwe_q, ns.lwe_m, ns.lwe_mu),
         key_seed,
     )
-    family, _ = _collision_family(family_args)
-    _require(
-        family.width <= statevector.max_qubits(),
-        f"family {family.name} needs {family.width} qubits, cap is {statevector.max_qubits()}",
+    rewind_on = not ns.no_rewind
+    # the trial builder refuses bad input before the exact figures are computed
+    records = _trial_records(
+        _build_collision, (family_args, rewind_on), ns.trials, ns.seed, ns.jobs
     )
+    family, _ = _collision_family(family_args)
     delta = applications.family_delta_exact(family)
     import numpy as np
 
     images_distinct = int(np.unique(family.images_array()).size)
-    rewind_on = not ns.no_rewind
     if ns.family == "toy":
         family_flags = f"--bits {ns.bits}"
     else:
@@ -353,9 +359,6 @@ def cmd_demo_collision(ns) -> tuple[list, bool]:
         f"--trials {ns.trials} --seed {ns.seed}"
         + ("" if rewind_on else " --no-rewind")
     )
-    records = _trial_records(
-        _build_collision, (family_args, rewind_on), ns.trials, ns.seed, ns.jobs
-    )
     lines: list = [
         ("command", echo),
         ("family", family.name),
@@ -366,8 +369,7 @@ def cmd_demo_collision(ns) -> tuple[list, bool]:
         ("trials", ns.trials),
         ("seed", ns.seed),
     ]
-    for i, record in enumerate(records):
-        lines.append((f"trial.{i}", record))
+    lines += [(f"trial.{i}", record) for i, record in enumerate(records)]
     successes = sum(_field(r, "success") == "1" for r in records)
     invalid = sum(
         1 for r in records if _field(r, "success") == "1" and _field(r, "valid") == "0"
@@ -392,47 +394,35 @@ def cmd_demo_collision(ns) -> tuple[list, bool]:
     return lines, ok
 
 
-def _read_truth_table(path: str) -> tuple[int, int, tuple[int, ...]]:
+def _read_truth_table(path: str) -> applications.BooleanFunction:
     """Table file: one binary output row per input, 2^n lines of m bits."""
-    try:
-        raw = Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read table file: {exc}") from None
     rows = []
     width = None
-    for lineno, line in enumerate(raw.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
+    for where, body in _numbered(path, "table"):
         if set(body) - {"0", "1"}:
-            raise InputError(f"{path} line {lineno}: rows must be binary, got {body!r}")
+            raise InputError(f"{where}rows must be binary, got {body!r}")
         if width is None:
             width = len(body)
         elif len(body) != width:
-            raise InputError(f"{path} line {lineno}: expected {width} bits per row")
+            raise InputError(f"{where}expected {width} bits per row")
         rows.append(int(body, 2))
     if not rows or rows and (len(rows) & (len(rows) - 1)):
         raise InputError(f"{path}: need a power-of-two number of rows, got {len(rows)}")
-    return (len(rows).bit_length() - 1, width, tuple(rows))
+    return applications.BooleanFunction(len(rows).bit_length() - 1, tuple(rows), width)
 
 
 def cmd_demo_sd(ns) -> tuple[list, bool]:
-    _require(ns.trials >= 1, "--trials must be positive")
-    n0, m0, table0 = _read_truth_table(ns.c0)
-    n1, m1, table1 = _read_truth_table(ns.c1)
-    p_err, p_err_prime, d_tv = applications.sd_error_exact(
-        applications.BooleanFunction(n0, table0, m0), applications.BooleanFunction(n1, table1, m1)
-    )
-    records = _trial_records(
-        _build_sd, (n0, m0, table0, table1), ns.trials, ns.seed, ns.jobs
-    )
+    c0, c1 = _read_truth_table(ns.c0), _read_truth_table(ns.c1)
+    # the trial builder refuses bad input before the exact figures are computed
+    records = _trial_records(_build_sd, (c0, c1), ns.trials, ns.seed, ns.jobs)
+    p_err, p_err_prime, d_tv = applications.sd_error_exact(c0, c1)
     lines: list = [
         (
             "command",
             f"demo sd --c0 {ns.c0} --c1 {ns.c1} --trials {ns.trials} --seed {ns.seed}",
         ),
-        ("input_bits", n0),
-        ("output_bits", m0),
+        ("input_bits", c0.n),
+        ("output_bits", c0.output_bits),
         ("trials", ns.trials),
         ("seed", ns.seed),
         ("d_tv", d_tv),
@@ -441,8 +431,7 @@ def cmd_demo_sd(ns) -> tuple[list, bool]:
         ("p_err_prime", p_err_prime),
         ("p_err_prime_float", float(p_err_prime)),
     ]
-    for i, record in enumerate(records):
-        lines.append((f"trial.{i}", record))
+    lines += [(f"trial.{i}", record) for i, record in enumerate(records)]
     differ = sum(_field(r, "differ") == "1" for r in records)
     freq = differ / ns.trials
     mean = float(p_err_prime)
@@ -456,39 +445,29 @@ def cmd_demo_sd(ns) -> tuple[list, bool]:
     return lines, ok
 
 
-def _read_pattern(path: str, spec: mbqc.BrickworkSpec) -> list[tuple[int, int, float]]:
-    """Pattern file: one ``measure <i> <j> theta <float>`` line per M qubit."""
-    try:
-        raw = Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read pattern file: {exc}") from None
+def _read_pattern(path: str) -> list[tuple[int, int, float]]:
+    """Pattern file: one ``measure <i> <j> theta <float>`` line per M qubit,
+    the angle finite."""
     entries = []
-    for lineno, line in enumerate(raw.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
+    for where, body in _numbered(path, "pattern"):
         tokens = body.split()
         if len(tokens) != 5 or tokens[0] != "measure" or tokens[3] != "theta":
-            raise InputError(
-                f"{path} line {lineno}: expected 'measure <i> <j> theta <float>'"
-            )
+            raise InputError(f"{where}expected 'measure <i> <j> theta <float>'")
         try:
-            entries.append((int(tokens[1]), int(tokens[2]), float(tokens[4])))
+            i, j, theta = int(tokens[1]), int(tokens[2]), float(tokens[4])
         except ValueError:
-            raise InputError(f"{path} line {lineno}: bad vertex or angle") from None
+            raise InputError(f"{where}bad vertex or angle") from None
+        if not math.isfinite(theta):
+            raise InputError(f"{where}theta must be a finite real angle, got {tokens[4]}")
+        entries.append((i, j, theta))
     return entries
 
 
 def cmd_demo_mbqc(ns) -> tuple[list, bool]:
-    _require(ns.trials >= 1, "--trials must be positive")
     _require(ns.budget >= 0, "--budget cannot be negative")
     spec = mbqc.BrickworkSpec(ns.rows, ns.cols)
     if ns.pattern:
-        triples = _read_pattern(ns.pattern, spec)
-        try:
-            pattern = mbqc.MeasurementPattern.from_grid(spec, triples)
-        except ValueError as exc:
-            raise InputError(f"{ns.pattern}: {exc}") from None
+        pattern = mbqc.MeasurementPattern.from_grid(spec, _read_pattern(ns.pattern))
         if sorted(q for q, _ in pattern.entries) != sorted(spec.measured_qubits()):
             raise InputError(
                 f"{ns.pattern}: pattern must measure every column but the last, "
@@ -519,8 +498,7 @@ def cmd_demo_mbqc(ns) -> tuple[list, bool]:
         ("trials", ns.trials),
         ("seed", ns.seed),
     ]
-    for i, record in enumerate(records):
-        lines.append((f"trial.{i}", record))
+    lines += [(f"trial.{i}", record) for i, record in enumerate(records)]
     zeros = sum(_field(r, "all_zero") == "1" for r in records)
     freq = zeros / ns.trials
     expected = (1.0 - 2.0 ** -(ns.budget + 1)) ** measured

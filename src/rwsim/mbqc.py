@@ -61,7 +61,7 @@ class BrickworkSpec:
 
     def qubit_index(self, i: int, j: int) -> int:
         if not (1 <= i <= self.n_rows and 1 <= j <= self.m_cols):
-            raise ValueError(f"vertex ({i}, {j}) outside the grid")
+            raise InputError(f"vertex ({i}, {j}) outside the {self.n_rows}x{self.m_cols} grid")
         return (i - 1) * self.m_cols + (j - 1)
 
     def edges(self) -> list[tuple[tuple[int, int], tuple[int, int]]]:
@@ -117,10 +117,10 @@ class MeasurementPattern:
         return cls(tuple((q, 0.0) for q in spec.measured_qubits()))
 
 
-def grid_qubits(spec: BrickworkSpec, max_width: int = _DEFAULT_GRID_MAX) -> int:
+def grid_qubits(spec: BrickworkSpec) -> int:
     """The grid's qubit count; :class:`QubitBudgetError` if it is over the cap."""
     total = spec.n_rows * spec.m_cols
-    cap = min(max_width, max_qubits())
+    cap = min(_DEFAULT_GRID_MAX, max_qubits())
     if total > cap:
         raise QubitBudgetError(
             f"{spec.n_rows}x{spec.m_cols} grid needs {total} qubits, cap is {cap}"

@@ -210,23 +210,21 @@ def prep_success_probability(table) -> float:
     return float(abs(state.amps[0]) ** 2 + abs(state.amps[1]) ** 2)
 
 
-def prepare_psi(
-    table, rng: SplitMix64, max_attempts: int | None = None
-) -> tuple[PureState | None, int]:
-    """Measure the input register of the preparation state until all-zeros.
+def prepare_psi(table, rng: SplitMix64) -> tuple[PureState | None, int]:
+    """Measure the input register of the preparation state until all-zeros,
+    at most n times.
 
     Success leaves the output qubit in ((2^n - s)|0> + s|1>) (normalised),
     where s is the table weight; the per-attempt success probability is
-    always >= 1/2, so ``max_attempts`` defaults to n.  Returns
-    (state-or-None, attempts used).
+    always >= 1/2.  Returns (state-or-None, attempts used).
     """
     weights, psi = _preparation(tuple(table))
-    attempts_cap = len(weights) if max_attempts is None else max_attempts
-    for attempt in range(1, attempts_cap + 1):
+    attempts = len(weights)
+    for attempt in range(1, attempts + 1):
         # a 1 read fails the attempt: re-prepare and read from qubit 0 again
         if not any(draw_bit(p0, p1, rng) for p0, p1 in weights):
             return psi, attempt
-    return None, attempts_cap
+    return None, attempts
 
 
 def make_flagged(psi: PureState, k: int, n: int) -> FlaggedState:

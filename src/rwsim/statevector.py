@@ -97,10 +97,11 @@ def max_qubits() -> int:
     return int(value) if value else _DEFAULT_MAX_QUBITS
 
 
-def check_width(n: int) -> None:
-    """Raise :class:`QubitBudgetError` if a state on ``n`` qubits is over the cap."""
-    if n > max_qubits():
-        raise QubitBudgetError(f"{n} qubits exceeds the cap of {max_qubits()}")
+def check_width(n: int, what: str) -> None:
+    """Refuse a dense ``what`` on ``n`` qubits over the cap with :class:`QubitBudgetError`."""
+    cap = max_qubits()
+    if n > cap:
+        raise QubitBudgetError(f"{what} needs {n} qubits, cap is {cap}")
 
 
 @dataclass
@@ -118,7 +119,7 @@ def init(n: int) -> PureState:
     """|0...0> on ``n`` qubits."""
     if n < 1:
         raise ValueError("need at least one qubit")
-    check_width(n)
+    check_width(n, "state")
     amps = np.zeros(1 << n, dtype=complex)
     amps[0] = 1.0
     return PureState(n, amps)
@@ -582,7 +583,7 @@ class _StateVectorKernel(Kernel):
     name = "sv"
 
     def check_width(self, n: int) -> None:
-        check_width(n)
+        check_width(n, "circuit")
 
     def keep(self, state: _KernelState) -> _KernelState:
         return state  # no operation changes its input
@@ -639,7 +640,7 @@ KERNEL = _StateVectorKernel()
 
 def attach_zero(state: PureState) -> PureState:
     """Append a fresh |0> qubit as the new least significant qubit."""
-    check_width(state.n + 1)
+    check_width(state.n + 1, "state")
     amps = np.zeros(2 * state.amps.size, dtype=complex)
     amps[0::2] = state.amps
     return PureState(state.n + 1, amps)

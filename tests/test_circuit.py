@@ -139,6 +139,9 @@ def test_syntax_error_carries_line_number():
         parse_circuit("qubits 2\ngate h 0\ngate cz 0\n")
     assert err.value.lineno == 3
     assert "line 3" in str(err.value)
+    with pytest.raises(CircuitSyntaxError) as err:
+        parse_circuit("qubits 2\ngate h 0\ngate cz 0\n", name="pair.qc")
+    assert str(err.value) == "pair.qc: line 3: gate cz expects 2 target(s), got 1"
 
 
 def test_comments_and_blanks_are_ignored():
@@ -155,6 +158,9 @@ def test_validate_without_source_lines_names_none():
     with pytest.raises(CircuitValidationError) as err:
         Circuit(2, (GateOp(gate("h"), (0,)), GateOp(gate("h"), (5,))))
     assert str(err.value) == "qubit index 5 out of range for 2 qubits"
+    with pytest.raises(CircuitValidationError) as err:
+        Circuit(2, (GateOp(gate("h"), (5,)),), name="pair")
+    assert str(err.value) == "pair: qubit index 5 out of range for 2 qubits"
 
 
 @pytest.mark.parametrize(

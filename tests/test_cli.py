@@ -222,7 +222,7 @@ def test_simulate_over_the_width_cap_is_a_usage_error(monkeypatch, capsys):
     monkeypatch.setenv("RWSIM_MAX_QUBITS", "1")
     code, _, err = run(capsys, ["simulate", BELL, "--trials", "2"])
     assert code == 2
-    assert err == "error: 2 qubits exceeds the cap of 1\n"
+    assert err == "error: circuit needs 2 qubits, cap is 1\n"
 
 
 @pytest.mark.parametrize("k, code", [(3, 0), (4, 2)])
@@ -269,6 +269,33 @@ def test_every_input_error_and_nothing_else_exits_2(monkeypatch, capsys, error, 
     got, out, err = run(capsys, ["simulate", BELL, "--backend", "stab"])
     shown = str(error) if code == 2 else f"{type(error).__name__}: {error}"
     assert (got, out, err) == (code, "", f"error: {shown}\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "1.5"])
+def test_min_postselect_prob_outside_0_1_is_refused_before_the_pool(monkeypatch, capsys, value):
+    monkeypatch.setattr("rwsim.cli.ProcessPoolExecutor", None)  # a pool would raise
+    code, out, err = run(
+        capsys,
+        ["simulate", POSTSELECT, "--trials", "4", "--jobs", "2", "--min-postselect-prob", value],
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: min_postselect_prob must lie in [0, 1], got {float(value)!r}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", BELL],
+        ["demo", "pp"],
+        ["demo", "collision"],
+        ["demo", "sd", "--c0", SD_C0, "--c1", SD_C1],
+        ["demo", "mbqc"],
+    ],
+    ids=["simulate", "pp", "collision", "sd", "mbqc"],
+)
+def test_trials_must_be_positive(capsys, argv):
+    code, out, err = run(capsys, [*argv, "--trials", "0"])
+    assert (code, out, err) == (2, "", "error: --trials must be positive\n")
 
 
 def test_postselect_threshold_failure_is_a_runtime_error(capsys):
@@ -379,16 +406,16 @@ def test_demo_sd_exact_lines(capsys):
 
 def test_demo_sd_rejects_non_binary_rows(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
-    bad.write_text("01\n0x\n")
+    bad.write_text("01\n# comment\n\n0x\n")
     code, _, err = run(capsys, ["demo", "sd", "--c0", str(bad), "--c1", SD_C1])
-    assert code == 2 and "binary" in err
+    assert (code, err) == (2, f"error: {bad}: line 4: rows must be binary, got '0x'\n")
 
 
 def test_demo_sd_rejects_ragged_rows(tmp_path, capsys):
     bad = tmp_path / "ragged.txt"
     bad.write_text("01\n0\n")
     code, _, err = run(capsys, ["demo", "sd", "--c0", str(bad), "--c1", SD_C1])
-    assert code == 2 and "bits per row" in err
+    assert (code, err) == (2, f"error: {bad}: line 2: expected 2 bits per row\n")
 
 
 def test_demo_sd_rejects_bad_row_count(tmp_path, capsys):
@@ -468,7 +495,7 @@ def test_width_is_checked_before_the_worker_pool_starts(tmp_path, monkeypatch, c
     code, _, err = run(
         capsys, ["simulate", str(wide), "--backend", "sv", "--trials", "4", "--jobs", "2"]
     )
-    assert (code, err) == (2, "error: 30 qubits exceeds the cap of 24\n")
+    assert (code, err) == (2, "error: circuit needs 30 qubits, cap is 24\n")
     code, _, err = run(
         capsys, ["simulate", TGATE, "--backend", "stab", "--trials", "4", "--jobs", "2"]
     )
@@ -484,6 +511,40 @@ def test_width_is_checked_before_the_worker_pool_starts(tmp_path, monkeypatch, c
         capsys, ["demo", "mbqc", "--rows", "3", "--cols", "13", "--trials", "4", "--jobs", "2"]
     )
     assert (code, err) == (2, "error: 3x13 grid needs 39 qubits, cap is 14\n")
+    monkeypatch.setenv("RWSIM_MAX_QUBITS", "16")
+    code, _, err = run(
+        capsys, ["demo", "collision", "--bits", "8", "--trials", "4", "--jobs", "2"]
+    )
+    assert (code, err) == (2, "error: family toy2reg[8] needs 17 qubits, cap is 16\n")
+    monkeypatch.setenv("RWSIM_MAX_QUBITS", "3")
+    code, _, err = run(
+        capsys, ["demo", "sd", "--c0", SD_C0, "--c1", SD_C1, "--trials", "4", "--jobs", "2"]
+    )
+    assert (code, err) == (2, "error: sd instance needs 4 qubits, cap is 3\n")
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("measure 1 4 phi 0.0", "line 2: expected 'measure <i> <j> theta <float>'"),
+        ("measure 1 x theta 0.0", "line 2: bad vertex or angle"),
+        ("measure 1 4 theta nan", "line 2: theta must be a finite real angle, got nan"),
+        ("measure 1 4 theta -inf", "line 2: theta must be a finite real angle, got -inf"),
+    ],
+    ids=["keywords", "vertex", "nan", "inf"],
+)
+def test_demo_mbqc_pattern_errors_name_the_file_and_line(tmp_path, capsys, line, message):
+    bad = tmp_path / "bad.pattern"
+    bad.write_text(f"# one bad line\n{line}\n")
+    code, out, err = run(capsys, ["demo", "mbqc", "--pattern", str(bad), "--trials", "2"])
+    assert (code, out, err) == (2, "", f"error: {bad}: {message}\n")
+
+
+def test_demo_mbqc_rejects_a_vertex_outside_the_grid(tmp_path, capsys):
+    outside = tmp_path / "outside.pattern"
+    outside.write_text("measure 3 1 theta 0.0\n")
+    code, out, err = run(capsys, ["demo", "mbqc", "--pattern", str(outside), "--trials", "2"])
+    assert (code, out, err) == (2, "", "error: vertex (3, 1) outside the 2x5 grid\n")
 
 
 def test_demo_mbqc_rejects_partial_patterns(tmp_path, capsys):

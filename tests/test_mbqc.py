@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rwsim.circuit import GateOp, sampler, serialize_circuit
+from rwsim.circuit import GateOp, InputError, sampler, serialize_circuit
 from rwsim.gates import CZ, H, rz
 from rwsim.mbqc import (
     BrickworkSpec,
@@ -152,6 +152,8 @@ def test_pattern_from_grid_sorts_column_major():
         spec, [(2, 2, 0.3), (1, 1, 0.1), (2, 1, 0.2), (1, 2, 0.4)]
     )
     assert pattern.entries == ((0, 0.1), (5, 0.2), (1, 0.4), (6, 0.3))
+    with pytest.raises(InputError, match=r"vertex \(3, 1\) outside the 2x5 grid"):
+        MeasurementPattern.from_grid(spec, [(3, 1, 0.0)])
 
 
 def test_identity_pattern_covers_measured_set():
@@ -161,7 +163,7 @@ def test_identity_pattern_covers_measured_set():
     assert all(theta == 0.0 for _, theta in pattern.entries)
 
 
-def test_build_respects_width_caps():
+def test_build_respects_width_caps(monkeypatch):
     spec = BrickworkSpec(3, 13)
     with pytest.raises(QubitBudgetError):
         grid_qubits(spec)
@@ -169,9 +171,11 @@ def test_build_respects_width_caps():
         pattern_circuit(spec, MeasurementPattern.identity(spec), 1)
     with pytest.raises(QubitBudgetError):
         pattern_oracle(spec, MeasurementPattern.identity(spec))
-    with pytest.raises(QubitBudgetError):
-        grid_qubits(BrickworkSpec(2, 5), max_width=9)
-    assert grid_qubits(BrickworkSpec(2, 5), max_width=10) == 10
+    monkeypatch.setenv("RWSIM_MAX_QUBITS", "9")
+    with pytest.raises(QubitBudgetError, match="2x5 grid needs 10 qubits, cap is 9"):
+        grid_qubits(BrickworkSpec(2, 5))
+    monkeypatch.setenv("RWSIM_MAX_QUBITS", "10")
+    assert grid_qubits(BrickworkSpec(2, 5)) == 10
 
 
 def test_pattern_validation_errors():
