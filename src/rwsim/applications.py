@@ -366,7 +366,6 @@ def collision_find(
     family: FunctionFamily,
     rng: SplitMix64,
     allow_rewind: bool = True,
-    max_prep_attempts: int = _MAX_PREP_ATTEMPTS,
 ) -> tuple[object, object] | None:
     """Try once to produce a colliding pair (x, x') with f(x) = f(x').
 
@@ -390,7 +389,7 @@ def collision_find(
 
     def input_state() -> PureState | None:
         """Prepare (retrying on a failed validity flag) and read the image."""
-        for _ in range(max_prep_attempts):
+        for _ in range(_MAX_PREP_ATTEMPTS):
             if flag is None or flag.draw(rng) == 1:
                 return image.dropped(image.draw(rng))
         return None
@@ -414,7 +413,7 @@ def collision_find(
         rest1, _, state = measure_register(state, range(last), rng)
         x1 = (rest1 << 1) | bit1
         try:
-            state = rewind(state, registry, "pre-last-bit", "strict")
+            state = rewind(state, registry, "pre-last-bit")
         except RewindConsistencyError:
             return None  # image had more than the two-branch structure
         bit2, _, state = measure(state, last, rng)
@@ -583,7 +582,7 @@ def sd_trial(image: RegisterReading, rng: SplitMix64) -> int:
     registry = SnapshotRegistry()
     snapshot(state, registry, "post-image")
     b1, _, state = measure(state, 0, rng)
-    state = rewind(state, registry, "post-image", "strict")
+    state = rewind(state, registry, "post-image")
     b2, _, state = measure(state, 0, rng)
     return int(b1 != b2)
 

@@ -27,14 +27,16 @@ measurement labels.  Spaces or tabs separate the tokens of a line, the
 
 The one interpreter of the IR lives here too.  It runs a circuit over a
 backend :class:`Kernel` and owns all that is not quantum arithmetic:
-conditionals, the record, snapshots, rewind counting, ``max_rewinds``,
+conditionals, the record, snapshots, rewind counting, ``max_rewinds``, the
+rewind mode, ``postselect`` (a kernel's ``prob`` then its ``collapse``),
 ``min_postselect_prob`` and ``clone``, which continues from the stored
-snapshot on every backend.  Its one loop samples a path (:func:`sampler`)
-or enumerates all branches (:func:`enumerate_branches`), which the exact
-oracles :func:`outcome_distribution` and :func:`strong_probability` read
-on any kernel, so samplers and exact oracles accept and refuse the same
-circuits.  One rule, :func:`outcome_weight`, says when an outcome is an
-empty branch on every floating-point backend.
+snapshot on every backend, as a permissive rewind does.  Its one loop
+samples a path (:func:`sampler`) or enumerates all branches
+(:func:`enumerate_branches`), which the exact oracles
+:func:`outcome_distribution` and :func:`strong_probability` read on any
+kernel, so samplers and exact oracles accept and refuse the same circuits.
+One rule, :func:`outcome_weight`, says when an outcome is an empty branch
+on every floating-point backend.
 
 A sampler runs the circuit's deterministic prefix, every instruction before
 the first one that reads the RNG or the record, once for all its trials.  A
@@ -553,14 +555,17 @@ class Kernel:
       operations return new states may return ``state`` itself; the default
       is ``state.copy()``;
     * ``init(n)`` and ``apply(state, gate_op)``;
-    * ``postselect(state, qubit, bit) -> (prob, state)``, which raises
-      :class:`InvalidPostselectionError` on an empty outcome;
     * sampling: ``measure(state, qubit, rng) -> (bit, prob, state)``;
-    * enumeration: ``prob(state, qubit, bit)``, a weight that is zero for a
-      branch the kernel counts as empty (:func:`outcome_weight` on the
-      floating-point backends), and ``collapse(state, qubit, bit, prob)``,
-      which must leave its input usable for the sibling branch;
-    * ``rewind(state, registry, label, mode)``: certify, then restore.
+    * ``prob(state, qubit, bit)``, a weight that is zero for a branch the
+      kernel counts as empty (:func:`outcome_weight` on the floating-point
+      backends), and ``collapse(state, qubit, bit, prob)``, which must leave
+      its input usable for the sibling branch.  Enumeration forks a
+      measurement with them, and a postselection is one ``prob`` and one
+      ``collapse`` on every kernel;
+    * ``rewind(state, registry, label)``: a strict rewind, which certifies
+      that ``state`` is a one-outcome collapse of the snapshot at ``label``,
+      then restores it.  A permissive rewind is the interpreter's: it
+      continues from the snapshot through ``keep``, as ``clone`` does.
     """
 
     name: str
@@ -689,29 +694,33 @@ def _interpret(
                 bit, prob, b.state = kernel.measure(b.state, q, rng)
                 b.record.add(label, bit, prob)
             elif isinstance(instr, Postselect):
-                try:
-                    prob, b.state = kernel.postselect(b.state, instr.qubit, instr.bit)
-                except InvalidPostselectionError:
+                q, bit = instr.qubit, instr.bit
+                prob = kernel.prob(b.state, q, bit)
+                if not prob:
                     if how == _ENUMERATE:
                         break  # the oracles drop a branch that cannot pass
-                    raise
+                    raise InvalidPostselectionError(
+                        f"outcome {bit} on qubit {q} has probability {float(prob):.3e}"
+                    )
                 if prob < min_postselect_prob:
                     raise PostselectThresholdError(
-                        f"postselection probability {prob:.6g} below required "
+                        f"postselection probability {float(prob):.6g} below required "
                         f"{min_postselect_prob:.6g}"
                     )
+                b.state = kernel.collapse(b.state, q, bit, prob)
             elif isinstance(instr, Snapshot):
                 b.registry.store(instr.label, kernel.keep(b.state))
             elif isinstance(instr, (Rewind, Clone)):
-                if isinstance(instr, Clone):
-                    b.state = kernel.keep(b.registry.state(instr.label))
-                else:
+                if isinstance(instr, Rewind):
                     b.rewinds += 1
                     if max_rewinds is not None and b.rewinds > max_rewinds:
                         raise RewindBudgetError(
                             f"rewind budget {max_rewinds} exhausted at label {instr.label!r}"
                         )
-                    b.state = kernel.rewind(b.state, b.registry, instr.label, mode)
+                    if mode == "strict":
+                        b.state = kernel.rewind(b.state, b.registry, instr.label)
+                        continue
+                b.state = kernel.keep(b.registry.state(instr.label))  # clone, permissive rewind
             # Accept is read once the walk ends.
         else:  # the branch got to ``stop`` without forking or being dropped
             leaves.append(b)
@@ -745,7 +754,13 @@ def sampler(
     branch, its state taken through :meth:`Kernel.keep`, and draws what a run
     from |0...0> draws.  If the prefix raises, nothing is kept, so every call
     raises that error.  The accept qubit, if any, is measured last.
+
+    ``mode`` is ``"strict"`` (:meth:`Kernel.rewind` certifies each rewind)
+    or ``"permissive"``; another mode, or a ``min_postselect_prob`` outside
+    [0, 1], is refused with :class:`InputError`.
     """
+    if mode not in ("strict", "permissive"):
+        raise InputError(f"unknown rewind mode {mode!r}")
     if not 0.0 <= min_postselect_prob <= 1.0:
         raise InputError(f"min_postselect_prob must lie in [0, 1], got {min_postselect_prob!r}")
     _check_runs(circuit, kernel)

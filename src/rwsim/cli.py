@@ -4,7 +4,8 @@ Subcommands
 -----------
 ``simulate <file> --backend sv|stab|pathsum``
     Run a circuit file: the sampling backends (sv, stab) draw seeded trials,
-    the path-sum backend prints exact probabilities.
+    the path-sum backend prints exact probabilities and refuses the sampling
+    flags ``--trials``, ``--mode`` and ``--min-postselect-prob``.
 
 ``demo pp|collision|sd|mbqc|mitigate``
     Seeded protocol demonstrations with built-in assertions.
@@ -254,7 +255,19 @@ def _numbered(path: str, what: str) -> Iterator[tuple[str, str]]:
             yield f"{path}: line {lineno}: ", body
 
 
+# the sampling flags of ``simulate``, which the exact path-sum backend refuses,
+# and their defaults on the sampling backends
+_SAMPLING_FLAGS = {"trials": 100, "mode": "strict", "min_postselect_prob": 0.0}
+
+
 def cmd_simulate(ns) -> tuple[list, bool]:
+    given = [name for name in _SAMPLING_FLAGS if getattr(ns, name) is not None]
+    if ns.backend == "pathsum" and given:
+        flags = ", ".join("--" + name.replace("_", "-") for name in given)
+        raise InputError(f"backend pathsum is exact and takes no {flags}")
+    for name, default in _SAMPLING_FLAGS.items():
+        if getattr(ns, name) is None:
+            setattr(ns, name, default)
     circuit = parse_circuit(_read(ns.circuit, "circuit"), name=ns.circuit)
     lines: list = [
         (
@@ -599,12 +612,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run a circuit file")
     sim.add_argument("circuit", help="path to a circuit text file")
     sim.add_argument("--backend", choices=("sv", "stab", "pathsum"), default="sv")
-    sim.add_argument("--trials", type=int, default=100)
-    sim.add_argument("--mode", choices=("strict", "permissive"), default="strict")
+    # sampling flags, None unless given (see _SAMPLING_FLAGS)
+    sim.add_argument("--trials", type=int)
+    sim.add_argument("--mode", choices=("strict", "permissive"))
     sim.add_argument(
         "--min-postselect-prob",
         type=float,
-        default=0.0,
         help="reject postselection branches below this probability",
     )
     _add_common(sim)

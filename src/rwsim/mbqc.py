@@ -45,6 +45,9 @@ from .statevector import (
 
 _DEFAULT_GRID_MAX = 14
 
+# failed ancilla readings one fan-out round undoes before it gives up
+_FANOUT_RETRY_BUDGET = 64
+
 
 @dataclass(frozen=True)
 class BrickworkSpec:
@@ -195,11 +198,7 @@ def target_odds(state: PureState, qubit: int) -> float:
 
 
 def iqp_fanout_amplify(
-    base_state: PureState,
-    q: int,
-    rng: SplitMix64 | None = None,
-    control_qubit: int = 1,
-    retry_budget: int = 64,
+    base_state: PureState, q: int, rng: SplitMix64, control_qubit: int = 1
 ) -> PureState:
     """q CH-ancilla rounds, each retried to ancilla outcome 0.
 
@@ -208,8 +207,6 @@ def iqp_fanout_amplify(
     odds_out = 2^q * odds_in up to float error.  Ancillas are measured off,
     so the width returns to the input's.
     """
-    if rng is None:
-        raise ValueError("iqp_fanout_amplify needs an explicit rng")
     if not (0 <= control_qubit < base_state.n):
         raise ValueError("control qubit outside the state")
     state = base_state
@@ -219,7 +216,7 @@ def iqp_fanout_amplify(
         work = apply_gate(work, H, (ancilla,))
         work = apply_gate(work, CH, (control_qubit, ancilla))
         reading = Reading(work, ancilla)
-        if reading.retry(0, retry_budget + 1, rng)[-1]:
+        if reading.retry(0, _FANOUT_RETRY_BUDGET + 1, rng)[-1]:
             raise RuntimeError("fan-out retry budget exhausted")
         state = reading.dropped(0)
     return state

@@ -333,11 +333,7 @@ def _chain_of(build, state: PureState, flag: int):
     return build(state.n, amps.dtype.str, amps.tobytes(), flag)
 
 
-def mitigate(
-    fs: FlaggedState,
-    n: int,
-    rng: SplitMix64 | None = None,
-) -> tuple[FlaggedState, MitigationTrace]:
+def mitigate(fs: FlaggedState, n: int, rng: SplitMix64) -> tuple[FlaggedState, MitigationTrace]:
     """Run the full 2n+3-level schedule with <= 3n attempts per level.
 
     Returns the final flagged state and the attempt trace.  On fallback the
@@ -346,8 +342,6 @@ def mitigate(
     level's ancilla is read toward 0 with
     :meth:`rwsim.statevector.Reading.retry`, over the cached chain of the input.
     """
-    if rng is None:
-        raise ValueError("mitigate needs an explicit rng")
     if n < 1:
         raise ValueError(f"mitigate needs n >= 1, got {n}")
     level = _chain_of(_first_level, fs.state, fs.flag_qubit)
@@ -365,16 +359,12 @@ def mitigate(
     return FlaggedState(state, fs.flag_qubit, p), MitigationTrace(events, outcome)
 
 
-def extract_target(
-    fs: FlaggedState, n: int, rng: SplitMix64 | None = None
-) -> PureState | None:
+def extract_target(fs: FlaggedState, n: int, rng: SplitMix64) -> PureState | None:
     """Measure the flag until it reads 1, up to n tries; return the target.
 
     After successful mitigation P(flag = 1) >= 1/2, so the failure
     probability is <= 2^-n.
     """
-    if rng is None:
-        raise ValueError("extract_target needs an explicit rng")
     if n < 1:
         return None
     reading = _chain_of(_flag_reading, fs.state, fs.flag_qubit)

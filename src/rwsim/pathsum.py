@@ -16,9 +16,10 @@ reaches with a nonzero sum.  It does not depend on the NumPy backend.
   (``Gate.monomial``) moves it to one key; ``h``, ``hk`` and ``ch`` on a
   control-1 key split it in two.  Paths that reach the same basis state add
   their amplitudes there, and exact zeros are dropped.
-* ``prob`` sums |amp|^2 over the keys with the asked bit; ``collapse`` and
-  ``postselect`` keep those keys and renormalise.  An outcome is an empty
-  branch by the rule the dense kernel uses too,
+* ``prob`` sums |amp|^2 over the keys with the asked bit; ``collapse``
+  keeps those keys and renormalises, for a measurement branch and for a
+  postselection, which the interpreter runs as ``prob`` then ``collapse``.
+  An outcome is an empty branch by the rule the dense kernel uses too,
   :func:`rwsim.circuit.outcome_weight`.
 
 Cost is O(ops x live amplitudes) per branch.  With b branching gates on n
@@ -44,7 +45,6 @@ from .circuit import (  # the shared error name is re-exported
     CircuitValidationError,
     GateOp,
     InputError,
-    InvalidPostselectionError,
     Kernel,
     UnsupportedInstructionError,
     accept_qubit,
@@ -120,12 +120,6 @@ class PathSumKernel(Kernel):
     def collapse(self, state, qubit: int, bit: int, prob: float) -> dict[int, complex]:
         want, scale = bit << qubit, prob ** -0.5
         return {key: amp * scale for key, amp in state.items() if key & (1 << qubit) == want}
-
-    def postselect(self, state, qubit: int, bit: int):
-        prob = self.prob(state, qubit, bit)
-        if not prob:
-            raise InvalidPostselectionError(f"outcome {bit} on qubit {qubit} has probability zero")
-        return prob, self.collapse(state, qubit, bit, prob)
 
 
 KERNEL = PathSumKernel()

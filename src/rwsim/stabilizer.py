@@ -36,11 +36,12 @@ with select it), a check run on the same int columns.
 ``sampler(circuit, KERNEL)`` samples paths, and the exact oracles
 ``outcome_distribution`` and ``strong_probability`` enumerate the branches
 with exact dyadic ``Fraction`` weights, at most ``max_depth`` = 20 random
-measurements deep; the interpreter's ``clone`` continues from the snapshot.
-``stab_apply`` and ``stab_measure`` work in place, so the kernel keeps a
-snapshot, a clone and a sampler's shared prefix as copies (``Kernel.keep``).
-A circuit with a postselection or a non-Clifford gate is refused
-before it runs.
+measurements deep.  The interpreter runs a postselection as the kernel's
+``prob``, exactly 0, 1/2 or 1, then its ``collapse``, and its ``clone`` and
+permissive rewind continue from the snapshot.  ``stab_apply`` and
+``stab_measure`` work in place, so the kernel keeps a snapshot, a clone and
+a sampler's shared prefix as copies (``Kernel.keep``).  A circuit with a
+non-Clifford gate is refused before it runs.
 
 A full tableau on n qubits holds 2n columns of 2n bits, n^2 / 2 bytes, so
 :func:`check_width` refuses more than ``MAX_QUBITS`` = 2^14 qubits (a 128 MiB
@@ -277,19 +278,17 @@ def _is_collapse_of(stored: StabilizerTableau, post: StabilizerTableau) -> bool:
 
 
 def stab_rewind(
-    post: StabilizerTableau, registry: SnapshotRegistry, label: str, mode: str = "strict"
+    post: StabilizerTableau, registry: SnapshotRegistry, label: str
 ) -> StabilizerTableau:
     """Undo one measurement: return a copy of the snapshot stored at ``label``.
 
-    Strict mode verifies that ``post`` equals the snapshot collapsed onto one
+    It first verifies that ``post`` equals the snapshot collapsed onto one
     outcome of one qubit (possibly trivially, for deterministic outcomes).
     """
-    if mode not in ("strict", "permissive"):
-        raise ValueError(f"unknown rewind mode {mode!r}")
     stored = registry.state(label)
-    if mode == "strict" and not _is_collapse_of(stored, post):
+    if not _is_collapse_of(stored, post):
         raise RewindConsistencyError(
-            f"tableau is not a one-outcome collapse of snapshot {label!r}"
+            f"state is not a one-outcome collapse of snapshot {label!r}"
         )
     return stored.copy()
 
@@ -297,7 +296,6 @@ def stab_rewind(
 class _TableauKernel(Kernel):
     name = "stab"
     gates = CLIFFORD_NAMES
-    runs = frozenset({"snapshot", "rewind", "clone"})
     one = Fraction(1)
     max_depth = 20
 
@@ -323,8 +321,8 @@ class _TableauKernel(Kernel):
             return tab
         return stab_measure(tab.copy(), qubit, None, force=bit)[2]
 
-    def rewind(self, tab: StabilizerTableau, registry: SnapshotRegistry, label: str, mode: str):
-        return stab_rewind(tab, registry, label, mode)
+    def rewind(self, tab: StabilizerTableau, registry: SnapshotRegistry, label: str):
+        return stab_rewind(tab, registry, label)
 
 
 KERNEL = _TableauKernel()

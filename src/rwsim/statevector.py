@@ -28,22 +28,23 @@ Conventions
   collapse slices the core to half its size instead of copying the full
   vector and zeroing half of it, and a fixed qubit reads its stored bit.  A
   gate runs on the core with its targets renumbered, after moving any fixed
-  target back into the core.  A strict rewind whose state fixes the
-  snapshot's bits and one qubit more is certified on the two cores with
-  the test that :func:`_collapse_matches` makes on that qubit; any other
-  rewind, or one that test does not certify, runs the dense check, so the
-  answers and messages are those of :func:`rewind`.  A state is also a read-only
+  target back into the core.  A rewind whose state fixes the snapshot's bits
+  and one qubit more is certified on the two cores with the test that
+  :func:`_collapse_matches` makes on that qubit; any other rewind, or one
+  that test does not certify, runs the dense check, so the answers and
+  messages are those of :func:`rewind`.  A state is also a read-only
   :class:`PureState` whose full ``amps`` are built at most once, when read,
   which is what ``RunResult.final_state`` and the branch leaves are.  The
   protocol-level functions below (``measure``, ``postselect``, ``Reading``,
   ``RegisterReading``) stay on full vectors.
-* ``rewind`` in strict mode refuses inputs it cannot certify: the state being
-  rewound must equal (up to global phase) the stored snapshot projected onto
-  some single-qubit outcome and renormalised.  The candidates checked first
-  are the qubits fixed over the support of the rewound state but not over
-  that of the snapshot; only if none matches are the other qubits checked,
-  so the answer is that of checking every qubit.  Permissive mode skips the
-  check and returns the stored state unconditionally.
+* ``rewind`` is strict: it refuses inputs it cannot certify.  The state
+  being rewound must equal (up to global phase) the stored snapshot
+  projected onto some single-qubit outcome and renormalised.  The
+  candidates checked first are the qubits fixed over the support of the
+  rewound state but not over that of the snapshot; only if none matches are
+  the other qubits checked, so the answer is that of checking every qubit.
+  A permissive rewind is the interpreter's, which restores the snapshot
+  without calling it.
 * :meth:`Reading.retry` is the protocols' rewind-and-retry step: measure
   one qubit until it reads a wanted bit, undoing each miss with a strict
   rewind.  A :class:`Reading` computes the outcome weights, the collapsed
@@ -55,9 +56,10 @@ Conventions
   collapsed state with the register sliced off, so a walk continues on the
   remaining qubits alone.
 * ``KERNEL`` is this backend under the circuit interpreter in
-  :mod:`rwsim.circuit`, whose ``clone`` continues from the stored snapshot:
-  ``sampler(circuit, KERNEL)`` samples paths, and ``outcome_distribution``
-  and ``strong_probability`` are its exact oracles.
+  :mod:`rwsim.circuit`, which runs ``postselect`` with the kernel's
+  ``prob`` and ``collapse`` and whose ``clone`` continues from the stored
+  snapshot: ``sampler(circuit, KERNEL)`` samples paths, and
+  ``outcome_distribution`` and ``strong_probability`` are its exact oracles.
 
 The default width cap is 24 qubits; the environment variable
 ``RWSIM_MAX_QUBITS`` overrides it.  :func:`check_width` applies it, and
@@ -388,28 +390,20 @@ def _is_collapse_of(stored: PureState, post: PureState, tol: float) -> bool:
     return any(_collapse_matches(stored, post, q, tol) for q in order)
 
 
-def rewind(
-    post_state: PureState,
-    registry: SnapshotRegistry,
-    label: str,
-    mode: str = "strict",
-) -> PureState:
+def rewind(post_state: PureState, registry: SnapshotRegistry, label: str) -> PureState:
     """Undo a single-qubit measurement: return the snapshot stored at ``label``.
 
-    Strict mode certifies the input first: ``post_state`` must be the stored
-    state collapsed onto one outcome of one qubit (up to global phase), which
-    is exactly the domain on which measurement-undoing is well defined.
+    The input is certified first: ``post_state`` must be the stored state
+    collapsed onto one outcome of one qubit (up to global phase), which is
+    exactly the domain on which measurement-undoing is well defined.
     """
-    if mode not in ("strict", "permissive"):
-        raise ValueError(f"unknown rewind mode {mode!r}")
     stored = registry.state(label)
-    if mode == "strict":
-        if post_state.n != stored.n:
-            raise RewindConsistencyError("qubit count differs from the snapshot")
-        if not _is_collapse_of(stored, post_state, 1e-9):
-            raise RewindConsistencyError(
-                f"state is not a one-outcome collapse of snapshot {label!r}"
-            )
+    if post_state.n != stored.n:
+        raise RewindConsistencyError("qubit count differs from the snapshot")
+    if not _is_collapse_of(stored, post_state, 1e-9):
+        raise RewindConsistencyError(
+            f"state is not a one-outcome collapse of snapshot {label!r}"
+        )
     return stored  # never mutated, so the registry's copy can be shared
 
 
@@ -475,7 +469,7 @@ class Reading:
             if not self._certified[bit]:
                 registry = SnapshotRegistry()
                 snapshot(self.state, registry, "entry")
-                rewind(self.collapsed(bit), registry, "entry", "strict")
+                rewind(self.collapsed(bit), registry, "entry")
                 self._certified[bit] = True
 
 
@@ -605,14 +599,6 @@ class _StateVectorKernel(Kernel):
         prob = (p1 if bit else p0) / total
         return bit, prob, self.collapse(state, qubit, bit, prob * total)
 
-    def postselect(self, state: _KernelState, qubit: int, bit: int):
-        p = state.weight(qubit, bit)
-        if p <= EMPTY_PROB:
-            raise InvalidPostselectionError(
-                f"outcome {bit} on qubit {qubit} has probability {p:.3e}"
-            )
-        return p, self.collapse(state, qubit, bit, p)
-
     def prob(self, state: _KernelState, qubit: int, bit: int) -> float:
         return outcome_weight(state.weight(qubit, bit))
 
@@ -623,12 +609,11 @@ class _StateVectorKernel(Kernel):
         core = PureState(state.core.n - 1, half.reshape(-1))
         return _KernelState(state.n, core, {**state.fixed, qubit: bit})
 
-    def rewind(self, state: _KernelState, registry: SnapshotRegistry, label: str, mode: str):
-        if mode == "strict":
-            stored = registry.state(label)
-            if _certified_on_cores(stored, state, 1e-9):
-                return stored
-        return rewind(state, registry, label, mode)
+    def rewind(self, state: _KernelState, registry: SnapshotRegistry, label: str):
+        stored = registry.state(label)
+        if _certified_on_cores(stored, state, 1e-9):
+            return stored
+        return rewind(state, registry, label)
 
 
 KERNEL = _StateVectorKernel()

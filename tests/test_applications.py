@@ -224,7 +224,7 @@ def _certifies(snap, post) -> bool:
     registry = SnapshotRegistry()
     snapshot(snap, registry, "pre-last-bit")
     try:
-        rewind(post, registry, "pre-last-bit", "strict")
+        rewind(post, registry, "pre-last-bit")
     except RewindConsistencyError:
         return False
     return True

@@ -140,14 +140,9 @@ def test_simulate_parses_its_circuit_once(monkeypatch, capsys, argv):
     "backend, source, message",
     [
         ("stab", Path(TGATE).read_text(), "line 4: backend stab cannot run gate rz"),
-        (
-            "stab",
-            "qubits 1\ngate h 0\nmeasure 0 -> m\npostselect 0 = 0 if m == 1\naccept 0\n",
-            "line 4: backend stab cannot run postselect",
-        ),
         ("pathsum", Path(RETRY).read_text(), "line 6: backend pathsum cannot run snapshot"),
     ],
-    ids=["stab-rz", "stab-conditional-postselect", "pathsum-snapshot"],
+    ids=["stab-rz", "pathsum-snapshot"],
 )
 def test_simulate_backend_refusals_name_the_file_and_line(
     tmp_path, capsys, backend, source, message
@@ -156,6 +151,40 @@ def test_simulate_backend_refusals_name_the_file_and_line(
     path.write_text(source)
     code, out, err = run(capsys, ["simulate", str(path), "--backend", backend])
     assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+
+
+def test_simulate_stab_runs_a_conditional_postselect(tmp_path, capsys):
+    # on m == 1 qubit 1 is a coin, postselected onto 0, so accept reads 0
+    path = tmp_path / "conditional.qc"
+    path.write_text(
+        "qubits 2\ngate h 0\nmeasure 0 -> m\ngate h 1 if m == 1\n"
+        "postselect 1 = 0 if m == 1\naccept 1\n"
+    )
+    reports = {}
+    for backend in ("stab", "sv"):
+        code, out, err = run(
+            capsys, ["simulate", str(path), "--backend", backend, "--trials", "40"]
+        )
+        assert (code, err) == (0, "")
+        reports[backend] = {k: v for k, v in fields(out).items() if k.startswith("count.")}
+    assert reports["stab"] == reports["sv"]
+    assert set(reports["stab"]) == {"count.m:0,accept:0", "count.m:1,accept:0"}
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--trials", "0"], "--trials"),
+        (["--mode", "strict"], "--mode"),
+        (["--min-postselect-prob", "nan"], "--min-postselect-prob"),
+        (["--trials", "5", "--mode", "permissive"], "--trials, --mode"),
+    ],
+    ids=["trials", "mode", "min-postselect-prob", "two"],
+)
+def test_simulate_pathsum_refuses_the_sampling_flags(capsys, flags, named):
+    code, out, err = run(capsys, ["simulate", POSTSELECT, "--backend", "pathsum", *flags])
+    assert (code, out) == (2, "")
+    assert err == f"error: backend pathsum is exact and takes no {named}\n"
 
 
 def test_simulate_pathsum_without_accept_exits_2(tmp_path, capsys):

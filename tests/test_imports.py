@@ -36,7 +36,7 @@ def _child(*args: str) -> subprocess.CompletedProcess:
     )
 
 
-@pytest.mark.parametrize("name", ["retry-stab", "bell-pathsum"])
+@pytest.mark.parametrize("name", ["retry-stab", "postselect-stab", "bell-pathsum"])
 def test_stab_and_pathsum_commands_never_load_numpy(name):
     proc = _child("-c", WRAPPER, *COMMANDS[name])
     assert proc.returncode == 0, proc.stderr

@@ -72,7 +72,7 @@ def test_statevector_rewind_error_catches_the_tableau_refusal():
     foreign = stabilizer.stab_apply(stab_init(1), X, (0,))
     foreign = stabilizer.stab_apply(foreign, H, (0,))
     with pytest.raises(statevector.RewindConsistencyError):
-        stab_rewind(foreign, registry, "s", "strict")
+        stab_rewind(foreign, registry, "s")
 
 
 @pytest.mark.parametrize("entry", sorted(ENTRIES))
@@ -96,12 +96,34 @@ def test_max_rewinds_budget():
 
 
 @pytest.mark.parametrize("entry", sorted(ENTRIES))
-def test_tableau_refuses_postselect_on_a_branch_never_taken(entry):
-    # m is always 0, so the postselection never executes
-    c = parse_circuit("qubits 1\nmeasure 0 -> m\npostselect 0 = 1 if m == 1\n")
+def test_pathsum_refuses_a_snapshot_on_a_branch_never_taken(entry):
+    # m is always 0, so the snapshot never executes
+    c = parse_circuit("qubits 1\nmeasure 0 -> m\nsnapshot s if m == 1\naccept 0\n")
     assert outcome_distribution(c, statevector.KERNEL) == {"m=0": 1.0}
-    with pytest.raises(circuit.UnsupportedInstructionError):
-        ENTRIES[entry](c, stabilizer.KERNEL)
+    with pytest.raises(circuit.UnsupportedInstructionError, match="cannot run snapshot"):
+        ENTRIES[entry](c, pathsum.KERNEL)
+
+
+@pytest.mark.parametrize("backend", sorted(KERNELS))
+def test_a_permissive_rewind_restores_the_snapshot_unchecked(backend, monkeypatch):
+    # back at the snapshot |+>, h leaves |0>; without the rewind it would leave |m>
+    kernel = KERNELS[backend]
+    c = parse_circuit(ROTATED_REWIND + "gate h 0\nmeasure 0 -> again\n")
+    monkeypatch.setattr(type(kernel), "rewind", None)  # never called
+    trial, seen = sampler(c, kernel, "permissive"), set()
+    for i in range(16):
+        result = trial(SplitMix64(stream_seed(2, i)))
+        assert (result.rewinds_used, result.record.bit("again")) == (1, 0)
+        seen.add(result.record.bit("m"))
+    assert seen == {0, 1}
+    with pytest.raises(RewindBudgetError):
+        sampler(c, kernel, "permissive", max_rewinds=0)(SplitMix64(3))
+
+
+def test_an_unknown_rewind_mode_is_refused_when_the_sampler_is_built():
+    c = parse_circuit(TWO_REWINDS)
+    with pytest.raises(circuit.InputError, match="^unknown rewind mode 'lenient'$"):
+        sampler(c, statevector.KERNEL, "lenient")
 
 
 def test_amplitude_cap_counts_one_branch(monkeypatch):

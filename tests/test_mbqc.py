@@ -79,7 +79,7 @@ def _reference_walk(spec, pattern, budget, rng):
         snapshot(state, registry, "entry")
         for attempt in range(budget + 1):
             if attempt:
-                state = rewind(state, registry, "entry", "strict")
+                state = rewind(state, registry, "entry")
             bit, _, state = measure(state, qubit, rng)
             if bit == 0:
                 break
@@ -369,7 +369,7 @@ def test_fanout_zero_rounds_is_identity():
 
 def test_fanout_requires_rng_and_valid_control():
     base = _tilted_pair()
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         iqp_fanout_amplify(base, 1)
     with pytest.raises(ValueError):
         iqp_fanout_amplify(base, 1, rng=SplitMix64(1), control_qubit=7)

@@ -275,7 +275,7 @@ def test_mitigate_fallback_keeps_trace_consistent():
 
 
 def test_mitigate_requires_rng():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         mitigate(synthetic_flagged(0.5), 2)
 
 

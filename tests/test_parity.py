@@ -6,9 +6,15 @@ with ``tests/golden/<name>.txt``.  Lines must match byte for byte, except that
 a value that is a non-integer float (``p_accept=0.5``) may move by a relative
 1e-12, so an exact oracle may reorder its floating-point sums.
 
-To re-record the goldens after an intended change of reports::
+To record the goldens of commands that have none yet::
 
     PYTHONPATH=src python tests/test_parity.py --record
+
+and to re-record named goldens after an intended change of their reports::
+
+    PYTHONPATH=src python tests/test_parity.py --record NAME...
+
+No golden that already exists is rewritten unless it is named.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ COMMANDS = {
     "bell-stab": _sim("bell.qc", "stab", "--trials", "50", "--seed", "1"),
     "bell-pathsum": _sim("bell.qc", "pathsum"),
     "postselect-sv": _sim("postselect_demo.qc", "sv", "--trials", "30", "--seed", "2"),
+    "postselect-stab": _sim("postselect_demo.qc", "stab", "--trials", "30", "--seed", "2"),
     "postselect-sv-minprob": _sim(
         "postselect_demo.qc", "sv", "--trials", "10", "--seed", "2",
         "--min-postselect-prob", "0.4",
@@ -145,14 +152,19 @@ def test_float_lines_compare_at_relative_tolerance():
     assert differences("trial.0=m:0\n", "trial.0=m:1\n") != []
 
 
-def record() -> None:
+def record(names: list[str]) -> None:
+    """Write the goldens of ``names``, or, if none are named, of every
+    command that has no golden yet."""
+    unknown = [name for name in names if name not in COMMANDS]
+    if unknown:
+        sys.exit(f"no such command: {', '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
-    for name, argv in COMMANDS.items():
-        (GOLDEN / f"{name}.txt").write_text(report(argv))
+    for name in names or [n for n in COMMANDS if not (GOLDEN / f"{n}.txt").exists()]:
+        (GOLDEN / f"{name}.txt").write_text(report(COMMANDS[name]))
         print(f"recorded {name}")
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
+    if sys.argv[1:2] != ["--record"]:
         sys.exit(__doc__)
-    record()
+    record(sys.argv[2:])

@@ -92,7 +92,7 @@ def _ref_retry(state, qubit, want, tries, rng):
         bits.append(bit)
         if bit == want or len(bits) == tries:
             return bits, state
-        state = statevector.rewind(state, registry, "entry", "strict")
+        state = statevector.rewind(state, registry, "entry")
 
 
 def _ref_prepare_psi(table, rng):
@@ -214,7 +214,7 @@ def _ref_collision_find(family, rng, allow_rewind=True, max_prep_attempts=64):
         bit1, _, state = measure(state, in_bits - 1, rng)
         rest1, _, state = measure_register(state, range(in_bits - 1), rng)
         try:
-            state = rewind(state, registry, "pre-last-bit", "strict")
+            state = rewind(state, registry, "pre-last-bit")
         except RewindConsistencyError:
             return None
         bit2, _, state = measure(state, in_bits - 1, rng)
@@ -231,7 +231,7 @@ def _ref_sd_decide(c0, c1, rng):
     registry = SnapshotRegistry()
     snapshot(state, registry, "post-image")
     b1, _, state = measure(state, 0, rng)
-    state = rewind(state, registry, "post-image", "strict")
+    state = rewind(state, registry, "post-image")
     b2, _, _ = measure(state, 0, rng)
     return int(b1 != b2)
 
@@ -251,9 +251,9 @@ def rewinds(monkeypatch):
     seen: list[tuple[bytes, bytes]] = []
     original = statevector.rewind
 
-    def recording(state, registry, label, mode="strict"):
+    def recording(state, registry, label):
         seen.append((registry.state(label).amps.tobytes(), state.amps.tobytes()))
-        return original(state, registry, label, mode)
+        return original(state, registry, label)
 
     monkeypatch.setattr(statevector, "rewind", recording)
     return seen
@@ -498,13 +498,14 @@ def test_collision_trials_draw_as_the_full_width_reference(allow_rewind):
             assert any(results), family.name
 
 
-def test_a_failed_preparation_draws_as_the_reference():
+def test_a_failed_preparation_draws_as_the_reference(monkeypatch):
+    monkeypatch.setattr(applications, "_MAX_PREP_ATTEMPTS", 1)
     family = FunctionFamily(name="pairs", size=12, output_bits=3, evaluate=lambda i: i >> 1)
     for seed in range(30):
         ref_rng = SplitMix64(stream_seed(0xC4AA, seed))
         rng = SplitMix64(ref_rng.state)
         want = _ref_collision_find(family, ref_rng, max_prep_attempts=1)
-        assert collision_find(family, rng, max_prep_attempts=1) == want
+        assert collision_find(family, rng) == want
         assert rng.state == ref_rng.state
 
 

@@ -10,6 +10,8 @@ import pytest
 from conftest import random_clifford_circuit
 from rwsim.circuit import (
     GateOp,
+    InvalidPostselectionError,
+    PostselectThresholdError,
     SnapshotRegistry,
     outcome_distribution,
     parse_circuit,
@@ -115,7 +117,7 @@ def test_snapshot_rewind_strict_accepts_collapse():
     tab = stab_apply(tab, H, (1,))
     registry.store("s", tab.copy())
     _, _, collapsed = stab_measure(tab.copy(), 0, SplitMix64(8))
-    restored = stab_rewind(collapsed, registry, "s", "strict")
+    restored = stab_rewind(collapsed, registry, "s")
     dist_a = {}
     dist_b = {}
     for qubit in (0, 1):
@@ -131,14 +133,12 @@ def test_snapshot_rewind_strict_refuses_foreign_state():
     registry.store("s", tab.copy())
     foreign = stab_apply(stab_apply(stab_init(2), X, (0,)), X, (1,))
     with pytest.raises(RewindConsistencyError):
-        stab_rewind(foreign, registry, "s", "strict")
-    # permissive mode restores anyway
-    stab_rewind(foreign, registry, "s", "permissive")
+        stab_rewind(foreign, registry, "s")
 
 
 def test_rewind_unknown_label():
     with pytest.raises(UnknownSnapshotError):
-        stab_rewind(stab_init(1), SnapshotRegistry(), "nope", "strict")
+        stab_rewind(stab_init(1), SnapshotRegistry(), "nope")
 
 
 RETRY = """
@@ -186,12 +186,39 @@ def test_run_sampling_matches_exact_distribution():
         assert abs(freq - mean) <= 4 * sigma + 1e-9
 
 
-def test_postselect_is_rejected_by_backend():
-    circuit = parse_circuit("qubits 1\ngate h 0\npostselect 0 = 0\n")
-    from rwsim.stabilizer import UnsupportedInstructionError
+def test_postselect_runs_on_the_tableau():
+    # a Bell pair postselected on qubit 1: qubit 0 then reads the same bit
+    text = "qubits 2\ngate h 0\ngate h 1\ngate cz 0 1\ngate h 1\npostselect 1 = {}\n"
+    for bit in (0, 1):
+        circuit = parse_circuit(text.format(bit) + "measure 0 -> m\n")
+        assert outcome_distribution(circuit, KERNEL) == {f"m={bit}": 1}
+        assert strong_probability(circuit, KERNEL, {1: bit}) == 1
+        trial = sampler(circuit, KERNEL)
+        assert {trial(SplitMix64(i)).record.bit("m") for i in range(8)} == {bit}
+    # the weights are exact: 1/2 on a coin, 1 or 0 on a fixed qubit
+    plus = KERNEL.apply(KERNEL.init(1), GateOp(H, (0,)))
+    assert [KERNEL.prob(plus, 0, bit) for bit in (0, 1)] == [Fraction(1, 2)] * 2
+    assert [KERNEL.prob(KERNEL.init(1), 0, bit) for bit in (0, 1)] == [1, 0]
 
-    with pytest.raises(UnsupportedInstructionError):
-        sampler(circuit, KERNEL)
+
+def test_tableau_postselection_refusals_match_the_dense_kernel():
+    cases = [
+        ("qubits 2\ngate h 1\npostselect 0 = 1\n", 0.0, InvalidPostselectionError,
+         "outcome 1 on qubit 0 has probability 0.000e+00"),
+        ("qubits 2\ngate h 1\npostselect 1 = 0\n", 0.6, PostselectThresholdError,
+         "postselection probability 0.5 below required 0.6"),
+    ]
+    for text, floor, error, message in cases:
+        circuit = parse_circuit(text)
+        for kernel in (KERNEL, statevector.KERNEL):
+            trial = sampler(circuit, kernel, min_postselect_prob=floor)
+            with pytest.raises(error) as caught:
+                trial(SplitMix64(1))
+            assert str(caught.value) == message
+    # the oracles drop a branch whose postselection cannot pass
+    circuit = parse_circuit("qubits 1\ngate h 0\nmeasure 0 -> m\npostselect 0 = 0\n")
+    assert outcome_distribution(circuit, KERNEL) == {"m=0": Fraction(1, 2)}
+    assert outcome_distribution(circuit, statevector.KERNEL) == {"m=0": pytest.approx(0.5)}
 
 
 def test_depth_limit_guards_enumeration():
@@ -212,6 +239,57 @@ def test_depth_limit_guards_enumeration():
     assert (len(dist), sum(dist.values())) == (21, 1)
     with pytest.raises(DepthLimitError, match="exceeded 20"):
         outcome_distribution(coins(21), KERNEL)
+
+
+def _with_postselections(rng: SplitMix64, text: str, count: int = 2) -> str:
+    """``text`` with ``count`` postselections on random qubits, half of them
+    after an ``h`` on that qubit, which makes a Z-fixed qubit a coin.  Each
+    goes to a random place after the header or, half the time if there is
+    one, right after a snapshot, where it may make the retry block's rewind
+    uncertifiable."""
+    lines = text.splitlines()
+    n = int(lines[0].split()[1])
+    for _ in range(count):
+        after = [i + 1 for i, line in enumerate(lines) if line.startswith("snapshot")]
+        if after and rng.randrange(2):
+            at = after[rng.randrange(len(after))]
+        else:
+            at = 1 + rng.randrange(len(lines))
+        qubit = rng.randrange(n)
+        inserted = [f"gate h {qubit}"] if rng.randrange(2) else []
+        lines[at:at] = inserted + [f"postselect {qubit} = {rng.randrange(2)}"]
+    return "\n".join(lines) + "\n"
+
+
+def _exact(circuit, kernel, projector):
+    """The kernel's outcome distribution and strong probability, or the
+    class and message of the refusal the enumeration raises."""
+    try:
+        return outcome_distribution(circuit, kernel), strong_probability(circuit, kernel, projector)
+    except RewindConsistencyError as exc:
+        return type(exc), str(exc)
+
+
+def test_random_postselections_match_the_dense_oracles():
+    seen = {"refused": 0, "dropped": 0, "kept": 0}  # circuits by what the oracles did
+    for case in range(300):
+        rng = SplitMix64(stream_seed(0x9057, case))
+        text = _with_postselections(rng, random_clifford_circuit(rng, n_max=6, gate_max=24))
+        circuit = parse_circuit(text)
+        projector = {q: rng.randrange(2) for q in range(circuit.n_qubits) if rng.randrange(2)}
+        got = _exact(circuit, KERNEL, projector)
+        want = _exact(circuit, statevector.KERNEL, projector)
+        if isinstance(want[0], type):
+            assert got == want, text
+            seen["refused"] += 1
+            continue
+        (stab_dist, stab_strong), (sv_dist, sv_strong) = got, want
+        assert set(stab_dist) == set(sv_dist), text
+        for key, weight in stab_dist.items():
+            assert abs(float(weight) - sv_dist[key]) <= 1e-12, (text, key)
+        assert abs(float(stab_strong) - sv_strong) <= 1e-12, text
+        seen["dropped" if sum(stab_dist.values()) < 1 else "kept"] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -316,7 +394,7 @@ def _accepts(kernel, post, stored) -> bool:
     registry = SnapshotRegistry()
     registry.store("s", stored)
     try:
-        kernel.rewind(post, registry, "s", "strict")
+        kernel.rewind(post, registry, "s")
     except RewindConsistencyError:
         return False
     return True

@@ -273,7 +273,7 @@ def test_snapshot_rewind_round_trip():
     state = plus_state(2)
     snapshot(state, registry, "s")
     bit, _, collapsed = measure(state, 0, SplitMix64(2))
-    restored = rewind(collapsed, registry, "s", "strict")
+    restored = rewind(collapsed, registry, "s")
     assert states_equal(restored, state, tol=1e-12)
 
 
@@ -283,9 +283,7 @@ def test_strict_rewind_refuses_non_collapse():
     snapshot(state, registry, "s")
     stranger = apply_gate(apply_gate(init(2), X, (0,)), X, (1,))
     with pytest.raises(RewindConsistencyError):
-        rewind(stranger, registry, "s", "strict")
-    # permissive mode restores regardless
-    assert states_equal(rewind(stranger, registry, "s", "permissive"), state)
+        rewind(stranger, registry, "s")
 
 
 def test_strict_rewind_accepts_any_single_qubit_collapse():
@@ -295,7 +293,7 @@ def test_strict_rewind_accepts_any_single_qubit_collapse():
     for qubit in (0, 1):
         for bit in (0, 1):
             _, collapsed = postselect(state, qubit, bit)
-            assert states_equal(rewind(collapsed, registry, "s", "strict"), state)
+            assert states_equal(rewind(collapsed, registry, "s"), state)
 
 
 def test_strict_rewind_ignores_global_phase():
@@ -304,12 +302,12 @@ def test_strict_rewind_ignores_global_phase():
     snapshot(state, registry, "s")
     _, collapsed = postselect(state, 0, 1)
     rotated = PureState(1, collapsed.amps * np.exp(0.75j))
-    assert states_equal(rewind(rotated, registry, "s", "strict"), state)
+    assert states_equal(rewind(rotated, registry, "s"), state)
 
 
 def test_rewind_unknown_label():
     with pytest.raises(UnknownSnapshotError):
-        rewind(init(1), SnapshotRegistry(), "ghost", "strict")
+        rewind(init(1), SnapshotRegistry(), "ghost")
 
 
 def _full_scan(stored, post, tol):
@@ -405,7 +403,7 @@ def test_rewind_result_shares_the_snapshot_safely():
     snapshot(state, registry, "s")
     stored = registry.state("s").amps.tobytes()
     _, _, collapsed = measure(state, 1, SplitMix64(3))
-    restored = rewind(collapsed, registry, "s", "strict")
+    restored = rewind(collapsed, registry, "s")
     apply_gate(restored, H, (0,))
     measure(restored, 0, SplitMix64(4))
     measure_register(restored, [0, 1, 2], SplitMix64(5))
@@ -414,7 +412,7 @@ def test_rewind_result_shares_the_snapshot_safely():
     assert registry.state("s").amps.tobytes() == stored
     assert restored.amps.tobytes() == stored
     _, _, collapsed = measure(restored, 2, SplitMix64(7))
-    assert states_equal(rewind(collapsed, registry, "s", "strict"), state, tol=1e-12)
+    assert states_equal(rewind(collapsed, registry, "s"), state, tol=1e-12)
 
 
 # Reading.retry: measure one qubit until it reads a wanted bit, at most
@@ -432,7 +430,7 @@ def _hand_written_retry(state, qubit, want, tries, rng):
         bits.append(bit)
         if bit == want or attempt == tries:
             return bits, state
-        state = rewind(state, registry, "s", "strict")
+        state = rewind(state, registry, "s")
 
 
 @pytest.mark.parametrize("want", [0, 1])
@@ -461,20 +459,20 @@ def test_measure_until_with_one_try_never_rewinds(monkeypatch):
         assert prob_of_bit(reading.collapsed(bits[0]), 0, bits[0]) == pytest.approx(1.0)
 
 
-def test_measure_until_returns_every_miss_of_an_unreachable_outcome(monkeypatch):
+def test_retry_returns_every_miss_of_an_unreachable_outcome(monkeypatch):
     calls = []
 
-    def counted(state, registry, label, mode):
-        calls.append(mode)
-        return rewind(state, registry, label, mode)
+    def counted(state, registry, label):
+        calls.append(label)
+        return rewind(state, registry, label)
 
     monkeypatch.setattr(statevector, "rewind", counted)
     one = apply_gate(init(2), X, (1,))
     reading = Reading(one, 1)
     assert reading.retry(0, 5, SplitMix64(1)) == [1] * 5
-    assert calls == ["strict"]  # the same rewind is certified once, at the first miss
+    assert calls == ["entry"]  # the same rewind is certified once, at the first miss
     assert reading.retry(0, 5, SplitMix64(2)) == [1] * 5
-    assert calls == ["strict"]
+    assert calls == ["entry"]
     assert states_equal(reading.collapsed(1), one, tol=1e-12)
 
 

@@ -112,7 +112,10 @@ def _reference(circuit, rng: SplitMix64, mode: str, min_prob: float):
         elif isinstance(instr, Snapshot):
             sv.snapshot(state, registry, instr.label)
         elif isinstance(instr, Rewind):
-            state = sv.rewind(state, registry, instr.label, mode)
+            if mode == "strict":
+                state = sv.rewind(state, registry, instr.label)
+            else:
+                state = registry.state(instr.label)
         elif isinstance(instr, Clone):
             state = registry.state(instr.label).copy()
     accept, accept_bit = accept_qubit(circuit), None
