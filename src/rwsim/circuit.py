@@ -28,15 +28,18 @@ measurement labels.  Spaces or tabs separate the tokens of a line, the
 The one interpreter of the IR lives here too.  It runs a circuit over a
 backend :class:`Kernel` and owns all that is not quantum arithmetic:
 conditionals, the record, snapshots, rewind counting, ``max_rewinds``, the
-rewind mode, ``postselect`` (a kernel's ``prob`` then its ``collapse``),
-``min_postselect_prob`` and ``clone``, which continues from the stored
-snapshot on every backend, as a permissive rewind does.  Its one loop
-samples a path (:func:`sampler`) or enumerates all branches
-(:func:`enumerate_branches`), which the exact oracles
-:func:`outcome_distribution` and :func:`strong_probability` read on any
-kernel, so samplers and exact oracles accept and refuse the same circuits.
-One rule, :func:`outcome_weight`, says when an outcome is an empty branch
-on every floating-point backend.
+rewind mode, strict rewind's refusal (the kernel only answers whether a
+state is a one-outcome collapse of the snapshot), ``postselect`` (a
+kernel's ``prob`` then its ``collapse``), ``min_postselect_prob``, the
+measurement draw (:func:`draw_bit`) and ``clone``, which continues from the
+stored snapshot on every backend, as every rewind does once it is allowed.
+Every kernel runs every instruction.  Its one loop samples a path
+(:func:`sampler`) or enumerates all branches (:func:`enumerate_branches`),
+which the exact oracles :func:`outcome_distribution` and
+:func:`strong_probability` read on any kernel, so samplers and exact
+oracles accept and refuse the same circuits.  One rule,
+:func:`outcome_weight`, says when an outcome is an empty branch on every
+floating-point backend.
 
 A sampler runs the circuit's deterministic prefix, every instruction before
 the first one that reads the RNG or the record, once for all its trials.  A
@@ -55,8 +58,8 @@ from .gates import GATE_NAMES, Gate, gate as make_gate
 
 
 class InputError(ValueError):
-    """Bad input: a malformed or ill-formed circuit, an instruction or gate
-    the chosen backend does not run, a width or size over its cap.  The
+    """Bad input: a malformed or ill-formed circuit, a gate the chosen
+    backend does not run, a width or size over its cap.  The
     command line reports every one with exit code 2."""
 
 
@@ -76,11 +79,7 @@ class RecordError(ValueError):
     """A measurement record is inconsistent with the circuit or itself."""
 
 
-class UnsupportedInstructionError(InputError):
-    """An instruction the chosen backend does not run."""
-
-
-class GateSetError(UnsupportedInstructionError):
+class GateSetError(InputError):
     """A gate outside the chosen backend's gate set."""
 
 
@@ -521,8 +520,6 @@ class SnapshotRegistry:
         return len(self._entries)
 
 
-_OPTIONAL = {Postselect: "postselect", Snapshot: "snapshot", Rewind: "rewind", Clone: "clone"}
-
 EMPTY_PROB = 1e-30  # an outcome of probability at most this is an empty branch
 
 
@@ -535,16 +532,22 @@ def outcome_weight(p: float) -> float:
     return p if p > EMPTY_PROB else 0.0
 
 
+def draw_bit(p0: float, p1: float, rng) -> int:
+    """The bit a measurement with outcome weights ``p0`` and ``p1`` reads:
+    one uniform draw, scaled by the total weight."""
+    return 1 if rng.uniform() * (p0 + p1) < p1 else 0
+
+
 class Kernel:
     """A backend as the interpreter sees it: its state arithmetic and its reach.
 
-    A kernel declares ``gates`` (the gate names ``apply`` accepts), ``runs``
-    (which of postselect, snapshot, rewind and clone it supports), the
+    A kernel declares ``gates`` (the gate names ``apply`` accepts), the
     unit ``one`` of its branch weights and ``max_depth``, the number of
     measurements with two live outcomes an enumeration may fork on (None:
     no limit).  A state is the backend's own representation of one branch's
     quantum state (a dense vector, a tableau, a sparse amplitude map),
-    opaque to the interpreter.  The operations are
+    opaque to the interpreter.  Every kernel runs every instruction; its
+    operations are
 
     * ``check_width(n)``: refuse, with :class:`QubitBudgetError`, a width
       whose state would be over the kernel's cap; a sampler or enumeration
@@ -555,22 +558,23 @@ class Kernel:
       operations return new states may return ``state`` itself; the default
       is ``state.copy()``;
     * ``init(n)`` and ``apply(state, gate_op)``;
-    * sampling: ``measure(state, qubit, rng) -> (bit, prob, state)``;
     * ``prob(state, qubit, bit)``, a weight that is zero for a branch the
       kernel counts as empty (:func:`outcome_weight` on the floating-point
       backends), and ``collapse(state, qubit, bit, prob)``, which must leave
       its input usable for the sibling branch.  Enumeration forks a
       measurement with them, and a postselection is one ``prob`` and one
       ``collapse`` on every kernel;
-    * ``rewind(state, registry, label)``: a strict rewind, which certifies
-      that ``state`` is a one-outcome collapse of the snapshot at ``label``,
-      then restores it.  A permissive rewind is the interpreter's: it
-      continues from the snapshot through ``keep``, as ``clone`` does.
+    * ``measure(state, qubit, rng) -> (bit, prob, state)``, for sampling.
+      The default reads both weights with ``prob``, draws the bit with
+      :func:`draw_bit` and collapses onto it; a fixed outcome draws too;
+    * ``is_collapse(stored, state)``: is ``state`` the snapshot ``stored``
+      collapsed onto one outcome of one qubit and renormalised?  A strict
+      rewind asks it, refuses a no and then continues from the snapshot
+      through ``keep``, as a permissive rewind and ``clone`` do.
     """
 
     name: str
     gates: frozenset[str] = GATE_NAMES
-    runs: frozenset[str] = frozenset(_OPTIONAL.values())
     one = 1.0
     max_depth: int | None = None
 
@@ -580,16 +584,20 @@ class Kernel:
     def keep(self, state):
         return state.copy()
 
+    def measure(self, state, qubit: int, rng):
+        p0, p1 = self.prob(state, qubit, 0), self.prob(state, qubit, 1)
+        bit = draw_bit(p0, p1, rng)
+        total = p0 + p1
+        prob = (p1 if bit else p0) / total
+        return bit, prob, self.collapse(state, qubit, bit, prob * total)
+
     def unsupported(self, circuit: Circuit) -> tuple[int, str] | None:
-        """Position and source keywords, ``gate <name>`` or ``<kind>``, of the
-        first instruction, taken or not, that this backend cannot run."""
+        """Position and name of the first gate, taken or not, outside this
+        backend's gate set."""
         for pc, instr in enumerate(circuit.instructions):
             inner = instr.inner if isinstance(instr, Conditional) else instr
             if isinstance(inner, GateOp) and inner.gate.name not in self.gates:
-                return pc, f"gate {inner.gate.name}"
-            kind = _OPTIONAL.get(type(inner))
-            if kind is not None and kind not in self.runs:
-                return pc, kind
+                return pc, inner.gate.name
         return None
 
 
@@ -629,13 +637,12 @@ _SAMPLE, _ENUMERATE = "sample", "enumerate"
 
 def _check_runs(circuit: Circuit, kernel: Kernel) -> None:
     """Refuse a circuit that ``kernel`` cannot run: one over its width cap,
-    or one with an instruction it lacks, named by its file and line."""
+    or one with a gate outside its set, named by its file and line."""
     kernel.check_width(circuit.n_qubits)
     found = kernel.unsupported(circuit)
     if found is not None:
-        pc, words = found
-        error = GateSetError if words.startswith("gate ") else UnsupportedInstructionError
-        raise error(f"{_at(circuit, pc)}backend {kernel.name} cannot run {words}")
+        pc, name = found
+        raise GateSetError(f"{_at(circuit, pc)}backend {kernel.name} cannot run gate {name}")
 
 
 def _start(circuit: Circuit, kernel: Kernel) -> _Branch:
@@ -711,16 +718,20 @@ def _interpret(
             elif isinstance(instr, Snapshot):
                 b.registry.store(instr.label, kernel.keep(b.state))
             elif isinstance(instr, (Rewind, Clone)):
-                if isinstance(instr, Rewind):
+                label = instr.label
+                rewind = isinstance(instr, Rewind)
+                if rewind:
                     b.rewinds += 1
                     if max_rewinds is not None and b.rewinds > max_rewinds:
                         raise RewindBudgetError(
-                            f"rewind budget {max_rewinds} exhausted at label {instr.label!r}"
+                            f"rewind budget {max_rewinds} exhausted at label {label!r}"
                         )
-                    if mode == "strict":
-                        b.state = kernel.rewind(b.state, b.registry, instr.label)
-                        continue
-                b.state = kernel.keep(b.registry.state(instr.label))  # clone, permissive rewind
+                stored = b.registry.state(label)
+                if rewind and mode == "strict" and not kernel.is_collapse(stored, b.state):
+                    raise RewindConsistencyError(
+                        f"state is not a one-outcome collapse of snapshot {label!r}"
+                    )
+                b.state = kernel.keep(stored)
             # Accept is read once the walk ends.
         else:  # the branch got to ``stop`` without forking or being dropped
             leaves.append(b)
@@ -755,9 +766,10 @@ def sampler(
     from |0...0> draws.  If the prefix raises, nothing is kept, so every call
     raises that error.  The accept qubit, if any, is measured last.
 
-    ``mode`` is ``"strict"`` (:meth:`Kernel.rewind` certifies each rewind)
-    or ``"permissive"``; another mode, or a ``min_postselect_prob`` outside
-    [0, 1], is refused with :class:`InputError`.
+    ``mode`` is ``"strict"`` (each rewind is refused unless
+    :meth:`Kernel.is_collapse` certifies it) or ``"permissive"``; another
+    mode, or a ``min_postselect_prob`` outside [0, 1], is refused with
+    :class:`InputError`.
     """
     if mode not in ("strict", "permissive"):
         raise InputError(f"unknown rewind mode {mode!r}")

@@ -24,7 +24,7 @@ for the dense backend and the demos.
 
 Exit codes: 0 = assertions passed, 1 = assertion or runtime failure, 2 =
 bad input, any :class:`rwsim.circuit.InputError`: usage, parse and
-validation errors, a circuit the backend cannot run, widths over the qubit
+validation errors, a gate the backend does not run, widths over the qubit
 or tableau cap, and path sums over the amplitude cap.  A failure prints one
 stderr line, ``error: <message>`` for bad input and ``error: <class>:
 <message>`` otherwise; an input file's line is named ``<path>: line N: ``.
@@ -269,12 +269,13 @@ def cmd_simulate(ns) -> tuple[list, bool]:
         if getattr(ns, name) is None:
             setattr(ns, name, default)
     circuit = parse_circuit(_read(ns.circuit, "circuit"), name=ns.circuit)
+    echo = f"simulate {ns.circuit} --backend {ns.backend} --trials {ns.trials} --seed {ns.seed}"
+    if ns.mode != _SAMPLING_FLAGS["mode"]:
+        echo += f" --mode {ns.mode}"
+    if ns.min_postselect_prob != _SAMPLING_FLAGS["min_postselect_prob"]:
+        echo += f" --min-postselect-prob {ns.min_postselect_prob!r}"
     lines: list = [
-        (
-            "command",
-            f"simulate {ns.circuit} --backend {ns.backend} "
-            f"--trials {ns.trials} --seed {ns.seed}",
-        ),
+        ("command", echo),
         ("circuit", ns.circuit),
         ("backend", ns.backend),
         ("qubits", circuit.n_qubits),

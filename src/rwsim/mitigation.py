@@ -47,6 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .circuit import draw_bit
 from .gates import CH, hk
 from .rng import SplitMix64
 from .statevector import (
@@ -55,7 +56,6 @@ from .statevector import (
     apply_gate,
     apply_matrix,
     attach_zero,
-    draw_bit,
     postselect,
     prob_of_bit,
     slice_qubit,

@@ -1,16 +1,19 @@
-"""Path-sum acceptance oracle.
+"""Path-sum backend and acceptance oracle.
 
-Computes exact acceptance probabilities for straight-line circuits (gates,
-measurements, postselections, one ``accept`` declaration) by carrying every
-path forward at once, merged by the basis state it reaches: the Schrödinger
-end of the Schrödinger–Feynman trade-off.
+Runs every instruction of a circuit (gates, measurements, postselections,
+snapshots, rewinds and clones) by carrying every path forward at once,
+merged by the basis state it reaches: the Schrödinger end of the
+Schrödinger–Feynman trade-off, and path sums read as a circuit semantics
+(Amy, arXiv:1805.06908).
 
-``KERNEL`` runs under the circuit interpreter in :mod:`rwsim.circuit`, which
-enumerates the measurement branches; ``outcome_distribution(circuit,
-KERNEL)`` there gives the exact q_z per outcome.  A kernel state is a
-sparse amplitude map, a pure-Python ``dict`` from basis index (qubit q is
-bit q) to complex amplitude, holding only the basis states some path
-reaches with a nonzero sum.  It does not depend on the NumPy backend.
+``KERNEL`` runs under the circuit interpreter in :mod:`rwsim.circuit`:
+``sampler(circuit, KERNEL)`` samples paths, and ``outcome_distribution``
+and ``strong_probability`` there enumerate the measurement branches;
+:func:`acceptance_probability` is the exact P(accept = 1).  A kernel state
+is an :class:`AmplitudeMap`, a pure-Python ``dict`` from basis index (qubit
+q is bit q) to complex amplitude, holding only the basis states some path
+reaches with a nonzero sum, and the width ``n`` of the circuit.  It does
+not depend on the NumPy backend.
 
 * ``apply`` sends each key through the gate.  A diagonal or permutation gate
   (``Gate.monomial``) moves it to one key; ``h``, ``hk`` and ``ch`` on a
@@ -20,7 +23,17 @@ reaches with a nonzero sum.  It does not depend on the NumPy backend.
   keeps those keys and renormalises, for a measurement branch and for a
   postselection, which the interpreter runs as ``prob`` then ``collapse``.
   An outcome is an empty branch by the rule the dense kernel uses too,
-  :func:`rwsim.circuit.outcome_weight`.
+  :func:`rwsim.circuit.outcome_weight`.  A sampled measurement is the
+  interpreter's default ``measure``: the two ``prob`` weights, one draw,
+  one ``collapse``.
+* No operation changes a map, so ``keep`` returns its input, and a
+  snapshot, a clone and a sampler's shared prefix are held by reference.
+* ``is_collapse``, which strict rewind asks, is the dense kernel's test on
+  maps: some qubit's other outcome holds no weight in the state, and the
+  state's amplitudes there are the snapshot's, renormalised, up to global
+  phase.  It tries all ``n`` qubits, so a qubit that is 0 over the whole
+  support certifies a state equal to its snapshot; that is why a map
+  carries its width rather than reading it off its keys.
 
 Cost is O(ops x live amplitudes) per branch.  With b branching gates on n
 qubits a map holds at most 2^min(b, n) amplitudes, and memory is the live
@@ -40,19 +53,19 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .circuit import (  # the shared error name is re-exported
+from .circuit import (
     Circuit,
     CircuitValidationError,
     GateOp,
     InputError,
     Kernel,
-    UnsupportedInstructionError,
     accept_qubit,
     enumerate_branches,
     outcome_weight,
 )
 
 MAX_AMPLITUDES = 1 << 20
+_TOL = 1e-9  # strict rewind's tolerance, as on the dense kernel
 
 
 class SizeLimitError(InputError):
@@ -85,18 +98,60 @@ def _moves(op: GateOp) -> tuple[int, dict[int, tuple[tuple[int, complex], ...]]]
     return spread[-1], table
 
 
+class AmplitudeMap(dict):
+    """Basis index -> amplitude: the live paths of one branch on ``n`` qubits."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int, items=()):
+        super().__init__(items)
+        self.n = n
+
+
+def _weight(amps, mask: int, want: int) -> float:
+    """Sum of |amp|^2 over the keys whose ``mask`` bits read ``want``."""
+    return sum(
+        amp.real * amp.real + amp.imag * amp.imag
+        for key, amp in amps.items() if key & mask == want
+    )
+
+
+def _collapse_matches(stored: AmplitudeMap, post: AmplitudeMap, qubit: int) -> bool:
+    """Is ``post`` ``stored`` projected onto one outcome of ``qubit`` and
+    renormalised, up to global phase?  The dense kernel's
+    ``_collapse_matches``: the other outcome is empty in ``post``, and
+    |<post| P |stored>| = ||P stored||."""
+    mask = 1 << qubit
+    for bit in (0, 1):
+        want = bit << qubit
+        if _weight(post, mask, want ^ mask) > _TOL:
+            continue
+        norm_sq = _weight(stored, mask, want)
+        if norm_sq <= 1e-30:
+            continue
+        overlap = abs(sum(
+            amp.conjugate() * stored.get(key, 0.0)
+            for key, amp in post.items() if key & mask == want
+        ))
+        if 1.0 - overlap / norm_sq ** 0.5 <= _TOL:
+            return True
+    return False
+
+
 class PathSumKernel(Kernel):
-    """Enumeration-only kernel over sparse amplitude maps."""
+    """The path-sum backend over :class:`AmplitudeMap` states."""
 
     name = "pathsum"
-    runs = frozenset({"postselect"})
 
-    def init(self, n: int) -> dict[int, complex]:
-        return {0: 1.0 + 0.0j}
+    def keep(self, state: AmplitudeMap) -> AmplitudeMap:
+        return state  # no operation changes its input
 
-    def apply(self, state: dict[int, complex], op: GateOp) -> dict[int, complex]:
+    def init(self, n: int) -> AmplitudeMap:
+        return AmplitudeMap(n, {0: 1.0 + 0.0j})
+
+    def apply(self, state: AmplitudeMap, op: GateOp) -> AmplitudeMap:
         mask, table = _moves(op)
-        out: dict[int, complex] = {}
+        out = AmplitudeMap(state.n)
         for key, amp in state.items():
             here = key & mask
             for bits, factor in table[here]:
@@ -110,16 +165,17 @@ class PathSumKernel(Kernel):
             )
         return out
 
-    def prob(self, state: dict[int, complex], qubit: int, bit: int) -> float:
-        want = bit << qubit
-        return outcome_weight(sum(
-            amp.real * amp.real + amp.imag * amp.imag
-            for key, amp in state.items() if key & (1 << qubit) == want
-        ))
+    def prob(self, state: AmplitudeMap, qubit: int, bit: int) -> float:
+        return outcome_weight(_weight(state, 1 << qubit, bit << qubit))
 
-    def collapse(self, state, qubit: int, bit: int, prob: float) -> dict[int, complex]:
-        want, scale = bit << qubit, prob ** -0.5
-        return {key: amp * scale for key, amp in state.items() if key & (1 << qubit) == want}
+    def collapse(self, state: AmplitudeMap, qubit: int, bit: int, prob: float) -> AmplitudeMap:
+        mask, want, scale = 1 << qubit, bit << qubit, prob ** -0.5
+        return AmplitudeMap(
+            state.n, ((key, amp * scale) for key, amp in state.items() if key & mask == want)
+        )
+
+    def is_collapse(self, stored: AmplitudeMap, state: AmplitudeMap) -> bool:
+        return any(_collapse_matches(stored, state, q) for q in range(state.n))
 
 
 KERNEL = PathSumKernel()

@@ -21,9 +21,10 @@ Measurement of qubit a looks at the stabilizer half only:
 * none has: the outcome is determined.  Z_a is the product of the stabilizers
   whose destabilizer has an X bit at a, and that product's sign is the outcome.
 
-Strict rewind checks that the post-state is the snapshot collapsed onto one
-outcome of one qubit.  Measuring a deterministic qubit leaves the snapshot
-unchanged, and measuring a random one makes its Z outcome deterministic, so
+The kernel's ``is_collapse``, which strict rewind asks, checks that the
+post-state is the snapshot collapsed onto one outcome of one qubit.
+Measuring a deterministic qubit leaves the snapshot unchanged, and
+measuring a random one makes its Z outcome deterministic, so
 the candidates are exactly: the snapshot itself (if it has a deterministic
 qubit and the same random qubits), and each qubit random in the snapshot but
 deterministic after, collapsed onto that outcome.  Two tableaux with equal
@@ -37,11 +38,13 @@ with select it), a check run on the same int columns.
 ``outcome_distribution`` and ``strong_probability`` enumerate the branches
 with exact dyadic ``Fraction`` weights, at most ``max_depth`` = 20 random
 measurements deep.  The interpreter runs a postselection as the kernel's
-``prob``, exactly 0, 1/2 or 1, then its ``collapse``, and its ``clone`` and
-permissive rewind continue from the snapshot.  ``stab_apply`` and
-``stab_measure`` work in place, so the kernel keeps a snapshot, a clone and
-a sampler's shared prefix as copies (``Kernel.keep``).  A circuit with a
-non-Clifford gate is refused before it runs.
+``prob``, exactly 0, 1/2 or 1, then its ``collapse``; it refuses a strict
+rewind that ``is_collapse`` does not certify, and its rewinds and ``clone``
+continue from the snapshot.  ``stab_apply`` and ``stab_measure`` work in
+place, so the kernel keeps a snapshot, a clone and a sampler's shared prefix
+as copies (``Kernel.keep``), and it measures with ``stab_measure`` itself,
+which reads no draw for a determined outcome.  A circuit with a non-Clifford
+gate is refused before it runs.
 
 A full tableau on n qubits holds 2n columns of 2n bits, n^2 / 2 bytes, so
 :func:`check_width` refuses more than ``MAX_QUBITS`` = 2^14 qubits (a 128 MiB
@@ -56,16 +59,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .circuit import (  # the shared error and registry names are re-exported
+from .circuit import (  # the shared error names are re-exported
     DepthLimitError,
     GateOp,
     GateSetError,
     Kernel,
     QubitBudgetError,
     RewindConsistencyError,
-    SnapshotRegistry,
     UnknownSnapshotError,
-    UnsupportedInstructionError,
 )
 from .gates import CLIFFORD_NAMES, Gate
 from .rng import SplitMix64
@@ -261,7 +262,8 @@ def _random_qubits(tab: StabilizerTableau) -> list[bool]:
 
 
 def _is_collapse_of(stored: StabilizerTableau, post: StabilizerTableau) -> bool:
-    """Is ``post`` the snapshot collapsed onto one outcome of one qubit?"""
+    """Is ``post`` the snapshot collapsed onto one outcome of one qubit
+    (possibly trivially, for a deterministic outcome)?"""
     if stored.n != post.n:
         return False
     random_stored, random_post = _random_qubits(stored), _random_qubits(post)
@@ -275,22 +277,6 @@ def _is_collapse_of(stored: StabilizerTableau, post: StabilizerTableau) -> bool:
         if _same_state(stab_measure(stored.copy(), qubit, None, force=bit)[2], post):
             return True
     return False
-
-
-def stab_rewind(
-    post: StabilizerTableau, registry: SnapshotRegistry, label: str
-) -> StabilizerTableau:
-    """Undo one measurement: return a copy of the snapshot stored at ``label``.
-
-    It first verifies that ``post`` equals the snapshot collapsed onto one
-    outcome of one qubit (possibly trivially, for deterministic outcomes).
-    """
-    stored = registry.state(label)
-    if not _is_collapse_of(stored, post):
-        raise RewindConsistencyError(
-            f"state is not a one-outcome collapse of snapshot {label!r}"
-        )
-    return stored.copy()
 
 
 class _TableauKernel(Kernel):
@@ -321,8 +307,8 @@ class _TableauKernel(Kernel):
             return tab
         return stab_measure(tab.copy(), qubit, None, force=bit)[2]
 
-    def rewind(self, tab: StabilizerTableau, registry: SnapshotRegistry, label: str):
-        return stab_rewind(tab, registry, label)
+    def is_collapse(self, stored: StabilizerTableau, tab: StabilizerTableau) -> bool:
+        return _is_collapse_of(stored, tab)
 
 
 KERNEL = _TableauKernel()

@@ -28,11 +28,11 @@ Conventions
   collapse slices the core to half its size instead of copying the full
   vector and zeroing half of it, and a fixed qubit reads its stored bit.  A
   gate runs on the core with its targets renumbered, after moving any fixed
-  target back into the core.  A rewind whose state fixes the snapshot's bits
-  and one qubit more is certified on the two cores with the test that
-  :func:`_collapse_matches` makes on that qubit; any other rewind, or one
-  that test does not certify, runs the dense check, so the answers and
-  messages are those of :func:`rewind`.  A state is also a read-only
+  target back into the core.  The kernel's ``is_collapse`` certifies a
+  state that fixes the snapshot's bits and one qubit more on the two cores,
+  with the test that :func:`_collapse_matches` makes on that qubit; any
+  other state, or one that test does not certify, gets the dense check, so
+  the answers are those of :func:`rewind`.  A state is also a read-only
   :class:`PureState` whose full ``amps`` are built at most once, when read,
   which is what ``RunResult.final_state`` and the branch leaves are.  The
   protocol-level functions below (``measure``, ``postselect``, ``Reading``,
@@ -43,8 +43,8 @@ Conventions
   candidates checked first are the qubits fixed over the support of the
   rewound state but not over that of the snapshot; only if none matches are
   the other qubits checked, so the answer is that of checking every qubit.
-  A permissive rewind is the interpreter's, which restores the snapshot
-  without calling it.
+  Under the interpreter, which owns strict rewind's refusal and the
+  permissive mode, the kernel answers only ``is_collapse``.
 * :meth:`Reading.retry` is the protocols' rewind-and-retry step: measure
   one qubit until it reads a wanted bit, undoing each miss with a strict
   rewind.  A :class:`Reading` computes the outcome weights, the collapsed
@@ -56,9 +56,9 @@ Conventions
   collapsed state with the register sliced off, so a walk continues on the
   remaining qubits alone.
 * ``KERNEL`` is this backend under the circuit interpreter in
-  :mod:`rwsim.circuit`, which runs ``postselect`` with the kernel's
-  ``prob`` and ``collapse`` and whose ``clone`` continues from the stored
-  snapshot: ``sampler(circuit, KERNEL)`` samples paths, and
+  :mod:`rwsim.circuit`, which measures and postselects with the kernel's
+  ``prob`` and ``collapse`` and whose rewinds and ``clone`` continue from
+  the stored snapshot: ``sampler(circuit, KERNEL)`` samples paths, and
   ``outcome_distribution`` and ``strong_probability`` are its exact oracles.
 
 The default width cap is 24 qubits; the environment variable
@@ -86,6 +86,7 @@ from .circuit import (  # the shared error and registry names are re-exported
     RewindConsistencyError,
     SnapshotRegistry,
     UnknownSnapshotError,
+    draw_bit,
     outcome_weight,
 )
 from .gates import Gate
@@ -244,12 +245,6 @@ def _collapse(state: PureState, qubit: int, bit: int, prob: float) -> PureState:
     tensor[:, 1 - bit, :] = 0.0
     tensor /= math.sqrt(prob)
     return PureState(state.n, tensor.reshape(-1))
-
-
-def draw_bit(p0: float, p1: float, rng: SplitMix64) -> int:
-    """The bit a measurement with outcome weights ``p0`` and ``p1`` reads:
-    one uniform draw, scaled by the total weight."""
-    return 1 if rng.uniform() * (p0 + p1) < p1 else 0
 
 
 def _outcome(
@@ -517,7 +512,7 @@ class _KernelState(PureState):
 
     It is a read-only :class:`PureState` on ``n`` qubits.  Its full vector
     ``amps`` is built on first read and kept; the kernel reads it only for
-    a strict rewind it cannot certify on the cores.  No operation changes
+    a collapse it cannot certify on the cores.  No operation changes
     a core or a ``fixed`` map, so states share them.
     """
 
@@ -555,14 +550,14 @@ def _unfix(state: _KernelState, qubits) -> _KernelState:
 
 
 def _certified_on_cores(stored: _KernelState, post: _KernelState, tol: float) -> bool:
-    """Strict rewind's test, read on the cores, for a ``post`` that fixes
-    what ``stored`` fixes, to the same bits, and one qubit more.
+    """Strict rewind's collapse test, read on the cores, for a ``post`` that
+    fixes what ``stored`` fixes, to the same bits, and one qubit more.
 
     Such a ``post`` is empty off that qubit's bit and holds no amplitude
     where ``stored`` holds none, so :func:`_collapse_matches` on that qubit
     reduces to :func:`_slice_matches` of the stored core's slice against
     the post core.  False for any other ``post``: the caller then runs the
-    dense check, so every answer is that of :func:`rewind`.
+    dense check, so every answer is that of :func:`_is_collapse_of`.
     """
     if len(post.fixed) != len(stored.fixed) + 1 or any(
         post.fixed.get(q) != b for q, b in stored.fixed.items()
@@ -592,13 +587,6 @@ class _StateVectorKernel(Kernel):
         targets = tuple(map(state.position, op.targets))
         return _KernelState(state.n, apply_gate(state.core, op.gate, targets), state.fixed)
 
-    def measure(self, state: _KernelState, qubit: int, rng: SplitMix64):
-        p0, p1 = state.weight(qubit, 0), state.weight(qubit, 1)
-        bit = draw_bit(p0, p1, rng)  # a fixed qubit draws too, and reads its bit
-        total = p0 + p1
-        prob = (p1 if bit else p0) / total
-        return bit, prob, self.collapse(state, qubit, bit, prob * total)
-
     def prob(self, state: _KernelState, qubit: int, bit: int) -> float:
         return outcome_weight(state.weight(qubit, bit))
 
@@ -609,11 +597,8 @@ class _StateVectorKernel(Kernel):
         core = PureState(state.core.n - 1, half.reshape(-1))
         return _KernelState(state.n, core, {**state.fixed, qubit: bit})
 
-    def rewind(self, state: _KernelState, registry: SnapshotRegistry, label: str):
-        stored = registry.state(label)
-        if _certified_on_cores(stored, state, 1e-9):
-            return stored
-        return rewind(state, registry, label)
+    def is_collapse(self, stored: _KernelState, state: _KernelState) -> bool:
+        return _certified_on_cores(stored, state, 1e-9) or _is_collapse_of(stored, state, 1e-9)
 
 
 KERNEL = _StateVectorKernel()

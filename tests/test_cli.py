@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import REPO, cli_env
-from rwsim import circuit as ir, pathsum
+from rwsim import circuit as ir, pathsum, statevector
 from rwsim.applications import collision_success_probability
 from rwsim.circuit import (
     CircuitSyntaxError,
@@ -24,8 +24,10 @@ from rwsim.circuit import (
     RecordError,
     RewindBudgetError,
     RewindConsistencyError,
-    UnsupportedInstructionError,
+    accept_qubit,
+    outcome_distribution,
     parse_circuit,
+    strong_probability,
 )
 from rwsim.cli import _collision_family, main
 from rwsim.rng import stream_seed
@@ -140,9 +142,8 @@ def test_simulate_parses_its_circuit_once(monkeypatch, capsys, argv):
     "backend, source, message",
     [
         ("stab", Path(TGATE).read_text(), "line 4: backend stab cannot run gate rz"),
-        ("pathsum", Path(RETRY).read_text(), "line 6: backend pathsum cannot run snapshot"),
     ],
-    ids=["stab-rz", "pathsum-snapshot"],
+    ids=["stab-rz"],
 )
 def test_simulate_backend_refusals_name_the_file_and_line(
     tmp_path, capsys, backend, source, message
@@ -151,6 +152,41 @@ def test_simulate_backend_refusals_name_the_file_and_line(
     path.write_text(source)
     code, out, err = run(capsys, ["simulate", str(path), "--backend", backend])
     assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+
+
+def test_simulate_pathsum_runs_snapshot_and_rewind(capsys):
+    # the retry circuit that the path sum once refused at its snapshot
+    code, out, err = run(capsys, ["simulate", RETRY, "--backend", "pathsum"])
+    assert (code, err) == (0, "")
+    report = fields(out)
+    c = parse_circuit(Path(RETRY).read_text())
+    dense = strong_probability(c, statevector.KERNEL, {accept_qubit(c): 1})
+    assert abs(float(report["p_accept"]) - dense) <= 1e-12
+    q_z = {k[2:].replace(":", "="): float(v) for k, v in report.items() if k.startswith("p.")}
+    want = outcome_distribution(c, statevector.KERNEL)
+    assert q_z.keys() == want.keys()
+    assert all(abs(q_z[key] - want[key]) <= 1e-12 for key in want)
+
+
+@pytest.mark.parametrize(
+    "flags, echoed",
+    [
+        ([], ""),
+        (["--mode", "strict", "--min-postselect-prob", "0"], ""),
+        (["--mode", "permissive"], " --mode permissive"),
+        (["--min-postselect-prob", "0.25"], " --min-postselect-prob 0.25"),
+    ],
+    ids=["defaults", "defaults-given", "mode", "min-postselect-prob"],
+)
+def test_simulate_echoes_the_flags_that_change_the_report(capsys, flags, echoed):
+    argv = ["simulate", RETRY, "--trials", "20", "--seed", "3", *flags]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    command = fields(out)["command"]
+    assert command == f"simulate {RETRY} --backend sv --trials 20 --seed 3{echoed}"
+    # the echoed command reproduces the report
+    again = run(capsys, command.split())
+    assert without_duration(again[1]) == without_duration(out)
 
 
 def test_simulate_stab_runs_a_conditional_postselect(tmp_path, capsys):
@@ -274,7 +310,6 @@ def test_simulate_pathsum_over_the_amplitude_cap_exits_2(
     [
         (CircuitSyntaxError(3, "bad"), 2),
         (CircuitValidationError("bad"), 2),
-        (UnsupportedInstructionError("bad"), 2),
         (GateSetError("bad"), 2),
         (QubitBudgetError("bad"), 2),
         (pathsum.SizeLimitError("bad"), 2),

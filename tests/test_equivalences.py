@@ -17,7 +17,8 @@ rewrites behind that theorem are exact identities on the backends here:
 
 Each rewrite runs on the random circuits of ``conftest`` and is compared on
 the exact oracles (floats to 1e-9, tableau ``Fraction`` weights exactly) and
-on seeded sampled runs.
+on seeded sampled runs, on the dense kernel and the path sum, and on the
+tableau too for Clifford circuits.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from rwsim.rng import SplitMix64, stream_seed
 TOL = 1e-9
 SAMPLES = 8  # seeded runs per circuit in the record comparisons
 SNAP, INS, INS2, RETRY = "eq_snap", "eq_ins", "eq_ins2", "eq_r"
-SV, STAB = statevector.KERNEL, stabilizer.KERNEL
+SV, STAB, PS = statevector.KERNEL, stabilizer.KERNEL, pathsum.KERNEL
 
 
 def _general(seed: int) -> tuple[SplitMix64, list[str]]:
@@ -135,6 +136,8 @@ def _assert_same_records(got, want, context) -> None:
         assert (bits, acc) == (want_bits, want_acc), context
         if isinstance(state, statevector.PureState):
             assert np.allclose(state.amps, want_state.amps, rtol=0.0, atol=1e-12), context
+        elif isinstance(state, pathsum.AmplitudeMap):  # the same amplitudes, bit for bit
+            assert state == want_state, context
         elif state is not None:  # a tableau: the same rows, bit for bit
             for part in ("X", "Z", "r"):
                 assert np.array_equal(getattr(state, part), getattr(want_state, part)), context
@@ -157,14 +160,18 @@ def test_inserted_rewind_is_invisible_on_the_dense_oracle():
         rewound_lines = _insert_rewind(rng, lines)
         base, rewound = _parse(lines), _parse(rewound_lines)
         context = "\n".join(rewound_lines)
-        _assert_same(
-            _marginal(outcome_distribution(rewound, SV), INS.__eq__),
-            outcome_distribution(base, SV), context,
-        )
+        for kernel in (SV, PS):
+            _assert_same(
+                _marginal(outcome_distribution(rewound, kernel), INS.__eq__),
+                outcome_distribution(base, kernel), context,
+            )
+            _records(kernel, rewound, seed)  # strict rewind certifies every run
         assert abs(
             _acceptance(rewound) - _acceptance(base)
         ) <= TOL, context
-        _records(SV, rewound, seed)  # strict rewind certifies every run
+        assert abs(
+            pathsum.acceptance_probability(rewound) - pathsum.acceptance_probability(base)
+        ) <= TOL, context
 
 
 def test_inserted_rewind_is_invisible_on_clifford_circuits():
@@ -176,11 +183,12 @@ def test_inserted_rewind_is_invisible_on_clifford_circuits():
         assert strong_probability(rewound, STAB, {0: 1}) == strong_probability(
             base, STAB, {0: 1}
         )
-        dense = outcome_distribution(rewound, SV)
-        _assert_same(
-            _marginal(dense, INS.__eq__), outcome_distribution(base, SV), lines
-        )
-        for kernel in (SV, STAB):
+        for kernel in (SV, PS):
+            _assert_same(
+                _marginal(outcome_distribution(rewound, kernel), INS.__eq__),
+                outcome_distribution(base, kernel), lines,
+            )
+        for kernel in (SV, STAB, PS):
             _records(kernel, rewound, seed)  # strict rewind certifies every run
 
 
@@ -196,10 +204,9 @@ def test_rewind_after_two_collapses_is_refused():
             f"measure {n} -> {INS}", f"measure {n + 1} -> {INS2}", f"rewind {SNAP}",
         ]
         circuit = _parse([f"qubits {n + 2}"] + lines[1:pos] + block + lines[pos:])
-        for kernel in (SV, STAB):
+        for kernel in (SV, STAB, PS):
             with pytest.raises(RewindConsistencyError):
                 outcome_distribution(circuit, kernel)
-        for kernel in (SV, STAB):
             with pytest.raises(RewindConsistencyError):
                 sampler(circuit, kernel)(SplitMix64(seed))
 
@@ -225,18 +232,22 @@ def test_clone_is_a_copy_on_the_dense_backend():
         cloned_lines, rewound_lines = _clone_forms(rng, lines, GENERAL_POOL)
         base, cloned, rewound = _parse(lines), _parse(cloned_lines), _parse(rewound_lines)
         context = "\n".join(cloned_lines)
-        _assert_same(
-            outcome_distribution(cloned, SV),
-            outcome_distribution(base, SV), context,
-        )
         assert abs(
             _acceptance(cloned) - _acceptance(base)
         ) <= TOL, context
-        want = _records(SV, base, seed)
-        _assert_same_records(_records(SV, cloned, seed), want, context)
-        _assert_same_records(
-            _records(SV, rewound, seed, mode="permissive"), want, context
-        )
+        assert abs(
+            pathsum.acceptance_probability(cloned) - pathsum.acceptance_probability(base)
+        ) <= TOL, context
+        for kernel in (SV, PS):
+            _assert_same(
+                outcome_distribution(cloned, kernel),
+                outcome_distribution(base, kernel), context,
+            )
+            want = _records(kernel, base, seed)
+            _assert_same_records(_records(kernel, cloned, seed), want, context)
+            _assert_same_records(
+                _records(kernel, rewound, seed, mode="permissive"), want, context
+            )
 
 
 def test_clone_is_a_copy_on_clifford_circuits():
@@ -247,11 +258,12 @@ def test_clone_is_a_copy_on_clifford_circuits():
         assert outcome_distribution(cloned, STAB) == outcome_distribution(
             base, STAB
         ), cloned_lines
-        _assert_same(
-            outcome_distribution(cloned, SV),
-            outcome_distribution(base, SV), cloned_lines,
-        )
-        for kernel in (SV, STAB):
+        for kernel in (SV, PS):
+            _assert_same(
+                outcome_distribution(cloned, kernel),
+                outcome_distribution(base, kernel), cloned_lines,
+            )
+        for kernel in (SV, STAB, PS):
             want = _records(kernel, base, seed)
             _assert_same_records(_records(kernel, cloned, seed), want, cloned_lines)
             _assert_same_records(

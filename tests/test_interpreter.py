@@ -6,7 +6,6 @@ import pytest
 
 from rwsim import circuit, pathsum, stabilizer, statevector
 from rwsim.circuit import (
-    SnapshotRegistry,
     outcome_distribution,
     parse_circuit,
     sampler,
@@ -15,10 +14,10 @@ from rwsim.circuit import (
 from rwsim.gates import H, X
 from rwsim.pathsum import SizeLimitError, acceptance_probability
 from rwsim.rng import SplitMix64, stream_seed
-from rwsim.stabilizer import stab_init, stab_rewind
+from rwsim.stabilizer import stab_init
 from rwsim.statevector import RewindBudgetError
 
-KERNELS = {"sv": statevector.KERNEL, "stab": stabilizer.KERNEL}
+KERNELS = {"sv": statevector.KERNEL, "stab": stabilizer.KERNEL, "pathsum": pathsum.KERNEL}
 
 # The entries of the interpreter a backend is reached through: a sampled run
 # and the two exact oracles.
@@ -55,24 +54,22 @@ def test_shared_error_and_registry_names_are_one_object_everywhere():
     shared = {
         statevector: ("RewindConsistencyError", "UnknownSnapshotError", "SnapshotRegistry"),
         stabilizer: (
-            "RewindConsistencyError", "UnknownSnapshotError", "UnsupportedInstructionError",
-            "GateSetError", "DepthLimitError",
+            "RewindConsistencyError", "UnknownSnapshotError", "GateSetError", "DepthLimitError",
         ),
-        pathsum: ("UnsupportedInstructionError",),
     }
     for module, names in shared.items():
         for name in names:
             assert getattr(module, name) is getattr(circuit, name), (module.__name__, name)
-    assert issubclass(circuit.GateSetError, circuit.UnsupportedInstructionError)
+    assert issubclass(circuit.GateSetError, circuit.InputError)
 
 
 def test_statevector_rewind_error_catches_the_tableau_refusal():
-    registry = SnapshotRegistry()
-    registry.store("s", stabilizer.stab_apply(stab_init(1), H, (0,)))
+    stored = stabilizer.stab_apply(stab_init(1), H, (0,))
     foreign = stabilizer.stab_apply(stab_init(1), X, (0,))
     foreign = stabilizer.stab_apply(foreign, H, (0,))
+    assert not stabilizer.KERNEL.is_collapse(stored, foreign)
     with pytest.raises(statevector.RewindConsistencyError):
-        stab_rewind(foreign, registry, "s")
+        sampler(parse_circuit(ROTATED_REWIND), stabilizer.KERNEL)(SplitMix64(0))
 
 
 @pytest.mark.parametrize("entry", sorted(ENTRIES))
@@ -96,12 +93,41 @@ def test_max_rewinds_budget():
 
 
 @pytest.mark.parametrize("entry", sorted(ENTRIES))
-def test_pathsum_refuses_a_snapshot_on_a_branch_never_taken(entry):
+def test_pathsum_runs_a_snapshot_on_a_branch_never_taken(entry):
     # m is always 0, so the snapshot never executes
     c = parse_circuit("qubits 1\nmeasure 0 -> m\nsnapshot s if m == 1\naccept 0\n")
     assert outcome_distribution(c, statevector.KERNEL) == {"m=0": 1.0}
-    with pytest.raises(circuit.UnsupportedInstructionError, match="cannot run snapshot"):
-        ENTRIES[entry](c, pathsum.KERNEL)
+    dense, paths = (ENTRIES[entry](c, kernel) for kernel in (statevector.KERNEL, pathsum.KERNEL))
+    if entry == "sampler":
+        dense, paths = ((r.record.entries, r.accept_bit) for r in (dense, paths))
+    assert paths == dense
+    dense_accept = strong_probability(c, statevector.KERNEL, {0: 1})
+    assert abs(acceptance_probability(c) - dense_accept) <= 1e-12
+
+
+def test_a_pathsum_sampler_measures():
+    # it once raised AttributeError: the path sum had no measure
+    c = parse_circuit("qubits 1\ngate h 0\nmeasure 0 -> m\n")
+    trial, seen = sampler(c, pathsum.KERNEL), set()
+    for i in range(16):
+        ((label, bit, prob),) = trial(SplitMix64(stream_seed(4, i))).record.entries
+        assert (label, prob) == ("m", pytest.approx(0.5, abs=1e-12))
+        seen.add(bit)
+    assert seen == {0, 1}
+
+
+@pytest.mark.parametrize("backend", sorted(KERNELS))
+def test_a_rewind_right_after_its_snapshot_needs_a_fixed_qubit(backend):
+    # on 2 qubits, qubit 1 is 0 over the whole support, so the unchanged state
+    # is its collapse and the rewind is certified; on 1 qubit nothing is fixed
+    kernel = KERNELS[backend]
+    certified = parse_circuit("qubits 2\ngate h 0\nsnapshot s\nrewind s\n")
+    for entry in ENTRIES.values():
+        entry(certified, kernel)
+    refused = parse_circuit("qubits 1\ngate h 0\nsnapshot s\nrewind s\n")
+    for entry in ENTRIES.values():
+        with pytest.raises(circuit.RewindConsistencyError):
+            entry(refused, kernel)
 
 
 @pytest.mark.parametrize("backend", sorted(KERNELS))
@@ -109,7 +135,7 @@ def test_a_permissive_rewind_restores_the_snapshot_unchecked(backend, monkeypatc
     # back at the snapshot |+>, h leaves |0>; without the rewind it would leave |m>
     kernel = KERNELS[backend]
     c = parse_circuit(ROTATED_REWIND + "gate h 0\nmeasure 0 -> again\n")
-    monkeypatch.setattr(type(kernel), "rewind", None)  # never called
+    monkeypatch.setattr(type(kernel), "is_collapse", None)  # never called
     trial, seen = sampler(c, kernel, "permissive"), set()
     for i in range(16):
         result = trial(SplitMix64(stream_seed(2, i)))

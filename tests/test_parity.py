@@ -29,6 +29,8 @@ from pathlib import Path
 import pytest
 
 from conftest import REPO
+from rwsim import pathsum, stabilizer, statevector
+from rwsim.circuit import InputError, _check_runs, parse_circuit
 from rwsim.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -57,13 +59,17 @@ COMMANDS = {
         "rewind_retry.qc", "sv", "--trials", "20", "--seed", "3", "--mode", "permissive"
     ),
     "retry-stab": _sim("rewind_retry.qc", "stab", "--trials", "60", "--seed", "3"),
+    "retry-pathsum": _sim("rewind_retry.qc", "pathsum"),
     "wide-stab": _sim("wide_retry.qc", "stab", "--trials", "4", "--seed", "12"),
+    "wide-pathsum": _sim("wide_retry.qc", "pathsum"),
     "clone-sv": _sim("clone_retry.qc", "sv", "--trials", "40", "--seed", "13"),
+    "clone-pathsum": _sim("clone_retry.qc", "pathsum"),
     "feedforward-sv": _sim("feedforward.qc", "sv", "--trials", "40", "--seed", "15"),
+    "feedforward-pathsum": _sim("feedforward.qc", "pathsum"),
     "tgate-sv": _sim("t-gate.qc", "sv", "--trials", "40", "--seed", "4"),
     "tgate-pathsum": _sim("t-gate.qc", "pathsum"),
     "phase-sv": _sim("phase_permute.qc", "sv", "--trials", "40", "--seed", "14"),
-    "phase-pathsum": _sim("phase_permute_body.qc", "pathsum"),
+    "phase-pathsum": _sim("phase_permute.qc", "pathsum"),
     "pp": ["demo", "pp", "--n", "2", "--trials", "3", "--seed", "5"],
     "collision-toy": [
         "demo", "collision", "--family", "toy", "--bits", "4", "--trials", "20", "--seed", "6",
@@ -143,6 +149,23 @@ def differences(golden: str, got: str) -> list[str]:
 def test_report_matches_golden(name):
     golden = (GOLDEN / f"{name}.txt").read_text()
     assert differences(golden, report(COMMANDS[name])) == []
+
+
+def test_every_circuit_has_a_command_on_every_backend_that_runs_it(monkeypatch):
+    monkeypatch.delenv("RWSIM_MAX_QUBITS", raising=False)
+    kernels = (statevector.KERNEL, stabilizer.KERNEL, pathsum.KERNEL)
+    pinned = {(argv[1], argv[3]) for argv in COMMANDS.values() if argv[0] == "simulate"}
+    missing = []
+    for path in sorted((REPO / "circuits").glob("*.qc")):
+        circuit = parse_circuit(path.read_text())
+        for kernel in kernels:
+            try:
+                _check_runs(circuit, kernel)
+            except InputError:
+                continue
+            if (f"circuits/{path.name}", kernel.name) not in pinned:
+                missing.append((path.name, kernel.name))
+    assert missing == []
 
 
 def test_float_lines_compare_at_relative_tolerance():

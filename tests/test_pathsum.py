@@ -7,12 +7,7 @@ import pytest
 from conftest import random_general_circuit
 from rwsim import pathsum, statevector
 from rwsim.circuit import accept_qubit, outcome_distribution, parse_circuit, strong_probability
-from rwsim.pathsum import (
-    KERNEL,
-    SizeLimitError,
-    UnsupportedInstructionError,
-    acceptance_probability,
-)
+from rwsim.pathsum import KERNEL, SizeLimitError, acceptance_probability
 from rwsim.rng import SplitMix64, stream_seed
 
 BELL = """
@@ -62,28 +57,30 @@ def test_missing_accept_rejected():
         acceptance_probability(circuit)
 
 
-def test_snapshot_rejected():
-    circuit = parse_circuit("qubits 1\ngate h 0\nsnapshot s\naccept 0\n")
-    with pytest.raises(UnsupportedInstructionError):
-        acceptance_probability(circuit)
-
-
-def test_clone_rejected():
-    circuit = parse_circuit("qubits 1\ngate h 0\nsnapshot s\nclone s\naccept 0\n")
-    with pytest.raises(UnsupportedInstructionError):
-        acceptance_probability(circuit)
-
-
-def test_rewind_rejected():
-    circuit = parse_circuit(
-        "qubits 1\ngate h 0\nsnapshot s\nmeasure 0 -> m\nrewind s if m == 1\naccept 0\n"
-    )
-    with pytest.raises(UnsupportedInstructionError):
-        acceptance_probability(circuit)
-
-
 def _dense_acceptance(circuit) -> float:
     return strong_probability(circuit, statevector.KERNEL, {accept_qubit(circuit): 1})
+
+
+def _matches_the_dense_oracle(text: str) -> None:
+    circuit = parse_circuit(text)
+    assert abs(acceptance_probability(circuit) - _dense_acceptance(circuit)) <= 1e-12
+
+
+def test_snapshot_matches_the_dense_oracle():
+    _matches_the_dense_oracle("qubits 1\ngate h 0\nsnapshot s\naccept 0\n")
+
+
+def test_clone_matches_the_dense_oracle():
+    _matches_the_dense_oracle(
+        "qubits 1\ngate h 0\nsnapshot s\ngate s 0\nclone s\ngate h 0\naccept 0\n"
+    )
+
+
+def test_rewind_matches_the_dense_oracle():
+    _matches_the_dense_oracle(
+        "qubits 1\ngate h 0\nsnapshot s\nmeasure 0 -> m\nrewind s if m == 1\n"
+        "measure 0 -> r if m == 1\naccept 0\n"
+    )
 
 
 def _hadamards(k: int) -> str:

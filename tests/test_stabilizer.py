@@ -12,7 +12,6 @@ from rwsim.circuit import (
     GateOp,
     InvalidPostselectionError,
     PostselectThresholdError,
-    SnapshotRegistry,
     outcome_distribution,
     parse_circuit,
     sampler,
@@ -31,7 +30,6 @@ from rwsim.stabilizer import (
     stab_apply,
     stab_init,
     stab_measure,
-    stab_rewind,
 )
 from rwsim.statevector import apply_gate, init, prob_of_bit
 
@@ -111,13 +109,13 @@ def test_random_measurement_collapses_to_deterministic():
 
 
 def test_snapshot_rewind_strict_accepts_collapse():
-    registry = SnapshotRegistry()
     tab = stab_apply(stab_init(2), H, (0,))
     tab = stab_apply(tab, CZ, (0, 1))
     tab = stab_apply(tab, H, (1,))
-    registry.store("s", tab.copy())
+    stored = tab.copy()
     _, _, collapsed = stab_measure(tab.copy(), 0, SplitMix64(8))
-    restored = stab_rewind(collapsed, registry, "s")
+    assert KERNEL.is_collapse(stored, collapsed)
+    restored = KERNEL.keep(stored)
     dist_a = {}
     dist_b = {}
     for qubit in (0, 1):
@@ -128,17 +126,19 @@ def test_snapshot_rewind_strict_accepts_collapse():
 
 def test_snapshot_rewind_strict_refuses_foreign_state():
     # |11> is not a one-outcome collapse of |+>|0>, so strict mode must refuse.
-    registry = SnapshotRegistry()
     tab = stab_apply(stab_init(2), H, (0,))
-    registry.store("s", tab.copy())
     foreign = stab_apply(stab_apply(stab_init(2), X, (0,)), X, (1,))
-    with pytest.raises(RewindConsistencyError):
-        stab_rewind(foreign, registry, "s")
+    assert not KERNEL.is_collapse(tab, foreign)
+    c = parse_circuit("qubits 2\ngate h 0\nsnapshot s\ngate h 0\ngate x 0\ngate x 1\nrewind s\n")
+    with pytest.raises(RewindConsistencyError, match="^state is not a one-outcome collapse"):
+        sampler(c, KERNEL)(SplitMix64(0))
 
 
 def test_rewind_unknown_label():
+    # m is always 0, so the snapshot is never stored
+    c = parse_circuit("qubits 1\nmeasure 0 -> m\nsnapshot s if m == 1\nrewind s\n")
     with pytest.raises(UnknownSnapshotError):
-        stab_rewind(stab_init(1), SnapshotRegistry(), "nope")
+        sampler(c, KERNEL)(SplitMix64(0))
 
 
 RETRY = """
@@ -391,13 +391,7 @@ KERNELS = (stabilizer.KERNEL, statevector.KERNEL)
 
 
 def _accepts(kernel, post, stored) -> bool:
-    registry = SnapshotRegistry()
-    registry.store("s", stored)
-    try:
-        kernel.rewind(post, registry, "s")
-    except RewindConsistencyError:
-        return False
-    return True
+    return kernel.is_collapse(stored, post)
 
 
 def _collapse(kernel, state, qubit, bit):

@@ -7,8 +7,10 @@ this changes nothing a run can see.  Random circuits run through
 ``sampler(c, statevector.KERNEL)`` and through a reference walk that calls
 the module-level ``apply_gate``, ``measure``, ``postselect`` and ``rewind``
 on full vectors; records, branch probabilities, final amplitudes and every
-refusal must agree.  A last test pins what the split saves: a trial on a
-wide state allocates no full-width copy.
+refusal must agree.  The path-sum kernel runs the same circuits, and its
+samplers and exact oracles must agree with the dense kernel's too.  A last
+test pins what the split saves: a trial on a wide state allocates no
+full-width copy.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import GENERAL_POOL, _gate_line
+from conftest import GENERAL_POOL, REPO, _gate_line
 from rwsim import pathsum, statevector
 from rwsim.circuit import (
     Clone,
@@ -46,6 +48,11 @@ TOL = 1e-12
 CASES = 80
 TRIALS = 4  # seeded trials per circuit and mode, all from one sampler
 REFUSALS = (RewindConsistencyError, InvalidPostselectionError, PostselectThresholdError)
+# the shipped circuits within the dense kernel's default width cap
+SHIPPED = [
+    path.name for path in sorted((REPO / "circuits").glob("*.qc"))
+    if parse_circuit(path.read_text()).n_qubits <= 20
+]
 
 
 def _random_circuit(rng: SplitMix64, rewinds: bool = True) -> str:
@@ -168,17 +175,70 @@ def test_sampled_runs_match_the_dense_walk(case):
             _assert_same_run(got, want, (text, mode, min_prob, i))
 
 
+def _dense_amplitudes(amps: dict, n: int) -> np.ndarray:
+    """A path-sum map (qubit q is bit q) as a dense vector (qubit 0 first)."""
+    out = np.zeros(1 << n, dtype=complex)
+    for key, amp in amps.items():
+        out[sum(1 << (n - 1 - q) for q in range(n) if key >> q & 1)] = amp
+    return out
+
+
+def _sample_alike(c, seeds, context, min_prob: float = 0.0) -> None:
+    """Seeded runs of ``c`` on the dense kernel and on the path sum, in both
+    modes, must give the same records, accept bits, rewind counts and final
+    states, or the same refusal."""
+    for mode in ("strict", "permissive"):
+        trials = [
+            sampler(c, kernel, mode, min_postselect_prob=min_prob)
+            for kernel in (statevector.KERNEL, pathsum.KERNEL)
+        ]
+        for seed in seeds:
+            dense, paths = (_outcome(lambda: trial(SplitMix64(seed))) for trial in trials)
+            where = (context, mode, seed)
+            if isinstance(dense, tuple) or isinstance(paths, tuple):
+                assert paths == dense, where
+                continue
+            assert [e[:2] for e in paths.record.entries] == [e[:2] for e in dense.record.entries]
+            assert np.allclose([e[2] for e in paths.record.entries],
+                               [e[2] for e in dense.record.entries], rtol=0.0, atol=TOL), where
+            assert (paths.accept_bit, paths.rewinds_used) == (dense.accept_bit, dense.rewinds_used)
+            got = _dense_amplitudes(paths.final_state, c.n_qubits)
+            assert np.allclose(got, dense.final_state.amps, rtol=0.0, atol=TOL), where
+
+
+@pytest.mark.parametrize("case", range(CASES))
+def test_path_sum_samples_as_the_dense_kernel(case):
+    rng = SplitMix64(stream_seed(0x5F3, case))
+    text = _random_circuit(rng)
+    min_prob = (0.0, 0.3, 0.6)[rng.randrange(3)]
+    seeds = [stream_seed(case, i) for i in range(TRIALS)]
+    _sample_alike(parse_circuit(text), seeds, (text, min_prob), min_prob)
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_path_sum_samples_the_shipped_circuits_as_the_dense_kernel(name):
+    c = parse_circuit((REPO / "circuits" / name).read_text())
+    _sample_alike(c, [stream_seed(0x5F5, i) for i in range(100)], name)
+
+
 @pytest.mark.parametrize("case", range(CASES))
 def test_exact_oracles_match_the_path_sum(case):
-    text = _random_circuit(SplitMix64(stream_seed(0x5F2, case)), rewinds=False)
-    c = parse_circuit(text)
-    got = outcome_distribution(c, statevector.KERNEL)
-    want = outcome_distribution(c, pathsum.KERNEL)
-    assert got.keys() == want.keys(), text
-    for key, weight in want.items():
-        assert abs(got[key] - weight) <= TOL, (text, key)
-    accepts = strong_probability(c, statevector.KERNEL, {accept_qubit(c): 1})
-    assert abs(accepts - pathsum.acceptance_probability(c)) <= TOL, text
+    # a circuit without rewinds, which neither kernel refuses, then one with
+    for stream, rewinds in ((0x5F2, False), (0x5F4, True)):
+        text = _random_circuit(SplitMix64(stream_seed(stream, case)), rewinds)
+        c = parse_circuit(text)
+        got, want = (
+            _outcome(lambda: outcome_distribution(c, kernel))
+            for kernel in (statevector.KERNEL, pathsum.KERNEL)
+        )
+        if isinstance(got, tuple) or isinstance(want, tuple):
+            assert got == want, text
+            continue
+        assert got.keys() == want.keys(), text
+        for key, weight in want.items():
+            assert abs(got[key] - weight) <= TOL, (text, key)
+        accepts = strong_probability(c, statevector.KERNEL, {accept_qubit(c): 1})
+        assert abs(accepts - pathsum.acceptance_probability(c)) <= TOL, text
 
 
 def _same_refusal(text: str, mode: str = "strict", min_prob: float = 0.0, seeds=range(8)):
