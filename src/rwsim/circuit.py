@@ -27,12 +27,12 @@ measurement labels.  Spaces or tabs separate the tokens of a line, the
 
 The one interpreter of the IR lives here too.  It runs a circuit over a
 backend :class:`Kernel` and owns all that is not quantum arithmetic:
-conditionals, the record, snapshots, rewind counting, ``max_rewinds``, the
-rewind mode, strict rewind's refusal (the kernel only answers whether a
-state is a one-outcome collapse of the snapshot), ``postselect`` (a
-kernel's ``prob`` then its ``collapse``), ``min_postselect_prob``, the
-measurement draw (:func:`draw_bit`) and ``clone``, which continues from the
-stored snapshot on every backend, as every rewind does once it is allowed.
+conditionals, the record, snapshots, ``rewind`` (the paper's strict rewind:
+refused unless the kernel certifies the state as a one-outcome collapse of
+the snapshot, then continued from the snapshot), ``clone`` (the same
+restore, unchecked), ``postselect`` (a kernel's ``prob`` then its
+``collapse``), ``min_postselect_prob`` and the measurement draw
+(:func:`draw_bit`).
 Every kernel runs every instruction.  Its one loop samples a path
 (:func:`sampler`) or enumerates all branches (:func:`enumerate_branches`),
 which the exact oracles :func:`outcome_distribution` and
@@ -89,10 +89,6 @@ class RewindConsistencyError(ValueError):
 
 class UnknownSnapshotError(KeyError):
     """Rewind/clone referenced a label the registry has never seen."""
-
-
-class RewindBudgetError(RuntimeError):
-    """A run used more rewinds than its budget allows."""
 
 
 class InvalidPostselectionError(ValueError):
@@ -210,9 +206,6 @@ class MeasurementRecord:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def outcome_string(self) -> str:
-        return "".join(str(b) for _, b, _ in self.entries)
 
     def copy(self) -> "MeasurementRecord":
         out = MeasurementRecord()
@@ -513,14 +506,9 @@ class SnapshotRegistry:
         out._entries = dict(self._entries)
         return out
 
-    def __contains__(self, label: str) -> bool:
-        return label in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
 
 EMPTY_PROB = 1e-30  # an outcome of probability at most this is an empty branch
+REWIND_TOL = 1e-9  # strict rewind's tolerance on the floating-point kernels
 
 
 def outcome_weight(p: float) -> float:
@@ -568,9 +556,9 @@ class Kernel:
       The default reads both weights with ``prob``, draws the bit with
       :func:`draw_bit` and collapses onto it; a fixed outcome draws too;
     * ``is_collapse(stored, state)``: is ``state`` the snapshot ``stored``
-      collapsed onto one outcome of one qubit and renormalised?  A strict
-      rewind asks it, refuses a no and then continues from the snapshot
-      through ``keep``, as a permissive rewind and ``clone`` do.
+      collapsed onto one outcome of one qubit and renormalised?  The
+      interpreter asks it at every rewind, refuses a no and then continues
+      from the snapshot through ``keep``, as ``clone`` does unchecked.
     """
 
     name: str
@@ -591,15 +579,6 @@ class Kernel:
         prob = (p1 if bit else p0) / total
         return bit, prob, self.collapse(state, qubit, bit, prob * total)
 
-    def unsupported(self, circuit: Circuit) -> tuple[int, str] | None:
-        """Position and name of the first gate, taken or not, outside this
-        backend's gate set."""
-        for pc, instr in enumerate(circuit.instructions):
-            inner = instr.inner if isinstance(instr, Conditional) else instr
-            if isinstance(inner, GateOp) and inner.gate.name not in self.gates:
-                return pc, inner.gate.name
-        return None
-
 
 # ---------------------------------------------------------------------------
 # the interpreter
@@ -610,7 +589,6 @@ class RunResult:
     record: MeasurementRecord
     accept_bit: int | None
     final_state: object
-    rewinds_used: int
 
 
 @dataclass
@@ -622,13 +600,12 @@ class _Branch:
     record: MeasurementRecord
     registry: SnapshotRegistry = field(default_factory=SnapshotRegistry)
     pc: int = 0
-    rewinds: int = 0
     depth: int = 0  # measurements so far with two live outcomes
 
     def copy(self) -> "_Branch":
         return _Branch(
             self.state, self.weight, self.record.copy(), self.registry.copy(),
-            self.pc, self.rewinds, self.depth,
+            self.pc, self.depth,
         )
 
 
@@ -637,12 +614,15 @@ _SAMPLE, _ENUMERATE = "sample", "enumerate"
 
 def _check_runs(circuit: Circuit, kernel: Kernel) -> None:
     """Refuse a circuit that ``kernel`` cannot run: one over its width cap,
-    or one with a gate outside its set, named by its file and line."""
+    or one with a gate, taken or not, outside its set, named by its file and
+    line."""
     kernel.check_width(circuit.n_qubits)
-    found = kernel.unsupported(circuit)
-    if found is not None:
-        pc, name = found
-        raise GateSetError(f"{_at(circuit, pc)}backend {kernel.name} cannot run gate {name}")
+    for pc, instr in enumerate(circuit.instructions):
+        inner = instr.inner if isinstance(instr, Conditional) else instr
+        if isinstance(inner, GateOp) and inner.gate.name not in kernel.gates:
+            raise GateSetError(
+                f"{_at(circuit, pc)}backend {kernel.name} cannot run gate {inner.gate.name}"
+            )
 
 
 def _start(circuit: Circuit, kernel: Kernel) -> _Branch:
@@ -656,8 +636,6 @@ def _interpret(
     start: _Branch,
     stop: int,
     rng=None,
-    mode: str = "strict",
-    max_rewinds: int | None = None,
     min_postselect_prob: float = 0.0,
 ) -> list[_Branch]:
     """The one walk over the IR: runs ``start``, and every branch it forks,
@@ -718,18 +696,10 @@ def _interpret(
             elif isinstance(instr, Snapshot):
                 b.registry.store(instr.label, kernel.keep(b.state))
             elif isinstance(instr, (Rewind, Clone)):
-                label = instr.label
-                rewind = isinstance(instr, Rewind)
-                if rewind:
-                    b.rewinds += 1
-                    if max_rewinds is not None and b.rewinds > max_rewinds:
-                        raise RewindBudgetError(
-                            f"rewind budget {max_rewinds} exhausted at label {label!r}"
-                        )
-                stored = b.registry.state(label)
-                if rewind and mode == "strict" and not kernel.is_collapse(stored, b.state):
+                stored = b.registry.state(instr.label)
+                if isinstance(instr, Rewind) and not kernel.is_collapse(stored, b.state):
                     raise RewindConsistencyError(
-                        f"state is not a one-outcome collapse of snapshot {label!r}"
+                        f"state is not a one-outcome collapse of snapshot {instr.label!r}"
                     )
                 b.state = kernel.keep(stored)
             # Accept is read once the walk ends.
@@ -750,8 +720,6 @@ def _first_draw(circuit: Circuit) -> int:
 def sampler(
     circuit: Circuit,
     kernel: Kernel,
-    mode: str = "strict",
-    max_rewinds: int | None = None,
     min_postselect_prob: float = 0.0,
 ) -> Callable[[object], RunResult]:
     """A function ``rng -> RunResult`` that runs ``circuit`` once on ``kernel``
@@ -760,40 +728,40 @@ def sampler(
     A circuit checks itself when it is built; building a sampler refuses
     one that ``kernel`` cannot run or that is over its width cap.  The
     instructions before the first one that reads the RNG or the record are
-    the same in every trial, so the first call runs them and keeps the branch they leave: position, state,
-    snapshots and rewinds used.  Each call continues from a copy of that
-    branch, its state taken through :meth:`Kernel.keep`, and draws what a run
-    from |0...0> draws.  If the prefix raises, nothing is kept, so every call
-    raises that error.  The accept qubit, if any, is measured last.
+    the same in every trial, so the first call runs them and keeps the
+    branch they leave: position, state and snapshots.  Each call continues
+    from a copy of that branch, its state taken through :meth:`Kernel.keep`,
+    and draws what a run from |0...0> draws.  If the prefix raises, nothing
+    is kept, so every call raises that error.  The accept qubit, if any, is
+    measured last.
 
-    ``mode`` is ``"strict"`` (each rewind is refused unless
-    :meth:`Kernel.is_collapse` certifies it) or ``"permissive"``; another
-    mode, or a ``min_postselect_prob`` outside [0, 1], is refused with
+    Each rewind is refused unless :meth:`Kernel.is_collapse` certifies it.
+    A ``min_postselect_prob`` outside [0, 1] is refused with
     :class:`InputError`.
     """
-    if mode not in ("strict", "permissive"):
-        raise InputError(f"unknown rewind mode {mode!r}")
     if not 0.0 <= min_postselect_prob <= 1.0:
         raise InputError(f"min_postselect_prob must lie in [0, 1], got {min_postselect_prob!r}")
     _check_runs(circuit, kernel)
     prefix_end, end = _first_draw(circuit), len(circuit.instructions)
     accept = accept_qubit(circuit)
-    options = dict(mode=mode, max_rewinds=max_rewinds, min_postselect_prob=min_postselect_prob)
     prefix: _Branch | None = None
 
     def trial(rng) -> RunResult:
         nonlocal prefix
         if prefix is None:
             (prefix,) = _interpret(
-                circuit, kernel, _SAMPLE, _start(circuit, kernel), prefix_end, **options
+                circuit, kernel, _SAMPLE, _start(circuit, kernel), prefix_end,
+                min_postselect_prob=min_postselect_prob,
             )
         b = prefix.copy()
         b.state = kernel.keep(prefix.state)
-        (b,) = _interpret(circuit, kernel, _SAMPLE, b, end, rng, **options)
+        (b,) = _interpret(
+            circuit, kernel, _SAMPLE, b, end, rng, min_postselect_prob=min_postselect_prob
+        )
         accept_bit = None
         if accept is not None:
             accept_bit, _, b.state = kernel.measure(b.state, accept, rng)
-        return RunResult(b.record, accept_bit, b.state, b.rewinds)
+        return RunResult(b.record, accept_bit, b.state)
 
     return trial
 
@@ -804,7 +772,7 @@ def enumerate_branches(circuit: Circuit, kernel: Kernel) -> list[tuple[str, obje
     Branches come in depth-first order, outcome 0 before outcome 1.  A weight
     is the product of the branch's measurement probabilities, in the kernel's
     weight type; postselection renormalises within a branch and drops it when
-    impossible.  Rewinds are certified in strict mode, as when sampling.
+    impossible.  Rewinds are certified, as when sampling.
     ``kernel.max_depth`` bounds the number of measurements with two live
     outcomes.  A circuit that ``kernel`` cannot run, or one over its width
     cap, is refused before the walk starts.

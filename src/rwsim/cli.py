@@ -5,7 +5,8 @@ Subcommands
 ``simulate <file> --backend sv|stab|pathsum``
     Run a circuit file: the sampling backends (sv, stab) draw seeded trials,
     the path-sum backend prints exact probabilities and refuses the sampling
-    flags ``--trials``, ``--mode`` and ``--min-postselect-prob``.
+    flags ``--trials`` and ``--min-postselect-prob``.  Every ``rewind`` is
+    the paper's strict rewind; ``clone`` is the unchecked restore.
 
 ``demo pp|collision|sd|mbqc|mitigate``
     Seeded protocol demonstrations with built-in assertions.
@@ -133,9 +134,9 @@ def _trial_records(build, args, trials: int, seed: int, jobs: int) -> list[str]:
 
 
 def _build_simulate(args):
-    circuit, backend, mode, min_prob = args
+    circuit, backend, min_prob = args
     kernel = {"sv": statevector, "stab": stabilizer, "pathsum": pathsum}[backend].KERNEL
-    trial = sampler(circuit, kernel, mode, min_postselect_prob=min_prob)
+    trial = sampler(circuit, kernel, min_postselect_prob=min_prob)
 
     def one(rng: SplitMix64) -> str:
         result = trial(rng)
@@ -257,7 +258,7 @@ def _numbered(path: str, what: str) -> Iterator[tuple[str, str]]:
 
 # the sampling flags of ``simulate``, which the exact path-sum backend refuses,
 # and their defaults on the sampling backends
-_SAMPLING_FLAGS = {"trials": 100, "mode": "strict", "min_postselect_prob": 0.0}
+_SAMPLING_FLAGS = {"trials": 100, "min_postselect_prob": 0.0}
 
 
 def cmd_simulate(ns) -> tuple[list, bool]:
@@ -270,8 +271,6 @@ def cmd_simulate(ns) -> tuple[list, bool]:
             setattr(ns, name, default)
     circuit = parse_circuit(_read(ns.circuit, "circuit"), name=ns.circuit)
     echo = f"simulate {ns.circuit} --backend {ns.backend} --trials {ns.trials} --seed {ns.seed}"
-    if ns.mode != _SAMPLING_FLAGS["mode"]:
-        echo += f" --mode {ns.mode}"
     if ns.min_postselect_prob != _SAMPLING_FLAGS["min_postselect_prob"]:
         echo += f" --min-postselect-prob {ns.min_postselect_prob!r}"
     lines: list = [
@@ -291,7 +290,7 @@ def cmd_simulate(ns) -> tuple[list, bool]:
     lines += [("trials", ns.trials), ("seed", ns.seed)]
     records = _trial_records(
         _build_simulate,
-        (circuit, ns.backend, ns.mode, ns.min_postselect_prob),
+        (circuit, ns.backend, ns.min_postselect_prob),
         ns.trials,
         ns.seed,
         ns.jobs,
@@ -615,7 +614,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--backend", choices=("sv", "stab", "pathsum"), default="sv")
     # sampling flags, None unless given (see _SAMPLING_FLAGS)
     sim.add_argument("--trials", type=int)
-    sim.add_argument("--mode", choices=("strict", "permissive"))
     sim.add_argument(
         "--min-postselect-prob",
         type=float,

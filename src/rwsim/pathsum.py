@@ -54,6 +54,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .circuit import (
+    EMPTY_PROB,
+    REWIND_TOL,
     Circuit,
     CircuitValidationError,
     GateOp,
@@ -65,7 +67,6 @@ from .circuit import (
 )
 
 MAX_AMPLITUDES = 1 << 20
-_TOL = 1e-9  # strict rewind's tolerance, as on the dense kernel
 
 
 class SizeLimitError(InputError):
@@ -124,16 +125,16 @@ def _collapse_matches(stored: AmplitudeMap, post: AmplitudeMap, qubit: int) -> b
     mask = 1 << qubit
     for bit in (0, 1):
         want = bit << qubit
-        if _weight(post, mask, want ^ mask) > _TOL:
+        if _weight(post, mask, want ^ mask) > REWIND_TOL:
             continue
         norm_sq = _weight(stored, mask, want)
-        if norm_sq <= 1e-30:
+        if norm_sq <= EMPTY_PROB:
             continue
         overlap = abs(sum(
             amp.conjugate() * stored.get(key, 0.0)
             for key, amp in post.items() if key & mask == want
         ))
-        if 1.0 - overlap / norm_sq ** 0.5 <= _TOL:
+        if 1.0 - overlap / norm_sq ** 0.5 <= REWIND_TOL:
             return True
     return False
 

@@ -43,8 +43,8 @@ Conventions
   candidates checked first are the qubits fixed over the support of the
   rewound state but not over that of the snapshot; only if none matches are
   the other qubits checked, so the answer is that of checking every qubit.
-  Under the interpreter, which owns strict rewind's refusal and the
-  permissive mode, the kernel answers only ``is_collapse``.
+  Under the interpreter, which owns strict rewind's refusal, the kernel
+  answers only ``is_collapse``.
 * :meth:`Reading.retry` is the protocols' rewind-and-retry step: measure
   one qubit until it reads a wanted bit, undoing each miss with a strict
   rewind.  A :class:`Reading` computes the outcome weights, the collapsed
@@ -77,12 +77,12 @@ import numpy as np
 
 from .circuit import (  # the shared error and registry names are re-exported
     EMPTY_PROB,
+    REWIND_TOL,
     GateOp,
     InvalidPostselectionError,
     Kernel,
     PostselectThresholdError,
     QubitBudgetError,
-    RewindBudgetError,
     RewindConsistencyError,
     SnapshotRegistry,
     UnknownSnapshotError,
@@ -339,7 +339,7 @@ def _slice_matches(stored_slice: np.ndarray, post_slice: np.ndarray, tol: float)
     """Is ``post_slice`` the nonempty ``stored_slice`` renormalised, up to
     global phase: |<post| P |stored>| = ||P stored||?"""
     norm_sq = float(np.sum(np.abs(stored_slice) ** 2))
-    if norm_sq <= 1e-30:
+    if norm_sq <= EMPTY_PROB:
         return False
     overlap = abs(np.vdot(post_slice, stored_slice))
     return 1.0 - overlap / math.sqrt(norm_sq) <= tol
@@ -395,7 +395,7 @@ def rewind(post_state: PureState, registry: SnapshotRegistry, label: str) -> Pur
     stored = registry.state(label)
     if post_state.n != stored.n:
         raise RewindConsistencyError("qubit count differs from the snapshot")
-    if not _is_collapse_of(stored, post_state, 1e-9):
+    if not _is_collapse_of(stored, post_state, REWIND_TOL):
         raise RewindConsistencyError(
             f"state is not a one-outcome collapse of snapshot {label!r}"
         )
@@ -598,7 +598,8 @@ class _StateVectorKernel(Kernel):
         return _KernelState(state.n, core, {**state.fixed, qubit: bit})
 
     def is_collapse(self, stored: _KernelState, state: _KernelState) -> bool:
-        return _certified_on_cores(stored, state, 1e-9) or _is_collapse_of(stored, state, 1e-9)
+        return (_certified_on_cores(stored, state, REWIND_TOL)
+                or _is_collapse_of(stored, state, REWIND_TOL))
 
 
 KERNEL = _StateVectorKernel()

@@ -4,7 +4,7 @@ checkout paths and environment for tests that start ``python -m rwsim``.
 Circuits are generated as source text so every comparison also exercises the
 parser.  Rewinds are only emitted in self-consistent retry blocks (snapshot,
 one measurement, conditional rewind, conditional re-measurement) so that
-strict-mode rewinding always succeeds and the exact enumerators agree with
+strict rewinding always succeeds and the exact enumerators agree with
 sampling semantics.
 """
 

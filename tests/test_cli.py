@@ -22,7 +22,6 @@ from rwsim.circuit import (
     PostselectThresholdError,
     QubitBudgetError,
     RecordError,
-    RewindBudgetError,
     RewindConsistencyError,
     accept_qubit,
     outcome_distribution,
@@ -122,7 +121,7 @@ def test_simulate_jobs_do_not_change_the_report(capsys):
     ids=["sv", "stab", "pathsum"],
 )
 def test_simulate_parses_its_circuit_once(monkeypatch, capsys, argv):
-    calls = {"parse": 0, "validate": 0, "unsupported": 0}
+    calls = {"parse": 0, "validate": 0, "check_runs": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -132,18 +131,21 @@ def test_simulate_parses_its_circuit_once(monkeypatch, capsys, argv):
 
     monkeypatch.setattr("rwsim.cli.parse_circuit", counting("parse", parse_circuit))
     monkeypatch.setattr(ir, "validate", counting("validate", ir.validate))
-    monkeypatch.setattr(ir.Kernel, "unsupported", counting("unsupported", ir.Kernel.unsupported))
+    monkeypatch.setattr(ir, "_check_runs", counting("check_runs", ir._check_runs))
     circuit = BELL if "pathsum" in argv else RETRY
     assert run(capsys, ["simulate", circuit, *argv])[0] == 0
-    assert calls == {"parse": 1, "validate": 1, "unsupported": 1}
+    assert calls == {"parse": 1, "validate": 1, "check_runs": 1}
 
 
 @pytest.mark.parametrize(
     "backend, source, message",
     [
         ("stab", Path(TGATE).read_text(), "line 4: backend stab cannot run gate rz"),
+        # a gate is refused even on a branch no run takes
+        ("stab", "qubits 1\nmeasure 0 -> m\ngate rz 0.5 0 if m == 1\n",
+         "line 3: backend stab cannot run gate rz"),
     ],
-    ids=["stab-rz"],
+    ids=["stab-rz", "stab-conditional-rz"],
 )
 def test_simulate_backend_refusals_name_the_file_and_line(
     tmp_path, capsys, backend, source, message
@@ -172,11 +174,10 @@ def test_simulate_pathsum_runs_snapshot_and_rewind(capsys):
     "flags, echoed",
     [
         ([], ""),
-        (["--mode", "strict", "--min-postselect-prob", "0"], ""),
-        (["--mode", "permissive"], " --mode permissive"),
+        (["--min-postselect-prob", "0"], ""),
         (["--min-postselect-prob", "0.25"], " --min-postselect-prob 0.25"),
     ],
-    ids=["defaults", "defaults-given", "mode", "min-postselect-prob"],
+    ids=["defaults", "defaults-given", "min-postselect-prob"],
 )
 def test_simulate_echoes_the_flags_that_change_the_report(capsys, flags, echoed):
     argv = ["simulate", RETRY, "--trials", "20", "--seed", "3", *flags]
@@ -211,16 +212,24 @@ def test_simulate_stab_runs_a_conditional_postselect(tmp_path, capsys):
     "flags, named",
     [
         (["--trials", "0"], "--trials"),
-        (["--mode", "strict"], "--mode"),
         (["--min-postselect-prob", "nan"], "--min-postselect-prob"),
-        (["--trials", "5", "--mode", "permissive"], "--trials, --mode"),
+        (["--trials", "5", "--min-postselect-prob", "0"], "--trials, --min-postselect-prob"),
     ],
-    ids=["trials", "mode", "min-postselect-prob", "two"],
+    ids=["trials", "min-postselect-prob", "two"],
 )
 def test_simulate_pathsum_refuses_the_sampling_flags(capsys, flags, named):
     code, out, err = run(capsys, ["simulate", POSTSELECT, "--backend", "pathsum", *flags])
     assert (code, out) == (2, "")
     assert err == f"error: backend pathsum is exact and takes no {named}\n"
+
+
+@pytest.mark.parametrize("mode", ["strict", "permissive"])
+def test_simulate_has_no_rewind_mode_flag(capsys, mode):
+    # every rewind is strict; an unchecked restore is written as clone
+    with pytest.raises(SystemExit) as info:
+        main(["simulate", RETRY, "--mode", mode])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: --mode {mode}" in capsys.readouterr().err
 
 
 def test_simulate_pathsum_without_accept_exits_2(tmp_path, capsys):
@@ -314,7 +323,6 @@ def test_simulate_pathsum_over_the_amplitude_cap_exits_2(
         (QubitBudgetError("bad"), 2),
         (pathsum.SizeLimitError("bad"), 2),
         (RewindConsistencyError("bad"), 1),
-        (RewindBudgetError("bad"), 1),
         (InvalidPostselectionError("bad"), 1),
         (PostselectThresholdError("bad"), 1),
         (DepthLimitError("bad"), 1),

@@ -9,8 +9,7 @@ rewrites behind that theorem are exact identities on the backends here:
     distribution and the acceptance unchanged once the inserted label is
     summed out.  A rewind after two random one-qubit collapses is refused;
 (b) cloning is a copy: ``snapshot L; <gates>; clone L`` equals the circuit
-    without those gates, and a permissive ``rewind L`` reads the same records
-    as ``clone L``;
+    without those gates;
 (c) adaptive postselection is rewinding until success: a k-try retry block in
     place of ``postselect q = b`` succeeds with probability 1 - (1 - p)^k, and
     given success it accepts as the postselected circuit does.
@@ -115,11 +114,11 @@ def _acceptance(circuit) -> float:
     return strong_probability(circuit, SV, {accept_qubit(circuit): 1})
 
 
-def _records(kernel, circuit, master: int, **kwargs):
+def _records(kernel, circuit, master: int):
     """(bits, accept bit, final state) of seeded runs of one sampler on
     ``kernel``; ``("refused", None, None)`` for a run stopped by an
     impossible postselection."""
-    out, trial = [], sampler(circuit, kernel, **kwargs)
+    out, trial = [], sampler(circuit, kernel)
     for i in range(SAMPLES):
         try:
             r = trial(SplitMix64(stream_seed(master, i)))
@@ -215,22 +214,18 @@ def test_rewind_after_two_collapses_is_refused():
 # (b) cloning is a copy
 
 
-def _clone_forms(rng: SplitMix64, lines: list[str], pool) -> tuple[list[str], list[str]]:
-    """``snapshot L; <gates>; clone L`` and the same with ``rewind L``."""
+def _clone_form(rng: SplitMix64, lines: list[str], pool) -> list[str]:
+    """``lines`` with ``snapshot L; <gates>; clone L`` inserted."""
     pos = _position(rng, lines)
     gates = [_gate_line(rng, _width(lines), pool, None)[0] for _ in range(1 + rng.randrange(3))]
-    forms = []
-    for restore in ("clone", "rewind"):
-        block = [f"snapshot {SNAP}", *gates, f"{restore} {SNAP}"]
-        forms.append(lines[:pos] + block + lines[pos:])
-    return forms[0], forms[1]
+    return lines[:pos] + [f"snapshot {SNAP}", *gates, f"clone {SNAP}"] + lines[pos:]
 
 
 def test_clone_is_a_copy_on_the_dense_backend():
     for seed in range(24):
         rng, lines = _general(seed)
-        cloned_lines, rewound_lines = _clone_forms(rng, lines, GENERAL_POOL)
-        base, cloned, rewound = _parse(lines), _parse(cloned_lines), _parse(rewound_lines)
+        cloned_lines = _clone_form(rng, lines, GENERAL_POOL)
+        base, cloned = _parse(lines), _parse(cloned_lines)
         context = "\n".join(cloned_lines)
         assert abs(
             _acceptance(cloned) - _acceptance(base)
@@ -245,16 +240,13 @@ def test_clone_is_a_copy_on_the_dense_backend():
             )
             want = _records(kernel, base, seed)
             _assert_same_records(_records(kernel, cloned, seed), want, context)
-            _assert_same_records(
-                _records(kernel, rewound, seed, mode="permissive"), want, context
-            )
 
 
 def test_clone_is_a_copy_on_clifford_circuits():
     for seed in range(24):
         rng, lines = _clifford(seed)
-        cloned_lines, rewound_lines = _clone_forms(rng, lines, CLIFFORD_POOL)
-        base, cloned, rewound = _parse(lines), _parse(cloned_lines), _parse(rewound_lines)
+        cloned_lines = _clone_form(rng, lines, CLIFFORD_POOL)
+        base, cloned = _parse(lines), _parse(cloned_lines)
         assert outcome_distribution(cloned, STAB) == outcome_distribution(
             base, STAB
         ), cloned_lines
@@ -266,9 +258,6 @@ def test_clone_is_a_copy_on_clifford_circuits():
         for kernel in (SV, STAB, PS):
             want = _records(kernel, base, seed)
             _assert_same_records(_records(kernel, cloned, seed), want, cloned_lines)
-            _assert_same_records(
-                _records(kernel, rewound, seed, mode="permissive"), want, cloned_lines
-            )
 
 
 # ---------------------------------------------------------------------------

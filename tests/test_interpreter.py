@@ -15,7 +15,6 @@ from rwsim.gates import H, X
 from rwsim.pathsum import SizeLimitError, acceptance_probability
 from rwsim.rng import SplitMix64, stream_seed
 from rwsim.stabilizer import stab_init
-from rwsim.statevector import RewindBudgetError
 
 KERNELS = {"sv": statevector.KERNEL, "stab": stabilizer.KERNEL, "pathsum": pathsum.KERNEL}
 
@@ -36,17 +35,6 @@ snapshot a
 measure 0 -> m
 gate h 0
 rewind a
-"""
-
-TWO_REWINDS = """
-qubits 1
-gate h 0
-snapshot a
-measure 0 -> m1
-rewind a
-measure 0 -> m2
-rewind a
-accept 0
 """
 
 
@@ -85,13 +73,6 @@ def test_acceptance_oracles_refuse_a_circuit_without_accept(oracle):
         oracle(parse_circuit("qubits 1\ngate h 0\nmeasure 0 -> m\n"))
 
 
-def test_max_rewinds_budget():
-    c = parse_circuit(TWO_REWINDS)
-    with pytest.raises(RewindBudgetError):
-        sampler(c, statevector.KERNEL, max_rewinds=1)(SplitMix64(3))
-    assert sampler(c, statevector.KERNEL, max_rewinds=2)(SplitMix64(3)).rewinds_used == 2
-
-
 @pytest.mark.parametrize("entry", sorted(ENTRIES))
 def test_pathsum_runs_a_snapshot_on_a_branch_never_taken(entry):
     # m is always 0, so the snapshot never executes
@@ -128,28 +109,6 @@ def test_a_rewind_right_after_its_snapshot_needs_a_fixed_qubit(backend):
     for entry in ENTRIES.values():
         with pytest.raises(circuit.RewindConsistencyError):
             entry(refused, kernel)
-
-
-@pytest.mark.parametrize("backend", sorted(KERNELS))
-def test_a_permissive_rewind_restores_the_snapshot_unchecked(backend, monkeypatch):
-    # back at the snapshot |+>, h leaves |0>; without the rewind it would leave |m>
-    kernel = KERNELS[backend]
-    c = parse_circuit(ROTATED_REWIND + "gate h 0\nmeasure 0 -> again\n")
-    monkeypatch.setattr(type(kernel), "is_collapse", None)  # never called
-    trial, seen = sampler(c, kernel, "permissive"), set()
-    for i in range(16):
-        result = trial(SplitMix64(stream_seed(2, i)))
-        assert (result.rewinds_used, result.record.bit("again")) == (1, 0)
-        seen.add(result.record.bit("m"))
-    assert seen == {0, 1}
-    with pytest.raises(RewindBudgetError):
-        sampler(c, kernel, "permissive", max_rewinds=0)(SplitMix64(3))
-
-
-def test_an_unknown_rewind_mode_is_refused_when_the_sampler_is_built():
-    c = parse_circuit(TWO_REWINDS)
-    with pytest.raises(circuit.InputError, match="^unknown rewind mode 'lenient'$"):
-        sampler(c, statevector.KERNEL, "lenient")
 
 
 def test_amplitude_cap_counts_one_branch(monkeypatch):

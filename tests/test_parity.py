@@ -55,9 +55,6 @@ COMMANDS = {
     ),
     "postselect-pathsum": _sim("postselect_demo.qc", "pathsum"),
     "retry-sv": _sim("rewind_retry.qc", "sv", "--trials", "60", "--seed", "3"),
-    "retry-sv-permissive": _sim(
-        "rewind_retry.qc", "sv", "--trials", "20", "--seed", "3", "--mode", "permissive"
-    ),
     "retry-stab": _sim("rewind_retry.qc", "stab", "--trials", "60", "--seed", "3"),
     "retry-pathsum": _sim("rewind_retry.qc", "pathsum"),
     "wide-stab": _sim("wide_retry.qc", "stab", "--trials", "4", "--seed", "12"),

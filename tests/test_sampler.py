@@ -18,7 +18,6 @@ from conftest import REPO, cli_env
 from rwsim import circuit, stabilizer, statevector
 from rwsim.circuit import (
     InvalidPostselectionError,
-    RewindBudgetError,
     parse_circuit,
     sampler,
 )
@@ -87,7 +86,7 @@ def test_each_trial_equals_a_fresh_run(backend, name):
     for i in range(24):
         got, want = trial(_rng(i)), sampler(c, kernel)(_rng(i))
         assert got.record.entries == want.record.entries
-        assert (got.accept_bit, got.rewinds_used) == (want.accept_bit, want.rewinds_used)
+        assert got.accept_bit == want.accept_bit
         assert _same_state(got.final_state, want.final_state)
 
 
@@ -96,16 +95,6 @@ def _raises_every_call(trial, error, message):
         with pytest.raises(error) as info:
             trial(_rng(i))
         assert str(info.value) == message
-
-
-@pytest.mark.parametrize("backend", sorted(KERNELS))
-def test_a_prefix_rewind_over_budget_raises_on_every_call(backend):
-    c = parse_circuit("qubits 2\ngate h 0\nsnapshot a\nrewind a\nrewind a\nmeasure 0 -> m\n")
-    _raises_every_call(
-        sampler(c, KERNELS[backend], max_rewinds=1), RewindBudgetError,
-        "rewind budget 1 exhausted at label 'a'",
-    )
-    assert sampler(c, KERNELS[backend], max_rewinds=2)(_rng(0)).rewinds_used == 2
 
 
 def test_an_empty_prefix_postselection_raises_on_every_call():
@@ -153,7 +142,7 @@ class _Counting(type(statevector.KERNEL)):
     """The dense kernel, counting the calls the interpreter makes."""
 
     def __init__(self):
-        self.calls = {"init": 0, "apply": 0, "measure": 0, "unsupported": 0}
+        self.calls = {"init": 0, "apply": 0, "measure": 0, "check_width": 0}
 
     def init(self, n):
         self.calls["init"] += 1
@@ -167,9 +156,9 @@ class _Counting(type(statevector.KERNEL)):
         self.calls["measure"] += 1
         return super().measure(state, qubit, rng)
 
-    def unsupported(self, c):
-        self.calls["unsupported"] += 1
-        return super().unsupported(c)
+    def check_width(self, n):
+        self.calls["check_width"] += 1
+        return super().check_width(n)
 
 
 def test_the_prefix_and_the_checks_run_once(monkeypatch):
@@ -188,7 +177,7 @@ def test_the_prefix_and_the_checks_run_once(monkeypatch):
     runs = [trial(_rng(i)) for i in range(trials)]
     assert len(validated) == 0  # the circuit checked itself when it was built
     assert kernel.calls == {"init": 1, "apply": 4 + 2 * trials, "measure": 3 * trials,
-                            "unsupported": 1}
+                            "check_width": 1}
     monkeypatch.undo()
     for i, got in enumerate(runs):
         assert got.record.entries == sampler(c, statevector.KERNEL)(_rng(i)).record.entries

@@ -125,7 +125,7 @@ def test_snapshot_rewind_strict_accepts_collapse():
 
 
 def test_snapshot_rewind_strict_refuses_foreign_state():
-    # |11> is not a one-outcome collapse of |+>|0>, so strict mode must refuse.
+    # |11> is not a one-outcome collapse of |+>|0>, so a rewind must be refused.
     tab = stab_apply(stab_init(2), H, (0,))
     foreign = stab_apply(stab_apply(stab_init(2), X, (0,)), X, (1,))
     assert not KERNEL.is_collapse(tab, foreign)

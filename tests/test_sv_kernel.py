@@ -46,7 +46,7 @@ from rwsim.rng import SplitMix64, stream_seed
 
 TOL = 1e-12
 CASES = 80
-TRIALS = 4  # seeded trials per circuit and mode, all from one sampler
+TRIALS = 4  # seeded trials per circuit, all from one sampler
 REFUSALS = (RewindConsistencyError, InvalidPostselectionError, PostselectThresholdError)
 # the shipped circuits within the dense kernel's default width cap
 SHIPPED = [
@@ -100,7 +100,7 @@ def _random_circuit(rng: SplitMix64, rewinds: bool = True) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _reference(circuit, rng: SplitMix64, mode: str, min_prob: float):
+def _reference(circuit, rng: SplitMix64, min_prob: float):
     """(record entries, accept bit, final state) of a walk over full vectors."""
     sv = statevector
     state, registry, record = sv.init(circuit.n_qubits), SnapshotRegistry(), MeasurementRecord()
@@ -119,10 +119,7 @@ def _reference(circuit, rng: SplitMix64, mode: str, min_prob: float):
         elif isinstance(instr, Snapshot):
             sv.snapshot(state, registry, instr.label)
         elif isinstance(instr, Rewind):
-            if mode == "strict":
-                state = sv.rewind(state, registry, instr.label)
-            else:
-                state = registry.state(instr.label)
+            state = sv.rewind(state, registry, instr.label)
         elif isinstance(instr, Clone):
             state = registry.state(instr.label).copy()
     accept, accept_bit = accept_qubit(circuit), None
@@ -139,14 +136,14 @@ def _outcome(run):
         return type(exc), str(exc)
 
 
-def _both_ways(c, trial, seed: int, mode: str, min_prob: float):
+def _both_ways(c, trial, seed: int, min_prob: float):
     """The outcomes of one seeded run of ``trial`` and of the reference walk."""
 
     def run():
         r = trial(SplitMix64(seed))
         return r.record.entries, r.accept_bit, r.final_state
 
-    return _outcome(run), _outcome(lambda: _reference(c, SplitMix64(seed), mode, min_prob))
+    return _outcome(run), _outcome(lambda: _reference(c, SplitMix64(seed), min_prob))
 
 
 def _assert_same_run(got, want, context) -> None:
@@ -168,11 +165,10 @@ def test_sampled_runs_match_the_dense_walk(case):
     text = _random_circuit(rng)
     c = parse_circuit(text)
     min_prob = (0.0, 0.3, 0.6)[rng.randrange(3)]
-    for mode in ("strict", "permissive"):
-        trial = sampler(c, statevector.KERNEL, mode, min_postselect_prob=min_prob)
-        for i in range(TRIALS):
-            got, want = _both_ways(c, trial, stream_seed(case, i), mode, min_prob)
-            _assert_same_run(got, want, (text, mode, min_prob, i))
+    trial = sampler(c, statevector.KERNEL, min_postselect_prob=min_prob)
+    for i in range(TRIALS):
+        got, want = _both_ways(c, trial, stream_seed(case, i), min_prob)
+        _assert_same_run(got, want, (text, min_prob, i))
 
 
 def _dense_amplitudes(amps: dict, n: int) -> np.ndarray:
@@ -184,26 +180,24 @@ def _dense_amplitudes(amps: dict, n: int) -> np.ndarray:
 
 
 def _sample_alike(c, seeds, context, min_prob: float = 0.0) -> None:
-    """Seeded runs of ``c`` on the dense kernel and on the path sum, in both
-    modes, must give the same records, accept bits, rewind counts and final
-    states, or the same refusal."""
-    for mode in ("strict", "permissive"):
-        trials = [
-            sampler(c, kernel, mode, min_postselect_prob=min_prob)
-            for kernel in (statevector.KERNEL, pathsum.KERNEL)
-        ]
-        for seed in seeds:
-            dense, paths = (_outcome(lambda: trial(SplitMix64(seed))) for trial in trials)
-            where = (context, mode, seed)
-            if isinstance(dense, tuple) or isinstance(paths, tuple):
-                assert paths == dense, where
-                continue
-            assert [e[:2] for e in paths.record.entries] == [e[:2] for e in dense.record.entries]
-            assert np.allclose([e[2] for e in paths.record.entries],
-                               [e[2] for e in dense.record.entries], rtol=0.0, atol=TOL), where
-            assert (paths.accept_bit, paths.rewinds_used) == (dense.accept_bit, dense.rewinds_used)
-            got = _dense_amplitudes(paths.final_state, c.n_qubits)
-            assert np.allclose(got, dense.final_state.amps, rtol=0.0, atol=TOL), where
+    """Seeded runs of ``c`` on the dense kernel and on the path sum must give
+    the same records, accept bits and final states, or the same refusal."""
+    trials = [
+        sampler(c, kernel, min_postselect_prob=min_prob)
+        for kernel in (statevector.KERNEL, pathsum.KERNEL)
+    ]
+    for seed in seeds:
+        dense, paths = (_outcome(lambda: trial(SplitMix64(seed))) for trial in trials)
+        where = (context, seed)
+        if isinstance(dense, tuple) or isinstance(paths, tuple):
+            assert paths == dense, where
+            continue
+        assert [e[:2] for e in paths.record.entries] == [e[:2] for e in dense.record.entries]
+        assert np.allclose([e[2] for e in paths.record.entries],
+                           [e[2] for e in dense.record.entries], rtol=0.0, atol=TOL), where
+        assert paths.accept_bit == dense.accept_bit, where
+        got = _dense_amplitudes(paths.final_state, c.n_qubits)
+        assert np.allclose(got, dense.final_state.amps, rtol=0.0, atol=TOL), where
 
 
 @pytest.mark.parametrize("case", range(CASES))
@@ -241,13 +235,13 @@ def test_exact_oracles_match_the_path_sum(case):
         assert abs(accepts - pathsum.acceptance_probability(c)) <= TOL, text
 
 
-def _same_refusal(text: str, mode: str = "strict", min_prob: float = 0.0, seeds=range(8)):
+def _same_refusal(text: str, min_prob: float = 0.0, seeds=range(8)):
     """Run ``text`` both ways; every seed must refuse, with the same error."""
     c = parse_circuit(text)
-    trial = sampler(c, statevector.KERNEL, mode, min_postselect_prob=min_prob)
+    trial = sampler(c, statevector.KERNEL, min_postselect_prob=min_prob)
     refusals = set()
     for i in seeds:
-        got, want = _both_ways(c, trial, i, mode, min_prob)
+        got, want = _both_ways(c, trial, i, min_prob)
         assert got == want and isinstance(got[0], type), (text, i)
         refusals.add(got)
     return refusals
