@@ -4,6 +4,11 @@ mitigation, acceptance-count decision, collision finding with one rewind,
 statistical-difference decision, stabilizer rewinding, and brickwork
 measurement patterns with retries.
 
+Snapshot labels belong to the circuit language (``snapshot L`` /
+``rewind L``); the exported ``rewind(stored, post_state)`` is the paper's
+rewinding operator on dense states, which returns the state from before one
+measurement given the state after it.
+
 The exported names load their module on first use (PEP 562), so importing
 the package, or running ``python -m rwsim`` on the stabilizer or path-sum
 backend, does not load NumPy."""
@@ -17,7 +22,6 @@ __version__ = "0.1.0"
 # exported name -> the module that defines it
 _EXPORTS = {
     "Circuit": "circuit",
-    "SnapshotRegistry": "circuit",
     "parse_circuit": "circuit",
     "sampler": "circuit",
     "serialize_circuit": "circuit",
@@ -33,7 +37,6 @@ _EXPORTS = {
     "measure": "statevector",
     "postselect": "statevector",
     "rewind": "statevector",
-    "snapshot": "statevector",
 }
 
 __all__ = sorted([*_EXPORTS, "__version__"])

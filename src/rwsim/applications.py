@@ -9,10 +9,15 @@ Three protocols share the preparation + mitigation toolbox:
 * :func:`collision_find` — prepares a uniform superposition over a function
   family's domain tagged with images, measures an image, and uses a single
   rewind of the last input qubit to sample two preimages.
-* :func:`sd_decide` — given two output tables, measures which table a random
+* :func:`sd_trial` — given two output tables, measures which table a random
   branch came from, rewinds once, and re-measures; disagreement frequency
-  reveals the statistical difference between the induced distributions;
-  :func:`sd_trial` runs one trial on a reading built once per table pair.
+  reveals the statistical difference between the induced distributions.
+  It runs on the pair's image reading, which :func:`sd_image_reading`
+  builds once per table pair.
+
+Each single-rewind protocol keeps the state from before its measurement in
+a local and hands it to :func:`rwsim.statevector.rewind` with the state
+after; nothing is copied.
 
 Exact counterparts (:func:`family_delta_exact`,
 :func:`collision_success_probability`, :func:`sd_error_exact`) compute the
@@ -44,14 +49,12 @@ from .statevector import (
     PureState,
     Reading,
     RegisterReading,
-    SnapshotRegistry,
     apply_gate,
     check_width,
     measure,
     measure_register,
     RewindConsistencyError,
     rewind,
-    snapshot,
 )
 
 LOW = "low"
@@ -406,14 +409,12 @@ def collision_find(
         state = input_state()
         if state is None:
             return None
-        registry = SnapshotRegistry()
-        snapshot(state, registry, "pre-last-bit")
-        last = in_bits - 1
+        pre_last_bit, last = state, in_bits - 1
         bit1, _, state = measure(state, last, rng)
         rest1, _, state = measure_register(state, range(last), rng)
         x1 = (rest1 << 1) | bit1
         try:
-            state = rewind(state, registry, "pre-last-bit")
+            state = rewind(pre_last_bit, state)
         except RewindConsistencyError:
             return None  # image had more than the two-branch structure
         bit2, _, state = measure(state, last, rng)
@@ -573,30 +574,19 @@ def sd_image_reading(c0: BooleanFunction, c1: BooleanFunction) -> RegisterReadin
 
 
 def sd_trial(image: RegisterReading, rng: SplitMix64) -> int:
-    """One measure-rewind-remeasure trial on a table pair's image reading.
+    """Sample [b1 != b2] from measure-rewind-remeasure on the branch bit,
+    one trial on a table pair's image reading.
 
     The image is drawn from the reading, and the branch bit is measured,
-    rewound and re-measured on the ``1 + n`` qubits left.
+    rewound and re-measured on the ``1 + n`` qubits left.  Output 1 has
+    probability sum_y P(y) * 2 P0 P1 / (P0+P1)^2, which is large when the
+    two output distributions overlap and small when they are far.
     """
-    state = image.dropped(image.draw(rng))
-    registry = SnapshotRegistry()
-    snapshot(state, registry, "post-image")
-    b1, _, state = measure(state, 0, rng)
-    state = rewind(state, registry, "post-image")
+    post_image = image.dropped(image.draw(rng))
+    b1, _, state = measure(post_image, 0, rng)
+    state = rewind(post_image, state)
     b2, _, state = measure(state, 0, rng)
     return int(b1 != b2)
-
-
-def sd_decide(c0: BooleanFunction, c1: BooleanFunction, rng: SplitMix64) -> int:
-    """Sample [b1 != b2] from measure-rewind-remeasure on the branch bit.
-
-    Output 1 has probability sum_y P(y) * 2 P0 P1 / (P0+P1)^2, which is large
-    when the two output distributions overlap and small when they are far.
-    Builds the pair's reading for this one trial; a loop over trials of one
-    pair builds it once with :func:`sd_image_reading` and calls
-    :func:`sd_trial`.
-    """
-    return sd_trial(sd_image_reading(c0, c1), rng)
 
 
 def sd_error_exact(

@@ -27,12 +27,14 @@ measurement labels.  Spaces or tabs separate the tokens of a line, the
 
 The one interpreter of the IR lives here too.  It runs a circuit over a
 backend :class:`Kernel` and owns all that is not quantum arithmetic:
-conditionals, the record, snapshots, ``rewind`` (the paper's strict rewind:
-refused unless the kernel certifies the state as a one-outcome collapse of
-the snapshot, then continued from the snapshot), ``clone`` (the same
-restore, unchecked), ``postselect`` (a kernel's ``prob`` then its
-``collapse``), ``min_postselect_prob`` and the measurement draw
-(:func:`draw_bit`).
+conditionals, the record, snapshots (each branch maps a label to the state
+it kept), ``rewind`` (the paper's strict rewind: refused unless the kernel
+certifies the state as a one-outcome collapse of the snapshot, then
+continued from the snapshot), ``clone`` (the same restore, unchecked),
+``postselect`` (a kernel's ``prob`` then its ``collapse``),
+``min_postselect_prob`` and the measurement draw (:func:`draw_bit`).  A
+``rewind`` or ``clone`` of a label no snapshot on its branch stored raises
+:class:`UnknownSnapshotError`, named by its file and line.
 Every kernel runs every instruction.  Its one loop samples a path
 (:func:`sampler`) or enumerates all branches (:func:`enumerate_branches`),
 which the exact oracles :func:`outcome_distribution` and
@@ -87,8 +89,8 @@ class RewindConsistencyError(ValueError):
     """Strict rewind input is not a one-outcome collapse of the snapshot."""
 
 
-class UnknownSnapshotError(KeyError):
-    """Rewind/clone referenced a label the registry has never seen."""
+class UnknownSnapshotError(ValueError):
+    """Rewind/clone of a label that no snapshot on this branch has stored."""
 
 
 class InvalidPostselectionError(ValueError):
@@ -200,12 +202,6 @@ class MeasurementRecord:
         if label not in self._bits:
             raise RecordError(f"no recorded outcome for label {label!r}")
         return self._bits[label]
-
-    def __contains__(self, label: str) -> bool:
-        return label in self._bits
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
     def copy(self) -> "MeasurementRecord":
         out = MeasurementRecord()
@@ -474,37 +470,7 @@ def accept_qubit(circuit: Circuit) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# snapshots and backend kernels
-
-
-class SnapshotRegistry:
-    """Label -> stored state, for any backend.
-
-    The registry stores the state it is given and never changes it; the
-    caller hands it a state nothing else will change.  The interpreter
-    stores what :meth:`Kernel.keep` gives, and the protocol-level
-    ``snapshot`` functions of the backends store a copy.
-    """
-
-    def __init__(self):
-        self._entries: dict[str, object] = {}
-
-    def store(self, label: str, state):
-        """Keep ``state`` itself, not a copy: pass one nothing else changes."""
-        if label in self._entries:
-            raise ValueError(f"snapshot label {label!r} already in use")
-        self._entries[label] = state
-
-    def state(self, label: str):
-        if label not in self._entries:
-            raise UnknownSnapshotError(label)
-        return self._entries[label]
-
-    def copy(self) -> "SnapshotRegistry":
-        """An independent label table sharing the (never mutated) stored states."""
-        out = SnapshotRegistry()
-        out._entries = dict(self._entries)
-        return out
+# backend kernels
 
 
 EMPTY_PROB = 1e-30  # an outcome of probability at most this is an empty branch
@@ -542,9 +508,10 @@ class Kernel:
       runs it when it is built.  The default accepts every width;
     * ``keep(state)``: a state equal to ``state`` that no later operation
       changes.  The interpreter keeps each snapshot, each clone and the
-      start state of each sampled trial with it, so a kernel whose
-      operations return new states may return ``state`` itself; the default
-      is ``state.copy()``;
+      start state of each sampled trial with it; a branch's snapshots are
+      these kept states by label, and a forked branch shares them.  So a
+      kernel whose operations return new states may return ``state``
+      itself; the default is ``state.copy()``;
     * ``init(n)`` and ``apply(state, gate_op)``;
     * ``prob(state, qubit, bit)``, a weight that is zero for a branch the
       kernel counts as empty (:func:`outcome_weight` on the floating-point
@@ -598,13 +565,13 @@ class _Branch:
     state: object
     weight: object
     record: MeasurementRecord
-    registry: SnapshotRegistry = field(default_factory=SnapshotRegistry)
+    snapshots: dict[str, object] = field(default_factory=dict)  # label -> kept state
     pc: int = 0
     depth: int = 0  # measurements so far with two live outcomes
 
     def copy(self) -> "_Branch":
         return _Branch(
-            self.state, self.weight, self.record.copy(), self.registry.copy(),
+            self.state, self.weight, self.record.copy(), dict(self.snapshots),
             self.pc, self.depth,
         )
 
@@ -694,9 +661,13 @@ def _interpret(
                     )
                 b.state = kernel.collapse(b.state, q, bit, prob)
             elif isinstance(instr, Snapshot):
-                b.registry.store(instr.label, kernel.keep(b.state))
+                b.snapshots[instr.label] = kernel.keep(b.state)
             elif isinstance(instr, (Rewind, Clone)):
-                stored = b.registry.state(instr.label)
+                stored = b.snapshots.get(instr.label)
+                if stored is None:
+                    raise UnknownSnapshotError(
+                        f"{_at(circuit, b.pc - 1)}no snapshot {instr.label!r} on this branch"
+                    )
                 if isinstance(instr, Rewind) and not kernel.is_collapse(stored, b.state):
                     raise RewindConsistencyError(
                         f"state is not a one-outcome collapse of snapshot {instr.label!r}"

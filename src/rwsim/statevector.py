@@ -17,11 +17,11 @@ Conventions
   repeated before touching the amplitudes.
 * The module-level functions are functional — they return new states and
   never mutate their input — and so are the kernel's operations, whose
-  states are read-only.  So ``rewind`` returns the registry's stored state
-  itself, and the kernel's ``keep`` returns its input: under the
-  interpreter a snapshot, a clone and the deterministic prefix that a
-  sampler's trials share are held by reference.  The protocol-level
-  :func:`snapshot` stores a copy.
+  states are read-only.  So a protocol keeps the state from before a
+  measurement as it is, ``rewind`` returns that state itself, and the
+  kernel's ``keep`` returns its input: under the interpreter a snapshot, a
+  clone and the deterministic prefix that a sampler's trials share are held
+  by reference.
 * ``KERNEL``'s states keep measured qubits out of the dense array.  A state
   is the amplitudes of the qubits not yet fixed (the core) plus the
   ``(qubit, bit)`` pairs that measurements and postselections fixed, so a
@@ -37,12 +37,14 @@ Conventions
   which is what ``RunResult.final_state`` and the branch leaves are.  The
   protocol-level functions below (``measure``, ``postselect``, ``Reading``,
   ``RegisterReading``) stay on full vectors.
-* ``rewind`` is strict: it refuses inputs it cannot certify.  The state
-  being rewound must equal (up to global phase) the stored snapshot
-  projected onto some single-qubit outcome and renormalised.  The
-  candidates checked first are the qubits fixed over the support of the
-  rewound state but not over that of the snapshot; only if none matches are
-  the other qubits checked, so the answer is that of checking every qubit.
+* ``rewind(stored, post_state)`` is the paper's strict rewinding operator:
+  it maps the state before a measurement and the state after it back to the
+  state before, and refuses inputs it cannot certify.  ``post_state`` must
+  equal (up to global phase) ``stored`` projected onto some single-qubit
+  outcome and renormalised.  The candidates checked first are the qubits
+  fixed over the support of ``post_state`` but not over that of ``stored``;
+  only if none matches are the other qubits checked, so the answer is that
+  of checking every qubit.
   Under the interpreter, which owns strict rewind's refusal, the kernel
   answers only ``is_collapse``.
 * :meth:`Reading.retry` is the protocols' rewind-and-retry step: measure
@@ -75,7 +77,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import (  # the shared error and registry names are re-exported
+from .circuit import (  # the shared error names are re-exported
     EMPTY_PROB,
     REWIND_TOL,
     GateOp,
@@ -84,7 +86,6 @@ from .circuit import (  # the shared error and registry names are re-exported
     PostselectThresholdError,
     QubitBudgetError,
     RewindConsistencyError,
-    SnapshotRegistry,
     UnknownSnapshotError,
     draw_bit,
     outcome_weight,
@@ -319,18 +320,6 @@ def postselect(
     return p, _collapse(state, qubit, bit, p)
 
 
-def snapshot(state: PureState, registry: SnapshotRegistry, label: str) -> None:
-    """Store a copy of ``state`` under ``label``."""
-    registry.store(label, state.copy())
-
-
-def states_equal(a: PureState, b: PureState, tol: float = 1e-9) -> bool:
-    """Equality up to global phase: 1 - |<a|b>| <= tol."""
-    if a.n != b.n:
-        return False
-    return 1.0 - abs(np.vdot(a.amps, b.amps)) <= tol
-
-
 def fidelity(a: PureState, b: PureState) -> float:
     return float(abs(np.vdot(a.amps, b.amps)) ** 2)
 
@@ -385,21 +374,18 @@ def _is_collapse_of(stored: PureState, post: PureState, tol: float) -> bool:
     return any(_collapse_matches(stored, post, q, tol) for q in order)
 
 
-def rewind(post_state: PureState, registry: SnapshotRegistry, label: str) -> PureState:
-    """Undo a single-qubit measurement: return the snapshot stored at ``label``.
+def rewind(stored: PureState, post_state: PureState) -> PureState:
+    """Undo a single-qubit measurement: return ``stored``, the state before it.
 
-    The input is certified first: ``post_state`` must be the stored state
+    The input is certified first: ``post_state`` must be ``stored``
     collapsed onto one outcome of one qubit (up to global phase), which is
     exactly the domain on which measurement-undoing is well defined.
     """
-    stored = registry.state(label)
     if post_state.n != stored.n:
-        raise RewindConsistencyError("qubit count differs from the snapshot")
+        raise RewindConsistencyError("qubit count differs from the stored state")
     if not _is_collapse_of(stored, post_state, REWIND_TOL):
-        raise RewindConsistencyError(
-            f"state is not a one-outcome collapse of snapshot {label!r}"
-        )
-    return stored  # never mutated, so the registry's copy can be shared
+        raise RewindConsistencyError("state is not a one-outcome collapse of the stored state")
+    return stored  # never mutated, so it is shared, not copied
 
 
 class Reading:
@@ -462,9 +448,7 @@ class Reading:
             if bit == want or len(bits) == tries:
                 return bits
             if not self._certified[bit]:
-                registry = SnapshotRegistry()
-                snapshot(self.state, registry, "entry")
-                rewind(self.collapsed(bit), registry, "entry")
+                rewind(self.state, self.collapsed(bit))
                 self._certified[bit] = True
 
 

@@ -25,8 +25,9 @@ from rwsim.applications import (
     BooleanFunction,
     collision_find,
     pp_decide,
-    sd_decide,
     sd_error_exact,
+    sd_image_reading,
+    sd_trial,
     toy_two_regular,
 )
 from rwsim.circuit import (
@@ -238,7 +239,8 @@ def test_distance_decision_identities_and_sampling():
     _, p_err_prime, _ = sd_error_exact(c0, c1)
     trials = 10_000
     rng = SplitMix64(stream_seed(0xAC9, 1))
-    hits = sum(sd_decide(c0, c1, rng) for _ in range(trials))
+    image = sd_image_reading(c0, c1)
+    hits = sum(sd_trial(image, rng) for _ in range(trials))
     mean = float(p_err_prime)
     sigma = math.sqrt(mean * (1.0 - mean) / trials)
     assert abs(hits / trials - mean) <= 3.0 * sigma

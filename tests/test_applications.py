@@ -23,9 +23,9 @@ from rwsim.applications import (
     lwe_collision_partner,
     lwe_family,
     pp_decide,
-    sd_decide,
     sd_error_exact,
     sd_image_reading,
+    sd_trial,
     toy_two_regular,
 )
 from rwsim.rng import SplitMix64, stream_seed
@@ -33,11 +33,9 @@ from rwsim.statevector import (
     QubitBudgetError,
     RegisterReading,
     RewindConsistencyError,
-    SnapshotRegistry,
     postselect,
     prob_of_bit,
     rewind,
-    snapshot,
 )
 
 
@@ -221,10 +219,8 @@ def _collapse_onto(state, qubits, bits):
 
 
 def _certifies(snap, post) -> bool:
-    registry = SnapshotRegistry()
-    snapshot(snap, registry, "pre-last-bit")
     try:
-        rewind(post, registry, "pre-last-bit")
+        rewind(snap, post)
     except RewindConsistencyError:
         return False
     return True
@@ -413,7 +409,10 @@ def test_identical_tables_maximise_disagreement_rate():
 
 def test_size_mismatch_rejected():
     with pytest.raises(ValueError):
-        sd_decide(BooleanFunction(1, (0, 1)), BooleanFunction(2, (0, 1, 0, 1)), SplitMix64(1))
+        sd_trial(
+            sd_image_reading(BooleanFunction(1, (0, 1)), BooleanFunction(2, (0, 1, 0, 1))),
+            SplitMix64(1),
+        )
     with pytest.raises(ValueError):
         sd_error_exact(
             BooleanFunction(2, (0, 1, 2, 3), output_bits=2),
@@ -425,12 +424,10 @@ def test_sd_refuses_a_lowered_cap_after_a_trial(monkeypatch):
     c0 = BooleanFunction(2, (0, 0, 1, 1))
     c1 = BooleanFunction(2, (0, 1, 1, 1))  # 1 branch, 2 input and 1 image qubit
     rng = SplitMix64(stream_seed(0x5D, 22))
-    sd_decide(c0, c1, rng)
+    sd_trial(sd_image_reading(c0, c1), rng)
     monkeypatch.setenv("RWSIM_MAX_QUBITS", "3")
     with pytest.raises(QubitBudgetError, match="sd instance needs 4 qubits, cap is 3"):
-        sd_decide(c0, c1, rng)
-    with pytest.raises(QubitBudgetError, match="sd instance needs 4 qubits"):
-        sd_image_reading(c0, c1)
+        sd_trial(sd_image_reading(c0, c1), rng)
 
 
 def test_sampler_tracks_exact_disagreement_probability():
@@ -439,7 +436,8 @@ def test_sampler_tracks_exact_disagreement_probability():
     _, p_err_prime, _ = sd_error_exact(c0, c1)
     rng = SplitMix64(stream_seed(0x5D, 21))
     trials = 2000
-    hits = sum(sd_decide(c0, c1, rng) for _ in range(trials))
+    image = sd_image_reading(c0, c1)
+    hits = sum(sd_trial(image, rng) for _ in range(trials))
     mean = float(p_err_prime)
     sigma = (mean * (1 - mean) / trials) ** 0.5
     assert abs(hits / trials - mean) <= 4 * sigma

@@ -23,6 +23,7 @@ from rwsim.circuit import (
     QubitBudgetError,
     RecordError,
     RewindConsistencyError,
+    UnknownSnapshotError,
     accept_qubit,
     outcome_distribution,
     parse_circuit,
@@ -154,6 +155,16 @@ def test_simulate_backend_refusals_name_the_file_and_line(
     path.write_text(source)
     code, out, err = run(capsys, ["simulate", str(path), "--backend", backend])
     assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+
+
+@pytest.mark.parametrize("backend", ["sv", "stab", "pathsum"])
+def test_simulate_a_rewind_to_a_snapshot_never_taken_exits_1(tmp_path, capsys, backend):
+    path = tmp_path / "never.qc"
+    # m is always 0, so the snapshot on line 3 is never taken
+    path.write_text("qubits 1\nmeasure 0 -> m\nsnapshot s if m == 1\nrewind s\naccept 0\n")
+    code, out, err = run(capsys, ["simulate", str(path), "--backend", backend])
+    assert (code, out) == (1, "")
+    assert err == f"error: UnknownSnapshotError: {path}: line 4: no snapshot 's' on this branch\n"
 
 
 def test_simulate_pathsum_runs_snapshot_and_rewind(capsys):
@@ -323,6 +334,7 @@ def test_simulate_pathsum_over_the_amplitude_cap_exits_2(
         (QubitBudgetError("bad"), 2),
         (pathsum.SizeLimitError("bad"), 2),
         (RewindConsistencyError("bad"), 1),
+        (UnknownSnapshotError("bad"), 1),
         (InvalidPostselectionError("bad"), 1),
         (PostselectThresholdError("bad"), 1),
         (DepthLimitError("bad"), 1),

@@ -1,10 +1,12 @@
 """What loads when: the stabilizer and path-sum commands and a bare
-``import rwsim`` never load NumPy, and the package's lazily resolved exports
-are the objects their modules define."""
+``import rwsim`` never load NumPy, the package's lazily resolved exports
+are the objects their modules define, and the benchmark's tracer reaches
+every name bound to a traced function."""
 
 from __future__ import annotations
 
 import importlib
+import json
 import subprocess
 import sys
 
@@ -65,6 +67,35 @@ def test_every_export_is_its_defining_modules_object(name):
     assert obj.__module__.startswith("rwsim.")
     assert getattr(importlib.import_module(obj.__module__), name) is obj
     assert name in dir(rwsim)
+
+
+# Installs ``bench/tracer.py`` in a fresh process (it rebinds module globals
+# for good), runs one statistical-difference trial and prints what it saw.
+TRACER = """
+import json, sys
+sys.path.insert(0, "bench")
+import tracer
+from rwsim import applications, statevector
+from rwsim.rng import SplitMix64
+trace = tracer.Trace()
+originals = tracer.install(trace)
+c0 = applications.BooleanFunction(2, (0, 0, 1, 1))
+c1 = applications.BooleanFunction(2, (0, 1, 1, 1))
+applications.sd_trial(applications.sd_image_reading(c0, c1), SplitMix64(1))
+calls = trace.summary()["functions"]
+print(json.dumps({
+    "left": tracer.unwrapped_aliases(originals),
+    "wrapped": [hasattr(f, "__wrapped__") for f in (statevector.rewind, statevector.measure)],
+    "calls": [calls[name]["calls"] for name in ("statevector.rewind", "statevector.measure")],
+}))
+"""
+
+
+def test_the_bench_tracer_wraps_rewind_and_measure_everywhere():
+    proc = _child("-c", TRACER)
+    assert proc.returncode == 0, proc.stderr
+    # one trial measures the branch bit, rewinds once and measures it again
+    assert json.loads(proc.stdout) == {"left": [], "wrapped": [True, True], "calls": [1, 2]}
 
 
 def test_unknown_names_are_attribute_errors():

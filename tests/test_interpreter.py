@@ -40,7 +40,7 @@ rewind a
 
 def test_shared_error_and_registry_names_are_one_object_everywhere():
     shared = {
-        statevector: ("RewindConsistencyError", "UnknownSnapshotError", "SnapshotRegistry"),
+        statevector: ("RewindConsistencyError", "UnknownSnapshotError"),
         stabilizer: (
             "RewindConsistencyError", "UnknownSnapshotError", "GateSetError", "DepthLimitError",
         ),
@@ -65,6 +65,22 @@ def test_statevector_rewind_error_catches_the_tableau_refusal():
 def test_uncertifiable_rewind_is_refused_by_samplers_and_oracles(backend, entry):
     with pytest.raises(circuit.RewindConsistencyError):
         ENTRIES[entry](parse_circuit(ROTATED_REWIND), KERNELS[backend])
+
+
+# m is always 0, so the snapshot on line 3 is never taken on any branch.
+NEVER_TAKEN = "qubits 1\nmeasure 0 -> m\nsnapshot s if m == 1\n{op} s\naccept 0\n"
+
+
+@pytest.mark.parametrize("op", ["rewind", "clone"])
+@pytest.mark.parametrize("entry", ["sampler", "outcome_distribution"])
+@pytest.mark.parametrize("backend", sorted(KERNELS))
+def test_a_snapshot_never_taken_is_refused_by_its_line(backend, entry, op):
+    c = parse_circuit(NEVER_TAKEN.format(op=op), "never.qc")
+    with pytest.raises(circuit.UnknownSnapshotError) as info:
+        ENTRIES[entry](c, KERNELS[backend])
+    assert str(info.value) == "never.qc: line 4: no snapshot 's' on this branch"
+    assert isinstance(info.value, ValueError)
+    assert not isinstance(info.value, circuit.InputError)
 
 
 @pytest.mark.parametrize("oracle", [acceptance_probability], ids=["pathsum"])

@@ -26,7 +26,6 @@ from rwsim.statevector import (
     KERNEL,
     PureState,
     QubitBudgetError,
-    SnapshotRegistry,
     apply_gate,
     fidelity,
     init,
@@ -35,7 +34,6 @@ from rwsim.statevector import (
     prob_of_bit,
     rewind,
     slice_qubit,
-    snapshot,
 )
 
 
@@ -75,11 +73,10 @@ def _reference_walk(spec, pattern, budget, rng):
         if theta:
             state = apply_gate(state, rz(-theta), (qubit,))
         state = apply_gate(state, H, (qubit,))
-        registry = SnapshotRegistry()
-        snapshot(state, registry, "entry")
+        entry = state
         for attempt in range(budget + 1):
             if attempt:
-                state = rewind(state, registry, "entry")
+                state = rewind(entry, state)
             bit, _, state = measure(state, qubit, rng)
             if bit == 0:
                 break

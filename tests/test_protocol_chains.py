@@ -31,7 +31,6 @@ from rwsim.applications import (
     lwe_family,
     pp_correct_probability,
     pp_decide,
-    sd_decide,
     sd_image_reading,
     sd_trial,
     toy_two_regular,
@@ -56,7 +55,6 @@ from rwsim.statevector import (
     PureState,
     RegisterReading,
     RewindConsistencyError,
-    SnapshotRegistry,
     _collapse,
     apply_gate,
     apply_matrix,
@@ -67,7 +65,6 @@ from rwsim.statevector import (
     prob_of_bit,
     rewind,
     slice_qubit,
-    snapshot,
 )
 
 # ---------------------------------------------------------------------------
@@ -84,15 +81,13 @@ def _ref_measure(state, qubit, rng):
 
 
 def _ref_retry(state, qubit, want, tries, rng):
-    registry = SnapshotRegistry()
-    snapshot(state, registry, "entry")
-    bits = []
+    entry, bits = state, []
     while True:
         bit, _, state = _ref_measure(state, qubit, rng)
         bits.append(bit)
         if bit == want or len(bits) == tries:
             return bits, state
-        state = statevector.rewind(state, registry, "entry")
+        state = statevector.rewind(entry, state)
 
 
 def _ref_prepare_psi(table, rng):
@@ -209,12 +204,11 @@ def _ref_collision_find(family, rng, allow_rewind=True, max_prep_attempts=64):
         state = image_read()
         if state is None:
             return None
-        registry = SnapshotRegistry()
-        snapshot(state, registry, "pre-last-bit")
+        pre_last_bit = state
         bit1, _, state = measure(state, in_bits - 1, rng)
         rest1, _, state = measure_register(state, range(in_bits - 1), rng)
         try:
-            state = rewind(state, registry, "pre-last-bit")
+            state = rewind(pre_last_bit, state)
         except RewindConsistencyError:
             return None
         bit2, _, state = measure(state, in_bits - 1, rng)
@@ -225,13 +219,11 @@ def _ref_collision_find(family, rng, allow_rewind=True, max_prep_attempts=64):
     return None
 
 
-def _ref_sd_decide(c0, c1, rng):
+def _ref_sd_trial(c0, c1, rng):
     n, m = c0.n, c0.output_bits
-    _, _, state = measure_register(_sd_state(c0, c1), range(1 + n, 1 + n + m), rng)
-    registry = SnapshotRegistry()
-    snapshot(state, registry, "post-image")
-    b1, _, state = measure(state, 0, rng)
-    state = rewind(state, registry, "post-image")
+    _, _, post_image = measure_register(_sd_state(c0, c1), range(1 + n, 1 + n + m), rng)
+    b1, _, state = measure(post_image, 0, rng)
+    state = rewind(post_image, state)
     b2, _, _ = measure(state, 0, rng)
     return int(b1 != b2)
 
@@ -247,13 +239,13 @@ def _clear_chains():
 
 @pytest.fixture
 def rewinds(monkeypatch):
-    """(snapshot, post-state) of every strict rewind, as bytes, in call order."""
+    """(stored, post-state) of every strict rewind, as bytes, in call order."""
     seen: list[tuple[bytes, bytes]] = []
     original = statevector.rewind
 
-    def recording(state, registry, label):
-        seen.append((registry.state(label).amps.tobytes(), state.amps.tobytes()))
-        return original(state, registry, label)
+    def recording(stored, post_state):
+        seen.append((stored.amps.tobytes(), post_state.amps.tobytes()))
+        return original(stored, post_state)
 
     monkeypatch.setattr(statevector, "rewind", recording)
     return seen
@@ -376,7 +368,7 @@ def test_a_refused_rewind_raises_on_the_same_copy_every_time(monkeypatch):
             # the refusal is not kept: the next walk to reach it raises again
             assert outcome(mitigate, SplitMix64(stream_seed(0xC4A4, seed))) == want, seed
     assert len(messages) >= 5
-    assert set(messages) == {"state is not a one-outcome collapse of snapshot 'entry'"}
+    assert set(messages) == {"state is not a one-outcome collapse of the stored state"}
 
 
 def test_shared_chain_states_are_read_only():
@@ -519,9 +511,9 @@ def test_sd_trials_draw_as_the_full_width_reference():
         rng = SplitMix64(ref_rng.state)
         image = sd_image_reading(c0, c1)  # shared by the trials, as the CLI does
         for _ in range(30):
-            assert sd_trial(image, rng) == _ref_sd_decide(c0, c1, ref_rng)
+            assert sd_trial(image, rng) == _ref_sd_trial(c0, c1, ref_rng)
             assert rng.state == ref_rng.state
-        assert sd_decide(c0, c1, rng) == _ref_sd_decide(c0, c1, ref_rng)
+        assert sd_trial(sd_image_reading(c0, c1), rng) == _ref_sd_trial(c0, c1, ref_rng)
         assert rng.state == ref_rng.state
 
 

@@ -191,10 +191,3 @@ def test_the_shared_final_state_is_read_only():
     with pytest.raises(ValueError):
         first.final_state.amps[0] = 0.0
     assert np.array_equal(trial(_rng(1)).final_state.amps, want)
-
-
-def test_protocol_snapshots_store_copies():
-    state = statevector.from_amplitudes([1.0, 1.0])
-    registry = statevector.SnapshotRegistry()
-    statevector.snapshot(state, registry, "s")
-    assert registry.state("s") is not state

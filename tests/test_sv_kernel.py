@@ -34,7 +34,6 @@ from rwsim.circuit import (
     Rewind,
     RewindConsistencyError,
     Snapshot,
-    SnapshotRegistry,
     accept_qubit,
     outcome_distribution,
     parse_circuit,
@@ -103,7 +102,7 @@ def _random_circuit(rng: SplitMix64, rewinds: bool = True) -> str:
 def _reference(circuit, rng: SplitMix64, min_prob: float):
     """(record entries, accept bit, final state) of a walk over full vectors."""
     sv = statevector
-    state, registry, record = sv.init(circuit.n_qubits), SnapshotRegistry(), MeasurementRecord()
+    state, snapshots, record = sv.init(circuit.n_qubits), {}, MeasurementRecord()
     for instr in circuit.instructions:
         if isinstance(instr, Conditional):
             if not predicate_holds(instr.predicate, record):
@@ -117,11 +116,16 @@ def _reference(circuit, rng: SplitMix64, min_prob: float):
         elif isinstance(instr, Postselect):
             _, state = sv.postselect(state, instr.qubit, instr.bit, min_prob)
         elif isinstance(instr, Snapshot):
-            sv.snapshot(state, registry, instr.label)
+            snapshots[instr.label] = state
         elif isinstance(instr, Rewind):
-            state = sv.rewind(state, registry, instr.label)
+            try:
+                state = sv.rewind(snapshots[instr.label], state)
+            except RewindConsistencyError:  # the interpreter's refusal names the label
+                raise RewindConsistencyError(
+                    f"state is not a one-outcome collapse of snapshot {instr.label!r}"
+                ) from None
         elif isinstance(instr, Clone):
-            state = registry.state(instr.label).copy()
+            state = snapshots[instr.label]
     accept, accept_bit = accept_qubit(circuit), None
     if accept is not None:
         accept_bit, _, state = sv.measure(state, accept, rng)
