@@ -137,7 +137,10 @@ def pattern_circuit(spec: BrickworkSpec, pattern: MeasurementPattern, budget: in
     ``snapshot s<q>``, ``measure q -> m<q>.0`` and ``budget`` retry steps as
     in ``circuits/rewind_retry.qc``: step k rewinds to ``s<q>`` and measures
     into ``m<q>.k`` if every earlier try of q read 1.  On
-    ``statevector.KERNEL`` the core of a run's final state is the output."""
+    ``statevector.KERNEL`` the core of a run's final state is the output:
+    that kernel keeps a qubit out of the core while it is in a basis
+    state, and here every qubit gets an ``h``, so the qubits it leaves out
+    at the end are exactly the measured ones."""
     total = grid_qubits(spec)
     qubits = [q for q, _ in pattern.entries]
     if len(set(qubits)) != len(qubits):

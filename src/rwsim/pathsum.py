@@ -185,7 +185,8 @@ KERNEL = PathSumKernel()
 def acceptance_probability(circuit: Circuit, outcomes: dict[str, float] | None = None) -> float:
     """Exact P(accept = 1) = sum_z q_z * P(accept = 1 | z).
 
-    The result lies in [0, 1] up to accumulation error of 1e-12.  A dict
+    The result lies in [0, 1] up to accumulation error of 1e-12; a result
+    outside that range raises RuntimeError, as a fault of the kernel.  A dict
     passed as ``outcomes`` receives the q_z per outcome key, as
     :func:`rwsim.circuit.outcome_distribution` returns them, from the same
     enumeration.  A circuit without ``accept`` is refused before it runs.
@@ -199,5 +200,6 @@ def acceptance_probability(circuit: Circuit, outcomes: dict[str, float] | None =
             if outcomes is not None:
                 outcomes[key] = q_z
             total += q_z * KERNEL.prob(state, accept, 1)
-    assert -1e-12 <= total <= 1.0 + 1e-12, f"acceptance {total} outside [0, 1]"
+    if not -1e-12 <= total <= 1.0 + 1e-12:
+        raise RuntimeError(f"acceptance probability {total!r} outside [0, 1]")
     return total

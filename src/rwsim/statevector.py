@@ -22,21 +22,31 @@ Conventions
   kernel's ``keep`` returns its input: under the interpreter a snapshot, a
   clone and the deterministic prefix that a sampler's trials share are held
   by reference.
-* ``KERNEL``'s states keep measured qubits out of the dense array.  A state
-  is the amplitudes of the qubits not yet fixed (the core) plus the
-  ``(qubit, bit)`` pairs that measurements and postselections fixed, so a
-  collapse slices the core to half its size instead of copying the full
-  vector and zeroing half of it, and a fixed qubit reads its stored bit.  A
-  gate runs on the core with its targets renumbered, after moving any fixed
-  target back into the core.  The kernel's ``is_collapse`` certifies a
-  state that fixes the snapshot's bits and one qubit more on the two cores,
-  with the test that :func:`_collapse_matches` makes on that qubit; any
-  other state, or one that test does not certify, gets the dense check, so
-  the answers are those of :func:`rewind`.  A state is also a read-only
-  :class:`PureState` whose full ``amps`` are built at most once, when read,
-  which is what ``RunResult.final_state`` and the branch leaves are.  The
-  protocol-level functions below (``measure``, ``postselect``, ``Reading``,
-  ``RegisterReading``) stay on full vectors.
+* ``KERNEL``'s states keep qubits in a basis state out of the dense array.
+  A state is the amplitudes of the qubits not fixed (the core) plus the
+  ``(qubit, bit)`` pairs of the fixed ones.  ``init`` fixes every qubit to
+  0, so a run starts from a 0-qubit core.  A collapse slices the core to
+  half its size instead of copying the full vector and zeroing half of
+  it, and fixes the measured qubit; a fixed qubit reads its stored bit.
+  A monomial gate with fixed targets stays off the core when its output
+  bits on those targets are the same whatever its core targets read: it
+  sets their new bits, and the core gets the gate restricted to the core
+  targets, which is nothing, a scalar phase (every target fixed) or
+  ``_apply_monomial``.  Any other gate on a fixed qubit (``h``, ``hk`` or
+  ``ch``, or a ``swap`` of a fixed qubit with a core qubit) first moves
+  its fixed targets back into the core, then runs on the core with its
+  targets renumbered.  The kernel's ``is_collapse`` certifies on the two
+  cores a state that fixes the snapshot's bits and one qubit more, with
+  the test that :func:`_collapse_matches` makes on that qubit.  A state
+  that fixes the snapshot's bits and no qubit more is certified on the
+  cores too, when some qubit is fixed: measuring a fixed qubit leaves the
+  state as it is.  Any other state, or one that test does not certify,
+  gets the dense check, so the answers are those of :func:`rewind`.  A
+  state is also a read-only :class:`PureState` whose full ``amps`` are
+  built at most once, when read, which is what ``RunResult.final_state``
+  and the branch leaves are.  The protocol-level functions below
+  (``measure``, ``postselect``, ``Reading``, ``RegisterReading``) stay on
+  full vectors.
 * ``rewind(stored, post_state)`` is the paper's strict rewinding operator:
   it maps the state before a measurement and the state after it back to the
   state before, and refuses inputs it cannot certify.  ``post_state`` must
@@ -491,8 +501,11 @@ def _read_only(state: PureState) -> PureState:
 
 class _KernelState(PureState):
     """A state of the interpreter's dense kernel, split in two parts:
-    ``fixed`` maps each qubit that a measurement or postselection fixed to
-    its bit, and ``core`` is the state of the other qubits, in qubit order.
+    ``fixed`` maps each qubit known to be in a basis state to its bit, and
+    ``core`` is the state of the other qubits, in qubit order.  A qubit is
+    fixed from ``init`` until a gate that branches on it (or a ``swap`` with
+    a core qubit) moves it into the core, and again once a measurement or
+    postselection reads it; monomial gates change fixed bits in place.
 
     It is a read-only :class:`PureState` on ``n`` qubits.  Its full vector
     ``amps`` is built on first read and kept; the kernel reads it only for
@@ -535,21 +548,68 @@ def _unfix(state: _KernelState, qubits) -> _KernelState:
 
 def _certified_on_cores(stored: _KernelState, post: _KernelState, tol: float) -> bool:
     """Strict rewind's collapse test, read on the cores, for a ``post`` that
-    fixes what ``stored`` fixes, to the same bits, and one qubit more.
+    fixes what ``stored`` fixes, to the same bits, and at most one qubit more.
 
-    Such a ``post`` is empty off that qubit's bit and holds no amplitude
-    where ``stored`` holds none, so :func:`_collapse_matches` on that qubit
-    reduces to :func:`_slice_matches` of the stored core's slice against
-    the post core.  False for any other ``post``: the caller then runs the
-    dense check, so every answer is that of :func:`_is_collapse_of`.
+    With one qubit more, such a ``post`` is empty off that qubit's bit and
+    holds no amplitude where ``stored`` holds none, so :func:`_collapse_matches`
+    on that qubit reduces to :func:`_slice_matches` of the stored core's
+    slice against the post core.  With none more, a fixed qubit collapses
+    ``stored`` onto itself, so the test on that qubit is :func:`_slice_matches`
+    of the two cores.  False for any other ``post``: the caller then runs
+    the dense check, so every answer is that of :func:`_is_collapse_of`.
     """
-    if len(post.fixed) != len(stored.fixed) + 1 or any(
-        post.fixed.get(q) != b for q, b in stored.fixed.items()
-    ):
+    extra = len(post.fixed) - len(stored.fixed)
+    if extra not in (0, 1) or any(post.fixed.get(q) != b for q, b in stored.fixed.items()):
         return False
+    if not extra:
+        return bool(stored.fixed) and _slice_matches(stored.core.amps, post.core.amps, tol)
     (qubit,) = post.fixed.keys() - stored.fixed.keys()
     view = _qubit_slices(stored.core, stored.position(qubit))
     return _slice_matches(view[:, post.fixed[qubit], :], post.core.amps, tol)
+
+
+def _pick(index: int, k: int, places) -> int:
+    """The bits of the k-bit ``index`` at ``places`` (0 is the most
+    significant), read as one number, big-endian in ``places``."""
+    value = 0
+    for j in places:
+        value = value << 1 | index >> (k - 1 - j) & 1
+    return value
+
+
+def _on_fixed(state: _KernelState, rows, targets: tuple[int, ...], bits) -> _KernelState | None:
+    """``state`` after a monomial gate with ``rows`` (``Gate.monomial``) on
+    ``targets``, of which those whose entry of ``bits`` is not None are
+    fixed to that bit, run without moving them into the core; None if the
+    gate's output bits on the fixed targets depend on its core targets.
+
+    The rows whose source reads the fixed bits are the gate on the core
+    targets alone.  They set the fixed targets' new bits and give the core
+    nothing to do, a scalar phase (every target fixed), or the restricted
+    gate by :func:`_apply_monomial`.
+    """
+    k = len(targets)
+    held = [j for j, bit in enumerate(bits) if bit is not None]
+    free = [j for j, bit in enumerate(bits) if bit is None]
+    mask = sum(1 << (k - 1 - j) for j in held)
+    now = sum(bits[j] << (k - 1 - j) for j in held)
+    core_rows: list = [None] * (1 << len(free))
+    outputs = set()
+    for row, (source, coeff) in enumerate(rows):
+        if source & mask == now:
+            outputs.add(row & mask)
+            core_rows[_pick(row, k, free)] = (_pick(source, k, free), coeff)
+    if len(outputs) > 1:
+        return None
+    (after,) = outputs
+    fixed = state.fixed
+    if after != now:
+        fixed = {**fixed, **{targets[j]: after >> (k - 1 - j) & 1 for j in held}}
+    core = state.core
+    if any(source != row or coeff != 1 for row, (source, coeff) in enumerate(core_rows)):
+        positions = tuple(state.position(targets[j]) for j in free)
+        core = _apply_monomial(core, tuple(core_rows), positions)
+    return _KernelState(state.n, core, fixed)
 
 
 class _StateVectorKernel(Kernel):
@@ -562,14 +622,21 @@ class _StateVectorKernel(Kernel):
         return state  # no operation changes its input
 
     def init(self, n: int) -> _KernelState:
-        return _KernelState(n, init(n), {})
+        core = PureState(0, np.ones(1, dtype=complex))
+        return _KernelState(n, core, dict.fromkeys(range(n), 0))
 
     def apply(self, state: _KernelState, op: GateOp) -> _KernelState:
-        touched = [q for q in op.targets if q in state.fixed]
+        targets, rows = op.targets, op.gate.monomial
+        bits = tuple(map(state.fixed.get, targets))
+        touched = [q for q, bit in zip(targets, bits) if bit is not None]
+        if touched and rows is not None:
+            moved = _on_fixed(state, rows, targets, bits)
+            if moved is not None:
+                return moved
         if touched:
             state = _unfix(state, touched)
-        targets = tuple(map(state.position, op.targets))
-        return _KernelState(state.n, apply_gate(state.core, op.gate, targets), state.fixed)
+        positions = tuple(map(state.position, targets))
+        return _KernelState(state.n, apply_gate(state.core, op.gate, positions), state.fixed)
 
     def prob(self, state: _KernelState, qubit: int, bit: int) -> float:
         return outcome_weight(state.weight(qubit, bit))
@@ -602,9 +669,14 @@ def attach_zero(state: PureState) -> PureState:
 
 
 def slice_qubit(state: PureState, qubit: int, bit: int) -> PureState:
-    """Drop a qubit that is in the definite state |bit> (post-measurement)."""
+    """Drop a qubit that is in the definite state |bit> (post-measurement).
+
+    Raise ValueError if it is not: the weight of |bit> is under 1 - 1e-6.
+    """
     view = _qubit_slices(state, qubit)[:, bit, :]
     amps = view.reshape(-1).copy()
     norm = np.linalg.norm(amps)
-    assert norm > 1.0 - 1e-6, "sliced qubit was not in a definite state"
+    if not norm > 1.0 - 1e-6:
+        raise ValueError(f"qubit {qubit} is not in the definite state |{bit}> "
+                         f"(weight {norm * norm:.6g})")
     return PureState(state.n - 1, amps / norm)

@@ -90,8 +90,12 @@ def _runs(spec, pattern, budget):
     """The pattern circuit's sampler, as ``rng -> (output state, all_zero)``."""
     trial = sampler(pattern_circuit(spec, pattern, budget), KERNEL)
 
+    measured = {q for q, _ in pattern.entries}
+
     def run(rng):
         result = trial(rng)
+        # the core is the output: no unmeasured qubit is left fixed
+        assert result.final_state.fixed.keys() == measured
         return result.final_state.core, reads_all_zero(result.record)
 
     return run

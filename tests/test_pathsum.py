@@ -57,6 +57,14 @@ def test_missing_accept_rejected():
         acceptance_probability(circuit)
 
 
+def test_an_acceptance_out_of_range_is_refused(monkeypatch):
+    # a kernel fault that weighs the accept outcome 2 is named, not returned
+    monkeypatch.setattr(KERNEL, "prob", lambda state, qubit, bit: 2.0)
+    circuit = parse_circuit("qubits 1\ngate h 0\naccept 0\n")
+    with pytest.raises(RuntimeError, match=r"acceptance probability 2\.0 outside \[0, 1\]"):
+        acceptance_probability(circuit)
+
+
 def _dense_acceptance(circuit) -> float:
     return strong_probability(circuit, statevector.KERNEL, {accept_qubit(circuit): 1})
 

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import cli_env
 from rwsim.circuit import (
     accept_qubit,
     outcome_distribution,
@@ -493,8 +496,24 @@ def test_attach_and_slice_are_inverse():
 
 
 def test_slice_rejects_undetermined_qubit():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match=r"qubit 0 is not in the definite state \|0>"):
         slice_qubit(plus_state(1), 0, 0)
+
+
+def test_slice_refuses_under_python_optimize():
+    # python -O strips assert statements; the refusal must not be one
+    code = (
+        "from rwsim.gates import H\n"
+        "from rwsim.statevector import apply_gate, init, slice_qubit\n"
+        "try:\n"
+        "    slice_qubit(apply_gate(init(1), H, (0,)), 0, 0)\n"
+        "except ValueError as exc:\n"
+        "    print('refused:', exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=cli_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("refused: qubit 0 is not in the definite state"), proc.stdout
 
 
 def test_fidelity_on_known_pair():

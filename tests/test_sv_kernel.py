@@ -1,20 +1,25 @@
 """The dense kernel against a step-by-step walk of the dense primitives.
 
-Under the interpreter the statevector kernel keeps a measured or
-postselected qubit out of its dense array: a state is the amplitudes of the
-unfixed qubits plus the fixed ``(qubit, bit)`` pairs.  These tests pin that
-this changes nothing a run can see.  Random circuits run through
-``sampler(c, statevector.KERNEL)`` and through a reference walk that calls
-the module-level ``apply_gate``, ``measure``, ``postselect`` and ``rewind``
-on full vectors; records, branch probabilities, final amplitudes and every
-refusal must agree.  The path-sum kernel runs the same circuits, and its
-samplers and exact oracles must agree with the dense kernel's too.  A last
-test pins what the split saves: a trial on a wide state allocates no
-full-width copy.
+Under the interpreter the statevector kernel keeps every qubit in a basis
+state out of its dense array: a state is the amplitudes of the unfixed
+qubits plus the fixed ``(qubit, bit)`` pairs, and monomial gates move and
+phase fixed qubits without touching the array.  These tests pin that this
+changes nothing a run can see.  Random circuits, of the whole gate set and
+of mostly monomial gates, run through ``sampler(c, statevector.KERNEL)`` and
+through a reference walk that calls the module-level ``apply_gate``,
+``measure``, ``postselect`` and ``rewind`` on full vectors; records, branch
+probabilities, final amplitudes and every refusal must agree.  A table runs
+each gate on every choice of fixed targets and bits against ``apply_gate``.
+The path-sum kernel runs the same circuits, and its samplers and exact
+oracles must agree with the dense kernel's too.  The last tests pin what
+the split saves, with ``tracemalloc``: no full-width vector is built by a
+trial on a wide state, by a rewind of a fixed qubit, or by a wide prefix of
+basis states.
 """
 
 from __future__ import annotations
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -41,6 +46,7 @@ from rwsim.circuit import (
     sampler,
     strong_probability,
 )
+from rwsim.gates import CCZ, CH, CZ, SWAP, H, S, X, hk, rz
 from rwsim.rng import SplitMix64, stream_seed
 
 TOL = 1e-12
@@ -93,6 +99,52 @@ def _random_circuit(rng: SplitMix64, rewinds: bool = True) -> str:
             line = f"clone {snaps[rng.randrange(len(snaps))]}"
         # measurements stay unconditional: a later condition may read them
         if labels and not line.startswith("measure") and rng.bernoulli(0.25):
+            line += f" if {labels[rng.randrange(len(labels))]} == {rng.randrange(2)}"
+        lines.append(line)
+    lines.append(f"accept {rng.randrange(n)}")
+    return "\n".join(lines) + "\n"
+
+
+MONOMIAL_POOL = ("x", "s", "rz", "cz", "ccz", "swap")
+BRANCHING_POOL = ("h", "hk", "ch")
+
+
+def _basis_heavy_circuit(rng: SplitMix64) -> str:
+    """4-8 qubits of mostly monomial gates (``x``, ``s``, ``rz``, ``cz``,
+    ``ccz``, ``swap``) with at most three branching ones (``h``, ``hk``,
+    ``ch``), so most qubits stay in a basis state and the kernel keeps them
+    fixed; with measurements, a few postselections, conditionals, retry
+    blocks and clones."""
+    n = 4 + rng.randrange(5)
+    lines = [f"qubits {n}"]
+    labels: list[str] = []
+    snaps: list[str] = []
+    branching = rng.randrange(4)
+    for _ in range(10 + rng.randrange(30)):
+        kind = rng.randrange(20)
+        q = rng.randrange(n)
+        if kind < 15:
+            pool = MONOMIAL_POOL
+            if branching and rng.bernoulli(0.15):
+                pool, branching = BRANCHING_POOL, branching - 1
+            line, _ = _gate_line(rng, n, pool, None)
+        elif kind < 17:
+            labels.append(f"m{len(labels)}")
+            lines.append(f"measure {q} -> {labels[-1]}")
+            continue
+        elif kind < 18:
+            line = f"postselect {q} = {rng.randrange(2)}"
+        elif kind < 19 or not snaps:  # a retry block
+            snaps.append(f"s{len(snaps)}")
+            first, bit = f"m{len(labels)}", rng.randrange(2)
+            labels.append(first)
+            lines += [f"snapshot {snaps[-1]}", f"measure {q} -> {first}",
+                      f"rewind {snaps[-1]} if {first} == {bit}",
+                      f"measure {q} -> {first}r if {first} == {bit}"]
+            continue
+        else:
+            line = f"clone {snaps[rng.randrange(len(snaps))]}"
+        if labels and rng.bernoulli(0.25):
             line += f" if {labels[rng.randrange(len(labels))]} == {rng.randrange(2)}"
         lines.append(line)
     lines.append(f"accept {rng.randrange(n)}")
@@ -163,16 +215,26 @@ def _assert_same_run(got, want, context) -> None:
     assert np.allclose(state.amps, want_state.amps, rtol=0.0, atol=TOL), context
 
 
-@pytest.mark.parametrize("case", range(CASES))
-def test_sampled_runs_match_the_dense_walk(case):
-    rng = SplitMix64(stream_seed(0x5F1, case))
-    text = _random_circuit(rng)
+def _sampled_alike(rng: SplitMix64, text: str, case: int) -> None:
+    """Seeded trials of ``text``'s sampler must match the reference walk."""
     c = parse_circuit(text)
     min_prob = (0.0, 0.3, 0.6)[rng.randrange(3)]
     trial = sampler(c, statevector.KERNEL, min_postselect_prob=min_prob)
     for i in range(TRIALS):
         got, want = _both_ways(c, trial, stream_seed(case, i), min_prob)
         _assert_same_run(got, want, (text, min_prob, i))
+
+
+@pytest.mark.parametrize("case", range(CASES))
+def test_sampled_runs_match_the_dense_walk(case):
+    rng = SplitMix64(stream_seed(0x5F1, case))
+    _sampled_alike(rng, _random_circuit(rng), case)
+
+
+@pytest.mark.parametrize("case", range(CASES))
+def test_basis_heavy_runs_match_the_dense_walk(case):
+    rng = SplitMix64(stream_seed(0x5F6, case))
+    _sampled_alike(rng, _basis_heavy_circuit(rng), case)
 
 
 def _dense_amplitudes(amps: dict, n: int) -> np.ndarray:
@@ -301,6 +363,20 @@ def test_the_postselection_threshold_is_applied_alike():
         assert r.accept_bit == r.record.bit("m")
 
 
+def _peaks(trial, seeds) -> list[int]:
+    """Traced peak bytes of one trial per seed."""
+    peaks = []
+    tracemalloc.start()
+    try:
+        for seed in seeds:
+            tracemalloc.reset_peak()
+            trial(SplitMix64(seed))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    return peaks
+
+
 def test_a_trial_on_a_wide_state_allocates_no_full_width_copy():
     n = 16
     c = parse_circuit(
@@ -311,13 +387,107 @@ def test_a_trial_on_a_wide_state_allocates_no_full_width_copy():
     trial = sampler(c, statevector.KERNEL)
     trial(SplitMix64(0))  # runs the shared prefix, up to the first measurement
     full = np.dtype(complex).itemsize << n
-    peaks = []
-    tracemalloc.start()
-    try:
-        for i in range(1, 10):
-            tracemalloc.reset_peak()
-            trial(SplitMix64(i))
-            peaks.append(tracemalloc.get_traced_memory()[1])
-    finally:
-        tracemalloc.stop()
+    peaks = _peaks(trial, range(1, 10))
     assert max(peaks) < 1.5 * full, [p >> 10 for p in peaks]
+
+
+# ---------------------------------------------------------------------------
+# gates on fixed qubits
+
+WIDTH = 5
+TARGETS = (3, 0, 4)  # out of order, around a core qubit (1) and a fixed one (2)
+
+
+def _with_fixed(bits: dict[int, int]):
+    """A kernel state on ``WIDTH`` qubits whose qubits in ``bits`` (and
+    qubit 2, at 1) are fixed to those bits and whose other qubits hold
+    uneven amplitudes and phases, entangled by ``ch`` and ``cz``."""
+    kernel, bits = statevector.KERNEL, {2: 1, **bits}
+    state = kernel.init(WIDTH)
+    core = [q for q in range(WIDTH) if q not in bits]
+    for q in range(WIDTH):
+        for g in [X] * bits[q] if q in bits else [hk(q - 2), rz(0.3 + q)]:
+            state = kernel.apply(state, GateOp(g, (q,)))
+    for a, b in zip(core, core[1:]):
+        state = kernel.apply(state, GateOp(CH, (a, b)))
+        state = kernel.apply(state, GateOp(CZ, (b, a)))
+    assert state.fixed == bits
+    return state
+
+
+def _fixed_choices(arity: int):
+    """Every choice of fixed targets among ``TARGETS[:arity]``, with every
+    choice of their bits."""
+    targets = TARGETS[:arity]
+    for held in itertools.product((False, True), repeat=arity):
+        chosen = [q for q, h in zip(targets, held) if h]
+        for bits in itertools.product((0, 1), repeat=len(chosen)):
+            yield dict(zip(chosen, bits))
+
+
+@pytest.mark.parametrize("g", [X, S, rz(0.7), CZ, CCZ, SWAP, H, hk(2), CH],
+                         ids=lambda g: g.name)
+def test_a_gate_on_fixed_targets_matches_the_full_vector(g):
+    targets = TARGETS[:g.arity]
+    for bits in _fixed_choices(g.arity):
+        state = _with_fixed(bits)
+        got = statevector.KERNEL.apply(state, GateOp(g, targets))
+        want = statevector.apply_gate(state, g, targets)  # on the full vector
+        assert np.allclose(got.amps, want.amps, rtol=0.0, atol=TOL), (g, bits)
+        # a monomial gate keeps its fixed targets fixed, unless it is a swap
+        # of a fixed qubit with a core qubit; every other gate moves them
+        # into the core
+        stays = g.monomial is not None and not (g is SWAP and len(bits) == 1)
+        assert got.fixed.keys() == (state.fixed.keys() if stays else state.fixed.keys() - bits)
+        assert got.core.n == got.n - len(got.fixed)
+
+
+def test_a_rewind_of_a_fixed_qubit_is_certified_on_the_cores():
+    # measuring fixed qubit 5 leaves the state as it is, up to the phase
+    # that s gives it; a new state each trial, so no full vector that an
+    # earlier trial built is reused
+    n = 16
+    c = parse_circuit(
+        f"qubits {n}\ngate h 0\ngate x 5\nsnapshot s\nmeasure 5 -> m\ngate s 5\n"
+        "rewind s\nmeasure 0 -> a\naccept 9\n"
+    )
+    trial = sampler(c, statevector.KERNEL)
+    trial(SplitMix64(0))  # runs the shared prefix, up to the first measurement
+    full = np.dtype(complex).itemsize << n
+    peaks = _peaks(trial, range(1, 10))
+    assert max(peaks) < full / 16, [p >> 10 for p in peaks]
+
+
+def _wide_circuit(rng: SplitMix64, n: int = 18) -> str:
+    """An ``n``-qubit circuit shaped like the benchmark's wide one: 8
+    branching gates, 30 monomial ones, a postselection and a measurement.
+    Qubit 0 gets an ``h`` and then only diagonal gates, so postselecting it
+    has probability 1/2."""
+    qubits = list(range(1, n))
+    picked = []
+    for _ in range(7):
+        picked.append(qubits.pop(rng.randrange(len(qubits))))
+    lines = [f"qubits {n}", "gate h 0"]
+    lines += [f"gate h {q}" for q in picked[:3]]
+    lines += [f"gate hk {rng.randrange(3) - 1} {q}" for q in picked[3:5]]
+    lines += [f"gate ch {c} {t}" for c, t in zip(picked[3:5], picked[5:])]
+    for i in range(30):
+        kind = MONOMIAL_POOL[i % 6]
+        pool = range(1, n) if kind in ("x", "swap") else range(n)
+        targets = []
+        while len(targets) < {"cz": 2, "swap": 2, "ccz": 3}.get(kind, 1):
+            q = pool[rng.randrange(len(pool))]
+            if q not in targets:
+                targets.append(q)
+        param = f"{rng.uniform() * 3.0!r} " if kind == "rz" else ""
+        lines.append(f"gate {kind} {param}" + " ".join(map(str, targets)))
+    lines += ["postselect 0 = 0", f"measure {picked[0]} -> m"]
+    return "\n".join(lines) + "\n"
+
+
+def test_a_wide_prefix_of_basis_states_stays_small():
+    n = 18
+    trial = sampler(parse_circuit(_wide_circuit(SplitMix64(0x5F7), n)), statevector.KERNEL)
+    (peak,) = _peaks(trial, [0])  # the first trial runs the prefix
+    full = np.dtype(complex).itemsize << n
+    assert peak < full / 8, peak >> 10
