@@ -119,8 +119,8 @@ def _weight(amps, mask: int, want: int) -> float:
 
 def _collapse_matches(stored: AmplitudeMap, post: AmplitudeMap, qubit: int) -> bool:
     """Is ``post`` ``stored`` projected onto one outcome of ``qubit`` and
-    renormalised, up to global phase?  The dense kernel's
-    ``_collapse_matches``: the other outcome is empty in ``post``, and
+    renormalised, up to global phase?  The dense kernel's test on one
+    qubit: the other outcome is empty in ``post``, and
     |<post| P |stored>| = ||P stored||."""
     mask = 1 << qubit
     for bit in (0, 1):

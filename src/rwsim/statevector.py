@@ -35,26 +35,22 @@ Conventions
   ``_apply_monomial``.  Any other gate on a fixed qubit (``h``, ``hk`` or
   ``ch``, or a ``swap`` of a fixed qubit with a core qubit) first moves
   its fixed targets back into the core, then runs on the core with its
-  targets renumbered.  The kernel's ``is_collapse`` certifies on the two
-  cores a state that fixes the snapshot's bits and one qubit more, with
-  the test that :func:`_collapse_matches` makes on that qubit.  A state
-  that fixes the snapshot's bits and no qubit more is certified on the
-  cores too, when some qubit is fixed: measuring a fixed qubit leaves the
-  state as it is.  Any other state, or one that test does not certify,
-  gets the dense check, so the answers are those of :func:`rewind`.  A
-  state is also a read-only :class:`PureState` whose full ``amps`` are
-  built at most once, when read, which is what ``RunResult.final_state``
-  and the branch leaves are.  The protocol-level functions below
+  targets renumbered.  The kernel's ``is_collapse`` and :func:`rewind`
+  make one test, :func:`_is_collapse_of`, which reads each state as its
+  core and its fixed bits, so a certificate never builds the full width
+  and its answers are those of the test on full vectors.  A state is also
+  a read-only :class:`PureState` whose full ``amps`` are built at most
+  once, when read, which is what ``RunResult.final_state`` and the branch
+  leaves are; the kernel never reads them.  The protocol-level functions below
   (``measure``, ``postselect``, ``Reading``, ``RegisterReading``) stay on
   full vectors.
 * ``rewind(stored, post_state)`` is the paper's strict rewinding operator:
   it maps the state before a measurement and the state after it back to the
   state before, and refuses inputs it cannot certify.  ``post_state`` must
   equal (up to global phase) ``stored`` projected onto some single-qubit
-  outcome and renormalised.  The candidates checked first are the qubits
-  fixed over the support of ``post_state`` but not over that of ``stored``;
-  only if none matches are the other qubits checked, so the answer is that
-  of checking every qubit.
+  outcome and renormalised.  It tries the qubits only ``post_state`` fixes,
+  then one ``stored`` fixes, then those constant over post's support only,
+  then the rest; a refusal checks every qubit.
   Under the interpreter, which owns strict rewind's refusal, the kernel
   answers only ``is_collapse``.
 * :meth:`Reading.retry` is the protocols' rewind-and-retry step: measure
@@ -80,6 +76,7 @@ The default width cap is 24 qubits; the environment variable
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import os
@@ -334,54 +331,78 @@ def fidelity(a: PureState, b: PureState) -> float:
     return float(abs(np.vdot(a.amps, b.amps)) ** 2)
 
 
-def _slice_matches(stored_slice: np.ndarray, post_slice: np.ndarray, tol: float) -> bool:
-    """Is ``post_slice`` the nonempty ``stored_slice`` renormalised, up to
-    global phase: |<post| P |stored>| = ||P stored||?"""
-    norm_sq = float(np.sum(np.abs(stored_slice) ** 2))
-    if norm_sq <= EMPTY_PROB:
-        return False
-    overlap = abs(np.vdot(post_slice, stored_slice))
-    return 1.0 - overlap / math.sqrt(norm_sq) <= tol
+def _parts(state: PureState) -> tuple[np.ndarray, dict[int, int], list[int] | range]:
+    """``state`` as (core tensor, fixed bits, the core's qubits in order):
+    a plain state is its own core with nothing fixed."""
+    if isinstance(state, _KernelState):
+        core, fixed = state.core, state.fixed
+        axes = [q for q in range(state.n) if q not in fixed]
+    else:
+        core, fixed, axes = state, {}, range(state.n)
+    return core.amps.reshape([2] * core.n), fixed, axes
 
 
-def _collapse_matches(stored: PureState, post: PureState, qubit: int, tol: float) -> bool:
-    """Is ``post`` = (projector onto one outcome of ``qubit``) stored, renormalised?
-
-    Works on per-qubit slice views, so no check allocates a full vector.
-    A match requires the complementary slice of ``post`` to be empty and
-    its projected slice to match that of ``stored`` (:func:`_slice_matches`).
-    """
-    stored_view = _qubit_slices(stored, qubit)
-    post_view = _qubit_slices(post, qubit)
-    return any(
-        float(np.sum(np.abs(post_view[:, 1 - bit, :]) ** 2)) <= tol
-        and _slice_matches(stored_view[:, bit, :], post_view[:, bit, :], tol)
-        for bit in (0, 1)
-    )
+def _weight(parts, qubit: int, bit: int) -> float:
+    """Weight of a state given by :func:`_parts` where ``qubit`` reads ``bit``."""
+    core, fixed, axes = parts
+    if qubit in fixed:
+        return float(fixed[qubit] == bit)
+    view = core.reshape(1 << axes.index(qubit), 2, -1)[:, bit, :]
+    return np.vdot(view, view).real
 
 
-def _constant_bits(state: PureState) -> int:
-    """Basis-index bits that take one value over the state's support."""
-    support = np.flatnonzero(state.amps != 0)
-    varying = int(np.bitwise_and.reduce(support)) ^ int(np.bitwise_or.reduce(support))
-    return ~varying & ((1 << state.n) - 1)
+def _block(parts, bits: dict[int, int], qubits: list[int]) -> np.ndarray:
+    """A view of the core tensor of ``parts`` where its ``qubits`` hold their ``bits``."""
+    core, _, axes = parts
+    key = [slice(None)] * core.ndim
+    for q in qubits:
+        key[axes.index(q)] = bits[q]
+    return core[tuple(key)]
+
+
+def _constant_first(free: list[int], p_block: np.ndarray, s_block: np.ndarray):
+    """``free``, the blocks' qubits, those constant over the support of
+    ``p_block`` but not over that of ``s_block`` first."""
+    p_vary, s_vary = (int(np.bitwise_and.reduce(support)) ^ int(np.bitwise_or.reduce(support))
+                      for support in map(np.flatnonzero, (p_block, s_block)))
+    k, first = len(free), s_vary & ~p_vary
+    yield from sorted(free, key=lambda q: not first >> (k - 1 - free.index(q)) & 1)
 
 
 def _is_collapse_of(stored: PureState, post: PureState, tol: float) -> bool:
     """Is ``post`` = (projector onto some qubit outcome) stored, renormalised?
 
-    A measurement leaves its qubit fixed over the support of ``post``, and
-    a qubit already fixed in ``stored`` collapses onto ``stored`` itself.
-    So the qubits fixed over the support of ``post`` but not over that of
-    ``stored`` are checked first, with :func:`_collapse_matches`.  Only if
-    none of them matches are the remaining qubits checked as well, so the
-    answer is that of checking every qubit: the candidates only order the
-    scan.  A refusal checks every qubit.
+    The answer is that of the test on full vectors, for every qubit and
+    outcome, that ``post`` weighs at most ``tol`` on the other outcome and
+    1 - |<post| P |stored>| / ||P stored|| <= ``tol``.  But each state is
+    read as its core and fixed bits: a qubit fixed to another bit in each
+    refuses, and each core is read where the qubits that only the other
+    fixes hold their bits, as a view that holds every term of an overlap.
+    The candidates are the qubits only ``post`` fixes, one qubit ``stored``
+    fixes (measuring it leaves ``stored`` as it is), then the rest in the
+    order of :func:`_constant_first`.  A refusal checks every qubit.
     """
-    n = stored.n
-    candidates = _constant_bits(post) & ~_constant_bits(stored)
-    order = sorted(range(n), key=lambda q: not candidates >> (n - 1 - q) & 1)
-    return any(_collapse_matches(stored, post, q, tol) for q in order)
+    s, p = _parts(stored), _parts(post)
+    s_fixed, p_fixed = s[1], p[1]
+    if any(p_fixed.get(q, b) != b for q, b in s_fixed.items()):
+        return False
+    only_post = [q for q in p_fixed if q not in s_fixed]
+    only_stored = [q for q in s_fixed if q not in p_fixed]
+    s_block, p_block = _block(s, p_fixed, only_post), _block(p, s_fixed, only_stored)
+    fixed = only_post + next(([q] for q in s_fixed if q in p_fixed), only_stored)
+    free, whole = [q for q in s[2] if q not in p_fixed], None
+    for q in itertools.chain(fixed, _constant_first(free, p_block, s_block)):
+        for b in (0, 1):
+            if _weight(p, q, 1 - b) > tol or (norm_sq := _weight(s, q, b)) <= EMPTY_PROB:
+                continue
+            if q in free:
+                key = (slice(None),) * free.index(q) + (b, Ellipsis)
+                overlap = abs(np.vdot(p_block[key], s_block[key]))
+            else:  # |<post|stored>|, the same for every fixed qubit
+                whole = overlap = abs(np.vdot(p_block, s_block)) if whole is None else whole
+            if 1.0 - overlap / math.sqrt(norm_sq) <= tol:
+                return True
+    return False
 
 
 def rewind(stored: PureState, post_state: PureState) -> PureState:
@@ -508,9 +529,9 @@ class _KernelState(PureState):
     postselection reads it; monomial gates change fixed bits in place.
 
     It is a read-only :class:`PureState` on ``n`` qubits.  Its full vector
-    ``amps`` is built on first read and kept; the kernel reads it only for
-    a collapse it cannot certify on the cores.  No operation changes
-    a core or a ``fixed`` map, so states share them.
+    ``amps`` is built on first read and kept, for the caller of a run; the
+    kernel never reads it.  No operation changes a core or a ``fixed`` map,
+    so states share them.
     """
 
     def __init__(self, n: int, core: PureState, fixed: dict[int, int]):
@@ -544,28 +565,6 @@ def _unfix(state: _KernelState, qubits) -> _KernelState:
     key = tuple(state.fixed[q] if q in qubits else slice(None) for q in free)
     core[key] = state.core.amps.reshape([2] * state.core.n)
     return _KernelState(state.n, PureState(width, core.reshape(-1)), fixed)
-
-
-def _certified_on_cores(stored: _KernelState, post: _KernelState, tol: float) -> bool:
-    """Strict rewind's collapse test, read on the cores, for a ``post`` that
-    fixes what ``stored`` fixes, to the same bits, and at most one qubit more.
-
-    With one qubit more, such a ``post`` is empty off that qubit's bit and
-    holds no amplitude where ``stored`` holds none, so :func:`_collapse_matches`
-    on that qubit reduces to :func:`_slice_matches` of the stored core's
-    slice against the post core.  With none more, a fixed qubit collapses
-    ``stored`` onto itself, so the test on that qubit is :func:`_slice_matches`
-    of the two cores.  False for any other ``post``: the caller then runs
-    the dense check, so every answer is that of :func:`_is_collapse_of`.
-    """
-    extra = len(post.fixed) - len(stored.fixed)
-    if extra not in (0, 1) or any(post.fixed.get(q) != b for q, b in stored.fixed.items()):
-        return False
-    if not extra:
-        return bool(stored.fixed) and _slice_matches(stored.core.amps, post.core.amps, tol)
-    (qubit,) = post.fixed.keys() - stored.fixed.keys()
-    view = _qubit_slices(stored.core, stored.position(qubit))
-    return _slice_matches(view[:, post.fixed[qubit], :], post.core.amps, tol)
 
 
 def _pick(index: int, k: int, places) -> int:
@@ -649,8 +648,7 @@ class _StateVectorKernel(Kernel):
         return _KernelState(state.n, core, {**state.fixed, qubit: bit})
 
     def is_collapse(self, stored: _KernelState, state: _KernelState) -> bool:
-        return (_certified_on_cores(stored, state, REWIND_TOL)
-                or _is_collapse_of(stored, state, REWIND_TOL))
+        return _is_collapse_of(stored, state, REWIND_TOL)
 
 
 KERNEL = _StateVectorKernel()

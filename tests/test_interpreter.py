@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from rwsim import circuit, pathsum, stabilizer, statevector
@@ -147,3 +149,45 @@ def test_a_measurement_with_no_live_outcome_drops_the_branch():
 
     c = parse_circuit("qubits 1\ngate h 0\nmeasure 0 -> m\naccept 0\n")
     assert circuit.enumerate_branches(c, Empty()) == []
+
+
+# m = 0 takes the snapshot, m = 1 does not: only the m = 0 branch may clone it.
+ONE_BRANCH_SNAPSHOT = "qubits 1\ngate h 0\nmeasure 0 -> m\nsnapshot L if m == 0\nclone L\n"
+
+
+@pytest.mark.parametrize("backend", sorted(KERNELS))
+def test_a_snapshot_is_visible_only_on_the_branch_that_took_it(backend):
+    c = parse_circuit(ONE_BRANCH_SNAPSHOT, "visible.qc")
+    with pytest.raises(circuit.UnknownSnapshotError) as info:
+        outcome_distribution(c, KERNELS[backend])
+    assert str(info.value) == "visible.qc: line 5: no snapshot 'L' on this branch"
+
+
+BELL = "qubits 2\ngate h 0\ngate h 1\ngate cz 0 1\ngate h 1\n"
+
+
+@pytest.mark.parametrize("backend", sorted(KERNELS))
+def test_a_projector_collapses_between_its_reads(backend):
+    # reading qubit 0 as 0 leaves qubit 1 at 0: 1/2, not 1/2 * 1/2
+    p = strong_probability(parse_circuit(BELL), KERNELS[backend], {0: 0, 1: 0})
+    if backend == "stab":
+        assert p == Fraction(1, 2) and isinstance(p, Fraction)
+    else:
+        assert p == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("backend", ["sv", "pathsum"])
+def test_a_branch_of_weight_1e_20_keeps_its_key(backend):
+    # hk -33 |0> leaves weight 4^-33 / (1 + 4^-33), about 1.36e-20, on 1
+    c = parse_circuit("qubits 1\ngate hk -33 0\nmeasure 0 -> m\n")
+    weights = outcome_distribution(c, KERNELS[backend])
+    assert weights.keys() == {"m=0", "m=1"}
+    assert weights["m=1"] == pytest.approx(1.36e-20, rel=1e-2)
+
+
+@pytest.mark.parametrize("backend", sorted(KERNELS))
+def test_a_postselection_at_exactly_the_threshold_passes(backend):
+    # the threshold refuses only a rarer branch; this one has probability 1
+    c = parse_circuit("qubits 1\ngate x 0\npostselect 0 = 1\naccept 0\n")
+    trial = sampler(c, KERNELS[backend], min_postselect_prob=1.0)
+    assert trial(SplitMix64(0)).accept_bit == 1

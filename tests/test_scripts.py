@@ -1,7 +1,9 @@
-"""Smoke runs of the scan scripts under ``scripts/`` at tiny sizes."""
+"""Smoke runs of the scan scripts under ``scripts/`` at tiny sizes, and the
+fault list of ``scripts/plant_faults.py`` against the checkout."""
 
 from __future__ import annotations
 
+import importlib.util
 import subprocess
 import sys
 
@@ -28,3 +30,16 @@ def test_script_runs(script, args, header):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith(header)
+
+
+def test_every_planted_fault_has_one_anchor():
+    # checks the fault list of scripts/plant_faults.py against this checkout;
+    # it never runs the suite on a planted copy
+    path = REPO / "scripts" / "plant_faults.py"
+    spec = importlib.util.spec_from_file_location("plant_faults", path)
+    plant_faults = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(plant_faults)
+    assert len(plant_faults.FAULTS) >= 7
+    assert plant_faults.stale(REPO) == []
+    name = plant_faults.ANCHOR_TEST.rpartition("::")[2]
+    assert name == test_every_planted_fault_has_one_anchor.__name__

@@ -11,15 +11,18 @@ through a reference walk that calls the module-level ``apply_gate``,
 probabilities, final amplitudes and every refusal must agree.  A table runs
 each gate on every choice of fixed targets and bits against ``apply_gate``.
 The path-sum kernel runs the same circuits, and its samplers and exact
-oracles must agree with the dense kernel's too.  The last tests pin what
-the split saves, with ``tracemalloc``: no full-width vector is built by a
-trial on a wide state, by a rewind of a fixed qubit, or by a wide prefix of
-basis states.
+oracles must agree with the dense kernel's too.  Tests then pin what the
+split saves, with ``tracemalloc``: no full-width vector is built by a trial
+on a wide state, by a rewind certified or refused on a wide state, or by a
+wide prefix of basis states.  The last ones pin strict rewind's tolerance
+on every certificate path: plain vectors, kernel states with the measured
+qubit fixed or in the core, and the path sum.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -458,6 +461,28 @@ def test_a_rewind_of_a_fixed_qubit_is_certified_on_the_cores():
     assert max(peaks) < full / 16, [p >> 10 for p in peaks]
 
 
+REFUSED_S = (RewindConsistencyError, "state is not a one-outcome collapse of snapshot 's'")
+
+
+@pytest.mark.parametrize("middle, refusal", [("gate x 5\n", REFUSED_S),
+                                             ("gate h 3\ngate h 3\n", None)],
+                         ids=["refused", "certified"])
+def test_a_rewind_on_a_wide_state_is_read_on_the_cores(middle, refusal):
+    # the snapshot's core holds qubit 0 alone; qubit 5 is fixed in both
+    # states (to another bit after x 5), and h h leaves qubit 3 in the
+    # post-state's core at |0>
+    n = 16
+    c = parse_circuit(f"qubits {n}\ngate h 0\nsnapshot s\n{middle}measure 0 -> m\nrewind s\n")
+    trial = sampler(c, statevector.KERNEL)
+    for seed in range(4):
+        got = _outcome(lambda: trial(SplitMix64(seed)))
+        assert got == refusal if refusal else got.record.bit("m") in (0, 1)
+    full = np.dtype(complex).itemsize << n
+    fresh = sampler(c, statevector.KERNEL)
+    peaks = _peaks(lambda rng: _outcome(lambda: fresh(rng)), range(8))
+    assert max(peaks) < full / 16, [p >> 10 for p in peaks]
+
+
 def _wide_circuit(rng: SplitMix64, n: int = 18) -> str:
     """An ``n``-qubit circuit shaped like the benchmark's wide one: 8
     branching gates, 30 monomial ones, a postselection and a measurement.
@@ -491,3 +516,80 @@ def test_a_wide_prefix_of_basis_states_stays_small():
     (peak,) = _peaks(trial, [0])  # the first trial runs the prefix
     full = np.dtype(complex).itemsize << n
     assert peak < full / 8, peak >> 10
+
+
+# ---------------------------------------------------------------------------
+# strict rewind's tolerance on every certificate path
+
+# (qubits the snapshot fixes, qubits the post-state fixes) of each kernel-state
+# path, per mismatch; qubit 1 is measured onto 1 and qubit 3 is 1 throughout
+KERNEL_PATHS = {
+    "measured qubit fixed": {"overlap": ({3: 1}, {1: 1, 3: 1})},
+    "measured qubit in the core": {"other": ({3: 1}, {3: 1}), "overlap": ({3: 1}, {3: 1})},
+    "snapshot fixes it": {"other": ({1: 1, 3: 1}, {}), "overlap": ({1: 1, 3: 1}, {1: 1, 3: 1})},
+}
+CERTIFICATE_CASES = [("plain", kind) for kind in ("other", "overlap")] + [
+    (path, kind) for path, kinds in KERNEL_PATHS.items() for kind in kinds
+] + [("pathsum", kind) for kind in ("other", "overlap")]
+
+
+def _mismatched(kind: str, eps: float, fixed: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(stored, post) on 4 qubits: post is stored collapsed onto qubit 1 = 1,
+    off by ``eps`` in one of strict rewind's measures: weight ``eps`` on
+    qubit 1 = 0 (``"other"``), or 1 - overlap = ``eps`` (``"overlap"``).
+    Qubit 3 is 1 in both; if ``fixed``, qubit 1 is 1 in stored too."""
+    rng = np.random.default_rng(7)
+    a = (rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))).astype(complex)
+    if fixed:
+        a[:, 0, :] = 0.0
+    stored = np.kron(a.reshape(-1), [0.0, 1.0])
+    stored /= np.linalg.norm(stored)
+    on_one = np.zeros((2, 2, 2, 2), dtype=bool)
+    on_one[:, 1, :, 1] = True
+    collapsed = np.where(on_one.reshape(-1), stored, 0.0)
+    collapsed /= np.linalg.norm(collapsed)
+    if kind == "other":  # the collapsed state with qubit 1 flipped
+        flipped = collapsed.reshape(2, 2, 4)[:, ::-1, :].reshape(-1)
+        return stored, math.sqrt(1.0 - eps) * collapsed + math.sqrt(eps) * flipped
+    extra = np.where(on_one.reshape(-1), rng.normal(size=16) + 1j * rng.normal(size=16), 0.0)
+    extra -= np.vdot(collapsed, extra) * collapsed
+    extra /= np.linalg.norm(extra)
+    return stored, (1.0 - eps) * collapsed + math.sqrt(1.0 - (1.0 - eps) ** 2) * extra
+
+
+def _kernel_state(amps: np.ndarray, fixed: dict[int, int]):
+    """The dense kernel's state of ``amps`` with the qubits of ``fixed``,
+    which hold those bits, out of the core."""
+    n = amps.size.bit_length() - 1
+    core = amps.reshape([2] * n)[tuple(fixed.get(q, slice(None)) for q in range(n))]
+    assert np.isclose(np.vdot(core, core).real, 1.0, rtol=0.0, atol=1e-15)
+    return statevector._KernelState(n, statevector.PureState(n - len(fixed), core.reshape(-1)),
+                                    fixed)
+
+
+def _certifies(path: str, kind: str, stored: np.ndarray, post: np.ndarray) -> bool:
+    if path == "plain":
+        try:
+            statevector.rewind(statevector.from_amplitudes(stored),
+                               statevector.from_amplitudes(post))
+        except RewindConsistencyError:
+            return False
+        return True
+    if path == "pathsum":
+        n = 4
+        as_map = [pathsum.AmplitudeMap(n, {
+            sum((i >> (n - 1 - q) & 1) << q for q in range(n)): amp
+            for i, amp in enumerate(amps) if amp
+        }) for amps in (stored, post)]
+        return pathsum.KERNEL.is_collapse(*as_map)
+    stored_fixed, post_fixed = KERNEL_PATHS[path][kind]
+    return statevector.KERNEL.is_collapse(_kernel_state(stored, stored_fixed),
+                                          _kernel_state(post, post_fixed))
+
+
+@pytest.mark.parametrize("path, kind", CERTIFICATE_CASES)
+def test_strict_rewind_holds_its_tolerance(path, kind):
+    # REWIND_TOL is 1e-9: a mismatch of 1e-6 is refused, one of 1e-12 is not
+    for eps, certified in ((1e-6, False), (1e-12, True)):
+        stored, post = _mismatched(kind, eps, fixed=path == "snapshot fixes it")
+        assert _certifies(path, kind, stored, post) == certified, eps
