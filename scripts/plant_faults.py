@@ -30,8 +30,8 @@ FAULTS = [
     (
         "the path sum's strict rewind accepts every state",
         "src/rwsim/pathsum.py",
-        "        return any(_collapse_matches(stored, state, q) for q in range(state.n))",
-        "        return True",
+        "        full = (1 << state.n) - 1\n",
+        "        return True\n",
     ),
     (
         "the dense strict rewind accepts every state",
@@ -68,6 +68,18 @@ FAULTS = [
         "src/rwsim/circuit.py",
         "if prob < min_postselect_prob:",
         "if prob <= min_postselect_prob:",
+    ),
+    (
+        "the interpreter runs a step whose guard fails",
+        "src/rwsim/circuit.py",
+        "if instr.when and not predicate_holds(instr.when, b.record):",
+        "if False:",
+    ),
+    (
+        "serialize_circuit drops a step's guard",
+        "src/rwsim/circuit.py",
+        "    if instr.when:\n",
+        "    if False:\n",
     ),
 ]
 

@@ -1,9 +1,9 @@
 """Circuit intermediate representation and the text format.
 
 A circuit is a straight-line instruction list over ``n_qubits`` qubits: each
-instruction executes at most once, in order.  ``rewind`` restores the quantum
-state captured by an earlier ``snapshot`` — it never moves the program
-counter, so retry patterns are written as explicit conditional chains.
+instruction executes at most once, in order, if its ``when`` guard holds.
+``rewind`` restores the state captured by an earlier ``snapshot`` — it never
+moves the program counter, so retry patterns are explicit guarded chains.
 
 Text format (one instruction per line, ``#`` starts a comment)::
 
@@ -20,14 +20,15 @@ Text format (one instruction per line, ``#`` starts a comment)::
     clone pre
     accept 0
 
-Any instruction except ``accept`` may carry an ``if`` suffix: a conjunction
-of ``<label> == <bit>`` clauses joined by ``&&``, referring to earlier
-measurement labels.  Spaces or tabs separate the tokens of a line, the
-``if`` too.
+Any instruction may carry an ``if`` suffix, its guard: ``<label> == <bit>``
+clauses joined by ``&&``, referring to earlier measurement labels.  Spaces
+or tabs separate the tokens of a line, the ``if`` too.  ``accept <q>`` is a
+declaration, not an instruction: it is given at most once, anywhere in the
+file, takes no ``if``, and :func:`serialize_circuit` prints it last.
 
 The one interpreter of the IR lives here too.  It runs a circuit over a
 backend :class:`Kernel` and owns all that is not quantum arithmetic:
-conditionals, the record, snapshots (each branch maps a label to the state
+guards, the record, snapshots (each branch maps a label to the state
 it kept), ``rewind`` (the paper's strict rewind: refused unless the kernel
 certifies the state as a one-outcome collapse of the snapshot, then
 continued from the snapshot), ``clone`` (the same restore, unchecked),
@@ -44,7 +45,7 @@ oracles accept and refuse the same circuits.  One rule,
 floating-point backend.
 
 A sampler runs the circuit's deterministic prefix, every instruction before
-the first one that reads the RNG or the record, once for all its trials.  A
+the first measurement, once for all its trials.  A
 state that outlives the instruction that made it (a snapshot, a clone, the
 prefix every trial starts from) is held as :meth:`Kernel.keep` gives it: by
 reference on a kernel whose operations are functional, as a copy on one that
@@ -113,62 +114,54 @@ class QubitBudgetError(InputError):
 class GateOp:
     gate: Gate
     targets: tuple[int, ...]
+    when: tuple[tuple[str, int], ...] = ()
 
 
 @dataclass(frozen=True)
 class Measure:
     qubit: int
     label: str
+    when: tuple[tuple[str, int], ...] = ()
 
 
 @dataclass(frozen=True)
 class Postselect:
     qubit: int
     bit: int
+    when: tuple[tuple[str, int], ...] = ()
 
 
 @dataclass(frozen=True)
 class Snapshot:
     label: str
+    when: tuple[tuple[str, int], ...] = ()
 
 
 @dataclass(frozen=True)
 class Rewind:
     label: str
+    when: tuple[tuple[str, int], ...] = ()
 
 
 @dataclass(frozen=True)
 class Clone:
     label: str
+    when: tuple[tuple[str, int], ...] = ()
 
 
-@dataclass(frozen=True)
-class Accept:
-    qubit: int
-
-
-_Plain = Union[GateOp, Measure, Postselect, Snapshot, Rewind, Clone, Accept]
-
-
-@dataclass(frozen=True)
-class Conditional:
-    """Wrapper executing ``inner`` only when every (label, bit) clause holds."""
-
-    predicate: tuple[tuple[str, int], ...]
-    inner: _Plain
-
-
-Instruction = Union[_Plain, Conditional]
+Instruction = Union[GateOp, Measure, Postselect, Snapshot, Rewind, Clone]
 
 
 @dataclass(frozen=True)
 class Circuit:
-    """A circuit, checked by :func:`validate` when it is built.  ``lines``,
-    set by :func:`parse_circuit`, holds the source line of the header and then
-    of each instruction; it takes no part in equality."""
+    """A circuit, checked by :func:`validate` when it is built.  ``accept``,
+    if set, is the qubit measured after the last instruction.  ``lines``, set
+    by :func:`parse_circuit`, holds the source line of the header, of each
+    instruction, then of ``accept``; it takes no part in equality."""
 
     n_qubits: int
     instructions: tuple[Instruction, ...]
+    accept: int | None = None
     name: str | None = None
     lines: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
@@ -242,18 +235,18 @@ def _parse_targets(parts: list[str], syntax) -> tuple[int, ...]:
 def parse_circuit(text: str, name: str | None = None) -> Circuit:
     """Parse the text format into a validated :class:`Circuit` called ``name``.
 
-    One pass splits each line into tokens once.  An unconditional gate line
+    One pass splits each line into tokens once.  An unguarded gate line
     builds its :class:`GateOp` once per distinct source text, so a repeated
     line (an inverse body, ``s`` written three times) reuses one object that
     :func:`validate` checks once.  The keys are source text, not values, so
-    ``rz -0.0`` and ``rz 0.0`` stay apart.  A conditional line is always
-    built anew.  Every error starts with ``<name>: line N: ``, the name only
-    if one is given.
+    ``rz -0.0`` and ``rz 0.0`` stay apart.  A guarded line is always built
+    anew, and ``accept`` sets :attr:`Circuit.accept`.  Every error starts
+    with ``<name>: line N: ``, the name only if one is given.
     """
-    n_qubits = None
+    n_qubits = accept = accept_line = None
     instructions: list[Instruction] = []
     lines: list[int] = []  # the header's source line, then each instruction's
-    ops: dict[str, GateOp] = {}  # unconditional gate lines by source text
+    ops: dict[str, GateOp] = {}  # unguarded gate lines by source text
 
     def syntax(message: str) -> CircuitSyntaxError:  # about the line being read
         return CircuitSyntaxError(lineno, message, name)
@@ -275,14 +268,14 @@ def parse_circuit(text: str, name: str | None = None) -> Circuit:
             lines.append(lineno)
             continue
 
-        predicate = None
+        when: tuple[tuple[str, int], ...] = ()
         if "if" in parts[1:-1]:  # an ``if`` with tokens on both sides
             at = parts.index("if", 1)
-            predicate = _parse_predicate(" ".join(parts[at + 1 :]), syntax)
+            when = _parse_predicate(" ".join(parts[at + 1 :]), syntax)
             parts = parts[:at]
 
         kind = parts[0]
-        instr: _Plain
+        instr: Instruction
         if kind == "gate":
             if len(parts) < 3:
                 raise syntax("gate needs a name and targets")
@@ -299,80 +292,79 @@ def parse_circuit(text: str, name: str | None = None) -> Circuit:
             targets = _parse_targets(parts[2 if g.param is None else 3 :], syntax)
             if len(targets) != g.arity:
                 raise syntax(f"gate {gname} expects {g.arity} target(s), got {len(targets)}")
-            instr = GateOp(g, targets)
-            if predicate is None:
+            instr = GateOp(g, targets, when)
+            if not when:
                 ops[line] = instr
         elif kind == "measure":
             if len(parts) != 4 or parts[2] != "->":
                 raise syntax("expected 'measure <q> -> <label>'")
-            instr = Measure(_parse_int(parts[1], syntax, "qubit index"), parts[3])
+            instr = Measure(_parse_int(parts[1], syntax, "qubit index"), parts[3], when)
         elif kind == "postselect":
             if len(parts) != 4 or parts[2] != "=" or parts[3] not in ("0", "1"):
                 raise syntax("expected 'postselect <q> = <0|1>'")
-            instr = Postselect(_parse_int(parts[1], syntax, "qubit index"), int(parts[3]))
+            instr = Postselect(_parse_int(parts[1], syntax, "qubit index"), int(parts[3]), when)
         elif kind == "snapshot":
             if len(parts) != 2:
                 raise syntax("expected 'snapshot <label>'")
-            instr = Snapshot(parts[1])
+            instr = Snapshot(parts[1], when)
         elif kind == "rewind":
             if len(parts) != 2:
                 raise syntax("expected 'rewind <label>'")
-            instr = Rewind(parts[1])
+            instr = Rewind(parts[1], when)
         elif kind == "clone":
             if len(parts) != 2:
                 raise syntax("expected 'clone <label>'")
-            instr = Clone(parts[1])
+            instr = Clone(parts[1], when)
         elif kind == "accept":
             if len(parts) != 2:
                 raise syntax("expected 'accept <q>'")
-            if predicate is not None:
+            if when:
                 raise syntax("accept cannot be conditional")
-            instr = Accept(_parse_int(parts[1], syntax, "qubit index"))
+            qubit = _parse_int(parts[1], syntax, "qubit index")
+            if accept is not None:
+                raise syntax("at most one accept declaration is allowed")
+            accept, accept_line = qubit, lineno
+            continue
         else:
             raise syntax(f"unknown instruction {kind!r}")
 
-        instructions.append(Conditional(predicate, instr) if predicate else instr)
+        instructions.append(instr)
         lines.append(lineno)
 
     if n_qubits is None:
         raise CircuitSyntaxError(1, "missing 'qubits N' header", name)
-    return Circuit(n_qubits, tuple(instructions), name, tuple(lines))
+    if accept is not None:
+        lines.append(accept_line)
+    return Circuit(n_qubits, tuple(instructions), accept, name, tuple(lines))
 
 
-def _format_gate(op: GateOp) -> str:
-    targets = " ".join(str(t) for t in op.targets)
-    if op.gate.param is not None:
-        return f"gate {op.gate.name} {op.gate.param!r} {targets}"
-    return f"gate {op.gate.name} {targets}"
-
-
-def _format_plain(instr: _Plain) -> str:
+def _format(instr: Instruction) -> str:
     if isinstance(instr, GateOp):
-        return _format_gate(instr)
-    if isinstance(instr, Measure):
-        return f"measure {instr.qubit} -> {instr.label}"
-    if isinstance(instr, Postselect):
-        return f"postselect {instr.qubit} = {instr.bit}"
-    if isinstance(instr, Snapshot):
-        return f"snapshot {instr.label}"
-    if isinstance(instr, Rewind):
-        return f"rewind {instr.label}"
-    if isinstance(instr, Clone):
-        return f"clone {instr.label}"
-    if isinstance(instr, Accept):
-        return f"accept {instr.qubit}"
-    raise TypeError(f"not an instruction: {instr!r}")
+        param = "" if instr.gate.param is None else f" {instr.gate.param!r}"
+        text = f"gate {instr.gate.name}{param} " + " ".join(str(t) for t in instr.targets)
+    elif isinstance(instr, Measure):
+        text = f"measure {instr.qubit} -> {instr.label}"
+    elif isinstance(instr, Postselect):
+        text = f"postselect {instr.qubit} = {instr.bit}"
+    elif isinstance(instr, Snapshot):
+        text = f"snapshot {instr.label}"
+    elif isinstance(instr, Rewind):
+        text = f"rewind {instr.label}"
+    elif isinstance(instr, Clone):
+        text = f"clone {instr.label}"
+    else:
+        raise TypeError(f"not an instruction: {instr!r}")
+    if instr.when:
+        text += " if " + " && ".join(f"{label} == {bit}" for label, bit in instr.when)
+    return text
 
 
 def serialize_circuit(circuit: Circuit) -> str:
-    """Inverse of :func:`parse_circuit` (modulo comments and blank lines)."""
-    lines = [f"qubits {circuit.n_qubits}"]
-    for instr in circuit.instructions:
-        if isinstance(instr, Conditional):
-            cond = " && ".join(f"{label} == {bit}" for label, bit in instr.predicate)
-            lines.append(f"{_format_plain(instr.inner)} if {cond}")
-        else:
-            lines.append(_format_plain(instr))
+    """Inverse of :func:`parse_circuit` (modulo comments, blank lines and
+    where ``accept`` stands: it comes last)."""
+    lines = [f"qubits {circuit.n_qubits}"] + [_format(instr) for instr in circuit.instructions]
+    if circuit.accept is not None:
+        lines.append(f"accept {circuit.accept}")
     return "\n".join(lines) + "\n"
 
 
@@ -413,60 +405,43 @@ def validate(circuit: Circuit) -> None:
     measure_labels: set[str] = set()
     snapshot_labels: set[str] = set()
     checked: set[int] = set()  # ids of the GateOp objects already checked
-    accept_seen = False
     for pc, instr in enumerate(circuit.instructions):
-        inner = instr.inner if isinstance(instr, Conditional) else instr
-        if isinstance(instr, Conditional):
-            if isinstance(inner, (Conditional, Accept)):
-                raise error("conditional accept/nesting is not allowed", pc)
-            for label, bit in instr.predicate:
-                if label not in measure_labels:
-                    raise error(f"condition references undefined measurement label {label!r}", pc)
-                if bit not in (0, 1):
-                    raise error("condition bits must be 0 or 1", pc)
-        if isinstance(inner, GateOp):
-            if id(inner) in checked:
+        if not isinstance(instr, (GateOp, Measure, Postselect, Snapshot, Rewind, Clone)):
+            raise error(f"unknown instruction {instr!r}", pc)
+        for label, bit in instr.when:
+            if label not in measure_labels:
+                raise error(f"condition references undefined measurement label {label!r}", pc)
+            if bit not in (0, 1):
+                raise error("condition bits must be 0 or 1", pc)
+        if isinstance(instr, GateOp):
+            if id(instr) in checked:
                 continue
-            checked.add(id(inner))
-            for q in inner.targets:
+            checked.add(id(instr))
+            for q in instr.targets:
                 check_qubit(q, pc)
-            if len(set(inner.targets)) != len(inner.targets):
-                raise error(f"gate {inner.gate.name} targets must be distinct: {inner.targets}", pc)
-        elif isinstance(inner, Measure):
-            check_qubit(inner.qubit, pc)
-            if inner.label in measure_labels:
-                raise error(f"duplicate measurement label {inner.label!r}", pc)
-            measure_labels.add(inner.label)
-        elif isinstance(inner, Postselect):
-            check_qubit(inner.qubit, pc)
-            if inner.bit not in (0, 1):
+            if len(set(instr.targets)) != len(instr.targets):
+                raise error(f"gate {instr.gate.name} targets must be distinct: {instr.targets}", pc)
+        elif isinstance(instr, Measure):
+            check_qubit(instr.qubit, pc)
+            if instr.label in measure_labels:
+                raise error(f"duplicate measurement label {instr.label!r}", pc)
+            measure_labels.add(instr.label)
+        elif isinstance(instr, Postselect):
+            check_qubit(instr.qubit, pc)
+            if instr.bit not in (0, 1):
                 raise error("postselect bit must be 0 or 1", pc)
-        elif isinstance(inner, Snapshot):
-            if inner.label in snapshot_labels:
-                raise error(f"duplicate snapshot label {inner.label!r}", pc)
-            snapshot_labels.add(inner.label)
-        elif isinstance(inner, (Rewind, Clone)):
-            if inner.label not in snapshot_labels:
-                raise error(
-                    f"{type(inner).__name__.lower()} references undefined snapshot "
-                    f"label {inner.label!r}",
-                    pc,
-                )
-        elif isinstance(inner, Accept):
-            check_qubit(inner.qubit, pc)
-            if accept_seen:
-                raise error("at most one accept declaration is allowed", pc)
-            accept_seen = True
-        else:
-            raise error(f"unknown instruction {inner!r}", pc)
-
-
-def accept_qubit(circuit: Circuit) -> int | None:
-    """The declared accept qubit, or None."""
-    for instr in circuit.instructions:
-        if isinstance(instr, Accept):
-            return instr.qubit
-    return None
+        elif isinstance(instr, Snapshot):
+            if instr.label in snapshot_labels:
+                raise error(f"duplicate snapshot label {instr.label!r}", pc)
+            snapshot_labels.add(instr.label)
+        elif instr.label not in snapshot_labels:  # a Rewind or a Clone
+            raise error(
+                f"{type(instr).__name__.lower()} references undefined snapshot "
+                f"label {instr.label!r}",
+                pc,
+            )
+    if circuit.accept is not None:
+        check_qubit(circuit.accept, len(circuit.instructions))
 
 
 # ---------------------------------------------------------------------------
@@ -585,10 +560,9 @@ def _check_runs(circuit: Circuit, kernel: Kernel) -> None:
     line."""
     kernel.check_width(circuit.n_qubits)
     for pc, instr in enumerate(circuit.instructions):
-        inner = instr.inner if isinstance(instr, Conditional) else instr
-        if isinstance(inner, GateOp) and inner.gate.name not in kernel.gates:
+        if isinstance(instr, GateOp) and instr.gate.name not in kernel.gates:
             raise GateSetError(
-                f"{_at(circuit, pc)}backend {kernel.name} cannot run gate {inner.gate.name}"
+                f"{_at(circuit, pc)}backend {kernel.name} cannot run gate {instr.gate.name}"
             )
 
 
@@ -620,10 +594,8 @@ def _interpret(
         while b.pc < stop:
             instr = instructions[b.pc]
             b.pc += 1
-            if isinstance(instr, Conditional):
-                if not predicate_holds(instr.predicate, b.record):
-                    continue
-                instr = instr.inner
+            if instr.when and not predicate_holds(instr.when, b.record):
+                continue
             if isinstance(instr, GateOp):
                 b.state = kernel.apply(b.state, instr)
             elif isinstance(instr, Measure):
@@ -673,17 +645,17 @@ def _interpret(
                         f"state is not a one-outcome collapse of snapshot {instr.label!r}"
                     )
                 b.state = kernel.keep(stored)
-            # Accept is read once the walk ends.
         else:  # the branch got to ``stop`` without forking or being dropped
             leaves.append(b)
     return leaves
 
 
 def _first_draw(circuit: Circuit) -> int:
-    """Position of the first instruction that reads the RNG or the record (a
-    measurement or any conditional), or the circuit's length if none does."""
+    """Position of the first measurement, or the circuit's length if there
+    is none.  No instruction before it reads the RNG or the record: a guard
+    names only labels measured earlier, which :func:`validate` checks."""
     for pc, instr in enumerate(circuit.instructions):
-        if isinstance(instr, (Measure, Conditional)):
+        if isinstance(instr, Measure):
             return pc
     return len(circuit.instructions)
 
@@ -714,7 +686,7 @@ def sampler(
         raise InputError(f"min_postselect_prob must lie in [0, 1], got {min_postselect_prob!r}")
     _check_runs(circuit, kernel)
     prefix_end, end = _first_draw(circuit), len(circuit.instructions)
-    accept = accept_qubit(circuit)
+    accept = circuit.accept
     prefix: _Branch | None = None
 
     def trial(rng) -> RunResult:

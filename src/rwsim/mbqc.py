@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .circuit import Circuit, Conditional, GateOp, InputError, Measure, Rewind, Snapshot
+from .circuit import Circuit, GateOp, InputError, Measure, Rewind, Snapshot
 from .gates import CH, CZ, H, Gate, rz
 from .rng import SplitMix64
 from .statevector import (
@@ -45,8 +45,9 @@ from .statevector import (
 
 _DEFAULT_GRID_MAX = 14
 
-# failed ancilla readings one fan-out round undoes before it gives up
-_FANOUT_RETRY_BUDGET = 64
+# failed readings a fan-out round, or a pattern qubit, retries at most; from
+# 53 on, 1 - 2^-(b+1) is 1.0 in double precision
+_RETRY_BUDGET = 64
 
 
 @dataclass(frozen=True)
@@ -140,7 +141,10 @@ def pattern_circuit(spec: BrickworkSpec, pattern: MeasurementPattern, budget: in
     ``statevector.KERNEL`` the core of a run's final state is the output:
     that kernel keeps a qubit out of the core while it is in a basis
     state, and here every qubit gets an ``h``, so the qubits it leaves out
-    at the end are exactly the measured ones."""
+    at the end are exactly the measured ones.  Retry k carries k guard
+    clauses, so a budget over 64 is refused with :class:`InputError`."""
+    if budget > _RETRY_BUDGET:
+        raise InputError(f"retry budget {budget} is over the cap of {_RETRY_BUDGET}")
     total = grid_qubits(spec)
     qubits = [q for q, _ in pattern.entries]
     if len(set(qubits)) != len(qubits):
@@ -157,7 +161,7 @@ def pattern_circuit(spec: BrickworkSpec, pattern: MeasurementPattern, budget: in
         ops += [GateOp(H, (q,)), Snapshot(f"s{q}"), Measure(q, f"m{q}.0")]
         for k in range(1, budget + 1):
             missed = tuple((f"m{q}.{j}", 1) for j in range(k))
-            ops += [Conditional(missed, op) for op in (Rewind(f"s{q}"), Measure(q, f"m{q}.{k}"))]
+            ops += [Rewind(f"s{q}", missed), Measure(q, f"m{q}.{k}", missed)]
     return Circuit(total, tuple(ops))
 
 
@@ -219,7 +223,7 @@ def iqp_fanout_amplify(
         work = apply_gate(work, H, (ancilla,))
         work = apply_gate(work, CH, (control_qubit, ancilla))
         reading = Reading(work, ancilla)
-        if reading.retry(0, _FANOUT_RETRY_BUDGET + 1, rng)[-1]:
+        if reading.retry(0, _RETRY_BUDGET + 1, rng)[-1]:
             raise RuntimeError("fan-out retry budget exhausted")
         state = reading.dropped(0)
     return state

@@ -31,9 +31,11 @@ not depend on the NumPy backend.
 * ``is_collapse``, which strict rewind asks, is the dense kernel's test on
   maps: some qubit's other outcome holds no weight in the state, and the
   state's amplitudes there are the snapshot's, renormalised, up to global
-  phase.  It tries all ``n`` qubits, so a qubit that is 0 over the whole
-  support certifies a state equal to its snapshot; that is why a map
-  carries its width rather than reading it off its keys.
+  phase.  It tries each qubit whose bit varies over either map's keys, and
+  one qubit below ``n`` with one bit on every key of both, which certifies
+  a state equal to its snapshot (so a map carries its width): all such
+  qubits answer alike, and a qubit with one bit in the snapshot and the
+  other in the state never certifies.
 
 Cost is O(ops x live amplitudes) per branch.  With b branching gates on n
 qubits a map holds at most 2^min(b, n) amplitudes, and memory is the live
@@ -51,7 +53,8 @@ run within seconds and under half a gigabyte.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_, or_
 
 from .circuit import (
     EMPTY_PROB,
@@ -61,7 +64,6 @@ from .circuit import (
     GateOp,
     InputError,
     Kernel,
-    accept_qubit,
     enumerate_branches,
     outcome_weight,
 )
@@ -176,7 +178,17 @@ class PathSumKernel(Kernel):
         )
 
     def is_collapse(self, stored: AmplitudeMap, state: AmplitudeMap) -> bool:
-        return any(_collapse_matches(stored, state, q) for q in range(state.n))
+        full = (1 << state.n) - 1
+        ones = [reduce(and_, amps, full) for amps in (stored, state)]  # 1 on every key
+        vary = full & (reduce(or_, stored, 0) ^ ones[0] | reduce(or_, state, 0) ^ ones[1])
+        same = full & ~(vary | ones[0] ^ ones[1])  # one bit on every key of both maps
+        tries = vary | same & -same  # the varying qubits and the lowest same one
+        while tries:
+            low = tries & -tries
+            if _collapse_matches(stored, state, low.bit_length() - 1):
+                return True
+            tries ^= low
+        return False
 
 
 KERNEL = PathSumKernel()
@@ -191,7 +203,7 @@ def acceptance_probability(circuit: Circuit, outcomes: dict[str, float] | None =
     :func:`rwsim.circuit.outcome_distribution` returns them, from the same
     enumeration.  A circuit without ``accept`` is refused before it runs.
     """
-    accept = accept_qubit(circuit)
+    accept = circuit.accept
     if accept is None:
         raise CircuitValidationError("circuit declares no accept qubit")
     total = 0.0

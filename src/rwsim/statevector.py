@@ -88,6 +88,7 @@ from .circuit import (  # the shared error names are re-exported
     EMPTY_PROB,
     REWIND_TOL,
     GateOp,
+    InputError,
     InvalidPostselectionError,
     Kernel,
     PostselectThresholdError,
@@ -105,7 +106,11 @@ _DEFAULT_MAX_QUBITS = 24
 
 def max_qubits() -> int:
     value = os.environ.get("RWSIM_MAX_QUBITS")
-    return int(value) if value else _DEFAULT_MAX_QUBITS
+    if not value:
+        return _DEFAULT_MAX_QUBITS
+    if not value.strip().isdecimal() or int(value) < 1:
+        raise InputError(f"RWSIM_MAX_QUBITS must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def check_width(n: int, what: str) -> None:

@@ -31,7 +31,6 @@ from rwsim.applications import (
     toy_two_regular,
 )
 from rwsim.circuit import (
-    accept_qubit,
     outcome_distribution,
     parse_circuit,
     sampler,
@@ -180,7 +179,7 @@ def test_acceptance_oracle_agrees_with_dense_enumeration():
         rng = SplitMix64(stream_seed(0xAC7, seed))
         text = random_general_circuit(rng, h_max=6)
         circuit = parse_circuit(text)
-        dense = strong_probability(circuit, KERNEL, {accept_qubit(circuit): 1})
+        dense = strong_probability(circuit, KERNEL, {circuit.accept: 1})
         assert abs(acceptance_probability(circuit) - dense) <= 1e-9, text
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -9,12 +10,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rwsim.circuit import (
-    Accept,
     Circuit,
     CircuitSyntaxError,
     CircuitValidationError,
     Clone,
-    Conditional,
     GateOp,
     Measure,
     MeasurementRecord,
@@ -22,7 +21,6 @@ from rwsim.circuit import (
     RecordError,
     Rewind,
     Snapshot,
-    accept_qubit,
     parse_circuit,
     predicate_holds,
     serialize_circuit,
@@ -59,13 +57,13 @@ def test_parse_example_structure():
         "GateOp",
         "Snapshot",
         "Measure",
-        "Conditional",
-        "Conditional",
+        "Rewind",
+        "Measure",
         "Postselect",
         "Clone",
-        "Accept",
     ]
-    assert accept_qubit(c) == 2
+    assert [i.when for i in c.instructions[6:8]] == [(("m1", 1),), (("m1", 1),)]
+    assert c.accept == 2
 
 
 def test_round_trip_through_serializer():
@@ -89,9 +87,8 @@ def test_conditional_predicate_parsing():
         "qubits 1\nmeasure 0 -> a\nmeasure 0 -> b\ngate x 0 if a == 1 && b == 0\n"
     )
     cond = c.instructions[-1]
-    assert isinstance(cond, Conditional)
-    assert cond.predicate == (("a", 1), ("b", 0))
-    assert cond.inner == GateOp(gate("x"), (0,))
+    assert cond.when == (("a", 1), ("b", 0))
+    assert cond == GateOp(gate("x"), (0,), (("a", 1), ("b", 0)))
 
 
 @pytest.mark.parametrize(
@@ -168,13 +165,13 @@ def test_validate_without_source_lines_names_none():
 )
 def test_tabs_separate_the_if_like_any_token(line):
     c = parse_circuit(f"qubits 1\nmeasure 0 -> m\n{line}\n")
-    assert c.instructions[-1] == Conditional((("m", 1),), GateOp(gate("x"), (0,)))
+    assert c.instructions[-1] == GateOp(gate("x"), (0,), (("m", 1),))
 
 
 def test_an_if_with_nothing_after_it_is_a_label():
     c = parse_circuit("qubits 1\nmeasure 0 -> if\ngate x 0 if if == 1\n")
     assert c.instructions == (
-        Measure(0, "if"), Conditional((("if", 1),), GateOp(gate("x"), (0,)))
+        Measure(0, "if"), GateOp(gate("x"), (0,), (("if", 1),))
     )
 
 
@@ -195,8 +192,21 @@ def test_repeated_lines_share_one_op_and_one_gate():
 
 def test_a_repeated_conditional_line_keeps_its_condition():
     c = parse_circuit("qubits 1\nmeasure 0 -> m\ngate x 0 if m == 1\ngate x 0 if m == 1\n")
-    guarded = Conditional((("m", 1),), GateOp(gate("x"), (0,)))
+    guarded = GateOp(gate("x"), (0,), (("m", 1),))
     assert c.instructions == (Measure(0, "m"), guarded, guarded)
+
+
+def test_accept_is_declared_anywhere_once_and_printed_last():
+    c = parse_circuit("qubits 2\naccept 1\ngate h 0\nmeasure 0 -> m\n")
+    assert c.accept == 1
+    assert c.lines == (1, 3, 4, 2)  # the header, each instruction, then accept
+    assert serialize_circuit(c) == "qubits 2\ngate h 0\nmeasure 0 -> m\naccept 1\n"
+    with pytest.raises(CircuitSyntaxError) as err:
+        parse_circuit("qubits 2\naccept 1\ngate h 0\naccept 0\n", name="two.qc")
+    assert str(err.value) == "two.qc: line 4: at most one accept declaration is allowed"
+    with pytest.raises(CircuitValidationError) as err:
+        parse_circuit("qubits 2\naccept 5\ngate h 0\n")
+    assert str(err.value) == "line 2: qubit index 5 out of range for 2 qubits"
 
 
 def test_signed_zero_angles_stay_apart():
@@ -240,8 +250,8 @@ _ARITIES = {name: gate(name, {"hk": 0, "rz": 0.0}.get(name)).arity for name in G
 
 @st.composite
 def circuits(draw) -> Circuit:
-    """Valid circuits mixing every instruction kind, conditionals, repeated
-    gate ops, ``hk`` and odd ``rz`` angles, with an optional accept last."""
+    """Valid circuits mixing every instruction kind, guards, repeated gate
+    ops, ``hk`` and odd ``rz`` angles, with an optional accept."""
     n = draw(st.integers(1, 4))
     names = sorted(name for name, arity in _ARITIES.items() if arity <= n)
     instructions, labels, snapshots, gate_ops = [], [], [], []
@@ -270,16 +280,15 @@ def circuits(draw) -> Circuit:
             continue
         if labels and draw(st.booleans()):
             chosen = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=3, unique=True))
-            instr = Conditional(tuple((label, draw(st.integers(0, 1))) for label in chosen), instr)
+            when = tuple((label, draw(st.integers(0, 1))) for label in chosen)
+            instr = dataclasses.replace(instr, when=when)
         instructions.append(instr)
-        inner = instr.inner if isinstance(instr, Conditional) else instr
-        if isinstance(inner, Measure):
-            labels.append(inner.label)
-        elif isinstance(inner, Snapshot):
-            snapshots.append(inner.label)
-    if draw(st.booleans()):
-        instructions.append(Accept(draw(st.integers(0, n - 1))))
-    return Circuit(n, tuple(instructions))
+        if isinstance(instr, Measure):
+            labels.append(instr.label)
+        elif isinstance(instr, Snapshot):
+            snapshots.append(instr.label)
+    accept = draw(st.one_of(st.none(), st.integers(0, n - 1)))
+    return Circuit(n, tuple(instructions), accept)
 
 
 @given(circuits(), st.data())

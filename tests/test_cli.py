@@ -24,7 +24,6 @@ from rwsim.circuit import (
     RecordError,
     RewindConsistencyError,
     UnknownSnapshotError,
-    accept_qubit,
     outcome_distribution,
     parse_circuit,
     strong_probability,
@@ -173,7 +172,7 @@ def test_simulate_pathsum_runs_snapshot_and_rewind(capsys):
     assert (code, err) == (0, "")
     report = fields(out)
     c = parse_circuit(Path(RETRY).read_text())
-    dense = strong_probability(c, statevector.KERNEL, {accept_qubit(c): 1})
+    dense = strong_probability(c, statevector.KERNEL, {c.accept: 1})
     assert abs(float(report["p_accept"]) - dense) <= 1e-12
     q_z = {k[2:].replace(":", "="): float(v) for k, v in report.items() if k.startswith("p.")}
     want = outcome_distribution(c, statevector.KERNEL)
@@ -648,6 +647,38 @@ def test_demo_mbqc_budget_zero_fails_the_fidelity_gate(capsys):
     )
     assert code == 1
     assert fields(out)["assert.fidelity"] == "fail(no all-zero trial)"
+
+
+@pytest.mark.parametrize("budget, code", [("64", 0), ("65", 2)])
+def test_demo_mbqc_caps_the_retry_budget(capsys, budget, code):
+    # retry k of a qubit carries k guard clauses: the circuit grows as budget squared
+    got, _, err = run(
+        capsys,
+        ["demo", "mbqc", "--rows", "2", "--cols", "5", "--budget", budget, "--trials", "2"],
+    )
+    assert got == code
+    assert ("error: retry budget 65 is over the cap of 64" in err) == (code == 2)
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
+def test_a_width_cap_that_is_not_a_positive_integer_is_bad_input(monkeypatch, capsys, value):
+    monkeypatch.setenv("RWSIM_MAX_QUBITS", value)
+    code, out, err = run(capsys, ["simulate", BELL, "--trials", "2"])
+    assert (code, out) == (2, "")
+    assert err == f"error: RWSIM_MAX_QUBITS must be a positive integer, got {value!r}\n"
+
+
+def test_a_width_cap_that_is_not_an_integer_stops_a_demo_with_exit_2():
+    # a fresh process: in this one the pp chains may be cached from earlier tests
+    proc = subprocess.run(
+        [sys.executable, "-m", "rwsim", "demo", "pp", "--n", "2", "--trials", "1"],
+        capture_output=True,
+        text=True,
+        cwd=REPO,
+        env={**cli_env(), "RWSIM_MAX_QUBITS": "abc"},
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: RWSIM_MAX_QUBITS must be a positive integer, got 'abc'\n"
 
 
 def test_demo_mitigate_rewind_report(capsys):

@@ -38,7 +38,6 @@ from rwsim import pathsum, stabilizer, statevector
 from rwsim.circuit import (
     InvalidPostselectionError,
     RewindConsistencyError,
-    accept_qubit,
     enumerate_branches,
     outcome_distribution,
     parse_circuit,
@@ -101,7 +100,7 @@ def _assert_same(got: dict, want: dict, context) -> None:
 
 def _sv_acceptance_by_key(circuit) -> tuple[dict, dict]:
     """sv oracle: q_z and q_z * P(accept | z) per outcome key."""
-    accept = accept_qubit(circuit)
+    accept = circuit.accept
     weights, accepted = {}, {}
     for key, weight, state in enumerate_branches(circuit, statevector.KERNEL):
         weights[key] = weight
@@ -111,7 +110,7 @@ def _sv_acceptance_by_key(circuit) -> tuple[dict, dict]:
 
 def _acceptance(circuit) -> float:
     """The dense oracle's P(accept = 1)."""
-    return strong_probability(circuit, SV, {accept_qubit(circuit): 1})
+    return strong_probability(circuit, SV, {circuit.accept: 1})
 
 
 def _records(kernel, circuit, master: int):
@@ -337,7 +336,7 @@ def test_retry_block_equals_adaptive_postselection():
         # oracle beside it), the retry form succeeds with weight
         # q_z (1 - (1 - p)^k) and then accepts with the same P(accept | z)
         sv_weights, sv_accepted = _sv_acceptance_by_key(posted)
-        accept, mass = accept_qubit(posted), 0.0
+        accept, mass = posted.accept, 0.0
         for key, q_z, state in enumerate_branches(posted, pathsum.KERNEL):
             _, s = rates[_key((label, b) for label, b in _pairs(key) if label in before)]
             a_z = pathsum.KERNEL.prob(state, accept, 1)

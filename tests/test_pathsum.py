@@ -3,11 +3,19 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import random_general_circuit
 from rwsim import pathsum, statevector
-from rwsim.circuit import accept_qubit, outcome_distribution, parse_circuit, strong_probability
-from rwsim.pathsum import KERNEL, SizeLimitError, acceptance_probability
+from rwsim.circuit import (
+    RewindConsistencyError,
+    outcome_distribution,
+    parse_circuit,
+    sampler,
+    strong_probability,
+)
+from rwsim.pathsum import KERNEL, AmplitudeMap, SizeLimitError, acceptance_probability
 from rwsim.rng import SplitMix64, stream_seed
 
 BELL = """
@@ -66,7 +74,7 @@ def test_an_acceptance_out_of_range_is_refused(monkeypatch):
 
 
 def _dense_acceptance(circuit) -> float:
-    return strong_probability(circuit, statevector.KERNEL, {accept_qubit(circuit): 1})
+    return strong_probability(circuit, statevector.KERNEL, {circuit.accept: 1})
 
 
 def _matches_the_dense_oracle(text: str) -> None:
@@ -148,6 +156,55 @@ def test_unbounded_branching_matches_dense_oracle(seed):
     assert acceptance_probability(circuit) == pytest.approx(
         _dense_acceptance(circuit), abs=1e-9
     ), text
+
+
+@pytest.mark.parametrize(
+    "body, certified",
+    [
+        ("gate h 1\nsnapshot s\nmeasure 0 -> a\nmeasure 1 -> b\nrewind s", False),
+        ("gate h 1\nsnapshot s\nmeasure 1 -> b\nrewind s", True),
+        ("gate h 1\nsnapshot s\nrewind s", True),  # certified on a qubit no key varies on
+    ],
+)
+def test_a_rewind_on_a_million_qubits_tries_few_of_them(monkeypatch, body, certified):
+    # the keys use qubits 0 and 1 only: qubits 2 and up all answer as qubit 2 does
+    tried = []
+    real = pathsum._collapse_matches
+
+    def counted(stored, post, qubit):
+        tried.append(qubit)
+        return real(stored, post, qubit)
+
+    monkeypatch.setattr(pathsum, "_collapse_matches", counted)
+    trial = sampler(parse_circuit(f"qubits 1000000\ngate h 0\n{body}\naccept 0\n"), KERNEL)
+    if certified:
+        trial(SplitMix64(1))
+    else:
+        with pytest.raises(RewindConsistencyError):
+            trial(SplitMix64(1))
+    assert 1 <= len(tried) <= 3 and set(tried) <= {0, 1, 2}
+
+
+def _normalised(n: int, amps: dict) -> AmplitudeMap:
+    norm = sum(abs(a) ** 2 for a in amps.values()) ** 0.5
+    return AmplitudeMap(n, {key: a / norm for key, a in amps.items()})
+
+
+@given(st.data())
+def test_a_rewind_tries_fewer_qubits_but_answers_as_trying_all(data):
+    n = data.draw(st.integers(1, 5))
+    keys, amps = st.integers(0, (1 << n) - 1), st.sampled_from([1, -1, 1j, 0.5, 2, 1e-7])
+    stored = _normalised(n, data.draw(st.dictionaries(keys, amps, min_size=1, max_size=8)))
+    q, bit = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, 1))
+    kept = {k: a * 1j for k, a in stored.items() if k >> q & 1 == bit}
+    if not kept or data.draw(st.booleans()):  # not a collapse of ``stored``, mostly
+        kept = data.draw(st.dictionaries(keys, amps, min_size=1, max_size=8))
+    if data.draw(st.booleans()):  # moved by 1e-12 (within tolerance) up to 1e-4
+        key = data.draw(keys)
+        kept[key] = kept.get(key, 0) + data.draw(st.sampled_from([1e-12, 1e-8, 1e-4]))
+    post = _normalised(n, kept)
+    every = any(pathsum._collapse_matches(stored, post, qubit) for qubit in range(n))
+    assert KERNEL.is_collapse(stored, post) == every
 
 
 def test_each_gate_builds_its_moves_once():

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from conftest import cli_env
 from rwsim.circuit import (
-    accept_qubit,
     outcome_distribution,
     parse_circuit,
     sampler,
@@ -541,7 +540,7 @@ def test_exact_distribution_of_retry_chain():
     assert dist["t1=1,t2=0"] == pytest.approx(0.25, abs=1e-12)
     assert dist["t1=1,t2=1,t3=0"] == pytest.approx(0.125, abs=1e-12)
     assert dist["t1=1,t2=1,t3=1"] == pytest.approx(0.125, abs=1e-12)
-    accepts = strong_probability(circuit, KERNEL, {accept_qubit(circuit): 1})
+    accepts = strong_probability(circuit, KERNEL, {circuit.accept: 1})
     assert accepts == pytest.approx(1.0 / 8.0, abs=1e-12)
 
 

@@ -32,7 +32,6 @@ from conftest import GENERAL_POOL, REPO, _gate_line
 from rwsim import pathsum, statevector
 from rwsim.circuit import (
     Clone,
-    Conditional,
     GateOp,
     InvalidPostselectionError,
     Measure,
@@ -42,7 +41,6 @@ from rwsim.circuit import (
     Rewind,
     RewindConsistencyError,
     Snapshot,
-    accept_qubit,
     outcome_distribution,
     parse_circuit,
     predicate_holds,
@@ -159,10 +157,8 @@ def _reference(circuit, rng: SplitMix64, min_prob: float):
     sv = statevector
     state, snapshots, record = sv.init(circuit.n_qubits), {}, MeasurementRecord()
     for instr in circuit.instructions:
-        if isinstance(instr, Conditional):
-            if not predicate_holds(instr.predicate, record):
-                continue
-            instr = instr.inner
+        if not predicate_holds(instr.when, record):
+            continue
         if isinstance(instr, GateOp):
             state = sv.apply_gate(state, instr.gate, instr.targets)
         elif isinstance(instr, Measure):
@@ -181,7 +177,7 @@ def _reference(circuit, rng: SplitMix64, min_prob: float):
                 ) from None
         elif isinstance(instr, Clone):
             state = snapshots[instr.label]
-    accept, accept_bit = accept_qubit(circuit), None
+    accept, accept_bit = circuit.accept, None
     if accept is not None:
         accept_bit, _, state = sv.measure(state, accept, rng)
     return record.entries, accept_bit, state
@@ -300,7 +296,7 @@ def test_exact_oracles_match_the_path_sum(case):
         assert got.keys() == want.keys(), text
         for key, weight in want.items():
             assert abs(got[key] - weight) <= TOL, (text, key)
-        accepts = strong_probability(c, statevector.KERNEL, {accept_qubit(c): 1})
+        accepts = strong_probability(c, statevector.KERNEL, {c.accept: 1})
         assert abs(accepts - pathsum.acceptance_probability(c)) <= TOL, text
 
 
