@@ -42,8 +42,14 @@ FAULTS = [
     (
         "forked branches share one snapshot dict",
         "src/rwsim/circuit.py",
-        "self.record.copy(), dict(self.snapshots),",
-        "self.record.copy(), self.snapshots,",
+        "dict(self.snapshots),",
+        "self.snapshots,",
+    ),
+    (
+        "forked branches share one record",
+        "src/rwsim/circuit.py",
+        "dict(self.record),",
+        "self.record,",
     ),
     (
         "strong_probability reads its projector without collapsing",
@@ -74,6 +80,12 @@ FAULTS = [
         "src/rwsim/circuit.py",
         "if instr.when and not predicate_holds(instr.when, b.record):",
         "if False:",
+    ),
+    (
+        "a guard on a label its branch never measured holds",
+        "src/rwsim/circuit.py",
+        "record.get(label, _UNMEASURED)[0]",
+        "record.get(label, (bit,))[0]",
     ),
     (
         "serialize_circuit drops a step's guard",

@@ -218,8 +218,8 @@ def pp_correct_probability(f: BooleanFunction, copies: int = 64, tau: float = 0.
 class FunctionFamily:
     """Indexed function f: {0..size-1} -> images, with a decoder for reporting.
 
-    ``delta`` (fraction of the domain owning a collision partner) may be
-    attached as metadata; :func:`family_delta_exact` computes it exactly.
+    :func:`family_delta_exact` computes the fraction of the domain that owns
+    a collision partner.
     """
 
     name: str
@@ -227,8 +227,6 @@ class FunctionFamily:
     output_bits: int
     evaluate: Callable[[int], int]
     decode: Callable[[int], object] = lambda i: i
-    toy: bool = False
-    delta: Fraction | None = None
     _images: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -263,8 +261,6 @@ def toy_two_regular(b: int) -> FunctionFamily:
         output_bits=b,
         evaluate=lambda i: i >> 1,
         decode=lambda i: (i >> 1, i & 1),
-        toy=True,
-        delta=Fraction(1),
     )
 
 
@@ -437,7 +433,7 @@ class LWEParams:
     Z_q^n, e a centered error vector in [-mu, mu]^m, and c one bit.  The
     pair (s, e, 1) and (s + s0, e + e0, 0) always shares an image; whether
     the partner lies inside the domain depends on e + e0 staying within the
-    error box.  ``toy`` marks parameter sets below the published scale.
+    error box.
     """
 
     n: int
@@ -448,7 +444,6 @@ class LWEParams:
     A: np.ndarray
     s0: np.ndarray
     e0: np.ndarray
-    toy: bool = False
 
     @classmethod
     def crypto_scale(cls, n: int, rng: SplitMix64) -> "LWEParams":
@@ -467,7 +462,7 @@ class LWEParams:
         e0 = np.array(
             [rng.randrange(2 * mu_prime + 1) - mu_prime for _ in range(m)], dtype=object
         )
-        return cls(n, q, m, mu, mu_prime, A, s0, e0, toy=False)
+        return cls(n, q, m, mu, mu_prime, A, s0, e0)
 
     @classmethod
     def toy_scale(
@@ -479,7 +474,7 @@ class LWEParams:
         e0 = np.array(
             [rng.randrange(2 * mu_prime + 1) - mu_prime for _ in range(m)], dtype=np.int64
         )
-        return cls(n, q, m, mu, mu_prime, A, s0, e0, toy=True)
+        return cls(n, q, m, mu, mu_prime, A, s0, e0)
 
     def centered(self, values: np.ndarray) -> np.ndarray:
         """Representatives in (-q/2, q/2]."""
@@ -525,7 +520,6 @@ def lwe_family(params: LWEParams) -> FunctionFamily:
         output_bits=m * bits_per_output,
         evaluate=evaluate,
         decode=decode,
-        toy=params.toy,
     )
 
 

@@ -21,18 +21,22 @@ Text format (one instruction per line, ``#`` starts a comment)::
     accept 0
 
 Any instruction may carry an ``if`` suffix, its guard: ``<label> == <bit>``
-clauses joined by ``&&``, referring to earlier measurement labels.  Spaces
-or tabs separate the tokens of a line, the ``if`` too.  ``accept <q>`` is a
-declaration, not an instruction: it is given at most once, anywhere in the
-file, takes no ``if``, and :func:`serialize_circuit` prints it last.
+clauses joined by ``&&``, referring to earlier measurement labels.  A clause
+holds when its branch measured the label and read the bit; on a label its
+branch never measured (that ``measure`` was guarded off) it is false, so the
+order of the clauses never matters.  Spaces or tabs separate the tokens of a
+line, the ``if`` too.  ``accept <q>`` is a declaration, not an instruction:
+it is given at most once, anywhere in the file, takes no ``if``, and
+:func:`serialize_circuit` prints it last.
 
 The one interpreter of the IR lives here too.  It runs a circuit over a
 backend :class:`Kernel` and owns all that is not quantum arithmetic:
-guards, the record, snapshots (each branch maps a label to the state
-it kept), ``rewind`` (the paper's strict rewind: refused unless the kernel
-certifies the state as a one-outcome collapse of the snapshot, then
-continued from the snapshot), ``clone`` (the same restore, unchecked),
-``postselect`` (a kernel's ``prob`` then its ``collapse``),
+guards, the record (each branch maps a measurement label to its bit and
+branch probability, in the order measured), snapshots (each branch maps a
+label to the state it kept), ``rewind`` (the paper's strict rewind: refused
+unless the kernel certifies the state as a one-outcome collapse of the
+snapshot, then continued from the snapshot), ``clone`` (the same restore,
+unchecked), ``postselect`` (a kernel's ``prob`` then its ``collapse``),
 ``min_postselect_prob`` and the measurement draw (:func:`draw_bit`).  A
 ``rewind`` or ``clone`` of a label no snapshot on its branch stored raises
 :class:`UnknownSnapshotError`, named by its file and line.
@@ -76,10 +80,6 @@ class CircuitSyntaxError(InputError):
 
 class CircuitValidationError(InputError):
     """A structurally well-formed circuit that breaks a static rule."""
-
-
-class RecordError(ValueError):
-    """A measurement record is inconsistent with the circuit or itself."""
 
 
 class GateSetError(InputError):
@@ -172,39 +172,15 @@ class Circuit:
         return iter(self.instructions)
 
 
-class MeasurementRecord:
-    """Ordered (label, bit, branch-probability) triples with unique labels."""
-
-    def __init__(self):
-        self.entries: list[tuple[str, int, float]] = []
-        self._bits: dict[str, int] = {}
-
-    def add(self, label: str, bit: int, prob: float) -> None:
-        if label in self._bits:
-            raise RecordError(f"duplicate measurement label {label!r}")
-        if bit not in (0, 1):
-            raise RecordError(f"recorded bit for {label!r} must be 0 or 1")
-        if not (0.0 < prob <= 1.0):
-            raise RecordError(
-                f"branch probability for {label!r} must lie in (0, 1], got {prob!r}"
-            )
-        self.entries.append((label, bit, prob))
-        self._bits[label] = bit
-
-    def bit(self, label: str) -> int:
-        if label not in self._bits:
-            raise RecordError(f"no recorded outcome for label {label!r}")
-        return self._bits[label]
-
-    def copy(self) -> "MeasurementRecord":
-        out = MeasurementRecord()
-        out.entries = list(self.entries)
-        out._bits = dict(self._bits)
-        return out
+_UNMEASURED = (None, None)  # what a guard reads for a label its branch never measured
 
 
-def predicate_holds(predicate: tuple[tuple[str, int], ...], record: MeasurementRecord) -> bool:
-    return all(record.bit(label) == bit for label, bit in predicate)
+def predicate_holds(predicate: tuple[tuple[str, int], ...], record: dict) -> bool:
+    """Does the guard ``predicate`` hold on a branch's ``record``?  Each
+    ``label == bit`` clause holds if the branch measured ``label`` and read
+    ``bit``; a clause on a label the branch never measured (its ``measure``
+    was guarded off) is false, so the order of the clauses never matters."""
+    return all(record.get(label, _UNMEASURED)[0] == bit for label, bit in predicate)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +504,11 @@ class Kernel:
 
 @dataclass
 class RunResult:
-    record: MeasurementRecord
+    """One sampled run: its ``record`` maps each measurement label to
+    ``(bit, branch probability)`` in the order measured; ``accept_bit`` is
+    None for a circuit without ``accept``."""
+
+    record: dict[str, tuple[int, object]]
     accept_bit: int | None
     final_state: object
 
@@ -539,14 +519,14 @@ class _Branch:
 
     state: object
     weight: object
-    record: MeasurementRecord
+    record: dict[str, tuple[int, object]]  # label -> (bit, branch probability)
     snapshots: dict[str, object] = field(default_factory=dict)  # label -> kept state
     pc: int = 0
     depth: int = 0  # measurements so far with two live outcomes
 
     def copy(self) -> "_Branch":
         return _Branch(
-            self.state, self.weight, self.record.copy(), dict(self.snapshots),
+            self.state, self.weight, dict(self.record), dict(self.snapshots),
             self.pc, self.depth,
         )
 
@@ -567,7 +547,7 @@ def _check_runs(circuit: Circuit, kernel: Kernel) -> None:
 
 
 def _start(circuit: Circuit, kernel: Kernel) -> _Branch:
-    return _Branch(kernel.init(circuit.n_qubits), kernel.one, MeasurementRecord())
+    return _Branch(kernel.init(circuit.n_qubits), kernel.one, {})
 
 
 def _interpret(
@@ -612,11 +592,11 @@ def _interpret(
                     for child, (bit, p) in zip(forks, live):
                         child.state = kernel.collapse(state, q, bit, p)
                         child.weight = child.weight * p
-                        child.record.add(label, bit, min(float(p), 1.0))
+                        child.record[label] = bit, min(float(p), 1.0)
                     stack.extend(reversed(forks))
                     break
                 bit, prob, b.state = kernel.measure(b.state, q, rng)
-                b.record.add(label, bit, prob)
+                b.record[label] = bit, prob
             elif isinstance(instr, Postselect):
                 q, bit = instr.qubit, instr.bit
                 prob = kernel.prob(b.state, q, bit)
@@ -725,7 +705,7 @@ def enumerate_branches(circuit: Circuit, kernel: Kernel) -> list[tuple[str, obje
         circuit, kernel, _ENUMERATE, _start(circuit, kernel), len(circuit.instructions)
     )
     return [
-        (",".join(f"{label}={bit}" for label, bit, _ in b.record.entries), b.weight, b.state)
+        (",".join(f"{label}={bit}" for label, (bit, _) in b.record.items()), b.weight, b.state)
         for b in leaves
     ]
 

@@ -4,9 +4,10 @@ Subcommands
 -----------
 ``simulate <file> --backend sv|stab|pathsum``
     Run a circuit file: the sampling backends (sv, stab) draw seeded trials,
-    the path-sum backend prints exact probabilities and refuses the sampling
-    flags ``--trials`` and ``--min-postselect-prob``.  Every ``rewind`` is
-    the paper's strict rewind; ``clone`` is the unchecked restore.
+    the path-sum backend prints exact probabilities (``p_accept`` only for
+    a circuit that declares ``accept``) and refuses the sampling flags
+    ``--trials`` and ``--min-postselect-prob``.  Every ``rewind`` is the
+    paper's strict rewind; ``clone`` is the unchecked restore.
 
 ``demo pp|collision|sd|mbqc|mitigate``
     Seeded protocol demonstrations with built-in assertions.
@@ -47,7 +48,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterator
 
-from .circuit import InputError, parse_circuit, sampler
+from .circuit import InputError, outcome_distribution, parse_circuit, sampler
 from .rng import SplitMix64, stream_seed
 
 
@@ -140,7 +141,7 @@ def _build_simulate(args):
 
     def one(rng: SplitMix64) -> str:
         result = trial(rng)
-        parts = [f"{label}:{bit}" for label, bit, _ in result.record.entries]
+        parts = [f"{label}:{bit}" for label, (bit, _) in result.record.items()]
         if result.accept_bit is not None:
             parts.append(f"accept:{result.accept_bit}")
         return ",".join(parts) if parts else "-"
@@ -280,8 +281,11 @@ def cmd_simulate(ns) -> tuple[list, bool]:
         ("qubits", circuit.n_qubits),
     ]
     if ns.backend == "pathsum":
-        dist: dict[str, float] = {}
-        lines.append(("p_accept", pathsum.acceptance_probability(circuit, outcomes=dist)))
+        if circuit.accept is None:
+            dist = outcome_distribution(circuit, pathsum.KERNEL)
+        else:
+            dist = {}
+            lines.append(("p_accept", pathsum.acceptance_probability(circuit, outcomes=dist)))
         if len(dist) <= 64:
             for key in sorted(dist):
                 if key:  # a circuit that measures nothing has one empty key

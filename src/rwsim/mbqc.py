@@ -167,7 +167,7 @@ def pattern_circuit(spec: BrickworkSpec, pattern: MeasurementPattern, budget: in
 
 def reads_all_zero(record) -> bool:
     """Did the last try of every qubit of a :func:`pattern_circuit` run read 0?"""
-    last = {label.partition(".")[0]: bit for label, bit, _ in record.entries}
+    last = {label.partition(".")[0]: bit for label, (bit, _) in record.items()}
     return not any(last.values())
 
 

@@ -56,6 +56,7 @@ from .statevector import (
     apply_gate,
     apply_matrix,
     attach_zero,
+    check_width,
     postselect,
     prob_of_bit,
     slice_qubit,
@@ -341,9 +342,12 @@ def mitigate(fs: FlaggedState, n: int, rng: SplitMix64) -> tuple[FlaggedState, M
     off); the caller decides what "random" means for its protocol.  Each
     level's ancilla is read toward 0 with
     :meth:`rwsim.statevector.Reading.retry`, over the cached chain of the input.
+    The width cap on the state with its ancilla is checked on every call,
+    before the chain is looked up.
     """
     if n < 1:
         raise ValueError(f"mitigate needs n >= 1, got {n}")
+    check_width(fs.state.n + 1, "state")
     level = _chain_of(_first_level, fs.state, fs.flag_qubit)
     levels, tries = _schedule(n)
     events: list[tuple[int, int, int]] = []

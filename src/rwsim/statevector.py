@@ -59,10 +59,10 @@ Conventions
   states and the rewind's certificate once, so each walk over a state that
   many walks measure adds only its draws.  A
   :class:`RegisterReading` does the same for a register of several qubits
-  read at once: it computes the joint weights of ``measure_register`` once,
-  draws with the same formula (:func:`draw_value`), and hands out each
-  collapsed state with the register sliced off, so a walk continues on the
-  remaining qubits alone.
+  read at once: it computes the joint weights once, draws with
+  :func:`draw_value`, and hands out each collapsed state with the register
+  sliced off, so a walk continues on the remaining qubits alone.
+  ``measure`` and ``measure_register`` are one draw of a one-shot reading.
 * ``KERNEL`` is this backend under the circuit interpreter in
   :mod:`rwsim.circuit`, which measures and postselects with the kernel's
   ``prob`` and ``collapse`` and whose rewinds and ``clone`` continue from
@@ -260,33 +260,12 @@ def _collapse(state: PureState, qubit: int, bit: int, prob: float) -> PureState:
     return PureState(state.n, tensor.reshape(-1))
 
 
-def _outcome(
-    state: PureState, qubit: int, bit: int, p0: float, p1: float
-) -> tuple[float, PureState]:
-    """(branch probability, collapsed state) of reading ``bit``."""
-    total = p0 + p1
-    prob = (p1 if bit else p0) / total
-    return prob, _collapse(state, qubit, bit, prob * total)
-
-
 def measure(state: PureState, qubit: int, rng: SplitMix64) -> tuple[int, float, PureState]:
-    """Z-measure one qubit: returns (bit, branch probability, collapsed state)."""
-    p0 = prob_of_bit(state, qubit, 0)
-    p1 = prob_of_bit(state, qubit, 1)
-    bit = draw_bit(p0, p1, rng)
-    return (bit, *_outcome(state, qubit, bit, p0, p1))
-
-
-def _register_weights(
-    state: PureState, qubits
-) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, tuple[int, ...]]:
-    """The register as a tuple, the amplitudes with one row per register
-    value (big-endian in ``qubits``), the rows' joint weights, and the axis
-    order that moves the register back into place."""
-    n = state.n
-    qubits, order, inverse = _layout(n, qubits)
-    tensor = state.amps.reshape([2] * n).transpose(order).reshape(1 << len(qubits), -1)
-    return qubits, tensor, np.sum(np.abs(tensor) ** 2, axis=1), inverse
+    """Z-measure one qubit: returns (bit, branch probability, collapsed
+    state), one draw of a one-shot :class:`Reading`; the state is read-only."""
+    reading = Reading(state, qubit)
+    bit = reading.draw(rng)
+    return bit, reading.prob(bit), reading.collapsed(bit)
 
 
 def draw_value(probs: np.ndarray, rng: SplitMix64) -> int:
@@ -305,15 +284,11 @@ def measure_register(
     Equivalent in distribution to measuring the listed qubits one by one in
     order (the value reads them most-significant first), but samples the
     joint marginal in a single pass, which is much cheaper on wide states.
+    One draw of a one-shot :class:`RegisterReading`; the state is read-only.
     """
-    n = state.n
-    _, tensor, probs, inverse = _register_weights(state, qubits)
-    value = draw_value(probs, rng)
-    prob = float(probs[value]) / float(probs.sum())
-    collapsed = np.zeros_like(tensor)
-    collapsed[value] = tensor[value] / math.sqrt(float(probs[value]))
-    amps = collapsed.reshape([2] * n).transpose(inverse).reshape(-1)
-    return value, prob, PureState(n, amps)
+    reading = RegisterReading(state, qubits)
+    value = reading.draw(rng)
+    return value, reading.prob(value), reading.collapsed(value)
 
 
 def postselect(
@@ -427,13 +402,13 @@ def rewind(stored: PureState, post_state: PureState) -> PureState:
 class Reading:
     """One qubit of one fixed state, for walks that measure it many times.
 
-    ``p0`` and ``p1`` are the outcome weights :func:`measure` computes, and
-    :meth:`draw` reads a bit from them with the draw ``measure`` makes.  The
-    collapsed state of each outcome, with or without the measured qubit, and
-    the strict rewind of a miss are computed at first use and kept, so a walk
-    over readings draws from the RNG exactly as ``measure`` does and meets
-    every float it computes.  The states it hands out are read-only: every
-    walk shares them.
+    ``p0`` and ``p1`` are the outcome weights, and :meth:`draw` reads a bit
+    from them with :func:`draw_bit`; :func:`measure` is one draw of a
+    one-shot reading.  The collapsed state of each outcome, with or without
+    the measured qubit, and the strict rewind of a miss are computed at
+    first use and kept, so a walk over readings draws from the RNG exactly
+    as ``measure`` does and meets every float it computes.  The states it
+    hands out are read-only: every walk shares them.
     """
 
     __slots__ = ("state", "qubit", "p0", "p1", "_collapsed", "_dropped", "_certified")
@@ -454,8 +429,10 @@ class Reading:
         return (self.p1 if bit else self.p0) / (self.p0 + self.p1)
 
     def collapsed(self, bit: int) -> PureState:
+        """The state collapsed onto ``bit`` and renormalised."""
         if self._collapsed[bit] is None:
-            _, state = _outcome(self.state, self.qubit, bit, self.p0, self.p1)
+            total = self.p0 + self.p1
+            state = _collapse(self.state, self.qubit, bit, self.prob(bit) * total)
             self._collapsed[bit] = _read_only(state)
         return self._collapsed[bit]
 
@@ -492,23 +469,39 @@ class RegisterReading:
     """A register of several qubits of one fixed state, for walks that
     measure it many times: the sibling of :class:`Reading`.
 
-    ``probs`` are the joint weights :func:`measure_register` computes, and
-    :meth:`draw` reads a value from them with the draw ``measure_register``
-    makes.  The collapsed state of each value with the register sliced off
-    is computed at first use and kept; its amplitudes are those
-    ``measure_register`` leaves outside the register, bit for bit.  The
-    states it hands out are read-only: every walk shares them.
+    ``probs`` are the register's joint weights, one per value (big-endian
+    in ``qubits``), and :meth:`draw` reads a value from them with
+    :func:`draw_value`.  The collapsed state of each value with the register
+    sliced off is computed at first use and kept; :meth:`collapsed` puts
+    those amplitudes back in place at full width, as
+    :func:`measure_register` returns them.  The states it hands out are
+    read-only: every walk shares them.
     """
 
-    __slots__ = ("state", "qubits", "probs", "_rows", "_dropped")
+    __slots__ = ("state", "qubits", "probs", "_rows", "_inverse", "_dropped")
 
     def __init__(self, state: PureState, qubits):
+        n = state.n
         self.state = state
-        self.qubits, self._rows, self.probs, _ = _register_weights(state, qubits)
+        self.qubits, order, self._inverse = _layout(n, qubits)
+        # one row of amplitudes per register value, and the rows' joint weights
+        self._rows = state.amps.reshape([2] * n).transpose(order).reshape(1 << len(self.qubits), -1)
+        self.probs = np.sum(np.abs(self._rows) ** 2, axis=1)
         self._dropped: dict[int, PureState] = {}
 
     def draw(self, rng: SplitMix64) -> int:
         return draw_value(self.probs, rng)
+
+    def prob(self, value: int) -> float:
+        """Probability of reading ``value``, as ``measure_register`` returns it."""
+        return float(self.probs[value]) / float(self.probs.sum())
+
+    def collapsed(self, value: int) -> PureState:
+        """The state collapsed onto ``value``, at full width."""
+        n = self.state.n
+        rows = np.zeros_like(self._rows)
+        rows[value] = self.dropped(value).amps
+        return _read_only(PureState(n, rows.reshape([2] * n).transpose(self._inverse).reshape(-1)))
 
     def dropped(self, value: int) -> PureState:
         """The state collapsed onto ``value``, without the register's qubits."""

@@ -102,7 +102,6 @@ def test_toy_family_structure():
     assert fam.size == 16
     assert fam.input_bits == 4
     assert fam.output_bits == 3
-    assert fam.delta == Fraction(1)
     assert family_delta_exact(fam) == Fraction(1)
     assert fam.decode(0b1011) == (0b101, 1)
 
@@ -344,7 +343,6 @@ def test_crypto_scale_derivations():
     assert (p1.q, p1.m, p1.mu, p1.mu_prime) == (1 << 21, 23, 220, 9)
     p4 = LWEParams.crypto_scale(4, SplitMix64(5))
     assert (p4.q, p4.m, p4.mu, p4.mu_prime) == (1 << 31, 132, 6066, 45)
-    assert not p4.toy
     with pytest.raises(ValueError):
         LWEParams.crypto_scale(0, SplitMix64(5))
 

@@ -1,4 +1,4 @@
-"""Text format, static validation and measurement records."""
+"""Text format, static validation, guards and measurement records."""
 
 from __future__ import annotations
 
@@ -16,18 +16,18 @@ from rwsim.circuit import (
     Clone,
     GateOp,
     Measure,
-    MeasurementRecord,
     Postselect,
-    RecordError,
     Rewind,
     Snapshot,
     parse_circuit,
     predicate_holds,
+    sampler,
     serialize_circuit,
     validate,
 )
-from rwsim import gates
+from rwsim import gates, pathsum
 from rwsim.gates import GATE_NAMES, gate
+from rwsim.rng import SplitMix64
 
 EXAMPLE = """
 # demo with every instruction kind
@@ -316,35 +316,23 @@ labels = st.text(alphabet="abcdefgh", min_size=1, max_size=3)
 
 @given(st.lists(st.tuples(labels, st.integers(0, 1)), min_size=1, max_size=6, unique_by=lambda t: t[0]))
 def test_record_round_trip(pairs):
-    record = MeasurementRecord()
-    for label, bit in pairs:
-        record.add(label, bit, 0.5)
-    assert [(label, bit) for label, bit, _ in record.entries] == pairs
-    for label, bit in pairs:
-        assert record.bit(label) == bit
-
-
-def test_record_rejects_duplicates_and_bad_values():
-    record = MeasurementRecord()
-    record.add("m", 1, 1.0)
-    with pytest.raises(RecordError):
-        record.add("m", 0, 1.0)
-    with pytest.raises(RecordError):
-        record.add("x", 2, 1.0)
-    with pytest.raises(RecordError):
-        record.add("y", 0, 0.0)
-    with pytest.raises(RecordError):
-        record.add("z", 0, 1.5)
-    with pytest.raises(RecordError):
-        record.bit("missing")
+    # a run's record maps each label to (bit, branch probability), in the order measured
+    text = f"qubits {len(pairs)}\n" + "".join(
+        (f"gate x {q}\n" if bit else "") + f"measure {q} -> {label}\n"
+        for q, (label, bit) in enumerate(pairs)
+    )
+    record = sampler(parse_circuit(text), pathsum.KERNEL)(SplitMix64(0)).record
+    assert list(record.items()) == [(label, (bit, 1.0)) for label, bit in pairs]
 
 
 @given(st.lists(st.tuples(labels, st.integers(0, 1)), min_size=0, max_size=4, unique_by=lambda t: t[0]))
 def test_predicate_holds_matches_record(pairs):
-    record = MeasurementRecord()
-    for label, bit in pairs:
-        record.add(label, bit, 0.5)
+    record = {label: (bit, 0.5) for label, bit in pairs}
     assert predicate_holds(tuple(pairs), record)
     if pairs:
         label, bit = pairs[0]
         assert not predicate_holds(((label, 1 - bit),), record)
+    # a clause on a label the branch never measured is false, wherever it stands
+    for at in range(len(pairs) + 1):
+        for bit in (0, 1):
+            assert not predicate_holds(tuple(pairs[:at] + [("z", bit)] + pairs[at:]), record)

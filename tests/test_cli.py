@@ -21,7 +21,6 @@ from rwsim.circuit import (
     InvalidPostselectionError,
     PostselectThresholdError,
     QubitBudgetError,
-    RecordError,
     RewindConsistencyError,
     UnknownSnapshotError,
     outcome_distribution,
@@ -242,11 +241,20 @@ def test_simulate_has_no_rewind_mode_flag(capsys, mode):
     assert f"unrecognized arguments: --mode {mode}" in capsys.readouterr().err
 
 
-def test_simulate_pathsum_without_accept_exits_2(tmp_path, capsys):
+def test_simulate_without_accept_runs_on_every_backend(tmp_path, capsys):
+    # no accept line: no accept figure, as on the sampling backends
     plain = tmp_path / "plain.qc"
     plain.write_text("qubits 1\ngate h 0\nmeasure 0 -> m\n")
+    for backend in ("sv", "stab"):
+        code, out, err = run(capsys, ["simulate", str(plain), "--backend", backend])
+        assert (code, err) == (0, "")
+        assert "count.m:0" in fields(out) and "accept_freq" not in fields(out)
     code, out, err = run(capsys, ["simulate", str(plain), "--backend", "pathsum"])
-    assert (code, out, err) == (2, "", "error: circuit declares no accept qubit\n")
+    assert (code, err) == (0, "")
+    got = fields(out)
+    assert [key for key in got if key.startswith("p.")] == ["p.m:0", "p.m:1"]
+    assert "p_accept" not in got
+    assert float(got["p.m:0"]) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_simulate_stab_over_the_tableau_cap_exits_2(tmp_path, monkeypatch, capsys):
@@ -337,7 +345,6 @@ def test_simulate_pathsum_over_the_amplitude_cap_exits_2(
         (InvalidPostselectionError("bad"), 1),
         (PostselectThresholdError("bad"), 1),
         (DepthLimitError("bad"), 1),
-        (RecordError("bad"), 1),
     ],
     ids=lambda value: type(value).__name__ if isinstance(value, Exception) else str(value),
 )
@@ -431,6 +438,15 @@ def test_demo_collision_width_check_matches_the_state(monkeypatch, capsys, cap, 
     got, _, err = run(capsys, ["demo", "collision", "--bits", "8", "--trials", "2"])
     assert got == code
     assert ("needs 17 qubits" in err) == (code == 2)
+
+
+def test_demo_pp_width_cap_holds_on_a_cached_mitigation_chain(monkeypatch, capsys):
+    # the first run caches the chains; the cap still applies to the second
+    monkeypatch.delenv("RWSIM_MAX_QUBITS", raising=False)
+    assert run(capsys, ["demo", "pp", "--n", "2", "--trials", "1"])[0] == 0
+    monkeypatch.setenv("RWSIM_MAX_QUBITS", "1")
+    code, out, err = run(capsys, ["demo", "pp", "--n", "2", "--trials", "1"])
+    assert (code, out, err) == (2, "", "error: state needs 3 qubits, cap is 1\n")
 
 
 def test_demo_collision_no_rewind_skips_small_families(capsys):
@@ -668,17 +684,12 @@ def test_a_width_cap_that_is_not_a_positive_integer_is_bad_input(monkeypatch, ca
     assert err == f"error: RWSIM_MAX_QUBITS must be a positive integer, got {value!r}\n"
 
 
-def test_a_width_cap_that_is_not_an_integer_stops_a_demo_with_exit_2():
-    # a fresh process: in this one the pp chains may be cached from earlier tests
-    proc = subprocess.run(
-        [sys.executable, "-m", "rwsim", "demo", "pp", "--n", "2", "--trials", "1"],
-        capture_output=True,
-        text=True,
-        cwd=REPO,
-        env={**cli_env(), "RWSIM_MAX_QUBITS": "abc"},
-    )
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == "error: RWSIM_MAX_QUBITS must be a positive integer, got 'abc'\n"
+def test_a_width_cap_that_is_not_an_integer_stops_a_demo_with_exit_2(monkeypatch, capsys):
+    # in-process: the pp chains may be cached from earlier tests, and the cap still applies
+    monkeypatch.setenv("RWSIM_MAX_QUBITS", "abc")
+    code, out, err = run(capsys, ["demo", "pp", "--n", "2", "--trials", "1"])
+    assert (code, out) == (2, "")
+    assert err == "error: RWSIM_MAX_QUBITS must be a positive integer, got 'abc'\n"
 
 
 def test_demo_mitigate_rewind_report(capsys):

@@ -124,7 +124,7 @@ def _records(kernel, circuit, master: int):
         except InvalidPostselectionError:
             out.append(("refused", None, None))
             continue
-        bits = [(label, bit) for label, bit, _ in r.record.entries]
+        bits = [(label, bit) for label, (bit, _) in r.record.items()]
         out.append((bits, r.accept_bit, r.final_state))
     return out
 
@@ -362,7 +362,7 @@ def test_retry_block_equals_adaptive_postselection():
                 r = head(SplitMix64(stream_seed(0xE9D + case, i)))
             except InvalidPostselectionError:
                 continue
-            successes += _succeeded([(label, b) for label, b, _ in r.record.entries], bit)
+            successes += _succeeded([(label, b) for label, (b, _) in r.record.items()], bit)
         p_success = sum(total * s for total, s in rates.values())
         expected += 40 * p_success
         variance += 40 * p_success * (1.0 - p_success)

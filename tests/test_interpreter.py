@@ -69,6 +69,41 @@ def test_uncertifiable_rewind_is_refused_by_samplers_and_oracles(backend, entry)
         ENTRIES[entry](parse_circuit(ROTATED_REWIND), KERNELS[backend])
 
 
+# b is measured only when a reads 1, so on the a = 0 branch both guards
+# reach a clause on a label never measured.  That clause is false, so the x
+# runs exactly when a is 1, the h never runs, and c always reads a.
+GUARDED_OFF = """
+qubits 2
+gate h 0
+measure 0 -> a
+measure 1 -> b if a == 1
+gate x 1 if {}
+gate h 1 if {}
+measure 1 -> c
+"""
+
+
+def test_a_guard_means_the_same_in_either_clause_order():
+    guards = (("a == 1", "b == 0"), ("a == 0", "b == 1"))
+    circuits = [
+        parse_circuit(GUARDED_OFF.format(*(" && ".join(order(g)) for g in guards)))
+        for order in (tuple, lambda g: g[::-1])
+    ]
+    want = {"a=0,c=0": 0.5, "a=1,b=0,c=1": 0.5}
+    for backend, kernel in KERNELS.items():
+        dists = [outcome_distribution(c, kernel) for c in circuits]
+        assert dists[0] == dists[1], backend
+        assert dists[0] == pytest.approx(want, abs=1e-12), backend
+        runs, seen = [sampler(c, kernel) for c in circuits], set()
+        for seed in range(8):
+            records = [list(run(SplitMix64(stream_seed(5, seed))).record.items()) for run in runs]
+            assert records[0] == records[1], (backend, seed)
+            bits = {label: bit for label, (bit, _) in records[0]}
+            assert bits["c"] == bits["a"], (backend, seed)
+            seen.add(bits["a"])
+        assert seen == {0, 1}, backend
+
+
 # m is always 0, so the snapshot on line 3 is never taken on any branch.
 NEVER_TAKEN = "qubits 1\nmeasure 0 -> m\nsnapshot s if m == 1\n{op} s\naccept 0\n"
 
@@ -98,7 +133,7 @@ def test_pathsum_runs_a_snapshot_on_a_branch_never_taken(entry):
     assert outcome_distribution(c, statevector.KERNEL) == {"m=0": 1.0}
     dense, paths = (ENTRIES[entry](c, kernel) for kernel in (statevector.KERNEL, pathsum.KERNEL))
     if entry == "sampler":
-        dense, paths = ((r.record.entries, r.accept_bit) for r in (dense, paths))
+        dense, paths = ((list(r.record.items()), r.accept_bit) for r in (dense, paths))
     assert paths == dense
     dense_accept = strong_probability(c, statevector.KERNEL, {0: 1})
     assert abs(acceptance_probability(c) - dense_accept) <= 1e-12
@@ -109,7 +144,7 @@ def test_a_pathsum_sampler_measures():
     c = parse_circuit("qubits 1\ngate h 0\nmeasure 0 -> m\n")
     trial, seen = sampler(c, pathsum.KERNEL), set()
     for i in range(16):
-        ((label, bit, prob),) = trial(SplitMix64(stream_seed(4, i))).record.entries
+        ((label, (bit, prob)),) = trial(SplitMix64(stream_seed(4, i))).record.items()
         assert (label, prob) == ("m", pytest.approx(0.5, abs=1e-12))
         seen.add(bit)
     assert seen == {0, 1}

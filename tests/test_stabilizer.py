@@ -177,7 +177,7 @@ def test_run_sampling_matches_exact_distribution():
     trial = sampler(circuit, KERNEL)
     for i in range(trials):
         result = trial(SplitMix64(stream_seed(14, i)))
-        key = ",".join(f"{l}={b}" for l, b, _ in result.record.entries)
+        key = ",".join(f"{l}={b}" for l, (b, _) in result.record.items())
         counts[key] = counts.get(key, 0) + 1
     for key, expected in outcome_distribution(circuit, KERNEL).items():
         freq = counts.get(key, 0) / trials
@@ -194,7 +194,7 @@ def test_postselect_runs_on_the_tableau():
         assert outcome_distribution(circuit, KERNEL) == {f"m={bit}": 1}
         assert strong_probability(circuit, KERNEL, {1: bit}) == 1
         trial = sampler(circuit, KERNEL)
-        assert {trial(SplitMix64(i)).record.bit("m") for i in range(8)} == {bit}
+        assert {trial(SplitMix64(i)).record["m"][0] for i in range(8)} == {bit}
     # the weights are exact: 1/2 on a coin, 1 or 0 on a fixed qubit
     plus = KERNEL.apply(KERNEL.init(1), GateOp(H, (0,)))
     assert [KERNEL.prob(plus, 0, bit) for bit in (0, 1)] == [Fraction(1, 2)] * 2
@@ -312,7 +312,7 @@ def test_clone_restores_snapshot_exactly():
     trial = sampler(circuit, KERNEL)
     for i in range(24):
         result = trial(SplitMix64(stream_seed(31, i)))
-        assert result.record.bit("check") == result.record.bit("m")
+        assert result.record["check"][0] == result.record["m"][0]
 
 
 # ---------------------------------------------------------------------------

@@ -573,7 +573,7 @@ def test_clone_rebuilds_state_from_description():
     for i in range(24):
         result = trial(SplitMix64(stream_seed(21, i)))
         # after the entangler, qubit 1 mirrors qubit 0 exactly
-        assert result.record.bit("check") == result.record.bit("m")
+        assert result.record["check"][0] == result.record["m"][0]
 
 
 def test_exact_distribution_weights_sum_to_one():

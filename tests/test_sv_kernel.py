@@ -35,7 +35,6 @@ from rwsim.circuit import (
     GateOp,
     InvalidPostselectionError,
     Measure,
-    MeasurementRecord,
     Postselect,
     PostselectThresholdError,
     Rewind,
@@ -155,7 +154,7 @@ def _basis_heavy_circuit(rng: SplitMix64) -> str:
 def _reference(circuit, rng: SplitMix64, min_prob: float):
     """(record entries, accept bit, final state) of a walk over full vectors."""
     sv = statevector
-    state, snapshots, record = sv.init(circuit.n_qubits), {}, MeasurementRecord()
+    state, snapshots, record = sv.init(circuit.n_qubits), {}, {}
     for instr in circuit.instructions:
         if not predicate_holds(instr.when, record):
             continue
@@ -163,7 +162,7 @@ def _reference(circuit, rng: SplitMix64, min_prob: float):
             state = sv.apply_gate(state, instr.gate, instr.targets)
         elif isinstance(instr, Measure):
             bit, prob, state = sv.measure(state, instr.qubit, rng)
-            record.add(instr.label, bit, prob)
+            record[instr.label] = bit, prob
         elif isinstance(instr, Postselect):
             _, state = sv.postselect(state, instr.qubit, instr.bit, min_prob)
         elif isinstance(instr, Snapshot):
@@ -180,7 +179,12 @@ def _reference(circuit, rng: SplitMix64, min_prob: float):
     accept, accept_bit = circuit.accept, None
     if accept is not None:
         accept_bit, _, state = sv.measure(state, accept, rng)
-    return record.entries, accept_bit, state
+    return _entries(record), accept_bit, state
+
+
+def _entries(record) -> list:
+    """A record as (label, bit, probability) triples, in the order measured."""
+    return [(label, bit, prob) for label, (bit, prob) in record.items()]
 
 
 def _outcome(run):
@@ -196,7 +200,7 @@ def _both_ways(c, trial, seed: int, min_prob: float):
 
     def run():
         r = trial(SplitMix64(seed))
-        return r.record.entries, r.accept_bit, r.final_state
+        return _entries(r.record), r.accept_bit, r.final_state
 
     return _outcome(run), _outcome(lambda: _reference(c, SplitMix64(seed), min_prob))
 
@@ -257,9 +261,10 @@ def _sample_alike(c, seeds, context, min_prob: float = 0.0) -> None:
         if isinstance(dense, tuple) or isinstance(paths, tuple):
             assert paths == dense, where
             continue
-        assert [e[:2] for e in paths.record.entries] == [e[:2] for e in dense.record.entries]
-        assert np.allclose([e[2] for e in paths.record.entries],
-                           [e[2] for e in dense.record.entries], rtol=0.0, atol=TOL), where
+        paths_entries, dense_entries = _entries(paths.record), _entries(dense.record)
+        assert [e[:2] for e in paths_entries] == [e[:2] for e in dense_entries], where
+        assert np.allclose([e[2] for e in paths_entries],
+                           [e[2] for e in dense_entries], rtol=0.0, atol=TOL), where
         assert paths.accept_bit == dense.accept_bit, where
         got = _dense_amplitudes(paths.final_state, c.n_qubits)
         assert np.allclose(got, dense.final_state.amps, rtol=0.0, atol=TOL), where
@@ -359,7 +364,7 @@ def test_the_postselection_threshold_is_applied_alike():
     trial = sampler(c, statevector.KERNEL, min_postselect_prob=0.99)
     for i in range(8):
         r = trial(SplitMix64(i))
-        assert r.accept_bit == r.record.bit("m")
+        assert r.accept_bit == r.record["m"][0]
 
 
 def _peaks(trial, seeds) -> list[int]:
@@ -472,7 +477,7 @@ def test_a_rewind_on_a_wide_state_is_read_on_the_cores(middle, refusal):
     trial = sampler(c, statevector.KERNEL)
     for seed in range(4):
         got = _outcome(lambda: trial(SplitMix64(seed)))
-        assert got == refusal if refusal else got.record.bit("m") in (0, 1)
+        assert got == refusal if refusal else got.record["m"][0] in (0, 1)
     full = np.dtype(complex).itemsize << n
     fresh = sampler(c, statevector.KERNEL)
     peaks = _peaks(lambda rng: _outcome(lambda: fresh(rng)), range(8))
