@@ -93,6 +93,18 @@ FAULTS = [
         "    if instr.when:\n",
         "    if False:\n",
     ),
+    (
+        "value equality ignores the class",
+        "src/rwsim/value.py",
+        "        if other.__class__ is self.__class__:\n",
+        "        if isinstance(other, Value):\n",
+    ),
+    (
+        "a value class without __reduce__",
+        "src/rwsim/value.py",
+        "    def __reduce__(self):\n",
+        "    def _reduce(self):\n",
+    ),
 ]
 
 # The test that checks this list against the checkout fails in every planted

@@ -58,10 +58,10 @@ works in place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Iterator, Union
 
 from .gates import GATE_NAMES, Gate, gate as make_gate
+from .value import Frozen, Value
 
 
 class InputError(ValueError):
@@ -110,66 +110,95 @@ class QubitBudgetError(InputError):
     """Requested width exceeds the configured qubit cap."""
 
 
-@dataclass(frozen=True)
-class GateOp:
-    gate: Gate
-    targets: tuple[int, ...]
-    when: tuple[tuple[str, int], ...] = ()
+_set = object.__setattr__  # how a frozen value's ``__init__`` sets a field
 
 
-@dataclass(frozen=True)
-class Measure:
-    qubit: int
-    label: str
-    when: tuple[tuple[str, int], ...] = ()
+class GateOp(Frozen):
+    __slots__ = _fields = ("gate", "targets", "when")
+
+    def __init__(
+        self, gate: Gate, targets: tuple[int, ...], when: tuple[tuple[str, int], ...] = ()
+    ):
+        _set(self, "gate", gate)
+        _set(self, "targets", targets)
+        _set(self, "when", when)
 
 
-@dataclass(frozen=True)
-class Postselect:
-    qubit: int
-    bit: int
-    when: tuple[tuple[str, int], ...] = ()
+class Measure(Frozen):
+    __slots__ = _fields = ("qubit", "label", "when")
+
+    def __init__(self, qubit: int, label: str, when: tuple[tuple[str, int], ...] = ()):
+        _set(self, "qubit", qubit)
+        _set(self, "label", label)
+        _set(self, "when", when)
 
 
-@dataclass(frozen=True)
-class Snapshot:
-    label: str
-    when: tuple[tuple[str, int], ...] = ()
+class Postselect(Frozen):
+    __slots__ = _fields = ("qubit", "bit", "when")
+
+    def __init__(self, qubit: int, bit: int, when: tuple[tuple[str, int], ...] = ()):
+        _set(self, "qubit", qubit)
+        _set(self, "bit", bit)
+        _set(self, "when", when)
 
 
-@dataclass(frozen=True)
-class Rewind:
-    label: str
-    when: tuple[tuple[str, int], ...] = ()
+class Snapshot(Frozen):
+    __slots__ = _fields = ("label", "when")
+
+    def __init__(self, label: str, when: tuple[tuple[str, int], ...] = ()):
+        _set(self, "label", label)
+        _set(self, "when", when)
 
 
-@dataclass(frozen=True)
-class Clone:
-    label: str
-    when: tuple[tuple[str, int], ...] = ()
+class Rewind(Frozen):
+    __slots__ = _fields = ("label", "when")
+
+    def __init__(self, label: str, when: tuple[tuple[str, int], ...] = ()):
+        _set(self, "label", label)
+        _set(self, "when", when)
+
+
+class Clone(Frozen):
+    __slots__ = _fields = ("label", "when")
+
+    def __init__(self, label: str, when: tuple[tuple[str, int], ...] = ()):
+        _set(self, "label", label)
+        _set(self, "when", when)
 
 
 Instruction = Union[GateOp, Measure, Postselect, Snapshot, Rewind, Clone]
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(Frozen):
     """A circuit, checked by :func:`validate` when it is built.  ``accept``,
     if set, is the qubit measured after the last instruction.  ``lines``, set
     by :func:`parse_circuit`, holds the source line of the header, of each
-    instruction, then of ``accept``; it takes no part in equality."""
+    instruction, then of ``accept``; it takes no part in equality, hash or
+    repr."""
 
-    n_qubits: int
-    instructions: tuple[Instruction, ...]
-    accept: int | None = None
-    name: str | None = None
-    lines: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("n_qubits", "instructions", "accept", "name", "lines")
+    _fields = ("n_qubits", "instructions", "accept", "name")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        n_qubits: int,
+        instructions: tuple[Instruction, ...],
+        accept: int | None = None,
+        name: str | None = None,
+        lines: tuple[int, ...] | None = None,
+    ):
+        _set(self, "n_qubits", n_qubits)
+        _set(self, "instructions", instructions)
+        _set(self, "accept", accept)
+        _set(self, "name", name)
+        _set(self, "lines", lines)
         validate(self)
 
     def __iter__(self) -> Iterator[Instruction]:
         return iter(self.instructions)
+
+    def __reduce__(self):
+        return Circuit, (self.n_qubits, self.instructions, self.accept, self.name, self.lines)
 
 
 _UNMEASURED = (None, None)  # what a guard reads for a label its branch never measured
@@ -502,27 +531,34 @@ class Kernel:
 # the interpreter
 
 
-@dataclass
-class RunResult:
+class RunResult(Value):
     """One sampled run: its ``record`` maps each measurement label to
     ``(bit, branch probability)`` in the order measured; ``accept_bit`` is
     None for a circuit without ``accept``."""
 
-    record: dict[str, tuple[int, object]]
-    accept_bit: int | None
-    final_state: object
+    __slots__ = _fields = ("record", "accept_bit", "final_state")
+
+    def __init__(self, record: dict[str, tuple[int, object]], accept_bit: int | None, final_state):
+        self.record = record
+        self.accept_bit = accept_bit
+        self.final_state = final_state
 
 
-@dataclass
-class _Branch:
-    """One path through a circuit: position, state, weight and what it has seen."""
+class _Branch(Value):
+    """One path through a circuit: position, state, weight and what it has
+    seen: its ``record`` (label -> (bit, branch probability)), its
+    ``snapshots`` (label -> kept state) and its ``depth``, the measurements
+    so far with two live outcomes."""
 
-    state: object
-    weight: object
-    record: dict[str, tuple[int, object]]  # label -> (bit, branch probability)
-    snapshots: dict[str, object] = field(default_factory=dict)  # label -> kept state
-    pc: int = 0
-    depth: int = 0  # measurements so far with two live outcomes
+    __slots__ = _fields = ("state", "weight", "record", "snapshots", "pc", "depth")
+
+    def __init__(self, state, weight, record: dict, snapshots: dict, pc: int = 0, depth: int = 0):
+        self.state = state
+        self.weight = weight
+        self.record = record
+        self.snapshots = snapshots
+        self.pc = pc
+        self.depth = depth
 
     def copy(self) -> "_Branch":
         return _Branch(
@@ -547,7 +583,7 @@ def _check_runs(circuit: Circuit, kernel: Kernel) -> None:
 
 
 def _start(circuit: Circuit, kernel: Kernel) -> _Branch:
-    return _Branch(kernel.init(circuit.n_qubits), kernel.one, {})
+    return _Branch(kernel.init(circuit.n_qubits), kernel.one, {}, {})
 
 
 def _interpret(

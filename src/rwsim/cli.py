@@ -5,9 +5,11 @@ Subcommands
 ``simulate <file> --backend sv|stab|pathsum``
     Run a circuit file: the sampling backends (sv, stab) draw seeded trials,
     the path-sum backend prints exact probabilities (``p_accept`` only for
-    a circuit that declares ``accept``) and refuses the sampling flags
-    ``--trials`` and ``--min-postselect-prob``.  Every ``rewind`` is the
-    paper's strict rewind; ``clone`` is the unchecked restore.
+    a circuit that declares ``accept``; for more than 64 outcomes their
+    count ``outcomes`` in place of each one's ``p.*``) and refuses the
+    sampling flags ``--trials`` and ``--min-postselect-prob``.  Every
+    ``rewind`` is the paper's strict rewind; ``clone`` is the unchecked
+    restore.
 
 ``demo pp|collision|sd|mbqc|mitigate``
     Seeded protocol demonstrations with built-in assertions.
@@ -21,8 +23,10 @@ for any jobs count and the flag is deliberately left out of the report body.
 
 ``main`` loads the modules a command runs on after parsing its arguments
 and before starting its clock: ``circuit`` and ``stabilizer`` or ``pathsum``
-for those two backends, which never load NumPy, and NumPy and every layer
-for the dense backend and the demos.
+for those two backends, which never load NumPy or ``dataclasses``, and
+NumPy and every layer for the dense backend and the demos.  The worker pool,
+and with it ``multiprocessing``, is imported only by a run that uses it:
+``--jobs`` over 1 and more than one trial.
 
 Exit codes: 0 = assertions passed, 1 = assertion or runtime failure, 2 =
 bad input, any :class:`rwsim.circuit.InputError`: usage, parse and
@@ -43,7 +47,6 @@ import importlib.util
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterator
@@ -124,6 +127,8 @@ def _trial_records(build, args, trials: int, seed: int, jobs: int) -> list[str]:
     if jobs <= 1 or trials <= 1:
         return _chunk_records((build, args, seed, indices))
     build(args)  # its checks refuse bad input before any worker starts
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
     workers = min(jobs, trials)
     step = math.ceil(trials / workers)
     chunks = [
@@ -286,7 +291,9 @@ def cmd_simulate(ns) -> tuple[list, bool]:
         else:
             dist = {}
             lines.append(("p_accept", pathsum.acceptance_probability(circuit, outcomes=dist)))
-        if len(dist) <= 64:
+        if len(dist) > 64:
+            lines.append(("outcomes", len(dist)))
+        else:
             for key in sorted(dist):
                 if key:  # a circuit that measures nothing has one empty key
                     lines.append((f"p.{key.replace('=', ':')}", dist[key]))

@@ -26,8 +26,9 @@ instead of a matrix product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
+
+from .value import Frozen
 
 _ARITY = {
     "x": 1, "h": 1, "s": 1, "hk": 1, "rz": 1,
@@ -61,28 +62,33 @@ _FIXED = {
 }
 
 
-@dataclass(frozen=True)
-class Gate:
+_set = object.__setattr__  # how a frozen value's ``__init__`` sets a field
+
+
+class Gate(Frozen):
     """A named gate, possibly carrying one parameter.
 
     ``param`` is the integer k for ``hk``, the float angle for ``rz`` and
-    None for every fixed gate.
+    None for every fixed gate.  A gate keeps a ``__dict__`` (it has no
+    ``__slots__``) for what it builds once: :attr:`matrix`,
+    :attr:`monomial` and :meth:`unitary`.
     """
 
-    name: str
-    param: int | float | None = None
+    _fields = ("name", "param")
 
-    def __post_init__(self):
-        if self.name not in _ARITY:
-            raise ValueError(f"unknown gate {self.name!r}")
-        if self.name == "hk":
-            if not isinstance(self.param, int) or abs(self.param) > 64:
+    def __init__(self, name: str, param: int | float | None = None):
+        if name not in _ARITY:
+            raise ValueError(f"unknown gate {name!r}")
+        if name == "hk":
+            if not isinstance(param, int) or abs(param) > 64:
                 raise ValueError("hk parameter must be an integer with |k| <= 64")
-        elif self.name == "rz":
-            if not isinstance(self.param, (int, float)) or not math.isfinite(self.param):
-                raise ValueError(f"rz parameter must be a finite real angle, got {self.param!r}")
-        elif self.param is not None:
-            raise ValueError(f"gate {self.name} takes no parameter")
+        elif name == "rz":
+            if not isinstance(param, (int, float)) or not math.isfinite(param):
+                raise ValueError(f"rz parameter must be a finite real angle, got {param!r}")
+        elif param is not None:
+            raise ValueError(f"gate {name} takes no parameter")
+        _set(self, "name", name)
+        _set(self, "param", param)
 
     @property
     def arity(self) -> int:

@@ -56,7 +56,6 @@ runs it too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .circuit import (  # the shared error names are re-exported
@@ -70,16 +69,23 @@ from .circuit import (  # the shared error names are re-exported
 )
 from .gates import CLIFFORD_NAMES, Gate
 from .rng import SplitMix64
+from .value import Value
 
 MAX_QUBITS = 1 << 14
 
 
-@dataclass
-class StabilizerTableau:
-    n: int
-    X: list[int]  # per qubit, its X bit of every row: destabilizers 0..n-1, stabilizers n..2n-1
-    Z: list[int]  # per qubit, its Z bit of every row
-    r: int  # sign bit of every row
+class StabilizerTableau(Value):
+    """``X[j]`` holds qubit j's X bit of every row (destabilizers 0..n-1,
+    stabilizers n..2n-1), ``Z[j]`` its Z bit of every row, and ``r`` the
+    sign bit of every row."""
+
+    __slots__ = _fields = ("n", "X", "Z", "r")
+
+    def __init__(self, n: int, X: list[int], Z: list[int], r: int):
+        self.n = n
+        self.X = X
+        self.Z = Z
+        self.r = r
 
     def copy(self) -> "StabilizerTableau":
         return StabilizerTableau(self.n, self.X[:], self.Z[:], self.r)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import pytest
@@ -248,6 +247,17 @@ _ANGLES = st.one_of(
 _ARITIES = {name: gate(name, {"hk": 0, "rz": 0.0}.get(name)).arity for name in GATE_NAMES}
 
 
+def _guarded(instr, when):
+    """A new step like ``instr`` with the guard ``when``."""
+    if isinstance(instr, GateOp):
+        return GateOp(instr.gate, instr.targets, when)
+    if isinstance(instr, Measure):
+        return Measure(instr.qubit, instr.label, when)
+    if isinstance(instr, Postselect):
+        return Postselect(instr.qubit, instr.bit, when)
+    return type(instr)(instr.label, when)  # a Snapshot, Rewind or Clone
+
+
 @st.composite
 def circuits(draw) -> Circuit:
     """Valid circuits mixing every instruction kind, guards, repeated gate
@@ -281,7 +291,7 @@ def circuits(draw) -> Circuit:
         if labels and draw(st.booleans()):
             chosen = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=3, unique=True))
             when = tuple((label, draw(st.integers(0, 1))) for label in chosen)
-            instr = dataclasses.replace(instr, when=when)
+            instr = _guarded(instr, when)
         instructions.append(instr)
         if isinstance(instr, Measure):
             labels.append(instr.label)

@@ -363,7 +363,7 @@ def test_every_input_error_and_nothing_else_exits_2(monkeypatch, capsys, error, 
 
 @pytest.mark.parametrize("value", ["nan", "-1", "1.5"])
 def test_min_postselect_prob_outside_0_1_is_refused_before_the_pool(monkeypatch, capsys, value):
-    monkeypatch.setattr("rwsim.cli.ProcessPoolExecutor", None)  # a pool would raise
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", None)  # a pool would raise
     code, out, err = run(
         capsys,
         ["simulate", POSTSELECT, "--trials", "4", "--jobs", "2", "--min-postselect-prob", value],
@@ -587,7 +587,7 @@ def test_width_is_checked_before_the_worker_pool_starts(tmp_path, monkeypatch, c
         def __init__(self, *args, **kwargs):
             raise RuntimeError("worker pool built")
 
-    monkeypatch.setattr("rwsim.cli.ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", NoPool)
     monkeypatch.delenv("RWSIM_MAX_QUBITS", raising=False)
     wide = tmp_path / "wide.qc"
     wide.write_text("qubits 30\ngate h 0\nmeasure 0 -> m\n")
@@ -760,4 +760,16 @@ def test_simulate_pathsum_without_measurements_prints_no_empty_outcome(tmp_path,
     code, out, err = run(capsys, ["simulate", str(circuit), "--backend", "pathsum"])
     assert code == 0 and err == ""
     assert float(fields(out)["p_accept"]) == pytest.approx(0.5, abs=1e-12)
+    assert not [line for line in out.splitlines() if line.startswith("p.")]
+
+
+def test_simulate_pathsum_over_64_outcomes_prints_their_count(tmp_path, capsys):
+    circuit = tmp_path / "wide.qc"
+    circuit.write_text(
+        "qubits 7\n" + "".join(f"gate h {q}\n" for q in range(7))
+        + "".join(f"measure {q} -> m{q}\n" for q in range(7))
+    )
+    code, out, err = run(capsys, ["simulate", str(circuit), "--backend", "pathsum"])
+    assert code == 0 and err == ""
+    assert fields(out)["outcomes"] == "128"
     assert not [line for line in out.splitlines() if line.startswith("p.")]

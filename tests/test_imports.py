@@ -1,7 +1,9 @@
 """What loads when: the stabilizer and path-sum commands and a bare
-``import rwsim`` never load NumPy, the package's lazily resolved exports
-are the objects their modules define, and the benchmark's tracer reaches
-every name bound to a traced function."""
+``import rwsim`` never load NumPy, the stabilizer and path-sum commands
+never import ``dataclasses``, a one-job command never loads the worker
+pool's ``concurrent.futures`` or ``multiprocessing``, the package's lazily
+resolved exports are the objects their modules define, and the benchmark's
+tracer reaches every name bound to a traced function."""
 
 from __future__ import annotations
 
@@ -17,8 +19,9 @@ from conftest import REPO, cli_env
 from test_parity import COMMANDS, GOLDEN, differences
 
 # Runs ``python -m rwsim`` with the given arguments, then reports on stderr
-# whether NumPy was ever imported.
-WRAPPER = """
+# which of the watched modules were ever imported, as ``loaded=a,b``.
+WATCHED = ("numpy", "dataclasses", "concurrent.futures", "multiprocessing")
+WRAPPER = f"""
 import runpy, sys
 sys.argv = ["rwsim", *sys.argv[1:]]
 code = 0
@@ -26,7 +29,7 @@ try:
     runpy.run_module("rwsim", run_name="__main__", alter_sys=True)
 except SystemExit as exit:
     code = exit.code
-print("numpy_loaded=" + str("numpy" in sys.modules), file=sys.stderr)
+print("loaded=" + ",".join(m for m in {WATCHED!r} if m in sys.modules), file=sys.stderr)
 sys.exit(code)
 """
 
@@ -38,11 +41,18 @@ def _child(*args: str) -> subprocess.CompletedProcess:
     )
 
 
+def _loaded(proc: subprocess.CompletedProcess) -> set[str]:
+    """The watched modules that ``WRAPPER``'s run imported."""
+    line = proc.stderr.splitlines()[-1]
+    assert line.startswith("loaded="), proc.stderr
+    return set(filter(None, line[len("loaded="):].split(",")))
+
+
 @pytest.mark.parametrize("name", ["retry-stab", "postselect-stab", "bell-pathsum"])
 def test_stab_and_pathsum_commands_never_load_numpy(name):
     proc = _child("-c", WRAPPER, *COMMANDS[name])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.splitlines()[-1] == "numpy_loaded=False"
+    assert _loaded(proc) == set()  # nor dataclasses nor the worker pool
     body = "".join(
         line for line in proc.stdout.splitlines(keepends=True)
         if not line.startswith("duration_s=")
@@ -53,7 +63,14 @@ def test_stab_and_pathsum_commands_never_load_numpy(name):
 def test_the_dense_command_loads_numpy():
     proc = _child("-c", WRAPPER, *COMMANDS["bell-sv"])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.splitlines()[-1] == "numpy_loaded=True"
+    assert "numpy" in _loaded(proc)
+
+
+@pytest.mark.parametrize("name", ["bell-sv", "retry-stab", "bell-pathsum", "collision-toy"])
+def test_a_one_job_command_never_loads_the_worker_pool(name):
+    proc = _child("-c", WRAPPER, *COMMANDS[name], "--jobs", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert _loaded(proc).isdisjoint({"concurrent.futures", "multiprocessing"})
 
 
 def test_bare_import_never_loads_numpy():

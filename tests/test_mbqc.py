@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from rwsim.circuit import GateOp, InputError, sampler, serialize_circuit
+from rwsim.circuit import Circuit, GateOp, InputError, sampler, serialize_circuit
 from rwsim.gates import CZ, H, rz
 from rwsim.mbqc import (
     BrickworkSpec,
@@ -304,11 +303,11 @@ def test_one_rotation_per_distinct_angle_gives_bit_identical_states():
     assert pattern.rotations is pattern.rotations  # built once per pattern
     circuit = pattern_circuit(spec, pattern, 1)
     # the same circuit with a fresh rz gate built for every measured qubit
-    fresh = replace(circuit, instructions=tuple(
+    fresh = Circuit(circuit.n_qubits, tuple(
         GateOp(rz(op.gate.param), op.targets)
         if isinstance(op, GateOp) and op.gate.name == "rz" else op
         for op in circuit.instructions
-    ))
+    ), circuit.accept, circuit.name, circuit.lines)
     assert sum(a is not b for a, b in zip(circuit, fresh)) == 6
     got, want = sampler(circuit, KERNEL), sampler(fresh, KERNEL)
     for trial in range(6):
