@@ -105,6 +105,18 @@ FAULTS = [
         "    def __reduce__(self):\n",
         "    def _reduce(self):\n",
     ),
+    (
+        "pp_decide skips the width cap on a cached chain",
+        "src/rwsim/mitigation.py",
+        '    check_width(fs.state.n + 1, "state")\n',
+        "",
+    ),
+    (
+        "pp_decide keeps the previous k's level chain",
+        "src/rwsim/applications.py",
+        "    for k in range(-n, n + 1):\n        plus = 0\n        first = flag = x_reading = None\n",
+        "    first = None\n    for k in range(-n, n + 1):\n        plus = 0\n        flag = x_reading = None\n",
+    ),
 ]
 
 # The test that checks this list against the checkout fails in every planted

@@ -36,12 +36,13 @@ import numpy as np
 
 from .circuit import InputError
 from .mitigation import (
-    RANDOM_FALLBACK,
+    _extracted,
+    _levels,
+    _preparation,
+    _prepared,
+    _walk,
     copy_odds,
-    extract_target,
     make_flagged,
-    mitigate,
-    prepare_psi,
 )
 from .gates import H
 from .rng import SplitMix64
@@ -135,34 +136,39 @@ def pp_decide(
     the tau = 3/4 threshold).
 
     A copy prepares psi, flags it with coin parameter k, mitigates and
-    extracts the target, and reads it in the X basis.  A failed preparation
-    or extraction scores ``-`` and a fallback a fair coin.  Every stage is a
-    walk over a cached chain (see :mod:`rwsim.mitigation`), so a copy costs
-    its draws; the flagged state and the X-basis reading are built at the
-    first copy of each k that needs them.
+    extracts the target, and reads it in the X basis, as
+    :func:`rwsim.mitigation.prepare_psi`, ``mitigate`` and
+    ``extract_target`` do, with the same walks.  A failed preparation or
+    extraction scores ``-`` and a fallback a fair coin.  Each chain is
+    looked up once (see :mod:`rwsim.mitigation`): the preparation once per
+    table; the flagged state, the width cap and the first level at the
+    first prepared copy of each k; the flag reading and the X-basis reading
+    at its first successful copy.  So a copy is only its draws.
     """
     _validate_pp(f)
     n = f.n
+    weights, psi = _preparation(tuple(f.table))
     fractions: dict[int, float] = {}
     fallbacks = prep_failures = extract_failures = 0
     decision = HIGH
     for k in range(-n, n + 1):
         plus = 0
-        flagged = x_reading = None
+        first = flag = x_reading = None
         for _ in range(copies):
-            psi, _ = prepare_psi(f.table, rng)
-            if psi is None:
+            if not _prepared(weights, rng):
                 prep_failures += 1
                 continue
-            if flagged is None:
-                flagged = make_flagged(psi, k, n)  # every prepared psi is the same state
-            fs, trace = mitigate(flagged, n, rng)
-            if trace.outcome == RANDOM_FALLBACK:
+            if first is None:
+                first = _levels(make_flagged(psi, k, n))
+            level, bit = _walk(first, n, rng)
+            if bit:
                 # The fallback state is arbitrary; score the copy with a fair coin.
                 fallbacks += 1
                 plus += rng.bernoulli(0.5)
                 continue
-            phi = extract_target(fs, n, rng)
+            if flag is None:
+                flag = level.flag_reading()  # every success ends at the last level
+            phi = _extracted(flag, n, rng)
             if phi is None:
                 extract_failures += 1
                 continue

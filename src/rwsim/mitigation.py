@@ -220,12 +220,8 @@ def prepare_psi(table, rng: SplitMix64) -> tuple[PureState | None, int]:
     always >= 1/2.  Returns (state-or-None, attempts used).
     """
     weights, psi = _preparation(tuple(table))
-    attempts = len(weights)
-    for attempt in range(1, attempts + 1):
-        # a 1 read fails the attempt: re-prepare and read from qubit 0 again
-        if not any(draw_bit(p0, p1, rng) for p0, p1 in weights):
-            return psi, attempt
-    return None, attempts
+    attempt = _prepared(weights, rng)
+    return (psi, attempt) if attempt else (None, len(weights))
 
 
 def make_flagged(psi: PureState, k: int, n: int) -> FlaggedState:
@@ -271,7 +267,11 @@ def _mitigation_round(work: PureState, flag: int, ancilla: int) -> PureState:
 # or readings (:class:`rwsim.statevector.Reading`), built at first use and
 # kept, and a copy is a walk over it that adds only its draws.  The chains
 # are cached by their input (the table, or the flagged state's amplitude
-# bytes: equal bytes give the same floats) in bounded caches.
+# bytes: equal bytes give the same floats) in bounded caches.  The walks
+# that draw (:func:`_prepared`, :func:`_walk`, :func:`_extracted`) are the
+# only ones: the public functions look their chain up on every call and walk
+# it once, and :func:`rwsim.applications.pp_decide` looks each chain up once
+# and walks it once per copy.
 
 
 @lru_cache(maxsize=32)
@@ -290,6 +290,20 @@ def _preparation(table: tuple) -> tuple[tuple[tuple[float, float], ...], PureSta
         state = slice_qubit(state, 0, 0)
     state.amps.flags.writeable = False
     return tuple(weights), state
+
+
+def _prepared(weights, rng: SplitMix64) -> int:
+    """Read the input qubits with outcome ``weights`` (see :func:`_preparation`)
+    until all read 0, at most ``len(weights)`` attempts: the attempt that
+    succeeded, from 1, or 0 if none did.  A 1 read fails the attempt, which
+    re-prepares and reads from qubit 0 again."""
+    for attempt in range(1, len(weights) + 1):
+        for p0, p1 in weights:
+            if draw_bit(p0, p1, rng):
+                break
+        else:
+            return attempt
+    return 0
 
 
 class _Level:
@@ -317,6 +331,11 @@ class _Level:
             self._exits[bit] = state, nontarget_probability(FlaggedState(state, self.flag, 0.0))
         return self._exits[bit]
 
+    def flag_reading(self) -> Reading:
+        """The cached reading of the flag on the state this level leaves on
+        0, which is where a schedule that ends at this level succeeds."""
+        return _chain_of(_flag_reading, self.exit(0)[0], self.flag)
+
 
 @lru_cache(maxsize=32)
 def _first_level(n: int, dtype: str, raw: bytes, flag: int) -> _Level:
@@ -334,6 +353,39 @@ def _chain_of(build, state: PureState, flag: int):
     return build(state.n, amps.dtype.str, amps.tobytes(), flag)
 
 
+def _levels(fs: FlaggedState) -> _Level:
+    """The first level of ``fs``'s schedule.  The width cap on the state
+    with its ancilla is checked first, so it holds on a cached chain too."""
+    check_width(fs.state.n + 1, "state")
+    return _chain_of(_first_level, fs.state, fs.flag_qubit)
+
+
+def _walk(
+    level: _Level, n: int, rng: SplitMix64, events: list | None = None
+) -> tuple[_Level, int]:
+    """Run the 2n+3-level schedule from its first ``level``: read each
+    level's ancilla toward 0 with at most 3n tries of
+    :meth:`rwsim.statevector.Reading.retry`, and stop at the first level
+    that runs out.  Returns the level the walk ended at and the bit it last
+    read there (1: fallback).  Each attempt (level i, attempt c within the
+    level, outcome z) is appended to ``events`` when it is given."""
+    levels, tries = _schedule(n)
+    for i in range(levels):
+        if i:
+            level = level.next()
+        bits = level.reading.retry(0, tries, rng)
+        if events is not None:
+            events += [(i, c, z) for c, z in enumerate(bits, start=1)]
+        if bits[-1]:
+            return level, 1
+    return level, 0
+
+
+def _extracted(reading: Reading, n: int, rng: SplitMix64) -> PureState | None:
+    """Read the flag ``reading`` toward 1, at most n tries: the target, or None."""
+    return reading.dropped(1) if reading.retry(1, n, rng)[-1] else None
+
+
 def mitigate(fs: FlaggedState, n: int, rng: SplitMix64) -> tuple[FlaggedState, MitigationTrace]:
     """Run the full 2n+3-level schedule with <= 3n attempts per level.
 
@@ -347,19 +399,10 @@ def mitigate(fs: FlaggedState, n: int, rng: SplitMix64) -> tuple[FlaggedState, M
     """
     if n < 1:
         raise ValueError(f"mitigate needs n >= 1, got {n}")
-    check_width(fs.state.n + 1, "state")
-    level = _chain_of(_first_level, fs.state, fs.flag_qubit)
-    levels, tries = _schedule(n)
     events: list[tuple[int, int, int]] = []
-    for i in range(levels):
-        if i:
-            level = level.next()
-        bits = level.reading.retry(0, tries, rng)
-        events += [(i, c, z) for c, z in enumerate(bits, start=1)]
-        if bits[-1]:
-            break
-    state, p = level.exit(bits[-1])
-    outcome = RANDOM_FALLBACK if bits[-1] else SUCCESS
+    level, bit = _walk(_levels(fs), n, rng, events)
+    state, p = level.exit(bit)
+    outcome = RANDOM_FALLBACK if bit else SUCCESS
     return FlaggedState(state, fs.flag_qubit, p), MitigationTrace(events, outcome)
 
 
@@ -371,9 +414,7 @@ def extract_target(fs: FlaggedState, n: int, rng: SplitMix64) -> PureState | Non
     """
     if n < 1:
         return None
-    reading = _chain_of(_flag_reading, fs.state, fs.flag_qubit)
-    bits = reading.retry(1, n, rng)
-    return reading.dropped(1) if bits[-1] else None
+    return _extracted(_chain_of(_flag_reading, fs.state, fs.flag_qubit), n, rng)
 
 
 class CopyOdds(NamedTuple):
@@ -396,16 +437,14 @@ def copy_odds(table, k: int) -> CopyOdds:
     weights, psi = _preparation(tuple(table))
     n = len(weights)
     prep = 1.0 - (1.0 - math.prod(p0 / (p0 + p1) for p0, p1 in weights)) ** n
-    flagged = make_flagged(psi, k, n)
-    level = _chain_of(_first_level, flagged.state, flagged.flag_qubit)
+    level = _levels(make_flagged(psi, k, n))
     levels, tries = _schedule(n)
     success = 1.0
     for i in range(levels):
         if i:
             level = level.next()
         success *= 1.0 - (1.0 - level.reading.prob(0)) ** tries
-    target, _ = level.exit(0)
-    flag = _chain_of(_flag_reading, target, flagged.flag_qubit)
+    flag = level.flag_reading()
     return CopyOdds(prep, success, 1.0 - flag.prob(0) ** n, flag.dropped(1))
 
 

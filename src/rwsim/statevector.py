@@ -32,10 +32,13 @@ Conventions
   bits on those targets are the same whatever its core targets read: it
   sets their new bits, and the core gets the gate restricted to the core
   targets, which is nothing, a scalar phase (every target fixed) or
-  ``_apply_monomial``.  Any other gate on a fixed qubit (``h``, ``hk`` or
-  ``ch``, or a ``swap`` of a fixed qubit with a core qubit) first moves
-  its fixed targets back into the core, then runs on the core with its
-  targets renumbered.  The kernel's ``is_collapse`` and :func:`rewind`
+  ``_apply_monomial``.  A ``swap`` of a fixed qubit with a core qubit
+  relabels: the fixed bit moves to the core qubit, and the core axis moves
+  to the other qubit's place (one transpose, or none when no core qubit
+  lies between them), so the core keeps its width.  Any other gate on a
+  fixed qubit (``h``, ``hk`` or ``ch``) first moves its fixed targets back
+  into the core, then runs on the core with its targets renumbered.  The
+  kernel's ``is_collapse`` and :func:`rewind`
   make one test, :func:`_is_collapse_of`, which reads each state as its
   core and its fixed bits, so a certificate never builds the full width
   and its answers are those of the test on full vectors.  A state is also
@@ -522,9 +525,10 @@ class _KernelState(PureState):
     """A state of the interpreter's dense kernel, split in two parts:
     ``fixed`` maps each qubit known to be in a basis state to its bit, and
     ``core`` is the state of the other qubits, in qubit order.  A qubit is
-    fixed from ``init`` until a gate that branches on it (or a ``swap`` with
-    a core qubit) moves it into the core, and again once a measurement or
-    postselection reads it; monomial gates change fixed bits in place.
+    fixed from ``init`` until a gate that branches on it moves it into the
+    core, and again once a measurement or postselection reads it; monomial
+    gates change fixed bits in place, and a ``swap`` with a core qubit moves
+    the fixed bit to that qubit.
 
     It is a read-only :class:`PureState` on ``n`` qubits.  Its full vector
     ``amps`` is built on first read and kept, for the caller of a run; the
@@ -609,6 +613,23 @@ def _on_fixed(state: _KernelState, rows, targets: tuple[int, ...], bits) -> _Ker
     return _KernelState(state.n, core, fixed)
 
 
+def _swap_fixed(state: _KernelState, a: int, b: int) -> _KernelState:
+    """``state`` after a ``swap`` of ``a`` and ``b``, one fixed and one in
+    the core, as a relabelling: the fixed bit moves to the core qubit, and
+    the core axis moves to the other qubit's place in qubit order, which is
+    one transpose, or none when no core qubit lies between them."""
+    fixed_q, core_q = (a, b) if a in state.fixed else (b, a)
+    fixed = {q: bit for q, bit in state.fixed.items() if q != fixed_q}
+    fixed[core_q] = state.fixed[fixed_q]
+    core = state.core
+    source = state.position(core_q)
+    dest = fixed_q - sum(q < fixed_q for q in fixed)
+    if source != dest:
+        tensor = np.moveaxis(core.amps.reshape([2] * core.n), source, dest)
+        core = PureState(core.n, tensor.reshape(-1))
+    return _KernelState(state.n, core, fixed)
+
+
 class _StateVectorKernel(Kernel):
     name = "sv"
 
@@ -630,6 +651,8 @@ class _StateVectorKernel(Kernel):
             moved = _on_fixed(state, rows, targets, bits)
             if moved is not None:
                 return moved
+            if op.gate.name == "swap":  # one target fixed, the other in the core
+                return _swap_fixed(state, *targets)
         if touched:
             state = _unfix(state, touched)
         positions = tuple(map(state.position, targets))

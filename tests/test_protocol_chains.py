@@ -267,13 +267,32 @@ def _random_tables(n: int, count: int, seed: int):
     return tables
 
 
+def _table_of_weight(n: int, weight: int, seed: int) -> tuple:
+    """A table on n bits whose ``weight`` ones sit at places drawn from ``seed``."""
+    rng = SplitMix64(seed)
+    places = list(range(1 << n))
+    for i in range(weight):
+        j = i + rng.randrange(len(places) - i)
+        places[i], places[j] = places[j], places[i]
+    return tuple(int(x in places[:weight]) for x in range(1 << n))
+
+
+def _pp_tables(n: int) -> list:
+    """Random tables, and at n = 4 two tables of weight 5 and 12, the weights
+    of the ``pp`` benchmark's two trials (one low, one high)."""
+    if n < 4:
+        return _random_tables(n, 6, 0xC4A1)
+    return _random_tables(n, 2, 0xC4A1) + [_table_of_weight(4, 5, 0xC4AD),
+                                           _table_of_weight(4, 12, 0xC4AE)]
+
+
 # ---------------------------------------------------------------------------
 # RNG identity
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_pp_decide_draws_as_the_reference_loops(n, rewinds):
-    for index, table in enumerate(_random_tables(n, 6, 0xC4A1)):
+    for index, table in enumerate(_pp_tables(n)):
         f = BooleanFunction(n, table)
         ref_rng = SplitMix64(stream_seed(0xC4A2, 10 * n + index))
         rng = SplitMix64(ref_rng.state)
@@ -288,6 +307,34 @@ def test_pp_decide_draws_as_the_reference_loops(n, rewinds):
         assert len(rewinds) == len(set(rewinds)), table
         assert set(rewinds) == want_rewinds, table
         rewinds.clear()
+
+
+def test_a_pp_copy_looks_up_no_chain_and_checks_no_width(monkeypatch):
+    """pp_decide looks a chain up and checks the width cap once per coin
+    parameter k, whatever the number of copies: a copy is only its draws."""
+    calls = {"_chain_of": 0, "check_width": 0}
+
+    def counting(name, function):
+        def counted(*args):
+            calls[name] += 1
+            return function(*args)
+        return counted
+
+    monkeypatch.setattr(mitigation, "_chain_of", counting("_chain_of", mitigation._chain_of))
+    counted_width = counting("check_width", statevector.check_width)
+    for module in (statevector, mitigation, applications):  # each binds its own name
+        monkeypatch.setattr(module, "check_width", counted_width)
+    f = BooleanFunction(3, (1, 1, 0, 1, 0, 1, 1, 0))  # high: every k is scanned
+    pp_decide(f, SplitMix64(1))  # builds every chain node the copies below reach
+    counts = {}
+    for copies in (8, 64):
+        for name in calls:
+            calls[name] = 0
+        decision = pp_decide(f, SplitMix64(2), copies=copies)
+        assert decision.decision == HIGH and len(decision.plus_fractions) == 7
+        counts[copies] = dict(calls)
+    # per k: the first level and the flag reading, and one width check
+    assert counts[8] == counts[64] == {"_chain_of": 14, "check_width": 7}
 
 
 def test_make_flagged_matches_the_kron_construction_bit_for_bit():

@@ -438,12 +438,39 @@ def test_a_gate_on_fixed_targets_matches_the_full_vector(g):
         got = statevector.KERNEL.apply(state, GateOp(g, targets))
         want = statevector.apply_gate(state, g, targets)  # on the full vector
         assert np.allclose(got.amps, want.amps, rtol=0.0, atol=TOL), (g, bits)
-        # a monomial gate keeps its fixed targets fixed, unless it is a swap
-        # of a fixed qubit with a core qubit; every other gate moves them
-        # into the core
-        stays = g.monomial is not None and not (g is SWAP and len(bits) == 1)
-        assert got.fixed.keys() == (state.fixed.keys() if stays else state.fixed.keys() - bits)
+        # a monomial gate keeps its fixed targets fixed, except that a swap of
+        # a fixed qubit with a core qubit fixes the core qubit instead; every
+        # other gate moves them into the core
+        if g is SWAP and len(bits) == 1:
+            want_fixed = state.fixed.keys() - bits | set(targets) - bits.keys()
+        elif g.monomial is not None:
+            want_fixed = state.fixed.keys()
+        else:
+            want_fixed = state.fixed.keys() - bits
+        assert got.fixed.keys() == want_fixed
         assert got.core.n == got.n - len(got.fixed)
+
+
+def _swap_by_unfixing(state, targets):
+    """A swap by the path of the other gates: its fixed target moved back
+    into the core first, then the swap on the core."""
+    moved = statevector._unfix(state, [q for q in targets if q in state.fixed])
+    core = statevector.apply_gate(moved.core, SWAP, tuple(map(moved.position, targets)))
+    return statevector._KernelState(moved.n, core, moved.fixed)
+
+
+@pytest.mark.parametrize("bits", [{}, {0: 0}, {4: 1}, {1: 1, 3: 0}], ids=str)
+def test_a_swap_of_a_fixed_and_a_core_qubit_keeps_the_core_width(bits):
+    state = _with_fixed(bits)
+    core = [q for q in range(WIDTH) if q not in state.fixed]
+    for held, free in itertools.product(state.fixed, core):
+        for targets in ((held, free), (free, held)):
+            got = statevector.KERNEL.apply(state, GateOp(SWAP, targets))
+            assert got.core.n == state.core.n, targets
+            moved = {q: b for q, b in state.fixed.items() if q != held}
+            assert got.fixed == {**moved, free: state.fixed[held]}, targets
+            want = _swap_by_unfixing(state, targets)
+            assert got.amps.tobytes() == want.amps.tobytes(), targets
 
 
 def test_a_rewind_of_a_fixed_qubit_is_certified_on_the_cores():
