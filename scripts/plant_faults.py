@@ -117,6 +117,18 @@ FAULTS = [
         "    for k in range(-n, n + 1):\n        plus = 0\n        first = flag = x_reading = None\n",
         "    first = None\n    for k in range(-n, n + 1):\n        plus = 0\n        flag = x_reading = None\n",
     ),
+    (
+        "the second register read reuses the first bit's reading",
+        "src/rwsim/applications.py",
+        "        if bit2 != bit1:\n            rest = RegisterReading(last_reading.collapsed(bit2), range(last))\n",
+        "",
+    ),
+    (
+        "demo collision counts images, not distinct images",
+        "src/rwsim/cli.py",
+        "len(set(family.images_array().tolist()))",
+        "len(family.images_array().tolist())",
+    ),
 ]
 
 # The test that checks this list against the checkout fails in every planted

@@ -53,7 +53,6 @@ from .statevector import (
     apply_gate,
     check_width,
     measure,
-    measure_register,
     RewindConsistencyError,
     rewind,
 )
@@ -318,7 +317,7 @@ def collision_success_probability(family: FunctionFamily) -> Fraction:
         ones = np.bincount(group, weights=bit, minlength=counts.size)[group]
         told_apart |= np.where(bit == 1, ones, k - ones) == 1
     p = Fraction(0)
-    for kk in np.unique(k[k >= 2]).tolist():
+    for kk in sorted(set(k[k >= 2].tolist())):
         p += Fraction(int(np.count_nonzero(told_apart & (k == kk))) * (kk - 1), kk)
     prepared = 1 - (1 - Fraction(size, 1 << in_bits)) ** _MAX_PREP_ATTEMPTS
     return prepared * p / size
@@ -386,7 +385,11 @@ def collision_find(
 
     The preparation and the image reading draw from readings cached on the
     family (:func:`_family_readings`); everything after them runs on the
-    ``input_bits``-qubit state the image reading leaves.
+    ``input_bits``-qubit state the image reading leaves.  A rewinding trial
+    reads that state's last qubit once (one :class:`Reading` for both
+    measurements) and the remaining qubits at most once per bit read (the
+    second read reuses the first one's :class:`RegisterReading` when the
+    bits agree), and certifies its rewind; nothing is kept across trials.
     """
     flag, image = _family_readings(family)
     in_bits = family.input_bits
@@ -405,23 +408,28 @@ def collision_find(
             state = input_state()
             if state is None:
                 return None
-            xs.append(measure_register(state, range(in_bits), rng)[0])
+            xs.append(RegisterReading(state, range(in_bits)).draw(rng))
         x1, x2 = xs
     else:
         state = input_state()
         if state is None:
             return None
-        pre_last_bit, last = state, in_bits - 1
-        bit1, _, state = measure(state, last, rng)
-        rest1, _, state = measure_register(state, range(last), rng)
+        # The rewind returns this same state, so one reading of its last
+        # qubit serves both measurements.
+        last = in_bits - 1
+        last_reading = Reading(state, last)
+        bit1 = last_reading.draw(rng)
+        rest = RegisterReading(last_reading.collapsed(bit1), range(last))
+        rest1 = rest.draw(rng)
         x1 = (rest1 << 1) | bit1
         try:
-            state = rewind(pre_last_bit, state)
+            rewind(state, rest.collapsed(rest1))
         except RewindConsistencyError:
             return None  # image had more than the two-branch structure
-        bit2, _, state = measure(state, last, rng)
-        rest2, _, _ = measure_register(state, range(last), rng)
-        x2 = (rest2 << 1) | bit2
+        bit2 = last_reading.draw(rng)
+        if bit2 != bit1:
+            rest = RegisterReading(last_reading.collapsed(bit2), range(last))
+        x2 = (rest.draw(rng) << 1) | bit2
     if x1 != x2 and images[x1] == images[x2]:
         return family.decode(x1), family.decode(x2)
     return None

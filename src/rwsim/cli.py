@@ -368,9 +368,7 @@ def cmd_demo_collision(ns) -> tuple[list, bool]:
     )
     family, _ = _collision_family(family_args)
     delta = applications.family_delta_exact(family)
-    import numpy as np
-
-    images_distinct = int(np.unique(family.images_array()).size)
+    images_distinct = len(set(family.images_array().tolist()))
     if ns.family == "toy":
         family_flags = f"--bits {ns.bits}"
     else:

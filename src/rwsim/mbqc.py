@@ -223,7 +223,8 @@ def iqp_fanout_amplify(
         work = apply_gate(work, H, (ancilla,))
         work = apply_gate(work, CH, (control_qubit, ancilla))
         reading = Reading(work, ancilla)
-        if reading.retry(0, _RETRY_BUDGET + 1, rng)[-1]:
+        _, bit = reading.retry(0, _RETRY_BUDGET + 1, rng)
+        if bit:
             raise RuntimeError("fan-out retry budget exhausted")
         state = reading.dropped(0)
     return state

@@ -373,17 +373,19 @@ def _walk(
     for i in range(levels):
         if i:
             level = level.next()
-        bits = level.reading.retry(0, tries, rng)
-        if events is not None:
-            events += [(i, c, z) for c, z in enumerate(bits, start=1)]
-        if bits[-1]:
+        draws, bit = level.reading.retry(0, tries, rng)
+        if events is not None:  # every draw before the last missed, reading 1
+            events += [(i, c, 1) for c in range(1, draws)]
+            events.append((i, draws, bit))
+        if bit:
             return level, 1
     return level, 0
 
 
 def _extracted(reading: Reading, n: int, rng: SplitMix64) -> PureState | None:
     """Read the flag ``reading`` toward 1, at most n tries: the target, or None."""
-    return reading.dropped(1) if reading.retry(1, n, rng)[-1] else None
+    _, bit = reading.retry(1, n, rng)
+    return reading.dropped(1) if bit else None
 
 
 def mitigate(fs: FlaggedState, n: int, rng: SplitMix64) -> tuple[FlaggedState, MitigationTrace]:

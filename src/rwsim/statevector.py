@@ -62,10 +62,11 @@ Conventions
   states and the rewind's certificate once, so each walk over a state that
   many walks measure adds only its draws.  A
   :class:`RegisterReading` does the same for a register of several qubits
-  read at once: it computes the joint weights once, draws with
-  :func:`draw_value`, and hands out each collapsed state with the register
-  sliced off, so a walk continues on the remaining qubits alone.
-  ``measure`` and ``measure_register`` are one draw of a one-shot reading.
+  read at once: it computes the joint weights, their running sum and their
+  total once, so a draw is one uniform located in the running sum, and it
+  hands out each collapsed state with the register sliced off, so a walk
+  continues on the remaining qubits alone.  ``measure`` and
+  ``measure_register`` are one draw of a one-shot reading.
 * ``KERNEL`` is this backend under the circuit interpreter in
   :mod:`rwsim.circuit`, which measures and postselects with the kernel's
   ``prob`` and ``collapse`` and whose rewinds and ``clone`` continue from
@@ -271,14 +272,6 @@ def measure(state: PureState, qubit: int, rng: SplitMix64) -> tuple[int, float, 
     return bit, reading.prob(bit), reading.collapsed(bit)
 
 
-def draw_value(probs: np.ndarray, rng: SplitMix64) -> int:
-    """The value a register measurement with joint weights ``probs`` reads:
-    one uniform draw, scaled by the total weight, located in the running sum."""
-    u = rng.uniform() * float(probs.sum())
-    value = int(np.searchsorted(np.cumsum(probs), u, side="right"))
-    return min(value, probs.size - 1)
-
-
 def measure_register(
     state: PureState, qubits, rng: SplitMix64
 ) -> tuple[int, float, PureState]:
@@ -446,9 +439,10 @@ class Reading:
             self._dropped[bit] = _read_only(state)
         return self._dropped[bit]
 
-    def retry(self, want: int, tries: int, rng: SplitMix64) -> list[int]:
-        """Measure until the qubit reads ``want``, at most ``tries`` times:
-        the bits read, in order, one draw each as :meth:`draw` makes it.
+    def retry(self, want: int, tries: int, rng: SplitMix64) -> tuple[int, int]:
+        """Measure until the qubit reads ``want``, at most ``tries`` times,
+        one draw each as :meth:`draw` makes it: (draws, the last bit read).
+        Every bit before the last reads ``1 - want``.
 
         Each miss but the last is undone by a strict rewind to ``state``.
         Every such rewind undoes the same collapse of the same state, so it
@@ -457,12 +451,12 @@ class Reading:
         """
         if tries < 1:
             raise ValueError(f"a retry needs at least one try, got {tries}")
-        bits: list[int] = []
+        draws = 0
         while True:
             bit = draw_bit(self.p0, self.p1, rng)
-            bits.append(bit)
-            if bit == want or len(bits) == tries:
-                return bits
+            draws += 1
+            if bit == want or draws == tries:
+                return draws, bit
             if not self._certified[bit]:
                 rewind(self.state, self.collapsed(bit))
                 self._certified[bit] = True
@@ -473,15 +467,16 @@ class RegisterReading:
     measure it many times: the sibling of :class:`Reading`.
 
     ``probs`` are the register's joint weights, one per value (big-endian
-    in ``qubits``), and :meth:`draw` reads a value from them with
-    :func:`draw_value`.  The collapsed state of each value with the register
-    sliced off is computed at first use and kept; :meth:`collapsed` puts
-    those amplitudes back in place at full width, as
-    :func:`measure_register` returns them.  The states it hands out are
-    read-only: every walk shares them.
+    in ``qubits``); their running sum and their total are computed once,
+    with them.  The collapsed state of each value with the register sliced
+    off is computed at first use and kept; :meth:`collapsed` puts those
+    amplitudes back in place at full width, as :func:`measure_register`
+    returns them.  The states it hands out are read-only: every walk shares
+    them.
     """
 
-    __slots__ = ("state", "qubits", "probs", "_rows", "_inverse", "_dropped")
+    __slots__ = ("state", "qubits", "probs", "_running", "_total", "_rows", "_inverse",
+                 "_dropped")
 
     def __init__(self, state: PureState, qubits):
         n = state.n
@@ -490,14 +485,20 @@ class RegisterReading:
         # one row of amplitudes per register value, and the rows' joint weights
         self._rows = state.amps.reshape([2] * n).transpose(order).reshape(1 << len(self.qubits), -1)
         self.probs = np.sum(np.abs(self._rows) ** 2, axis=1)
+        self._running = np.cumsum(self.probs)
+        self._total = float(self.probs.sum())
         self._dropped: dict[int, PureState] = {}
 
     def draw(self, rng: SplitMix64) -> int:
-        return draw_value(self.probs, rng)
+        """The value a measurement reads: one uniform draw, scaled by the
+        total weight, located in the running sum to the right of equal
+        entries, and clamped to the last value."""
+        value = int(np.searchsorted(self._running, rng.uniform() * self._total, side="right"))
+        return min(value, self.probs.size - 1)
 
     def prob(self, value: int) -> float:
         """Probability of reading ``value``, as ``measure_register`` returns it."""
-        return float(self.probs[value]) / float(self.probs.sum())
+        return float(self.probs[value]) / self._total
 
     def collapsed(self, value: int) -> PureState:
         """The state collapsed onto ``value``, at full width."""

@@ -1,7 +1,9 @@
 """What loads when: the stabilizer and path-sum commands and a bare
 ``import rwsim`` never load NumPy, the stabilizer and path-sum commands
-never import ``dataclasses``, a one-job command never loads the worker
-pool's ``concurrent.futures`` or ``multiprocessing``, the package's lazily
+never import ``dataclasses``, no dense command loads ``numpy.ma`` (NumPy
+imports it on first use of a plain ``np.unique``), a one-job command never
+loads the worker pool's ``concurrent.futures`` or ``multiprocessing``, the
+package's lazily
 resolved exports are the objects their modules define, and the benchmark's
 tracer reaches every name bound to a traced function."""
 
@@ -20,7 +22,7 @@ from test_parity import COMMANDS, GOLDEN, differences
 
 # Runs ``python -m rwsim`` with the given arguments, then reports on stderr
 # which of the watched modules were ever imported, as ``loaded=a,b``.
-WATCHED = ("numpy", "dataclasses", "concurrent.futures", "multiprocessing")
+WATCHED = ("numpy", "numpy.ma", "dataclasses", "concurrent.futures", "multiprocessing")
 WRAPPER = f"""
 import runpy, sys
 sys.argv = ["rwsim", *sys.argv[1:]]
@@ -64,6 +66,22 @@ def test_the_dense_command_loads_numpy():
     proc = _child("-c", WRAPPER, *COMMANDS["bell-sv"])
     assert proc.returncode == 0, proc.stderr
     assert "numpy" in _loaded(proc)
+
+
+# the commands that run on NumPy: every pinned one but the stab and path-sum runs
+DENSE = sorted(name for name in COMMANDS if not name.endswith(("-stab", "-pathsum")))
+
+
+def test_the_dense_commands_include_every_collision_demo():
+    assert {"collision-toy", "collision-toy-norewind", "collision-lwe"} <= set(DENSE)
+
+
+@pytest.mark.parametrize("name", DENSE)
+def test_no_dense_command_loads_numpy_ma(name):
+    proc = _child("-c", WRAPPER, *COMMANDS[name])
+    assert proc.returncode == 0, proc.stderr
+    loaded = _loaded(proc)
+    assert "numpy" in loaded and "numpy.ma" not in loaded
 
 
 @pytest.mark.parametrize("name", ["bell-sv", "retry-stab", "bell-pathsum", "collision-toy"])

@@ -53,6 +53,7 @@ from rwsim.mitigation import (
 from rwsim.rng import _GAMMA, _MASK, SplitMix64, stream_seed
 from rwsim.statevector import (
     PureState,
+    Reading,
     RegisterReading,
     RewindConsistencyError,
     _collapse,
@@ -460,12 +461,17 @@ def _random_state(n: int, seed: int, sparse: bool = False) -> PureState:
     return from_amplitudes(amps)
 
 
-def _without_register(state: PureState, qubits, value: int) -> np.ndarray:
-    """The amplitudes of ``state`` where the register reads ``value``."""
-    key: list = [slice(None)] * state.n
+def _register_key(n: int, qubits, value: int) -> tuple:
+    """Index of an n-axis tensor where the register reads ``value``."""
+    key: list = [slice(None)] * n
     for j, q in enumerate(qubits):
         key[q] = value >> (len(qubits) - 1 - j) & 1
-    return state.amps.reshape([2] * state.n)[tuple(key)].reshape(-1)
+    return tuple(key)
+
+
+def _without_register(state: PureState, qubits, value: int) -> np.ndarray:
+    """The amplitudes of ``state`` where the register reads ``value``."""
+    return state.amps.reshape([2] * state.n)[_register_key(state.n, qubits, value)].reshape(-1)
 
 
 REGISTERS = [
@@ -503,6 +509,32 @@ def test_a_register_draw_of_exactly_zero_never_reads_an_empty_value():
     assert reading.probs[0] == 0.0
     value, _, _ = measure_register(state, (0, 1), _uniform_zero_rng())
     assert reading.draw(_uniform_zero_rng()) == value == 1
+
+
+def _draw_value(probs, rng):
+    """A register draw as one function computed it on every call before
+    ``RegisterReading`` kept its running sum and total."""
+    u = rng.uniform() * float(probs.sum())
+    value = int(np.searchsorted(np.cumsum(probs), u, side="right"))
+    return min(value, probs.size - 1)
+
+
+def test_a_register_draw_is_the_running_sum_formula():
+    state = _random_state(5, 23)
+    qubits = (3, 0, 4)
+    tensor = state.amps.reshape([2] * 5).copy()
+    for value in (0, 1, 7):  # no weight on the first two values and the last
+        tensor[_register_key(5, qubits, value)] = 0.0
+    reading = RegisterReading(from_amplitudes(tensor.reshape(-1)), qubits)
+    assert reading.probs[[0, 1, 7]].tolist() == [0.0, 0.0, 0.0]
+    rng, ref_rng = SplitMix64(stream_seed(0xC4AD, 0)), SplitMix64(stream_seed(0xC4AD, 0))
+    drawn = set()
+    for _ in range(1000):
+        value = reading.draw(rng)
+        assert value == _draw_value(reading.probs, ref_rng)
+        drawn.add(value)
+    assert rng.state == ref_rng.state
+    assert drawn == {2, 3, 4, 5, 6}
 
 
 def test_register_reading_states_are_read_only():
@@ -546,6 +578,36 @@ def test_a_failed_preparation_draws_as_the_reference(monkeypatch):
         want = _ref_collision_find(family, ref_rng, max_prep_attempts=1)
         assert collision_find(family, rng) == want
         assert rng.state == ref_rng.state
+
+
+@pytest.mark.parametrize("family", _collision_families(), ids=lambda family: family.name)
+def test_a_rewinding_collision_trial_reads_each_state_once(monkeypatch, family):
+    """One reading of the last input qubit serves both measurements, and the
+    remaining qubits are read at most once per bit read; every trial builds
+    its own readings, so nothing is kept from one trial to the next."""
+    built = {"Reading": 0, "RegisterReading": 0}
+
+    def counted(cls):
+        def build(*args):
+            built[cls.__name__] += 1
+            return cls(*args)
+        return build
+
+    applications._family_readings(family)  # the family's cached readings
+    monkeypatch.setattr(applications, "Reading", counted(Reading))
+    monkeypatch.setattr(applications, "RegisterReading", counted(RegisterReading))
+    registers = set()
+    for seed in range(30):
+        rng = SplitMix64(stream_seed(0xC4AE, seed))
+        built.update(Reading=0, RegisterReading=0)
+        collision_find(family, rng)
+        if built["Reading"] == 0:  # every preparation read the padding
+            assert family.padded and built["RegisterReading"] == 0
+            continue
+        assert built["Reading"] == 1, seed
+        assert 1 <= built["RegisterReading"] <= 2, seed
+        registers.add(built["RegisterReading"])
+    assert registers == ({1} if family.name == "quad" else {1, 2})
 
 
 def test_sd_trials_draw_as_the_full_width_reference():

@@ -442,10 +442,11 @@ def test_measure_until_matches_the_hand_written_loop(seed, want):
     rng_a = SplitMix64(stream_seed(0x3EA, seed))
     rng_b = SplitMix64(stream_seed(0x3EA, seed))
     reading = Reading(state, 2)
-    bits = reading.retry(want, 4, rng_a)
+    draws, bit = reading.retry(want, 4, rng_a)
     ref_bits, ref_out = _hand_written_retry(state, 2, want, 4, rng_b)
-    assert bits == ref_bits
-    assert np.array_equal(reading.collapsed(bits[-1]).amps, ref_out.amps)
+    assert (draws, bit) == (len(ref_bits), ref_bits[-1])
+    assert ref_bits[:-1] == [1 - want] * (draws - 1)  # each earlier draw missed
+    assert np.array_equal(reading.collapsed(bit).amps, ref_out.amps)
     assert rng_a.next_u64() == rng_b.next_u64()  # same number of draws
 
 
@@ -456,9 +457,9 @@ def test_measure_until_with_one_try_never_rewinds(monkeypatch):
     monkeypatch.setattr(statevector, "rewind", refuse)
     for seed in range(8):
         reading = Reading(plus_state(1), 0)
-        bits = reading.retry(0, 1, SplitMix64(seed))
-        assert len(bits) == 1
-        assert prob_of_bit(reading.collapsed(bits[0]), 0, bits[0]) == pytest.approx(1.0)
+        draws, bit = reading.retry(0, 1, SplitMix64(seed))
+        assert draws == 1
+        assert prob_of_bit(reading.collapsed(bit), 0, bit) == pytest.approx(1.0)
 
 
 def test_retry_returns_every_miss_of_an_unreachable_outcome(monkeypatch):
@@ -471,11 +472,11 @@ def test_retry_returns_every_miss_of_an_unreachable_outcome(monkeypatch):
     monkeypatch.setattr(statevector, "rewind", counted)
     one = apply_gate(init(2), X, (1,))
     reading = Reading(one, 1)
-    assert reading.retry(0, 5, SplitMix64(1)) == [1] * 5
+    assert reading.retry(0, 5, SplitMix64(1)) == (5, 1)
     # the same rewind is certified once, at the first miss
     ((stored, post),) = calls
     assert stored is one and post is reading.collapsed(1)
-    assert reading.retry(0, 5, SplitMix64(2)) == [1] * 5
+    assert reading.retry(0, 5, SplitMix64(2)) == (5, 1)
     assert len(calls) == 1
     assert same_up_to_phase(reading.collapsed(1), one, tol=1e-12)
 
