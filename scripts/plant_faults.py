@@ -78,7 +78,7 @@ FAULTS = [
     (
         "the interpreter runs a step whose guard fails",
         "src/rwsim/circuit.py",
-        "if instr.when and not predicate_holds(instr.when, b.record):",
+        "if instr.when and not predicate_holds(instr.when, record):",
         "if False:",
     ),
     (
@@ -128,6 +128,18 @@ FAULTS = [
         "src/rwsim/cli.py",
         "len(set(family.images_array().tolist()))",
         "len(family.images_array().tolist())",
+    ),
+    (
+        "the tableau certificate's fast path accepts any one-bit sign difference",
+        "src/rwsim/stabilizer.py",
+        "            if not signs or signs == pivot_bit:\n",
+        "            if not signs & (signs - 1):\n",
+    ),
+    (
+        "the one-row product sign drops the row's sign",
+        "src/rwsim/stabilizer.py",
+        "        return 1 if tab.r >> n & chosen else 0\n",
+        "        return 0\n",
     ),
 ]
 

@@ -52,7 +52,6 @@ from .statevector import (
     RegisterReading,
     apply_gate,
     check_width,
-    measure,
     RewindConsistencyError,
     rewind,
 )
@@ -591,10 +590,11 @@ def sd_trial(image: RegisterReading, rng: SplitMix64) -> int:
     two output distributions overlap and small when they are far.
     """
     post_image = image.dropped(image.draw(rng))
-    b1, _, state = measure(post_image, 0, rng)
-    state = rewind(post_image, state)
-    b2, _, state = measure(state, 0, rng)
-    return int(b1 != b2)
+    # the rewind returns this same state, so one reading serves both bits
+    branch = Reading(post_image, 0)
+    b1 = branch.draw(rng)
+    rewind(post_image, branch.collapsed(b1))
+    return int(b1 != branch.draw(rng))
 
 
 def sd_error_exact(

@@ -245,8 +245,10 @@ def parse_circuit(text: str, name: str | None = None) -> Circuit:
     line (an inverse body, ``s`` written three times) reuses one object that
     :func:`validate` checks once.  The keys are source text, not values, so
     ``rz -0.0`` and ``rz 0.0`` stay apart.  A guarded line is always built
-    anew, and ``accept`` sets :attr:`Circuit.accept`.  Every error starts
-    with ``<name>: line N: ``, the name only if one is given.
+    anew, and ``accept`` sets :attr:`Circuit.accept`.  A gate's targets are
+    converted in one ``map(int, ...)``; if one is not an integer, they are
+    read again one by one so the error names the first bad token.  Every
+    error starts with ``<name>: line N: ``, the name only if one is given.
     """
     n_qubits = accept = accept_line = None
     instructions: list[Instruction] = []
@@ -294,7 +296,11 @@ def parse_circuit(text: str, name: str | None = None) -> Circuit:
                     g = make_gate(gname)
             except ValueError as exc:
                 raise syntax(str(exc)) from None
-            targets = _parse_targets(parts[2 if g.param is None else 3 :], syntax)
+            given = parts[2 if g.param is None else 3 :]
+            try:
+                targets = tuple(map(int, given))
+            except ValueError:  # name the first token that is not an integer
+                targets = _parse_targets(given, syntax)
             if len(targets) != g.arity:
                 raise syntax(f"gate {gname} expects {g.arity} target(s), got {len(targets)}")
             instr = GateOp(g, targets, when)
@@ -387,13 +393,18 @@ def _at(circuit: Circuit, pc: int) -> str:
     return _where(circuit.name, None if circuit.lines is None else circuit.lines[pc + 1])
 
 
+_KINDS = frozenset((GateOp, Measure, Postselect, Snapshot, Rewind, Clone))  # the step classes
+
+
 def validate(circuit: Circuit) -> None:
     """Static checks; raises :class:`CircuitValidationError` on the first failure.
 
     :class:`Circuit` runs it when it is built.  Every error starts with
-    :func:`_where`'s prefix.  A :class:`GateOp` object that occurs more
-    than once is checked once: it is frozen and ``n`` does not change, so a
-    second check could not fail.
+    :func:`_where`'s prefix.  A step is an instance of one of the six step
+    classes themselves (``_KINDS``), not of a subclass: the interpreter
+    dispatches on the exact class.  A :class:`GateOp` object that occurs
+    more than once is checked once: it is frozen and ``n`` does not change,
+    so a second check could not fail.
     """
     n = circuit.n_qubits
 
@@ -411,14 +422,15 @@ def validate(circuit: Circuit) -> None:
     snapshot_labels: set[str] = set()
     checked: set[int] = set()  # ids of the GateOp objects already checked
     for pc, instr in enumerate(circuit.instructions):
-        if not isinstance(instr, (GateOp, Measure, Postselect, Snapshot, Rewind, Clone)):
+        kind = type(instr)
+        if kind not in _KINDS:
             raise error(f"unknown instruction {instr!r}", pc)
         for label, bit in instr.when:
             if label not in measure_labels:
                 raise error(f"condition references undefined measurement label {label!r}", pc)
             if bit not in (0, 1):
                 raise error("condition bits must be 0 or 1", pc)
-        if isinstance(instr, GateOp):
+        if kind is GateOp:
             if id(instr) in checked:
                 continue
             checked.add(id(instr))
@@ -426,22 +438,22 @@ def validate(circuit: Circuit) -> None:
                 check_qubit(q, pc)
             if len(set(instr.targets)) != len(instr.targets):
                 raise error(f"gate {instr.gate.name} targets must be distinct: {instr.targets}", pc)
-        elif isinstance(instr, Measure):
+        elif kind is Measure:
             check_qubit(instr.qubit, pc)
             if instr.label in measure_labels:
                 raise error(f"duplicate measurement label {instr.label!r}", pc)
             measure_labels.add(instr.label)
-        elif isinstance(instr, Postselect):
+        elif kind is Postselect:
             check_qubit(instr.qubit, pc)
             if instr.bit not in (0, 1):
                 raise error("postselect bit must be 0 or 1", pc)
-        elif isinstance(instr, Snapshot):
+        elif kind is Snapshot:
             if instr.label in snapshot_labels:
                 raise error(f"duplicate snapshot label {instr.label!r}", pc)
             snapshot_labels.add(instr.label)
         elif instr.label not in snapshot_labels:  # a Rewind or a Clone
             raise error(
-                f"{type(instr).__name__.lower()} references undefined snapshot "
+                f"{kind.__name__.lower()} references undefined snapshot "
                 f"label {instr.label!r}",
                 pc,
             )
@@ -602,28 +614,39 @@ def _interpret(
     ``how`` picks what a measurement does: draw from ``rng`` (sample, which
     follows one branch) or fork over both outcomes (enumerate), at most
     ``kernel.max_depth`` deep.
+
+    Each step is dispatched on its exact class (:func:`validate` admits only
+    the six).  The branch being run keeps its position and state in locals,
+    with ``kernel.apply`` bound once; they are written back to its
+    :class:`_Branch` only where it forks or reaches ``stop``, and an error
+    names the line of the step that raised it.
     """
     instructions, max_depth = circuit.instructions, kernel.max_depth
+    apply, enumerating = kernel.apply, how == _ENUMERATE
     leaves, stack = [], [start]
     while stack:
         b = stack.pop()
-        while b.pc < stop:
-            instr = instructions[b.pc]
-            b.pc += 1
-            if instr.when and not predicate_holds(instr.when, b.record):
+        # the branch's position and state live in locals; its record and
+        # snapshots are dicts it keeps
+        pc, state, record, snapshots = b.pc, b.state, b.record, b.snapshots
+        while pc < stop:
+            instr = instructions[pc]
+            pc += 1
+            if instr.when and not predicate_holds(instr.when, record):
                 continue
-            if isinstance(instr, GateOp):
-                b.state = kernel.apply(b.state, instr)
-            elif isinstance(instr, Measure):
+            kind = type(instr)
+            if kind is GateOp:
+                state = apply(state, instr)
+            elif kind is Measure:
                 q, label = instr.qubit, instr.label
-                if how == _ENUMERATE:  # fork over the live outcomes, 0 before 1
-                    state = b.state
+                if enumerating:  # fork over the live outcomes, 0 before 1
                     probs = [(bit, kernel.prob(state, q, bit)) for bit in (0, 1)]
                     live = [(bit, p) for bit, p in probs if p]
                     if len(live) == 2:
                         if max_depth is not None and b.depth >= max_depth:
                             raise DepthLimitError(f"random-measurement depth exceeded {max_depth}")
                         b.depth += 1
+                    b.pc = pc
                     forks = [b] + [b.copy() for _ in live[1:]] if live else []
                     for child, (bit, p) in zip(forks, live):
                         child.state = kernel.collapse(state, q, bit, p)
@@ -631,13 +654,13 @@ def _interpret(
                         child.record[label] = bit, min(float(p), 1.0)
                     stack.extend(reversed(forks))
                     break
-                bit, prob, b.state = kernel.measure(b.state, q, rng)
-                b.record[label] = bit, prob
-            elif isinstance(instr, Postselect):
+                bit, prob, state = kernel.measure(state, q, rng)
+                record[label] = bit, prob
+            elif kind is Postselect:
                 q, bit = instr.qubit, instr.bit
-                prob = kernel.prob(b.state, q, bit)
+                prob = kernel.prob(state, q, bit)
                 if not prob:
-                    if how == _ENUMERATE:
+                    if enumerating:
                         break  # the oracles drop a branch that cannot pass
                     raise InvalidPostselectionError(
                         f"outcome {bit} on qubit {q} has probability {float(prob):.3e}"
@@ -647,21 +670,22 @@ def _interpret(
                         f"postselection probability {float(prob):.6g} below required "
                         f"{min_postselect_prob:.6g}"
                     )
-                b.state = kernel.collapse(b.state, q, bit, prob)
-            elif isinstance(instr, Snapshot):
-                b.snapshots[instr.label] = kernel.keep(b.state)
-            elif isinstance(instr, (Rewind, Clone)):
-                stored = b.snapshots.get(instr.label)
+                state = kernel.collapse(state, q, bit, prob)
+            elif kind is Snapshot:
+                snapshots[instr.label] = kernel.keep(state)
+            else:  # a Rewind or a Clone
+                stored = snapshots.get(instr.label)
                 if stored is None:
                     raise UnknownSnapshotError(
-                        f"{_at(circuit, b.pc - 1)}no snapshot {instr.label!r} on this branch"
+                        f"{_at(circuit, pc - 1)}no snapshot {instr.label!r} on this branch"
                     )
-                if isinstance(instr, Rewind) and not kernel.is_collapse(stored, b.state):
+                if kind is Rewind and not kernel.is_collapse(stored, state):
                     raise RewindConsistencyError(
                         f"state is not a one-outcome collapse of snapshot {instr.label!r}"
                     )
-                b.state = kernel.keep(stored)
+                state = kernel.keep(stored)
         else:  # the branch got to ``stop`` without forking or being dropped
+            b.pc, b.state = pc, state
             leaves.append(b)
     return leaves
 

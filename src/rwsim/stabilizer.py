@@ -6,9 +6,10 @@ The tableau of Aaronson and Gottesman (quant-ph/0406196) has 2n rows: rows
 stored transposed, as in Stim (Gidney 2021): qubit j's column is one Python
 int ``X[j]`` and one ``Z[j]`` whose bit i is row i's bit at j, and the signs
 are one int ``r``.  A gate touches only its own qubits' columns, so it is a
-few integer operations whatever the width.  Destabilizer i anticommutes with
-stabilizer i and commutes with the other stabilizers; |0...0> starts with
-destabilizers X_i and stabilizers Z_i.
+few integer operations whatever the width; ``_GATES`` maps each gate name to
+its rule on the columns, which the kernel's ``apply`` calls directly.
+Destabilizer i anticommutes with stabilizer i and commutes with the other
+stabilizers; |0...0> starts with destabilizers X_i and stabilizers Z_i.
 
 Measurement of qubit a looks at the stabilizer half only:
 
@@ -20,6 +21,9 @@ Measurement of qubit a looks at the stabilizer half only:
   ints over the rows.
 * none has: the outcome is determined.  Z_a is the product of the stabilizers
   whose destabilizer has an X bit at a, and that product's sign is the outcome.
+  A product of one row is that row's own sign bit, read without the column
+  pass; after a random measurement of a only the pivot's destabilizer has an
+  X bit at a, so every later read of a is one row.
 
 The kernel's ``is_collapse``, which strict rewind asks, checks that the
 post-state is the snapshot collapsed onto one outcome of one qubit.
@@ -27,11 +31,17 @@ Measuring a deterministic qubit leaves the snapshot unchanged, and
 measuring a random one makes its Z outcome deterministic, so
 the candidates are exactly: the snapshot itself (if it has a deterministic
 qubit and the same random qubits), and each qubit random in the snapshot but
-deterministic after, collapsed onto that outcome.  Two tableaux with equal
-stabilizer rows and signs hold the same state; otherwise they hold the same
-state when each stabilizer of one commutes with the other's stabilizers and
-carries the sign of its product of them (the destabilizers it anticommutes
-with select it), a check run on the same int columns.
+deterministic after, found in one pass over the columns.  Each candidate
+qubit is measured on a copy of the snapshot onto 0.  Collapsing onto 1
+instead changes only the pivot's sign, so when that copy's stabilizer
+columns equal the post-state's, the post-state is a collapse exactly when
+the stabilizer signs differ nowhere or in the pivot's bit alone.  Otherwise
+the copy takes the outcome the post-state reads and goes to the full check:
+two tableaux with equal stabilizer rows and signs hold the same state;
+otherwise they hold the same state when each stabilizer of one commutes with
+the other's stabilizers and carries the sign of its product of them (the
+destabilizers it anticommutes with select it), a check run on the same int
+columns.
 
 ``KERNEL`` runs these rules under the circuit interpreter in :mod:`rwsim.circuit`:
 ``sampler(circuit, KERNEL)`` samples paths, and the exact oracles
@@ -108,31 +118,50 @@ def stab_init(n: int) -> StabilizerTableau:
     return StabilizerTableau(n, [1 << j for j in range(n)], [1 << (n + j) for j in range(n)], 0)
 
 
+def _h(tab: StabilizerTableau, targets: tuple[int, ...]) -> StabilizerTableau:
+    (a,) = targets
+    X, Z = tab.X, tab.Z
+    tab.r ^= X[a] & Z[a]
+    X[a], Z[a] = Z[a], X[a]
+    return tab
+
+
+def _s(tab: StabilizerTableau, targets: tuple[int, ...]) -> StabilizerTableau:
+    (a,) = targets
+    X, Z = tab.X, tab.Z
+    tab.r ^= X[a] & Z[a]
+    Z[a] ^= X[a]
+    return tab
+
+
+def _x(tab: StabilizerTableau, targets: tuple[int, ...]) -> StabilizerTableau:
+    (a,) = targets
+    tab.r ^= tab.Z[a]
+    return tab
+
+
+def _cz(tab: StabilizerTableau, targets: tuple[int, ...]) -> StabilizerTableau:
+    a, b = targets
+    X, Z = tab.X, tab.Z
+    xa, xb, za, zb = X[a], X[b], Z[a], Z[b]
+    tab.r ^= xa & xb & (za ^ zb)
+    Z[a] = za ^ xb
+    Z[b] = zb ^ xa
+    return tab
+
+
+# each Clifford gate's rule on its targets' columns, in place
+_GATES = {"h": _h, "s": _s, "x": _x, "cz": _cz}
+
+
 def stab_apply(tab: StabilizerTableau, g: Gate, targets: tuple[int, ...]) -> StabilizerTableau:
     """Apply a Clifford gate in place (returns the same tableau)."""
-    X, Z, name = tab.X, tab.Z, g.name
-    if name == "cz":
-        a, b = targets
-        xa, xb, za, zb = X[a], X[b], Z[a], Z[b]
-        tab.r ^= xa & xb & (za ^ zb)
-        Z[a] = za ^ xb
-        Z[b] = zb ^ xa
-    elif name == "h":
-        (a,) = targets
-        tab.r ^= X[a] & Z[a]
-        X[a], Z[a] = Z[a], X[a]
-    elif name == "s":
-        (a,) = targets
-        tab.r ^= X[a] & Z[a]
-        Z[a] ^= X[a]
-    elif name == "x":
-        (a,) = targets
-        tab.r ^= Z[a]
-    else:
+    rule = _GATES.get(g.name)
+    if rule is None:
         raise GateSetError(
             f"gate {g.name!r} is outside the stabilizer set {{h, s, cz, x}}"
         )
-    return tab
+    return rule(tab, targets)
 
 
 def _product_sign(tab: StabilizerTableau, chosen: int) -> int:
@@ -146,6 +175,8 @@ def _product_sign(tab: StabilizerTableau, chosen: int) -> int:
     chosen signs add up mod 4.
     """
     n = tab.n
+    if not chosen & (chosen - 1):  # one row (or none): its own sign, i^0 in every column
+        return 1 if tab.r >> n & chosen else 0
     width = chosen.bit_length()
     e = 2 * (tab.r >> n & chosen).bit_count()
     for x, z in zip(tab.X, tab.Z):
@@ -228,59 +259,73 @@ def stab_measure(
     return outcome, 0.5, tab
 
 
-def _stabilizers(tab: StabilizerTableau) -> tuple[list[int], list[int], int]:
-    n = tab.n
-    return [x >> n for x in tab.X], [z >> n for z in tab.Z], tab.r >> n
+def _differing_rows(a: StabilizerTableau, b: StabilizerTableau) -> int:
+    """Bit i set where stabilizer i of ``a`` and of ``b`` differ, signs aside."""
+    n, differ = a.n, 0
+    for xa, za, xb, zb in zip(a.X, a.Z, b.X, b.Z):
+        differ |= xa ^ xb | za ^ zb
+    return differ >> n
 
 
 def _same_state(a: StabilizerTableau, b: StabilizerTableau) -> bool:
     """Do two tableaux of one width stabilize the same state (signs included)?"""
-    (aX, aZ, ar), (bX, bZ, br) = _stabilizers(a), _stabilizers(b)
-    if (aX, aZ, ar) == (bX, bZ, br):
+    n = a.n
+    differ = _differing_rows(a, b) | (a.r ^ b.r) >> n
+    if not differ:
         return True  # the same generators with the same signs
     # a stabilizer row that b shares with a is in a's group; check the others
-    differ = ar ^ br
-    for xa, za, xb, zb in zip(aX, aZ, bX, bZ):
-        differ |= xa ^ xb | za ^ zb
-    n, low = a.n, (1 << a.n) - 1
+    low = (1 << n) - 1
     while differ:
         i = (differ & -differ).bit_length() - 1
         differ &= differ - 1
+        row = n + i
         anti = 0  # bit k: b's stabilizer i anticommutes with a's row k
-        for xb, zb, xa, za in zip(bX, bZ, a.X, a.Z):
-            if xb >> i & 1:
+        for xb, zb, xa, za in zip(b.X, b.Z, a.X, a.Z):
+            if xb >> row & 1:
                 anti ^= za
-            if zb >> i & 1:
+            if zb >> row & 1:
                 anti ^= xa
         if anti >> n:
             return False  # it is outside a's group
         # it is the product of a's stabilizers whose destabilizer it
         # anticommutes with, and must carry that product's sign
-        if _product_sign(a, anti & low) != br >> i & 1:
+        if _product_sign(a, anti & low) != b.r >> row & 1:
             return False
     return True
-
-
-def _random_qubits(tab: StabilizerTableau) -> list[bool]:
-    """Per qubit: does some stabilizer have an X bit there (a random Z outcome)?"""
-    n = tab.n
-    return [x >> n != 0 for x in tab.X]
 
 
 def _is_collapse_of(stored: StabilizerTableau, post: StabilizerTableau) -> bool:
     """Is ``post`` the snapshot collapsed onto one outcome of one qubit
     (possibly trivially, for a deterministic outcome)?"""
-    if stored.n != post.n:
+    n = stored.n
+    if n != post.n:
         return False
-    random_stored, random_post = _random_qubits(stored), _random_qubits(post)
-    if random_stored == random_post:  # equal states have equal random qubits
+    candidates = []  # random in the snapshot, deterministic after
+    determined = False  # some qubit is deterministic in the snapshot
+    widened = False  # some qubit is random after but not in the snapshot
+    for qubit, (xs, xp) in enumerate(zip(stored.X, post.X)):
+        if xs >> n:
+            if not xp >> n:
+                candidates.append(qubit)
+        else:
+            determined = True
+            widened = widened or xp >> n != 0
+    if not candidates:  # equal random qubits, as equal states have, unless widened
         # a deterministic qubit was measured
-        return not all(random_stored) and _same_state(stored, post)
-    for qubit, (before, after) in enumerate(zip(random_stored, random_post)):
-        if not before or after:
+        return determined and not widened and _same_state(stored, post)
+    for qubit in candidates:
+        tab = stab_measure(stored.copy(), qubit, None, force=0)[2]
+        anti = stored.X[qubit] >> n
+        pivot_bit = anti & -anti  # the pivot's bit among the stabilizer signs
+        if (tab.X == post.X and tab.Z == post.Z) or not _differing_rows(tab, post):
+            # the same generators: the two outcomes differ in the pivot's sign only
+            signs = (tab.r ^ post.r) >> n
+            if not signs or signs == pivot_bit:
+                return True
             continue
-        bit = _deterministic_outcome(post, qubit)
-        if _same_state(stab_measure(stored.copy(), qubit, None, force=bit)[2], post):
+        if _deterministic_outcome(post, qubit):
+            tab.r ^= pivot_bit << n
+        if _same_state(tab, post):
             return True
     return False
 
@@ -298,7 +343,7 @@ class _TableauKernel(Kernel):
         return stab_init(n)
 
     def apply(self, tab: StabilizerTableau, op: GateOp) -> StabilizerTableau:
-        return stab_apply(tab, op.gate, op.targets)
+        return _GATES[op.gate.name](tab, op.targets)
 
     def measure(self, tab: StabilizerTableau, qubit: int, rng: SplitMix64):
         return stab_measure(tab, qubit, rng)

@@ -160,6 +160,61 @@ def test_validate_without_source_lines_names_none():
 
 
 @pytest.mark.parametrize(
+    "line,token",
+    [
+        ("gate cz 0 x", "x"),
+        ("gate h 1.5", "1.5"),
+        ("gate cz x 1.5", "x"),
+        ("gate ccz 0 1 two", "two"),
+        ("gate hk 2 q", "q"),
+        ("gate rz 0.5 0.0", "0.0"),
+        ("gate h x if m == 1", "x"),
+    ],
+)
+def test_a_non_integer_target_names_the_first_bad_token(line, token):
+    with pytest.raises(CircuitSyntaxError) as err:
+        parse_circuit(f"qubits 3\nmeasure 0 -> m\n{line}\n", name="c.qc")
+    assert str(err.value) == f"c.qc: line 3: qubit index must be an integer, got {token!r}"
+    assert err.value.lineno == 3
+
+
+class _MeasureLike(Measure):
+    """A step class that is not one of the six: the interpreter dispatches
+    on the exact class, so validation refuses it."""
+
+    __slots__ = ()
+
+
+@pytest.mark.parametrize(
+    "n,steps,accept,want",
+    [
+        (0, (), None, "circuit needs at least one qubit"),
+        (1, ("gate h 0",), None, "unknown instruction 'gate h 0'"),
+        (1, (_MeasureLike(0, "m"),), None,
+         "unknown instruction _MeasureLike(qubit=0, label='m', when=())"),
+        (1, (GateOp(gates.X, (0,), (("m", 1),)),), None,
+         "condition references undefined measurement label 'm'"),
+        (1, (Measure(0, "m"), GateOp(gates.X, (0,), (("m", 2),))), None,
+         "condition bits must be 0 or 1"),
+        (2, (GateOp(gates.CZ, (0, 2)),), None, "qubit index 2 out of range for 2 qubits"),
+        (2, (GateOp(gates.CZ, (1, 1)),), None, "gate cz targets must be distinct: (1, 1)"),
+        (2, (Measure(-1, "m"),), None, "qubit index -1 out of range for 2 qubits"),
+        (2, (Measure(0, "m"), Measure(1, "m")), None, "duplicate measurement label 'm'"),
+        (2, (Postselect(2, 0),), None, "qubit index 2 out of range for 2 qubits"),
+        (2, (Postselect(0, 2),), None, "postselect bit must be 0 or 1"),
+        (2, (Snapshot("s"), Snapshot("s")), None, "duplicate snapshot label 's'"),
+        (2, (Rewind("s"),), None, "rewind references undefined snapshot label 's'"),
+        (2, (Clone("s"),), None, "clone references undefined snapshot label 's'"),
+        (2, (), 2, "qubit index 2 out of range for 2 qubits"),
+    ],
+)
+def test_validate_words_each_error_kind(n, steps, accept, want):
+    with pytest.raises(CircuitValidationError) as err:
+        Circuit(n, steps, accept, name="v")
+    assert str(err.value) == f"v: {want}"
+
+
+@pytest.mark.parametrize(
     "line", ["gate x 0\tif m == 1", "gate x 0 if\tm == 1", "gate\tx\t0\tif\tm\t==\t1"]
 )
 def test_tabs_separate_the_if_like_any_token(line):

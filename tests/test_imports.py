@@ -129,8 +129,9 @@ print(json.dumps({
 def test_the_bench_tracer_wraps_rewind_and_measure_everywhere():
     proc = _child("-c", TRACER)
     assert proc.returncode == 0, proc.stderr
-    # one trial measures the branch bit, rewinds once and measures it again
-    assert json.loads(proc.stdout) == {"left": [], "wrapped": [True, True], "calls": [1, 2]}
+    # one trial reads the branch bit twice from one Reading and rewinds once
+    # between the reads, so it makes no one-shot measure call
+    assert json.loads(proc.stdout) == {"left": [], "wrapped": [True, True], "calls": [1, 0]}
 
 
 def test_unknown_names_are_attribute_errors():

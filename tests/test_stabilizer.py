@@ -451,6 +451,12 @@ def _with_x(kernel, state, qubit):
     return kernel.apply(kernel.keep(state), GateOp(X, (qubit,)))
 
 
+def _generators(tab: StabilizerTableau) -> tuple[list[int], list[int], int]:
+    """The stabilizer half of ``tab``: its X and Z columns and its signs."""
+    n = tab.n
+    return [x >> n for x in tab.X], [z >> n for z in tab.Z], tab.r >> n
+
+
 def _verdicts(posts, stored) -> list[bool]:
     return [_accepts(k, p, s) for k, p, s in zip(KERNELS, posts, stored)]
 
@@ -491,7 +497,7 @@ def test_bell_pair_rewind_compares_states_not_generators(measured):
     for bit in (0, 1):
         post = [_collapse(k, s, measured, bit) for k, s in zip(KERNELS, stored)]
         other = _collapse(KERNELS[0], stored[0], 1 - measured, bit)
-        assert stabilizer._stabilizers(post[0]) != stabilizer._stabilizers(other)
+        assert _generators(post[0]) != _generators(other)
         assert _accepts(KERNELS[0], post[0], other) and _accepts(KERNELS[0], other, post[0])
         assert _verdicts(post, stored) == [True, True]
         apart = [_with_x(k, p, 0) for k, p in zip(KERNELS, post)]  # |b'b>, b' = 1 - b
@@ -646,10 +652,120 @@ def test_group_check_matches_an_independent_reference(n, monkeypatch):
             assert _dense_same(amps.amps, n, rows)
         for b_rows, want in cases:
             b = _from_rows(n, b_rows)
-            assert stabilizer._stabilizers(b) != stabilizer._stabilizers(a)
+            assert _generators(b) != _generators(a)
             del calls[:]
             assert stabilizer._same_state(a, b) is want, (case, want)
             assert stabilizer._same_state(b, a) is want, (case, want)
             assert calls or not want, "the equal-rows shortcut decided"
             if n <= 8:
                 assert _dense_same(amps.amps, n, b_rows) is want
+
+
+# ---------------------------------------------------------------------------
+# the strict-rewind certificate and the one-row sign against their definitions
+
+
+def _random_tableau(rng: SplitMix64, n: int) -> StabilizerTableau:
+    """Random Clifford gates with a few forced measurements between them, so
+    some qubits of the result are deterministic and some random."""
+    pool = (H, S, X, CZ)
+    tab = stab_init(n)
+    for _ in range(4 * n + 2):
+        if rng.randrange(5):
+            g = pool[rng.randrange(4 if n > 1 else 3)]
+            a = rng.randrange(n)
+            stab_apply(tab, g, (a, (a + 1 + rng.randrange(n - 1)) % n) if g is CZ else (a,))
+        else:
+            stab_measure(tab, rng.randrange(n), None, force=rng.randrange(2))
+    return tab
+
+
+def _measured(tab: StabilizerTableau, qubit: int, bit: int) -> StabilizerTableau:
+    return stab_measure(tab.copy(), qubit, None, force=bit)[2]
+
+
+def _reference_is_collapse(stored: StabilizerTableau, post: StabilizerTableau) -> bool:
+    """The certificate by its definition: some qubit of ``stored``, measured
+    onto some outcome it can read, leaves ``post``'s state."""
+    return any(
+        stabilizer._same_state(_measured(stored, qubit, bit), post)
+        for qubit in range(stored.n)
+        for bit in (0, 1)
+    )
+
+
+def _reference_product_sign(tab: StabilizerTableau, chosen: int) -> int:
+    """``_product_sign``'s general loop over the columns, for any ``chosen``."""
+    n = tab.n
+    width = chosen.bit_length()
+    e = 2 * (tab.r >> n & chosen).bit_count()
+    for x, z in zip(tab.X, tab.Z):
+        x = x >> n & chosen
+        z = z >> n & chosen
+        if x and z:
+            below = z
+            shift = 1
+            while shift < width:
+                below ^= below << shift
+                shift <<= 1
+            e += (x & z).bit_count() + 2 * (x & below << 1).bit_count()
+            e -= x.bit_count() & z.bit_count() & 1
+    assert e % 2 == 0
+    return e >> 1 & 1
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_rewind_certificate_matches_its_definition(n):
+    """Every qubit and outcome of seeded random tableaux: the collapse itself,
+    the collapse with one stabilizer sign flipped other than the pivot's
+    (the same generators as the collapse), the collapse measured again on
+    another qubit, and an unrelated state."""
+    seen = {}
+    for case in range(6):
+        rng = SplitMix64(stream_seed(0xCE57, 100 * n + case))
+        stored = _random_tableau(rng, n)
+        unrelated = _random_tableau(rng, n)
+        for qubit in range(n):
+            for bit in (0, 1):
+                one = _measured(stored, qubit, bit)
+                posts = {"one": one, "unrelated": unrelated}
+                anti = stored.X[qubit] >> n
+                pivot = (anti & -anti).bit_length() - 1  # -1: a deterministic qubit
+                others = [i for i in range(n) if i != pivot]
+                if others:
+                    flipped = one.copy()
+                    flipped.r ^= 1 << n + others[rng.randrange(len(others))]
+                    posts["flipped"] = flipped
+                rest = [q for q in range(n) if q != qubit]
+                random_rest = [q for q in rest if one.X[q] >> n]  # a second collapse
+                if rest:
+                    pick = random_rest or rest
+                    second = pick[rng.randrange(len(pick))]
+                    posts["twice"] = _measured(one, second, rng.randrange(2))
+                for key, post in posts.items():
+                    got = stabilizer._is_collapse_of(stored, post)
+                    assert got == _reference_is_collapse(stored, post), (case, qubit, bit, key)
+                    seen[key, got] = seen.get((key, got), 0) + 1
+    assert seen.get(("one", True)) == 12 * n  # every collapse is certified
+    assert ("one", False) not in seen
+    if n >= 4:
+        want = {("flipped", False), ("twice", False), ("twice", True), ("unrelated", False)}
+        assert want <= set(seen)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 64, 65])
+def test_one_row_product_sign_is_the_rows_own_sign(n):
+    """``_product_sign`` on one stabilizer, on none, and on random sets of
+    them (stabilizers commute) equals the general loop."""
+    signs = set()
+    for case in range(4):
+        rng = SplitMix64(stream_seed(0x5165, 100 * n + case))
+        tab = _random_tableau(rng, n)
+        for i in range(n):
+            got = stabilizer._product_sign(tab, 1 << i)
+            assert got == _reference_product_sign(tab, 1 << i) == tab.r >> n + i & 1
+            signs.add(got)
+            chosen = sum(rng.next_u64() << 64 * k for k in range(2)) & ((1 << n) - 1)
+            assert stabilizer._product_sign(tab, chosen) == _reference_product_sign(tab, chosen)
+        assert stabilizer._product_sign(tab, 0) == 0
+    assert signs == {0, 1} or n < 5
