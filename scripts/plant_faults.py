@@ -130,10 +130,10 @@ FAULTS = [
         "len(family.images_array().tolist())",
     ),
     (
-        "the tableau certificate's fast path accepts any one-bit sign difference",
+        "the tableau state check's equal-columns shortcut ignores the signs",
         "src/rwsim/stabilizer.py",
-        "            if not signs or signs == pivot_bit:\n",
-        "            if not signs & (signs - 1):\n",
+        "    if not signs and a.X == b.X and a.Z == b.Z:\n",
+        "    if a.X == b.X and a.Z == b.Z:\n",
     ),
     (
         "the one-row product sign drops the row's sign",

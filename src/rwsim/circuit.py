@@ -626,8 +626,6 @@ def _interpret(
     leaves, stack = [], [start]
     while stack:
         b = stack.pop()
-        # the branch's position and state live in locals; its record and
-        # snapshots are dicts it keeps
         pc, state, record, snapshots = b.pc, b.state, b.record, b.snapshots
         while pc < stop:
             instr = instructions[pc]

@@ -32,16 +32,14 @@ measuring a random one makes its Z outcome deterministic, so
 the candidates are exactly: the snapshot itself (if it has a deterministic
 qubit and the same random qubits), and each qubit random in the snapshot but
 deterministic after, found in one pass over the columns.  Each candidate
-qubit is measured on a copy of the snapshot onto 0.  Collapsing onto 1
-instead changes only the pivot's sign, so when that copy's stabilizer
-columns equal the post-state's, the post-state is a collapse exactly when
-the stabilizer signs differ nowhere or in the pivot's bit alone.  Otherwise
-the copy takes the outcome the post-state reads and goes to the full check:
-two tableaux with equal stabilizer rows and signs hold the same state;
-otherwise they hold the same state when each stabilizer of one commutes with
-the other's stabilizers and carries the sign of its product of them (the
-destabilizers it anticommutes with select it), a check run on the same int
-columns.
+qubit is measured on a copy of the snapshot onto the outcome the post-state
+reads for it, a one-row read, and the copy is checked against the
+post-state: two tableaux with equal stabilizer signs and equal columns
+(compared as whole lists first, then row by row over the stabilizers) hold
+the same state; otherwise they hold the same state when each stabilizer of
+one commutes with the other's stabilizers and carries the sign of its
+product of them (the destabilizers it anticommutes with select it), a check
+run on the same int columns.
 
 ``KERNEL`` runs these rules under the circuit interpreter in :mod:`rwsim.circuit`:
 ``sampler(circuit, KERNEL)`` samples paths, and the exact oracles
@@ -270,7 +268,10 @@ def _differing_rows(a: StabilizerTableau, b: StabilizerTableau) -> int:
 def _same_state(a: StabilizerTableau, b: StabilizerTableau) -> bool:
     """Do two tableaux of one width stabilize the same state (signs included)?"""
     n = a.n
-    differ = _differing_rows(a, b) | (a.r ^ b.r) >> n
+    signs = (a.r ^ b.r) >> n
+    if not signs and a.X == b.X and a.Z == b.Z:
+        return True  # the same columns with the same stabilizer signs
+    differ = _differing_rows(a, b) | signs
     if not differ:
         return True  # the same generators with the same signs
     # a stabilizer row that b shares with a is in a's group; check the others
@@ -314,18 +315,8 @@ def _is_collapse_of(stored: StabilizerTableau, post: StabilizerTableau) -> bool:
         # a deterministic qubit was measured
         return determined and not widened and _same_state(stored, post)
     for qubit in candidates:
-        tab = stab_measure(stored.copy(), qubit, None, force=0)[2]
-        anti = stored.X[qubit] >> n
-        pivot_bit = anti & -anti  # the pivot's bit among the stabilizer signs
-        if (tab.X == post.X and tab.Z == post.Z) or not _differing_rows(tab, post):
-            # the same generators: the two outcomes differ in the pivot's sign only
-            signs = (tab.r ^ post.r) >> n
-            if not signs or signs == pivot_bit:
-                return True
-            continue
-        if _deterministic_outcome(post, qubit):
-            tab.r ^= pivot_bit << n
-        if _same_state(tab, post):
+        bit = _deterministic_outcome(post, qubit)
+        if _same_state(stab_measure(stored.copy(), qubit, None, force=bit)[2], post):
             return True
     return False
 
@@ -343,6 +334,8 @@ class _TableauKernel(Kernel):
         return stab_init(n)
 
     def apply(self, tab: StabilizerTableau, op: GateOp) -> StabilizerTableau:
+        # _check_runs has refused any gate outside CLIFFORD_NAMES, so the
+        # bare index is safe; stab_apply is the checked entry point
         return _GATES[op.gate.name](tab, op.targets)
 
     def measure(self, tab: StabilizerTableau, qubit: int, rng: SplitMix64):
