@@ -141,6 +141,18 @@ FAULTS = [
         "        return 1 if tab.r >> n & chosen else 0\n",
         "        return 0\n",
     ),
+    (
+        "each generator block after the first starts one word late",
+        "src/rwsim/rng.py",
+        "        self._base = base = (self._base + size * _GAMMA) & _MASK\n",
+        "        self._base = base = (self._base + (size + 1) * _GAMMA) & _MASK\n",
+    ),
+    (
+        "the generator's state ignores the words of its block not yet read",
+        "src/rwsim/rng.py",
+        "        return (self._base + (self._size - unread) * _GAMMA) & _MASK\n",
+        "        return (self._base + self._size * _GAMMA) & _MASK\n",
+    ),
 ]
 
 # The test that checks this list against the checkout fails in every planted

@@ -354,6 +354,7 @@ def cmd_demo_collision(ns) -> tuple[list, bool]:
     _require(1 <= ns.bits <= 8, "--bits must lie in 1..8")
     for flag in ("lwe_n", "lwe_q", "lwe_m", "lwe_mu"):
         _require(getattr(ns, flag) >= 1, f"--{flag.replace('_', '-')} must be positive")
+    _require(ns.lwe_q <= 1 << 63, "--lwe-q must be at most 2^63: the LWE key is int64")
     key_seed = stream_seed(ns.seed, ns.trials)  # off the per-trial stream range
     family_args = (
         ns.family,

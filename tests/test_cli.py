@@ -754,6 +754,22 @@ def test_module_entry_point_wiring():
     assert "outcome=success" in proc.stdout
 
 
+@pytest.mark.parametrize("q", [1 << 64, 1 << 65])
+def test_lwe_modulus_over_the_int64_key_is_refused_at_once(q):
+    # a 2^65 modulus once sent the key draw into an endless rejection loop
+    proc = subprocess.run(
+        [sys.executable, "-m", "rwsim", "demo", "collision", "--family", "lwe",
+         "--lwe-q", str(q), "--trials", "1"],
+        capture_output=True,
+        text=True,
+        cwd=REPO,
+        env=cli_env(),
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: --lwe-q must be at most 2^63: the LWE key is int64\n"
+
+
 def test_simulate_pathsum_without_measurements_prints_no_empty_outcome(tmp_path, capsys):
     circuit = tmp_path / "plain.qc"
     circuit.write_text("qubits 2\ngate h 0\naccept 0\n")

@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import json
 import math
+import subprocess
+import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import REPO
+from rwsim import rng as rng_module
 from rwsim.rng import SplitMix64, stream_seed
 
 MASK = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15
 
 
 def reference_sequence(seed: int, count: int) -> list[int]:
@@ -67,6 +73,103 @@ def test_randrange_bounds(seed, n):
 def test_randrange_rejects_bad_bound():
     with pytest.raises(ValueError):
         SplitMix64(1).randrange(0)
+
+
+def test_randrange_refuses_a_bound_over_one_word():
+    # the rejection limit of such a bound is negative: no word would pass
+    with pytest.raises(ValueError, match=f"randrange bound {(1 << 64) + 1} is over 2"):
+        SplitMix64(1).randrange((1 << 64) + 1)
+    rng, ref = SplitMix64(1), reference_sequence(1, 1)
+    assert rng.randrange(1 << 64) == ref[0] and rng.state == (1 + GAMMA) & MASK
+
+
+# Bounds whose rejection zone is empty, tiny, and near one half of all words.
+BOUNDS = (1, 5, 1 << 64, (1 << 63) + 1, 3 << 62)
+OPS = st.one_of(
+    st.tuples(st.sampled_from(["next_u64", "uniform"]), st.integers(1, 400)),
+    st.tuples(st.just("randrange"), st.sampled_from(BOUNDS)),
+    st.tuples(st.just("state"), st.just(0)),
+    st.tuples(st.just("split"), st.integers(0, 3)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=MASK), st.lists(OPS, max_size=40))
+def test_every_method_follows_the_reference_across_blocks(seed, ops):
+    # runs of up to 400 draws cross many block refills, at random offsets
+    rng = SplitMix64(seed)
+    words = iter(reference_sequence(seed, 40 * 400 + 64 * 40))
+    drawn = 0
+    for op, arg in ops:
+        if op == "next_u64":
+            assert [rng.next_u64() for _ in range(arg)] == [next(words) for _ in range(arg)]
+            drawn += arg
+        elif op == "uniform":
+            want = [(next(words) >> 11) / (1 << 53) for _ in range(arg)]
+            assert [rng.uniform() for _ in range(arg)] == want
+            drawn += arg
+        elif op == "randrange":
+            limit = MASK - (1 << 64) % arg
+            while True:
+                u = next(words)
+                drawn += 1
+                if u <= limit:
+                    break
+            assert rng.randrange(arg) == u % arg
+        elif op == "state":
+            assert rng.state == (seed + drawn * GAMMA) & MASK
+        else:  # the child's seed is the finalizer of the parent state + (arg + 1) gamma
+            child_seed = reference_sequence((seed + (drawn + arg) * GAMMA) & MASK, 1)[0]
+            child = rng.split(arg)
+            assert child.state == child_seed
+            assert [child.next_u64() for _ in range(20)] == reference_sequence(child_seed, 20)
+    assert rng.state == (seed + drawn * GAMMA) & MASK
+
+
+@pytest.mark.parametrize("k", rng_module._LANES)
+def test_a_block_is_the_next_words_in_either_byte_order(monkeypatch, k):
+    base = 0xFEDCBA9876543210
+    want = reference_sequence(base, k)
+    assert rng_module._block(base, k) == want
+    # On a machine of the other byte order every 8-byte word reads reversed;
+    # reading the other order's bytes here reverses each word the same way.
+    other = "big" if sys.byteorder == "little" else "little"
+    monkeypatch.setattr(rng_module, "_ORDER", other)
+    swapped = [int.from_bytes(w.to_bytes(8, "little"), "big") for w in want]
+    assert rng_module._block(base, k) == swapped
+
+
+# Loads rng.py by its path, as bench/workloads.py does to pick pp's seed, with
+# no site directories (so nothing outside the standard library is importable)
+# and prints the table weights pp would draw and the modules that loaded.
+BY_PATH = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("_rwsim_rng", sys.argv[1])
+module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(module)
+weights = [
+    1 + module.SplitMix64(module.stream_seed(master, i)).randrange(16)
+    for master in range(40) for i in range(2)
+]
+roots = {name.partition(".")[0] for name in sys.modules}
+print(json.dumps({"weights": weights, "roots": sorted(roots)}))
+"""
+
+
+def test_loaded_by_path_runs_on_the_standard_library_alone():
+    proc = subprocess.run(
+        [sys.executable, "-S", "-I", "-c", BY_PATH, str(REPO / "src" / "rwsim" / "rng.py")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert set(out["roots"]) - set(sys.stdlib_module_names) <= {"__main__", "_rwsim_rng"}
+    assert out["weights"] == [
+        1 + SplitMix64(stream_seed(master, i)).randrange(16)
+        for master in range(40) for i in range(2)
+    ]
 
 
 def test_bernoulli_extremes():
