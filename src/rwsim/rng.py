@@ -16,8 +16,11 @@ lane are masked off before they can reach a product.  The low halves are
 read back through ``int.to_bytes`` and ``memoryview.cast("Q")`` in the
 machine's byte order.  The stream is bit for bit that of the one-word
 generator.  A generator computes its first block on construction and each
-next one when the last is used up; the blocks grow from 8 words (enough for
-the few draws of most trials) to 256.
+next one when the last is used up.  The blocks double from 6 words to a cap
+of 256.  A pass over a few words costs about as much as three one-word
+draws, so one pass covers the 3-5 draws of a dense trial and two the 16 of
+a tableau trial; over a long stream a draw costs about half as much as a
+one-word draw.
 
 The module uses the standard library only, not NumPy: the stab and
 path-sum commands never load NumPy, and the benchmark loads this file by
@@ -31,7 +34,7 @@ import sys
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15  # golden-ratio increment
 _UNIT = 1.0 / (1 << 53)
-_BLOCKS = (8, 16, 32, 64, 128, 256)  # block lengths, in the order they are used
+_BLOCKS = (6, 12, 24, 48, 96, 192, 256)  # block lengths, in the order they are used
 _ORDER = sys.byteorder
 
 
