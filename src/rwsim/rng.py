@@ -66,6 +66,7 @@ def _lanes(k: int) -> tuple[int, int, int]:
 
 
 _LANES = {k: _lanes(k) for k in _BLOCKS}
+_NEXT_BLOCK = dict(zip(_BLOCKS, _BLOCKS[1:] + _BLOCKS[-1:]))
 
 
 def _block(base: int, k: int) -> list[int]:
@@ -99,7 +100,7 @@ class SplitMix64:
         """Start the next block; the current one has been read to the end."""
         size = self._size
         self._base = base = (self._base + size * _GAMMA) & _MASK
-        self._size = size = min(2 * size, _BLOCKS[-1])
+        self._size = size = _NEXT_BLOCK[size]
         self._take = iter(_block(base, size)).__next__
 
     @property
@@ -108,6 +109,10 @@ class SplitMix64:
         the one-word generator after the same draws."""
         unread = self._take.__self__.__length_hint__()
         return (self._base + (self._size - unread) * _GAMMA) & _MASK
+
+    def __copy__(self) -> "SplitMix64":
+        # a field-by-field copy would share the block's iterator with this one
+        return SplitMix64(self.state)
 
     def next_u64(self) -> int:
         try:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import math
+import pickle
 import subprocess
 import sys
 
@@ -209,6 +211,16 @@ def test_stream_seeds_are_distinct(master):
 def test_stream_seed_rejects_negative_index():
     with pytest.raises(ValueError):
         stream_seed(0, -1)
+
+
+@pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))])
+def test_a_copy_draws_the_same_stream_on_its_own(copier):
+    rng = SplitMix64(5)
+    for _ in range(9):  # into the second block
+        rng.uniform()
+    twin = copier(rng)
+    assert twin.state == rng.state
+    assert [rng.next_u64() for _ in range(30)] == [twin.next_u64() for _ in range(30)]
 
 
 def test_split_matches_stream_seed():
