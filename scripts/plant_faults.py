@@ -153,6 +153,18 @@ FAULTS = [
         "        return (self._base + (self._size - unread) * _GAMMA) & _MASK\n",
         "        return (self._base + self._size * _GAMMA) & _MASK\n",
     ),
+    (
+        "the command line leaves the collector off after loading its modules",
+        "src/rwsim/cli.py",
+        "            gc.enable()\n",
+        "            pass\n",
+    ),
+    (
+        "the command line loads its modules without freezing them",
+        "src/rwsim/cli.py",
+        "        gc.freeze()\n",
+        "",
+    ),
 ]
 
 # The test that checks this list against the checkout fails in every planted

@@ -86,23 +86,30 @@ class GateSetError(InputError):
     """A gate outside the chosen backend's gate set."""
 
 
-class RewindConsistencyError(ValueError):
+class RunError(Exception):
+    """A run that refused to go on: the base of the interpreter's runtime
+    refusals, kept apart from :class:`InputError`.  Each subclass keeps its
+    ``ValueError`` or ``RuntimeError`` base as well.  The command line
+    reports every one with exit code 1."""
+
+
+class RewindConsistencyError(RunError, ValueError):
     """Strict rewind input is not a one-outcome collapse of the snapshot."""
 
 
-class UnknownSnapshotError(ValueError):
+class UnknownSnapshotError(RunError, ValueError):
     """Rewind/clone of a label that no snapshot on this branch has stored."""
 
 
-class InvalidPostselectionError(ValueError):
+class InvalidPostselectionError(RunError, ValueError):
     """Postselected on an outcome of probability zero."""
 
 
-class PostselectThresholdError(ValueError):
+class PostselectThresholdError(RunError, ValueError):
     """Postselection succeeded but below the required minimum probability."""
 
 
-class DepthLimitError(RuntimeError):
+class DepthLimitError(RunError, RuntimeError):
     """Branch tree exceeded the random-measurement depth limit."""
 
 

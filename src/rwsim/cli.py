@@ -24,12 +24,20 @@ for any jobs count and the flag is deliberately left out of the report body.
 ``main`` loads the modules a command runs on after parsing its arguments
 and before starting its clock: ``circuit`` and ``stabilizer`` or ``pathsum``
 for those two backends, which never load NumPy or ``dataclasses``, and
-NumPy and every layer for the dense backend and the demos.  The worker pool,
-and with it ``multiprocessing``, is imported only by a run that uses it:
-``--jobs`` over 1 and more than one trial.
+NumPy and every layer for the dense backend and the demos.  It loads them
+with the cyclic garbage collector off and then calls ``gc.freeze()``, which
+moves every object alive at that point into the collector's permanent
+generation: the modules' objects live as long as the process, so no
+collection during the loads or the run, and none of the interpreter's
+collections at exit, walks them again.  The caller's ``gc.isenabled()``
+state is restored, and the run's own objects are collected as before.  The
+worker pool, and with it ``multiprocessing``, is imported only by a run
+that uses it: ``--jobs`` over 1 and more than one trial; its forked workers
+inherit the frozen heap.
 
-Exit codes: 0 = assertions passed, 1 = assertion or runtime failure, 2 =
-bad input, any :class:`rwsim.circuit.InputError`: usage, parse and
+Exit codes: 0 = assertions passed, 1 = assertion or runtime failure (any
+:class:`rwsim.circuit.RunError` among them), 2 = bad input, any
+:class:`rwsim.circuit.InputError`: usage, parse and
 validation errors, a gate the backend does not run, widths over the qubit
 or tableau cap, and path sums over the amplitude cap.  A failure prints one
 stderr line, ``error: <message>`` for bad input and ``error: <class>:
@@ -43,6 +51,7 @@ an exact figure, so bad input is refused first.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib.util
 import math
 import sys
@@ -686,8 +695,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ns = _build_parser().parse_args(argv)
-    for name in _BACKEND_MODULES.get(getattr(ns, "backend", None), _ALL_MODULES):
-        importlib.import_module(name, __package__)
+    # the loaded modules live as long as the process: keep every collection,
+    # those at exit too, off their objects (see the module docstring)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for name in _BACKEND_MODULES.get(getattr(ns, "backend", None), _ALL_MODULES):
+            importlib.import_module(name, __package__)
+        gc.freeze()
+    finally:
+        if enabled:
+            gc.enable()
     start = time.perf_counter()
     try:
         lines, ok = ns.handler(ns)

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -22,12 +24,13 @@ from rwsim.circuit import (
     PostselectThresholdError,
     QubitBudgetError,
     RewindConsistencyError,
+    RunError,
     UnknownSnapshotError,
     outcome_distribution,
     parse_circuit,
     strong_probability,
 )
-from rwsim.cli import _collision_family, main
+from rwsim.cli import _BACKEND_MODULES, _collision_family, main
 from rwsim.rng import stream_seed
 
 BELL = str(REPO / "circuits/bell.qc")
@@ -359,6 +362,64 @@ def test_every_input_error_and_nothing_else_exits_2(monkeypatch, capsys, error, 
     got, out, err = run(capsys, ["simulate", BELL, "--backend", "stab"])
     shown = str(error) if code == 2 else f"{type(error).__name__}: {error}"
     assert (got, out, err) == (code, "", f"error: {shown}\n")
+
+
+@pytest.mark.parametrize(
+    "cls, base",
+    [
+        (RewindConsistencyError, ValueError),
+        (UnknownSnapshotError, ValueError),
+        (InvalidPostselectionError, ValueError),
+        (PostselectThresholdError, ValueError),
+        (DepthLimitError, RuntimeError),
+    ],
+    ids=lambda value: value.__name__,
+)
+def test_every_runtime_refusal_is_a_run_error_and_no_input_error(cls, base):
+    assert issubclass(cls, RunError) and issubclass(cls, base)
+    assert not issubclass(cls, InputError)
+
+
+@pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+def collector(request):
+    """The collector's state for one test: set before it, restored after."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["simulate", BELL, "--backend", "stab", "--trials", "2"], 0),
+        (["simulate", POSTSELECT, "--trials", "5", "--min-postselect-prob", "0.9"], 1),
+        (["simulate", "no-such-circuit.qc"], 2),
+    ],
+    ids=["exit-0", "exit-1", "exit-2"],
+)
+def test_main_leaves_the_collector_as_it_found_it(capsys, collector, argv, code):
+    assert run(capsys, argv)[0] == code
+    assert gc.isenabled() is collector
+    assert gc.get_freeze_count() > 0
+
+    # what the run's caller makes afterwards is still collected
+    class Node:
+        pass
+
+    node = Node()
+    node.self = node
+    alive = weakref.ref(node)
+    del node
+    gc.collect()
+    assert alive() is None
+
+
+def test_a_failed_module_load_restores_the_collector(monkeypatch, collector):
+    monkeypatch.setitem(_BACKEND_MODULES, "stab", (".no_such_layer",))
+    with pytest.raises(ModuleNotFoundError):
+        main(["simulate", BELL, "--backend", "stab"])
+    assert gc.isenabled() is collector
 
 
 @pytest.mark.parametrize("value", ["nan", "-1", "1.5"])

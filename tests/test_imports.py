@@ -1,9 +1,10 @@
-"""What loads when: the stabilizer and path-sum commands and a bare
-``import rwsim`` never load NumPy, the stabilizer and path-sum commands
-never import ``dataclasses``, no dense command loads ``numpy.ma`` (NumPy
-imports it on first use of a plain ``np.unique``), a one-job command never
-loads the worker pool's ``concurrent.futures`` or ``multiprocessing``, the
-package's lazily
+"""What loads when: a command loads its modules with the collector off and
+freezes them (the collector is on again after the run), the stabilizer and
+path-sum commands and a bare ``import rwsim`` never load NumPy, the
+stabilizer and path-sum commands never import ``dataclasses``, no dense
+command loads ``numpy.ma`` (NumPy imports it on first use of a plain
+``np.unique``), a one-job command never loads the worker pool's
+``concurrent.futures`` or ``multiprocessing``, the package's lazily
 resolved exports are the objects their modules define, and the benchmark's
 tracer reaches every name bound to a traced function."""
 
@@ -21,16 +22,18 @@ from conftest import REPO, cli_env
 from test_parity import COMMANDS, GOLDEN, differences
 
 # Runs ``python -m rwsim`` with the given arguments, then reports on stderr
-# which of the watched modules were ever imported, as ``loaded=a,b``.
+# the collector's state after the run, as ``gc=<enabled>,<frozen objects>``,
+# and which of the watched modules were ever imported, as ``loaded=a,b``.
 WATCHED = ("numpy", "numpy.ma", "dataclasses", "concurrent.futures", "multiprocessing")
 WRAPPER = f"""
-import runpy, sys
+import gc, runpy, sys
 sys.argv = ["rwsim", *sys.argv[1:]]
 code = 0
 try:
     runpy.run_module("rwsim", run_name="__main__", alter_sys=True)
 except SystemExit as exit:
     code = exit.code
+print(f"gc={{int(gc.isenabled())}},{{gc.get_freeze_count()}}", file=sys.stderr)
 print("loaded=" + ",".join(m for m in {WATCHED!r} if m in sys.modules), file=sys.stderr)
 sys.exit(code)
 """
@@ -55,11 +58,26 @@ def test_stab_and_pathsum_commands_never_load_numpy(name):
     proc = _child("-c", WRAPPER, *COMMANDS[name])
     assert proc.returncode == 0, proc.stderr
     assert _loaded(proc) == set()  # nor dataclasses nor the worker pool
-    body = "".join(
+    assert differences((GOLDEN / f"{name}.txt").read_text(), _body(proc)) == []
+
+
+def _body(proc: subprocess.CompletedProcess) -> str:
+    """The report ``proc`` printed, minus its ``duration_s`` line."""
+    return "".join(
         line for line in proc.stdout.splitlines(keepends=True)
         if not line.startswith("duration_s=")
     )
-    assert differences((GOLDEN / f"{name}.txt").read_text(), body) == []
+
+
+@pytest.mark.parametrize("name", ["retry-stab", "collision-toy"])
+def test_a_command_freezes_its_loaded_heap_and_leaves_the_collector_on(name):
+    proc = _child("-c", WRAPPER, *COMMANDS[name])
+    assert proc.returncode == 0, proc.stderr
+    line = proc.stderr.splitlines()[-2]
+    assert line.startswith("gc="), proc.stderr
+    enabled, frozen = map(int, line[len("gc="):].split(","))
+    assert enabled == 1 and frozen > 0
+    assert differences((GOLDEN / f"{name}.txt").read_text(), _body(proc)) == []
 
 
 def test_the_dense_command_loads_numpy():
